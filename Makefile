@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck race bench-serve bench-telemetry bench-baseline bench-guard smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
+.PHONY: all build test vet staticcheck race bench bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
 
 all: check
 
@@ -215,8 +215,9 @@ smoke-rollout:
 # at -snapshot-quant=off (the blocked kernels keep textbook accumulation
 # order regardless of row count, so batchmates cannot perturb each
 # other's math). The batched server must actually coalesce (flush
-# counter > 0), and the env-gated Go tests then assert the ≥5x
-# throughput floor and the int8 AUC budget (ΔAUC ≥ -0.002 on amazon-6).
+# counter > 0), and the env-gated Go test then asserts the int8 AUC
+# budget (ΔAUC ≥ -0.002 on amazon-6). What batching buys is measured by
+# mamdr-bench (serve-point vs serve-live), not gated here.
 smoke-batch:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/datagen
 	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 2000 -seed 7 -out /tmp/batch-ds.json
@@ -246,9 +247,8 @@ smoke-batch:
 	curl -s 127.0.0.1:8089/metrics | grep -E 'mamdr_serve_batch_flushes_total\{reason="(full|linger)"\} [1-9]'
 	kill `cat /tmp/batch-serve.pid`
 	diff /tmp/batch-scores-off.jsonl /tmp/batch-scores-on.jsonl
-	MAMDR_SMOKE_BATCH=1 $(GO) test -count=1 -v -run TestBatchThroughputGain ./internal/serve
 	MAMDR_SMOKE_BATCH=1 $(GO) test -count=1 -v -run TestQuantAUCBudget ./internal/exp
-	@echo "ok: batched scores byte-identical to unbatched; throughput and int8 AUC gates passed"
+	@echo "ok: batched scores byte-identical to unbatched; int8 AUC gate passed"
 
 # The PS, cluster, serving, batching, and quant paths are the
 # concurrent hot spots; keep them race-clean.
@@ -259,39 +259,16 @@ race:
 bench-serve:
 	$(GO) test ./internal/serve -run xxx -bench ServeThroughput -benchtime 2s
 
-# The kernel benchmarks guarded by CI's bench-guard job, plus the
-# serving-path series (batched forward, quantized row lookup) guarded
-# against their own baseline — they live in a different package so they
-# carry a separate baseline file, and being end-to-end HTTP benchmarks
-# (linger timers, goroutine scheduling) they get a looser 50% gate:
-# still far under the 2x+ cost of accidentally serializing the pool or
-# losing coalescing, without flaking on scheduler jitter.
-BENCH_GUARD = BenchmarkMatMul64x64$$|BenchmarkMatMulBackward64x64$$|BenchmarkFMSecondOrder$$|BenchmarkTrainStepArena$$
-BENCH_BASELINE = internal/autograd/testdata/bench_baseline.txt
-SERVE_BENCH_GUARD = BenchmarkServeConcurrent|BenchmarkQuantLookup
-SERVE_BENCH_BASELINE = internal/serve/testdata/bench_baseline.txt
+# The one measurement harness (cmd/mamdr-bench/README.md): all six
+# workloads, five untraced runs and one traced run each, written to OUT.
+OUT ?= BENCH.json
+bench:
+	bash cmd/mamdr-bench/run.sh -out $(OUT) -repeat 5
 
-# Regenerate the committed baselines after an intentional kernel or
-# serving-path change.
-bench-baseline:
-	$(GO) test ./internal/autograd -run '^$$' -bench '$(BENCH_GUARD)' \
-		-benchtime=300ms -count=6 | tee $(BENCH_BASELINE)
-	$(GO) test ./internal/serve -run '^$$' -bench '$(SERVE_BENCH_GUARD)' \
-		-benchtime=300ms -count=6 | tee $(SERVE_BENCH_BASELINE)
-
-# The CI bench-guard job locally: re-run the guarded benchmarks and
-# fail if any median regressed >20% vs the committed baseline. If
-# benchstat is installed (go install golang.org/x/perf/cmd/benchstat@latest)
-# it prints the full delta table first.
-bench-guard:
-	$(GO) test ./internal/autograd -run '^$$' -bench '$(BENCH_GUARD)' \
-		-benchtime=300ms -count=6 | tee /tmp/bench_current.txt
-	-command -v benchstat >/dev/null && benchstat $(BENCH_BASELINE) /tmp/bench_current.txt
-	python3 scripts/bench_guard.py $(BENCH_BASELINE) /tmp/bench_current.txt
-	$(GO) test ./internal/serve -run '^$$' -bench '$(SERVE_BENCH_GUARD)' \
-		-benchtime=300ms -count=6 | tee /tmp/bench_serve_current.txt
-	-command -v benchstat >/dev/null && benchstat $(SERVE_BENCH_BASELINE) /tmp/bench_serve_current.txt
-	python3 scripts/bench_guard.py $(SERVE_BENCH_BASELINE) /tmp/bench_serve_current.txt 0.50
+# One verdict per workload x end-to-end metric between two result
+# files; exits 1 on a regression or a higher fail ratio.
+bench-compare:
+	bash cmd/mamdr-bench/run.sh -compare $(OLD) $(NEW)
 
 # Instrumented-vs-bare cost of the telemetry subsystem on the training
 # loop and the serving request path (budget: <5%).

@@ -272,8 +272,8 @@ func main() {
 			log.Printf("snapshot v%d (crc %08x) is now the incumbent", version, crc)
 		},
 		// Replicas mirror the trained model's structure (same Config,
-		// including Seed); their initial weights are irrelevant because
-		// every prediction restores a precomposed snapshot first.
+		// including Seed); the server drops their weights, because every
+		// prediction binds the replica to the served snapshot.
 		ReplicaFactory: func() models.Model {
 			return models.MustNew(*model, models.Config{Dataset: ds, EmbDim: *embDim, Seed: *seed})
 		},

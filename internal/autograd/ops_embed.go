@@ -10,7 +10,8 @@ import (
 // Gather selects rows of the table (VxD) by index, producing an NxD
 // tensor where row i is table[indices[i]]. It is the embedding-lookup
 // primitive; the backward pass scatter-adds gradients into the selected
-// rows only, which keeps sparse-embedding training cheap.
+// rows only, which keeps sparse-embedding training cheap. A table bound
+// to a RowSource (BindRows) is read through it, row by row.
 func Gather(table *Tensor, indices []int) *Tensor {
 	d := table.Cols
 	data := alloc(len(indices) * d)
@@ -18,7 +19,11 @@ func Gather(table *Tensor, indices []int) *Tensor {
 		if idx < 0 || idx >= table.Rows {
 			panic(fmt.Sprintf("autograd: Gather index %d out of range [0,%d)", idx, table.Rows))
 		}
-		copy(data[i*d:(i+1)*d], table.Data[idx*d:(idx+1)*d])
+		if table.rows != nil {
+			table.rows.Row(idx, data[i*d:(i+1)*d])
+		} else {
+			copy(data[i*d:(i+1)*d], table.Data[idx*d:(idx+1)*d])
+		}
 	}
 	out := newResult(len(indices), d, data, nil, table)
 	if out.parents == nil {

@@ -239,6 +239,62 @@ func TestGatherForward(t *testing.T) {
 	}
 }
 
+// doubledRows is a RowSource over a table it does not expose as Data.
+type doubledRows struct {
+	data []float64
+	cols int
+}
+
+func (d doubledRows) Row(r int, dst []float64) {
+	for j := range dst {
+		dst[j] = 2 * d.data[r*d.cols+j]
+	}
+}
+
+// TestGatherReadsThroughRowSource: a bound table needs no Data at all,
+// and unbinding returns Gather to direct reads.
+func TestGatherReadsThroughRowSource(t *testing.T) {
+	own := []float64{0, 1, 10, 11, 20, 21}
+	table := Param(3, 2, own)
+	table.Data = nil
+	table.BindRows(doubledRows{data: own, cols: 2})
+	g := Gather(table, []int{2, 0})
+	for i, w := range []float64{40, 42, 0, 2} {
+		if g.Data[i] != w {
+			t.Fatalf("bound Gather[%d] = %g, want %g", i, g.Data[i], w)
+		}
+	}
+	table.BindRows(nil)
+	table.Data = own
+	if g := Gather(table, []int{1}); g.Data[0] != 10 || g.Data[1] != 11 {
+		t.Fatalf("unbound Gather = %v, want [10 11]", g.Data)
+	}
+}
+
+// TestReleaseLeavesBorrowedParameterData: a parameter whose Data header
+// points at memory it does not own (an inference binding) is a leaf
+// like any other — Release recycles the op results and neither the
+// borrowed slice nor the header.
+func TestReleaseLeavesBorrowedParameterData(t *testing.T) {
+	borrowed := []float64{1, 2, 3, 4}
+	w := ParamZeros(2, 2)
+	w.Data = borrowed
+	x := New(1, 2, []float64{1, 1})
+	out := Sum(MatMul(x, w))
+	if out.Item() != 10 {
+		t.Fatalf("forward through borrowed Data = %g, want 10", out.Item())
+	}
+	out.Release()
+	if &w.Data[0] != &borrowed[0] || len(w.Data) != 4 {
+		t.Fatal("Release replaced a parameter's borrowed Data header")
+	}
+	for i, v := range []float64{1, 2, 3, 4} {
+		if borrowed[i] != v {
+			t.Fatalf("Release wrote borrowed[%d] = %g", i, borrowed[i])
+		}
+	}
+}
+
 func TestGatherGradWithRepeats(t *testing.T) {
 	table := randParam(4, 3, 27)
 	idx := []int{1, 3, 1, 1}

@@ -34,6 +34,10 @@ type Tensor struct {
 	// a parameter created with Param, which always carries a Grad buffer).
 	Grad []float64
 
+	// rows, when non-nil, supplies the tensor's rows in place of Data
+	// (see BindRows); only Gather reads through it.
+	rows RowSource
+
 	requiresGrad bool
 	parents      []*Tensor
 	backward     func()
@@ -41,6 +45,22 @@ type Tensor struct {
 	// arena; Release returns such buffers for reuse.
 	pooled bool
 }
+
+// RowSource yields rows of a table that is not materialized in Data —
+// an inference-time parameter binding composes or decodes each row
+// only when a lookup asks for it. Implementations shared between
+// concurrent forwards must be safe for concurrent use.
+type RowSource interface {
+	// Row writes row r (Cols values) into dst.
+	Row(r int, dst []float64)
+}
+
+// BindRows makes Gather read the tensor's rows from src instead of
+// Data; nil restores direct reads. The shape is unchanged, so a bound
+// table may carry no Data at all. Every other op still reads Data:
+// bind only tensors that are consumed through Gather alone (the
+// models.EmbeddingTabler contract).
+func (t *Tensor) BindRows(src RowSource) { t.rows = src }
 
 // alloc returns a zeroed buffer from the kernels arena. Op results
 // allocate through it so Release can recycle their memory.

@@ -86,16 +86,18 @@ func (s *State) ComposedFor(domain int) paramvec.Vector {
 }
 
 // Predict implements framework.Predictor: it serves each batch with the
-// parameters composed for the batch's domain, restoring the model's
-// parameters afterwards.
+// parameters composed for the batch's domain, bound to the model by
+// reference (dense segments summed, embedding rows composed as the
+// lookup gathers them) and unbound again before returning — the model's
+// own parameters are neither read nor written.
 func (s *State) Predict(b *data.Batch) []float64 {
 	params := s.Model.Parameters()
-	saved := paramvec.Snapshot(params)
-	paramvec.Restore(params, s.ComposedFor(b.Domain))
+	binding := paramvec.NewBinding(params)
+	binding.Bind(paramvec.SumBound(params, models.EmbeddingTablesOf(s.Model), s.Shared, s.Specific[b.Domain]))
+	defer binding.Unbind()
 	logits := s.Model.Forward(b, false)
 	probs := framework.SigmoidAll(logits)
 	logits.Release()
-	paramvec.Restore(params, saved)
 	return probs
 }
 
@@ -294,9 +296,12 @@ func DomainRegularizationOpt(st *State, ds *data.Dataset, target int, cfg framew
 		trace.A("target", ds.Domains[target].Name), trace.A("helpers", len(helpers)))
 	defer drSpan.End()
 
+	// Scratch for the lookahead's start and end points, reused by
+	// every helper.
+	composed, endpoint := st.Shared.Zero(), st.Shared.Zero()
 	for _, j := range helpers {
 		// θ̃_i ← θ_i (working in composed coordinates Θ = θ_S + θ_i).
-		composed := st.ComposedFor(target)
+		paramvec.SumInto(composed, st.Shared, st.Specific[target])
 		paramvec.Restore(params, composed)
 
 		laCtx, laSpan := trace.Start(ctx, "dr.lookahead",
@@ -316,8 +321,8 @@ func DomainRegularizationOpt(st *State, ds *data.Dataset, target int, cfg framew
 
 		// θ_i ← θ_i + γ(θ̃_i − θ_i); in composed coordinates the
 		// difference of endpoints equals the difference of specifics.
-		endpoint := paramvec.Snapshot(params)
-		paramvec.Axpy(st.Specific[target], cfg.DRLR, paramvec.Sub(endpoint, composed))
+		paramvec.SnapshotInto(endpoint, params)
+		paramvec.AddScaledDiff(st.Specific[target], cfg.DRLR, endpoint, composed)
 	}
 }
 

@@ -115,6 +115,107 @@ func TestAddScaledDiffInto(t *testing.T) {
 	}
 }
 
+// randVector fills a vector shaped like shape with awkward magnitudes, so
+// that a different evaluation order would show in the low bits.
+func randVector(shape Vector, rng *rand.Rand) Vector {
+	v := shape.Zero()
+	for i := range v {
+		for j := range v[i] {
+			v[i][j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+	}
+	return v
+}
+
+func mustEqualBits(t *testing.T, what string, got, want Vector) {
+	t.Helper()
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s[%d][%d] = %v, want %v (bit-identical)", what, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestIntoVariantsMatchAllocatingOnes pins the scratch-reusing forms the
+// DR loop runs on to the allocating ones, bit for bit — including the
+// fused dst += s*(endpoint − base) against Axpy(dst, s, Sub(…)).
+func TestIntoVariantsMatchAllocatingOnes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	shape := Vector{make([]float64, 37), make([]float64, 5), make([]float64, 1)}
+	a, b, c := randVector(shape, rng), randVector(shape, rng), randVector(shape, rng)
+
+	sum := randVector(shape, rng) // stale scratch content must not matter
+	SumInto(sum, a, b)
+	mustEqualBits(t, "SumInto", sum, Sum(a, b))
+
+	ps := []*autograd.Tensor{autograd.Param(1, 37, a[0]), autograd.Param(5, 1, a[1]), autograd.Param(1, 1, a[2])}
+	snap := randVector(shape, rng)
+	SnapshotInto(snap, ps)
+	mustEqualBits(t, "SnapshotInto", snap, Snapshot(ps))
+	snap[0][0]++
+	if a[0][0] == snap[0][0] {
+		t.Fatal("SnapshotInto aliased the tensor's storage")
+	}
+
+	fused, twoStep := c.Clone(), c.Clone()
+	AddScaledDiff(fused, 0.37, a, b)
+	Axpy(twoStep, 0.37, Sub(a, b))
+	mustEqualBits(t, "AddScaledDiff", fused, twoStep)
+}
+
+// TestBindingPointsAndRestores: Bind aliases the dense segments (no
+// copy), routes table lookups through the row source, and Unbind puts
+// the tensors' own storage back untouched.
+func TestBindingPointsAndRestores(t *testing.T) {
+	table := autograd.Param(3, 2, []float64{9, 9, 9, 9, 9, 9})
+	dense := autograd.Param(1, 2, []float64{7, 7})
+	params := []*autograd.Tensor{table, dense}
+	ownTable, ownDense := table.Data, dense.Data
+
+	v := Vector{{0, 1, 10, 11, 20, 21}, {1, 2}}
+	w := Vector{{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, {10, 20}}
+	bound := SumBound(params, map[int]int{0: 0}, v, w)
+	if bound.Dense[0] != nil || bound.Rows[0] == nil || bound.Rows[1] != nil {
+		t.Fatalf("SumBound split = dense %v rows %v: the table must be a row source only", bound.Dense, bound.Rows)
+	}
+	mustEqualBits(t, "dense segment", Vector{bound.Dense[1]}, Vector{Sum(v, w)[1]})
+
+	bd := NewBinding(params)
+	bd.Bind(bound)
+	if &dense.Data[0] != &bound.Dense[1][0] {
+		t.Fatal("Bind copied a dense segment instead of pointing at it")
+	}
+	if table.Data != nil {
+		t.Fatal("a bound table must carry no Data")
+	}
+	got := autograd.Gather(table, []int{2, 0})
+	mustEqualBits(t, "bound rows", Vector{got.Data}, Vector{{20.5, 21.5, 0.5, 1.5}})
+
+	bd.Unbind()
+	bd.Unbind() // idempotent
+	if &table.Data[0] != &ownTable[0] || &dense.Data[0] != &ownDense[0] {
+		t.Fatal("Unbind did not restore the tensors' own Data headers")
+	}
+	if g := autograd.Gather(table, []int{1}); g.Data[0] != 9 || dense.Data[0] != 7 {
+		t.Fatal("the tensors' own values changed across Bind/Unbind")
+	}
+}
+
+func TestBindTwicePanics(t *testing.T) {
+	params := []*autograd.Tensor{autograd.Param(1, 1, []float64{1})}
+	bd := NewBinding(params)
+	bound := SumBound(params, nil, Vector{{1}}, Vector{{2}})
+	bd.Bind(bound)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Bind would lose the tensors' own storage; expected panic")
+		}
+	}()
+	bd.Bind(bound)
+}
+
 func TestCosineSimilarity(t *testing.T) {
 	if c := CosineSimilarity(Vector{{1, 0}}, Vector{{0, 1}}); c != 0 {
 		t.Fatalf("orthogonal cos = %g", c)

@@ -152,7 +152,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkServeConcurrent is the bench-guard series for the batched
+// BenchmarkServeConcurrent is the micro-benchmark of the batched
 // serving path: the same concurrent workload with coalescing off
 // (one forward per request) and on (micro-batched forwards). Run with:
 //
@@ -190,7 +190,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	})
 }
 
-// BenchmarkQuantLookup is the bench-guard series for the quantized
+// BenchmarkQuantLookup is the micro-benchmark of the quantized
 // lookup path: a cache hit returns a shared decoded row; a miss pays
 // the int8 row decode. Run with:
 //

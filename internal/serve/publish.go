@@ -232,9 +232,9 @@ func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.Stat
 	} else {
 		// Single-replica server: the state's own model is the only
 		// replica, and loading restores parameters into its tensors.
-		// Borrow it from the pool so no forward pass is mid-flight while
-		// the load writes — the tensors' content between requests is
-		// irrelevant (predictOn restores the composed snapshot first).
+		// Borrow it from the pool: a pooled model is unbound, so the
+		// load writes the model's own storage — while a forward has it
+		// bound, the same write would land in the served snapshot.
 		waitCtx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
 		defer cancel()
 		select {

@@ -5,14 +5,16 @@
 // parameters until their specific parameters are trained).
 //
 // The server is built for concurrent traffic. Serving parameters for
-// every domain (θ_S + θ_i, Eq. 4) are precomposed into an immutable
-// snapshot that requests read through an atomic pointer — no global
-// lock and no per-request parameter composition. Forward passes run on
-// a pool of model replicas, so predictions for different requests
-// proceed concurrently. Domain registration, state swaps, and live
-// publications build a fresh snapshot off-path and install it
-// atomically; in-flight requests keep serving the snapshot they
-// started with.
+// every domain (θ_S + θ_i, Eq. 4) live in an immutable snapshot that
+// requests read through an atomic pointer — no global lock and no
+// per-request parameter copy: a forward pass binds a pooled model to
+// the snapshot by reference (dense tensors point at the domain's
+// composed dense segments, embedding rows are composed as the lookup
+// gathers them) and unbinds it afterwards. The pool bounds how many
+// forwards run at once; its models own no parameters of their own.
+// Domain registration, state swaps, and live publications build a fresh
+// snapshot off-path and install it atomically; in-flight requests keep
+// serving the snapshot they started with.
 //
 // Live rollout: Publish stages a new versioned snapshot next to the
 // incumbent. With a rollout gate attached (SetRollout), the new
@@ -46,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mamdr/internal/autograd"
 	"mamdr/internal/batch"
 	"mamdr/internal/core"
 	"mamdr/internal/data"
@@ -82,7 +83,9 @@ type Options struct {
 	// state's own model, so Replicas is forced to 1.
 	Replicas int
 	// ReplicaFactory builds additional model replicas structurally
-	// identical to the state's model (same Config including Seed).
+	// identical to the state's model (same Config including Seed). The
+	// server keeps their structure and drops their parameter storage:
+	// every forward reads the snapshot it is bound to.
 	ReplicaFactory func() models.Model
 	// RequestTimeout bounds how long a prediction waits for a free
 	// replica before returning 503. Default 5s.
@@ -167,12 +170,12 @@ type Options struct {
 	// Under saturating traffic batches fill before the linger fires,
 	// so this prices only the idle-tail latency.
 	BatchLinger time.Duration
-	// SnapshotQuant selects the embedding-table storage of serving
-	// snapshots: "off" (default) keeps composed float64 vectors;
-	// "int8" stores composed embedding tables symmetric-per-row
-	// quantized (internal/quant) and restores only each batch's
-	// touched rows through a hot-row dequantization cache. Models
-	// without learned embedding tables serve exactly as "off".
+	// SnapshotQuant selects how serving snapshots supply embedding
+	// rows: "off" (default) composes θ_S[row] + θ_i[row] in float64 as
+	// a lookup gathers it; "int8" stores each domain's composed tables
+	// symmetric-per-row quantized (internal/quant) and decodes gathered
+	// rows through a hot-row dequantization cache. Models without
+	// learned embedding tables serve exactly as "off".
 	SnapshotQuant string
 	// QuantCacheRows caps the shared dequantization LRU (rows held
 	// decoded across all domains and snapshots). Default 4096.
@@ -237,11 +240,11 @@ func routeToCanary(rid string, fraction float64) bool {
 	return float64(h.Sum32())/float64(1<<32) < fraction
 }
 
-// replica is one pooled model instance. Its tensors are owned
-// exclusively by the request currently holding it.
+// replica is one pooled model instance, held exclusively by one request
+// at a time and bound to a snapshot only for the length of a forward.
 type replica struct {
-	model  models.Model
-	params []*autograd.Tensor
+	model   models.Model
+	binding *paramvec.Binding
 }
 
 // Server serves predictions from a MAMDR state. All handlers are safe
@@ -287,10 +290,10 @@ type Server struct {
 	quality  *quality.Tracker
 	feedback *quality.JoinBuffer
 
-	// quantCfg, when non-nil, quantizes every snapshot's embedding
-	// tables to int8 (Options.SnapshotQuant); coalescer, when non-nil,
-	// micro-batches /predict requests (Options.BatchMax).
-	quantCfg  *quantConfig
+	// layout tells snapshots how to compose for the served model;
+	// coalescer, when non-nil, micro-batches /predict requests
+	// (Options.BatchMax).
+	layout    *layout
 	coalescer *batch.Coalescer
 }
 
@@ -322,27 +325,34 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 		state:   state,
 		pool:    make(chan *replica, opts.Replicas),
 	}
-	s.pool <- &replica{model: state.Model, params: state.Model.Parameters()}
+	// The state's own model is replica 0: it keeps its storage (the
+	// caller's θ_S) and is bound around it, never written.
+	params := state.Model.Parameters()
+	s.pool <- &replica{model: state.Model, binding: paramvec.NewBinding(params)}
 	for i := 1; i < opts.Replicas; i++ {
 		m := opts.ReplicaFactory()
-		params := m.Parameters()
-		if len(params) != len(state.Shared) {
-			panic(fmt.Sprintf("serve: replica %d has %d tensors, state has %d", i, len(params), len(state.Shared)))
+		own := m.Parameters()
+		if len(own) != len(state.Shared) {
+			panic(fmt.Sprintf("serve: replica %d has %d tensors, state has %d", i, len(own), len(state.Shared)))
 		}
-		for t, p := range params {
-			if len(p.Data) != len(state.Shared[t]) {
+		for t, p := range own {
+			if p.Size() != len(state.Shared[t]) {
 				panic(fmt.Sprintf("serve: replica %d tensor %d has %d entries, state has %d",
-					i, t, len(p.Data), len(state.Shared[t])))
+					i, t, p.Size(), len(state.Shared[t])))
 			}
+			p.Data, p.Grad = nil, nil // a skeleton: shape only
 		}
-		s.pool <- &replica{model: m, params: params}
+		s.pool <- &replica{model: m, binding: paramvec.NewBinding(own)}
 	}
+	s.layout = &layout{params: params, tables: models.EmbeddingTablesOf(state.Model)}
 	switch opts.SnapshotQuant {
 	case "", "off":
 	case "int8":
-		// Nil when the model has no learned embedding tables (the
+		// Left nil when the model has no learned embedding tables (the
 		// fixed-feature presets): nothing to quantize, serve as "off".
-		s.quantCfg = newQuantConfig(state.Model, opts.QuantCacheRows)
+		if len(s.layout.tables) > 0 {
+			s.layout.cache = quant.NewRowCache(opts.QuantCacheRows)
+		}
 	default:
 		panic(fmt.Sprintf("serve: unknown SnapshotQuant %q (off or int8)", opts.SnapshotQuant))
 	}
@@ -504,7 +514,9 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Close flushes and closes the request coalescer (if batching is on):
 // queued requests complete, later submissions get a clean 503. Call it
-// after the HTTP server has stopped accepting connections.
+// after the HTTP server has stopped accepting connections. Models are
+// bound only while a forward runs, so once the in-flight requests have
+// finished the state's model is back on its own parameters.
 func (s *Server) Close() {
 	if s.coalescer != nil {
 		s.coalescer.Close()
@@ -735,49 +747,19 @@ func (s *Server) respondPredict(w http.ResponseWriter, r *http.Request, start ti
 	s.metrics.latencyFor(domain).Observe(time.Since(start).Seconds())
 }
 
-// predictOn loads the domain's composed parameters into the replica and
-// runs the forward pass. The composed vector is read-only; the
-// replica's tensors are exclusively ours while it is out of the pool.
+// predictOn binds the replica to the domain's composition, runs the
+// forward pass and unbinds. The composition is shared and read-only;
+// the replica is exclusively ours while it is out of the pool.
 func (s *Server) predictOn(rep *replica, snap *snapshot, domain int, b *data.Batch) []float64 {
-	c := snap.comp(domain)
-	if snap.quant == nil {
-		paramvec.Restore(rep.params, c.dense)
-	} else {
-		s.restoreQuantized(rep, snap, domain, c, b)
-	}
+	rep.binding.Bind(*snap.comp(domain))
+	defer rep.binding.Unbind()
 	logits := rep.model.Forward(b, false)
 	probs := framework.SigmoidAll(logits)
 	logits.Release()
+	if c := s.layout.cache; c != nil {
+		s.metrics.quantCache(c.Stats())
+	}
 	return probs
-}
-
-// restoreQuantized loads the replica for a quantized snapshot: dense
-// (non-table) segments copy wholesale, and for each embedding table
-// only the rows this batch's field values gather are dequantized —
-// through the shared hot-row cache — into the replica's tensor. Rows
-// the batch does not touch keep stale values, which is safe by the
-// EmbeddingTabler contract: the forward pass reads exactly the gathered
-// rows, the same guarantee the parameter server's row-wise sync leans
-// on during training.
-func (s *Server) restoreQuantized(rep *replica, snap *snapshot, domain int, c *domainComp, b *data.Batch) {
-	for p, seg := range c.dense {
-		if seg != nil {
-			copy(rep.params[p].Data, seg)
-		}
-	}
-	for p, dim := range snap.quant.tables {
-		tbl := c.tables[p]
-		dst := rep.params[p].Data
-		for _, row := range b.FieldValues[dim.field] {
-			dec := snap.quant.cache.Get(
-				quant.Key{Snap: snap.id, Domain: domain, Param: p, Row: row},
-				dim.cols,
-				func(out []float64) { tbl.Row(row, out) },
-			)
-			copy(dst[row*dim.cols:(row+1)*dim.cols], dec)
-		}
-	}
-	s.metrics.quantCache(snap.quant.cache.Stats())
 }
 
 // recordPrediction feeds the quality tracker with the served scores and

@@ -417,7 +417,10 @@ func TestAccessLogEmitsRequestIDs(t *testing.T) {
 }
 
 func TestConcurrentPredicts(t *testing.T) {
-	s, _ := testServer(t)
+	// The queue holds every client: a shed (503) would be the admission
+	// gate working, not a failed prediction.
+	st, ds, _ := testState(t)
+	s := NewWithOptions(st, ds, Options{MaxQueue: 8})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

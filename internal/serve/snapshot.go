@@ -1,15 +1,15 @@
 // This file is the serving snapshot representation: per-domain lazy
-// composition of θ_S + θ_d and the optional int8 quantization of the
-// composed embedding tables (internal/quant).
+// composition of θ_S + θ_d in the form models bind to by reference
+// (paramvec.Bound), with embedding rows served either as float sums or
+// through the int8 row codec (internal/quant).
 //
-// The seed representation eagerly composed every domain at publish
-// time — O(domains × params) float traffic on the publish path, which
-// spikes allocations on a large domain zoo where most domains see no
-// traffic between publications. Here a snapshot holds only references
-// to the state's shared and specific vectors (immutable once
-// published) and composes each domain's serving parameters on first
-// use. Racing composers compute bit-identical values (composition is
-// deterministic), so the CAS loser simply adopts the winner's copy.
+// A snapshot holds only references to the state's shared and specific
+// vectors (immutable once published). What a domain materializes on
+// first use is the sum of its dense segments — a few thousand floats —
+// plus one row source per embedding table; under int8 the composed
+// tables are additionally quantized. Racing composers compute
+// bit-identical values (composition is deterministic), so the CAS
+// loser simply adopts the winner's copy.
 
 package serve
 
@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"mamdr/internal/autograd"
 	"mamdr/internal/core"
-	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/quant"
 )
@@ -34,32 +34,34 @@ var snapSeq atomic.Uint64
 type snapshot struct {
 	id uint64
 	// shared and specific reference the published state's vectors;
-	// composed[d] = shared + specific[d] (Eq. 4) materializes on demand.
+	// domain d serves shared + specific[d] (Eq. 4).
 	shared   paramvec.Vector
 	specific []paramvec.Vector
 	names    []string
-	// quant, when non-nil, stores composed embedding tables as int8
-	// instead of float64 (the rest of the vector stays dense).
-	quant *quantConfig
+	layout   *layout
 	// domains[d] caches domain d's composition; nil until first use.
-	domains []atomic.Pointer[domainComp]
+	domains []atomic.Pointer[paramvec.Bound]
 }
 
-// domainComp is one domain's materialized serving parameters.
-type domainComp struct {
-	// dense is θ_S + θ_d. Under int8 quantization the embedding-table
-	// segments are nil — those rows live in tables.
-	dense paramvec.Vector
-	// tables[paramIdx] is the quantized composed embedding table
-	// (int8 mode only).
-	tables map[int]*quant.Table
+// layout is what composing needs to know about the served model, fixed
+// for the server's lifetime.
+type layout struct {
+	// params are the state model's tensors, read for their shapes only
+	// (a pooled model's Data may be bound elsewhere at any moment).
+	params []*autograd.Tensor
+	// tables keys the indices of params that are embedding tables (the
+	// models.EmbeddingTabler map; empty on fixed-feature presets).
+	tables map[int]int
+	// cache, when non-nil, selects int8 row storage (Options.SnapshotQuant)
+	// and holds the decoded hot rows of every snapshot and domain.
+	cache *quant.RowCache
 }
 
 // numDomains reports how many domains the snapshot serves.
 func (sn *snapshot) numDomains() int { return len(sn.specific) }
 
 // comp returns domain d's composition, materializing it on first use.
-func (sn *snapshot) comp(d int) *domainComp {
+func (sn *snapshot) comp(d int) *paramvec.Bound {
 	if c := sn.domains[d].Load(); c != nil {
 		return c
 	}
@@ -72,17 +74,37 @@ func (sn *snapshot) comp(d int) *domainComp {
 	return sn.domains[d].Load()
 }
 
-func (sn *snapshot) composeDomain(d int) *domainComp {
-	full := paramvec.Sum(sn.shared, sn.specific[d])
-	c := &domainComp{dense: full}
-	if sn.quant != nil {
-		c.tables = make(map[int]*quant.Table, len(sn.quant.tables))
-		for p, dim := range sn.quant.tables {
-			c.tables[p] = quant.Quantize(full[p], dim.rows, dim.cols)
-			full[p] = nil // served from the table; drop the float copy
+func (sn *snapshot) composeDomain(d int) *paramvec.Bound {
+	l := sn.layout
+	c := paramvec.SumBound(l.params, l.tables, sn.shared, sn.specific[d])
+	if l.cache != nil {
+		for p := range l.tables {
+			// Sum of this one segment; the floats live only until they
+			// are encoded.
+			full := paramvec.Sum(sn.shared[p:p+1], sn.specific[d][p:p+1])[0]
+			c.Rows[p] = &int8Rows{
+				table: quant.Quantize(full, l.params[p].Rows, l.params[p].Cols),
+				cache: l.cache,
+				key:   quant.Key{Snap: sn.id, Domain: d, Param: p},
+			}
 		}
 	}
-	return c
+	return &c
+}
+
+// int8Rows serves one composed embedding table from its int8 encoding,
+// decoded rows shared through the hot-row cache.
+type int8Rows struct {
+	table *quant.Table
+	cache *quant.RowCache
+	key   quant.Key // Row is filled in per lookup
+}
+
+// Row implements autograd.RowSource.
+func (q *int8Rows) Row(r int, dst []float64) {
+	k := q.key
+	k.Row = r
+	copy(dst, q.cache.Get(k, q.table.Cols, func(out []float64) { q.table.Row(r, out) }))
 }
 
 // extend appends one domain without touching the published snapshot
@@ -97,8 +119,8 @@ func (sn *snapshot) extend(specific paramvec.Vector, id int) *snapshot {
 		shared:   sn.shared,
 		specific: append(sn.specific[:n:n], specific),
 		names:    append(sn.names[:n:n], fmt.Sprintf("runtime-%d", id)),
-		quant:    sn.quant,
-		domains:  make([]atomic.Pointer[domainComp], n+1),
+		layout:   sn.layout,
+		domains:  make([]atomic.Pointer[paramvec.Bound], n+1),
 	}
 	for d := 0; d < n; d++ {
 		if c := sn.domains[d].Load(); c != nil {
@@ -106,44 +128,6 @@ func (sn *snapshot) extend(specific paramvec.Vector, id int) *snapshot {
 		}
 	}
 	return out
-}
-
-// quantConfig is the server-wide quantization setup: which Parameters()
-// indices are embedding tables, their geometry, and the shared hot-row
-// dequantization cache. Nil when -snapshot-quant=off or the model has
-// no learned embedding tables (fixed-feature presets).
-type quantConfig struct {
-	tables map[int]tableDim
-	cache  *quant.RowCache
-}
-
-// tableDim is one embedding table's geometry plus the batch field whose
-// values index it.
-type tableDim struct {
-	rows, cols int
-	field      int
-}
-
-// newQuantConfig classifies the model's parameters via the same
-// EmbeddingTabler contract the parameter server uses for row-wise
-// sync — the contract guarantees a forward pass reads only the rows
-// the batch's field values gather, which is exactly what lets the
-// quantized path restore touched rows only.
-func newQuantConfig(m models.Model, cacheRows int) *quantConfig {
-	emb := models.EmbeddingTablesOf(m)
-	if len(emb) == 0 {
-		return nil
-	}
-	params := m.Parameters()
-	qc := &quantConfig{
-		tables: make(map[int]tableDim, len(emb)),
-		cache:  quant.NewRowCache(cacheRows),
-	}
-	for p, f := range emb {
-		t := params[p]
-		qc.tables[p] = tableDim{rows: t.Rows, cols: t.Cols, field: f}
-	}
-	return qc
 }
 
 // composeState wraps an arbitrary state as a servable snapshot — the
@@ -155,8 +139,8 @@ func (s *Server) composeState(st *core.State) *snapshot {
 		shared:   st.Shared,
 		specific: append([]paramvec.Vector(nil), st.Specific...),
 		names:    make([]string, len(st.Specific)),
-		quant:    s.quantCfg,
-		domains:  make([]atomic.Pointer[domainComp], len(st.Specific)),
+		layout:   s.layout,
+		domains:  make([]atomic.Pointer[paramvec.Bound], len(st.Specific)),
 	}
 	for d := range sn.names {
 		if d < len(s.dataset.Domains) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck race bench bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
+.PHONY: all build test vet staticcheck race bench bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
 
 all: check
 
@@ -276,11 +276,17 @@ bench-telemetry:
 	$(GO) test ./internal/core -run xxx -bench TelemetryOverhead -benchtime 10x
 	$(GO) test ./internal/serve -run xxx -bench TelemetryOverhead -benchtime 2s
 
+# The CI bench-smoke job locally: all six mamdr-bench workloads at
+# shrunk sizes, answers checked, no timing gate.
+bench-smoke:
+	bash cmd/mamdr-bench/run.sh -quick
+
 # What CI runs (.github/workflows/ci.yml).
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(MAKE) bench-smoke
 	$(MAKE) smoke-chaos
 	$(MAKE) smoke-cluster
 	$(MAKE) smoke-obs

@@ -8,6 +8,7 @@ import (
 	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/obsv"
+	"mamdr/internal/paramvec"
 	"mamdr/internal/synth"
 	"mamdr/internal/telemetry"
 )
@@ -77,4 +78,38 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		close(stop)
 		<-done
 	})
+}
+
+// BenchmarkDRLookahead is one Domain Regularization phase — every
+// target of a long-tail dataset once — on the shape of mamdr-bench's
+// train-tail workload: 200 Zipf domains, most at the 24-sample floor,
+// learned 4000×16 + 2000×16 embedding tables (91 % of |θ|). Under sgd
+// the lookahead runs on the rows its batches touch; under adam every
+// entry can move, so the same loop runs over all of |θ| — the dense path
+// measured beside the row path. Run with:
+//
+//	go test ./internal/core -run xxx -bench DRLookahead -benchmem
+func BenchmarkDRLookahead(b *testing.B) {
+	cfg := synth.TaobaoOnline(200, 4000, 12)
+	cfg.FixedFeatures = false
+	cfg.NumUsers, cfg.NumItems = 4000, 2000
+	ds := synth.Generate(cfg)
+	for _, inner := range []string{"sgd", "adam"} {
+		b.Run(inner, func(b *testing.B) {
+			m := models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 16, Hidden: []int{64, 32}, Seed: 12})
+			st := &State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
+			for range ds.Domains {
+				st.AddDomain()
+			}
+			fc := framework.Config{BatchSize: 64, Seed: 12, InnerOpt: inner, LR: 0.1}.WithDefaults()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rng := EpochRNG(fc.Seed, i)
+				for target := range ds.Domains {
+					DomainRegularization(st, ds, target, fc, rng)
+				}
+			}
+		})
+	}
 }

@@ -89,9 +89,8 @@ func TestPredictMatchesRestoreThenForward(t *testing.T) {
 	}
 }
 
-// referenceDR is the DR helper loop as it stood before the scratch
-// vectors: ComposedFor, Snapshot and Sub each allocate a full vector
-// per helper.
+// referenceDR is the DR helper loop written out in whole vectors:
+// ComposedFor, Snapshot and Sub each allocate one per helper.
 func referenceDR(st *State, ds *data.Dataset, target int, cfg framework.Config, rng *rand.Rand) {
 	params := st.Model.Parameters()
 	for _, j := range SampleHelpers(ds.NumDomains(), target, cfg.SampleK, rng) {
@@ -107,23 +106,27 @@ func referenceDR(st *State, ds *data.Dataset, target int, cfg framework.Config, 
 
 // TestDRScratchLoopIsBitIdentical runs Algorithm 2 over every target
 // with the reference loop and with DomainRegularization from the same
-// state and RNG; every θ_i must agree bit for bit.
+// state and RNG; every θ_i must agree bit for bit — under Adam, where
+// DomainRegularization runs its algebra over all of |θ|, and under SGD,
+// where it runs it on the rows the lookahead moved.
 func TestDRScratchLoopIsBitIdentical(t *testing.T) {
 	ds := testDataset(t, 0.8)
-	cfg := framework.Config{BatchSize: 32, Seed: 3, SampleK: 2}.WithDefaults()
-	run := func(dr func(*State, *data.Dataset, int, framework.Config, *rand.Rand)) *State {
-		st := randomState(testModel(t, ds), ds.NumDomains(), 17)
-		rng := rand.New(rand.NewSource(23))
-		for target := 0; target < ds.NumDomains(); target++ {
-			dr(st, ds, target, cfg, rng)
+	for _, inner := range []string{"adam", "sgd"} {
+		cfg := framework.Config{BatchSize: 32, Seed: 3, SampleK: 2, InnerOpt: inner}.WithDefaults()
+		run := func(dr func(*State, *data.Dataset, int, framework.Config, *rand.Rand)) *State {
+			st := randomState(testModel(t, ds), ds.NumDomains(), 17)
+			rng := rand.New(rand.NewSource(23))
+			for target := 0; target < ds.NumDomains(); target++ {
+				dr(st, ds, target, cfg, rng)
+			}
+			return st
 		}
-		return st
-	}
-	want, got := run(referenceDR), run(DomainRegularization)
-	for d := range want.Specific {
-		for i := range want.Specific[d] {
-			if !bitsEqual(got.Specific[d][i], want.Specific[d][i]) {
-				t.Fatalf("θ_%d segment %d differs from the three-allocation formula", d, i)
+		want, got := run(referenceDR), run(DomainRegularization)
+		for d := range want.Specific {
+			for i := range want.Specific[d] {
+				if !bitsEqual(got.Specific[d][i], want.Specific[d][i]) {
+					t.Fatalf("%s: θ_%d segment %d differs from the three-allocation formula", inner, d, i)
+				}
 			}
 		}
 	}

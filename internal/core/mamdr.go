@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"mamdr/internal/autograd/kernels"
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
 	"mamdr/internal/models"
@@ -215,23 +216,32 @@ func DomainNegotiationEpochOpt(st *State, ds *data.Dataset, cfg framework.Config
 
 	rec := cfg.Telemetry.NewEpochRecorder(params, -1)
 	inner := optim.New(cfg.InnerOpt, cfg.LR)
+	// One Stepper for the epoch: its full ZeroGrad is paid here, once,
+	// and the recorder's grad-norm reads one batch's gradient after every
+	// pass.
+	step := framework.NewStepper(st.Model)
+	step.ZeroGrad()
 	for _, d := range order {
 		stepCtx, stepSpan := trace.Start(ctx, "dn.inner_step",
 			trace.A("domain", ds.Domains[d].Name))
 		rec.BeforePass()
-		loss := framework.TrainDomainPassCtx(stepCtx, st.Model, ds, d, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
+		loss := step.Pass(stepCtx, ds, d, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
 		stepSpan.EndWith(trace.A("loss", loss))
 		rec.AfterPassTC(d, loss, stepSpan.Context())
 	}
-	endpoint := paramvec.Snapshot(params)
 
-	// Treat -(endpoint - shared) as the outer gradient at Θ.
+	// Treat -(endpoint - shared) as the outer gradient at Θ. The model
+	// holds the endpoint Θ̃_{n+1}: one loop reads it into the gradient
+	// and puts Θ back in its place. This fills every Grad buffer, tables
+	// included (nearly every row moved during the epoch), so the epoch's
+	// Stepper ends here.
 	outerStart := time.Now()
 	_, outerSpan := trace.Start(ctx, "dn.outer_step")
-	paramvec.Restore(params, st.Shared)
 	for i, p := range params {
-		for j := range p.Data {
-			p.Grad[j] = st.Shared[i][j] - endpoint[i][j]
+		shared := st.Shared[i]
+		for j, end := range p.Data {
+			p.Grad[j] = shared[j] - end
+			p.Data[j] = shared[j]
 		}
 	}
 	outer.Step(params)
@@ -252,11 +262,13 @@ func alternateEpoch(st *State, ds *data.Dataset, cfg framework.Config, rng *rand
 
 	rec := cfg.Telemetry.NewEpochRecorder(params, -1)
 	inner := optim.New(cfg.InnerOpt, cfg.LR)
+	step := framework.NewStepper(st.Model)
+	step.ZeroGrad()
 	for _, d := range rng.Perm(ds.NumDomains()) {
 		stepCtx, stepSpan := trace.Start(ctx, "alternate.inner_step",
 			trace.A("domain", ds.Domains[d].Name))
 		rec.BeforePass()
-		loss := framework.TrainDomainPassCtx(stepCtx, st.Model, ds, d, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
+		loss := step.Pass(stepCtx, ds, d, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
 		stepSpan.EndWith(trace.A("loss", loss))
 		rec.AfterPassTC(d, loss, stepSpan.Context())
 	}
@@ -287,6 +299,19 @@ type DROptions struct {
 
 // DomainRegularizationOpt is DomainRegularization with explicit ablation
 // options.
+//
+// Cost. Θ = θ_S + θ_i is loaded into the model once — the call's one
+// pass over all of |θ|. After that a helper costs its mini-batches plus
+// the lookahead algebra on what they moved: every dense tensor, and of
+// each embedding table the rows the two passes gathered (the Stepper's
+// Moved report). Every other row still holds θ_S + θ_i, its endpoint
+// equals its start, and Eq. 8 adds γ·0 to it, so leaving it alone is the
+// same update — with one visible difference: a θ_i entry that is -0.0
+// (reachable only by loading one; training never produces it) stays
+// -0.0 where -0.0 + γ·0 wrote +0.0. Under an inner optimizer that moves
+// rows on zero gradient (Adam, momentum) every entry counts as moved and
+// the same algebra runs over all of |θ| per helper. Nothing of size |θ|
+// is allocated.
 func DomainRegularizationOpt(st *State, ds *data.Dataset, target int, cfg framework.Config, rng *rand.Rand, opts DROptions) {
 	params := st.Model.Parameters()
 	helpers := SampleHelpers(ds.NumDomains(), target, cfg.SampleK, rng)
@@ -296,14 +321,15 @@ func DomainRegularizationOpt(st *State, ds *data.Dataset, target int, cfg framew
 		trace.A("target", ds.Domains[target].Name), trace.A("helpers", len(helpers)))
 	defer drSpan.End()
 
-	// Scratch for the lookahead's start and end points, reused by
-	// every helper.
-	composed, endpoint := st.Shared.Zero(), st.Shared.Zero()
+	// θ̃_i ← θ_i, in composed coordinates Θ = θ_S + θ_i.
+	shared, specific := st.Shared, st.Specific[target]
+	for i, p := range params {
+		kernels.AddTo(p.Data, shared[i], specific[i])
+	}
+	// No ZeroGrad: nothing here reads a gradient buffer densely, and a
+	// step clears the rows it accumulates into.
+	step := framework.NewStepper(st.Model)
 	for _, j := range helpers {
-		// θ̃_i ← θ_i (working in composed coordinates Θ = θ_S + θ_i).
-		paramvec.SumInto(composed, st.Shared, st.Specific[target])
-		paramvec.Restore(params, composed)
-
 		laCtx, laSpan := trace.Start(ctx, "dr.lookahead",
 			trace.A("helper", ds.Domains[j].Name))
 		inner := optim.New(cfg.InnerOpt, cfg.LR)
@@ -312,17 +338,42 @@ func DomainRegularizationOpt(st *State, ds *data.Dataset, target int, cfg framew
 		if opts.ReverseOrder {
 			first, second = target, j
 		}
-		framework.TrainDomainPassCtx(laCtx, st.Model, ds, first, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
+		step.ResetMoved()
+		step.Pass(laCtx, ds, first, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
 		if !opts.SkipTargetStep {
-			loss := framework.TrainDomainPassCtx(laCtx, st.Model, ds, second, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
+			loss := step.Pass(laCtx, ds, second, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
 			cfg.Telemetry.ObserveDRPass(target, loss)
 		}
 		laSpan.End()
 
-		// θ_i ← θ_i + γ(θ̃_i − θ_i); in composed coordinates the
-		// difference of endpoints equals the difference of specifics.
-		paramvec.SnapshotInto(endpoint, params)
-		paramvec.AddScaledDiff(st.Specific[target], cfg.DRLR, endpoint, composed)
+		// θ_i ← θ_i + γ(θ̃_i − θ_i), then θ̃_i ← θ_i for the next helper,
+		// wherever the lookahead moved.
+		moved, all := step.Moved()
+		for i, p := range params {
+			if !all && len(moved) > 0 && moved[0].Param == i {
+				for _, r := range moved[0].Rows {
+					lo, hi := r*p.Cols, (r+1)*p.Cols
+					drUpdate(specific[i][lo:hi], shared[i][lo:hi], p.Data[lo:hi], cfg.DRLR)
+				}
+				moved = moved[1:]
+				continue
+			}
+			drUpdate(specific[i], shared[i], p.Data, cfg.DRLR)
+		}
+	}
+}
+
+// drUpdate is Eq. 8 on one run of entries, in composed coordinates: end
+// holds the lookahead's endpoint Θ̃ and (shared + specific) its start, so
+// the difference of endpoints is the difference of specifics. It then
+// restarts the next lookahead by writing the new θ_S + θ_i over end.
+// Entry for entry it is the whole-vector formula (compose, restore,
+// snapshot, θ_i += γ·(endpoint − composed)) that referenceDR in the tests
+// spells out.
+func drUpdate(specific, shared, end []float64, gamma float64) {
+	for j := range specific {
+		specific[j] += gamma * (end[j] - (shared[j] + specific[j]))
+		end[j] = shared[j] + specific[j]
 	}
 }
 

@@ -204,40 +204,28 @@ func TrainDomainPass(m models.Model, ds *data.Dataset, domain int, opt optim.Opt
 // train.backward / train.optimizer child spans. With no span in ctx the
 // trace.Start calls are no-ops and the loop is identical to the
 // untraced path.
+//
+// It is one Stepper used for one pass. The row-restricted step relies on
+// one invariant: a declared table's Grad is zero outside the rows of the
+// last backward. A pass that cannot assume it — this one knows nothing
+// about the buffers it finds — pays one full ZeroGrad on entry; after
+// that each mini-batch costs O(dense parameters + gathered rows) under SGD
+// and Adagrad, and on return the buffers hold the last mini-batch's
+// gradient and nothing else, as they always did. Stepper's comment lists
+// who writes and who reads Grad densely and how each keeps to this.
+// Callers that run many passes back to back (a DN epoch, a DR lookahead)
+// hold a Stepper themselves and pay the entry cost once.
 func TrainDomainPassCtx(ctx context.Context, m models.Model, ds *data.Dataset, domain int, opt optim.Optimizer, batchSize, maxBatches int, rng *rand.Rand) float64 {
-	batches := ds.Batches(domain, data.Train, batchSize, rng)
-	if maxBatches > 0 && len(batches) > maxBatches {
-		batches = batches[:maxBatches]
-	}
-	params := m.Parameters()
-	var total float64
-	for _, b := range batches {
-		for _, p := range params {
-			p.ZeroGrad()
-		}
-		_, fw := trace.Start(ctx, "train.forward")
-		logits := m.Forward(b, true)
-		loss := autograd.BCEWithLogits(logits, b.Labels)
-		fw.End()
-		_, bw := trace.Start(ctx, "train.backward")
-		loss.Backward()
-		bw.End()
-		_, op := trace.Start(ctx, "train.optimizer")
-		opt.Step(params)
-		op.End()
-		total += loss.Item()
-		loss.Release()
-	}
-	if len(batches) == 0 {
-		return 0
-	}
-	return total / float64(len(batches))
+	s := NewStepper(m)
+	s.ZeroGrad()
+	return s.Pass(ctx, ds, domain, opt, batchSize, maxBatches, rng)
 }
 
 // DomainGradient accumulates the gradient of the mean training loss of
 // one domain (over up to maxBatches mini-batches) into the parameters'
 // Grad buffers, leaving parameter values untouched. It returns the mean
-// loss.
+// loss. It clears every buffer first and may sum several batches, so it
+// is a dense Grad writer in the sense of Stepper's invariant.
 func DomainGradient(m models.Model, ds *data.Dataset, domain int, batchSize, maxBatches int, rng *rand.Rand) float64 {
 	batches := ds.Batches(domain, data.Train, batchSize, rng)
 	if maxBatches > 0 && len(batches) > maxBatches {

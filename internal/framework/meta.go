@@ -55,6 +55,8 @@ func (MAML) Fit(m models.Model, ds *data.Dataset, cfg Config) Predictor {
 			gradOnBatch(m, query)
 			queryGrad := paramvec.SnapshotGrads(params)
 			// ...applied at the original parameters (first-order MAML).
+			// A dense Grad write and a dense step: no Stepper is alive
+			// here (gradOnBatch clears every buffer itself).
 			paramvec.Restore(params, origin)
 			for i, p := range params {
 				copy(p.Grad, queryGrad[i])
@@ -137,6 +139,8 @@ func (MLDG) Fit(m models.Model, ds *data.Dataset, cfg Config) Predictor {
 
 			combined := gTrain.Clone()
 			paramvec.Axpy(combined, metaBeta, gTest)
+			// Dense Grad write, dense step; DomainGradient clears every
+			// buffer before the next read.
 			for i, p := range params {
 				copy(p.Grad, combined[i])
 			}

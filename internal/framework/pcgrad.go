@@ -55,7 +55,10 @@ func (PCGrad) Fit(m models.Model, ds *data.Dataset, cfg Config) Predictor {
 				grads[d] = paramvec.SnapshotGrads(params)
 			}
 			projected := ProjectConflicts(grads, rng)
-			// Apply the summed projected gradient through the optimizer.
+			// Apply the summed projected gradient through the optimizer:
+			// a dense Grad write and a dense step (the sum covers every
+			// domain's rows); DomainGradient clears every buffer before
+			// the next read.
 			total := projected[0].Clone()
 			for d := 1; d < n; d++ {
 				paramvec.Axpy(total, 1, projected[d])

@@ -147,6 +147,10 @@ func (r *EpochRecorder) AfterPass(domain int, loss float64) {
 // produced the pass, so an anomaly raised by the loss watcher (NaN,
 // z-score spike) can point straight at the offending span in the
 // flight-recorder dump.
+//
+// The grad-norm is read over every Grad entry, so the pass must have run
+// on a Stepper that started from ZeroGrad (its grad-buffer invariant):
+// then the buffers hold the last mini-batch's gradient and nothing else.
 func (r *EpochRecorder) AfterPassTC(domain int, loss float64, tc trace.TraceContext) {
 	if r == nil {
 		return

@@ -43,6 +43,7 @@ func NewMMoE(cfg Config) *MMoE {
 
 // Forward implements Model.
 func (m *MMoE) Forward(b *data.Batch, training bool) *autograd.Tensor {
+	mustRoute(m, b.Domain)
 	x := m.enc.Concat(b)
 	outs := make([]*autograd.Tensor, len(m.experts))
 	for e, ex := range m.experts {
@@ -79,6 +80,9 @@ func (m *MMoE) Parameters() []*autograd.Tensor {
 
 // Name implements Model.
 func (m *MMoE) Name() string { return "MMOE" }
+
+// DomainTowers implements DomainTowered.
+func (m *MMoE) DomainTowers() int { return len(m.towers) }
 
 // EmbeddingTables implements EmbeddingTabler.
 func (m *MMoE) EmbeddingTables() map[int]int { return m.enc.EmbeddingTables() }

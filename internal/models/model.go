@@ -55,6 +55,39 @@ func EmbeddingTablesOf(m Model) map[int]int {
 	return map[int]int{}
 }
 
+// DomainTowered is implemented by the structures that build one
+// sub-network (tower, gate, star weights) per domain of the dataset they
+// were constructed on. Such a model has nothing to route a later-
+// registered domain id through, so runtime domain registration — which
+// for every other structure only adds a zero θ_i — must be refused for
+// it.
+type DomainTowered interface {
+	// DomainTowers returns how many domains the model can route.
+	DomainTowers() int
+}
+
+// DomainCapacity returns the number of domains m can score and whether
+// that number is a limit at all; structures that ignore or merely embed
+// b.Domain have none.
+func DomainCapacity(m Model) (n int, bounded bool) {
+	if t, ok := m.(DomainTowered); ok {
+		return t.DomainTowers(), true
+	}
+	return 0, false
+}
+
+// mustRoute panics, naming the structure, when a batch's domain has no
+// tower: the alternative is an index-out-of-range deep inside nn.
+func mustRoute(m interface {
+	Model
+	DomainTowered
+}, domain int) {
+	if domain < 0 || domain >= m.DomainTowers() {
+		panic(fmt.Sprintf("models: %s has %d per-domain towers and cannot score domain %d: a structure with per-domain towers serves only the domains it was built on",
+			m.Name(), m.DomainTowers(), domain))
+	}
+}
+
 // Config carries everything needed to build any model structure.
 type Config struct {
 	Dataset *data.Dataset

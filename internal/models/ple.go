@@ -124,6 +124,7 @@ func NewCGC(cfg Config) *CGC {
 
 // Forward implements Model.
 func (m *CGC) Forward(b *data.Batch, training bool) *autograd.Tensor {
+	mustRoute(m, b.Domain)
 	x := m.enc.Concat(b)
 	h := m.layer.forwardDomain(x, b.Domain, training, m.rng)
 	return m.towers[b.Domain].Forward(h, training, m.rng)
@@ -141,6 +142,9 @@ func (m *CGC) Parameters() []*autograd.Tensor {
 
 // Name implements Model.
 func (m *CGC) Name() string { return "CGC" }
+
+// DomainTowers implements DomainTowered.
+func (m *CGC) DomainTowers() int { return len(m.towers) }
 
 // EmbeddingTables implements EmbeddingTabler.
 func (m *CGC) EmbeddingTables() map[int]int { return m.enc.EmbeddingTables() }
@@ -178,6 +182,7 @@ func NewPLE(cfg Config) *PLE {
 
 // Forward implements Model.
 func (m *PLE) Forward(b *data.Batch, training bool) *autograd.Tensor {
+	mustRoute(m, b.Domain)
 	x := m.enc.Concat(b)
 	domainH := m.level1.forwardDomain(x, b.Domain, training, m.rng)
 	sharedH := m.level1.forwardShared(x, training, m.rng)
@@ -216,6 +221,9 @@ func (m *PLE) Parameters() []*autograd.Tensor {
 
 // Name implements Model.
 func (m *PLE) Name() string { return "PLE" }
+
+// DomainTowers implements DomainTowered.
+func (m *PLE) DomainTowers() int { return len(m.towers) }
 
 // EmbeddingTables implements EmbeddingTabler.
 func (m *PLE) EmbeddingTables() map[int]int { return m.enc.EmbeddingTables() }

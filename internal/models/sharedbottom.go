@@ -43,6 +43,7 @@ func NewSharedBottom(cfg Config) *SharedBottom {
 
 // Forward implements Model, routing through the batch's domain tower.
 func (m *SharedBottom) Forward(b *data.Batch, training bool) *autograd.Tensor {
+	mustRoute(m, b.Domain)
 	h := m.bottom.Forward(m.enc.Concat(b), training, m.rng)
 	h = autograd.ReLU(h)
 	return m.towers[b.Domain].Forward(h, training, m.rng)
@@ -60,6 +61,9 @@ func (m *SharedBottom) Parameters() []*autograd.Tensor {
 
 // Name implements Model.
 func (m *SharedBottom) Name() string { return "Shared-Bottom" }
+
+// DomainTowers implements DomainTowered.
+func (m *SharedBottom) DomainTowers() int { return len(m.towers) }
 
 // EmbeddingTables implements EmbeddingTabler.
 func (m *SharedBottom) EmbeddingTables() map[int]int { return m.enc.EmbeddingTables() }

@@ -112,6 +112,7 @@ func NewSTAR(cfg Config) *STAR {
 
 // Forward implements Model.
 func (m *STAR) Forward(b *data.Batch, training bool) *autograd.Tensor {
+	mustRoute(m, b.Domain)
 	x := m.norm.Forward(m.enc.Concat(b), b.Domain)
 	h := x
 	for _, l := range m.layers {
@@ -139,6 +140,9 @@ func (m *STAR) Parameters() []*autograd.Tensor {
 
 // Name implements Model.
 func (m *STAR) Name() string { return "Star" }
+
+// DomainTowers implements DomainTowered.
+func (m *STAR) DomainTowers() int { return m.domainEmb.Vocab() }
 
 // EmbeddingTables implements EmbeddingTabler. The domain-indicator table
 // is intentionally excluded: it is indexed by batch domain, not by a

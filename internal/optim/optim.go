@@ -28,6 +28,24 @@ type Optimizer interface {
 	Reset()
 }
 
+// RowStepper is implemented by optimizers that can apply a step to some
+// rows of a tensor only. It is what lets a train step skip the rows of
+// an embedding table its batch did not gather: their gradient is zero,
+// and when ZeroGradIsNoOp holds, Step would leave them — value and
+// optimizer state — bit for bit as they are. Plain SGD and Adagrad
+// qualify. Momentum and Adam do not (a row keeps moving on its decaying
+// moments after its gradient returns to zero) and are stepped densely:
+// there is no lazy variant of either here.
+type RowStepper interface {
+	// ZeroGradIsNoOp reports whether Step leaves an entry whose gradient
+	// is +0 unchanged, so that StepRows over the rows that carry gradient
+	// equals Step.
+	ZeroGradIsNoOp() bool
+	// StepRows applies to the given rows of p exactly what Step applies
+	// to them, and nothing to any other row.
+	StepRows(p *autograd.Tensor, rows []int)
+}
+
 // SGD is stochastic gradient descent with optional classical momentum.
 type SGD struct {
 	lr       float64
@@ -67,6 +85,23 @@ func (s *SGD) Step(params []*autograd.Tensor) {
 		for i, g := range p.Grad {
 			v[i] = s.Momentum*v[i] + g
 			p.Data[i] -= s.lr * v[i]
+		}
+	}
+}
+
+// ZeroGradIsNoOp implements RowStepper: x - lr*0 is x; with momentum the
+// velocity keeps moving x.
+func (s *SGD) ZeroGradIsNoOp() bool { return s.Momentum == 0 }
+
+// StepRows implements RowStepper (momentum-free SGD only).
+func (s *SGD) StepRows(p *autograd.Tensor, rows []int) {
+	if s.Momentum != 0 {
+		panic("optim: StepRows on SGD with momentum")
+	}
+	for _, r := range rows {
+		data, grad := p.Data[r*p.Cols:(r+1)*p.Cols], p.Grad[r*p.Cols:(r+1)*p.Cols]
+		for i, g := range grad {
+			data[i] -= s.lr * g
 		}
 	}
 }
@@ -141,28 +176,76 @@ type Adagrad struct {
 	lr  float64
 	Eps float64
 	g2  map[*autograd.Tensor][]float64
+	// rowG2 holds the accumulators of tensors that have only ever been
+	// stepped by rows, one Cols-wide buffer per row seen: a fresh
+	// optimizer stepping a few rows of an embedding table must not
+	// allocate (and clear) a table-sized buffer to do it.
+	rowG2 map[*autograd.Tensor]map[int][]float64
 }
 
 // NewAdagrad returns Adagrad with eps=1e-8.
 func NewAdagrad(lr float64) *Adagrad { return &Adagrad{lr: lr, Eps: 1e-8} }
 
-// Step implements Optimizer.
-func (a *Adagrad) Step(params []*autograd.Tensor) {
+// accumulator returns p's full-size accumulator, creating it — from the
+// row accumulators, if StepRows got to p first — when absent.
+func (a *Adagrad) accumulator(p *autograd.Tensor) []float64 {
+	if s := a.g2[p]; s != nil {
+		return s
+	}
 	if a.g2 == nil {
 		a.g2 = map[*autograd.Tensor][]float64{}
 	}
+	s := make([]float64, len(p.Data))
+	for r, acc := range a.rowG2[p] {
+		copy(s[r*p.Cols:], acc)
+	}
+	delete(a.rowG2, p)
+	a.g2[p] = s
+	return s
+}
+
+// Step implements Optimizer.
+func (a *Adagrad) Step(params []*autograd.Tensor) {
 	for _, p := range params {
 		if p.Grad == nil {
 			continue
 		}
-		s := a.g2[p]
-		if s == nil {
-			s = make([]float64, len(p.Data))
-			a.g2[p] = s
-		}
+		s := a.accumulator(p)
 		for i, g := range p.Grad {
 			s[i] += g * g
 			p.Data[i] -= a.lr * g / (math.Sqrt(s[i]) + a.Eps)
+		}
+	}
+}
+
+// ZeroGradIsNoOp implements RowStepper: a zero gradient adds nothing to
+// the accumulator and 0/(sqrt(s)+eps) to the value.
+func (a *Adagrad) ZeroGradIsNoOp() bool { return true }
+
+// StepRows implements RowStepper.
+func (a *Adagrad) StepRows(p *autograd.Tensor, rows []int) {
+	full := a.g2[p]
+	byRow := a.rowG2[p]
+	if full == nil && byRow == nil {
+		if a.rowG2 == nil {
+			a.rowG2 = map[*autograd.Tensor]map[int][]float64{}
+		}
+		byRow = map[int][]float64{}
+		a.rowG2[p] = byRow
+	}
+	for _, r := range rows {
+		lo, hi := r*p.Cols, (r+1)*p.Cols
+		var s []float64
+		if full != nil {
+			s = full[lo:hi]
+		} else if s = byRow[r]; s == nil {
+			s = make([]float64, p.Cols)
+			byRow[r] = s
+		}
+		data, grad := p.Data[lo:hi], p.Grad[lo:hi]
+		for i, g := range grad {
+			s[i] += g * g
+			data[i] -= a.lr * g / (math.Sqrt(s[i]) + a.Eps)
 		}
 	}
 }
@@ -174,10 +257,13 @@ func (a *Adagrad) SetLR(lr float64) { a.lr = lr }
 func (a *Adagrad) LR() float64 { return a.lr }
 
 // Reset implements Optimizer.
-func (a *Adagrad) Reset() { a.g2 = nil }
+func (a *Adagrad) Reset() { a.g2, a.rowG2 = nil, nil }
 
 // ClipGradNorm scales all gradients down so their global L2 norm does not
-// exceed maxNorm. It returns the pre-clip norm.
+// exceed maxNorm. It returns the pre-clip norm. It reads and scales every
+// entry, so it is exact on row-sparse table gradients too (zero rows add
+// nothing to the norm and stay zero) as long as the buffers hold one
+// backward's gradient — see framework.Stepper.
 func ClipGradNorm(params []*autograd.Tensor, maxNorm float64) float64 {
 	var total float64
 	for _, p := range params {

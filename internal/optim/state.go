@@ -129,6 +129,11 @@ func (a *Adam) RestoreState(params []*autograd.Tensor, st State) error {
 
 // CaptureState implements Stateful.
 func (a *Adagrad) CaptureState(params []*autograd.Tensor) State {
+	for _, p := range params {
+		if a.rowG2[p] != nil {
+			a.accumulator(p) // fold row accumulators into the captured form
+		}
+	}
 	return State{Name: "adagrad", Slots: map[string][][]float64{"g2": captureSlot(a.g2, params)}}
 }
 
@@ -141,6 +146,6 @@ func (a *Adagrad) RestoreState(params []*autograd.Tensor, st State) error {
 	if err != nil {
 		return err
 	}
-	a.g2 = g2
+	a.g2, a.rowG2 = g2, nil
 	return nil
 }

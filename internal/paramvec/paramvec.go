@@ -27,16 +27,10 @@ func Snapshot(params []*autograd.Tensor) Vector {
 	return v
 }
 
-// SnapshotInto is Snapshot into dst's existing storage.
-func SnapshotInto(dst Vector, params []*autograd.Tensor) {
-	mustAlign(params, dst)
-	for i, p := range params {
-		copy(dst[i], p.Data)
-	}
-}
-
 // SnapshotGrads copies the current gradients of params into a new Vector.
-// Parameters without gradient buffers contribute zero entries.
+// Parameters without gradient buffers contribute zero entries. What the
+// buffers hold is the caller's business: one backward's gradient after a
+// framework.Stepper step or DomainGradient, anything after a dense writer.
 func SnapshotGrads(params []*autograd.Tensor) Vector {
 	v := make(Vector, len(params))
 	for i, p := range params {
@@ -91,18 +85,12 @@ func (v Vector) Len() int {
 // multi-megabyte vectors is measurable. Element order and expression
 // (v[i][j] + w[i][j]) match Add bit for bit.
 func Sum(v, w Vector) Vector {
-	out := v.Zero()
-	SumInto(out, v, w)
-	return out
-}
-
-// SumInto is Sum into dst's existing storage.
-func SumInto(dst, v, w Vector) {
 	mustMatch(v, w)
-	mustMatch(dst, v)
+	out := v.Zero()
 	for i := range v {
-		kernels.AddTo(dst[i], v[i], w[i])
+		kernels.AddTo(out[i], v[i], w[i])
 	}
+	return out
 }
 
 // Add returns v + w.
@@ -212,19 +200,6 @@ func AddScaledDiffInto(params []*autograd.Tensor, s float64, endpoint, base Vect
 	for i, p := range params {
 		for j := range p.Data {
 			p.Data[j] += s * (endpoint[i][j] - base[i][j])
-		}
-	}
-}
-
-// AddScaledDiff is AddScaledDiffInto on a vector: dst += s*(endpoint -
-// base), the DR update of θ_i (Eq. 8). One pass, no temporary, and float
-// for float what Axpy(dst, s, Sub(endpoint, base)) computes.
-func AddScaledDiff(dst Vector, s float64, endpoint, base Vector) {
-	mustMatch(endpoint, base)
-	mustMatch(dst, base)
-	for i := range dst {
-		for j := range dst[i] {
-			dst[i][j] += s * (endpoint[i][j] - base[i][j])
 		}
 	}
 }

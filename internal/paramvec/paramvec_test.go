@@ -138,33 +138,6 @@ func mustEqualBits(t *testing.T, what string, got, want Vector) {
 	}
 }
 
-// TestIntoVariantsMatchAllocatingOnes pins the scratch-reusing forms the
-// DR loop runs on to the allocating ones, bit for bit — including the
-// fused dst += s*(endpoint − base) against Axpy(dst, s, Sub(…)).
-func TestIntoVariantsMatchAllocatingOnes(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	shape := Vector{make([]float64, 37), make([]float64, 5), make([]float64, 1)}
-	a, b, c := randVector(shape, rng), randVector(shape, rng), randVector(shape, rng)
-
-	sum := randVector(shape, rng) // stale scratch content must not matter
-	SumInto(sum, a, b)
-	mustEqualBits(t, "SumInto", sum, Sum(a, b))
-
-	ps := []*autograd.Tensor{autograd.Param(1, 37, a[0]), autograd.Param(5, 1, a[1]), autograd.Param(1, 1, a[2])}
-	snap := randVector(shape, rng)
-	SnapshotInto(snap, ps)
-	mustEqualBits(t, "SnapshotInto", snap, Snapshot(ps))
-	snap[0][0]++
-	if a[0][0] == snap[0][0] {
-		t.Fatal("SnapshotInto aliased the tensor's storage")
-	}
-
-	fused, twoStep := c.Clone(), c.Clone()
-	AddScaledDiff(fused, 0.37, a, b)
-	Axpy(twoStep, 0.37, Sub(a, b))
-	mustEqualBits(t, "AddScaledDiff", fused, twoStep)
-}
-
 // TestBindingPointsAndRestores: Bind aliases the dense segments (no
 // copy), routes table lookups through the row source, and Unbind puts
 // the tensors' own storage back untouched.

@@ -69,6 +69,18 @@ func LayoutOf(params []*autograd.Tensor, tables map[int]int) Layout {
 	return l
 }
 
+// Tables is the classification LayoutOf was given: embedding tensor
+// index → schema field.
+func (l Layout) Tables() map[int]int {
+	tables := map[int]int{}
+	for t, emb := range l.Embedding {
+		if emb {
+			tables[t] = l.Field[t]
+		}
+	}
+	return tables
+}
+
 // NumTensors returns the number of managed tensors.
 func (l Layout) NumTensors() int { return len(l.Rows) }
 
@@ -332,6 +344,8 @@ func (s *Server) PushDelta(ctx context.Context, d Delta) {
 		sh := s.shards[s.shardOf[t]]
 		sh.mu.Lock()
 		tensor := sh.data[t]
+		// Every entry of the server's own tensor is written, then
+		// stepped densely: these buffers never meet a train step.
 		for i, v := range delta {
 			tensor.Grad[i] = -v
 		}

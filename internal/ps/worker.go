@@ -64,6 +64,9 @@ type Worker struct {
 	OnBeat func()
 
 	params []*autograd.Tensor
+	// rows is the embedding rows of the current batch, table by table as
+	// the store's layout declares them: what resolveEmbeddingRows pulls.
+	rows models.RowSet
 	// pushSeq numbers this worker's pushes (1-based); together with ID
 	// it forms the Delta idempotency token that makes retries safe.
 	pushSeq int64
@@ -99,6 +102,7 @@ func NewWorker(id int, m models.Model, ds *data.Dataset, domains []int, store St
 		params:    m.Parameters(),
 	}
 	w.verifyLayout()
+	w.rows = models.NewRowSet(w.params, store.Layout().Tables())
 	return w
 }
 
@@ -192,6 +196,11 @@ func (w *Worker) runEpoch(ctx context.Context, rng *rand.Rand, deferPush bool) {
 
 	rec := w.Telemetry.NewEpochRecorder(w.params, w.ID)
 	inner := optim.New(w.InnerOpt, w.InnerLR)
+	// The same train step as the single-process trainer: under SGD and
+	// Adagrad it clears and steps only the rows the batch gathers, which
+	// are the rows the cache just resolved.
+	step := framework.NewStepper(w.Model)
+	step.ZeroGrad()
 	order := rng.Perm(len(w.Domains))
 	for _, di := range order {
 		d := w.Domains[di]
@@ -213,20 +222,7 @@ func (w *Worker) runEpoch(ctx context.Context, rng *rand.Rand, deferPush bool) {
 				panic(&WorkerAbort{ID: w.ID, Reason: err.Error()})
 			}
 			w.resolveEmbeddingRows(stepCtx, b)
-			for _, p := range w.params {
-				p.ZeroGrad()
-			}
-			_, fw := trace.Start(stepCtx, "train.forward")
-			loss := autograd.BCEWithLogits(w.Model.Forward(b, true), b.Labels)
-			fw.End()
-			_, bw := trace.Start(stepCtx, "train.backward")
-			loss.Backward()
-			bw.End()
-			_, op := trace.Start(stepCtx, "train.optimizer")
-			inner.Step(w.params)
-			op.End()
-			total += loss.Item()
-			loss.Release()
+			total += step.Step(stepCtx, b, inner)
 			w.batchClock++
 			if w.OnBeat != nil {
 				w.OnBeat()
@@ -280,14 +276,13 @@ func (w *Worker) pullDense(ctx context.Context) {
 
 // resolveEmbeddingRows ensures every embedding row the batch touches is
 // present in the dynamic cache, querying the latest values from the PS
-// on miss.
+// on miss. Which rows those are comes from models.RowSet over the
+// layout's explicit table-to-field mapping (declared by the model through
+// models.EmbeddingTabler), not from a tensor's position or row count.
 func (w *Worker) resolveEmbeddingRows(ctx context.Context, b *data.Batch) {
-	layout := w.Store.Layout()
-	for t, p := range w.params {
-		if !layout.Embedding[t] {
-			continue
-		}
-		rows := w.rowsTouchedBy(b, t, layout.Field[t])
+	w.rows.Gather(b)
+	for _, tr := range w.rows {
+		t, p, rows := tr.Param, w.params[tr.Param], tr.Rows
 		if len(rows) == 0 {
 			continue
 		}
@@ -321,24 +316,6 @@ func (w *Worker) resolveEmbeddingRows(ctx context.Context, b *data.Batch) {
 			}
 		}
 	}
-}
-
-// rowsTouchedBy returns the distinct rows of embedding tensor t that
-// the batch will gather. The tensor-to-field association comes from the
-// layout's explicit Field mapping (declared by the model through
-// models.EmbeddingTabler), not from the tensor's position or row count.
-func (w *Worker) rowsTouchedBy(b *data.Batch, t, field int) []int {
-	p := w.params[t]
-	ids := b.FieldValues[field]
-	seen := make(map[int]bool, len(ids))
-	var rows []int
-	for _, id := range ids {
-		if id >= 0 && id < p.Rows && !seen[id] {
-			seen[id] = true
-			rows = append(rows, id)
-		}
-	}
-	return rows
 }
 
 // buildDelta computes Θ̃−Θ against the caches: full deltas for dense

@@ -11,6 +11,7 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,7 +80,9 @@ func (fp modelFingerprint) mustMatch(t *testing.T, m models.Model, when string) 
 // TestBoundServingMatchesRestoreThenForward covers every registered
 // model structure, on learned embeddings and on a fixed-feature preset
 // (no tables to bind), × {off, int8} × {inline, BatchMax 64}, with a
-// domain registered at runtime: each served score is bit-identical to
+// domain registered at runtime — or, for the structures with per-domain
+// towers, refused with 409 and nothing registered: each served score is
+// bit-identical to
 // restore-then-forward on a private model — of θ_S + θ_i for "off", of
 // its int8 round trip for "int8", which in turn stays within the
 // TestQuantAUCBudget tolerance of the exact scores.
@@ -116,7 +119,7 @@ func TestBoundServingMatchesRestoreThenForward(t *testing.T) {
 
 // routesByDomain lists the structures that build one sub-network per
 // training domain: they cannot score an id registered after they were
-// built, so only the others are asked to serve the runtime domain.
+// built, so the server must refuse to register one.
 var routesByDomain = map[string]bool{"sharedbottom": true, "mmoe": true, "cgc": true, "ple": true, "star": true}
 
 func checkBoundServing(t *testing.T, st *core.State, ds *data.Dataset, name string, factory func() models.Model, mode string, batchMax int) {
@@ -125,9 +128,37 @@ func checkBoundServing(t *testing.T, st *core.State, ds *data.Dataset, name stri
 		SnapshotQuant: mode, BatchMax: batchMax, BatchLinger: 5 * time.Millisecond,
 	})
 	defer s.Close()
-	runtimeDomain := s.AddDomain()
-	if runtimeDomain != ds.NumDomains() {
-		t.Fatalf("runtime domain id = %d, want %d", runtimeDomain, ds.NumDomains())
+	h := s.Handler()
+	runtimeDomain := -1
+	if w := postJSON(t, h, "/domains", nil); routesByDomain[name] {
+		if w.Code != http.StatusConflict {
+			t.Fatalf("POST /domains on %s = %d, want 409: %s", name, w.Code, w.Body)
+		}
+		if n := s.view.Load().incumbent.numDomains(); n != ds.NumDomains() || len(st.Specific) != ds.NumDomains() {
+			t.Fatalf("refused registration left %d served domains, %d specifics; want %d", n, len(st.Specific), ds.NumDomains())
+		}
+		// The refusal stands in for this panic, which names what failed.
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, part := range []string{st.Model.Name(), fmt.Sprintf("%d per-domain towers", ds.NumDomains()), fmt.Sprintf("domain %d", ds.NumDomains())} {
+					if !strings.Contains(msg, part) {
+						t.Fatalf("%s Forward on an unbuilt domain panicked with %q, want it to name %q", name, msg, part)
+					}
+				}
+			}()
+			b := ds.FullBatch(0, data.Test)
+			b.Domain = ds.NumDomains()
+			st.Model.Forward(b, false)
+		}()
+	} else {
+		var added AddDomainResponse
+		if err := json.NewDecoder(w.Body).Decode(&added); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("POST /domains on %s = %d, %v: %s", name, w.Code, err, w.Body)
+		}
+		if runtimeDomain = added.ID; runtimeDomain != ds.NumDomains() {
+			t.Fatalf("runtime domain id = %d, want %d", runtimeDomain, ds.NumDomains())
+		}
 	}
 
 	private := factory()
@@ -145,7 +176,7 @@ func checkBoundServing(t *testing.T, st *core.State, ds *data.Dataset, name stri
 				labels = append(labels, in.Label)
 			}
 			reqs, reqLabels = append(reqs, req), append(reqLabels, labels)
-			if d == 0 && !routesByDomain[name] {
+			if d == 0 && runtimeDomain >= 0 {
 				req.Domain = runtimeDomain
 				reqs, reqLabels = append(reqs, req), append(reqLabels, labels)
 			}
@@ -155,7 +186,6 @@ func checkBoundServing(t *testing.T, st *core.State, ds *data.Dataset, name stri
 		t.Fatalf("only %d requests: the comparison needs the test split", len(reqs))
 	}
 
-	h := s.Handler()
 	var got []PredictResponse
 	if batchMax > 0 {
 		got = concurrentPredict(t, h, nil, reqs) // all at once, so flushes carry several riders

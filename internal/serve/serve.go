@@ -387,12 +387,21 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 // hold mu (or be the constructor).
 func (s *Server) compose() *snapshot { return s.composeState(s.state) }
 
+// ErrDomainsFixed is AddDomain's refusal on a model with per-domain
+// towers (models.DomainTowered): the structure has no sub-network to
+// route a new domain id through.
+var ErrDomainsFixed = errors.New("serve: the model has per-domain towers and cannot serve a domain registered after it was built")
+
 // AddDomain registers a new domain at runtime and publishes a snapshot
 // that serves it with the shared parameters (its specific vector starts
-// at zero). It returns the new domain id.
-func (s *Server) AddDomain() int {
+// at zero). It returns the new domain id, or ErrDomainsFixed — with
+// nothing registered — when the model cannot route one more domain.
+func (s *Server) AddDomain() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if n, bounded := models.DomainCapacity(s.state.Model); bounded && len(s.state.Specific) >= n {
+		return 0, ErrDomainsFixed
+	}
 	id := s.state.AddDomain()
 	// Only the new domain is missing; existing compositions are
 	// immutable and carried over by extend.
@@ -406,7 +415,7 @@ func (s *Server) AddDomain() int {
 		nv.canary = old.canary.extend(s.pendingState.Specific[id], id)
 	}
 	s.view.Store(&nv)
-	return id
+	return id, nil
 }
 
 // validateStateLocked checks a candidate state is structurally
@@ -530,7 +539,8 @@ func (s *Server) Close() {
 //	                  (when Options.Quality is set: joins delayed labels
 //	                  to the prediction served under that request ID)
 //	GET  /domains     -> {num_domains, names[]}
-//	POST /domains     -> {id}   (registers a new domain)
+//	POST /domains     -> {id}   (registers a new domain; 409 when the
+//	                             model has per-domain towers)
 //	GET  /healthz     -> 200 ok (liveness: the process serves HTTP)
 //	GET  /readyz      -> 200 when ready to take traffic: a model
 //	                     snapshot is published, at least one replica is
@@ -832,7 +842,12 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 		snap := s.view.Load().incumbent
 		s.writeJSON(w, r, DomainsResponse{NumDomains: snap.numDomains(), Names: snap.names})
 	case http.MethodPost:
-		s.writeJSON(w, r, AddDomainResponse{ID: s.AddDomain()})
+		id, err := s.AddDomain()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
+		s.writeJSON(w, r, AddDomainResponse{ID: id})
 	default:
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 	}

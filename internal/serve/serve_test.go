@@ -280,8 +280,8 @@ func TestAddDomainKeepsOldSnapshotsImmutable(t *testing.T) {
 	req := PredictRequest{Domain: 0, Users: []int{0, 1}, Items: []int{0, 1}}
 	before := postJSON(t, h, "/predict", req)
 	for i := 0; i < 3; i++ {
-		if id := s.AddDomain(); id != ds.NumDomains()+i {
-			t.Fatalf("AddDomain id = %d, want %d", id, ds.NumDomains()+i)
+		if id, err := s.AddDomain(); err != nil || id != ds.NumDomains()+i {
+			t.Fatalf("AddDomain = %d, %v, want %d", id, err, ds.NumDomains()+i)
 		}
 	}
 	after := postJSON(t, h, "/predict", req)

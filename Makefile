@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck race bench bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
+.PHONY: all build test vet staticcheck race race-dr bench bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
 
 all: check
 
@@ -251,10 +251,17 @@ smoke-batch:
 	@echo "ok: batched scores byte-identical to unbatched; int8 AUC gate passed"
 
 # The PS, cluster, serving, batching, and quant paths are the
-# concurrent hot spots; keep them race-clean.
+# concurrent hot spots, and core's DR phase runs one worker goroutine per
+# kernel thread over autograd and its buffer arena; keep them race-clean.
 race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
-		./internal/batch/... ./internal/quant/...
+		./internal/batch/... ./internal/quant/... ./internal/core/... ./internal/autograd/...
+
+# The DR phase's oracle (any worker count == the sequential per-target
+# loop, float for float) with its workers interleaved on one P and
+# spread over four.
+race-dr:
+	$(GO) test -race -count=1 -cpu 1,4 -run TestDRPhaseIndependentOfWorkers ./internal/core
 
 bench-serve:
 	$(GO) test ./internal/serve -run xxx -bench ServeThroughput -benchtime 2s
@@ -286,6 +293,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(MAKE) race-dr
 	$(MAKE) bench-smoke
 	$(MAKE) smoke-chaos
 	$(MAKE) smoke-cluster

@@ -61,7 +61,7 @@ func main() {
 		embDim   = flag.Int("emb", 8, "embedding dimension")
 		seed     = flag.Int64("seed", 1, "random seed")
 
-		kernelThreads = flag.Int("kernel-threads", 0, "goroutines per math kernel (0 = GOMAXPROCS; results are bit-identical at any setting)")
+		kernelThreads = flag.Int("kernel-threads", 0, "compute parallelism cap: goroutines per math kernel, or DR workers during a DR phase (0 = GOMAXPROCS; results are bit-identical at any setting)")
 
 		metricsAddr    = flag.String("metrics-addr", "", "serve Prometheus /metrics on this address during training (e.g. :9090)")
 		metricsLinger  = flag.Duration("metrics-linger", 0, "keep /metrics up this long after training (for a final scrape)")

@@ -14,7 +14,7 @@
 // elements are computed together, but never the addition order within
 // one element; parallelism partitions output elements across
 // goroutines, never the reduction of a single element. Consequently
-// results do not depend on SetThreads, GOMAXPROCS, or the backend
+// results do not depend on SetThreads, Hold, GOMAXPROCS, or the backend
 // chosen, and the distributed bit-identity suites hold unchanged.
 // (One caveat: when several NaNs combine, the propagated *payload* is
 // chosen by the hardware per instruction operand order, which the
@@ -116,17 +116,44 @@ func Threads() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// held counts the coarse workers among which callers of Hold have split
+// the thread budget.
+var held atomic.Int32
+
+// Hold splits the thread budget among the workers goroutines over which
+// its caller spreads coarser work — whole train passes. Until the
+// returned release runs, a kernel fans out to Threads()/workers
+// goroutines (see Fanout), and runs on the goroutine that called it when
+// that is one: the two levels of parallelism share the cap instead of
+// multiplying. Results cannot change: they never depend on how a kernel's
+// rows are partitioned. Holds may nest and overlap, their workers add up,
+// and Hold(1) changes nothing. release must be called exactly once.
+func Hold(workers int) (release func()) {
+	held.Add(int32(workers))
+	return func() { held.Add(-int32(workers)) }
+}
+
+// Fanout reports how many goroutines a kernel may spread over right now:
+// Threads(), divided by the workers that hold the budget, at least one.
+func Fanout() int {
+	n := Threads()
+	if h := int(held.Load()); h > 1 {
+		n = max(n/h, 1)
+	}
+	return n
+}
+
 // parallelGrain is the minimum per-goroutine multiply-add count worth
 // a goroutine spawn (~1µs of float64 FMAs); below it kernels run
 // serially on the calling goroutine.
 const parallelGrain = 16384
 
 // parallelRows partitions [0, rows) into contiguous chunks and runs
-// fn(lo, hi) for each, fanning out to at most Threads() goroutines.
-// work is the multiply-add count per row. Each output element lives in
-// exactly one chunk, so the partition never affects results.
+// fn(lo, hi) for each, fanning out to at most Fanout() goroutines. work
+// is the multiply-add count per row. Each output element lives in exactly
+// one chunk, so the partition never affects results.
 func parallelRows(rows, work int, fn func(lo, hi int)) {
-	nw := Threads()
+	nw := Fanout()
 	if nw > rows {
 		nw = rows
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -188,4 +189,51 @@ func TestSumAndDotMatchStraightLoop(t *testing.T) {
 		sameBits(t, "Sum", []float64{Sum(a)}, []float64{ws})
 		sameBits(t, "Dot", []float64{Dot(a, b)}, []float64{wd})
 	}
+}
+
+// TestHoldSplitsTheThreadBudget counts the chunks a kernel's rows are
+// cut into: a GEMM past the parallel grain gets Threads() of them, while
+// holds are outstanding Threads() divided by their workers (one chunk, on
+// the calling goroutine, once that reaches one), and Threads() again once
+// the last hold is released — with the same bits throughout.
+func TestHoldSplitsTheThreadBudget(t *testing.T) {
+	defer SetThreads(0)
+	SetThreads(4)
+	const m, k, n = 64, 32, 64
+	chunks := func() int {
+		var c atomic.Int32
+		parallelRows(m, k*n, func(lo, hi int) { c.Add(1) })
+		return int(c.Load())
+	}
+	rng := rand.New(rand.NewSource(7))
+	a, b := randMatrix(rng, m*k, false), randMatrix(rng, k*n, false)
+	gemm := func() []float64 {
+		dst := make([]float64, m*n)
+		Blocked.GemmAdd(dst, a, b, m, k, n)
+		return dst
+	}
+	want := gemm()
+	check := func(when string, fanout int) {
+		t.Helper()
+		if got := Fanout(); got != fanout {
+			t.Fatalf("%s: Fanout() = %d, want %d", when, got, fanout)
+		}
+		if got := chunks(); got != fanout {
+			t.Fatalf("%s: a kernel's rows were cut into %d chunks, want %d", when, got, fanout)
+		}
+		sameBits(t, "GemmAdd "+when, gemm(), want)
+	}
+
+	check("before any hold", 4)
+	one := Hold(1)
+	check("under Hold(1)", 4)
+	two := Hold(1)
+	check("under two workers", 2)
+	three := Hold(3)
+	check("under five workers on four threads", 1)
+	two()
+	check("under four workers", 1)
+	three()
+	one()
+	check("after the last release", 4)
 }

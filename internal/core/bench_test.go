@@ -2,9 +2,12 @@ package core
 
 import (
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
+	"mamdr/internal/autograd/kernels"
+	"mamdr/internal/data"
 	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/obsv"
@@ -80,36 +83,68 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkDRLookahead is one Domain Regularization phase — every
-// target of a long-tail dataset once — on the shape of mamdr-bench's
-// train-tail workload: 200 Zipf domains, most at the 24-sample floor,
-// learned 4000×16 + 2000×16 embedding tables (91 % of |θ|). Under sgd
-// the lookahead runs on the rows its batches touch; under adam every
-// entry can move, so the same loop runs over all of |θ| — the dense path
-// measured beside the row path. Run with:
-//
-//	go test ./internal/core -run xxx -bench DRLookahead -benchmem
-func BenchmarkDRLookahead(b *testing.B) {
+// tailShape and headShape are the datasets of mamdr-bench's train-tail
+// and train-head workloads: 200 Zipf domains, most at the 24-sample
+// floor, over learned 4000×16 + 2000×16 embedding tables (91 % of |θ|);
+// and 13 Amazon-like domains of 10,000 interactions.
+func tailShape() synth.Config {
 	cfg := synth.TaobaoOnline(200, 4000, 12)
 	cfg.FixedFeatures = false
 	cfg.NumUsers, cfg.NumItems = 4000, 2000
-	ds := synth.Generate(cfg)
+	return cfg
+}
+
+func headShape() synth.Config { return synth.Amazon13(10000, 12) }
+
+// benchDRPhase times one DR phase per iteration on a zero θ_i state, at
+// the given kernels.SetThreads cap.
+func benchDRPhase(b *testing.B, ds *data.Dataset, inner string, threads int) {
+	defer kernels.SetThreads(0)
+	kernels.SetThreads(threads)
+	m := models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 16, Hidden: []int{64, 32}, Seed: 12})
+	st := &State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
+	for range ds.Domains {
+		st.AddDomain()
+	}
+	fc := framework.Config{BatchSize: 64, Seed: 12, InnerOpt: inner, LR: 0.1}.WithDefaults()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DomainRegularizationPhase(st, ds, fc, EpochRNG(fc.Seed, i), DROptions{})
+	}
+}
+
+// BenchmarkDRLookahead is one Domain Regularization phase — every
+// target of a long-tail dataset once — on the tail shape, on one worker.
+// Under sgd the lookahead runs on the rows its batches touch; under adam
+// every entry can move, so the same loop runs over all of |θ| — the
+// dense path measured beside the row path. Run with:
+//
+//	go test ./internal/core -run xxx -bench DRLookahead -benchmem
+func BenchmarkDRLookahead(b *testing.B) {
+	ds := synth.Generate(tailShape())
 	for _, inner := range []string{"sgd", "adam"} {
-		b.Run(inner, func(b *testing.B) {
-			m := models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 16, Hidden: []int{64, 32}, Seed: 12})
-			st := &State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
-			for range ds.Domains {
-				st.AddDomain()
-			}
-			fc := framework.Config{BatchSize: 64, Seed: 12, InnerOpt: inner, LR: 0.1}.WithDefaults()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng := EpochRNG(fc.Seed, i)
-				for target := range ds.Domains {
-					DomainRegularization(st, ds, target, fc, rng)
-				}
-			}
-		})
+		b.Run(inner, func(b *testing.B) { benchDRPhase(b, ds, inner, 1) })
+	}
+}
+
+// BenchmarkDRPhase is the same phase by worker count, on the head shape
+// under its workload's inner optimizer (adam) and on the tail shape under
+// its own (sgd): workers=1 is the sequential loop with kernel fan-out off,
+// workers=N one worker per GOMAXPROCS. Run with:
+//
+//	go test ./internal/core -run xxx -bench DRPhase -benchmem
+func BenchmarkDRPhase(b *testing.B) {
+	for _, shape := range []struct {
+		name, inner string
+		cfg         synth.Config
+	}{{"head", "adam", headShape()}, {"tail", "sgd", tailShape()}} {
+		ds := synth.Generate(shape.cfg)
+		for _, w := range []struct {
+			name    string
+			threads int
+		}{{"workers=1", 1}, {"workers=2", 2}, {"workers=N", runtime.GOMAXPROCS(0)}} {
+			b.Run(shape.name+"/"+w.name, func(b *testing.B) { benchDRPhase(b, ds, shape.inner, w.threads) })
+		}
 	}
 }

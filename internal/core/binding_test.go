@@ -90,8 +90,13 @@ func TestPredictMatchesRestoreThenForward(t *testing.T) {
 }
 
 // referenceDR is the DR helper loop written out in whole vectors:
-// ComposedFor, Snapshot and Sub each allocate one per helper.
-func referenceDR(st *State, ds *data.Dataset, target int, cfg framework.Config, rng *rand.Rand) {
+// ComposedFor, Snapshot and Sub each allocate one per helper, and every
+// helper gets a fresh inner optimizer. Like DomainRegularization it takes
+// one seed from the caller's RNG and draws everything else from that: the
+// dropout-mask seed first, then helpers and shuffles.
+func referenceDR(st *State, ds *data.Dataset, target int, cfg framework.Config, epochRNG *rand.Rand) {
+	rng := rand.New(rand.NewSource(epochRNG.Int63()))
+	models.SeedMasks(st.Model, rng.Int63())
 	params := st.Model.Parameters()
 	for _, j := range SampleHelpers(ds.NumDomains(), target, cfg.SampleK, rng) {
 		composed := st.ComposedFor(target)

@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"mamdr/internal/autograd/kernels"
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
 	"mamdr/internal/models"
@@ -78,6 +77,10 @@ type State struct {
 	Model    models.Model
 	Shared   paramvec.Vector
 	Specific []paramvec.Vector
+
+	// replicas of Model that the DR phases of a training run train
+	// targets on beside it; Fit drops them when it returns.
+	replicas []models.Model
 }
 
 // ComposedFor returns θ_S + θ_i, the serving parameters of domain i
@@ -160,9 +163,7 @@ func (t *MAMDR) Fit(m models.Model, ds *data.Dataset, cfg framework.Config) fram
 			alternateEpoch(st, ds, cfg, rng)
 		}
 		if t.UseDR {
-			for i := range ds.Domains {
-				DomainRegularization(st, ds, i, cfg, rng)
-			}
+			DomainRegularizationPhase(st, ds, cfg, rng, DROptions{})
 		}
 		if ckpt != "" && (epoch+1)%cfg.CheckpointEvery == 0 {
 			if err := st.SaveTraining(ckpt, epoch+1, outer); err != nil {
@@ -171,6 +172,7 @@ func (t *MAMDR) Fit(m models.Model, ds *data.Dataset, cfg framework.Config) fram
 		}
 	}
 	paramvec.Restore(params, st.Shared)
+	st.replicas = nil
 	return st
 }
 
@@ -203,6 +205,11 @@ func DomainNegotiationEpoch(st *State, ds *data.Dataset, cfg framework.Config, o
 func DomainNegotiationEpochOpt(st *State, ds *data.Dataset, cfg framework.Config, outer optim.Optimizer, rng *rand.Rand, fixedOrder bool) {
 	params := st.Model.Parameters()
 	paramvec.Restore(params, st.Shared)
+	// The epoch's dropout masks come from the epoch's RNG, not from
+	// wherever the model's stream was left: by a DR phase, whose last
+	// target on this model depends on scheduling, or by the process a
+	// resumed run did not inherit.
+	models.SeedMasks(st.Model, rng.Int63())
 
 	order := rng.Perm(ds.NumDomains())
 	if fixedOrder {
@@ -256,6 +263,7 @@ func DomainNegotiationEpochOpt(st *State, ds *data.Dataset, cfg framework.Config
 func alternateEpoch(st *State, ds *data.Dataset, cfg framework.Config, rng *rand.Rand) {
 	params := st.Model.Parameters()
 	paramvec.Restore(params, st.Shared)
+	models.SeedMasks(st.Model, rng.Int63()) // as in the DN epoch
 	ctx := cfg.Tracer.Context(context.Background())
 	ctx, epochSpan := trace.Start(ctx, "alternate.epoch", trace.A("domains", ds.NumDomains()))
 	defer epochSpan.End()
@@ -274,125 +282,4 @@ func alternateEpoch(st *State, ds *data.Dataset, cfg framework.Config, rng *rand
 	}
 	st.Shared = paramvec.Snapshot(params)
 	rec.Finish(-1)
-}
-
-// DomainRegularization runs Algorithm 2 for one target domain i: sample
-// k helper domains; for each helper j, start from θ_i, take inner steps
-// on T_j, then on T_i (the fixed order that regularizes domain-j
-// information toward the target), and move θ_i toward the endpoint with
-// learning rate γ (Eq. 8). Updates run in the composed space
-// Θ = θ_S + θ_i with θ_S held fixed.
-func DomainRegularization(st *State, ds *data.Dataset, target int, cfg framework.Config, rng *rand.Rand) {
-	DomainRegularizationOpt(st, ds, target, cfg, rng, DROptions{})
-}
-
-// DROptions selects Domain Regularization ablations used by the design-
-// choice benchmarks; the zero value is the paper's Algorithm 2.
-type DROptions struct {
-	// SkipTargetStep omits the final update on the target domain
-	// (Eq. 7), degrading DR to naive cross-domain transfer.
-	SkipTargetStep bool
-	// ReverseOrder updates on the target domain before the helper,
-	// breaking the fixed order the Section IV-C analysis relies on.
-	ReverseOrder bool
-}
-
-// DomainRegularizationOpt is DomainRegularization with explicit ablation
-// options.
-//
-// Cost. Θ = θ_S + θ_i is loaded into the model once — the call's one
-// pass over all of |θ|. After that a helper costs its mini-batches plus
-// the lookahead algebra on what they moved: every dense tensor, and of
-// each embedding table the rows the two passes gathered (the Stepper's
-// Moved report). Every other row still holds θ_S + θ_i, its endpoint
-// equals its start, and Eq. 8 adds γ·0 to it, so leaving it alone is the
-// same update — with one visible difference: a θ_i entry that is -0.0
-// (reachable only by loading one; training never produces it) stays
-// -0.0 where -0.0 + γ·0 wrote +0.0. Under an inner optimizer that moves
-// rows on zero gradient (Adam, momentum) every entry counts as moved and
-// the same algebra runs over all of |θ| per helper. Nothing of size |θ|
-// is allocated.
-func DomainRegularizationOpt(st *State, ds *data.Dataset, target int, cfg framework.Config, rng *rand.Rand, opts DROptions) {
-	params := st.Model.Parameters()
-	helpers := SampleHelpers(ds.NumDomains(), target, cfg.SampleK, rng)
-
-	ctx := cfg.Tracer.Context(context.Background())
-	ctx, drSpan := trace.Start(ctx, "dr.target",
-		trace.A("target", ds.Domains[target].Name), trace.A("helpers", len(helpers)))
-	defer drSpan.End()
-
-	// θ̃_i ← θ_i, in composed coordinates Θ = θ_S + θ_i.
-	shared, specific := st.Shared, st.Specific[target]
-	for i, p := range params {
-		kernels.AddTo(p.Data, shared[i], specific[i])
-	}
-	// No ZeroGrad: nothing here reads a gradient buffer densely, and a
-	// step clears the rows it accumulates into.
-	step := framework.NewStepper(st.Model)
-	for _, j := range helpers {
-		laCtx, laSpan := trace.Start(ctx, "dr.lookahead",
-			trace.A("helper", ds.Domains[j].Name))
-		inner := optim.New(cfg.InnerOpt, cfg.LR)
-		// Update on helper domain j, then on the target domain i.
-		first, second := j, target
-		if opts.ReverseOrder {
-			first, second = target, j
-		}
-		step.ResetMoved()
-		step.Pass(laCtx, ds, first, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
-		if !opts.SkipTargetStep {
-			loss := step.Pass(laCtx, ds, second, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
-			cfg.Telemetry.ObserveDRPass(target, loss)
-		}
-		laSpan.End()
-
-		// θ_i ← θ_i + γ(θ̃_i − θ_i), then θ̃_i ← θ_i for the next helper,
-		// wherever the lookahead moved.
-		moved, all := step.Moved()
-		for i, p := range params {
-			if !all && len(moved) > 0 && moved[0].Param == i {
-				for _, r := range moved[0].Rows {
-					lo, hi := r*p.Cols, (r+1)*p.Cols
-					drUpdate(specific[i][lo:hi], shared[i][lo:hi], p.Data[lo:hi], cfg.DRLR)
-				}
-				moved = moved[1:]
-				continue
-			}
-			drUpdate(specific[i], shared[i], p.Data, cfg.DRLR)
-		}
-	}
-}
-
-// drUpdate is Eq. 8 on one run of entries, in composed coordinates: end
-// holds the lookahead's endpoint Θ̃ and (shared + specific) its start, so
-// the difference of endpoints is the difference of specifics. It then
-// restarts the next lookahead by writing the new θ_S + θ_i over end.
-// Entry for entry it is the whole-vector formula (compose, restore,
-// snapshot, θ_i += γ·(endpoint − composed)) that referenceDR in the tests
-// spells out.
-func drUpdate(specific, shared, end []float64, gamma float64) {
-	for j := range specific {
-		specific[j] += gamma * (end[j] - (shared[j] + specific[j]))
-		end[j] = shared[j] + specific[j]
-	}
-}
-
-// SampleHelpers draws k distinct helper domains excluding the target
-// (all others when k >= n-1). With a single domain it returns the target
-// itself so DR degrades gracefully to per-domain finetuning.
-func SampleHelpers(n, target, k int, rng *rand.Rand) []int {
-	if n == 1 {
-		return []int{target}
-	}
-	pool := make([]int, 0, n-1)
-	for d := 0; d < n; d++ {
-		if d != target {
-			pool = append(pool, d)
-		}
-	}
-	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if k < len(pool) {
-		pool = pool[:k]
-	}
-	return pool
 }

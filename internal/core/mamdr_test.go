@@ -267,18 +267,29 @@ func TestMAMDRDeterministicWithSeed(t *testing.T) {
 
 // TestMAMDRImprovesOverAlternate is the repository's miniature of the
 // paper's headline claim (Table V): under domain conflict, MLP+MAMDR
-// outperforms alternate-trained MLP on mean test AUC.
+// does not lose to alternate-trained MLP on mean test AUC.
+//
+// The claim is checked on the mean over seeds 1..16 with a slack of 0.01.
+// On a dataset this small one seed decides nothing: the per-seed
+// difference has a standard deviation of 0.014 (5 of the 16 seeds lose
+// by more than the slack on their own), and which seeds land low moves
+// with every change to how a run derives its random streams. The mean
+// has a standard error of 0.0035 and sits at −0.004; EXPERIMENTS.md
+// ("Quality guard") has the per-seed table.
 func TestMAMDRImprovesOverAlternate(t *testing.T) {
 	ds := testDataset(t, 1.2)
-	cfg := framework.Config{Epochs: 6, BatchSize: 32, Seed: 9}
+	const seeds = 16
+	var altAUC, mamAUC float64
+	for seed := int64(1); seed <= seeds; seed++ {
+		cfg := framework.Config{Epochs: 6, BatchSize: 32, Seed: seed}
+		alt := framework.MeanAUC(framework.MustNew("alternate").Fit(testModel(t, ds), ds, cfg), ds, data.Test)
+		mam := framework.MeanAUC(framework.MustNew("mamdr").Fit(testModel(t, ds), ds, cfg), ds, data.Test)
+		t.Logf("seed %2d: alternate AUC = %.4f, MAMDR AUC = %.4f (%+.4f)", seed, alt, mam, mam-alt)
+		altAUC += alt / seeds
+		mamAUC += mam / seeds
+	}
 
-	alt := framework.MustNew("alternate").Fit(testModel(t, ds), ds, cfg)
-	altAUC := framework.MeanAUC(alt, ds, data.Test)
-
-	mam := framework.MustNew("mamdr").Fit(testModel(t, ds), ds, cfg)
-	mamAUC := framework.MeanAUC(mam, ds, data.Test)
-
-	t.Logf("alternate AUC = %.4f, MAMDR AUC = %.4f", altAUC, mamAUC)
+	t.Logf("mean over %d seeds: alternate AUC = %.4f, MAMDR AUC = %.4f (%+.4f)", seeds, altAUC, mamAUC, mamAUC-altAUC)
 	if mamAUC <= altAUC-0.01 {
 		t.Fatalf("MAMDR (%.4f) should not lose to Alternate (%.4f)", mamAUC, altAUC)
 	}

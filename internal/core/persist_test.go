@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mamdr/internal/autograd/kernels"
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
 	"mamdr/internal/models"
@@ -159,23 +160,30 @@ func TestSaveTrainingRoundTripsOptimizerState(t *testing.T) {
 
 // TestFitResumeBitIdentical is the single-process crash-safety
 // property: a run killed after epoch 2 and resumed must end bit-for-bit
-// where an uninterrupted run of the same seed ends.
+// where an uninterrupted run of the same seed ends — with the DR phases
+// on three workers, and with dropout, whose mask stream no checkpoint
+// carries: every epoch and every DR target seeds it from the epoch RNG.
 func TestFitResumeBitIdentical(t *testing.T) {
+	defer kernels.SetThreads(0)
+	kernels.SetThreads(3)
 	ds := testDataset(t, 0.5)
 	base := framework.Config{Epochs: 4, BatchSize: 32, Seed: 9, OuterOpt: "adagrad", OuterLR: 0.1}
+	build := func() models.Model {
+		return models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{16, 8}, Dropout: 0.2, Seed: 5})
+	}
 
-	full := framework.MustNew("mamdr").Fit(testModel(t, ds), ds, base).(*State)
+	full := framework.MustNew("mamdr").Fit(build(), ds, base).(*State)
 
 	dir := t.TempDir()
 	killed := base
 	killed.Epochs = 2 // the "crash": training simply stops after epoch 2
 	killed.CheckpointDir = dir
-	framework.MustNew("mamdr").Fit(testModel(t, ds), ds, killed)
+	framework.MustNew("mamdr").Fit(build(), ds, killed)
 
 	resumed := base
 	resumed.CheckpointDir = dir
 	resumed.Resume = true
-	got := framework.MustNew("mamdr").Fit(testModel(t, ds), ds, resumed).(*State)
+	got := framework.MustNew("mamdr").Fit(build(), ds, resumed).(*State)
 
 	for i := range full.Shared {
 		for j := range full.Shared[i] {

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -208,42 +209,49 @@ func TestNegativeZeroSpecificSurvivesRowPath(t *testing.T) {
 }
 
 // TestDRCostDoesNotGrowWithTables pins the cost shape by a count, not a
-// timing: the bytes one DomainRegularization call allocates on a
-// 24-sample target stay within 10% when both vocabularies — 95% of |θ| —
-// are quadrupled, under both optimizers that take the row path. (The
-// call's time still has one O(|θ|) term, the load of θ_S + θ_i; its
-// allocations have none.)
+// timing: when both vocabularies — 95% of |θ| — are quadrupled, the bytes
+// one DomainRegularization call allocates on a 24-sample target grow by
+// less than a quarter of what the smallest table grew by, under both
+// optimizers that take the row path. (The call's time still has one
+// O(|θ|) term, the load of θ_S + θ_i; its allocations have none.)
+//
+// The bound is in bytes of |θ|, not a ratio of the two counts, and each
+// count is the median of 21 calls: under -race sync.Pool drops a quarter
+// of its Puts at random, so a call re-allocates 40 ± 13 KB of the
+// kernels' buffer arena whatever the tables' size. One table-sized
+// vector would add at least 96 KB.
 func TestDRCostDoesNotGrowWithTables(t *testing.T) {
+	const embDim, calls = 8, 21
 	allocated := func(scale int, inner string) uint64 {
 		ds := synth.Generate(sparseTailConfig(1000*scale, 500*scale))
-		m := models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 8, Hidden: []int{16, 8}, Seed: 5})
+		m := models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: embDim, Hidden: []int{16, 8}, Seed: 5})
 		st := &State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
 		for range ds.Domains {
 			st.AddDomain()
 		}
 		cfg := framework.Config{BatchSize: 64, Seed: 3, InnerOpt: inner, LR: 0.1}.WithDefaults()
 		DomainRegularization(st, ds, 1, cfg, rand.New(rand.NewSource(1))) // warm the kernels' buffer arena
-		// The least of three calls: the runtime's own occasional
-		// allocations (a GC cycle's, a parked kernel worker's) land in
-		// TotalAlloc too.
-		least := ^uint64(0)
-		for rep := 0; rep < 3; rep++ {
+		counts := make([]uint64, calls)
+		for rep := range counts {
 			rng := rand.New(rand.NewSource(2))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			DomainRegularization(st, ds, 0, cfg, rng)
 			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			counts[rep] = after.TotalAlloc - before.TotalAlloc
 		}
-		return least
+		slices.Sort(counts)
+		return counts[calls/2]
 	}
+	itemTableGrowth := uint64(2000-500) * embDim * 8
+	tableBytes := uint64(4000+2000) * embDim * 8
 	for _, inner := range []string{"sgd", "adagrad"} {
 		small, large := allocated(1, inner), allocated(4, inner)
 		t.Logf("%s: one DR call allocates %d B at 1000×500 ids, %d B at 4000×2000", inner, small, large)
-		if ratio := float64(large) / float64(small); ratio > 1.10 || ratio < 0.90 {
-			t.Fatalf("%s: allocation grew %.2f× with the tables (%d B → %d B); something of size |θ| is allocated per DR call", inner, ratio, small, large)
+		if large > small+itemTableGrowth/4 {
+			t.Fatalf("%s: allocation grew by %d B with the tables (%d B → %d B), and the smallest table by %d B; something of size |θ| is allocated per DR call",
+				inner, large-small, small, large, itemTableGrowth)
 		}
-		tableBytes := uint64(4000*8+2000*8) * 8
 		if large > tableBytes {
 			t.Fatalf("%s: one DR call allocates %d B, more than the tables themselves (%d B)", inner, large, tableBytes)
 		}

@@ -81,9 +81,7 @@ func AblationDROrder(s Scale) *Table {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for e := 0; e < 2; e++ {
-			for d := range ds.Domains {
-				core.DomainRegularizationOpt(st, ds, d, seedCfg, rng, opts)
-			}
+			core.DomainRegularizationPhase(st, ds, seedCfg, rng, opts)
 		}
 		return meanAUCOf(framework.EvaluateAUC(st, ds, data.Test))
 	}

@@ -38,6 +38,7 @@ type TrainMetrics struct {
 	drLoss    []*telemetry.Gauge
 	innerStep *telemetry.Histogram
 	outerStep *telemetry.Histogram
+	drPhase   *telemetry.Histogram
 	gradCos   *telemetry.Histogram
 
 	epoch atomic.Int64
@@ -60,6 +61,8 @@ func NewTrainMetrics(reg *telemetry.Registry, ds *data.Dataset, events *telemetr
 		"Duration of one DN inner-loop pass over a single domain.", telemetry.DefBuckets)
 	tm.outerStep = reg.Histogram("mamdr_train_outer_step_seconds",
 		"Duration of the DN outer update (Eq. 3).", telemetry.DefBuckets)
+	tm.drPhase = reg.Histogram("mamdr_train_dr_phase_seconds",
+		"Duration of one Domain Regularization phase: every target's Algorithm 2 update, across the phase's workers.", telemetry.DefBuckets)
 	tm.gradCos = reg.Histogram("mamdr_train_grad_cosine",
 		"Pairwise cosine similarity of per-domain parameter-update deltas within one epoch; mass below zero indicates domain conflict (paper Sec. IV-C).",
 		telemetry.CosineBuckets())
@@ -88,12 +91,22 @@ func (tm *TrainMetrics) DomainName(d int) string {
 	return fmt.Sprintf("runtime-%d", d)
 }
 
-// ObserveDRPass records the target-domain loss of one DR lookahead.
+// ObserveDRPass records the target-domain loss of one DR lookahead. The
+// workers of a DR phase call it concurrently and need no lock: each
+// target has a gauge of its own, set atomically, and one worker runs it.
 func (tm *TrainMetrics) ObserveDRPass(target int, loss float64) {
 	if tm == nil || target < 0 || target >= len(tm.drLoss) {
 		return
 	}
 	tm.drLoss[target].Set(loss)
+}
+
+// ObserveDRPhase records the wall time of one DR phase.
+func (tm *TrainMetrics) ObserveDRPhase(seconds float64) {
+	if tm == nil {
+		return
+	}
+	tm.drPhase.Observe(seconds)
 }
 
 // EpochRecorder instruments one epoch's sequential pass over domains.

@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math/rand"
-
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/nn"
@@ -20,7 +18,7 @@ type AutoInt struct {
 	enc    *Encoder
 	layers []*nn.InteractingLayer
 	out    *nn.Dense
-	rng    *rand.Rand
+	origin
 }
 
 // NewAutoInt builds the AutoInt baseline from cfg with two stacked
@@ -35,9 +33,12 @@ func NewAutoInt(cfg Config) *AutoInt {
 		enc:    enc,
 		layers: []*nn.InteractingLayer{l1, l2},
 		out:    nn.NewDense(enc.NumFields()*l2.OutDim(), 1, nn.Linear, rng),
-		rng:    rng,
+		origin: origin{cfg, rng},
 	}
 }
+
+// Replica implements Replicator.
+func (m *AutoInt) Replica() Model { return NewAutoInt(m.cfg) }
 
 // Forward implements Model.
 func (m *AutoInt) Forward(b *data.Batch, training bool) *autograd.Tensor {

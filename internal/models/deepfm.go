@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math/rand"
-
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/nn"
@@ -21,7 +19,7 @@ type DeepFM struct {
 	firstEmbs  []*nn.Embedding
 	firstDense *nn.Dense
 	deep       *nn.MLP
-	rng        *rand.Rand
+	origin
 }
 
 // NewDeepFM builds the DeepFM baseline from cfg.
@@ -29,7 +27,7 @@ func NewDeepFM(cfg Config) *DeepFM {
 	cfg = cfg.withDefaults()
 	rng := rngFor(cfg)
 	enc := NewEncoder(cfg.Dataset, cfg.EmbDim, rng)
-	m := &DeepFM{enc: enc, rng: rng}
+	m := &DeepFM{enc: enc, origin: origin{cfg, rng}}
 	if cfg.Dataset.HasFixedFeatures() {
 		m.firstDense = nn.NewDense(enc.InputDim(), 1, nn.Linear, rng)
 	} else {
@@ -42,6 +40,9 @@ func NewDeepFM(cfg Config) *DeepFM {
 	m.deep = nn.NewMLP(dims, nn.ReLU, cfg.Dropout, rng)
 	return m
 }
+
+// Replica implements Replicator.
+func (m *DeepFM) Replica() Model { return NewDeepFM(m.cfg) }
 
 func (m *DeepFM) firstOrder(b *data.Batch) *autograd.Tensor {
 	if m.firstDense != nil {

@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math/rand"
-
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/nn"
@@ -19,7 +17,7 @@ func init() {
 type MLP struct {
 	enc *Encoder
 	net *nn.MLP
-	rng *rand.Rand
+	origin
 }
 
 // NewMLP builds the MLP baseline from cfg.
@@ -30,11 +28,14 @@ func NewMLP(cfg Config) *MLP {
 	dims := append([]int{enc.InputDim()}, cfg.Hidden...)
 	dims = append(dims, 1)
 	return &MLP{
-		enc: enc,
-		net: nn.NewMLP(dims, nn.ReLU, cfg.Dropout, rng),
-		rng: rng,
+		enc:    enc,
+		net:    nn.NewMLP(dims, nn.ReLU, cfg.Dropout, rng),
+		origin: origin{cfg, rng},
 	}
 }
+
+// Replica implements Replicator.
+func (m *MLP) Replica() Model { return NewMLP(m.cfg) }
 
 // Forward implements Model.
 func (m *MLP) Forward(b *data.Batch, training bool) *autograd.Tensor {
@@ -61,7 +62,7 @@ type RAW struct {
 	enc *Encoder
 	l1  *nn.Dense
 	l2  *nn.Dense
-	rng *rand.Rand
+	origin
 }
 
 // NewRAW builds the RAW model from cfg.
@@ -71,12 +72,15 @@ func NewRAW(cfg Config) *RAW {
 	enc := NewEncoder(cfg.Dataset, cfg.EmbDim, rng)
 	hidden := 32
 	return &RAW{
-		enc: enc,
-		l1:  nn.NewDense(enc.InputDim(), hidden, nn.ReLU, rng),
-		l2:  nn.NewDense(hidden, 1, nn.Linear, rng),
-		rng: rng,
+		enc:    enc,
+		l1:     nn.NewDense(enc.InputDim(), hidden, nn.ReLU, rng),
+		l2:     nn.NewDense(hidden, 1, nn.Linear, rng),
+		origin: origin{cfg, rng},
 	}
 }
+
+// Replica implements Replicator.
+func (m *RAW) Replica() Model { return NewRAW(m.cfg) }
 
 // Forward implements Model.
 func (m *RAW) Forward(b *data.Batch, training bool) *autograd.Tensor {

@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math/rand"
-
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/nn"
@@ -20,7 +18,7 @@ type MMoE struct {
 	experts []*nn.MLP
 	gates   []*nn.Dense // per domain: input -> #experts, softmaxed
 	towers  []*nn.MLP
-	rng     *rand.Rand
+	origin
 }
 
 // NewMMoE builds the MMoE baseline from cfg.
@@ -28,7 +26,7 @@ func NewMMoE(cfg Config) *MMoE {
 	cfg = cfg.withDefaults()
 	rng := rngFor(cfg)
 	enc := NewEncoder(cfg.Dataset, cfg.EmbDim, rng)
-	m := &MMoE{enc: enc, rng: rng}
+	m := &MMoE{enc: enc, origin: origin{cfg, rng}}
 	expertDims := append([]int{enc.InputDim()}, cfg.Hidden...)
 	for e := 0; e < cfg.Experts; e++ {
 		m.experts = append(m.experts, nn.NewMLP(expertDims, nn.ReLU, cfg.Dropout, rng))
@@ -40,6 +38,9 @@ func NewMMoE(cfg Config) *MMoE {
 	}
 	return m
 }
+
+// Replica implements Replicator.
+func (m *MMoE) Replica() Model { return NewMMoE(m.cfg) }
 
 // Forward implements Model.
 func (m *MMoE) Forward(b *data.Batch, training bool) *autograd.Tensor {

@@ -88,6 +88,42 @@ func mustRoute(m interface {
 	}
 }
 
+// Replicator is implemented by models that several workers can train at
+// once, one model each: core's DR phase gives every worker beyond the
+// first a replica and restarts each model's dropout stream per target. A
+// model that does not implement it trains on one worker.
+type Replicator interface {
+	// Replica builds a model of the same structure and Config: the same
+	// parameter shapes in the same order and the same EmbeddingTables,
+	// sharing no storage (Data, Grad, dropout stream) with its source.
+	// Its parameter values are a fresh build's, not the source's current
+	// ones; the caller loads what it trains from.
+	Replica() Model
+	// SeedMasks restarts the stream the model draws dropout masks from,
+	// so the masks of what follows depend on seed alone and not on what
+	// the model ran before.
+	SeedMasks(seed int64)
+}
+
+// SeedMasks restarts m's dropout stream when m is a Replicator. A model
+// that is none runs on one worker, in one order, and keeps its stream.
+func SeedMasks(m Model, seed int64) {
+	if r, ok := m.(Replicator); ok {
+		r.SeedMasks(seed)
+	}
+}
+
+// origin is what every structure in this package keeps of how it was
+// built: the Config, from which Replica builds its sibling, and the RNG
+// that initialised the parameters and then serves the dropout masks.
+type origin struct {
+	cfg Config
+	rng *rand.Rand
+}
+
+// SeedMasks implements Replicator.
+func (o origin) SeedMasks(seed int64) { o.rng.Seed(seed) }
+
 // Config carries everything needed to build any model structure.
 type Config struct {
 	Dataset *data.Dataset

@@ -292,3 +292,70 @@ func TestEncoderFixedVsLearned(t *testing.T) {
 		t.Fatal("fixed encoder must expose no parameters")
 	}
 }
+
+// TestReplicaContract: every structure is a Replicator. Its replica has
+// the same parameter shapes in the same order and the same
+// EmbeddingTables, shares no parameter storage with its source, and after
+// SeedMasks with one seed the two draw the same dropout masks — so a
+// training forward agrees between them once their parameters do.
+func TestReplicaContract(t *testing.T) {
+	for _, ds := range []*data.Dataset{testDataset(t), fixedDataset(t)} {
+		cfg := smallConfig(ds)
+		cfg.Dropout = 0.3
+		for _, name := range Names() {
+			m := MustNew(name, cfg)
+			src, ok := m.(Replicator)
+			if !ok {
+				t.Fatalf("%s is no Replicator", name)
+			}
+			// Move the source off its initial values and advance its mask
+			// stream: a replica must depend on neither.
+			for _, p := range m.Parameters() {
+				for i := range p.Data {
+					p.Data[i] += 0.25
+				}
+			}
+			b := ds.FullBatch(0, data.Train)
+			m.Forward(b, true).Release()
+
+			r := src.Replica()
+			if r.Name() != m.Name() {
+				t.Fatalf("%s: replica is a %s", name, r.Name())
+			}
+			mp, rp := m.Parameters(), r.Parameters()
+			if len(mp) != len(rp) {
+				t.Fatalf("%s: replica has %d tensors, source %d", name, len(rp), len(mp))
+			}
+			for i := range mp {
+				if mp[i].Rows != rp[i].Rows || mp[i].Cols != rp[i].Cols {
+					t.Fatalf("%s: tensor %d is %dx%d in the replica, %dx%d in the source",
+						name, i, rp[i].Rows, rp[i].Cols, mp[i].Rows, mp[i].Cols)
+				}
+				if mp[i] == rp[i] || &mp[i].Data[0] == &rp[i].Data[0] || &mp[i].Grad[0] == &rp[i].Grad[0] {
+					t.Fatalf("%s: tensor %d shares storage with the source", name, i)
+				}
+			}
+			mt, rt := EmbeddingTablesOf(m), EmbeddingTablesOf(r)
+			if len(mt) != len(rt) {
+				t.Fatalf("%s: replica declares %d tables, source %d", name, len(rt), len(mt))
+			}
+			for k, v := range mt {
+				if got, ok := rt[k]; !ok || got != v {
+					t.Fatalf("%s: table %d → field %d in the source, %d (%v) in the replica", name, k, v, got, ok)
+				}
+			}
+
+			for i := range mp {
+				copy(rp[i].Data, mp[i].Data)
+			}
+			src.SeedMasks(77)
+			r.(Replicator).SeedMasks(77)
+			want, got := m.Forward(b, true), r.Forward(b, true)
+			for i := range want.Data {
+				if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+					t.Fatalf("%s/%s: logit %d differs between source and replica under one mask seed", ds.Name, name, i)
+				}
+			}
+		}
+	}
+}

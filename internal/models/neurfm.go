@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math/rand"
-
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/nn"
@@ -21,7 +19,7 @@ type NeurFM struct {
 	firstEmbs  []*nn.Embedding // linear term per field (learned mode)
 	firstDense *nn.Dense       // fixed mode linear term
 	deep       *nn.MLP
-	rng        *rand.Rand
+	origin
 }
 
 // NewNeurFM builds the NeurFM baseline from cfg.
@@ -29,7 +27,7 @@ func NewNeurFM(cfg Config) *NeurFM {
 	cfg = cfg.withDefaults()
 	rng := rngFor(cfg)
 	enc := NewEncoder(cfg.Dataset, cfg.EmbDim, rng)
-	m := &NeurFM{enc: enc, rng: rng}
+	m := &NeurFM{enc: enc, origin: origin{cfg, rng}}
 	if cfg.Dataset.HasFixedFeatures() {
 		m.firstDense = nn.NewDense(enc.InputDim(), 1, nn.Linear, rng)
 	} else {
@@ -42,6 +40,9 @@ func NewNeurFM(cfg Config) *NeurFM {
 	m.deep = nn.NewMLP(dims, nn.ReLU, cfg.Dropout, rng)
 	return m
 }
+
+// Replica implements Replicator.
+func (m *NeurFM) Replica() Model { return NewNeurFM(m.cfg) }
 
 func (m *NeurFM) firstOrder(b *data.Batch) *autograd.Tensor {
 	if m.firstDense != nil {

@@ -101,7 +101,7 @@ type CGC struct {
 	enc    *Encoder
 	layer  *cgcLayer
 	towers []*nn.MLP
-	rng    *rand.Rand
+	origin
 }
 
 // NewCGC builds the CGC baseline from cfg.
@@ -112,15 +112,18 @@ func NewCGC(cfg Config) *CGC {
 	hidden := cfg.Hidden[len(cfg.Hidden)-1]
 	domains := cfg.Dataset.NumDomains()
 	m := &CGC{
-		enc:   enc,
-		layer: newCGCLayer(enc.InputDim(), hidden, cfg.Experts, domains, cfg.Dropout, rng),
-		rng:   rng,
+		enc:    enc,
+		layer:  newCGCLayer(enc.InputDim(), hidden, cfg.Experts, domains, cfg.Dropout, rng),
+		origin: origin{cfg, rng},
 	}
 	for d := 0; d < domains; d++ {
 		m.towers = append(m.towers, nn.NewMLP([]int{hidden, 16, 1}, nn.ReLU, 0, rng))
 	}
 	return m
 }
+
+// Replica implements Replicator.
+func (m *CGC) Replica() Model { return NewCGC(m.cfg) }
 
 // Forward implements Model.
 func (m *CGC) Forward(b *data.Batch, training bool) *autograd.Tensor {
@@ -158,7 +161,7 @@ type PLE struct {
 	level1 *cgcLayer
 	level2 *cgcLayer
 	towers []*nn.MLP
-	rng    *rand.Rand
+	origin
 }
 
 // NewPLE builds the PLE baseline from cfg.
@@ -172,13 +175,16 @@ func NewPLE(cfg Config) *PLE {
 		enc:    enc,
 		level1: newCGCLayer(enc.InputDim(), hidden, cfg.Experts, domains, cfg.Dropout, rng),
 		level2: newCGCLayer(hidden, hidden, cfg.Experts, domains, cfg.Dropout, rng),
-		rng:    rng,
+		origin: origin{cfg, rng},
 	}
 	for d := 0; d < domains; d++ {
 		m.towers = append(m.towers, nn.NewMLP([]int{hidden, 16, 1}, nn.ReLU, 0, rng))
 	}
 	return m
 }
+
+// Replica implements Replicator.
+func (m *PLE) Replica() Model { return NewPLE(m.cfg) }
 
 // Forward implements Model.
 func (m *PLE) Forward(b *data.Batch, training bool) *autograd.Tensor {

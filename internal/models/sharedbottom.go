@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math/rand"
-
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/nn"
@@ -19,7 +17,7 @@ type SharedBottom struct {
 	enc    *Encoder
 	bottom *nn.MLP
 	towers []*nn.MLP
-	rng    *rand.Rand
+	origin
 }
 
 // NewSharedBottom builds the Shared-Bottom baseline; the tower width
@@ -32,7 +30,7 @@ func NewSharedBottom(cfg Config) *SharedBottom {
 	m := &SharedBottom{
 		enc:    enc,
 		bottom: nn.NewMLP(bottomDims, nn.ReLU, cfg.Dropout, rng),
-		rng:    rng,
+		origin: origin{cfg, rng},
 	}
 	bottomOut := cfg.Hidden[len(cfg.Hidden)-1]
 	for d := 0; d < cfg.Dataset.NumDomains(); d++ {
@@ -40,6 +38,9 @@ func NewSharedBottom(cfg Config) *SharedBottom {
 	}
 	return m
 }
+
+// Replica implements Replicator.
+func (m *SharedBottom) Replica() Model { return NewSharedBottom(m.cfg) }
 
 // Forward implements Model, routing through the batch's domain tower.
 func (m *SharedBottom) Forward(b *data.Batch, training bool) *autograd.Tensor {

@@ -80,7 +80,7 @@ type STAR struct {
 	layers    []*starLayer
 	domainEmb *nn.Embedding
 	aux       *nn.MLP
-	rng       *rand.Rand
+	origin
 }
 
 // NewSTAR builds the STAR baseline from cfg, with both shared and
@@ -96,7 +96,7 @@ func NewSTAR(cfg Config) *STAR {
 		norm:      nn.NewPartitionedNorm(enc.InputDim(), domains),
 		domainEmb: nn.NewEmbedding(domains, domainEmbDim, 0.05, rng),
 		aux:       nn.NewMLP([]int{domainEmbDim + enc.InputDim(), 16, 1}, nn.ReLU, 0, rng),
-		rng:       rng,
+		origin:    origin{cfg, rng},
 	}
 	dims := append([]int{enc.InputDim()}, cfg.Hidden...)
 	dims = append(dims, 1)
@@ -109,6 +109,9 @@ func NewSTAR(cfg Config) *STAR {
 	}
 	return m
 }
+
+// Replica implements Replicator.
+func (m *STAR) Replica() Model { return NewSTAR(m.cfg) }
 
 // Forward implements Model.
 func (m *STAR) Forward(b *data.Batch, training bool) *autograd.Tensor {

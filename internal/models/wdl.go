@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math/rand"
-
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/nn"
@@ -25,7 +23,7 @@ type WDL struct {
 	wideDense *nn.Dense       // fixed mode
 	wideBias  *autograd.Tensor
 	deep      *nn.MLP
-	rng       *rand.Rand
+	origin
 }
 
 // NewWDL builds the Wide & Deep baseline from cfg.
@@ -36,7 +34,7 @@ func NewWDL(cfg Config) *WDL {
 	m := &WDL{
 		enc:      enc,
 		wideBias: autograd.ParamZeros(1, 1),
-		rng:      rng,
+		origin:   origin{cfg, rng},
 	}
 	if cfg.Dataset.HasFixedFeatures() {
 		m.wideDense = nn.NewDense(enc.InputDim(), 1, nn.Linear, rng)
@@ -50,6 +48,9 @@ func NewWDL(cfg Config) *WDL {
 	m.deep = nn.NewMLP(dims, nn.ReLU, cfg.Dropout, rng)
 	return m
 }
+
+// Replica implements Replicator.
+func (m *WDL) Replica() Model { return NewWDL(m.cfg) }
 
 // wide computes the linear component's logit (Nx1).
 func (m *WDL) wide(b *data.Batch) *autograd.Tensor {

@@ -24,7 +24,10 @@ type Optimizer interface {
 	SetLR(lr float64)
 	// LR returns the current learning rate.
 	LR() float64
-	// Reset drops all accumulated optimizer state.
+	// Reset returns the optimizer to the state of a freshly built one:
+	// the next steps are float for float those of optim.New. Buffers as
+	// large as the tensors already stepped are cleared in place and kept
+	// for them, so a loop that restarts its optimizer allocates once.
 	Reset()
 }
 
@@ -113,7 +116,7 @@ func (s *SGD) SetLR(lr float64) { s.lr = lr }
 func (s *SGD) LR() float64 { return s.lr }
 
 // Reset implements Optimizer.
-func (s *SGD) Reset() { s.velocity = nil }
+func (s *SGD) Reset() { clearAll(s.velocity) }
 
 // Adam implements the Adam optimizer (Kingma & Ba, 2015).
 type Adam struct {
@@ -168,7 +171,11 @@ func (a *Adam) SetLR(lr float64) { a.lr = lr }
 func (a *Adam) LR() float64 { return a.lr }
 
 // Reset implements Optimizer.
-func (a *Adam) Reset() { a.m, a.v, a.step = nil, nil, 0 }
+func (a *Adam) Reset() {
+	clearAll(a.m)
+	clearAll(a.v)
+	a.step = 0
+}
 
 // Adagrad implements the Adagrad optimizer (Duchi et al., 2011), used by
 // the paper's industrial outer loop.
@@ -256,8 +263,20 @@ func (a *Adagrad) SetLR(lr float64) { a.lr = lr }
 // LR implements Optimizer.
 func (a *Adagrad) LR() float64 { return a.lr }
 
-// Reset implements Optimizer.
-func (a *Adagrad) Reset() { a.g2, a.rowG2 = nil, nil }
+// Reset implements Optimizer. The row accumulators are dropped, not
+// cleared: they exist so that stepping a few rows of a table costs those
+// rows, and clearing every row an earlier run touched would not.
+func (a *Adagrad) Reset() {
+	clearAll(a.g2)
+	a.rowG2 = nil
+}
+
+// clearAll zeroes every per-tensor state buffer in place.
+func clearAll(state map[*autograd.Tensor][]float64) {
+	for _, buf := range state {
+		clear(buf)
+	}
+}
 
 // ClipGradNorm scales all gradients down so their global L2 norm does not
 // exceed maxNorm. It returns the pre-clip norm. It reads and scales every

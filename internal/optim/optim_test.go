@@ -92,28 +92,76 @@ func TestAdagradMonotonicallyShrinksSteps(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	x := autograd.Param(1, 1, []float64{0})
-	a := NewAdam(0.1)
-	x.Grad[0] = 1
-	a.Step([]*autograd.Tensor{x})
-	a.Reset()
-	if a.m != nil || a.step != 0 {
-		t.Fatal("Adam Reset did not clear state")
+// TestResetEqualsFreshOptimizer: an optimizer that has run, then Reset,
+// steps float for float like optim.New — dense steps for all of them,
+// and row steps (through a table first stepped by rows, then densely,
+// before the Reset) for the two that take them — while keeping the
+// table-sized buffers it already had and none of Adagrad's per-row ones.
+func TestResetEqualsFreshOptimizer(t *testing.T) {
+	builds := map[string]func() Optimizer{
+		"sgd":      func() Optimizer { return New("sgd", 0.1) },
+		"momentum": func() Optimizer { return NewSGDMomentum(0.1, 0.9) },
+		"adam":     func() Optimizer { return New("adam", 0.05) },
+		"adagrad":  func() Optimizer { return New("adagrad", 0.5) },
 	}
-	s := NewSGDMomentum(0.1, 0.9)
-	x.Grad[0] = 1
-	s.Step([]*autograd.Tensor{x})
-	s.Reset()
-	if s.velocity != nil {
-		t.Fatal("SGD Reset did not clear velocity")
+	for name, build := range builds {
+		rng := rand.New(rand.NewSource(11))
+		used, fresh := build(), build()
+		rs, byRows := used.(RowStepper)
+		byRows = byRows && rs.ZeroGradIsNoOp()
+
+		// Give the used optimizer a history the fresh one lacks.
+		a, b := sparseGradTable(rng, []int{1, 4})
+		small := autograd.Param(1, 3, []float64{1, 2, 3})
+		for s := 0; s < 3; s++ {
+			refill(rng, a, b, []int{s, 5})
+			small.Grad[0], small.Grad[1], small.Grad[2] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+			if byRows && s < 2 {
+				rs.StepRows(a, []int{s, 5})
+			} else {
+				used.Step([]*autograd.Tensor{a})
+			}
+			used.Step([]*autograd.Tensor{small})
+		}
+		used.Reset()
+		copy(a.Data, b.Data)
+
+		if ad, ok := used.(*Adagrad); ok && len(ad.rowG2) != 0 {
+			t.Errorf("adagrad: Reset kept %d row accumulators", len(ad.rowG2))
+		}
+		for s := 0; s < 4; s++ {
+			rows := []int{(s + 2) % 8, 7}
+			refill(rng, a, b, rows)
+			if byRows && s%2 == 0 {
+				rs.StepRows(a, rows)
+				fresh.(RowStepper).StepRows(b, rows)
+			} else {
+				used.Step([]*autograd.Tensor{a})
+				fresh.Step([]*autograd.Tensor{b})
+			}
+			if !sameBits(a.Data, b.Data) {
+				t.Fatalf("%s: step %d after Reset differs from a fresh optimizer", name, s)
+			}
+		}
 	}
-	g := NewAdagrad(0.1)
-	x.Grad[0] = 1
-	g.Step([]*autograd.Tensor{x})
-	g.Reset()
-	if g.g2 != nil {
-		t.Fatal("Adagrad Reset did not clear accumulator")
+}
+
+// TestResetKeepsItsBuffers: restarting an optimizer in a loop allocates
+// its table-sized state once, not per restart.
+func TestResetKeepsItsBuffers(t *testing.T) {
+	x := autograd.Param(64, 8, make([]float64, 64*8))
+	for i := range x.Grad {
+		x.Grad[i] = 1
+	}
+	params := []*autograd.Tensor{x}
+	for _, opt := range []Optimizer{NewSGDMomentum(0.1, 0.9), NewAdam(0.1), NewAdagrad(0.1)} {
+		opt.Step(params)
+		if n := testing.AllocsPerRun(20, func() {
+			opt.Reset()
+			opt.Step(params)
+		}); n != 0 {
+			t.Errorf("%T: Reset+Step allocates %v times", opt, n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ps
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"mamdr/internal/autograd"
+	"mamdr/internal/autograd/kernels"
 	"mamdr/internal/faultinject"
 	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
@@ -277,6 +279,48 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("ResumedFrom = %d, want 3", got.ResumedFrom)
 	}
 	requireSameVector(t, "resumed shared", want.State.Shared, got.State.Shared)
+}
+
+// TestDRIndependentOfWorkerCount: over one store snapshot — a checkpoint
+// that covers every epoch, so a resumed run goes straight to its DR
+// phase — 1, 2 and 3 workers end on the same θ_i, float for float: DR is
+// core's phase, seeded per target, with the workers' models as replicas.
+func TestDRIndependentOfWorkerCount(t *testing.T) {
+	defer kernels.SetThreads(0)
+	kernels.SetThreads(4)
+	ds := testDataset(t)
+	factory := replicaFactory(ds)
+	opts := chaosOptions()
+	opts.UseDR = true
+	opts.CheckpointPath, opts.CheckpointEvery = filepath.Join(t.TempDir(), "ps.ckpt"), 1
+	Train(factory, ds, opts)
+
+	opts.Resume = true
+	var want *Result
+	for _, workers := range []int{1, 2, 3} {
+		opts.Workers = workers
+		got := Train(factory, ds, opts)
+		if got.ResumedFrom != opts.Epochs {
+			t.Fatalf("ResumedFrom = %d, want %d (no DN epoch may run)", got.ResumedFrom, opts.Epochs)
+		}
+		if want == nil {
+			want = got
+			moved := false
+			for _, seg := range got.State.Specific[0] {
+				for _, v := range seg {
+					moved = moved || v != 0
+				}
+			}
+			if !moved {
+				t.Fatal("DR left θ_0 at zero: nothing to compare")
+			}
+			continue
+		}
+		requireSameVector(t, "shared", want.State.Shared, got.State.Shared)
+		for d := range want.State.Specific {
+			requireSameVector(t, fmt.Sprintf("θ_%d at %d workers", d, workers), want.State.Specific[d], got.State.Specific[d])
+		}
+	}
 }
 
 // TestResumeWithoutCheckpointStartsFresh: Resume against an empty

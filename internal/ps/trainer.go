@@ -269,11 +269,10 @@ func TrainWithStore(replica func() models.Model, serving models.Model, store Sto
 		st.AddDomain()
 	}
 
-	// DR phase: each live worker regularizes the specific parameters of
-	// its owned domains locally (workers hold the global feature
-	// storage, so helper domains may come from anywhere, as in
-	// Algorithm 2). Redistribution keeps every domain owned by some
-	// live worker, so coverage survives worker deaths.
+	// DR phase: core's, with the live workers' models as the replicas.
+	// Workers hold the global feature storage, so helper domains may
+	// come from anywhere, as in Algorithm 2; θ_i depends on θ_S and
+	// Seed, not on how many workers are left to run it.
 	if opts.UseDR {
 		cfg := framework.Config{
 			Epochs: 1, BatchSize: opts.BatchSize, LR: opts.InnerLR,
@@ -281,29 +280,14 @@ func TrainWithStore(replica func() models.Model, serving models.Model, store Sto
 			MaxBatchesPerDomain: opts.MaxBatchesPerDomain, Seed: opts.Seed,
 			Telemetry: opts.Telemetry, Tracer: opts.Tracer,
 		}.WithDefaults()
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for i, s := range sup {
-			if s.dead {
-				continue
+		var replicas []models.Model
+		for _, s := range sup {
+			if !s.dead {
+				replicas = append(replicas, s.w.Model)
 			}
-			wg.Add(1)
-			go func(i int, w *Worker) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(opts.Seed + 777 + int64(i)))
-				local := &core.State{Model: w.Model, Shared: shared.Clone()}
-				for range ds.Domains {
-					local.AddDomain()
-				}
-				for _, d := range w.Domains {
-					core.DomainRegularization(local, ds, d, cfg, rng)
-					mu.Lock()
-					st.Specific[d] = local.Specific[d]
-					mu.Unlock()
-				}
-			}(i, s.w)
 		}
-		wg.Wait()
+		core.DomainRegularizationPhase(st, ds, cfg, rand.New(rand.NewSource(opts.Seed+777)), core.DROptions{}, replicas...)
+		paramvec.Restore(serving.Parameters(), shared)
 	}
 
 	res.State = st

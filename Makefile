@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck race race-dr bench bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
+.PHONY: all build test vet loc staticcheck race race-dr bench bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
 
 all: check
 
@@ -12,6 +12,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package under internal/ and cmd/, then for the
+# whole repo: where ROADMAP's "net line count trends down" is read off.
+loc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%6d  %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
+	done
+	@printf '%6d  total (all non-test Go)\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec cat {} + | wc -l)"
 
 # Same pinned version as CI; install with:
 #   go install honnef.co/go/tools/cmd/staticcheck@2023.1.7

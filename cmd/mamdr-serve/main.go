@@ -113,16 +113,11 @@ func main() {
 	var ckptBaseline *quality.Baseline
 	var initialCRC uint32
 	if *checkpoint != "" {
-		env, err := core.EnvelopeInfo(*checkpoint)
-		if err != nil {
-			log.Fatalf("checkpoint envelope: %v", err)
-		}
-		initialCRC = env.CRC
-		b, err := state.LoadWithBaseline(*checkpoint)
+		b, env, err := state.LoadWithBaseline(*checkpoint)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ckptBaseline = b
+		ckptBaseline, initialCRC = b, env.CRC
 		log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes)",
 			*checkpoint, env.Version, env.CRC, env.PayloadBytes)
 	} else {

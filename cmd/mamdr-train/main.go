@@ -79,7 +79,7 @@ func main() {
 		psWorkers = flag.Int("ps-workers", 0, "run distributed PS-Worker training with this many workers (0 = single process; mamdr framework only)")
 		psShards  = flag.Int("ps-shards", 1, "partition the parameter server across this many cluster shards (>1 = multi-PS mode; training is bit-identical across shard counts)")
 		psCache   = flag.Bool("ps-cache", true, "enable the PS-Worker embedding cache (§IV-E) for -ps-workers")
-		psFaults  = flag.String("ps-faults", "", `fault-injection schedule for -ps-workers chaos runs, e.g. "PushDelta:err@p0.05; PullRows:delay=10ms@*" (seeded by -seed + worker id)`)
+		psFaults  = flag.String("ps-faults", "", `fault-injection schedule for -ps-workers chaos runs, e.g. "PushDelta:err@p0.05; PullRows:delay=10ms@*" (seeded per worker and shard from -seed)`)
 		psSync    = flag.Bool("ps-sync-push", false, "apply worker deltas serially per epoch for bit-reproducible distributed runs")
 
 		psAddrs  = flag.String("ps-addrs", "", "comma-separated addresses of running shard servers to train against (replicas of one shard joined with '|'); see -ps-serve")
@@ -453,21 +453,14 @@ func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemet
 		opts.Resume = o.resume
 	}
 	var res *ps.Result
-	switch {
-	case o.addrs != "" || o.shards != 1 || o.replicas > 1:
-		// Multi-PS mode: the parameter space is partitioned across
+	if o.addrs != "" || o.shards != 1 || o.replicas > 1 || o.faults != "" {
+		// Cluster mode: the parameter space is partitioned across
 		// cluster shards (in-process, or the remote servers behind
-		// -ps-addrs) and a scatter-gather router fronts them.
+		// -ps-addrs) and a scatter-gather router fronts them. Chaos
+		// (-ps-faults) is this path at any shard count, one included.
 		res = trainCluster(ds, replica, o, opts, reg, tracer)
-	case o.faults == "":
+	} else {
 		res = ps.Train(replica, ds, opts)
-	default:
-		// Chaos mode: the PS serves over a real loopback RPC socket and
-		// every worker talks through its own client armed with a seeded
-		// fault injector, so the injected errors, delays, and connection
-		// drops hit the retry/idempotency machinery exactly like network
-		// faults would. Deterministic under a fixed -seed.
-		res = trainChaos(ds, replica, o, opts, reg)
 	}
 	c := res.Counters
 	log.Printf("PS traffic: %d dense pulls, %d dense pushes, %d row pulls, %d row pushes, %d floats moved",
@@ -488,7 +481,8 @@ func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemet
 //
 //   - in-process shards (-ps-shards N): everything in this binary;
 //   - remote shards (-ps-addrs): each worker dials every shard server;
-//   - chaos (-ps-faults with either): in-process shards are lifted onto
+//   - chaos (-ps-faults with either, at any shard count — one included,
+//     the CI chaos smoke): in-process shards are lifted onto
 //     loopback sockets and every worker's per-shard clients carry a
 //     seeded fault injector, so faults hit each shard independently.
 //
@@ -606,53 +600,3 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 type counterFunc func() ps.Counters
 
 func (f counterFunc) Counters() ps.Counters { return f() }
-
-// trainChaos runs the distributed trainer against a loopback RPC
-// parameter server with per-worker fault injection — the CI chaos smoke
-// and local failure-drill entry point.
-func trainChaos(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, opts ps.Options, reg *telemetry.Registry) *ps.Result {
-	filled := opts.WithDefaults()
-	serving := replica()
-	server := ps.NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), filled.Shards, filled.OuterOpt, filled.OuterLR)
-	server.SetMetrics(opts.Metrics)
-	server.SetTracer(opts.Tracer)
-	if opts.CheckpointPath != "" {
-		server.SetCheckpointPath(opts.CheckpointPath)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer lis.Close()
-	go ps.Serve(server, lis)
-
-	base, err := ps.Dial(lis.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer base.Close()
-
-	var injectors []*faultinject.Injector
-	opts.WrapStore = func(workerID int, _ ps.Store) ps.Store {
-		cl, err := ps.Dial(lis.Addr().String())
-		if err != nil {
-			log.Fatal(err)
-		}
-		cl.SetBackoff(ps.Backoff{Seed: o.seed + int64(workerID)})
-		inj := faultinject.MustParse(o.faults, o.seed+int64(workerID))
-		inj.BindMetrics(reg)
-		cl.SetInjector(inj)
-		injectors = append(injectors, inj)
-		return cl
-	}
-	log.Printf("chaos: PS on %s, fault schedule %q", lis.Addr(), o.faults)
-	res := ps.TrainWithStore(replica, serving, base, base, ds, opts)
-	var injected int64
-	for _, inj := range injectors {
-		for _, n := range inj.Counts() {
-			injected += n
-		}
-	}
-	log.Printf("chaos: %d faults injected", injected)
-	return res
-}

@@ -3,6 +3,8 @@ package autograd
 import (
 	"runtime/debug"
 	"testing"
+
+	"mamdr/internal/autograd/kernels"
 )
 
 // TestBackwardVeryDeepGraph is the stack-depth regression test:
@@ -77,5 +79,29 @@ func TestReleasedTensorSafeAgainstDoubleRelease(t *testing.T) {
 	out.Release()
 	if out.Data != nil {
 		t.Fatal("double Release resurrected the tensor")
+	}
+}
+
+// TestReleaseSharedNodePooledOnce pins the walk's one invariant without
+// a visited set: a node reached along two edges (a diamond) gives its
+// buffer back once, so two later Gets of its class never alias.
+func TestReleaseSharedNodePooledOnce(t *testing.T) {
+	x := Param(8, 8, make([]float64, 64))
+	a := Scale(x, 2)
+	out := Add(Mul(a, a), a)
+	out.Release()
+	if a.Data != nil || a.pooled {
+		t.Fatal("Release left the shared node alive")
+	}
+	var got [][]float64
+	for i := 0; i < 8; i++ {
+		got = append(got, kernels.Get(64))
+	}
+	for i := range got {
+		for j := i + 1; j < len(got); j++ {
+			if &got[i][0] == &got[j][0] {
+				t.Fatalf("buffers %d and %d alias: a buffer was pooled twice", i, j)
+			}
+		}
 	}
 }

@@ -267,17 +267,14 @@ func (t *Tensor) Release() {
 	if !t.pooled && t.parents == nil {
 		return
 	}
-	seen := map[*Tensor]bool{t: true}
+	// No visited set: a popped node loses its edges and its pooled mark,
+	// so a node reached along two edges is a no-op the second time and
+	// the walk pushes each edge once.
 	stack := []*Tensor{t}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range n.parents {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
+		stack = append(stack, n.parents...)
 		if n.pooled {
 			kernels.Put(n.Data)
 			n.Data = nil

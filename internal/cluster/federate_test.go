@@ -98,10 +98,10 @@ func TestFederatedSnapshotEqualsPerProcessRegistries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gotText, wantText strings.Builder
-	if err := obsv.WriteFamilies(&gotText, agg); err != nil {
+	if err := telemetry.WriteFamilies(&gotText, agg); err != nil {
 		t.Fatal(err)
 	}
-	if err := obsv.WriteFamilies(&wantText, want); err != nil {
+	if err := telemetry.WriteFamilies(&wantText, want); err != nil {
 		t.Fatal(err)
 	}
 	if gotText.String() != wantText.String() {

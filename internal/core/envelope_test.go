@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -95,4 +96,70 @@ func TestEnvelopeInfoRejectsDamage(t *testing.T) {
 	if _, err := EnvelopeInfo(filepath.Join(dir, "missing.ckpt")); err == nil {
 		t.Error("missing file: EnvelopeInfo succeeded")
 	}
+}
+
+// FuzzCheckpointEnvelope feeds arbitrary bytes to readEnvelope, the one
+// function that opens and verifies a checkpoint file. It must never
+// panic; what it accepts must be exactly a header followed by the
+// payload that header describes; and what it rejects must be named
+// either damage (ErrCorruptCheckpoint) or a format version this build
+// does not read. The seeds run under plain `go test`; to fuzz past them
+// pass -fuzzminimizetime=0, because the file round trip makes coverage
+// noisy and the default minimizer spends its whole budget chasing it.
+func FuzzCheckpointEnvelope(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, "fuzz.ckpt")
+	seed := func(version uint32) []byte {
+		writeEnvelope(f, path, version, Checkpoint{ModelName: "MLP", Epoch: -1})
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	v2, v3 := seed(2), seed(3)
+	mutated := func(mutate func(b []byte)) []byte {
+		c := append([]byte(nil), v3...)
+		mutate(c)
+		return c
+	}
+	f.Add(v2)
+	f.Add(v3)
+	f.Add(v3[:headerLen-2])                                                           // truncated header
+	f.Add(mutated(func(b []byte) { copy(b[:8], "NOTMAMDR") }))                        // bad magic
+	f.Add(mutated(func(b []byte) { binary.LittleEndian.PutUint64(b[12:20], 1<<62) })) // length far past the file
+	f.Add(mutated(func(b []byte) { b[headerLen+2] ^= 0x40 }))                         // flipped payload byte
+	f.Add(mutated(func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 1) }))      // version below range
+	f.Add(mutated(func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 1<<31) }))  // version above range
+	f.Add(v3[:len(v3)-3])                                                             // truncated payload
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		env, payload, err := readEnvelope(path)
+		if err != nil {
+			// A readable header with good magic and a foreign version is a
+			// capability mismatch; every other rejection is damage.
+			foreign := false
+			if len(data) >= headerLen && string(data[:8]) == checkpointMagic {
+				v := binary.LittleEndian.Uint32(data[8:12])
+				foreign = v < checkpointMinVersion || v > checkpointVersion
+			}
+			if errors.Is(err, ErrCorruptCheckpoint) == foreign {
+				t.Fatalf("foreign version = %v, but the error is: %v", foreign, err)
+			}
+			return
+		}
+		if env.Version < checkpointMinVersion || env.Version > checkpointVersion {
+			t.Fatalf("accepted envelope v%d", env.Version)
+		}
+		if !bytes.Equal(payload, data[headerLen:]) || env.PayloadBytes != uint64(len(payload)) {
+			t.Fatalf("accepted %d payload bytes of a %d-byte file promising %d", len(payload), len(data), env.PayloadBytes)
+		}
+		if env.CRC != crc32.ChecksumIEEE(payload) {
+			t.Fatalf("accepted a payload hashing to %08x under CRC %08x", crc32.ChecksumIEEE(payload), env.CRC)
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -93,62 +92,11 @@ func SaveGob(path string, v any) error {
 	return nil
 }
 
-// LoadGob reads a file written by SaveGob into v, verifying the
-// envelope before decoding: wrong magic, a truncated payload, or a
-// CRC mismatch all fail with an error wrapping ErrCorruptCheckpoint.
-func LoadGob(path string, v any) error {
-	_, err := LoadGobVersion(path, v)
-	return err
-}
-
-// LoadGobVersion is LoadGob returning the envelope version the file was
-// written with, so callers can negotiate payload capabilities: any
-// version in [checkpointMinVersion, checkpointVersion] is accepted —
-// gob's field-by-name decoding leaves fields absent from older payloads
-// at their zero value (e.g. a v2 checkpoint yields a nil quality
-// baseline) — and versions outside that range fail loudly.
-func LoadGobVersion(path string, v any) (uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("core: open %s: %w", path, err)
-	}
-	defer f.Close()
-
-	var head [headerLen]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, fmt.Errorf("core: %s: header unreadable (%v): %w", path, err, ErrCorruptCheckpoint)
-	}
-	if string(head[:8]) != checkpointMagic {
-		return 0, fmt.Errorf("core: %s: not a MAMDR checkpoint (bad magic): %w", path, ErrCorruptCheckpoint)
-	}
-	ver := binary.LittleEndian.Uint32(head[8:12])
-	if ver < checkpointMinVersion || ver > checkpointVersion {
-		return 0, fmt.Errorf("core: %s: checkpoint format v%d, this build reads v%d..v%d",
-			path, ver, checkpointMinVersion, checkpointVersion)
-	}
-	want := binary.LittleEndian.Uint64(head[12:20])
-	payload, err := io.ReadAll(f)
-	if err != nil {
-		return 0, fmt.Errorf("core: read %s: %w", path, err)
-	}
-	if uint64(len(payload)) != want {
-		return 0, fmt.Errorf("core: %s: payload is %d bytes, header promises %d (truncated write?): %w",
-			path, len(payload), want, ErrCorruptCheckpoint)
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(head[20:24]) {
-		return 0, fmt.Errorf("core: %s: CRC mismatch (corrupted on disk): %w", path, ErrCorruptCheckpoint)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return 0, fmt.Errorf("core: decode %s: %w: %v", path, ErrCorruptCheckpoint, err)
-	}
-	return ver, nil
-}
-
-// Envelope describes a checkpoint file's identity without decoding its
-// payload: the format version it was written with and the CRC32 the
-// payload must hash to. The (Version, CRC) pair is what the serving
-// fleet keys a snapshot publication to — two files with the same pair
-// carry bit-identical parameters.
+// Envelope describes a checkpoint file's identity: the format version
+// it was written with and the CRC32 its payload hashes to. The
+// (Version, CRC) pair is what the serving fleet keys a snapshot
+// publication to — two files with the same pair carry bit-identical
+// parameters.
 type Envelope struct {
 	// Version is the envelope format version (checkpointVersion at
 	// write time).
@@ -159,25 +107,24 @@ type Envelope struct {
 	PayloadBytes uint64
 }
 
-// EnvelopeInfo reads and verifies a checkpoint file's envelope — magic,
-// version range, payload length, and CRC over the actual bytes — without
-// gob-decoding the payload. Integrity failures wrap
-// ErrCorruptCheckpoint, exactly as LoadGob would report them, so a
-// publisher can reject a damaged snapshot before building anything
-// from it.
-func EnvelopeInfo(path string) (Envelope, error) {
-	f, err := os.Open(path)
+// readEnvelope is the one verified checkpoint read: it loads the file,
+// checks magic, version range, the promised payload length against the
+// bytes actually present, and the CRC over them, and returns the
+// envelope with the still-encoded payload. Integrity failures wrap
+// ErrCorruptCheckpoint; a version outside [checkpointMinVersion,
+// checkpointVersion] fails loudly without it. Nothing is sized from the
+// header: the only allocation is the file's own length.
+func readEnvelope(path string) (Envelope, []byte, error) {
+	file, err := os.ReadFile(path)
 	if err != nil {
-		return Envelope{}, fmt.Errorf("core: open %s: %w", path, err)
+		return Envelope{}, nil, fmt.Errorf("core: read %s: %w", path, err)
 	}
-	defer f.Close()
-
-	var head [headerLen]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return Envelope{}, fmt.Errorf("core: %s: header unreadable (%v): %w", path, err, ErrCorruptCheckpoint)
+	if len(file) < headerLen {
+		return Envelope{}, nil, fmt.Errorf("core: %s: header unreadable (%d bytes): %w", path, len(file), ErrCorruptCheckpoint)
 	}
+	head, payload := file[:headerLen], file[headerLen:]
 	if string(head[:8]) != checkpointMagic {
-		return Envelope{}, fmt.Errorf("core: %s: not a MAMDR checkpoint (bad magic): %w", path, ErrCorruptCheckpoint)
+		return Envelope{}, nil, fmt.Errorf("core: %s: not a MAMDR checkpoint (bad magic): %w", path, ErrCorruptCheckpoint)
 	}
 	env := Envelope{
 		Version:      binary.LittleEndian.Uint32(head[8:12]),
@@ -185,19 +132,46 @@ func EnvelopeInfo(path string) (Envelope, error) {
 		CRC:          binary.LittleEndian.Uint32(head[20:24]),
 	}
 	if env.Version < checkpointMinVersion || env.Version > checkpointVersion {
-		return Envelope{}, fmt.Errorf("core: %s: checkpoint format v%d, this build reads v%d..v%d",
+		return Envelope{}, nil, fmt.Errorf("core: %s: checkpoint format v%d, this build reads v%d..v%d",
 			path, env.Version, checkpointMinVersion, checkpointVersion)
 	}
-	payload, err := io.ReadAll(f)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("core: read %s: %w", path, err)
-	}
 	if uint64(len(payload)) != env.PayloadBytes {
-		return Envelope{}, fmt.Errorf("core: %s: payload is %d bytes, header promises %d (truncated write?): %w",
+		return Envelope{}, nil, fmt.Errorf("core: %s: payload is %d bytes, header promises %d (truncated write?): %w",
 			path, len(payload), env.PayloadBytes, ErrCorruptCheckpoint)
 	}
-	if crc := crc32.ChecksumIEEE(payload); crc != env.CRC {
-		return Envelope{}, fmt.Errorf("core: %s: CRC mismatch (corrupted on disk): %w", path, ErrCorruptCheckpoint)
+	if crc32.ChecksumIEEE(payload) != env.CRC {
+		return Envelope{}, nil, fmt.Errorf("core: %s: CRC mismatch (corrupted on disk): %w", path, ErrCorruptCheckpoint)
+	}
+	return env, payload, nil
+}
+
+// EnvelopeInfo verifies a checkpoint file and returns its envelope
+// without gob-decoding the payload, so a damaged snapshot can be
+// rejected before anything is built from it.
+func EnvelopeInfo(path string) (Envelope, error) {
+	env, _, err := readEnvelope(path)
+	return env, err
+}
+
+// LoadGob reads a file written by SaveGob into v, verifying the
+// envelope before decoding.
+func LoadGob(path string, v any) error {
+	_, err := LoadGobEnvelope(path, v)
+	return err
+}
+
+// LoadGobEnvelope is LoadGob returning the envelope the file was
+// written with — its CRC keys a publication, and its version lets
+// callers negotiate payload capabilities: gob's field-by-name decoding
+// leaves fields absent from older payloads at their zero value (e.g. a
+// v2 checkpoint yields a nil quality baseline).
+func LoadGobEnvelope(path string, v any) (Envelope, error) {
+	env, payload, err := readEnvelope(path)
+	if err != nil {
+		return Envelope{}, err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		return Envelope{}, fmt.Errorf("core: decode %s: %w: %v", path, ErrCorruptCheckpoint, err)
 	}
 	return env, nil
 }
@@ -276,15 +250,16 @@ func (s *State) Load(path string) error {
 	return err
 }
 
-// LoadWithBaseline is Load returning the quality baseline frozen into
-// the checkpoint. A nil baseline means drift detection is unavailable
+// LoadWithBaseline is Load returning the file's envelope (one read
+// serves both) and the quality baseline frozen into the checkpoint. A
+// nil baseline means drift detection is unavailable
 // for this model: the checkpoint predates the quality block (v2
 // envelope) or was saved without profiling — the caller should log and
 // count the degraded load (Tracker.SetBaseline(nil) does the counting)
 // and carry on serving.
-func (s *State) LoadWithBaseline(path string) (*quality.Baseline, error) {
-	_, b, err := s.load(path, nil)
-	return b, err
+func (s *State) LoadWithBaseline(path string) (*quality.Baseline, Envelope, error) {
+	ck, env, err := s.load(path, nil)
+	return ck.Quality, env, err
 }
 
 // LoadTraining is Load plus resume-cursor recovery: it restores the
@@ -292,30 +267,31 @@ func (s *State) LoadWithBaseline(path string) (*quality.Baseline, error) {
 // the completed-epoch count the run should continue from. Loading a
 // final checkpoint (Save) yields epoch -1.
 func (s *State) LoadTraining(path string, outer optim.Optimizer) (epoch int, err error) {
-	epoch, _, err = s.load(path, outer)
-	return epoch, err
+	ck, _, err := s.load(path, outer)
+	return ck.Epoch, err
 }
 
-func (s *State) load(path string, outer optim.Optimizer) (int, *quality.Baseline, error) {
-	var ck Checkpoint
-	if _, err := LoadGobVersion(path, &ck); err != nil {
-		return 0, nil, err
+// load is the one State reader: a single verified file read, checked
+// against the state's model before anything is installed.
+func (s *State) load(path string, outer optim.Optimizer) (ck Checkpoint, env Envelope, err error) {
+	if env, err = LoadGobEnvelope(path, &ck); err != nil {
+		return ck, env, err
 	}
 	if ck.ModelName != s.Model.Name() {
-		return 0, nil, fmt.Errorf("core: checkpoint is for model %q, state has %q", ck.ModelName, s.Model.Name())
+		return ck, env, fmt.Errorf("core: checkpoint is for model %q, state has %q", ck.ModelName, s.Model.Name())
 	}
 	params := s.Model.Parameters()
 	if len(ck.Shared) != len(params) {
-		return 0, nil, fmt.Errorf("core: checkpoint has %d shared segments, model has %d tensors", len(ck.Shared), len(params))
+		return ck, env, fmt.Errorf("core: checkpoint has %d shared segments, model has %d tensors", len(ck.Shared), len(params))
 	}
 	for i, p := range params {
 		if len(ck.Shared[i]) != len(p.Data) {
-			return 0, nil, fmt.Errorf("core: shared segment %d has %d values, tensor has %d", i, len(ck.Shared[i]), len(p.Data))
+			return ck, env, fmt.Errorf("core: shared segment %d has %d values, tensor has %d", i, len(ck.Shared[i]), len(p.Data))
 		}
 	}
 	for d, v := range ck.Specific {
 		if len(v) != len(params) {
-			return 0, nil, fmt.Errorf("core: specific vector %d misaligned", d)
+			return ck, env, fmt.Errorf("core: specific vector %d misaligned", d)
 		}
 	}
 	s.Shared = ck.Shared
@@ -324,11 +300,11 @@ func (s *State) load(path string, outer optim.Optimizer) (int, *quality.Baseline
 	if outer != nil && !ck.Outer.Empty() {
 		st, ok := outer.(optim.Stateful)
 		if !ok {
-			return 0, nil, fmt.Errorf("core: checkpoint carries %q optimizer state but the outer optimizer cannot restore state", ck.Outer.Name)
+			return ck, env, fmt.Errorf("core: checkpoint carries %q optimizer state but the outer optimizer cannot restore state", ck.Outer.Name)
 		}
 		if err := st.RestoreState(params, ck.Outer); err != nil {
-			return 0, nil, fmt.Errorf("core: restore outer optimizer: %w", err)
+			return ck, env, fmt.Errorf("core: restore outer optimizer: %w", err)
 		}
 	}
-	return ck.Epoch, ck.Quality, nil
+	return ck, env, nil
 }

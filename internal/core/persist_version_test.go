@@ -32,7 +32,7 @@ type legacyCheckpoint struct {
 
 // writeEnvelope writes payload v under an arbitrary envelope version —
 // the file a binary of that era would have produced.
-func writeEnvelope(t *testing.T, path string, version uint32, v any) {
+func writeEnvelope(t testing.TB, path string, version uint32, v any) {
 	t.Helper()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
@@ -67,12 +67,15 @@ func TestLoadPreQualityCheckpoint(t *testing.T) {
 	})
 
 	st2 := &State{Model: testModel(t, ds)}
-	base, err := st2.LoadWithBaseline(path)
+	base, env, err := st2.LoadWithBaseline(path)
 	if err != nil {
 		t.Fatalf("v2 checkpoint rejected: %v", err)
 	}
 	if base != nil {
 		t.Fatalf("v2 checkpoint produced a baseline: %+v", base)
+	}
+	if env.Version != 2 {
+		t.Fatalf("v2 checkpoint loaded as envelope v%d", env.Version)
 	}
 	got := st2.Predict(b)
 	for i := range want {
@@ -101,18 +104,21 @@ func TestSaveLoadWithBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ck Checkpoint
-	ver, err := LoadGobVersion(path, &ck)
+	env, err := LoadGobEnvelope(path, &ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != checkpointVersion {
-		t.Fatalf("written envelope is v%d, want v%d", ver, checkpointVersion)
+	if env.Version != checkpointVersion {
+		t.Fatalf("written envelope is v%d, want v%d", env.Version, checkpointVersion)
 	}
 
 	st2 := &State{Model: testModel(t, ds)}
-	got, err := st2.LoadWithBaseline(path)
+	got, loaded, err := st2.LoadWithBaseline(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if loaded != env {
+		t.Fatalf("LoadWithBaseline envelope = %+v, LoadGobEnvelope = %+v", loaded, env)
 	}
 	if got == nil {
 		t.Fatal("baseline lost in round trip")

@@ -1,13 +1,9 @@
 package obsv
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"mamdr/internal/telemetry"
 )
@@ -104,7 +100,7 @@ func Aggregate(snaps []telemetry.RegistrySnapshot) ([]telemetry.FamilySnapshot, 
 				return nil, err
 			}
 			for _, se := range fam.Series {
-				k := key{fam: idx, sig: signature(se.Labels)}
+				k := key{fam: idx, sig: telemetry.Signature(se.Labels)}
 				si, ok := bySeries[k]
 				if !ok {
 					si = len(out[idx].Series)
@@ -183,113 +179,11 @@ func sortedLabels(labels []telemetry.Label) []telemetry.Label {
 }
 
 func sortSeries(ss []telemetry.SeriesSnapshot) {
-	sort.Slice(ss, func(i, j int) bool { return signature(ss[i].Labels) < signature(ss[j].Labels) })
+	sort.Slice(ss, func(i, j int) bool { return telemetry.Signature(ss[i].Labels) < telemetry.Signature(ss[j].Labels) })
 }
 
-// WritePrometheus renders the federated view in the text exposition
-// format, matching telemetry.Registry.WritePrometheus line for line so
-// the same scrapers and validators read both.
+// WritePrometheus renders the federated view through the registry's own
+// text writer, so the same scrapers and validators read both.
 func (f *Fleet) WritePrometheus(w io.Writer) error {
-	return WriteFamilies(w, f.Families)
-}
-
-// WriteFamilies renders any family list (federated or aggregated) as a
-// Prometheus text exposition.
-func WriteFamilies(w io.Writer, fams []telemetry.FamilySnapshot) error {
-	bw := bufio.NewWriter(w)
-	for _, fam := range fams {
-		if len(fam.Series) == 0 {
-			continue
-		}
-		fmt.Fprintf(bw, "# HELP %s %s\n", fam.Name, escapeHelp(fam.Help))
-		fmt.Fprintf(bw, "# TYPE %s %s\n", fam.Name, fam.Kind)
-		for _, se := range fam.Series {
-			sig := signature(se.Labels)
-			if fam.Kind != "histogram" {
-				writeSample(bw, fam.Name, "", sig, "", se.Value)
-				continue
-			}
-			var cum int64
-			for i, bound := range fam.Bounds {
-				cum += se.Buckets[i]
-				writeSample(bw, fam.Name, "_bucket", sig, `le="`+formatFloat(bound)+`"`, float64(cum))
-			}
-			writeSample(bw, fam.Name, "_bucket", sig, `le="+Inf"`, float64(se.Count))
-			writeSample(bw, fam.Name, "_sum", sig, "", se.Sum)
-			writeSample(bw, fam.Name, "_count", sig, "", float64(se.Count))
-		}
-	}
-	return bw.Flush()
-}
-
-// signature renders labels as sorted exposition pairs — the merge key
-// for cross-instance aggregation and the label block of rendered
-// samples.
-func signature(labels []telemetry.Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	sorted := sortedLabels(labels)
-	var b strings.Builder
-	for i, l := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(l.Value))
-		b.WriteByte('"')
-	}
-	return b.String()
-}
-
-func writeSample(w io.Writer, name, suffix, sig, extra string, v float64) {
-	labels := sig
-	if extra != "" {
-		if labels != "" {
-			labels += "," + extra
-		} else {
-			labels = extra
-		}
-	}
-	if labels != "" {
-		fmt.Fprintf(w, "%s%s{%s} %s\n", name, suffix, labels, formatFloat(v))
-	} else {
-		fmt.Fprintf(w, "%s%s %s\n", name, suffix, formatFloat(v))
-	}
-}
-
-func formatFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-func escapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
+	return telemetry.WriteFamilies(w, f.Families)
 }

@@ -253,32 +253,36 @@ func TestHeartbeatWatchdogCancelsStalledWorker(t *testing.T) {
 
 // TestResumeMatchesUninterrupted is the crash-safety property: train 6
 // epochs straight through, then train 3 epochs + kill + resume to 6
-// with the same seed — final parameters must be bit-identical.
+// with the same seed — final parameters must be bit-identical. Under
+// dropout that also needs every epoch's masks to come from the epoch's
+// own RNG: the resumed replicas never drew epochs 0..2's.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	ds := testDataset(t)
-	factory := replicaFactory(ds)
+	for _, dropout := range []float64{0, 0.2} {
+		factory := dropoutFactory(ds, dropout)
 
-	full := chaosOptions()
-	full.Epochs = 6
-	want := Train(factory, ds, full)
+		full := chaosOptions()
+		full.Epochs = 6
+		want := Train(factory, ds, full)
 
-	ckpt := filepath.Join(t.TempDir(), "ps.ckpt")
+		ckpt := filepath.Join(t.TempDir(), "ps.ckpt")
 
-	interrupted := chaosOptions()
-	interrupted.Epochs = 3 // the "crash" after epoch 3's checkpoint
-	interrupted.CheckpointPath, interrupted.CheckpointEvery = ckpt, 1
-	Train(factory, ds, interrupted)
+		interrupted := chaosOptions()
+		interrupted.Epochs = 3 // the "crash" after epoch 3's checkpoint
+		interrupted.CheckpointPath, interrupted.CheckpointEvery = ckpt, 1
+		Train(factory, ds, interrupted)
 
-	resumed := chaosOptions()
-	resumed.Epochs = 6
-	resumed.CheckpointPath, resumed.CheckpointEvery = ckpt, 1
-	resumed.Resume = true
-	got := Train(factory, ds, resumed)
+		resumed := chaosOptions()
+		resumed.Epochs = 6
+		resumed.CheckpointPath, resumed.CheckpointEvery = ckpt, 1
+		resumed.Resume = true
+		got := Train(factory, ds, resumed)
 
-	if got.ResumedFrom != 3 {
-		t.Fatalf("ResumedFrom = %d, want 3", got.ResumedFrom)
+		if got.ResumedFrom != 3 {
+			t.Fatalf("dropout %g: ResumedFrom = %d, want 3", dropout, got.ResumedFrom)
+		}
+		requireSameVector(t, fmt.Sprintf("resumed shared at dropout %g", dropout), want.State.Shared, got.State.Shared)
 	}
-	requireSameVector(t, "resumed shared", want.State.Shared, got.State.Shared)
 }
 
 // TestDRIndependentOfWorkerCount: over one store snapshot — a checkpoint

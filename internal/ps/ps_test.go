@@ -29,8 +29,14 @@ func testDataset(t testing.TB) *data.Dataset {
 }
 
 func replicaFactory(ds *data.Dataset) func() models.Model {
+	return dropoutFactory(ds, 0)
+}
+
+// dropoutFactory is replicaFactory with dropout between the hidden
+// layers: the structure whose masks an epoch must seed to be replayable.
+func dropoutFactory(ds *data.Dataset, dropout float64) func() models.Model {
 	return func() models.Model {
-		return models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{16, 8}, Seed: 5})
+		return models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{16, 8}, Dropout: dropout, Seed: 5})
 	}
 }
 

@@ -330,7 +330,10 @@ func runSupervisedEpoch(sup []*supervisedWorker, epoch int, opts Options) []deat
 					mu.Unlock()
 				}
 			}()
-			rng := rand.New(rand.NewSource(opts.Seed + int64(epoch*1000+i)))
+			// Derived per (worker, epoch), as core.Fit derives its own: a
+			// resumed or redistributed run replays epoch k's shuffles and
+			// dropout masks without having run epochs 0..k-1.
+			rng := core.EpochRNG(opts.Seed+int64(i), epoch)
 			if opts.SyncPush {
 				s.w.TrainEpoch(ctx, rng)
 			} else {

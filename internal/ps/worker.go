@@ -193,6 +193,10 @@ func (w *Worker) runEpoch(ctx context.Context, rng *rand.Rand, deferPush bool) {
 	w.dynamicRows = map[int]map[int]bool{}
 	w.rowPulledAt = map[int]map[int]int{}
 	w.batchClock = 0
+	// The epoch's dropout masks come from the epoch's RNG, first draw, as
+	// in core.DomainNegotiationEpoch — not from wherever the replica's
+	// stream was left by earlier epochs a resumed run never ran.
+	models.SeedMasks(w.Model, rng.Int63())
 
 	rec := w.Telemetry.NewEpochRecorder(w.params, w.ID)
 	inner := optim.New(w.InnerOpt, w.InnerLR)

@@ -13,67 +13,25 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"net/http"
-	"time"
 
 	"mamdr/internal/batch"
-	"mamdr/internal/data"
-	"mamdr/internal/trace"
 )
 
-// errNoReplica is the batched path's replica-acquisition timeout; the
-// handler maps it to the same 503 + Retry-After the inline path emits.
-var errNoReplica = errors.New("serve: no model replica available")
-
-// pendingPredict rides a batch item from handler to executor.
-type pendingPredict struct {
-	rid    string
-	domain int
-	ins    []data.Interaction
-}
-
-// batchedScores rides back: this request's slice of the batched
-// forward, plus the identity of the snapshot that served it.
-type batchedScores struct {
-	probs   []float64
-	version uint64
-	name    string
-}
-
-// predictBatched submits one validated request to the coalescer and
-// waits for its slice of the batched forward. Everything after the
-// result — quality recording, gate observation, response shape — is
-// the shared respondPredict tail, identical to the inline path.
-func (s *Server) predictBatched(w http.ResponseWriter, r *http.Request, start time.Time, rid string, domain int, ins []data.Interaction) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	it := batch.NewItem(ctx, len(ins), &pendingPredict{rid: rid, domain: domain, ins: ins})
+// viaCoalescer submits one validated job to the coalescer and waits for
+// the flush that carries it through execute.
+func (s *Server) viaCoalescer(ctx context.Context, domain int, job *predictJob) error {
+	it := batch.NewItem(ctx, len(job.ins), job)
 	if err := s.coalescer.Submit(domain, it); err != nil {
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-		return
+		return err
 	}
 	select {
 	case res := <-it.Result():
-		if res.Err != nil {
-			if errors.Is(res.Err, errNoReplica) || errors.Is(res.Err, context.DeadlineExceeded) {
-				w.Header().Set("Retry-After", "1")
-				s.metrics.timeout()
-				http.Error(w, "no model replica available", http.StatusServiceUnavailable)
-				return
-			}
-			http.Error(w, "prediction failed: "+res.Err.Error(), http.StatusInternalServerError)
-			return
-		}
-		out := res.Value.(*batchedScores)
-		s.respondPredict(w, r, start, rid, out.name, out.version, out.probs)
+		return res.Err
 	case <-ctx.Done():
 		// The deadline fired while the batch was still queued or flying;
 		// the item's eventual result goes to its buffered channel and is
 		// garbage collected with it.
-		w.Header().Set("Retry-After", "1")
-		s.metrics.timeout()
-		http.Error(w, "no model replica available", http.StatusServiceUnavailable)
+		return errNoReplica
 	}
 }
 
@@ -84,101 +42,42 @@ func (s *Server) predictBatched(w http.ResponseWriter, r *http.Request, start ti
 // this frame until the batch completes.
 func (s *Server) runBatch(domain int, items []*batch.Item) {
 	v := s.view.Load()
-	live := items[:0]
+	// Rollout-arm routing is preserved under batching: each request
+	// hashes to incumbent or canary independently by its request ID,
+	// exactly as the inline path routes, so one micro-batch may split
+	// across arms — each arm then gets its own batched forward.
+	var groups [2]struct {
+		items []*batch.Item
+		jobs  []*predictJob
+	}
 	for _, it := range items {
 		if err := it.Ctx.Err(); err != nil {
 			it.Fail(err)
 			continue
 		}
-		live = append(live, it)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	waitStart := time.Now()
-	_, waitSpan := trace.Start(context.Background(), "serve.pool_wait")
-	timer := time.NewTimer(s.opts.RequestTimeout)
-	defer timer.Stop()
-	var rep *replica
-	select {
-	case rep = <-s.pool:
-		waitSpan.End()
-		s.metrics.acquire(time.Since(waitStart))
-	case <-timer.C:
-		waitSpan.EndWith(trace.A("timeout", true))
-		for _, it := range live {
-			it.Fail(errNoReplica)
+		job := it.Data.(*predictJob)
+		job.arm = v.armFor(job.rid, domain)
+		g := &groups[0]
+		if job.arm.snap == v.canary {
+			g = &groups[1]
 		}
-		return
+		g.items, g.jobs = append(g.items, it), append(g.jobs, job)
 	}
-	defer func() {
-		s.pool <- rep
-		s.metrics.release()
-	}()
-
-	// Rollout-arm routing is preserved under batching: each request
-	// hashes to incumbent or canary independently by its request ID,
-	// exactly as the inline path routes, so one micro-batch may split
-	// across arms — each arm then gets its own batched forward.
-	var groups [2][]*batch.Item
-	for _, it := range live {
-		p := it.Data.(*pendingPredict)
-		arm := 0
-		if v.canary != nil && p.domain < v.canary.numDomains() && routeToCanary(p.rid, v.fraction) {
-			arm = 1
-		}
-		groups[arm] = append(groups[arm], it)
-	}
-
-	start := time.Now()
-	requests := 0
-	for arm, group := range groups {
-		if len(group) == 0 {
+	// A flush belongs to no one request, so it waits for a replica on its
+	// own clock.
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
+	defer cancel()
+	for _, g := range groups {
+		if len(g.jobs) == 0 {
 			continue
 		}
-		snap, version := v.incumbent, v.incumbentV
-		if arm == 1 {
-			snap, version = v.canary, v.canaryV
+		err := s.execute(ctx, g.jobs[0].arm, domain, g.jobs)
+		for _, it := range g.items {
+			if err != nil {
+				it.Fail(err)
+			} else {
+				it.Resolve(nil)
+			}
 		}
-		s.forwardGroup(rep, snap, version, domain, group)
-		requests += len(group)
-	}
-	// The EWMA sees the batch's wall time spread over its riders — the
-	// marginal replica cost per request, which is what the admission
-	// gate's drain-time projection prices (see observeServiceTime).
-	s.observeServiceTime(time.Since(start), requests)
-}
-
-// forwardGroup concatenates one arm's requests into a single batch,
-// runs one forward pass, and splits the scores back per request.
-func (s *Server) forwardGroup(rep *replica, snap *snapshot, version uint64, domain int, group []*batch.Item) {
-	// Chaos hook: one "Predict" fault fails this forward the way a
-	// broken pass would; every rider of the faulted forward sees it.
-	if err := s.opts.Faults.Eval("Predict").Apply(context.Background()); err != nil {
-		for _, it := range group {
-			it.Fail(err)
-		}
-		return
-	}
-	rows := 0
-	for _, it := range group {
-		rows += len(it.Data.(*pendingPredict).ins)
-	}
-	ins := make([]data.Interaction, 0, rows)
-	for _, it := range group {
-		ins = append(ins, it.Data.(*pendingPredict).ins...)
-	}
-	b := s.dataset.MakeBatch(domain, ins)
-	_, span := trace.Start(context.Background(), "serve.batch_predict",
-		trace.A("domain", snap.names[domain]), trace.A("requests", len(group)),
-		trace.A("rows", rows), trace.A("snapshot_version", version))
-	probs := s.predictOn(rep, snap, domain, b)
-	span.End()
-	off := 0
-	for _, it := range group {
-		n := len(it.Data.(*pendingPredict).ins)
-		it.Resolve(&batchedScores{probs: probs[off : off+n : off+n], version: version, name: snap.names[domain]})
-		off += n
 	}
 }

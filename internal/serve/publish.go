@@ -41,7 +41,7 @@ func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline
 		s.metrics.publishOutcome("rejected")
 		return 0, false, fmt.Errorf("%w: v%d still under evaluation", errCanaryInFlight, old.canaryV)
 	}
-	if err := s.validateStateLocked(state); err != nil {
+	if err := s.layout.validate(state.Shared, state.Specific); err != nil {
 		s.mu.Unlock()
 		s.metrics.publishOutcome("rejected")
 		return 0, false, err
@@ -59,11 +59,10 @@ func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline
 	if gate == nil {
 		// No gate: classic warm swap, immediately live.
 		s.installLocked(state, snap, version, crc, baseline)
-		onSwap := s.opts.OnSwap
 		s.mu.Unlock()
 		s.metrics.publishOutcome("accepted")
-		if onSwap != nil {
-			onSwap(version, crc)
+		if s.opts.OnSwap != nil {
+			s.opts.OnSwap(version, crc)
 		}
 		return version, false, nil
 	}
@@ -108,11 +107,9 @@ func (s *Server) PromoteCanary(version uint64) error {
 	}
 	s.installLocked(s.pendingState, v.canary, v.canaryV, v.canaryCRC, s.pendingBaseline)
 	s.pendingState, s.pendingBaseline = nil, nil
-	crc := v.canaryCRC
-	onSwap := s.opts.OnSwap
 	s.mu.Unlock()
-	if onSwap != nil {
-		onSwap(version, crc)
+	if s.opts.OnSwap != nil {
+		s.opts.OnSwap(version, v.canaryCRC)
 	}
 	return nil
 }
@@ -214,42 +211,27 @@ func (s *Server) handleAdminPublish(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, resp)
 }
 
-// loadPublishSource reads a checkpoint into a fresh state. The envelope
-// is verified first — a CRC-corrupt or truncated file is rejected
-// before any decode — and the gob load re-verifies end to end.
+// loadPublishSource decodes a checkpoint straight into a publishable
+// state. It needs no model: the file is read and verified once — a
+// CRC-corrupt or truncated file is rejected before any decode — and its
+// vectors, checked against the served structure, become the state as
+// they are.
 func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.State, uint32, *quality.Baseline, error) {
 	if err := s.opts.Faults.Eval("PublishSource").Apply(ctx); err != nil {
 		return nil, 0, nil, err
 	}
-	env, err := core.EnvelopeInfo(path)
+	var ck core.Checkpoint
+	env, err := core.LoadGobEnvelope(path, &ck)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-
-	st := &core.State{}
-	if s.opts.ReplicaFactory != nil {
-		st.Model = s.opts.ReplicaFactory()
-	} else {
-		// Single-replica server: the state's own model is the only
-		// replica, and loading restores parameters into its tensors.
-		// Borrow it from the pool: a pooled model is unbound, so the
-		// load writes the model's own storage — while a forward has it
-		// bound, the same write would land in the served snapshot.
-		waitCtx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-		select {
-		case rep := <-s.pool:
-			defer func() { s.pool <- rep }()
-			st.Model = rep.model
-		case <-waitCtx.Done():
-			return nil, 0, nil, fmt.Errorf("serve: no replica free to stage the load: %w", waitCtx.Err())
-		}
+	if name := s.layout.model.Name(); ck.ModelName != name {
+		return nil, 0, nil, fmt.Errorf("serve: checkpoint is for model %q, server has %q", ck.ModelName, name)
 	}
-	baseline, err := st.LoadWithBaseline(path)
-	if err != nil {
+	if err := s.layout.validate(ck.Shared, ck.Specific); err != nil {
 		return nil, 0, nil, err
 	}
-	return st, env.CRC, baseline, nil
+	return &core.State{Model: s.layout.model, Shared: ck.Shared, Specific: ck.Specific}, env.CRC, ck.Quality, nil
 }
 
 // upstreamPublishSource builds a publishable state from the live

@@ -12,7 +12,7 @@
 // composed dense segments, embedding rows are composed as the lookup
 // gathers them) and unbinds it afterwards. The pool bounds how many
 // forwards run at once; its models own no parameters of their own.
-// Domain registration, state swaps, and live publications build a fresh
+// Domain registration and live publications build a fresh
 // snapshot off-path and install it atomically; in-flight requests keep
 // serving the snapshot they started with.
 //
@@ -138,8 +138,8 @@ type Options struct {
 	// "PublishSource", "UpstreamPing", and "UpstreamSnapshot".
 	Faults *faultinject.Injector
 	// OnSwap, when non-nil, runs after a snapshot becomes the incumbent
-	// — every immediate publish, promotion, and state swap — with the
-	// new incumbent's version and envelope CRC (0 when sourced outside
+	// — every immediate publish and promotion — with the new
+	// incumbent's version and envelope CRC (0 when sourced outside
 	// a checkpoint). Called without internal locks held.
 	OnSwap func(version uint64, crc uint32)
 	// InitialVersion and InitialCRC label the snapshot the server boots
@@ -157,9 +157,6 @@ type Options struct {
 	// FeedbackTTL bounds how long a prediction waits in the feedback
 	// join buffer for its labels. Default 2 minutes.
 	FeedbackTTL time.Duration
-	// FeedbackBuffer caps the join buffer's entry count (oldest
-	// evicted first). Default 65536.
-	FeedbackBuffer int
 	// BatchMax enables request coalescing when > 0: concurrent
 	// predictions for the same domain gather into micro-batches of at
 	// most this many rows and share one batched forward pass. 0 keeps
@@ -230,10 +227,25 @@ type view struct {
 	fraction                float64
 }
 
-// routeToCanary deterministically assigns a request to the canary arm
-// by hashing its request ID against the traffic fraction: the same ID
+// arm is one side of a rollout as a request sees it: the snapshot that
+// serves it and the version its scores are attributed to.
+type arm struct {
+	snap    *snapshot
+	version uint64
+}
+
+// armFor deterministically assigns a request to the canary arm by
+// hashing its request ID against the traffic fraction: the same ID
 // always lands on the same arm, so retries and replays are comparable
-// and tests can pick their arm by picking their X-Request-ID.
+// and tests can pick their arm by picking their X-Request-ID. A domain
+// the canary does not serve stays on the incumbent.
+func (v *view) armFor(rid string, domain int) arm {
+	if v.canary != nil && domain >= 0 && domain < v.canary.numDomains() && routeToCanary(rid, v.fraction) {
+		return arm{v.canary, v.canaryV}
+	}
+	return arm{v.incumbent, v.incumbentV}
+}
+
 func routeToCanary(rid string, fraction float64) bool {
 	h := fnv.New32a()
 	h.Write([]byte(rid))
@@ -253,7 +265,7 @@ type Server struct {
 	dataset *data.Dataset
 	opts    Options
 
-	// mu serializes state mutations (AddDomain, SwapState, Publish,
+	// mu serializes state mutations (AddDomain, Publish,
 	// promote/rollback). Reads never take it: they load view.
 	mu    sync.Mutex
 	state *core.State
@@ -344,7 +356,7 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 		}
 		s.pool <- &replica{model: m, binding: paramvec.NewBinding(own)}
 	}
-	s.layout = &layout{params: params, tables: models.EmbeddingTablesOf(state.Model)}
+	s.layout = &layout{model: state.Model, params: params, tables: models.EmbeddingTablesOf(state.Model)}
 	switch opts.SnapshotQuant {
 	case "", "off":
 	case "int8":
@@ -357,7 +369,7 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 		panic(fmt.Sprintf("serve: unknown SnapshotQuant %q (off or int8)", opts.SnapshotQuant))
 	}
 	s.view.Store(&view{
-		incumbent:    s.compose(),
+		incumbent:    s.composeState(state),
 		incumbentV:   opts.InitialVersion,
 		incumbentCRC: opts.InitialCRC,
 	})
@@ -368,7 +380,7 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 		opts.UpstreamThreshold, opts.UpstreamBackoff)
 	if opts.Quality != nil {
 		s.quality = opts.Quality
-		s.feedback = quality.NewJoinBuffer(opts.FeedbackBuffer, opts.FeedbackTTL, nil)
+		s.feedback = quality.NewJoinBuffer(0, opts.FeedbackTTL, nil)
 	}
 	if opts.BatchMax > 0 {
 		s.coalescer = batch.New(batch.Options{
@@ -383,10 +395,6 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 	return s
 }
 
-// compose wraps the current state as a servable snapshot. Callers must
-// hold mu (or be the constructor).
-func (s *Server) compose() *snapshot { return s.composeState(s.state) }
-
 // ErrDomainsFixed is AddDomain's refusal on a model with per-domain
 // towers (models.DomainTowered): the structure has no sub-network to
 // route a new domain id through.
@@ -399,7 +407,7 @@ var ErrDomainsFixed = errors.New("serve: the model has per-domain towers and can
 func (s *Server) AddDomain() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n, bounded := models.DomainCapacity(s.state.Model); bounded && len(s.state.Specific) >= n {
+	if n, bounded := models.DomainCapacity(s.layout.model); bounded && len(s.state.Specific) >= n {
 		return 0, ErrDomainsFixed
 	}
 	id := s.state.AddDomain()
@@ -416,49 +424,6 @@ func (s *Server) AddDomain() (int, error) {
 	}
 	s.view.Store(&nv)
 	return id, nil
-}
-
-// validateStateLocked checks a candidate state is structurally
-// compatible with the served one — a mismatched state would serve
-// garbage through the pool replicas.
-func (s *Server) validateStateLocked(state *core.State) error {
-	if len(state.Shared) != len(s.state.Shared) {
-		return fmt.Errorf("serve: new state has %d tensors, old has %d", len(state.Shared), len(s.state.Shared))
-	}
-	for t := range state.Shared {
-		if len(state.Shared[t]) != len(s.state.Shared[t]) {
-			return fmt.Errorf("serve: new state tensor %d has %d entries, old has %d",
-				t, len(state.Shared[t]), len(s.state.Shared[t]))
-		}
-	}
-	return nil
-}
-
-// SwapState replaces the served state wholesale (e.g. after a new
-// training run) and recomposes every domain, bumping the incumbent
-// version. The new state's model must be structurally identical to the
-// pool replicas. It refuses while a canary evaluation is in flight —
-// the comparison would no longer be against the snapshot the gate
-// started with.
-func (s *Server) SwapState(state *core.State) error {
-	s.mu.Lock()
-	old := s.view.Load()
-	if old.canary != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("serve: cannot swap state while canary v%d is in flight", old.canaryV)
-	}
-	if err := s.validateStateLocked(state); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	version := old.incumbentV + 1
-	s.installLocked(state, s.composeState(state), version, 0, nil)
-	onSwap := s.opts.OnSwap
-	s.mu.Unlock()
-	if onSwap != nil {
-		onSwap(version, 0)
-	}
-	return nil
 }
 
 // installLocked makes (state, snap) the incumbent under version/crc and
@@ -661,16 +626,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rid = requestID(r)
 		w.Header().Set("X-Request-ID", rid)
 	}
-	v := s.view.Load()
-	snap, version := v.incumbent, v.incumbentV
-	if v.canary != nil && req.Domain >= 0 && req.Domain < v.canary.numDomains() && routeToCanary(rid, v.fraction) {
-		snap, version = v.canary, v.canaryV
-	}
-	if req.Domain < 0 || req.Domain >= snap.numDomains() {
+	job := &predictJob{rid: rid, arm: s.view.Load().armFor(rid, req.Domain)}
+	if req.Domain < 0 || req.Domain >= job.arm.snap.numDomains() {
 		http.Error(w, fmt.Sprintf("unknown domain %d", req.Domain), http.StatusNotFound)
 		return
 	}
-	ins := make([]data.Interaction, len(req.Users))
+	job.ins = make([]data.Interaction, len(req.Users))
 	for i := range req.Users {
 		if req.Users[i] < 0 || req.Users[i] >= s.dataset.NumUsers {
 			http.Error(w, fmt.Sprintf("unknown user %d", req.Users[i]), http.StatusBadRequest)
@@ -680,57 +641,94 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("unknown item %d", req.Items[i]), http.StatusBadRequest)
 			return
 		}
-		ins[i] = data.Interaction{User: req.Users[i], Item: req.Items[i]}
+		job.ins[i] = data.Interaction{User: req.Users[i], Item: req.Items[i]}
 	}
-
-	// Micro-batched path: the coalescer gathers this request with its
-	// concurrent batchmates; arm routing re-resolves per item at flush
-	// time from ONE view load per batch, preserving the same
-	// ID-deterministic assignment.
-	if s.coalescer != nil {
-		s.predictBatched(w, r, start, rid, req.Domain, ins)
-		return
-	}
-	batch := s.dataset.MakeBatch(req.Domain, ins)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
-	waitStart := time.Now()
-	// Both spans parent to the serve.request root: pool_wait has ended
-	// by the time predict starts, so nesting predict under it would
-	// place a child outside its parent's time bounds.
-	_, waitSpan := trace.Start(ctx, "serve.pool_wait")
-	select {
-	case rep := <-s.pool:
-		waitSpan.End()
-		s.metrics.acquire(time.Since(waitStart))
-		// Chaos hook: a "Predict" fault holds or fails this replica the
-		// way a slow or broken forward pass would.
-		if err := s.opts.Faults.Eval("Predict").Apply(ctx); err != nil {
-			s.pool <- rep
-			s.metrics.release()
-			http.Error(w, "prediction failed: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		predictStart := time.Now()
-		_, predictSpan := trace.Start(ctx, "serve.predict",
-			trace.A("domain", snap.names[req.Domain]), trace.A("pairs", len(req.Users)),
-			trace.A("snapshot_version", version))
-		probs := s.predictOn(rep, snap, req.Domain, batch)
-		predictSpan.End()
-		s.pool <- rep
-		s.metrics.release()
-		s.observeServiceTime(time.Since(predictStart), 1)
-		s.respondPredict(w, r, start, rid, snap.names[req.Domain], version, probs)
-	case <-ctx.Done():
-		waitSpan.EndWith(trace.A("timeout", true))
+	var err error
+	if s.coalescer != nil {
+		// Micro-batched: the job rides a coalesced flush, which re-resolves
+		// its arm from ONE view load per batch (same ID-deterministic
+		// assignment) before it reaches execute.
+		err = s.viaCoalescer(ctx, req.Domain, job)
+	} else {
+		err = s.execute(ctx, job.arm, req.Domain, []*predictJob{job})
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, batch.ErrClosed):
+		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+		return
+	case errors.Is(err, errNoReplica), errors.Is(err, context.DeadlineExceeded):
 		// Tell well-behaved clients when to come back: the pool is
 		// saturated now, so a retry sooner than a second will likely
 		// block again.
 		w.Header().Set("Retry-After", "1")
 		s.metrics.timeout()
+		http.Error(w, "no model replica available", http.StatusServiceUnavailable)
+		return
+	default:
+		http.Error(w, "prediction failed: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+
+	// The response tail, in exactly this order: quality recording, gate
+	// observation, JSON write, per-domain latency.
+	domain := job.arm.snap.names[req.Domain]
+	resp := PredictResponse{Probabilities: job.probs}
+	if s.quality != nil {
+		resp.RequestID = s.recordPrediction(rid, domain, job.arm.version, job.probs)
+	}
+	// The gate compares arms on the dense score signal; with no
+	// canary in flight this is a no-op.
+	s.gate().ObserveScores(job.arm.version, job.probs)
+	s.writeJSON(w, r, resp)
+	s.metrics.latencyFor(domain).Observe(time.Since(start).Seconds())
+}
+
+// errNoReplica is a prediction's replica-acquisition timeout; the
+// handler answers it with 503 + Retry-After.
+var errNoReplica = errors.New("serve: no model replica available")
+
+// predictJob is one validated /predict request on its way through
+// execute: the arm that serves it goes in, its scores come out.
+type predictJob struct {
+	rid   string
+	ins   []data.Interaction
+	arm   arm
+	probs []float64
+}
+
+// execute is the one execution path of a prediction — a lone request
+// (the inline handler passes a group of one) and one arm of a coalesced
+// flush alike: acquire a replica, run the "Predict" chaos hook, bind →
+// Forward → unbind, release, fold the pass into the service-time EWMA.
+// All jobs share one forward over a's snapshot and each gets its slice
+// of the scores. A replica that does not free up before ctx ends is
+// errNoReplica.
+func (s *Server) execute(ctx context.Context, a arm, domain int, jobs []*predictJob) error {
+	// A lone job's pairs are the batch as they are; batchmates append to
+	// a copy (the capped slice forces one), never into job 0's array.
+	ins := jobs[0].ins[:len(jobs[0].ins):len(jobs[0].ins)]
+	for _, j := range jobs[1:] {
+		ins = append(ins, j.ins...)
+	}
+	b := s.dataset.MakeBatch(domain, ins)
+	name := a.snap.names[domain]
+
+	waitStart := time.Now()
+	// pool_wait and predict are siblings under the caller's span:
+	// pool_wait has ended by the time predict starts, so nesting predict
+	// under it would place a child outside its parent's time bounds.
+	_, waitSpan := trace.Start(ctx, "serve.pool_wait")
+	var rep *replica
+	select {
+	case rep = <-s.pool:
+	case <-ctx.Done():
+		waitSpan.EndWith(trace.A("timeout", true))
 		fields := map[string]any{
-			"domain":     snap.names[req.Domain],
+			"domain":     name,
 			"replicas":   s.opts.Replicas,
 			"timeout_ms": s.opts.RequestTimeout.Milliseconds(),
 		}
@@ -738,38 +736,46 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			fields["trace_id"], fields["span_id"] = tc.TraceID, tc.SpanID
 		}
 		s.opts.Tracer.Flight().Trigger("pool_saturation", fields)
-		http.Error(w, "no model replica available", http.StatusServiceUnavailable)
+		return errNoReplica
 	}
-}
-
-// respondPredict is the shared response tail for the inline and batched
-// predict paths: quality recording, gate observation, JSON write, and
-// the per-domain latency observation — in exactly this order.
-func (s *Server) respondPredict(w http.ResponseWriter, r *http.Request, start time.Time, rid, domain string, version uint64, probs []float64) {
-	resp := PredictResponse{Probabilities: probs}
-	if s.quality != nil {
-		resp.RequestID = s.recordPrediction(rid, domain, version, probs)
+	waitSpan.End()
+	s.metrics.acquire(time.Since(waitStart))
+	defer func() {
+		s.pool <- rep
+		s.metrics.release()
+	}()
+	// Chaos hook: a "Predict" fault holds or fails this replica the way a
+	// slow or broken forward pass would; every rider of it sees the error.
+	if err := s.opts.Faults.Eval("Predict").Apply(ctx); err != nil {
+		return err
 	}
-	// The gate compares arms on the dense score signal; with no
-	// canary in flight this is a no-op.
-	s.gate().ObserveScores(version, probs)
-	s.writeJSON(w, r, resp)
-	s.metrics.latencyFor(domain).Observe(time.Since(start).Seconds())
-}
 
-// predictOn binds the replica to the domain's composition, runs the
-// forward pass and unbinds. The composition is shared and read-only;
-// the replica is exclusively ours while it is out of the pool.
-func (s *Server) predictOn(rep *replica, snap *snapshot, domain int, b *data.Batch) []float64 {
-	rep.binding.Bind(*snap.comp(domain))
-	defer rep.binding.Unbind()
+	start := time.Now()
+	_, span := trace.Start(ctx, "serve.predict",
+		trace.A("domain", name), trace.A("requests", len(jobs)),
+		trace.A("pairs", len(ins)), trace.A("snapshot_version", a.version))
+	// The composition is shared and read-only; the replica is exclusively
+	// ours while it is out of the pool.
+	rep.binding.Bind(*a.snap.comp(domain))
 	logits := rep.model.Forward(b, false)
+	rep.binding.Unbind()
 	probs := framework.SigmoidAll(logits)
 	logits.Release()
+	span.End()
 	if c := s.layout.cache; c != nil {
 		s.metrics.quantCache(c.Stats())
 	}
-	return probs
+	// The EWMA sees the pass's wall time spread over its riders — the
+	// marginal replica cost per request, which is what the admission
+	// gate's drain-time projection prices (see observeServiceTime).
+	s.observeServiceTime(time.Since(start), len(jobs))
+	off := 0
+	for _, j := range jobs {
+		n := len(j.ins)
+		j.probs = probs[off : off+n : off+n]
+		off += n
+	}
+	return nil
 }
 
 // recordPrediction feeds the quality tracker with the served scores and

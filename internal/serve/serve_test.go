@@ -242,7 +242,9 @@ func TestReplicaPoolServesIdenticalScores(t *testing.T) {
 	}
 }
 
-func TestSwapState(t *testing.T) {
+// TestPublishSwapsState: without a rollout gate, Publish is the warm
+// swap — the new state serves at once under the next version.
+func TestPublishSwapsState(t *testing.T) {
 	st, ds, factory := testState(t)
 	s := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory})
 	h := s.Handler()
@@ -252,8 +254,8 @@ func TestSwapState(t *testing.T) {
 
 	// Retrain to a different state and swap it in.
 	st2 := framework.MustNew("mamdr").Fit(factory(), ds, framework.Config{Epochs: 3, BatchSize: 32, Seed: 123}).(*core.State)
-	if err := s.SwapState(st2); err != nil {
-		t.Fatal(err)
+	if v, canary, err := s.Publish(st2, 0, 0, nil); err != nil || canary || v != 2 {
+		t.Fatalf("Publish = (v%d, canary %v, %v), want an immediate v2", v, canary, err)
 	}
 	after := postJSON(t, h, "/predict", req)
 	if after.Code != http.StatusOK {
@@ -267,7 +269,7 @@ func TestSwapState(t *testing.T) {
 	other := framework.MustNew("mamdr").Fit(
 		models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 8, Hidden: []int{8}, Seed: 5}),
 		ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 9}).(*core.State)
-	if err := s.SwapState(other); err == nil {
+	if _, _, err := s.Publish(other, 0, 0, nil); err == nil {
 		t.Fatal("mismatched state accepted")
 	}
 }

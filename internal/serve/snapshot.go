@@ -19,6 +19,7 @@ import (
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/core"
+	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/quant"
 )
@@ -46,8 +47,11 @@ type snapshot struct {
 // layout is what composing needs to know about the served model, fixed
 // for the server's lifetime.
 type layout struct {
-	// params are the state model's tensors, read for their shapes only
-	// (a pooled model's Data may be bound elsewhere at any moment).
+	// model is the model the server was built over, and params its
+	// tensors; both are read for structure only — name, shapes, domain
+	// capacity — since a pooled model's Data may be bound elsewhere at
+	// any moment. Every published state shares it.
+	model  models.Model
 	params []*autograd.Tensor
 	// tables keys the indices of params that are embedding tables (the
 	// models.EmbeddingTabler map; empty on fixed-feature presets).
@@ -55,6 +59,33 @@ type layout struct {
 	// cache, when non-nil, selects int8 row storage (Options.SnapshotQuant)
 	// and holds the decoded hot rows of every snapshot and domain.
 	cache *quant.RowCache
+}
+
+// validate checks a candidate state's vectors align with the served
+// model tensor for tensor — a mismatched vector would serve garbage
+// through the bound replicas.
+func (l *layout) validate(shared paramvec.Vector, specific []paramvec.Vector) error {
+	if err := l.aligned(shared); err != nil {
+		return fmt.Errorf("serve: new state's shared vector %w", err)
+	}
+	for d, vec := range specific {
+		if err := l.aligned(vec); err != nil {
+			return fmt.Errorf("serve: new state's specific vector %d %w", d, err)
+		}
+	}
+	return nil
+}
+
+func (l *layout) aligned(vec paramvec.Vector) error {
+	if len(vec) != len(l.params) {
+		return fmt.Errorf("has %d tensors, the served model has %d", len(vec), len(l.params))
+	}
+	for t, p := range l.params {
+		if len(vec[t]) != p.Size() {
+			return fmt.Errorf("tensor %d has %d entries, the served model has %d", t, len(vec[t]), p.Size())
+		}
+	}
+	return nil
 }
 
 // numDomains reports how many domains the snapshot serves.

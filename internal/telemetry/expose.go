@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -22,48 +21,36 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // Histograms expand into cumulative _bucket series (ending with
 // le="+Inf"), _sum, and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	r.mu.Lock()
-	families := append([]*family(nil), r.families...)
-	r.mu.Unlock()
-	for _, f := range families {
-		r.mu.Lock()
-		sigs := make([]string, 0, len(f.series))
-		for sig := range f.series {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		ss := make([]*series, len(sigs))
-		for i, sig := range sigs {
-			ss[i] = f.series[sig]
-		}
-		r.mu.Unlock()
+	return WriteFamilies(w, r.Snapshot().Families)
+}
 
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range ss {
-			switch inst := s.inst.(type) {
-			case *Counter:
-				writeSample(bw, f.name, "", s.sig, "", float64(inst.Value()))
-			case *Gauge:
-				writeSample(bw, f.name, "", s.sig, "", inst.Value())
-			case func() float64:
-				writeSample(bw, f.name, "", s.sig, "", inst())
-			case *Histogram:
-				var cum int64
-				for i, bound := range inst.bounds {
-					cum += inst.counts[i].Load()
-					writeSample(bw, f.name, "_bucket", s.sig,
-						`le="`+formatFloat(bound)+`"`, float64(cum))
-				}
-				// The +Inf bucket equals the total count by construction.
-				writeSample(bw, f.name, "_bucket", s.sig, `le="+Inf"`, float64(inst.Count()))
-				writeSample(bw, f.name, "_sum", s.sig, "", inst.Sum())
-				writeSample(bw, f.name, "_count", s.sig, "", float64(inst.Count()))
+// WriteFamilies is the one Prometheus text writer: it renders family
+// snapshots — a registry's own, a federated fleet's, or fleet totals —
+// in the order given, skipping families without series, so the same
+// scrapers and validators read all three.
+func WriteFamilies(w io.Writer, fams []FamilySnapshot) error {
+	bw := bufio.NewWriter(w)
+	for _, fam := range fams {
+		if len(fam.Series) == 0 {
+			continue
+		}
+		fmt.Fprintf(bw, "# HELP %s %s\n", fam.Name, escapeHelp(fam.Help))
+		fmt.Fprintf(bw, "# TYPE %s %s\n", fam.Name, fam.Kind)
+		for _, se := range fam.Series {
+			sig := Signature(se.Labels)
+			if fam.Kind != string(histogramKind) {
+				writeSample(bw, fam.Name, "", sig, "", se.Value)
+				continue
 			}
+			var cum int64
+			for i, bound := range fam.Bounds {
+				cum += se.Buckets[i]
+				writeSample(bw, fam.Name, "_bucket", sig, `le="`+formatFloat(bound)+`"`, float64(cum))
+			}
+			// The +Inf bucket equals the total count by construction.
+			writeSample(bw, fam.Name, "_bucket", sig, `le="+Inf"`, float64(se.Count))
+			writeSample(bw, fam.Name, "_sum", sig, "", se.Sum)
+			writeSample(bw, fam.Name, "_count", sig, "", float64(se.Count))
 		}
 	}
 	return bw.Flush()

@@ -291,7 +291,7 @@ func (r *Registry) getOrCreate(name, help string, k kind, buckets []float64, lab
 			panic(fmt.Sprintf("telemetry: duplicate label %q on %s", l.Name, name))
 		}
 	}
-	sig := signature(sorted)
+	sig := Signature(sorted)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -350,14 +350,20 @@ func equalBounds(a, b []float64) bool {
 	return true
 }
 
-// signature is the canonical label rendering, doubling as the series
-// key and as the exposition label block (without braces).
-func signature(sorted []Label) string {
-	if len(sorted) == 0 {
+// Signature is the canonical label rendering — pairs sorted by label
+// name — doubling as the series key (within a registry and across
+// merged ones) and as the exposition label block (without braces).
+func Signature(labels []Label) string {
+	if len(labels) == 0 {
 		return ""
 	}
+	byName := func(i, j int) bool { return labels[i].Name < labels[j].Name }
+	if !sort.SliceIsSorted(labels, byName) {
+		labels = append([]Label(nil), labels...)
+		sort.Slice(labels, byName)
+	}
 	var b strings.Builder
-	for i, l := range sorted {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}

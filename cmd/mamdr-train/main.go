@@ -6,8 +6,8 @@
 //	mamdr-train -preset taobao-10 -model mlp -framework mamdr -epochs 15
 //	mamdr-train -data my_dataset.json -model star -framework alternate
 //	mamdr-train -metrics-addr :9090 -events run.jsonl     # observability
-//	mamdr-train -ps-workers 4                             # distributed PS-Worker run
-//	mamdr-train -ps-workers 4 -ps-shards 3                # partitioned PS cluster (in-process shards)
+//	mamdr-train -ps-workers 4                             # distributed PS-Worker run (a one-shard in-process cluster)
+//	mamdr-train -ps-workers 4 -ps-shards 3                # the same over three in-process shards
 //	mamdr-train -ps-serve  127.0.0.1:7001,127.0.0.1:7002  # host the shard servers and block
 //	mamdr-train -ps-workers 4 -ps-addrs 127.0.0.1:7001,127.0.0.1:7002   # train against them
 package main
@@ -77,7 +77,7 @@ func main() {
 		flightDump  = flag.String("flight-dump", "", "flight-recorder dump path prefix for anomalies (default <trace>.flight when -trace is set)")
 
 		psWorkers = flag.Int("ps-workers", 0, "run distributed PS-Worker training with this many workers (0 = single process; mamdr framework only)")
-		psShards  = flag.Int("ps-shards", 1, "partition the parameter server across this many cluster shards (>1 = multi-PS mode; training is bit-identical across shard counts)")
+		psShards  = flag.Int("ps-shards", 1, "partition the parameter server across this many in-process cluster shards for -ps-workers (with -ps-sync-push training is bit-identical across shard counts)")
 		psCache   = flag.Bool("ps-cache", true, "enable the PS-Worker embedding cache (§IV-E) for -ps-workers")
 		psFaults  = flag.String("ps-faults", "", `fault-injection schedule for -ps-workers chaos runs, e.g. "PushDelta:err@p0.05; PullRows:delay=10ms@*" (seeded per worker and shard from -seed)`)
 		psSync    = flag.Bool("ps-sync-push", false, "apply worker deltas serially per epoch for bit-reproducible distributed runs")
@@ -216,25 +216,23 @@ func main() {
 		pred            framework.Predictor
 	)
 	if *psWorkers > 0 {
-		// An explicit -ps-shards — even "-ps-shards 1" — opts into the
-		// cluster path, so shard-scaling experiments can compare the
-		// same code path (and the same telemetry series) at 1/2/4
-		// shards. Leaving the flag unset keeps the plain single-server
-		// deployment.
-		shards := *psShards
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "ps-shards" && shards == 1 {
-				shards = -1 // cluster mode, one shard
-			}
-		})
 		fmt.Printf("training %s with distributed mamdr (%d workers, %d shards, cache=%v) for %d epochs...\n",
 			*model, *psWorkers, *psShards, *psCache, *epochs)
-		valAUC, testAUC, pred = trainDistributed(ds, *model, trainOpts{
-			workers: *psWorkers, shards: shards, replicas: *replicas, cache: *psCache,
-			epochs: *epochs, batch: *batch, innerLR: *innerLR, outerLR: *outerLR,
-			drLR: *drLR, sampleK: *sampleK, embDim: *embDim, seed: *seed,
-			faults: *psFaults, syncPush: *psSync, addrs: *psAddrs,
-			checkpointDir: *checkpointDir, checkpointEvery: *checkpointEvery, resume: *resume,
+		opts := ps.Options{
+			Workers: *psWorkers, Shards: *psShards, CacheEnabled: *psCache,
+			Epochs: *epochs, BatchSize: *batch, InnerLR: *innerLR, OuterLR: *outerLR,
+			UseDR: true, SampleK: *sampleK, DRLR: *drLR, Seed: *seed,
+			SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
+		}
+		if *checkpointDir != "" {
+			if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
+				log.Fatal(err)
+			}
+			opts.CheckpointPath = filepath.Join(*checkpointDir, "ps.ckpt")
+			opts.CheckpointEvery, opts.Resume = *checkpointEvery, *resume
+		}
+		valAUC, testAUC, pred = trainDistributed(ds, *model, opts, deployOpts{
+			embDim: *embDim, replicas: *replicas, faults: *psFaults, addrs: *psAddrs,
 		}, reg, events, tracer)
 	} else {
 		fmt.Printf("training %s with %s for %d epochs...\n", *model, *fw, *epochs)
@@ -323,20 +321,13 @@ func main() {
 	}
 }
 
-type trainOpts struct {
-	workers, shards, replicas int
-	cache                     bool
-	epochs, batch             int
-	innerLR, outerLR, drLR    float64
-	sampleK, embDim           int
-	seed                      int64
-
-	faults          string // faultinject schedule applied to every worker's store
-	syncPush        bool
-	addrs           string // remote shard addresses (cluster mode over sockets)
-	checkpointDir   string
-	checkpointEvery int
-	resume          bool
+// deployOpts is how a distributed run is deployed; what it trains is
+// its ps.Options.
+type deployOpts struct {
+	embDim   int
+	replicas int
+	faults   string // faultinject schedule applied to every worker's store
+	addrs    string // remote shard addresses (cluster mode over sockets)
 }
 
 // parseShardAddrs splits "a,b,c" into per-shard address groups; the
@@ -409,9 +400,9 @@ func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed in
 // deployment shape) with full telemetry: PS traffic, cache hit ratio,
 // row staleness, the per-domain training series from every worker, and
 // (with a tracer) one trace per worker epoch plus anomaly watching.
-func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemetry.Registry, events *telemetry.EventLog, tracer *trace.Tracer) (val, test []float64, st *core.State) {
+func trainDistributed(ds *mamdr.Dataset, model string, opts ps.Options, o deployOpts, reg *telemetry.Registry, events *telemetry.EventLog, tracer *trace.Tracer) (val, test []float64, st *core.State) {
 	replica := func() models.Model {
-		return models.MustNew(model, models.Config{Dataset: ds, EmbDim: o.embDim, Seed: o.seed})
+		return models.MustNew(model, models.Config{Dataset: ds, EmbDim: o.embDim, Seed: opts.Seed})
 	}
 	var (
 		psm *ps.Metrics
@@ -435,33 +426,8 @@ func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemet
 			tm.Anomalies = telemetry.NewLossWatch(sink, 0, 0)
 		}
 	}
-	opts := ps.Options{
-		Workers: o.workers, CacheEnabled: o.cache,
-		Epochs: o.epochs, BatchSize: o.batch,
-		InnerLR: o.innerLR, OuterLR: o.outerLR,
-		UseDR: true, SampleK: o.sampleK, DRLR: o.drLR,
-		Seed: o.seed, Metrics: psm, Telemetry: tm, Tracer: tracer,
-		SyncPush:         o.syncPush,
-		HeartbeatTimeout: 30 * time.Second,
-	}
-	if o.checkpointDir != "" {
-		if err := os.MkdirAll(o.checkpointDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		opts.CheckpointPath = filepath.Join(o.checkpointDir, "ps.ckpt")
-		opts.CheckpointEvery = o.checkpointEvery
-		opts.Resume = o.resume
-	}
-	var res *ps.Result
-	if o.addrs != "" || o.shards != 1 || o.replicas > 1 || o.faults != "" {
-		// Cluster mode: the parameter space is partitioned across
-		// cluster shards (in-process, or the remote servers behind
-		// -ps-addrs) and a scatter-gather router fronts them. Chaos
-		// (-ps-faults) is this path at any shard count, one included.
-		res = trainCluster(ds, replica, o, opts, reg, tracer)
-	} else {
-		res = ps.Train(replica, ds, opts)
-	}
+	opts.Metrics, opts.Telemetry, opts.Tracer = psm, tm, tracer
+	res := trainCluster(ds, replica, o, opts, reg, tracer)
 	c := res.Counters
 	log.Printf("PS traffic: %d dense pulls, %d dense pushes, %d row pulls, %d row pushes, %d floats moved",
 		c.DensePulls, c.DensePushes, c.RowPulls, c.RowPushes, c.FloatsMoved)
@@ -476,10 +442,11 @@ func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemet
 
 // trainCluster runs the distributed trainer against a partitioned
 // parameter-server cluster: N shards each owning a deterministic slice
-// of the parameter space, fronted by a scatter-gather router. Three
-// deployments share this code path:
+// of the parameter space, fronted by a scatter-gather router. It is the
+// only distributed launch; three deployments share it:
 //
-//   - in-process shards (-ps-shards N): everything in this binary;
+//   - in-process shards (-ps-shards N, one by default): everything in
+//     this binary;
 //   - remote shards (-ps-addrs): each worker dials every shard server;
 //   - chaos (-ps-faults with either, at any shard count — one included,
 //     the CI chaos smoke): in-process shards are lifted onto
@@ -488,25 +455,34 @@ func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemet
 //
 // The partition plan is a pure function of (layout, shards, seed), so
 // with -ps-sync-push the run is bit-identical across shard counts.
-func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, opts ps.Options, reg *telemetry.Registry, tracer *trace.Tracer) *ps.Result {
-	filled := opts.WithDefaults()
+func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o deployOpts, opts ps.Options, reg *telemetry.Registry, tracer *trace.Tracer) *ps.Result {
 	serving := replica()
 	tables := models.EmbeddingTablesOf(serving)
 
-	shards := o.shards
+	shards := opts.Shards
 	var groups [][]string
 	if o.addrs != "" {
 		groups = parseShardAddrs(o.addrs)
 		shards = len(groups)
 	}
-	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), shards, o.seed)
+	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), shards, opts.Seed)
 	log.Printf("cluster: %s", plan.String())
 	ro := cluster.Options{Metrics: cluster.NewMetrics(reg), Tracer: tracer}
+	// The shard servers of the two in-process deployments.
+	so := cluster.ShardOptions{
+		Replicas: o.replicas, OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR,
+		CheckpointPath: opts.CheckpointPath, Tracer: tracer, Metrics: opts.Metrics,
+	}
+	if groups == nil && opts.Resume {
+		if err := refuseLegacyCheckpoint(opts.CheckpointPath, plan.NumShards); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	var injectors []*faultinject.Injector
 	clientCfg := func(workerID int) func(sh, rep int, cl *ps.Client) {
 		return func(sh, rep int, cl *ps.Client) {
-			seed := o.seed + int64(workerID*100+sh*10+rep)
+			seed := opts.Seed + int64(workerID*100+sh*10+rep)
 			cl.SetBackoff(ps.Backoff{Seed: seed})
 			cl.SetMetrics(opts.Metrics)
 			cl.SetTracer(tracer)
@@ -522,10 +498,6 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 	if groups == nil && o.faults == "" {
 		// Fully in-process: workers share one router over the shard
 		// servers, no sockets involved.
-		so := cluster.ShardOptions{
-			Replicas: o.replicas, OuterOpt: filled.OuterOpt, OuterLR: filled.OuterLR,
-			CheckpointPath: opts.CheckpointPath, Tracer: tracer,
-		}
 		local := cluster.NewLocal(serving.Parameters(), plan, so, ro)
 		return ps.TrainWithStore(replica, serving, local.Router, local.Router, ds, opts)
 	}
@@ -534,10 +506,6 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 		// Chaos over a cluster: lift the in-process shards onto loopback
 		// sockets so the injected faults exercise the real per-shard
 		// RPC retry/idempotency path.
-		so := cluster.ShardOptions{
-			Replicas: o.replicas, OuterOpt: filled.OuterOpt, OuterLR: filled.OuterLR,
-			CheckpointPath: opts.CheckpointPath, Tracer: tracer,
-		}
 		servers := cluster.Shards(serving.Parameters(), plan, so)
 		addrs, closeAll, err := cluster.ServeTCP(servers)
 		if err != nil {
@@ -593,6 +561,23 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 		log.Printf("chaos: %d faults injected", injected)
 	}
 	return res
+}
+
+// refuseLegacyCheckpoint keeps -resume from silently starting over on a
+// -checkpoint-dir written before every launch went through the cluster:
+// that trainer's single server saved to base itself, which no shard
+// server of a cluster reads.
+func refuseLegacyCheckpoint(base string, shards int) error {
+	if _, err := os.Stat(base); err != nil {
+		return nil
+	}
+	for sh := 0; sh < shards; sh++ {
+		if _, err := os.Stat(ps.ShardCheckpointPath(base, sh, shards)); err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("-resume: %s is a single-server checkpoint and %s does not exist: this trainer resumes from per-shard files only (retrain, or drop -resume to start over)",
+		base, ps.ShardCheckpointPath(base, 0, shards))
 }
 
 // counterFunc adapts a closure to the Counters source TrainWithStore

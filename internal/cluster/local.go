@@ -17,10 +17,6 @@ type ShardOptions struct {
 	// With R > 1 the router broadcasts writes to all replicas and fails
 	// reads over, so losing R-1 servers of a shard is survivable.
 	Replicas int
-	// Stripes is each server's internal lock-striping count (ps.NewServer's
-	// numShards argument — intra-server concurrency, distinct from the
-	// cluster's partition count).
-	Stripes int
 	// OuterOpt and OuterLR configure each shard's outer optimizer (Eq. 3).
 	OuterOpt string
 	OuterLR  float64
@@ -40,9 +36,6 @@ type ShardOptions struct {
 func (o ShardOptions) withDefaults() ShardOptions {
 	if o.Replicas < 1 {
 		o.Replicas = 1
-	}
-	if o.Stripes < 1 {
-		o.Stripes = 1
 	}
 	// Mirror ps.Options.WithDefaults so a shard server configured with
 	// zero values applies the same outer update a default single server
@@ -80,7 +73,7 @@ func Shards(params []*autograd.Tensor, plan ps.Plan, o ShardOptions) [][]*ps.Ser
 	for sh := 0; sh < plan.NumShards; sh++ {
 		tables := plan.ShardTables(sh)
 		for rep := 0; rep < o.Replicas; rep++ {
-			srv := ps.NewServer(plan.ShardParams(params, sh), tables, o.Stripes, o.OuterOpt, o.OuterLR)
+			srv := ps.NewServer(plan.ShardParams(params, sh), tables, o.OuterOpt, o.OuterLR)
 			if o.CheckpointPath != "" {
 				srv.SetCheckpointPath(ReplicaCheckpointPath(o.CheckpointPath, sh, plan.NumShards, rep))
 			}

@@ -8,8 +8,8 @@
 // Worker, Trainer, checkpointing, and chaos tooling run unchanged
 // against 1 or N shards, in-process or across N sockets.
 //
-// The router fans every call out scatter-gather with bounded
-// parallelism: pulls split per shard and merge into one reply, pushes
+// The router fans every call out scatter-gather, one goroutine per
+// shard involved: pulls split per shard and merge into one reply, pushes
 // split the delta per shard before sending. Each shard endpoint keeps
 // its own retry/backoff/idempotent-push-token machinery (ps.Client), so
 // one slow or faulty shard degrades — and ultimately fails over or
@@ -35,9 +35,6 @@ import (
 
 // Options configures a Router.
 type Options struct {
-	// Parallelism bounds how many shard calls one logical operation
-	// issues concurrently (0 = one goroutine per shard).
-	Parallelism int
 	// Metrics, when non-nil, records per-shard latency/volume/failover
 	// series and the plan's imbalance gauge.
 	Metrics *Metrics
@@ -54,7 +51,6 @@ type Router struct {
 	shards [][]ps.Store // [shard][replica]
 	dead   [][]atomic.Bool
 
-	sem     chan struct{}
 	metrics *Metrics
 	tracer  *trace.Tracer
 
@@ -109,9 +105,6 @@ func New(plan ps.Plan, shards [][]ps.Store, opts Options) (*Router, error) {
 			}
 		}
 	}
-	if opts.Parallelism > 0 {
-		r.sem = make(chan struct{}, opts.Parallelism)
-	}
 	opts.Metrics.BindPlan(plan)
 	return r, nil
 }
@@ -138,15 +131,6 @@ func (r *Router) Plan() ps.Plan { return r.plan }
 // Layout implements ps.Store: workers see the global layout; the
 // partitioning is invisible to them.
 func (r *Router) Layout() ps.Layout { return r.plan.Layout }
-
-// acquire takes a fan-out slot when parallelism is bounded.
-func (r *Router) acquire() func() {
-	if r.sem == nil {
-		return func() {}
-	}
-	r.sem <- struct{}{}
-	return func() { <-r.sem }
-}
 
 // attempt runs fn against one endpoint, converting a panic — the
 // ps.Store failure mode (a ps.Client that exhausted its retries, an
@@ -234,11 +218,11 @@ func (r *Router) write(sh int, op string, fn func(ps.Store)) error {
 	return nil
 }
 
-// fanOut runs fn(sh) for every listed shard with bounded parallelism
-// and panics — the ps.Store failure mode — if any shard ran out of
-// replicas. Losing a whole shard means a slice of the model is gone;
-// continuing would silently train on a partial parameter space.
-func (r *Router) fanOut(shards []int, op string, fn func(sh int) error) {
+// fanOut runs fn(sh) for every listed shard concurrently and panics —
+// the ps.Store failure mode — if any shard ran out of replicas. Losing
+// a whole shard means a slice of the model is gone; continuing would
+// silently train on a partial parameter space.
+func (r *Router) fanOut(shards []int, fn func(sh int) error) {
 	if len(shards) == 1 { // common fast path: no goroutine needed
 		if err := fn(shards[0]); err != nil {
 			panic(err)
@@ -251,8 +235,6 @@ func (r *Router) fanOut(shards []int, op string, fn func(sh int) error) {
 		wg.Add(1)
 		go func(i, sh int) {
 			defer wg.Done()
-			release := r.acquire()
-			defer release()
 			errs[i] = fn(sh)
 		}(i, sh)
 	}
@@ -262,7 +244,6 @@ func (r *Router) fanOut(shards []int, op string, fn func(sh int) error) {
 			panic(err)
 		}
 	}
-	_ = op
 }
 
 // PullDense implements ps.Store: dense tensors are pulled from their
@@ -273,7 +254,7 @@ func (r *Router) PullDense(ctx context.Context) map[int][]float64 {
 	defer sp.End()
 
 	parts := make([]map[int][]float64, r.plan.NumShards)
-	r.fanOut(r.denseShards, "PullDense", func(sh int) error {
+	r.fanOut(r.denseShards, func(sh int) error {
 		cctx, csp := trace.Start(ctx, "cluster.shard_call",
 			trace.A("shard", sh), trace.A("op", "pull_dense"))
 		start := time.Now()
@@ -333,7 +314,7 @@ func (r *Router) PullRows(ctx context.Context, tensor int, rows []int) [][]float
 
 	out := make([][]float64, len(rows))
 	cols := r.plan.Layout.Cols[tensor]
-	r.fanOut(involved, "PullRows", func(sh int) error {
+	r.fanOut(involved, func(sh int) error {
 		lt := r.plan.LocalTensor(sh, tensor)
 		cctx, csp := trace.Start(ctx, "cluster.shard_call",
 			trace.A("shard", sh), trace.A("op", "pull_rows"), trace.A("rows", len(local[sh])))
@@ -413,7 +394,7 @@ func (r *Router) PushDelta(ctx context.Context, d ps.Delta) {
 		rowFloats += len(rows) * cols
 	}
 
-	r.fanOut(involved, "PushDelta", func(sh int) error {
+	r.fanOut(involved, func(sh int) error {
 		part := parts[sh]
 		part.WorkerID, part.Seq = d.WorkerID, d.Seq
 		cctx, csp := trace.Start(ctx, "cluster.shard_call",
@@ -466,7 +447,7 @@ func (r *Router) Snapshot() paramvec.Vector {
 		all[sh] = sh
 	}
 	ctx := context.Background()
-	r.fanOut(all, "Snapshot", func(sh int) error {
+	r.fanOut(all, func(sh int) error {
 		tensors := r.plan.ShardTensors(sh)
 		var dense map[int][]float64
 		if err := r.read(sh, "Snapshot", func(s ps.Store) { dense = s.PullDense(ctx) }); err != nil {

@@ -119,9 +119,9 @@ func TestRouterMatchesSingleServerOps(t *testing.T) {
 		}
 	}
 	tables := map[int]int{0: 0, 2: 1}
-	single := ps.NewServer(params, tables, 2, "adagrad", 0.5)
+	single := ps.NewServer(params, tables, "adagrad", 0.5)
 	plan := ps.NewPlan(ps.LayoutOf(params, tables), 3, 7)
-	local := NewLocal(params, plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.5}, Options{Parallelism: 2})
+	local := NewLocal(params, plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.5}, Options{})
 
 	ctx := context.Background()
 	rows0 := []int{5, 199, 0, 42, 7, 5} // duplicates and out-of-order on purpose

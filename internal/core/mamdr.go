@@ -203,45 +203,22 @@ func DomainNegotiationEpoch(st *State, ds *data.Dataset, cfg framework.Config, o
 // requires the shuffle, so fixed order is expected to negotiate worse —
 // BenchmarkDNOrderAblation measures the gap.
 func DomainNegotiationEpochOpt(st *State, ds *data.Dataset, cfg framework.Config, outer optim.Optimizer, rng *rand.Rand, fixedOrder bool) {
-	params := st.Model.Parameters()
-	paramvec.Restore(params, st.Shared)
-	// The epoch's dropout masks come from the epoch's RNG, not from
-	// wherever the model's stream was left: by a DR phase, whose last
-	// target on this model depends on scheduling, or by the process a
-	// resumed run did not inherit.
-	models.SeedMasks(st.Model, rng.Int63())
-
+	ctx, epochSpan := loadShared(st, ds, cfg, rng, "dn.epoch")
+	defer epochSpan.End()
 	order := rng.Perm(ds.NumDomains())
 	if fixedOrder {
 		for i := range order {
 			order[i] = i
 		}
 	}
-	ctx := cfg.Tracer.Context(context.Background())
-	ctx, epochSpan := trace.Start(ctx, "dn.epoch", trace.A("domains", ds.NumDomains()))
-	defer epochSpan.End()
-
-	rec := cfg.Telemetry.NewEpochRecorder(params, -1)
-	inner := optim.New(cfg.InnerOpt, cfg.LR)
-	// One Stepper for the epoch: its full ZeroGrad is paid here, once,
-	// and the recorder's grad-norm reads one batch's gradient after every
-	// pass.
-	step := framework.NewStepper(st.Model)
-	step.ZeroGrad()
-	for _, d := range order {
-		stepCtx, stepSpan := trace.Start(ctx, "dn.inner_step",
-			trace.A("domain", ds.Domains[d].Name))
-		rec.BeforePass()
-		loss := step.Pass(stepCtx, ds, d, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
-		stepSpan.EndWith(trace.A("loss", loss))
-		rec.AfterPassTC(d, loss, stepSpan.Context())
-	}
+	rec := framework.InnerLoopEpoch(ctx, st.Model, ds, order, optim.New(cfg.InnerOpt, cfg.LR), cfg, rng, "dn", -1, nil, nil)
 
 	// Treat -(endpoint - shared) as the outer gradient at Θ. The model
 	// holds the endpoint Θ̃_{n+1}: one loop reads it into the gradient
 	// and puts Θ back in its place. This fills every Grad buffer, tables
-	// included (nearly every row moved during the epoch), so the epoch's
-	// Stepper ends here.
+	// included (nearly every row moved during the epoch), which is why
+	// the inner loop's Stepper ended with it.
+	params := st.Model.Parameters()
 	outerStart := time.Now()
 	_, outerSpan := trace.Start(ctx, "dn.outer_step")
 	for i, p := range params {
@@ -257,29 +234,26 @@ func DomainNegotiationEpochOpt(st *State, ds *data.Dataset, cfg framework.Config
 	rec.Finish(time.Since(outerStart).Seconds())
 }
 
+// loadShared opens an epoch on the shared parameters: Θ̃_1 ← θ_S in the
+// model, the epoch's dropout stream, and the epoch's span, under which
+// the returned context runs.
+func loadShared(st *State, ds *data.Dataset, cfg framework.Config, rng *rand.Rand, span string) (context.Context, *trace.Span) {
+	paramvec.Restore(st.Model.Parameters(), st.Shared)
+	// The epoch's dropout masks come from the epoch's RNG, not from
+	// wherever the model's stream was left: by a DR phase, whose last
+	// target on this model depends on scheduling, or by the process a
+	// resumed run did not inherit.
+	models.SeedMasks(st.Model, rng.Int63())
+	return trace.Start(cfg.Tracer.Context(context.Background()), span, trace.A("domains", ds.NumDomains()))
+}
+
 // alternateEpoch trains the shared parameters with conventional
 // alternate training (the "w/o DN" ablation and the β=1 degenerate case
 // discussed in Section IV-C).
 func alternateEpoch(st *State, ds *data.Dataset, cfg framework.Config, rng *rand.Rand) {
-	params := st.Model.Parameters()
-	paramvec.Restore(params, st.Shared)
-	models.SeedMasks(st.Model, rng.Int63()) // as in the DN epoch
-	ctx := cfg.Tracer.Context(context.Background())
-	ctx, epochSpan := trace.Start(ctx, "alternate.epoch", trace.A("domains", ds.NumDomains()))
+	ctx, epochSpan := loadShared(st, ds, cfg, rng, "alternate.epoch")
 	defer epochSpan.End()
-
-	rec := cfg.Telemetry.NewEpochRecorder(params, -1)
-	inner := optim.New(cfg.InnerOpt, cfg.LR)
-	step := framework.NewStepper(st.Model)
-	step.ZeroGrad()
-	for _, d := range rng.Perm(ds.NumDomains()) {
-		stepCtx, stepSpan := trace.Start(ctx, "alternate.inner_step",
-			trace.A("domain", ds.Domains[d].Name))
-		rec.BeforePass()
-		loss := step.Pass(stepCtx, ds, d, inner, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
-		stepSpan.EndWith(trace.A("loss", loss))
-		rec.AfterPassTC(d, loss, stepSpan.Context())
-	}
-	st.Shared = paramvec.Snapshot(params)
-	rec.Finish(-1)
+	order := rng.Perm(ds.NumDomains())
+	framework.InnerLoopEpoch(ctx, st.Model, ds, order, optim.New(cfg.InnerOpt, cfg.LR), cfg, rng, "alternate", -1, nil, nil).Finish(-1)
+	st.Shared = paramvec.Snapshot(st.Model.Parameters())
 }

@@ -1,6 +1,7 @@
 package framework
 
 import (
+	"context"
 	"math/rand"
 
 	"mamdr/internal/data"
@@ -28,10 +29,12 @@ func (Alternate) Fit(m models.Model, ds *data.Dataset, cfg Config) Predictor {
 	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := optim.New(cfg.InnerOpt, cfg.LR)
+	// One inner optimizer for the whole fit, its state (Adam's moments)
+	// carried across epochs — core's epochs and the PS worker's start a
+	// fresh one every epoch.
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, d := range shuffledDomains(ds.NumDomains(), rng) {
-			TrainDomainPass(m, ds, d, opt, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
-		}
+		order := shuffledDomains(ds.NumDomains(), rng)
+		InnerLoopEpoch(context.Background(), m, ds, order, opt, cfg, rng, "alternate", -1, nil, nil).Finish(-1)
 	}
 	return NewModelPredictor(m)
 }

@@ -1,6 +1,7 @@
 package framework
 
 import (
+	"context"
 	"math/rand"
 
 	"mamdr/internal/data"
@@ -35,10 +36,8 @@ func (CDRTransfer) Fit(m models.Model, ds *data.Dataset, cfg Config) Predictor {
 	// A shared warm start: one alternate epoch so every target begins
 	// from multi-domain features (as CDR methods assume a pretrained
 	// source model).
-	warmOpt := optim.New(cfg.InnerOpt, cfg.LR)
-	for _, d := range shuffledDomains(ds.NumDomains(), rng) {
-		TrainDomainPass(m, ds, d, warmOpt, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
-	}
+	order := shuffledDomains(ds.NumDomains(), rng)
+	InnerLoopEpoch(context.Background(), m, ds, order, optim.New(cfg.InnerOpt, cfg.LR), cfg, rng, "alternate", -1, nil, nil).Finish(-1)
 	base := paramvec.Snapshot(params)
 
 	n := ds.NumDomains()

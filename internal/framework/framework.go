@@ -195,15 +195,6 @@ func NewModelPredictor(m models.Model) Predictor { return modelPredictor{m} }
 // TrainDomainPass runs mini-batch gradient steps on one domain's train
 // split: a full shuffled pass, capped at maxBatches when positive. It
 // returns the mean training loss over the consumed batches.
-func TrainDomainPass(m models.Model, ds *data.Dataset, domain int, opt optim.Optimizer, batchSize, maxBatches int, rng *rand.Rand) float64 {
-	return TrainDomainPassCtx(context.Background(), m, ds, domain, opt, batchSize, maxBatches, rng)
-}
-
-// TrainDomainPassCtx is TrainDomainPass under a trace context: when ctx
-// carries a sampled span, each mini-batch emits train.forward /
-// train.backward / train.optimizer child spans. With no span in ctx the
-// trace.Start calls are no-ops and the loop is identical to the
-// untraced path.
 //
 // It is one Stepper used for one pass. The row-restricted step relies on
 // one invariant: a declared table's Grad is zero outside the rows of the
@@ -213,12 +204,12 @@ func TrainDomainPass(m models.Model, ds *data.Dataset, domain int, opt optim.Opt
 // and Adagrad, and on return the buffers hold the last mini-batch's
 // gradient and nothing else, as they always did. Stepper's comment lists
 // who writes and who reads Grad densely and how each keeps to this.
-// Callers that run many passes back to back (a DN epoch, a DR lookahead)
-// hold a Stepper themselves and pay the entry cost once.
-func TrainDomainPassCtx(ctx context.Context, m models.Model, ds *data.Dataset, domain int, opt optim.Optimizer, batchSize, maxBatches int, rng *rand.Rand) float64 {
+// Callers that run many passes back to back (an inner-loop epoch, a DR
+// lookahead) hold a Stepper themselves and pay the entry cost once.
+func TrainDomainPass(m models.Model, ds *data.Dataset, domain int, opt optim.Optimizer, batchSize, maxBatches int, rng *rand.Rand) float64 {
 	s := NewStepper(m)
 	s.ZeroGrad()
-	return s.Pass(ctx, ds, domain, opt, batchSize, maxBatches, rng)
+	return s.Pass(context.Background(), ds, domain, opt, batchSize, maxBatches, rng)
 }
 
 // DomainGradient accumulates the gradient of the mean training loss of

@@ -52,6 +52,10 @@ type Stepper struct {
 	// have moved.
 	moved    models.RowSet
 	allMoved bool
+	// before and after, when set (InnerLoopEpoch), run around every
+	// mini-batch of Pass.
+	before func(context.Context, *data.Batch)
+	after  func(context.Context)
 }
 
 // NewStepper prepares train steps on m.
@@ -148,9 +152,47 @@ func (s *Stepper) Pass(ctx context.Context, ds *data.Dataset, domain int, opt op
 	}
 	var total float64
 	for _, b := range batches {
+		if s.before != nil {
+			s.before(ctx, b)
+		}
 		total += s.Step(ctx, b, opt)
+		if s.after != nil {
+			s.after(ctx)
+		}
 	}
 	return total / float64(len(batches))
+}
+
+// InnerLoopEpoch is Algorithm 1's inner loop — "for each domain in random
+// order, update Θ̃ on T_i" — written once: core's DN and alternate epochs,
+// the PS worker's epoch, Alternate.Fit and CDRTransfer's warm start all
+// run it. It trains m on the domains of order in turn, one Pass each with
+// opt, on one Stepper whose one ZeroGrad it pays on entry (so the
+// recorder's grad-norm reads one batch's gradient after every pass); each
+// pass runs under a "<span>.inner_step" span of ctx and is recorded in
+// cfg.Telemetry, tagged with worker (-1 outside the PS trainer). What is
+// seeded — the parameters m holds, its dropout stream, the order — the
+// caller sets up first, and the caller closes the epoch: Finish on the
+// returned recorder, once its outer step, if it has one, is timed. before
+// and after, when non-nil, run around every mini-batch under the pass's
+// span.
+func InnerLoopEpoch(ctx context.Context, m models.Model, ds *data.Dataset, order []int, opt optim.Optimizer, cfg Config, rng *rand.Rand, span string, worker int, before func(context.Context, *data.Batch), after func(context.Context)) *EpochRecorder {
+	rec := cfg.Telemetry.NewEpochRecorder(m.Parameters(), worker)
+	step := NewStepper(m)
+	step.before, step.after = before, after
+	step.ZeroGrad()
+	for _, d := range order {
+		attrs := []trace.Attr{trace.A("domain", ds.Domains[d].Name)}
+		if worker >= 0 {
+			attrs = append(attrs, trace.A("worker", worker))
+		}
+		passCtx, passSpan := trace.Start(ctx, span+".inner_step", attrs...)
+		rec.BeforePass()
+		loss := step.Pass(passCtx, ds, d, opt, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
+		passSpan.EndWith(trace.A("loss", loss))
+		rec.AfterPassTC(d, loss, passSpan.Context())
+	}
+	return rec
 }
 
 // ResetMoved starts a report of which table rows the steps from here on

@@ -3,6 +3,7 @@ package framework
 import (
 	"context"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -166,5 +167,71 @@ func TestStepperSurvivesOptimizerSwitch(t *testing.T) {
 			!vectorsBitEqual(paramvec.SnapshotGrads(rowModel.Parameters()), paramvec.SnapshotGrads(denseModel.Parameters())) {
 			t.Fatalf("step %d: parameters or gradient buffers differ from the dense loop after an optimizer switch", i)
 		}
+	}
+}
+
+// TestAlternateFitMatchesReferenceSpelling: Alternate.Fit through the
+// shared inner loop lands, float for float, where the loop it replaced
+// does — per epoch one rng.Perm, then one TrainDomainPass (a fresh
+// Stepper and a full ZeroGrad) per domain, on one optimizer kept across
+// epochs. The old spelling lives on here as the reference. Dropout is on
+// so a mask drawn out of turn would show.
+func TestAlternateFitMatchesReferenceSpelling(t *testing.T) {
+	ds := testDataset(t)
+	build := func() models.Model {
+		return models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{16, 8}, Dropout: 0.2, Seed: 5})
+	}
+	for _, inner := range []string{"adam", "sgd"} {
+		cfg := Config{Epochs: 4, BatchSize: 16, InnerOpt: inner, LR: 0.05, MaxBatchesPerDomain: 5, Seed: 3}.WithDefaults()
+
+		want := build()
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		opt := optim.New(cfg.InnerOpt, cfg.LR)
+		for epoch := 0; epoch < cfg.Epochs; epoch++ {
+			for _, d := range rng.Perm(ds.NumDomains()) {
+				TrainDomainPass(want, ds, d, opt, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
+			}
+		}
+
+		got := build()
+		Alternate{}.Fit(got, ds, cfg)
+		if !vectorsBitEqual(paramvec.Snapshot(want.Parameters()), paramvec.Snapshot(got.Parameters())) {
+			t.Fatalf("%s: Alternate.Fit differs from one TrainDomainPass per domain on a persistent optimizer", inner)
+		}
+	}
+}
+
+// TestInnerLoopEpochHooksRunAroundEveryBatch: before sees each batch of
+// each pass, in order, ahead of its step; after follows the step; and a
+// loop with hooks trains exactly as one without.
+func TestInnerLoopEpochHooksRunAroundEveryBatch(t *testing.T) {
+	ds := testDataset(t)
+	cfg := Config{BatchSize: 16, MaxBatchesPerDomain: 3}
+	order := []int{2, 0, 1}
+	bare, hooked := testModel(t, ds), testModel(t, ds)
+	ctx := context.Background()
+	InnerLoopEpoch(ctx, bare, ds, order, optim.NewSGD(0.1), cfg, rand.New(rand.NewSource(4)), "test", -1, nil, nil)
+
+	var trace []int // a batch's domain at before, -1 at after
+	stepped := paramvec.Snapshot(hooked.Parameters())
+	InnerLoopEpoch(ctx, hooked, ds, order, optim.NewSGD(0.1), cfg, rand.New(rand.NewSource(4)), "test", -1,
+		func(_ context.Context, b *data.Batch) {
+			if !vectorsBitEqual(stepped, paramvec.Snapshot(hooked.Parameters())) {
+				t.Error("before ran after its batch's step")
+			}
+			trace = append(trace, b.Domain)
+		},
+		func(context.Context) {
+			if vectorsBitEqual(stepped, paramvec.Snapshot(hooked.Parameters())) {
+				t.Error("after ran ahead of its batch's step")
+			}
+			stepped = paramvec.Snapshot(hooked.Parameters())
+			trace = append(trace, -1)
+		})
+	if want := []int{2, -1, 2, -1, 2, -1, 0, -1, 0, -1, 0, -1, 1, -1, 1, -1, 1, -1}; !slices.Equal(trace, want) {
+		t.Fatalf("hooks ran as %v, want %v", trace, want)
+	}
+	if !vectorsBitEqual(paramvec.Snapshot(bare.Parameters()), paramvec.Snapshot(hooked.Parameters())) {
+		t.Fatal("hooks changed what the loop trains")
 	}
 }

@@ -149,16 +149,11 @@ func (r *EpochRecorder) BeforePass() {
 	r.prev = paramvec.Snapshot(r.params)
 }
 
-// AfterPass records the finished pass: loss and last-batch gradient
+// AfterPassTC records the finished pass: loss and last-batch gradient
 // norm gauges, inner-step timing, and the parameter delta the pass
-// produced (for the conflict histogram).
-func (r *EpochRecorder) AfterPass(domain int, loss float64) {
-	r.AfterPassTC(domain, loss, trace.TraceContext{})
-}
-
-// AfterPassTC is AfterPass carrying the trace context of the span that
-// produced the pass, so an anomaly raised by the loss watcher (NaN,
-// z-score spike) can point straight at the offending span in the
+// produced (for the conflict histogram). tc is the trace context of the
+// span that produced the pass, so an anomaly raised by the loss watcher
+// (NaN, z-score spike) can point straight at the offending span in the
 // flight-recorder dump.
 //
 // The grad-norm is read over every Grad entry, so the pass must have run

@@ -66,7 +66,7 @@ func TestChaosDeterminismOverRPC(t *testing.T) {
 	// through its own freshly dialed client armed with a seeded fault
 	// injector and a tight retry policy.
 	serving := factory()
-	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 2, "adagrad", 0.1)
+	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "adagrad", 0.1)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestChaosDeterminismOverRPC(t *testing.T) {
 // when the replays race each other.
 func TestDuplicatePushAppliedExactlyOnce(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(2, 2)}
-	s := NewServer(params, nil, 1, "sgd", 1)
+	s := NewServer(params, nil, "sgd", 1)
 	reg := telemetry.New()
 	s.SetMetrics(NewMetrics(reg))
 

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 
-	"mamdr/internal/autograd"
 	"mamdr/internal/core"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
@@ -14,7 +12,7 @@ import (
 
 // CheckpointStore is the optional capability the trainer uses for
 // epoch-boundary checkpointing: the store persists its full state
-// (parameters, per-shard outer-optimizer state, epoch cursor) to its
+// (parameters, outer-optimizer state, epoch cursor) to its
 // own configured location. The in-process Server and the RPC Client
 // both implement it; over RPC the snapshot lands on the server's disk,
 // which is what survives a worker-side crash.
@@ -30,8 +28,10 @@ type CheckpointStore interface {
 var _ CheckpointStore = (*Server)(nil)
 
 // serverCheckpoint is the gob payload of a PS checkpoint: every managed
-// tensor's values plus each shard's outer-optimizer state, aligned with
-// the shard's tensors in ascending tensor-index order.
+// tensor's values plus the outer optimizer's state, aligned with the
+// tensors in index order. Shards holds that one state: a slice because
+// servers once kept an optimizer per lock stripe, and every file a
+// one-stripe server wrote — every cluster run's — has this shape.
 type serverCheckpoint struct {
 	Params paramvec.Vector
 	Shards []optim.State
@@ -42,42 +42,21 @@ type serverCheckpoint struct {
 // persist the server's snapshot. Set before serving traffic.
 func (s *Server) SetCheckpointPath(path string) { s.ckptPath = path }
 
-// shardParams returns shard sh's tensors in ascending tensor-index
-// order — the stable ordering optimizer state is serialized against.
-func (s *Server) shardParams(sh int) []*autograd.Tensor {
-	var idx []int
-	for t := range s.shards[sh].data {
-		idx = append(idx, t)
-	}
-	sort.Ints(idx)
-	out := make([]*autograd.Tensor, len(idx))
-	for i, t := range idx {
-		out[i] = s.shards[sh].data[t]
-	}
-	return out
-}
-
 // SaveCheckpoint implements CheckpointStore: it writes the server's
-// parameters, per-shard optimizer state, and the completed-epoch cursor
-// to the configured path crash-safely (temp file + fsync + rename,
-// CRC-guarded envelope). Shards are locked one at a time, so a snapshot
-// taken at an epoch boundary — when no pushes are in flight — is
-// globally consistent.
+// parameters, optimizer state, and the completed-epoch cursor to the
+// configured path crash-safely (temp file + fsync + rename, CRC-guarded
+// envelope), all three read under one hold of the lock.
 func (s *Server) SaveCheckpoint(epoch int) error {
 	if s.ckptPath == "" {
 		return errors.New("ps: no checkpoint path configured on the server")
 	}
-	ck := serverCheckpoint{Params: s.Snapshot(), Epoch: epoch}
-	for sh := range s.shards {
-		params := s.shardParams(sh)
-		s.shards[sh].mu.Lock()
-		if st, ok := s.shards[sh].opt.(optim.Stateful); ok {
-			ck.Shards = append(ck.Shards, st.CaptureState(params))
-		} else {
-			ck.Shards = append(ck.Shards, optim.State{})
-		}
-		s.shards[sh].mu.Unlock()
+	ck := serverCheckpoint{Shards: []optim.State{{}}, Epoch: epoch}
+	s.mu.Lock()
+	ck.Params = paramvec.Snapshot(s.data)
+	if st, ok := s.opt.(optim.Stateful); ok {
+		ck.Shards[0] = st.CaptureState(s.data)
 	}
+	s.mu.Unlock()
 	return core.SaveGob(s.ckptPath, ck)
 }
 
@@ -100,33 +79,26 @@ func (s *Server) LoadCheckpoint() (int, error) {
 	if len(ck.Params) != s.layout.NumTensors() {
 		return 0, fmt.Errorf("ps: checkpoint has %d tensors, server manages %d", len(ck.Params), s.layout.NumTensors())
 	}
-	if len(ck.Shards) != len(s.shards) {
-		return 0, fmt.Errorf("ps: checkpoint has %d shards, server has %d", len(ck.Shards), len(s.shards))
+	// More than one optimizer state is a file written at 2+ lock
+	// stripes, whose states cover interleaved subsets of the tensors.
+	if len(ck.Shards) != 1 {
+		return 0, fmt.Errorf("ps: checkpoint has %d shards, server has 1", len(ck.Shards))
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for t, vals := range ck.Params {
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		if len(sh.data[t].Data) != len(vals) {
-			sh.mu.Unlock()
-			return 0, fmt.Errorf("ps: checkpoint tensor %d has %d values, server tensor has %d", t, len(vals), len(sh.data[t].Data))
+		if len(s.data[t].Data) != len(vals) {
+			return 0, fmt.Errorf("ps: checkpoint tensor %d has %d values, server tensor has %d", t, len(vals), len(s.data[t].Data))
 		}
-		copy(sh.data[t].Data, vals)
-		sh.mu.Unlock()
 	}
-	for sh := range s.shards {
-		if ck.Shards[sh].Empty() {
-			continue
-		}
-		st, ok := s.shards[sh].opt.(optim.Stateful)
+	paramvec.Restore(s.data, ck.Params)
+	if !ck.Shards[0].Empty() {
+		st, ok := s.opt.(optim.Stateful)
 		if !ok {
-			return 0, fmt.Errorf("ps: checkpoint carries %q optimizer state for shard %d but the outer optimizer cannot restore state", ck.Shards[sh].Name, sh)
+			return 0, fmt.Errorf("ps: checkpoint carries %q optimizer state but the outer optimizer cannot restore state", ck.Shards[0].Name)
 		}
-		params := s.shardParams(sh)
-		s.shards[sh].mu.Lock()
-		err := st.RestoreState(params, ck.Shards[sh])
-		s.shards[sh].mu.Unlock()
-		if err != nil {
-			return 0, fmt.Errorf("ps: restore shard %d optimizer: %w", sh, err)
+		if err := st.RestoreState(s.data, ck.Shards[0]); err != nil {
+			return 0, fmt.Errorf("ps: restore outer optimizer: %w", err)
 		}
 	}
 	s.seqMu.Lock()

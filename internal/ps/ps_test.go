@@ -133,7 +133,7 @@ func TestServerPullDenseExcludesEmbeddings(t *testing.T) {
 		autograd.ParamZeros(500, 4),
 		autograd.Param(2, 2, []float64{1, 2, 3, 4}),
 	}
-	s := NewServer(params, map[int]int{0: 0}, 2, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 	dense := s.PullDense(context.Background())
 	if _, has := dense[0]; has {
 		t.Fatal("embedding tensor returned by PullDense")
@@ -145,7 +145,7 @@ func TestServerPullDenseExcludesEmbeddings(t *testing.T) {
 
 func TestServerPullRowsLatestValues(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 2)}
-	s := NewServer(params, map[int]int{0: 0}, 1, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 	s.PushDelta(context.Background(), Delta{
 		Rows:      map[int][]int{0: {7}},
 		RowDeltas: map[int][][]float64{0: {{1.5, -2}}},
@@ -160,7 +160,7 @@ func TestServerPullRowsLatestValues(t *testing.T) {
 }
 
 func TestServerPullRowsOnDensePanics(t *testing.T) {
-	s := NewServer([]*autograd.Tensor{autograd.ParamZeros(2, 2)}, nil, 1, "sgd", 1)
+	s := NewServer([]*autograd.Tensor{autograd.ParamZeros(2, 2)}, nil, "sgd", 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -171,7 +171,7 @@ func TestServerPullRowsOnDensePanics(t *testing.T) {
 
 func TestServerOuterUpdateAppliesBeta(t *testing.T) {
 	params := []*autograd.Tensor{autograd.Param(1, 2, []float64{0, 0})}
-	s := NewServer(params, nil, 1, "sgd", 0.5)
+	s := NewServer(params, nil, "sgd", 0.5)
 	s.PushDelta(context.Background(), Delta{Dense: map[int][]float64{0: {2, -4}}})
 	snap := s.Snapshot()
 	// Eq. 3: θ += β * delta = 0.5 * [2, -4].
@@ -182,7 +182,7 @@ func TestServerOuterUpdateAppliesBeta(t *testing.T) {
 
 func TestServerAdagradStatePersistsAcrossPushes(t *testing.T) {
 	params := []*autograd.Tensor{autograd.Param(1, 1, []float64{0})}
-	s := NewServer(params, nil, 1, "adagrad", 1)
+	s := NewServer(params, nil, "adagrad", 1)
 	s.PushDelta(context.Background(), Delta{Dense: map[int][]float64{0: {1}}})
 	v1 := s.Snapshot()[0][0]
 	s.PushDelta(context.Background(), Delta{Dense: map[int][]float64{0: {1}}})
@@ -194,7 +194,7 @@ func TestServerAdagradStatePersistsAcrossPushes(t *testing.T) {
 
 func TestCountersTally(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 2), autograd.ParamZeros(1, 3)}
-	s := NewServer(params, map[int]int{0: 0}, 1, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 	s.PullDense(context.Background())
 	s.PullRows(context.Background(), 0, []int{1, 2, 3})
 	s.PushDelta(context.Background(), Delta{Dense: map[int][]float64{1: {0, 0, 0}}})
@@ -209,7 +209,7 @@ func TestCountersTally(t *testing.T) {
 
 func TestDensePushCounterIgnoresRowOnlyAndEmptyPushes(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 2), autograd.ParamZeros(1, 3)}
-	s := NewServer(params, map[int]int{0: 0}, 1, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 
 	// A push carrying only embedding rows must not count as a dense push.
 	s.PushDelta(context.Background(), Delta{
@@ -297,7 +297,7 @@ func TestWorkerCountCappedByDomains(t *testing.T) {
 
 func TestConcurrentPushesAreSafe(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(200, 4), autograd.ParamZeros(4, 4)}
-	s := NewServer(params, map[int]int{0: 0}, 2, "sgd", 0.1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 0.1)
 	done := make(chan struct{})
 	for w := 0; w < 8; w++ {
 		go func(w int) {
@@ -330,7 +330,7 @@ func TestRPCTransportEndToEnd(t *testing.T) {
 	// Adagrad's first steps move each coordinate by the full learning
 	// rate regardless of delta magnitude, so the outer rate stays at the
 	// low end of the paper's industrial range [0.1, 1].
-	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 2, "adagrad", 0.1)
+	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "adagrad", 0.1)
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -420,7 +420,7 @@ func TestWideMLPSyncsAllTensors(t *testing.T) {
 func TestWorkerLayoutMismatchPanics(t *testing.T) {
 	ds := testDataset(t)
 	serving := replicaFactory(ds)()
-	store := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 1, "sgd", 0.5)
+	store := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "sgd", 0.5)
 
 	// A structurally different replica (wider hidden layers).
 	other := models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{24, 8}, Seed: 5})

@@ -83,7 +83,7 @@ func TestBackoffWaitAbortsMidSleep(t *testing.T) {
 // the retries idempotent).
 func TestConcurrentRetryingClients(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 4), autograd.ParamZeros(4, 4)}
-	server := NewServer(params, map[int]int{0: 0}, 2, "sgd", 0.1)
+	server := NewServer(params, map[int]int{0: 0}, "sgd", 0.1)
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

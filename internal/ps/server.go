@@ -163,15 +163,20 @@ type Delta struct {
 	Seq      int64
 }
 
-// Server is the in-process parameter server. Tensors are partitioned
-// into shards, each guarded by its own mutex, so pushes from different
-// workers proceed concurrently exactly as in a multi-machine PS
-// deployment (the paper uses 40 parameter servers).
+// Server is the in-process parameter server: the managed tensors, one
+// mutex and one outer optimizer. Concurrency across parameters comes
+// from running several servers, each over its Plan shard, exactly as in
+// a multi-machine PS deployment (the paper uses 40 parameter servers).
 type Server struct {
 	layout Layout
-	shards []*shard
-	// shardOf[t] locates tensor t's shard.
-	shardOf []int
+
+	// mu guards data's values and opt. data holds each tensor as a
+	// persistent autograd parameter so the outer optimizer's per-tensor
+	// state (Adagrad accumulators, Adam moments) survives across pushes.
+	mu   sync.Mutex
+	data []*autograd.Tensor
+	opt  optim.Optimizer
+	lr   float64 // outer learning rate β
 
 	counters struct {
 		densePulls, densePushes, rowPulls, rowPushes, floats int64
@@ -187,7 +192,7 @@ type Server struct {
 
 	// seqMu guards lastSeq, the per-worker last-applied push sequence
 	// that makes retried pushes idempotent (duplicates are discarded
-	// before touching any shard).
+	// before touching any tensor).
 	seqMu   sync.Mutex
 	lastSeq map[int]int64
 
@@ -213,48 +218,27 @@ func (s *Server) SetTracer(t *trace.Tracer) { s.tracer = t }
 // Tracer returns the attached tracer (nil when untraced).
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-type shard struct {
-	mu sync.Mutex
-	// data holds each tensor as a persistent autograd parameter so the
-	// outer optimizer's per-tensor state (Adagrad accumulators, Adam
-	// moments) survives across pushes.
-	data map[int]*autograd.Tensor
-	opt  optim.Optimizer
-	lr   float64 // outer learning rate β
-}
-
-// NewServer builds a server over the given initial parameters, sharded
-// numShards ways. tables is the explicit embedding classification
-// (parameter index -> schema field; models.EmbeddingTablesOf supplies
-// it — nil means everything syncs densely). outerOpt ("sgd", "adagrad",
-// "adam") with learning rate beta performs the outer update of Eq. 3.
-// NewServer panics if the resulting layout fails Validate — a tensor
-// unreachable by both sync paths is a silent-desync bug, not a
-// recoverable condition.
-func NewServer(params []*autograd.Tensor, tables map[int]int, numShards int, outerOpt string, beta float64) *Server {
-	if numShards < 1 {
-		numShards = 1
-	}
+// NewServer builds a server over the given initial parameters. tables is
+// the explicit embedding classification (parameter index -> schema
+// field; models.EmbeddingTablesOf supplies it — nil means everything
+// syncs densely). outerOpt ("sgd", "adagrad", "adam") with learning rate
+// beta performs the outer update of Eq. 3. NewServer panics if the
+// resulting layout fails Validate — a tensor unreachable by both sync
+// paths is a silent-desync bug, not a recoverable condition.
+func NewServer(params []*autograd.Tensor, tables map[int]int, outerOpt string, beta float64) *Server {
 	layout := LayoutOf(params, tables)
 	if err := layout.Validate(-1); err != nil {
 		panic(err)
 	}
 	s := &Server{
 		layout:  layout,
-		shardOf: make([]int, len(params)),
+		data:    make([]*autograd.Tensor, len(params)),
+		opt:     optim.New(outerOpt, beta),
+		lr:      beta,
 		lastSeq: map[int]int64{},
 	}
-	for i := 0; i < numShards; i++ {
-		s.shards = append(s.shards, &shard{
-			data: map[int]*autograd.Tensor{},
-			opt:  optim.New(outerOpt, beta),
-			lr:   beta,
-		})
-	}
 	for i, p := range params {
-		sh := i % numShards
-		s.shardOf[i] = sh
-		s.shards[sh].data[i] = autograd.Param(p.Rows, p.Cols, append([]float64(nil), p.Data...))
+		s.data[i] = autograd.Param(p.Rows, p.Cols, append([]float64(nil), p.Data...))
 	}
 	return s
 }
@@ -267,17 +251,15 @@ func (s *Server) PullDense(ctx context.Context) map[int][]float64 {
 	_, sp := trace.Start(ctx, "ps.pull_dense")
 	out := map[int][]float64{}
 	var floats int
-	for t := 0; t < s.layout.NumTensors(); t++ {
-		if s.layout.Embedding[t] {
-			continue
+	s.mu.Lock()
+	for t, p := range s.data {
+		if !s.layout.Embedding[t] {
+			out[t] = append([]float64(nil), p.Data...)
+			floats += len(p.Data)
 		}
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		out[t] = append([]float64(nil), sh.data[t].Data...)
-		sh.mu.Unlock()
-		atomic.AddInt64(&s.counters.floats, int64(len(out[t])))
-		floats += len(out[t])
 	}
+	s.mu.Unlock()
+	atomic.AddInt64(&s.counters.floats, int64(floats))
 	atomic.AddInt64(&s.counters.densePulls, 1)
 	s.metrics.observeDensePull(floats)
 	sp.EndWith(trace.A("floats", floats))
@@ -292,21 +274,20 @@ func (s *Server) PullRows(ctx context.Context, tensor int, rows []int) [][]float
 	_, sp := trace.Start(ctx, "ps.pull_rows", trace.A("tensor", tensor), trace.A("rows", len(rows)))
 	defer sp.End()
 	cols := s.layout.Cols[tensor]
-	sh := s.shards[s.shardOf[tensor]]
 	out := make([][]float64, len(rows))
-	sh.mu.Lock()
-	table := sh.data[tensor].Data
+	s.mu.Lock()
+	table := s.data[tensor].Data
 	for i, r := range rows {
 		out[i] = append([]float64(nil), table[r*cols:(r+1)*cols]...)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	atomic.AddInt64(&s.counters.rowPulls, int64(len(rows)))
 	atomic.AddInt64(&s.counters.floats, int64(len(rows)*cols))
 	s.metrics.observeRowPull(tensor, len(rows), len(rows)*cols)
 	return out
 }
 
-// PushDelta implements Store. Dense tensors go through the shard's outer
+// PushDelta implements Store. Dense tensors go through the outer
 // optimizer (gradient = -delta); embedding rows are updated with plain
 // SGD at the outer learning rate, the standard choice for sparse slots.
 // DensePushes counts only pushes that actually carry dense deltas, so
@@ -341,32 +322,30 @@ func (s *Server) PushDelta(ctx context.Context, d Delta) {
 	// reproducible.
 	for _, t := range sortedKeys(d.Dense) {
 		delta := d.Dense[t]
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		tensor := sh.data[t]
+		s.mu.Lock()
+		tensor := s.data[t]
 		// Every entry of the server's own tensor is written, then
 		// stepped densely: these buffers never meet a train step.
 		for i, v := range delta {
 			tensor.Grad[i] = -v
 		}
-		sh.opt.Step([]*autograd.Tensor{tensor})
-		sh.mu.Unlock()
+		s.opt.Step([]*autograd.Tensor{tensor})
+		s.mu.Unlock()
 		atomic.AddInt64(&s.counters.floats, int64(len(delta)))
 		s.metrics.observeDenseFloats(len(delta))
 	}
 	for _, t := range sortedKeys(d.Rows) {
 		rows := d.Rows[t]
 		cols := s.layout.Cols[t]
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		table := sh.data[t].Data
+		s.mu.Lock()
+		table := s.data[t].Data
 		for i, r := range rows {
 			dst := table[r*cols : (r+1)*cols]
 			for j, v := range d.RowDeltas[t][i] {
-				dst[j] += sh.lr * v
+				dst[j] += s.lr * v
 			}
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		atomic.AddInt64(&s.counters.rowPushes, int64(len(rows)))
 		atomic.AddInt64(&s.counters.floats, int64(len(rows)*cols))
 		s.metrics.observeRowPush(t, len(rows), len(rows)*cols)
@@ -398,12 +377,7 @@ func (s *Server) Counters() Counters {
 // Snapshot returns the server's current full parameter state aligned
 // with the original parameter list (used to evaluate the trained model).
 func (s *Server) Snapshot() paramvec.Vector {
-	out := make(paramvec.Vector, s.layout.NumTensors())
-	for t := 0; t < s.layout.NumTensors(); t++ {
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		out[t] = append([]float64(nil), sh.data[t].Data...)
-		sh.mu.Unlock()
-	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return paramvec.Snapshot(s.data)
 }

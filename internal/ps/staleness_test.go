@@ -104,7 +104,7 @@ func TestTrainingToleratesStaleReads(t *testing.T) {
 	ds := testDataset(t)
 	factory := replicaFactory(ds)
 	serving := factory()
-	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 2, "sgd", 0.5)
+	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "sgd", 0.5)
 	store := newStaleStore(server, 3)
 
 	res := TrainWithStore(factory, serving, store, store, ds, Options{
@@ -121,7 +121,7 @@ func TestTrainingToleratesStaleReads(t *testing.T) {
 func TestStaleStoreActuallyLags(t *testing.T) {
 	ds := testDataset(t)
 	serving := replicaFactory(ds)()
-	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 1, "sgd", 1)
+	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "sgd", 1)
 	store := newStaleStore(server, 2)
 
 	// Find a dense tensor index.

@@ -20,7 +20,7 @@ import (
 // totals must be exact.
 func TestCountersRaceSafe(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(200, 4), autograd.ParamZeros(4, 4)}
-	s := NewServer(params, map[int]int{0: 0}, 2, "sgd", 0.1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 0.1)
 	s.SetMetrics(NewMetrics(telemetry.New()))
 
 	const writers, iters = 8, 200
@@ -79,7 +79,7 @@ func TestCountersRaceSafe(t *testing.T) {
 func TestServerMetricsMirrorCounters(t *testing.T) {
 	reg := telemetry.New()
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 2), autograd.ParamZeros(1, 3)}
-	s := NewServer(params, map[int]int{0: 0}, 1, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 	s.SetMetrics(NewMetrics(reg))
 
 	s.PullDense(context.Background())

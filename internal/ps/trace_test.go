@@ -23,7 +23,7 @@ func TestRPCTracePropagation(t *testing.T) {
 	ds := testDataset(t)
 	factory := replicaFactory(ds)
 	serving := factory()
-	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 2, "adagrad", 0.1)
+	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "adagrad", 0.1)
 
 	serverTracer := trace.New(trace.Options{Sample: 1, FlightSize: -1})
 	serverSpans := trace.NewCollector(0)

@@ -22,7 +22,8 @@ type Options struct {
 	// uses 400; benchmarks here use a handful).
 	Workers int
 	// Shards is the number of parameter-server shards (the paper's 40
-	// parameter servers).
+	// parameter servers) for whoever builds the store to plan
+	// (NewPlan); the trainer itself only sees the Store.
 	Shards int
 	// CacheEnabled toggles the embedding PS-Worker cache of §IV-E.
 	CacheEnabled bool
@@ -96,9 +97,6 @@ func (o Options) WithDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 4
 	}
-	if o.Shards == 0 {
-		o.Shards = 4
-	}
 	if o.OuterOpt == "" {
 		o.OuterOpt = "sgd"
 	}
@@ -141,19 +139,20 @@ type Result struct {
 	ResumedFrom int
 }
 
-// Train runs distributed MAMDR: a parameter server initialized from one
-// replica, Workers concurrent workers running DN inner loops over
-// disjoint domain partitions with asynchronous pushes, and (optionally)
-// a Domain Regularization phase for the specific parameters. replica
-// must return structurally identical models (same Config including
-// Seed); one replica is built per worker plus one for serving.
+// Train runs distributed MAMDR: one in-process parameter server
+// initialized from one replica, Workers concurrent workers running DN
+// inner loops over disjoint domain partitions with asynchronous pushes,
+// and (optionally) a Domain Regularization phase for the specific
+// parameters. replica must return structurally identical models (same
+// Config including Seed); one replica is built per worker plus one for
+// serving.
 func Train(replica func() models.Model, ds *data.Dataset, opts Options) *Result {
 	opts = opts.WithDefaults()
 	serving := replica()
 	// The model declares which of its tensors are embedding tables;
 	// everything else synchronizes densely. No row-count guessing.
 	tables := models.EmbeddingTablesOf(serving)
-	server := NewServer(serving.Parameters(), tables, opts.Shards, opts.OuterOpt, opts.OuterLR)
+	server := NewServer(serving.Parameters(), tables, opts.OuterOpt, opts.OuterLR)
 	server.SetMetrics(opts.Metrics)
 	server.SetTracer(opts.Tracer)
 	if opts.CheckpointPath != "" {
@@ -334,10 +333,9 @@ func runSupervisedEpoch(sup []*supervisedWorker, epoch int, opts Options) []deat
 			// resumed or redistributed run replays epoch k's shuffles and
 			// dropout masks without having run epochs 0..k-1.
 			rng := core.EpochRNG(opts.Seed+int64(i), epoch)
-			if opts.SyncPush {
-				s.w.TrainEpoch(ctx, rng)
-			} else {
-				s.w.RunEpochCtx(ctx, rng)
+			s.w.TrainEpoch(ctx, rng)
+			if !opts.SyncPush {
+				s.w.PushEpoch(ctx)
 			}
 		}(i, s)
 	}

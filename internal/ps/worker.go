@@ -70,23 +70,26 @@ type Worker struct {
 	// pushSeq numbers this worker's pushes (1-based); together with ID
 	// it forms the Delta idempotency token that makes retries safe.
 	pushSeq int64
-	// pending holds the epoch's delta between TrainEpoch and PushEpoch
-	// in the trainer's deterministic synchronous-push mode.
+	// pending holds the epoch's delta between TrainEpoch and PushEpoch.
 	pending *Delta
-	// static holds the epoch-start values: full tensors for dense
-	// parameters, and per-row values for embedding rows as they are
-	// first pulled.
+	// staticDense is the static cache: the dense tensors as pulled at
+	// epoch start. cached is the dynamic cache, tensor → row → the row
+	// as it was pulled; the model tensor itself stores the row's updated
+	// value. pullDense starts both.
 	staticDense map[int][]float64
-	staticRows  map[int]map[int][]float64
-	// dynamicRows marks embedding rows currently held in the dynamic
-	// cache (the model tensor itself stores their updated values).
-	dynamicRows map[int]map[int]bool
-	// batchClock counts local mini-batches this epoch; rowPulledAt
-	// remembers the clock at each row's last PS pull, so pushDelta can
-	// report how stale the cached row grew (tracked only when Metrics
-	// is attached).
-	batchClock  int
-	rowPulledAt map[int]map[int]int
+	cached      map[int]map[int]cachedRow
+	// batchClock counts local mini-batches this epoch.
+	batchClock int
+}
+
+// cachedRow is one embedding row of the dynamic cache.
+type cachedRow struct {
+	// static is the row's value at its pull, what its delta is taken
+	// against.
+	static []float64
+	// pulledAt is batchClock at the pull, so buildDelta can report how
+	// stale the cached row grew.
+	pulledAt int
 }
 
 // NewWorker builds a worker over a model replica. It panics if the
@@ -143,33 +146,64 @@ func (a *WorkerAbort) Error() string {
 	return fmt.Sprintf("ps: worker %d aborted: %s", a.ID, a.Reason)
 }
 
-// RunEpoch executes one DN inner loop over the worker's domains and
-// pushes the outer-loop delta to the parameter server.
-func (w *Worker) RunEpoch(rng *rand.Rand) {
-	w.RunEpochCtx(context.Background(), rng)
-}
-
-// RunEpochCtx is RunEpoch under a supervisor's context: the worker
-// checks ctx between mini-batches and panics with *WorkerAbort once it
-// is cancelled, so a hung or condemned worker stops at the next batch
-// boundary instead of finishing the epoch.
-func (w *Worker) RunEpochCtx(ctx context.Context, rng *rand.Rand) {
-	w.runEpoch(ctx, rng, false)
-}
-
-// TrainEpoch runs the inner loops but defers the outer push: the
-// epoch's delta is computed against the epoch-start state and parked
+// TrainEpoch executes one DN inner loop over the worker's domains under
+// a supervisor's context — it checks ctx between mini-batches and panics
+// with *WorkerAbort once it is cancelled, so a hung or condemned worker
+// stops at the next batch boundary instead of finishing the epoch — and
+// parks the outer-loop delta, computed against the epoch-start state,
 // until PushEpoch. The trainer's deterministic mode runs all workers'
 // TrainEpochs concurrently (every worker reads the same epoch-start
 // parameters, since nobody pushes) and then applies PushEpoch serially
 // in worker-id order, which makes distributed training bit-reproducible
-// under a fixed seed. Requires the PS-Worker cache: without it the
-// worker pushes mid-epoch by design.
+// under a fixed seed; its asynchronous mode calls the two back to back.
+// Without the PS-Worker cache the worker pushes mid-epoch by design and
+// parks nothing.
 func (w *Worker) TrainEpoch(ctx context.Context, rng *rand.Rand) {
-	if !w.CacheEnabled {
-		panic(fmt.Sprintf("ps: worker %d: TrainEpoch requires CacheEnabled (deferred pushes)", w.ID))
+	ctx = w.Tracer.Context(ctx)
+	ctx, epochSpan := trace.Start(ctx, "worker.epoch", trace.A("worker", w.ID))
+	defer epochSpan.End()
+
+	w.pullDense(ctx)
+	w.batchClock = 0
+	// The epoch's dropout masks come from the epoch's RNG, first draw, as
+	// in core.DomainNegotiationEpoch — not from wherever the replica's
+	// stream was left by earlier epochs a resumed run never ran.
+	models.SeedMasks(w.Model, rng.Int63())
+	order := rng.Perm(len(w.Domains))
+	for i, di := range order {
+		order[i] = w.Domains[di]
 	}
-	w.runEpoch(ctx, rng, true)
+	cfg := framework.Config{BatchSize: w.BatchSize, MaxBatchesPerDomain: w.MaxBatchesPerDomain, Telemetry: w.Telemetry}
+	// The same inner loop as the single-process trainer: under SGD and
+	// Adagrad its steps clear and step only the rows the batch gathers,
+	// which are the rows the cache has just resolved.
+	rec := framework.InnerLoopEpoch(ctx, w.Model, w.Dataset, order, optim.New(w.InnerOpt, w.InnerLR), cfg, rng, "worker", w.ID,
+		func(ctx context.Context, b *data.Batch) {
+			if err := ctx.Err(); err != nil {
+				panic(&WorkerAbort{ID: w.ID, Reason: err.Error()})
+			}
+			w.resolveEmbeddingRows(ctx, b)
+		},
+		func(ctx context.Context) {
+			w.batchClock++
+			if w.OnBeat != nil {
+				w.OnBeat()
+			}
+			if !w.CacheEnabled {
+				// Naive protocol: push this batch's deltas right away
+				// and drop the cache so the next batch re-pulls.
+				w.send(ctx, w.buildDelta())
+				w.pullDense(ctx)
+			}
+		})
+	if w.CacheEnabled {
+		d := w.buildDelta()
+		w.pending = &d
+	}
+	rec.Finish(-1)
+	// The paper: "we clear both the static-cache and dynamic-cache for
+	// next epoch".
+	w.staticDense, w.cached = nil, nil
 }
 
 // PushEpoch applies the delta parked by TrainEpoch.
@@ -181,101 +215,15 @@ func (w *Worker) PushEpoch(ctx context.Context) {
 	}
 }
 
-// runEpoch is the shared epoch body; deferPush parks the outer delta
-// for PushEpoch instead of sending it.
-func (w *Worker) runEpoch(ctx context.Context, rng *rand.Rand, deferPush bool) {
-	ctx = w.Tracer.Context(ctx)
-	ctx, epochSpan := trace.Start(ctx, "worker.epoch", trace.A("worker", w.ID))
-	defer epochSpan.End()
-
-	w.pullDense(ctx)
-	w.staticRows = map[int]map[int][]float64{}
-	w.dynamicRows = map[int]map[int]bool{}
-	w.rowPulledAt = map[int]map[int]int{}
-	w.batchClock = 0
-	// The epoch's dropout masks come from the epoch's RNG, first draw, as
-	// in core.DomainNegotiationEpoch — not from wherever the replica's
-	// stream was left by earlier epochs a resumed run never ran.
-	models.SeedMasks(w.Model, rng.Int63())
-
-	rec := w.Telemetry.NewEpochRecorder(w.params, w.ID)
-	inner := optim.New(w.InnerOpt, w.InnerLR)
-	// The same train step as the single-process trainer: under SGD and
-	// Adagrad it clears and steps only the rows the batch gathers, which
-	// are the rows the cache just resolved.
-	step := framework.NewStepper(w.Model)
-	step.ZeroGrad()
-	order := rng.Perm(len(w.Domains))
-	for _, di := range order {
-		d := w.Domains[di]
-		batches := w.Dataset.Batches(d, data.Train, w.BatchSize, rng)
-		if w.MaxBatchesPerDomain > 0 && len(batches) > w.MaxBatchesPerDomain {
-			batches = batches[:w.MaxBatchesPerDomain]
-		}
-		dname := w.Telemetry.DomainName(d)
-		if dname == "" { // no telemetry attached; fall back to the id
-			dname = fmt.Sprintf("domain-%d", d)
-		}
-		stepCtx, stepSpan := trace.Start(ctx, "worker.inner_step",
-			trace.A("worker", w.ID), trace.A("domain", dname),
-			trace.A("batches", len(batches)))
-		rec.BeforePass()
-		var total float64
-		for _, b := range batches {
-			if err := ctx.Err(); err != nil {
-				panic(&WorkerAbort{ID: w.ID, Reason: err.Error()})
-			}
-			w.resolveEmbeddingRows(stepCtx, b)
-			total += step.Step(stepCtx, b, inner)
-			w.batchClock++
-			if w.OnBeat != nil {
-				w.OnBeat()
-			}
-			if !w.CacheEnabled {
-				// Naive protocol: push this batch's deltas right away
-				// and drop the cache so the next batch re-pulls.
-				w.send(stepCtx, w.buildDelta())
-				w.pullDense(stepCtx)
-				w.staticRows = map[int]map[int][]float64{}
-				w.dynamicRows = map[int]map[int]bool{}
-				w.rowPulledAt = map[int]map[int]int{}
-			}
-		}
-		if len(batches) > 0 {
-			total /= float64(len(batches))
-		}
-		stepSpan.EndWith(trace.A("loss", total))
-		rec.AfterPassTC(d, total, stepSpan.Context())
-	}
-	if w.CacheEnabled {
-		d := w.buildDelta()
-		if deferPush {
-			w.pending = &d
-		} else {
-			w.send(ctx, d)
-		}
-	}
-	rec.Finish(-1)
-	w.clearCaches()
-}
-
-// clearCaches drops the static and dynamic caches for the next epoch
-// (paper: "we clear both the static-cache and dynamic-cache for next
-// epoch").
-func (w *Worker) clearCaches() {
-	w.staticDense = nil
-	w.staticRows = nil
-	w.dynamicRows = nil
-	w.rowPulledAt = nil
-}
-
 // pullDense refreshes dense tensors from the PS into both the model and
-// the static cache.
+// the static cache, and empties the dynamic cache: rows pulled before
+// the refresh are as stale as the dense values it replaces.
 func (w *Worker) pullDense(ctx context.Context) {
 	w.staticDense = w.Store.PullDense(ctx)
 	for t, vals := range w.staticDense {
 		copy(w.params[t].Data, vals)
 	}
+	w.cached = map[int]map[int]cachedRow{}
 }
 
 // resolveEmbeddingRows ensures every embedding row the batch touches is
@@ -290,13 +238,14 @@ func (w *Worker) resolveEmbeddingRows(ctx context.Context, b *data.Batch) {
 		if len(rows) == 0 {
 			continue
 		}
-		if w.dynamicRows[t] == nil {
-			w.dynamicRows[t] = map[int]bool{}
-			w.staticRows[t] = map[int][]float64{}
+		cache := w.cached[t]
+		if cache == nil {
+			cache = map[int]cachedRow{}
+			w.cached[t] = cache
 		}
 		var missing []int
 		for _, r := range rows {
-			if !w.dynamicRows[t][r] {
+			if _, hit := cache[r]; !hit {
 				missing = append(missing, r)
 			}
 		}
@@ -308,16 +257,7 @@ func (w *Worker) resolveEmbeddingRows(ctx context.Context, b *data.Batch) {
 		cols := p.Cols
 		for i, r := range missing {
 			copy(p.Data[r*cols:(r+1)*cols], vals[i])
-			w.staticRows[t][r] = vals[i]
-			w.dynamicRows[t][r] = true
-		}
-		if w.Metrics != nil {
-			if w.rowPulledAt[t] == nil {
-				w.rowPulledAt[t] = map[int]int{}
-			}
-			for _, r := range missing {
-				w.rowPulledAt[t][r] = w.batchClock
-			}
+			cache[r] = cachedRow{static: vals[i], pulledAt: w.batchClock}
 		}
 	}
 }
@@ -329,24 +269,24 @@ func (w *Worker) buildDelta() Delta {
 	d := Delta{Dense: map[int][]float64{}, Rows: map[int][]int{}, RowDeltas: map[int][][]float64{}}
 	for t, p := range w.params {
 		if layout.Embedding[t] {
-			if len(w.dynamicRows[t]) == 0 {
+			cache := w.cached[t]
+			if len(cache) == 0 {
 				continue
 			}
 			// Push rows in sorted order: map iteration order is random,
 			// and the server applies row updates sequentially per shard,
 			// so a deterministic order keeps distributed runs
 			// reproducible under a fixed seed.
-			rows := make([]int, 0, len(w.dynamicRows[t]))
-			for r := range w.dynamicRows[t] {
+			rows := make([]int, 0, len(cache))
+			for r := range cache {
 				rows = append(rows, r)
 			}
 			sort.Ints(rows)
 			cols := p.Cols
 			for _, r := range rows {
-				if w.Metrics != nil {
-					w.Metrics.observeStaleness(w.batchClock - w.rowPulledAt[t][r])
-				}
-				static := w.staticRows[t][r]
+				c := cache[r]
+				w.Metrics.observeStaleness(w.batchClock - c.pulledAt)
+				static := c.static
 				delta := make([]float64, cols)
 				for j := 0; j < cols; j++ {
 					delta[j] = p.Data[r*cols+j] - static[j]

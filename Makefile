@@ -219,14 +219,18 @@ smoke-rollout:
 
 # The CI batch-smoke job locally: the same mirrored replay driven twice
 # through one checkpoint — once with coalescing off (one forward per
-# request), once with `-batch-max=64 -batch-linger=500us` under 16
-# concurrent client threads — must produce byte-identical score dumps
-# at -snapshot-quant=off (the blocked kernels keep textbook accumulation
-# order regardless of row count, so batchmates cannot perturb each
-# other's math). The batched server must actually coalesce (flush
-# counter > 0), and the env-gated Go test then asserts the int8 AUC
-# budget (ΔAUC ≥ -0.002 on amazon-6). What batching buys is measured by
-# mamdr-bench (serve-point vs serve-live), not gated here.
+# request), once with `-batch-max=64` under 16 concurrent client threads
+# — must produce byte-identical score dumps at -snapshot-quant=off (the
+# blocked kernels keep textbook accumulation order regardless of row
+# count, so batchmates cannot perturb each other's math). The batched
+# server must actually coalesce, and requests coalesce only while every
+# replica is busy: the Python replay's threads arrive almost one at a
+# time and a forward takes ~50 µs, so the batched server runs one replica
+# that an injected fault holds 20 ms per forward — the other 15 clients
+# queue behind it and leave as reason="slot" flushes, which are counted.
+# The env-gated Go test then asserts the int8 AUC budget (ΔAUC ≥ -0.002
+# on amazon-6). What batching buys is measured by mamdr-bench
+# (serve-point vs serve-live), not gated here.
 smoke-batch:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/datagen
 	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 2000 -seed 7 -out /tmp/batch-ds.json
@@ -244,7 +248,8 @@ smoke-batch:
 	kill `cat /tmp/batch-serve.pid`
 	/tmp/mamdr-bin/mamdr-serve -preset amazon-6 -samples 2000 -seed 7 \
 		-checkpoint /tmp/batch.ckpt -addr 127.0.0.1:8089 -access-log off \
-		-rollout=false -batch-max=64 -batch-linger=500us -snapshot-quant=off \
+		-rollout=false -batch-max=64 -snapshot-quant=off \
+		-replicas 1 -serve-faults 'Predict:delay=20ms@*' \
 		-max-queue 256 \
 		>/tmp/batch-serve-on.log 2>&1 & echo $$! > /tmp/batch-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8089/healthz >/dev/null 2>&1 && break; \
@@ -253,7 +258,7 @@ smoke-batch:
 	python3 scripts/rollout_traffic.py --base http://127.0.0.1:8089 \
 		--data /tmp/batch-ds.json --repeat 1 --workers 16 \
 		--dump-scores /tmp/batch-scores-on.jsonl
-	curl -s 127.0.0.1:8089/metrics | grep -E 'mamdr_serve_batch_flushes_total\{reason="(full|linger)"\} [1-9]'
+	curl -s 127.0.0.1:8089/metrics | grep -E 'mamdr_serve_batch_flushes_total\{reason="slot"\} [1-9]'
 	kill `cat /tmp/batch-serve.pid`
 	diff /tmp/batch-scores-off.jsonl /tmp/batch-scores-on.jsonl
 	MAMDR_SMOKE_BATCH=1 $(GO) test -count=1 -v -run TestQuantAUCBudget ./internal/exp

@@ -86,8 +86,7 @@ func main() {
 		maxQueue       = flag.Int("max-queue", 0, "admission control: shed predictions once this many queue beyond the replica pool (0 = 4×replicas)")
 		serveFaults    = flag.String("serve-faults", "", "serving-path fault schedule (op:kind@occurrences; ops: Predict, PublishSource, UpstreamPing, UpstreamSnapshot), seeded by -seed")
 
-		batchMax      = flag.Int("batch-max", 0, "coalesce concurrent /predict requests into micro-batches of at most this many rows sharing one batched forward (0 = off, one forward per request)")
-		batchLinger   = flag.Duration("batch-linger", 500*time.Microsecond, "how long a lone request waits for batchmates before its batch flushes anyway (with -batch-max)")
+		batchMax      = flag.Int("batch-max", 0, "coalesce /predict requests that arrive while every replica is busy into micro-batches of at most this many rows sharing one batched forward; a request that finds a replica free runs at once (0 = off, one forward per request)")
 		snapshotQuant = flag.String("snapshot-quant", "off", `serving-snapshot embedding storage: "off" (float64) or "int8" (symmetric-per-row quantized tables + hot-row dequantization cache)`)
 		quantCache    = flag.Int("quant-cache", 0, "dequantization LRU capacity in rows across all domains (0 = default 4096, with -snapshot-quant=int8)")
 	)
@@ -259,7 +258,6 @@ func main() {
 		Faults:          faults,
 		InitialCRC:      initialCRC,
 		BatchMax:        *batchMax,
-		BatchLinger:     *batchLinger,
 		SnapshotQuant:   *snapshotQuant,
 		QuantCacheRows:  *quantCache,
 		OnSwap: func(version uint64, crc uint32) {
@@ -275,7 +273,7 @@ func main() {
 	})
 	publishInfo(1, initialCRC)
 	if *batchMax > 0 {
-		log.Printf("request coalescing on: batches of up to %d rows, %s linger", *batchMax, *batchLinger)
+		log.Printf("request coalescing on: batches of up to %d rows, formed only while every replica is busy", *batchMax)
 	}
 	if *snapshotQuant == "int8" {
 		log.Printf("snapshot embeddings quantized int8 (dequant cache %d rows)", func() int {

@@ -1,26 +1,26 @@
 // Package batch coalesces concurrent requests into micro-batches — the
 // serving-side execution shape production CTR systems use to amortize
 // per-request forward-pass overhead. Callers submit items keyed by an
-// integer (the serving layer keys by domain); the coalescer gathers
-// items for the same key until either the batch is full (MaxRows) or
-// the oldest item has lingered long enough (Linger), then hands the
-// whole group to the Run callback on a fresh goroutine. A batch of B
-// single-row requests thus becomes one B-row forward through the
-// blocked GEMM kernels instead of B one-row passes.
+// integer (the serving layer keys by domain) and the coalescer hands
+// groups of same-key items to Run, at most Slots calls at a time: B
+// queued one-row requests become one B-row forward through the blocked
+// GEMM kernels instead of B one-row passes.
 //
-// Two invariants shape the flush policy:
+// The scheduler is work-conserving — no timer, one policy:
 //
+//   - items queue only while every slot is busy: a submission that
+//     finds a free slot is dispatched at once, alone;
+//   - a slot freed by a returning Run goes to the key of the item that
+//     has queued longest and takes that key's oldest items up to MaxRows:
+//     batches grow with the backlog and a hot key starves no other;
 //   - an item is never split across batches: a request's rows always
-//     score in one forward, so its scores come from one snapshot;
-//   - flush-on-full takes precedence over linger: under saturating
-//     traffic the linger timer never fires and adds zero latency, so
-//     the configured linger bounds only the *idle-tail* delay of the
-//     last stragglers.
+//     score in one forward, so its scores come from one snapshot.
 package batch
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -28,18 +28,17 @@ import (
 // ErrClosed rejects submissions after Close.
 var ErrClosed = errors.New("batch: coalescer closed")
 
-// Item is one request riding a batch. Rows is its row count (the
-// serving layer's user-item pairs); Data carries the caller's payload
-// through to Run untouched.
+// Item is one request riding a batch: Rows is its row count (the serving
+// layer's user-item pairs), Data the caller's payload, passed untouched.
 type Item struct {
-	// Ctx is the submitting request's context. The coalescer itself
-	// never blocks on it, but Run callbacks should drop items whose
-	// context has expired before doing work on their behalf.
+	// Ctx is the submitter's context: an item whose Ctx is done when a slot
+	// reaches it fails with Ctx.Err() instead of riding. Run checks again.
 	Ctx  context.Context
 	Rows int
 	Data any
-
-	res chan Result
+	res  chan Result
+	key  int       // set while queued
+	at   time.Time // when the item queued
 }
 
 // Result is what an Item resolves to.
@@ -60,8 +59,7 @@ func NewItem(ctx context.Context, rows int, data any) *Item {
 // Result returns the channel the item's outcome arrives on.
 func (it *Item) Result() <-chan Result { return it.res }
 
-// Resolve delivers the item's value. Exactly one of Resolve/Fail may
-// be called, once, by the Run callback.
+// Resolve delivers the item's value; exactly one of Resolve/Fail, once.
 func (it *Item) Resolve(v any) { it.res <- Result{Value: v} }
 
 // Fail delivers an error instead.
@@ -69,42 +67,40 @@ func (it *Item) Fail(err error) { it.res <- Result{Err: err} }
 
 // Options configures a Coalescer.
 type Options struct {
-	// MaxRows flushes a batch as soon as its accumulated row count
-	// reaches this bound (minimum 1). A single item with Rows >= MaxRows
-	// flushes alone — items are never split.
+	// MaxRows bounds a batch's row count (minimum 1). An item with
+	// Rows >= MaxRows rides alone — items are never split.
 	MaxRows int
-	// Linger flushes a non-empty batch this long after its first item
-	// arrived, bounding the latency a lone request pays waiting for
-	// batchmates. Zero or negative lingers still work: the timer fires
-	// on the next scheduler tick, degenerating to per-arrival flushes.
+	// Slots is how many Run calls may be in flight at once (serve
+	// passes its replica count). Zero or negative means GOMAXPROCS.
+	Slots int
+	// Linger is ignored (cmd/mamdr-bench still sets it): a timer could
+	// only cut a batch early and move its wait to whatever Run blocks on.
 	Linger time.Duration
-	// Run executes one flushed batch. It is called on a fresh goroutine
-	// (never on a submitter's) and must Resolve or Fail every item.
+	// Run executes one batch, on a goroutine of the coalescer's (never
+	// a submitter's), and must Resolve or Fail every item.
 	Run func(key int, items []*Item)
-	// OnFlush, when non-nil, observes every flush for telemetry:
-	// request count, total rows, how long the oldest item waited, and
-	// the trigger ("full", "linger", "close").
+	// OnFlush, when non-nil, observes every batch before it runs: requests,
+	// rows, how long the oldest queued for a slot, and why it left — "idle"
+	// (a slot was free: waited is 0), "slot" (a Run returned) or "close".
 	OnFlush func(key int, requests, rows int, waited time.Duration, reason string)
 }
 
-// Coalescer gathers items into per-key micro-batches. Safe for
-// concurrent use.
+// Coalescer gathers items into per-key micro-batches; safe for concurrent use.
 type Coalescer struct {
 	opts Options
-
-	mu     sync.Mutex
-	queues map[int]*queue
-	closed bool
+	mu   sync.Mutex
+	// pending: every key's waiting items in arrival order; none unless busy == Slots.
+	pending []*Item
+	busy    int
+	closed  bool
 }
 
-// queue is the open batch for one key. gen guards the linger timer: a
-// flush bumps it, so a timer armed for a batch that already flushed
-// finds a stale generation and does nothing.
-type queue struct {
-	items []*Item
-	rows  int
-	since time.Time
-	gen   uint64
+// flush is one batch on its way to Run, with what OnFlush reports.
+type flush struct {
+	key, rows int
+	items     []*Item
+	waited    time.Duration
+	reason    string
 }
 
 // New builds a coalescer. Run is required.
@@ -115,83 +111,87 @@ func New(opts Options) *Coalescer {
 	if opts.MaxRows < 1 {
 		opts.MaxRows = 1
 	}
-	return &Coalescer{opts: opts, queues: make(map[int]*queue)}
+	if opts.Slots < 1 {
+		opts.Slots = runtime.GOMAXPROCS(0)
+	}
+	return &Coalescer{opts: opts}
 }
 
-// Submit enqueues an item under key. It returns immediately; the
-// caller waits on item.Result(). Submissions after Close fail.
+// Submit hands an item to a free slot, or queues it under key when
+// there is none; the caller waits on item.Result(). After Close it fails.
 func (c *Coalescer) Submit(key int, it *Item) error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	switch {
+	case c.closed:
 		return ErrClosed
+	case c.busy < c.opts.Slots:
+		c.busy++
+		go c.occupy(flush{key: key, items: []*Item{it}, rows: it.Rows, reason: "idle"})
+	default:
+		it.key, it.at = key, time.Now()
+		c.pending = append(c.pending, it)
 	}
-	q := c.queues[key]
-	if q == nil {
-		q = &queue{}
-		c.queues[key] = q
-	}
-	// Never split an item: if it doesn't fit the open batch, flush the
-	// batch first and start a fresh one with this item.
-	if q.rows > 0 && q.rows+it.Rows > c.opts.MaxRows {
-		c.flushLocked(key, q, "full")
-	}
-	if len(q.items) == 0 {
-		q.since = time.Now()
-		c.armLinger(key, q.gen)
-	}
-	q.items = append(q.items, it)
-	q.rows += it.Rows
-	if q.rows >= c.opts.MaxRows {
-		c.flushLocked(key, q, "full")
-	}
-	c.mu.Unlock()
 	return nil
 }
 
-// armLinger schedules the linger flush for the batch generation that
-// is open right now.
-func (c *Coalescer) armLinger(key int, gen uint64) {
-	linger := c.opts.Linger
-	if linger < 0 {
-		linger = 0
-	}
-	time.AfterFunc(linger, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		q := c.queues[key]
-		if q == nil || q.gen != gen || len(q.items) == 0 {
-			return // that batch already flushed (full or close)
+// occupy holds one slot: it runs f, then whatever is queued each time
+// Run returns, and gives the slot back once nothing is. Two yields keep
+// batches from being cut short when requests wait for the processor, not
+// for a slot: before the first Run, so whoever else is runnable submits
+// (and queues behind this slot) first; after a Run that had several riders
+// (a backlog), so they resubmit before the next cut. A yield with nothing
+// runnable returns at once; a lone rider's slot is freed without one.
+func (c *Coalescer) occupy(f flush) {
+	runtime.Gosched()
+	for f.items != nil {
+		if c.opts.OnFlush != nil {
+			c.opts.OnFlush(f.key, len(f.items), f.rows, f.waited, f.reason)
 		}
-		c.flushLocked(key, q, "linger")
-	})
+		c.opts.Run(f.key, f.items)
+		if len(f.items) > 1 {
+			runtime.Gosched()
+		}
+		c.mu.Lock()
+		if f = c.nextLocked(); f.items == nil {
+			c.busy--
+		}
+		c.mu.Unlock()
+	}
 }
 
-// flushLocked detaches the open batch and dispatches it. Caller holds
-// c.mu.
-func (c *Coalescer) flushLocked(key int, q *queue, reason string) {
-	items, rows, since := q.items, q.rows, q.since
-	q.items, q.rows = nil, 0
-	q.gen++
-	if len(items) == 0 {
-		return
+// nextLocked detaches the next batch: the oldest live item and, in
+// arrival order, the items of its key that fit MaxRows with it — none
+// past the first that does not, so a key stays first-in-first-out. Items
+// whose context is done (at the head, or of that key) are failed here and
+// take no rows. No items: nothing live is queued. Caller holds c.mu.
+func (c *Coalescer) nextLocked() flush {
+	f := flush{reason: "slot"}
+	if c.closed {
+		f.reason = "close"
 	}
-	if c.opts.OnFlush != nil {
-		c.opts.OnFlush(key, len(items), rows, time.Since(since), reason)
+	rest, full := c.pending[:0], false
+	for _, it := range c.pending {
+		if f.items != nil && (it.key != f.key || full) {
+			rest = append(rest, it)
+		} else if err := it.Ctx.Err(); err != nil {
+			it.Fail(err)
+		} else if f.items != nil && f.rows+it.Rows > c.opts.MaxRows {
+			rest, full = append(rest, it), true
+		} else {
+			f.key, f.items, f.rows = it.key, append(f.items, it), f.rows+it.Rows
+		}
 	}
-	go c.opts.Run(key, items)
+	clear(c.pending[len(rest):]) // dropped pointers must not pin their requests
+	if c.pending = rest; f.items != nil {
+		f.waited = time.Since(f.items[0].at)
+	}
+	return f
 }
 
-// Close flushes every open batch and rejects further submissions.
-// In-flight Run callbacks keep running; Close does not wait for them.
+// Close rejects further submissions; queued items drain, and Close does not wait.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
 	c.closed = true
-	for key, q := range c.queues {
-		c.flushLocked(key, q, "close")
-	}
+	c.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 // Tests for the micro-batched serving path: bit-identity with the
 // unbatched path, rollout-arm routing inside mixed batches, snapshot
-// pinning against mid-batch rollbacks, and per-request deadlines.
+// pinning against mid-batch rollbacks, per-request deadlines, and no
+// queueing while a replica is free.
 
 package serve
 
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mamdr/internal/faultinject"
 	"mamdr/internal/quality"
 	"mamdr/internal/rollout"
 	"mamdr/internal/telemetry"
@@ -55,6 +57,14 @@ func concurrentPredict(t *testing.T, h http.Handler, rids []string, reqs []Predi
 	return out
 }
 
+// holdFirstForward makes a multi-request batch certain: the server's
+// first forward holds its replica for 100 ms, so with Replicas: 1 every
+// request fired alongside it queues and leaves in the flushes that
+// follow.
+func holdFirstForward() *faultinject.Injector {
+	return faultinject.MustParse("Predict:delay=100ms@1", 1)
+}
+
 // TestBatchedMatchesUnbatchedBitIdentical is the correctness anchor:
 // at -snapshot-quant=off, scores served through coalesced multi-request
 // batches are bit-identical to the single-request path — the kernels'
@@ -65,8 +75,8 @@ func TestBatchedMatchesUnbatchedBitIdentical(t *testing.T) {
 	plain := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory})
 	reg := telemetry.New()
 	batched := NewWithOptions(st, ds, Options{
-		Replicas: 2, ReplicaFactory: factory, Metrics: reg, MaxQueue: 1024,
-		BatchMax: 64, BatchLinger: 20 * time.Millisecond,
+		Replicas: 1, ReplicaFactory: factory, Metrics: reg, MaxQueue: 1024,
+		BatchMax: 64, Faults: holdFirstForward(),
 	})
 	defer batched.Close()
 
@@ -104,7 +114,7 @@ func TestBatchedMatchesUnbatchedBitIdentical(t *testing.T) {
 	// more requests than flushes means at least one multi-request batch.
 	flushes := reg.Histogram("mamdr_serve_batch_requests", "", []float64{1, 2, 4, 8, 16, 32, 64, 128})
 	if flushes.Sum() <= float64(flushes.Count()) {
-		t.Fatalf("no multi-request batch formed (%d flushes for %.0f requests); raise the linger",
+		t.Fatalf("no multi-request batch formed (%d flushes for %.0f requests)",
 			flushes.Count(), flushes.Sum())
 	}
 }
@@ -118,9 +128,9 @@ func TestMixedArmBatchAttributesVersions(t *testing.T) {
 	st, ds, factory := testState(t)
 	reg := telemetry.New()
 	s := NewWithOptions(st, ds, Options{
-		Replicas: 2, ReplicaFactory: factory, Metrics: reg, MaxQueue: 1024,
+		Replicas: 1, ReplicaFactory: factory, Metrics: reg, MaxQueue: 1024,
 		Quality:  quality.NewTracker(reg, quality.Options{}),
-		BatchMax: 64, BatchLinger: 20 * time.Millisecond,
+		BatchMax: 64, Faults: holdFirstForward(),
 	})
 	defer s.Close()
 	// A gate must be attached for Publish to stage a canary; thresholds
@@ -173,7 +183,7 @@ func TestMidBatchRollbackDoesNotTear(t *testing.T) {
 	reg := telemetry.New()
 	s := NewWithOptions(st, ds, Options{
 		Replicas: 2, ReplicaFactory: factory, Metrics: reg, MaxQueue: 1024,
-		BatchMax: 16, BatchLinger: 200 * time.Microsecond,
+		BatchMax: 16,
 	})
 	defer s.Close()
 	s.SetRollout(rollout.New(s, reg, nil, rollout.Config{
@@ -251,7 +261,7 @@ func TestBatchDeadlineRespected(t *testing.T) {
 	st, ds, _ := testState(t)
 	s := NewWithOptions(st, ds, Options{
 		RequestTimeout: 30 * time.Millisecond,
-		BatchMax:       8, BatchLinger: 100 * time.Microsecond,
+		BatchMax:       8,
 	})
 	defer s.Close()
 	rep := <-s.pool // starve the pool: single replica held by "another request"
@@ -267,6 +277,33 @@ func TestBatchDeadlineRespected(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("deadline took %v, want ~30ms", elapsed)
+	}
+}
+
+// TestSequentialRequestsNeverQueue: a request that finds a replica free
+// is its own forward at once — back-to-back requests at BatchMax 64 are
+// one idle flush each and none of them waits for a slot.
+func TestSequentialRequestsNeverQueue(t *testing.T) {
+	st, ds, factory := testState(t)
+	reg := telemetry.New()
+	s := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory, Metrics: reg, BatchMax: 64})
+	defer s.Close()
+	const n = 20
+	for i := 0; i < n; i++ {
+		w := postJSON(t, s.Handler(), "/predict", PredictRequest{Domain: i % 2, Users: []int{i % ds.NumUsers}, Items: []int{0}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("predict %d = %d: %s", i, w.Code, w.Body)
+		}
+	}
+	flushes := func(reason string) int64 {
+		return reg.Counter("mamdr_serve_batch_flushes_total", "", telemetry.L("reason", reason)).Value()
+	}
+	if flushes("idle") != n || flushes("slot") != 0 || flushes("close") != 0 {
+		t.Fatalf("flushes idle/slot/close = %d/%d/%d, want %d/0/0", flushes("idle"), flushes("slot"), flushes("close"), n)
+	}
+	// nil buckets: the family as the server registered it.
+	if wait := reg.Histogram("mamdr_serve_batch_wait_seconds", "", nil); wait.Count() != n || wait.Sum() != 0 {
+		t.Fatalf("batch wait: %d flushes summing %v s, want %d at 0", wait.Count(), wait.Sum(), n)
 	}
 }
 

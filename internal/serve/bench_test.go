@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"mamdr/internal/core"
 	"mamdr/internal/data"
@@ -153,8 +153,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 }
 
 // BenchmarkServeConcurrent is the micro-benchmark of the batched
-// serving path: the same concurrent workload with coalescing off
-// (one forward per request) and on (micro-batched forwards). Run with:
+// serving path: the same 64-way workload with coalescing off (one
+// forward per request) and on (requests that queue behind the two busy
+// replicas share forwards), then both again with only as many clients
+// as replicas, where nothing ever queues and batching must cost nothing.
+// Run with:
 //
 //	go test ./internal/serve -bench ServeConcurrent -benchtime 300ms
 func BenchmarkServeConcurrent(b *testing.B) {
@@ -163,8 +166,9 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	drive := func(b *testing.B, h http.Handler) {
-		b.SetParallelism(32)
+	// RunParallel starts parallelism × GOMAXPROCS clients.
+	drive := func(b *testing.B, h http.Handler, parallelism int) {
+		b.SetParallelism(parallelism)
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
@@ -178,16 +182,21 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	}
 	b.Run("batch-off", func(b *testing.B) {
 		srv := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory, MaxQueue: 4096})
-		drive(b, srv.Handler())
+		drive(b, srv.Handler(), 32)
 	})
 	b.Run("batch-on", func(b *testing.B) {
-		srv := NewWithOptions(st, ds, Options{
-			Replicas: 2, ReplicaFactory: factory, MaxQueue: 4096,
-			BatchMax: 64, BatchLinger: 100 * time.Microsecond,
-		})
+		srv := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory, MaxQueue: 4096, BatchMax: 64})
 		defer srv.Close()
-		drive(b, srv.Handler())
+		drive(b, srv.Handler(), 32)
 	})
+	// As many clients as replicas: the like-for-like pair.
+	for _, batchMax := range []int{0, 64} {
+		b.Run(map[int]string{0: "batch-off", 64: "batch-on"}[batchMax]+"/undersubscribed", func(b *testing.B) {
+			srv := NewWithOptions(st, ds, Options{Replicas: runtime.GOMAXPROCS(0), ReplicaFactory: factory, BatchMax: batchMax})
+			defer srv.Close()
+			drive(b, srv.Handler(), 1)
+		})
+	}
 }
 
 // BenchmarkQuantLookup is the micro-benchmark of the quantized

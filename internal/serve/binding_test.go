@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mamdr/internal/core"
 	"mamdr/internal/data"
@@ -125,7 +124,7 @@ var routesByDomain = map[string]bool{"sharedbottom": true, "mmoe": true, "cgc": 
 func checkBoundServing(t *testing.T, st *core.State, ds *data.Dataset, name string, factory func() models.Model, mode string, batchMax int) {
 	s := NewWithOptions(st, ds, Options{
 		Replicas: 2, ReplicaFactory: factory, MaxQueue: 1024,
-		SnapshotQuant: mode, BatchMax: batchMax, BatchLinger: 5 * time.Millisecond,
+		SnapshotQuant: mode, BatchMax: batchMax,
 	})
 	defer s.Close()
 	h := s.Handler()
@@ -188,7 +187,7 @@ func checkBoundServing(t *testing.T, st *core.State, ds *data.Dataset, name stri
 
 	var got []PredictResponse
 	if batchMax > 0 {
-		got = concurrentPredict(t, h, nil, reqs) // all at once, so flushes carry several riders
+		got = concurrentPredict(t, h, nil, reqs) // all at once against 2 replicas, so flushes carry several riders
 	} else {
 		got = make([]PredictResponse, len(reqs))
 		for i, req := range reqs {
@@ -264,7 +263,7 @@ func vectorsChecksum(shared paramvec.Vector, specific []paramvec.Vector) uint64 
 func TestNothingWritesThroughBinding(t *testing.T) {
 	for _, cfg := range []Options{
 		{SnapshotQuant: "off"},
-		{SnapshotQuant: "int8", BatchMax: 64, BatchLinger: 200 * time.Microsecond},
+		{SnapshotQuant: "int8", BatchMax: 64},
 	} {
 		cfg := cfg
 		t.Run(fmt.Sprintf("%s/batch%d", cfg.SnapshotQuant, cfg.BatchMax), func(t *testing.T) {

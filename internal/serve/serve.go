@@ -157,16 +157,12 @@ type Options struct {
 	// FeedbackTTL bounds how long a prediction waits in the feedback
 	// join buffer for its labels. Default 2 minutes.
 	FeedbackTTL time.Duration
-	// BatchMax enables request coalescing when > 0: concurrent
-	// predictions for the same domain gather into micro-batches of at
-	// most this many rows and share one batched forward pass. 0 keeps
-	// the classic one-request-per-forward path.
+	// BatchMax enables request coalescing when > 0: a prediction that
+	// finds a replica free runs at once, alone; predictions that arrive
+	// while all Replicas are busy queue, and each replica that frees up
+	// takes the longest-waiting domain's queue, up to this many rows, in
+	// one forward pass. 0 keeps the inline one-request-per-forward path.
 	BatchMax int
-	// BatchLinger bounds how long a lone request waits for batchmates
-	// before its batch flushes anyway. Default 500µs (with BatchMax).
-	// Under saturating traffic batches fill before the linger fires,
-	// so this prices only the idle-tail latency.
-	BatchLinger time.Duration
 	// SnapshotQuant selects how serving snapshots supply embedding
 	// rows: "off" (default) composes θ_S[row] + θ_i[row] in float64 as
 	// a lookup gathers it; "int8" stores each domain's composed tables
@@ -203,9 +199,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.InitialVersion == 0 {
 		o.InitialVersion = 1
-	}
-	if o.BatchMax > 0 && o.BatchLinger <= 0 {
-		o.BatchLinger = 500 * time.Microsecond
 	}
 	if o.QuantCacheRows <= 0 {
 		o.QuantCacheRows = 4096
@@ -303,8 +296,7 @@ type Server struct {
 	feedback *quality.JoinBuffer
 
 	// layout tells snapshots how to compose for the served model;
-	// coalescer, when non-nil, micro-batches /predict requests
-	// (Options.BatchMax).
+	// coalescer, when non-nil (Options.BatchMax), schedules /predict.
 	layout    *layout
 	coalescer *batch.Coalescer
 }
@@ -385,7 +377,7 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 	if opts.BatchMax > 0 {
 		s.coalescer = batch.New(batch.Options{
 			MaxRows: opts.BatchMax,
-			Linger:  opts.BatchLinger,
+			Slots:   opts.Replicas,
 			Run:     s.runBatch,
 			OnFlush: func(_ int, requests, rows int, waited time.Duration, reason string) {
 				s.metrics.batchFlush(requests, rows, waited, reason, opts.BatchMax)
@@ -486,11 +478,10 @@ type AddDomainResponse struct {
 // standard graceful-shutdown handshake.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Close flushes and closes the request coalescer (if batching is on):
-// queued requests complete, later submissions get a clean 503. Call it
-// after the HTTP server has stopped accepting connections. Models are
-// bound only while a forward runs, so once the in-flight requests have
-// finished the state's model is back on its own parameters.
+// Close closes the request coalescer (if batching is on): requests it
+// holds still complete, later ones get a clean 503. Call it once the HTTP
+// server accepts no more connections. Models are bound only while a
+// forward runs, so after it the state's model is on its own parameters.
 func (s *Server) Close() {
 	if s.coalescer != nil {
 		s.coalescer.Close()
@@ -648,9 +639,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var err error
 	if s.coalescer != nil {
-		// Micro-batched: the job rides a coalesced flush, which re-resolves
-		// its arm from ONE view load per batch (same ID-deterministic
-		// assignment) before it reaches execute.
+		// Micro-batched: the job rides a flush, which re-resolves its arm
+		// (same ID-deterministic assignment) from ONE view load per batch.
 		err = s.viaCoalescer(ctx, req.Domain, job)
 	} else {
 		err = s.execute(ctx, job.arm, req.Domain, []*predictJob{job})

@@ -30,10 +30,10 @@ type serveMetrics struct {
 	canaryVersion   *telemetry.Gauge
 
 	// Micro-batching instruments (Options.BatchMax > 0): flush shape,
-	// linger tail, and how full batches run relative to BatchMax.
+	// queueing for a replica, and batch rows relative to BatchMax.
 	batchRequests  *telemetry.Histogram
 	batchRows      *telemetry.Histogram
-	batchLinger    *telemetry.Histogram
+	batchWait      *telemetry.Histogram
 	batchOccupancy *telemetry.Histogram
 
 	// Quantized-snapshot instruments (Options.SnapshotQuant = "int8").
@@ -81,8 +81,8 @@ func newServeMetrics(reg *telemetry.Registry, replicas int) *serveMetrics {
 		batchRows: reg.Histogram("mamdr_serve_batch_rows",
 			"User-item rows per micro-batch flush.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
-		batchLinger: reg.Histogram("mamdr_serve_batch_linger_seconds",
-			"How long each flushed batch's oldest request waited for batchmates.",
+		batchWait: reg.Histogram("mamdr_serve_batch_wait_seconds",
+			"How long each flushed batch's oldest request queued for a free replica (0 when one was idle).",
 			[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05}),
 		batchOccupancy: reg.Histogram("mamdr_serve_batch_occupancy",
 			"Flushed batch rows divided by the configured BatchMax.",
@@ -171,14 +171,12 @@ func (m *serveMetrics) batchFlush(requests, rows int, waited time.Duration, reas
 	}
 	m.batchRequests.Observe(float64(requests))
 	m.batchRows.Observe(float64(rows))
-	m.batchLinger.Observe(waited.Seconds())
-	if maxRows > 0 {
-		m.batchOccupancy.Observe(float64(rows) / float64(maxRows))
-	}
+	m.batchWait.Observe(waited.Seconds())
+	m.batchOccupancy.Observe(float64(rows) / float64(maxRows))
 	c, ok := m.flushCounters.Load(reason)
 	if !ok {
 		c = m.reg.Counter("mamdr_serve_batch_flushes_total",
-			"Micro-batch flushes by trigger (full, linger, close).",
+			"Micro-batch flushes by trigger (idle, slot, close).",
 			telemetry.L("reason", reason))
 		m.flushCounters.Store(reason, c)
 	}

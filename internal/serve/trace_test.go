@@ -67,6 +67,47 @@ func TestRequestTracing(t *testing.T) {
 	}
 }
 
+// TestBatchedRequestTracing: a coalesced request is as legible as an
+// inline one — serve.request ⊃ serve.batch_wait (submit → result), and
+// the flush that carried it hangs its pool_wait and predict spans under
+// that wait span, in the request's own trace.
+func TestBatchedRequestTracing(t *testing.T) {
+	st, ds, _ := testState(t)
+	tracer := trace.New(trace.Options{Sample: 1, FlightSize: -1})
+	spans := trace.NewCollector(0)
+	tracer.AddSink(spans)
+	s := NewWithOptions(st, ds, Options{Tracer: tracer, BatchMax: 64})
+	defer s.Close()
+
+	w := postJSON(t, s.Handler(), "/predict",
+		PredictRequest{Domain: 0, Users: []int{0, 1}, Items: []int{1, 0}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("predict: %d %s", w.Code, w.Body.String())
+	}
+	byName := map[string]*trace.Span{}
+	for _, sp := range spans.Spans() {
+		byName[sp.Name] = sp
+	}
+	root, wait, predict := byName["serve.request"], byName["serve.batch_wait"], byName["serve.predict"]
+	if root == nil || wait == nil || predict == nil || byName["serve.pool_wait"] == nil {
+		t.Fatalf("want serve.request, batch_wait, pool_wait and predict spans; got %v", names(spans.Spans()))
+	}
+	if wait.ParentID != root.ID || wait.TraceID != root.TraceID {
+		t.Fatal("serve.batch_wait not parented to serve.request")
+	}
+	for _, name := range []string{"serve.pool_wait", "serve.predict"} {
+		if sp := byName[name]; sp.ParentID != wait.ID || sp.TraceID != root.TraceID {
+			t.Fatalf("%s not under the oldest rider's serve.batch_wait", name)
+		}
+	}
+	if predict.Start().Before(wait.Start()) || predict.Start().Add(predict.Duration()).After(wait.Start().Add(wait.Duration())) {
+		t.Fatal("serve.predict falls outside the serve.batch_wait that parents it")
+	}
+	if attrs := attrMap(predict); attrs["requests"] != 1 || attrs["pairs"] != 2 || attrs["domain"] == nil || attrs["snapshot_version"] != uint64(1) {
+		t.Fatalf("serve.predict attrs = %v, want requests 1, pairs 2, a domain and snapshot_version 1", attrs)
+	}
+}
+
 // TestPoolSaturationDumpsFlightRecorder verifies a replica-pool timeout
 // raises exactly one pool_saturation anomaly into the flight recorder.
 func TestPoolSaturationDumpsFlightRecorder(t *testing.T) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet loc staticcheck race race-dr fuzz-smoke bench bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
+.PHONY: all build test vet loc staticcheck race race-dr fuzz-smoke bench bench-kernels bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
 
 all: check
 
@@ -20,6 +20,7 @@ loc:
 		printf '%6d  %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
 	done
 	@printf '%6d  total (all non-test Go)\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec cat {} + | wc -l)"
+	@printf '%6d  assembly (.s, not in the total)\n' "$$(find . -name '*.s' ! -path './.*' -exec cat {} + | wc -l)"
 
 # Same pinned version as CI; install with:
 #   go install honnef.co/go/tools/cmd/staticcheck@2023.1.7
@@ -267,6 +268,10 @@ smoke-batch:
 # The PS, cluster, serving, batching, and quant paths are the
 # concurrent hot spots, and core's DR phase runs one worker goroutine per
 # kernel thread over autograd and its buffer arena; keep them race-clean.
+# The race detector does not see loads and stores made in assembly: since
+# gemm_amd64.s, TestParallelGemmConcurrent under -race covers how rows are
+# partitioned among goroutines, not the inner loop (which shares nothing:
+# a goroutine writes only its own rows).
 race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
 		./internal/batch/... ./internal/quant/... ./internal/core/... ./internal/autograd/...
@@ -291,8 +296,15 @@ bench-serve:
 # The one measurement harness (cmd/mamdr-bench/README.md): all six
 # workloads, five untraced runs and one traced run each, written to OUT.
 OUT ?= BENCH.json
-bench:
+bench: bench-kernels
 	bash cmd/mamdr-bench/run.sh -out $(OUT) -repeat 5
+
+# The kernel's own rows: the three GEMM products at the MLP's shapes on
+# the assembly routine and on the Go loops (GFLOP/s), and the autograd ops
+# on top of them.
+bench-kernels:
+	$(GO) test ./internal/autograd/kernels -run '^$$' -bench BenchmarkGemm -benchtime 2000x
+	$(GO) test ./internal/autograd -run '^$$' -bench 'BenchmarkMatMul64x64|BenchmarkMatMul256x256|BenchmarkDenseActFused' -benchtime 2000x
 
 # One verdict per workload x end-to-end metric between two result
 # files; exits 1 on a regression or a higher fail ratio.
@@ -314,7 +326,9 @@ bench-smoke:
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -tags purego ./internal/autograd/...
 	$(MAKE) race-dr
 	$(MAKE) bench-smoke
 	$(MAKE) smoke-chaos

@@ -1,16 +1,57 @@
 package kernels
 
-// blocked is the default backend: the k (reduction) loop is split into
+import "math"
+
+// blocked is the default backend: the output rows are partitioned across
+// goroutines, and each share of a product runs on gemmAddAVX2 where the
+// build and the CPU have it (four output columns per instruction) and
+// otherwise on the Go loops below, whose k (reduction) loop is split into
 // panels of kc rows of b so the panel stays cache-resident while the a
-// rows stream past, unrolled 4x to cut loop overhead, and the output
-// rows are partitioned across goroutines. Per output element the
-// reduction still runs ascending through a single accumulator, so
-// results are bit-identical to the naive backend at any thread count.
+// rows stream past, unrolled 4x to cut loop overhead. Per output element
+// the reduction still runs ascending through a single accumulator on
+// either path, so results are bit-identical to the naive backend at any
+// thread count.
 type blocked struct{}
 
 // kc is the k-panel height: one panel of b is kc×n float64s, sized to
 // sit in L1/L2 for the layer widths used by the CTR models here.
 const kc = 128
+
+// smallProduct is the multiply-add count under which a product stays on
+// the Go loops although the CPU has AVX2. Measured, not derived: with
+// every product on the assembly routine, serve-point — whose forwards are
+// one-row products of 6,144 (1×96×64) and 2,048 (1×64×32) multiply-adds,
+// one request every ~70 µs per core — read op_ms +1 % in 4 of 4
+// alternating pairs on the 2-core benchmark box (0.0671–0.0678 →
+// 0.0681–0.0685 ms; the prototype of this change saw +2.7 % in 7 of 7),
+// although in a tight loop the routine runs those products three times
+// faster than the Go loop (BenchmarkGemm). With the cut-off serve-point
+// is level with the Go loops alone, and nothing else moves: the next
+// smallest products the benchmark runs are serve-live's 16-row and the
+// tail domains' 24-row batches, 98 k and 147 k multiply-adds in the first
+// layer, 33 k and 49 k in the second. The cause was not separated: a core
+// that has run no 256-bit arithmetic for a while executes it slowly at
+// first, which a 0.5 µs product never amortises; or the call and its
+// VZEROUPPER.
+const smallProduct = 16384
+
+// mc is the reduction panel of the transposed product on the assembly
+// routine: 32 rows of a and g (24 KB + 16 KB at 96 and 64 columns) stay
+// in L1 while every output row reads them, where a's whole columns, one
+// cache line per element, do not: 256×96×64 ran 170 µs unpanelled, 128 µs
+// so.
+const mc = 32
+
+// asmFrom is the multiply-add count from which a share of a product runs
+// on gemmAddAVX2: smallProduct where hasAVX2, never elsewhere. It is at
+// least 1, so the routine is never handed an empty matrix. Only tests
+// write it, to run both paths on one machine.
+var asmFrom = func() int {
+	if hasAVX2 {
+		return smallProduct
+	}
+	return math.MaxInt
+}()
 
 func (blocked) Name() string { return "blocked" }
 
@@ -25,6 +66,10 @@ func (blocked) GemmAdd(dst, a, b []float64, m, k, n int) {
 // is panel-blocked and 4x unrolled; every dst element receives its k
 // contributions in ascending p order through a single accumulator.
 func gemmAddRange(dst, a, b []float64, lo, hi, k, n int) {
+	if (hi-lo)*k*n >= asmFrom {
+		gemmAddAVX2(&dst[lo*n], &a[lo*k], &b[0], hi-lo, k, n, k, 1)
+		return
+	}
 	for kb := 0; kb < k; kb += kc {
 		ke := kb + kc
 		if ke > k {
@@ -62,15 +107,38 @@ func gemmAddRange(dst, a, b []float64, lo, hi, k, n int) {
 
 func (blocked) GemmABtAdd(dst, a, b []float64, m, n, k int) {
 	checkGemm(dst, a, b, m, n, k) // dst m×k, a m×n, b k×n
+	// The reduction runs along b's rows, the axis gemmAddAVX2 vectorises
+	// over, so that path works on bᵀ: k·n copies, once per product (hence
+	// chosen by the product's size, not a share's), against m·k·n
+	// multiply-adds.
+	var bt []float64
+	if m*n*k >= asmFrom {
+		bt = Get(n * k)
+		for p := 0; p < k; p++ {
+			for j, v := range b[p*n : (p+1)*n] {
+				bt[j*k+p] = v
+			}
+		}
+	}
 	parallelRows(m, n*k, func(lo, hi int) {
-		gemmABtAddRange(dst, a, b, lo, hi, n, k)
+		gemmABtAddRange(dst, a, b, bt, lo, hi, n, k)
 	})
+	Put(bt)
 }
 
 // gemmABtAddRange accumulates dst rows [lo,hi) of dst += a·bᵀ. Four
 // rows of b are dotted against one streaming row of a per pass; each
-// dot is a single accumulator running ascending in j.
-func gemmABtAddRange(dst, a, b []float64, lo, hi, n, k int) {
+// dot is a single accumulator running ascending in j. Given bt = bᵀ it
+// runs gemmAddAVX2 into a zeroed tile and adds the tile to dst, which is
+// the same s := 0; s += g·b[j] …; dst += s, float for float.
+func gemmABtAddRange(dst, a, b, bt []float64, lo, hi, n, k int) {
+	if bt != nil {
+		tile := Get((hi - lo) * k)
+		gemmAddAVX2(&tile[0], &a[lo*n], &bt[0], hi-lo, n, k, n, 1)
+		AccumAdd(dst[lo*k:hi*k], tile)
+		Put(tile)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		gr := a[i*n : (i+1)*n]
 		dr := dst[i*k : (i+1)*k]
@@ -115,6 +183,15 @@ func (blocked) GemmAtBAdd(dst, a, g []float64, m, k, n int) {
 // ascending row order of a (the reduction axis), 4x unrolled with
 // sequential adds so the per-element order matches the naive loop.
 func gemmAtBAddRange(dst, a, g []float64, lo, hi, m, k, n int) {
+	if (hi-lo)*m*n >= asmFrom {
+		// Row p of dst reduces over column p of a: strides (1, k) read a
+		// transposed in place. Panels of the reduction run in ascending
+		// order, each resuming from dst, so an element's sum is unbroken.
+		for i := 0; i < m; i += mc {
+			gemmAddAVX2(&dst[lo*n], &a[i*k+lo], &g[i*n], hi-lo, min(mc, m-i), n, 1, k)
+		}
+		return
+	}
 	for p := lo; p < hi; p++ {
 		dr := dst[p*n : (p+1)*n]
 		i := 0

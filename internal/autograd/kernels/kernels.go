@@ -13,9 +13,14 @@
 // accumulator per element). Blocking and unrolling may regroup which
 // elements are computed together, but never the addition order within
 // one element; parallelism partitions output elements across
-// goroutines, never the reduction of a single element. Consequently
-// results do not depend on SetThreads, Hold, GOMAXPROCS, or the backend
-// chosen, and the distributed bit-identity suites hold unchanged.
+// goroutines, never the reduction of a single element. The same rule
+// governs SIMD (gemmAddAVX2, the amd64 routine under the blocked
+// backend; build with -tags purego to leave it out): vector lanes hold
+// different output elements, never partial sums of one, and multiply and
+// add are separate roundings — no FMA, whose single rounding is a
+// different float. Consequently results do not depend on SetThreads,
+// Hold, GOMAXPROCS, the CPU, or the backend chosen, and the distributed
+// bit-identity suites hold unchanged.
 // (One caveat: when several NaNs combine, the propagated *payload* is
 // chosen by the hardware per instruction operand order, which the
 // compiler picks per expression — NaN is deterministic as a class,
@@ -69,9 +74,10 @@ type Backend interface {
 	DenseForward(dst, x, w, bias []float64, m, k, n int, act Act, slope float64)
 }
 
-// Blocked is the default backend: k-panel blocked, 4x-unrolled,
-// row-parallel kernels. Naive is the straight-line reference retained
-// for differential testing.
+// Blocked is the default backend: row-parallel kernels on an AVX2
+// routine where the CPU has it, k-panel blocked, 4x-unrolled Go loops
+// elsewhere. Naive is the straight-line reference retained for
+// differential testing.
 var (
 	Blocked Backend = blocked{}
 	Naive   Backend = naive{}
@@ -143,10 +149,30 @@ func Fanout() int {
 	return n
 }
 
-// parallelGrain is the minimum per-goroutine multiply-add count worth
-// a goroutine spawn (~1µs of float64 FMAs); below it kernels run
-// serially on the calling goroutine.
-const parallelGrain = 16384
+// parallelGrain is the smallest share of a product, in multiply-adds,
+// that a goroutine is spawned for; a product under two of them runs on
+// the calling goroutine. It is sized against gemmAddAVX2, the fastest
+// kernel a share can run on, on the 2-core box the benchmark uses, from
+// per-call timings of GemmAdd at SetThreads(1) and (2) (BenchmarkGemm has
+// the means). The routine does ~12 multiply-adds per ns on one core
+// (256×96×64 in 123 µs). Handing half a product to a second goroutine —
+// spawn, a second P to steal it, WaitGroup join — costs ~20 µs over the
+// ideal half while that P's thread is still spinning from the previous
+// product (256 rows: 84 µs against 61; the Go loops' 497 → 267 and
+// 121 → 82 µs tell the same 20) and ~45 µs once it has parked and must be
+// woken (300 µs of serial work between products: 256 rows 107 µs, 512
+// rows 175 against 125, 1024 rows 302 against 256). A share of 1<<19 is
+// ~43 µs of the routine, so the smallest product that splits, ~1 M
+// multiply-adds, breaks even in the parked case (43 + 45 against 86) and
+// gains a quarter in the spinning one, and everything larger gains in
+// both: the 256-row first layer, 786 k per share, reads 123 → 84–107 µs.
+// The 64-row training products (393 k) stay on one goroutine, 31–33 µs,
+// where at the old grain of 16,384 two goroutines took 33–47 and
+// train-head's epoch 171 ms against 159; under 30 µs is out of reach
+// there, half the product plus the cheaper hand-off being 36. On the Go
+// loops, four times slower, the same count only makes splitting rarer
+// than it could be. A constant, not a knob: results never depend on it.
+const parallelGrain = 1 << 19
 
 // parallelRows partitions [0, rows) into contiguous chunks and runs
 // fn(lo, hi) for each, fanning out to at most Fanout() goroutines. work

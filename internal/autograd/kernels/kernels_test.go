@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -49,50 +50,101 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestBlockedMatchesNaive is the differential property test: on random
-// shapes and values — including zeros, Inf, and NaN — the blocked
-// parallel backend must be bit-identical to straight-line evaluation
-// for all three GEMM products and the fused dense forward, at every
-// thread count.
-func TestBlockedMatchesNaive(t *testing.T) {
-	defer SetThreads(0)
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 60; trial++ {
-		m := 1 + rng.Intn(50)
-		k := 1 + rng.Intn(50)
-		n := 1 + rng.Intn(50)
-		withSpecials := trial%3 == 0
-		a := randMatrix(rng, m*k, withSpecials)
-		b := randMatrix(rng, k*n, withSpecials)
-		g := randMatrix(rng, m*n, withSpecials)
-		bias := randMatrix(rng, n, withSpecials)
-		act := Act(rng.Intn(5))
+// eachPath runs f twice: on the assembly routine with the small-product
+// cut-off bypassed, so every non-empty product reaches it, and on the Go
+// loops alone. The assembly arm is skipped where it cannot run.
+func eachPath(t *testing.T, f func(t *testing.T)) {
+	defer func(v int) { asmFrom = v }(asmFrom)
+	t.Run("asm", func(t *testing.T) {
+		if !hasAVX2 {
+			t.Skip("no AVX2 on this CPU, or a build without the assembly (purego, not amd64)")
+		}
+		asmFrom = 1
+		f(t)
+	})
+	t.Run("go", func(t *testing.T) {
+		asmFrom = math.MaxInt
+		f(t)
+	})
+}
 
-		wantF := make([]float64, m*n)
-		Naive.GemmAdd(wantF, a, b, m, k, n)
-		wantA := make([]float64, m*k)
-		Naive.GemmABtAdd(wantA, g, b, m, n, k)
-		wantB := make([]float64, k*n)
-		Naive.GemmAtBAdd(wantB, a, g, m, k, n)
-		wantD := make([]float64, m*n)
-		Naive.DenseForward(wantD, a, b, bias, m, k, n, act, 0.01)
+// unaligned returns m without its first element: a slice that starts 8
+// bytes into its allocation, so 32-byte vector loads and stores of it
+// are misaligned.
+func unaligned(m []float64) []float64 { return m[1:] }
 
+// matchNaive compares the blocked backend with straight-line evaluation,
+// bit for bit, at threads 1, 2, 3 and 8: the three GEMM products and the
+// fused dense forward, each with rows output rows, cols output columns
+// and a reduction of length red, accumulating onto a non-zero dst.
+func matchNaive(t *testing.T, rng *rand.Rand, rows, red, cols int, withSpecials bool) {
+	t.Helper()
+	mat := func(n int) []float64 { return unaligned(randMatrix(rng, n+1, withSpecials)) }
+	left, right := mat(rows*red), mat(red*cols) // GemmAdd, DenseForward: rows×red · red×cols
+	gradT, wT := mat(rows*red), mat(cols*red)   // GemmABtAdd: rows×red · (cols×red)ᵀ
+	aT, gT := mat(red*rows), mat(red*cols)      // GemmAtBAdd: (red×rows)ᵀ · red×cols
+	bias := mat(cols)
+	init := unaligned(randMatrix(rng, rows*cols+1, false))
+	act := Act(rng.Intn(5))
+
+	products := []struct {
+		name string
+		run  func(be Backend, dst []float64)
+	}{
+		{"GemmAdd", func(be Backend, dst []float64) { be.GemmAdd(dst, left, right, rows, red, cols) }},
+		{"GemmABtAdd", func(be Backend, dst []float64) { be.GemmABtAdd(dst, gradT, wT, rows, red, cols) }},
+		{"GemmAtBAdd", func(be Backend, dst []float64) { be.GemmAtBAdd(dst, aT, gT, red, rows, cols) }},
+		{"DenseForward", func(be Backend, dst []float64) {
+			be.DenseForward(dst, left, right, bias, rows, red, cols, act, 0.01)
+		}},
+	}
+	fresh := func() []float64 {
+		dst := unaligned(make([]float64, rows*cols+1))
+		copy(dst, init)
+		return dst
+	}
+	for _, p := range products {
+		want := fresh()
+		p.run(Naive, want)
 		for _, threads := range []int{1, 2, 3, 8} {
 			SetThreads(threads)
-			gotF := make([]float64, m*n)
-			Blocked.GemmAdd(gotF, a, b, m, k, n)
-			sameBits(t, "GemmAdd", gotF, wantF)
-			gotA := make([]float64, m*k)
-			Blocked.GemmABtAdd(gotA, g, b, m, n, k)
-			sameBits(t, "GemmABtAdd", gotA, wantA)
-			gotB := make([]float64, k*n)
-			Blocked.GemmAtBAdd(gotB, a, g, m, k, n)
-			sameBits(t, "GemmAtBAdd", gotB, wantB)
-			gotD := make([]float64, m*n)
-			Blocked.DenseForward(gotD, a, b, bias, m, k, n, act, 0.01)
-			sameBits(t, "DenseForward", gotD, wantD)
+			got := fresh()
+			p.run(Blocked, got)
+			sameBits(t, fmt.Sprintf("%s %dx%dx%d at %d threads", p.name, rows, red, cols, threads), got, want)
 		}
 	}
+}
+
+// TestBlockedMatchesNaive is the differential property test: the blocked
+// parallel backend must be bit-identical to straight-line evaluation for
+// all three GEMM products and the fused dense forward, at every thread
+// count, on the assembly routine and on the Go loops — on random shapes
+// and values, including zeros, Inf and NaN, and then on every tile
+// boundary of the routine: output widths around its 4-, 16- and
+// 32-column tiles, reductions past the Go loops' kc panel, one row and
+// many, a product large enough to be split among goroutines, and empty
+// matrices, which must return quietly.
+func TestBlockedMatchesNaive(t *testing.T) {
+	defer SetThreads(0)
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		for trial := 0; trial < 60; trial++ {
+			matchNaive(t, rng, 1+rng.Intn(50), 1+rng.Intn(50), 1+rng.Intn(50), trial%3 == 0)
+		}
+		for _, cols := range []int{1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100} {
+			for _, red := range []int{1, 5, 129, 200} {
+				for _, rows := range []int{1, 70} {
+					matchNaive(t, rng, rows, red, cols, red < kc)
+				}
+			}
+		}
+		// Eight shares of the parallel grain, so the thread counts above
+		// cut the rows two, three and eight ways.
+		matchNaive(t, rng, 131, 8*parallelGrain/(131*129)+1, 129, false)
+		for _, shape := range [][3]int{{0, 5, 5}, {5, 0, 5}, {5, 5, 0}, {0, 0, 0}} {
+			matchNaive(t, rng, shape[0], shape[1], shape[2], true)
+		}
+	})
 }
 
 // TestGemmAddAccumulates pins the += contract: products accumulate on
@@ -107,20 +159,28 @@ func TestGemmAddAccumulates(t *testing.T) {
 // TestNoZeroSkip pins the bugfix this package was introduced for: a
 // zero in a must not skip the multiply against a non-finite row of b,
 // because 0×Inf = NaN. The pre-kernel MatMul had an `av == 0` fast
-// path that silently masked poisoned parameters from the loss.
+// path that silently masked poisoned parameters from the loss. Five
+// output columns put the 0·Inf operand once in a vector lane of the
+// assembly routine (column 1) and once in its scalar tail (column 4).
 func TestNoZeroSkip(t *testing.T) {
-	for _, be := range []Backend{Blocked, Naive} {
-		dst := make([]float64, 1)
-		be.GemmAdd(dst, []float64{0, 1}, []float64{math.Inf(1), 5}, 1, 2, 1)
-		if !math.IsNaN(dst[0]) {
-			t.Fatalf("%s: 0*Inf + 1*5 = %g, want NaN (zero-skip is back?)", be.Name(), dst[0])
-		}
-		dB := make([]float64, 2)
-		be.GemmAtBAdd(dB, []float64{0, 1}, []float64{math.Inf(1)}, 1, 2, 1)
-		if !math.IsNaN(dB[0]) {
-			t.Fatalf("%s: dB = 0*Inf = %g, want NaN", be.Name(), dB[0])
+	inf := math.Inf(1)
+	check := func(t *testing.T, be Backend) {
+		t.Helper()
+		dst := make([]float64, 5)
+		be.GemmAdd(dst, []float64{0, 1}, []float64{5, inf, 5, 5, inf, 5, 5, 5, 5, 5}, 1, 2, 5)
+		dB := make([]float64, 10)
+		be.GemmAtBAdd(dB, []float64{0, 1}, []float64{5, inf, 5, 5, inf}, 1, 2, 5)
+		for j, poisoned := range []bool{false, true, false, false, true} {
+			if math.IsNaN(dst[j]) != poisoned {
+				t.Fatalf("%s: column %d of 0*b0 + 1*b1 = %g, want NaN only where b0 is Inf (zero-skip is back?)", be.Name(), j, dst[j])
+			}
+			if math.IsNaN(dB[j]) != poisoned {
+				t.Fatalf("%s: dB[0][%d] = 0*g = %g, want NaN only where g is Inf", be.Name(), j, dB[j])
+			}
 		}
 	}
+	check(t, Naive)
+	eachPath(t, func(t *testing.T) { check(t, Blocked) })
 }
 
 // TestParallelGemmConcurrent hammers the parallel kernels from many
@@ -131,7 +191,8 @@ func TestParallelGemmConcurrent(t *testing.T) {
 	SetThreads(8)
 	defer SetThreads(0)
 	rng := rand.New(rand.NewSource(7))
-	const m, k, n = 96, 64, 80
+	const k, n = 64, 80
+	const m = 4*parallelGrain/(k*n) + 1 // past the grain: rows split four ways
 	a := randMatrix(rng, m*k, false)
 	b := randMatrix(rng, k*n, false)
 	want := make([]float64, m*n)
@@ -199,7 +260,8 @@ func TestSumAndDotMatchStraightLoop(t *testing.T) {
 func TestHoldSplitsTheThreadBudget(t *testing.T) {
 	defer SetThreads(0)
 	SetThreads(4)
-	const m, k, n = 64, 32, 64
+	const m, n = 64, 64
+	const k = 4 * parallelGrain / (m * n) // four shares of the parallel grain
 	chunks := func() int {
 		var c atomic.Int32
 		parallelRows(m, k*n, func(lo, hi int) { c.Add(1) })

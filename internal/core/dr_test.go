@@ -92,6 +92,29 @@ func TestDRPhaseIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// TestFitIndependentOfKernelBackend is the determinism contract of
+// internal/autograd/kernels stated end to end: what MAMDR learns cannot
+// depend on the backend its products run on. Two epochs of Fit with
+// dropout and two DR helpers per target end on the same θ_S and the same
+// θ_i, float for float, under the straight-line Naive backend and under
+// the default one — whose layers here (64-row batches into 64 and 32
+// units) are past its small-product cut-off, so where that backend has
+// an assembly routine for the CPU they run on it. The shard-count,
+// batched-vs-inline, resume and rollback suites all lean on this.
+func TestFitIndependentOfKernelBackend(t *testing.T) {
+	ds := testDataset(t, 0.8)
+	fit := func() *State {
+		m := models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 8, Hidden: []int{64, 32}, Dropout: 0.2, Seed: 5})
+		cfg := framework.Config{Epochs: 2, BatchSize: 64, Seed: 9, SampleK: 2}
+		return framework.MustNew("mamdr").Fit(m, ds, cfg).(*State)
+	}
+	prev := kernels.Use(kernels.Naive)
+	defer kernels.Use(prev)
+	want := fit()
+	kernels.Use(prev)
+	mustMatchStates(t, "Fit on the "+prev.Name()+" backend vs Naive", fit(), want)
+}
+
 // TestFitLeavesTheCallersModelInPlace: replicas are the phase's own; the
 // State a Fit returns serves from the model the caller passed in, whose
 // tensors are the ones it had, holding θ_S.

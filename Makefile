@@ -271,10 +271,12 @@ smoke-batch:
 # The PS, cluster, serving, batching, and quant paths are the
 # concurrent hot spots, and core's DR phase runs one worker goroutine per
 # kernel thread over autograd and its buffer arena; keep them race-clean.
-# The race detector does not see loads and stores made in assembly: since
-# gemm_amd64.s, TestParallelGemmConcurrent under -race covers how rows are
-# partitioned among goroutines, not the inner loop (which shares nothing:
-# a goroutine writes only its own rows).
+# The race detector does not see loads and stores made in assembly —
+# gemmAddAVX2 (gemm_amd64.s), adamAVX2 and addAVX2 (elementwise_amd64.s):
+# TestParallelGemmConcurrent under -race covers how rows are partitioned
+# among goroutines, not the inner loop (which shares nothing: a goroutine
+# writes only its own rows), and the Adam update and the vector add under
+# AccumAdd, AddTo, ColSumAdd and the fused bias are unseen by it.
 race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
 		./internal/batch/... ./internal/quant/... ./internal/core/... ./internal/autograd/...
@@ -302,11 +304,11 @@ OUT ?= BENCH.json
 bench: bench-kernels
 	bash cmd/mamdr-bench/run.sh -out $(OUT) -repeat 5
 
-# The kernel's own rows: the three GEMM products at the MLP's shapes on
-# the assembly routine and on the Go loops (GFLOP/s), and the autograd ops
-# on top of them.
+# The kernel's own rows: the three GEMM products at the MLP's shapes, the
+# Adam update and the vector add at 18,689 and 105,000 elements, each on
+# the assembly routine and on the Go loops, and the autograd ops on top.
 bench-kernels:
-	$(GO) test ./internal/autograd/kernels -run '^$$' -bench BenchmarkGemm -benchtime 2000x
+	$(GO) test ./internal/autograd/kernels -run '^$$' -bench 'BenchmarkGemm|BenchmarkAdamStep|BenchmarkAdd' -benchtime 2000x
 	$(GO) test ./internal/autograd -run '^$$' -bench 'BenchmarkMatMul64x64|BenchmarkMatMul256x256|BenchmarkDenseActFused' -benchtime 2000x
 
 # One verdict per workload x end-to-end metric between two result
@@ -331,7 +333,7 @@ ci:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -tags purego ./internal/autograd/...
+	$(GO) test -tags purego ./internal/autograd/... ./internal/optim/... ./internal/core/...
 	$(MAKE) race-dr
 	$(MAKE) bench-smoke
 	$(MAKE) smoke-chaos

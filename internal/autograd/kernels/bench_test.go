@@ -58,3 +58,50 @@ func BenchmarkGemm(b *testing.B) {
 		}
 	}
 }
+
+// elementwisePaths runs b's sub-benchmarks on the assembly routines and
+// on the Go loops, at the parameter counts of the benchmark's train-head
+// model (18,689) and of its 200-domain model (105,000).
+func elementwisePaths(b *testing.B, run func(b *testing.B, n int)) {
+	defer func(v bool) { vecAVX2 = v }(vecAVX2)
+	for _, n := range []int{18689, 105000} {
+		for _, path := range []struct {
+			name string
+			asm  bool
+		}{{"asm", true}, {"go", false}} {
+			if path.asm && !hasAVX2 {
+				continue
+			}
+			b.Run(fmt.Sprintf("%d/%s", n, path.name), func(b *testing.B) {
+				vecAVX2 = path.asm
+				run(b, n)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
+			})
+		}
+	}
+}
+
+// BenchmarkAdamStep times Blocked.AdamStep, one Adam update of n
+// parameters: what optim.Adam.Step spends per mini-batch.
+func BenchmarkAdamStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	elementwisePaths(b, func(b *testing.B, n int) {
+		data, grad := randMatrix(rng, n, false), randMatrix(rng, n, false)
+		m, v := make([]float64, n), make([]float64, n)
+		for i := 0; i < b.N; i++ {
+			Blocked.AdamStep(data, grad, m, v, 0.9, 0.999, 1e-3, 1e-8, 0.1, 0.001)
+		}
+	})
+}
+
+// BenchmarkAdd times AccumAdd of n elements, the vector add behind
+// gradient accumulation, AddTo and the column sums of a bias gradient.
+func BenchmarkAdd(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	elementwisePaths(b, func(b *testing.B, n int) {
+		dst, g := randMatrix(rng, n, false), randMatrix(rng, n, false)
+		for i := 0; i < b.N; i++ {
+			AccumAdd(dst, g)
+		}
+	})
+}

@@ -10,7 +10,8 @@ import "math"
 // rows stream past, unrolled 4x to cut loop overhead. Per output element
 // the reduction still runs ascending through a single accumulator on
 // either path, so results are bit-identical to the naive backend at any
-// thread count.
+// thread count. Its Adam step runs on adamAVX2 the same way: four
+// elements per instruction, each lane the Go loop's operations in order.
 type blocked struct{}
 
 // kc is the k-panel height: one panel of b is kc×n float64s, sized to
@@ -239,12 +240,23 @@ func biasActRange(dst, bias []float64, lo, hi, n int, act Act, slope float64) {
 	for i := lo; i < hi; i++ {
 		row := dst[i*n : (i+1)*n]
 		if bias != nil {
-			for j := range row {
-				row[j] += bias[j]
-			}
+			add(row, row, bias)
 		}
 		actInPlace(row, act, slope)
 	}
+}
+
+// AdamStep runs adamAVX2 on the multiple of four in front and adamGo on
+// the rest. grad, m and v are cut to len(data) first, so a short buffer
+// panics here instead of sending the routine past its end.
+func (blocked) AdamStep(data, grad, m, v []float64, beta1, beta2, lr, eps, c1, c2 float64) {
+	grad, m, v = grad[:len(data)], m[:len(data)], v[:len(data)]
+	n := 0
+	if vecAVX2 && len(data) >= 4 {
+		n = len(data) &^ 3
+		adamAVX2(&data[0], &grad[0], &m[0], &v[0], n, beta1, 1-beta1, beta2, 1-beta2, lr, eps, c1, c2)
+	}
+	adamGo(data[n:], grad[n:], m[n:], v[n:], beta1, beta2, lr, eps, c1, c2)
 }
 
 func checkGemm(dst, a, b []float64, m, k, n int) {

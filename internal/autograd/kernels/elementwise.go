@@ -7,15 +7,31 @@ import "math"
 // bounds checks hoisted and, for reductions, 4x unrolling that keeps a
 // single accumulator adding in ascending index order (sequential adds
 // through one register reassociate nothing, so results stay
-// bit-identical to the straight loop).
+// bit-identical to the straight loop). The vector add under AddTo,
+// AccumAdd, ColSumAdd and the fused bias runs on addAVX2 where the build
+// and the CPU have it: one VADDPD is four of the loop's additions.
 
-// AddTo sets dst[i] = a[i] + b[i].
-func AddTo(dst, a, b []float64) {
-	b = b[:len(dst)]
-	for i, av := range a[:len(dst)] {
-		dst[i] = av + b[i]
+// vecAVX2 selects the elementwise assembly routines (addAVX2, and
+// adamAVX2 under Blocked.AdamStep): hasAVX2. Only tests write it, to run
+// both paths on one machine.
+var vecAVX2 = hasAVX2
+
+// add sets dst[i] = a[i] + b[i]; dst may be a or b itself. The multiple
+// of four in front goes to addAVX2, the rest to the Go loop.
+func add(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	n := 0
+	if vecAVX2 && len(dst) >= 4 {
+		n = len(dst) &^ 3
+		addAVX2(&dst[0], &a[0], &b[0], n)
+	}
+	for i := n; i < len(dst); i++ {
+		dst[i] = a[i] + b[i]
 	}
 }
+
+// AddTo sets dst[i] = a[i] + b[i].
+func AddTo(dst, a, b []float64) { add(dst, a, b) }
 
 // SubTo sets dst[i] = a[i] - b[i].
 func SubTo(dst, a, b []float64) {
@@ -48,11 +64,7 @@ func AddScalarTo(dst, a []float64, s float64) {
 }
 
 // AccumAdd accumulates dst[i] += g[i].
-func AccumAdd(dst, g []float64) {
-	for i, gv := range g[:len(dst)] {
-		dst[i] += gv
-	}
-}
+func AccumAdd(dst, g []float64) { add(dst, dst, g) }
 
 // AccumSub accumulates dst[i] -= g[i].
 func AccumSub(dst, g []float64) {
@@ -114,10 +126,7 @@ func Dot(a, b []float64) float64 {
 func ColSumAdd(dst, a []float64, m, n int) {
 	dst = dst[:n]
 	for i := 0; i < m; i++ {
-		row := a[i*n : (i+1)*n]
-		for j := range dst {
-			dst[j] += row[j]
-		}
+		add(dst, dst, a[i*n:(i+1)*n])
 	}
 }
 
@@ -139,15 +148,23 @@ func DequantRowTo(dst []float64, q []int8, scale float32) {
 	}
 }
 
-// ReLUTo sets dst[i] = a[i] when a[i] > 0 and 0 otherwise (dst need
+// positive is all ones when v > 0 and zero otherwise (v ≤ 0 or NaN):
+// the mask the ReLU loops AND a value's bits with. The compiler makes the
+// select a CMOV, so the loops do not branch on a sign that goes either
+// way at random.
+func positive(v float64) uint64 {
+	var keep uint64
+	if v > 0 {
+		keep = ^uint64(0)
+	}
+	return keep
+}
+
+// ReLUTo sets dst[i] = a[i] when a[i] > 0 and +0 otherwise (dst need
 // not be pre-zeroed).
 func ReLUTo(dst, a []float64) {
 	for i, v := range a[:len(dst)] {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
 	}
 }
 
@@ -215,11 +232,7 @@ func ActGradTo(dst, out, g []float64, act Act, slope float64) {
 		copy(dst, g)
 	case ActReLU:
 		for i, s := range out {
-			if s > 0 {
-				dst[i] = g[i]
-			} else {
-				dst[i] = 0
-			}
+			dst[i] = math.Float64frombits(math.Float64bits(g[i]) & positive(s))
 		}
 	case ActSigmoid:
 		for i, s := range out {
@@ -239,5 +252,20 @@ func ActGradTo(dst, out, g []float64, act Act, slope float64) {
 		}
 	default:
 		panic("kernels: unknown activation")
+	}
+}
+
+// adamGo is one Adam update (Kingma & Ba) of data from grad, advancing
+// the moments m and v in place; c1 and c2 are the bias corrections
+// 1−β1^t and 1−β2^t of the step. It is the whole of Naive.AdamStep, the
+// tail of Blocked's, and the order of operations adamAVX2 reproduces.
+func adamGo(data, grad, m, v []float64, beta1, beta2, lr, eps, c1, c2 float64) {
+	grad, m, v = grad[:len(data)], m[:len(data)], v[:len(data)]
+	for i, g := range grad {
+		m[i] = beta1*m[i] + (1-beta1)*g
+		v[i] = beta2*v[i] + (1-beta2)*g*g
+		mh := m[i] / c1
+		vh := v[i] / c2
+		data[i] -= lr * mh / (math.Sqrt(vh) + eps)
 	}
 }

@@ -1,7 +1,8 @@
 // Package kernels provides the dense float64 math kernels behind the
 // autograd tensor operations: cache-blocked, goroutine-parallel GEMM
 // (forward and both backward products), a fused dense-layer forward
-// (matmul + bias + activation in one pass), vectorized elementwise and
+// (matmul + bias + activation in one pass), the Adam update the
+// optimizer runs on every parameter, vectorized elementwise and
 // reduction loops, and a sync.Pool buffer arena that removes per-op
 // allocations from the training and serving hot loops.
 //
@@ -15,12 +16,15 @@
 // one element; parallelism partitions output elements across
 // goroutines, never the reduction of a single element. The same rule
 // governs SIMD (gemmAddAVX2, the amd64 routine under the blocked
-// backend; build with -tags purego to leave it out): vector lanes hold
-// different output elements, never partial sums of one, and multiply and
-// add are separate roundings — no FMA, whose single rounding is a
-// different float. Consequently results do not depend on SetThreads,
-// Hold, GOMAXPROCS, the CPU, or the backend chosen, and the distributed
-// bit-identity suites hold unchanged.
+// backend, and the elementwise adamAVX2 and addAVX2; build with -tags
+// purego to leave them out): vector lanes hold different output
+// elements, never partial sums of one, and each Go operation is one
+// correctly rounded instruction in the Go loop's order — multiply and
+// add separately, no FMA, whose single rounding is a different float,
+// and no reciprocal or reciprocal-square-root estimate in place of a
+// division or square root. Consequently results do not depend on
+// SetThreads, Hold, GOMAXPROCS, the CPU, or the backend chosen, and the
+// distributed bit-identity suites hold unchanged.
 // (One caveat: when several NaNs combine, the propagated *payload* is
 // chosen by the hardware per instruction operand order, which the
 // compiler picks per expression — NaN is deterministic as a class,
@@ -72,6 +76,12 @@ type Backend interface {
 	// fused pass over a zeroed dst. slope is the LeakyReLU slope,
 	// ignored by other activations.
 	DenseForward(dst, x, w, bias []float64, m, k, n int, act Act, slope float64)
+	// AdamStep applies one Adam update to data: for each i,
+	// m = β1·m + (1−β1)·g, v = β2·v + ((1−β2)·g)·g and
+	// data −= (lr·(m/c1)) / (√(v/c2) + ε), where c1 = 1−β1^t and
+	// c2 = 1−β2^t are the step's bias corrections. grad, m and v must
+	// hold at least len(data) elements; m and v are updated in place.
+	AdamStep(data, grad, m, v []float64, beta1, beta2, lr, eps, c1, c2 float64)
 }
 
 // Blocked is the default backend: row-parallel kernels on an AVX2

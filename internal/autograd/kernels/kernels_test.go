@@ -50,20 +50,20 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// eachPath runs f twice: on the assembly routine with the small-product
-// cut-off bypassed, so every non-empty product reaches it, and on the Go
-// loops alone. The assembly arm is skipped where it cannot run.
+// eachPath runs f twice: on the assembly routines with the small-product
+// cut-off bypassed, so every non-empty product reaches gemmAddAVX2, and
+// on the Go loops alone. The assembly arm is skipped where it cannot run.
 func eachPath(t *testing.T, f func(t *testing.T)) {
-	defer func(v int) { asmFrom = v }(asmFrom)
+	defer func(from int, vec bool) { asmFrom, vecAVX2 = from, vec }(asmFrom, vecAVX2)
 	t.Run("asm", func(t *testing.T) {
 		if !hasAVX2 {
 			t.Skip("no AVX2 on this CPU, or a build without the assembly (purego, not amd64)")
 		}
-		asmFrom = 1
+		asmFrom, vecAVX2 = 1, true
 		f(t)
 	})
 	t.Run("go", func(t *testing.T) {
-		asmFrom = math.MaxInt
+		asmFrom, vecAVX2 = math.MaxInt, false
 		f(t)
 	})
 }

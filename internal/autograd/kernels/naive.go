@@ -64,3 +64,7 @@ func (nv naive) DenseForward(dst, x, w, bias []float64, m, k, n int, act Act, sl
 	nv.GemmAdd(dst, x, w, m, k, n)
 	biasActRange(dst, bias, 0, m, n, act, slope)
 }
+
+func (naive) AdamStep(data, grad, m, v []float64, beta1, beta2, lr, eps, c1, c2 float64) {
+	adamGo(data, grad, m, v, beta1, beta2, lr, eps, c1, c2)
+}

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"mamdr/internal/autograd"
+	"mamdr/internal/autograd/kernels"
 )
 
 // Optimizer updates parameters in place from their accumulated
@@ -118,7 +119,9 @@ func (s *SGD) LR() float64 { return s.lr }
 // Reset implements Optimizer.
 func (s *SGD) Reset() { clearAll(s.velocity) }
 
-// Adam implements the Adam optimizer (Kingma & Ba, 2015).
+// Adam implements the Adam optimizer (Kingma & Ba, 2015). The per-element
+// update is the active kernel backend's AdamStep, bit-identical on every
+// backend.
 type Adam struct {
 	lr           float64
 	Beta1, Beta2 float64
@@ -142,6 +145,7 @@ func (a *Adam) Step(params []*autograd.Tensor) {
 	a.step++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	be := kernels.Default()
 	for _, p := range params {
 		if p.Grad == nil {
 			continue
@@ -154,13 +158,7 @@ func (a *Adam) Step(params []*autograd.Tensor) {
 			a.m[p] = m
 			a.v[p] = v
 		}
-		for i, g := range p.Grad {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mh := m[i] / c1
-			vh := v[i] / c2
-			p.Data[i] -= a.lr * mh / (math.Sqrt(vh) + a.Eps)
-		}
+		be.AdamStep(p.Data, p.Grad, m, v, a.Beta1, a.Beta2, a.lr, a.Eps, c1, c2)
 	}
 }
 

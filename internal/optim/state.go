@@ -115,6 +115,9 @@ func (a *Adam) RestoreState(params []*autograd.Tensor, st State) error {
 	if err := checkKind(st, "adam"); err != nil {
 		return err
 	}
+	if st.Step < 0 {
+		return fmt.Errorf("optim: adam state has step %d", st.Step)
+	}
 	m, err := restoreSlot(st.Slots["m"], params, "m", "adam")
 	if err != nil {
 		return err
@@ -122,6 +125,13 @@ func (a *Adam) RestoreState(params []*autograd.Tensor, st State) error {
 	v, err := restoreSlot(st.Slots["v"], params, "v", "adam")
 	if err != nil {
 		return err
+	}
+	// Step allocates both moments of a tensor or neither; one without the
+	// other would reach AdamStep as an empty buffer.
+	for i, p := range params {
+		if (m[p] == nil) != (v[p] == nil) {
+			return fmt.Errorf("optim: adam state holds one of m and v, not both, for param %d (%dx%d)", i, p.Rows, p.Cols)
+		}
 	}
 	a.m, a.v, a.step = m, v, st.Step
 	return nil

@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"strings"
 	"testing"
 
 	"mamdr/internal/autograd"
@@ -92,6 +93,46 @@ func TestRestoreStateRejectsMismatches(t *testing.T) {
 	resized := []*autograd.Tensor{autograd.ParamZeros(5, 5), autograd.ParamZeros(1, 3)}
 	if err := NewAdagrad(0.1).RestoreState(resized, st); err == nil {
 		t.Fatal("restore accepted mismatched tensor sizes")
+	}
+}
+
+// TestAdamRestoreRejectsUnpairedMoments: Step allocates a tensor's m and
+// v together, so a state holding one without the other — or a negative
+// step counter — is corrupt. Restoring it must fail, naming the tensor,
+// instead of succeeding and panicking in the next Step.
+func TestAdamRestoreRejectsUnpairedMoments(t *testing.T) {
+	params := statefulParams()
+	opt := NewAdam(0.01)
+	fillGrads(params, 0.5)
+	opt.Step(params)
+	good := opt.CaptureState(params)
+
+	corrupt := func(edit func(st *State)) State {
+		st := State{Name: good.Name, Step: good.Step, Slots: map[string][][]float64{}}
+		for k, bufs := range good.Slots {
+			st.Slots[k] = append([][]float64(nil), bufs...)
+		}
+		edit(&st)
+		return st
+	}
+	for name, st := range map[string]State{
+		"m without v":      corrupt(func(st *State) { st.Slots["v"][1] = nil }),
+		"v without m":      corrupt(func(st *State) { st.Slots["m"][1] = nil }),
+		"no v slot at all": corrupt(func(st *State) { delete(st.Slots, "v") }),
+	} {
+		err := NewAdam(0.01).RestoreState(params, st)
+		if err == nil {
+			t.Fatalf("%s: restored", name)
+		}
+		if want := "param "; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name the tensor", name, err)
+		}
+	}
+	if err := NewAdam(0.01).RestoreState(params, corrupt(func(st *State) { st.Step = -1 })); err == nil {
+		t.Fatal("negative step restored")
+	}
+	if err := NewAdam(0.01).RestoreState(params, good); err != nil {
+		t.Fatalf("the uncorrupted state: %v", err)
 	}
 }
 

@@ -27,14 +27,15 @@ loc:
 staticcheck:
 	staticcheck ./...
 
-# The CI distributed-smoke job locally: a 2-worker traced run whose
-# trace file must parse as Chrome trace-event JSON.
+# A 2-worker traced run whose trace file must carry the worker, train-step
+# and PS spans.
 smoke-trace:
 	$(GO) run ./cmd/mamdr-train -preset taobao-10 -samples 2000 -epochs 2 \
 		-ps-workers 2 -trace /tmp/smoke.trace.json
-	python3 -c "import json; e=json.load(open('/tmp/smoke.trace.json')); assert e, 'empty'; print('ok:', len(e), 'events')"
+	for span in worker.epoch worker.inner_step train.forward ps.pull_dense ps.push_delta; do \
+		grep -q "\"name\":\"$$span\"" /tmp/smoke.trace.json || { echo "trace has no $$span span"; exit 1; }; done
 
-# The CI chaos-smoke job locally: a 2-worker run over a loopback RPC
+# A 2-worker run over a loopback RPC
 # parameter server with injected errors, delays, and connection drops
 # must print exactly the same per-domain AUC table as a clean run (the
 # retries are idempotent and SyncPush fixes the delta-apply order), and
@@ -52,7 +53,7 @@ smoke-chaos:
 	grep -E '[1-9][0-9]* faults injected' /tmp/chaos-faulty.log
 	$(GO) test -count=1 -run 'TestChaosDeterminismOverRPC|TestResumeMatchesUninterrupted' ./internal/ps/
 
-# The CI cluster-smoke job locally: a 2-worker run against a 3-shard
+# A 2-worker run against a 3-shard
 # partitioned PS cluster with injected per-shard faults must print
 # exactly the same per-domain AUC table as the 1-shard run (the
 # partition plan is a pure function of the layout and seed; SyncPush
@@ -74,10 +75,11 @@ smoke-cluster:
 		grep -q "\"name\":\"$$span\"" /tmp/cluster.trace.json || { echo "trace has no $$span span"; exit 1; }; done
 	$(GO) test -count=1 -run 'TestClusterTrainingBitIdenticalAcrossShardCounts|TestShardFailoverMatchesCleanRun|TestClusterChaosOverRPCBitIdentical' ./internal/cluster/
 
-# The CI obs-smoke job locally: two shard servers plus a faulted
+# Two shard servers plus a faulted
 # 2-worker training run, observed live by mamdr-obs. The federated
 # exposition must carry every instance, the faulted run must fire at
-# least one burn-rate alert (with a flight-recorder dump), and a clean
+# least one burn-rate alert (with a flight-recorder dump and an event),
+# every sample line of the federated exposition must parse, and a clean
 # run observed by a fresh monitor must fire none.
 smoke-obs:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-obs
@@ -99,9 +101,13 @@ smoke-obs:
 	sleep 12; curl -s 127.0.0.1:9600/metrics > /tmp/obs-federated.txt; wait
 	grep -E 'alerts_fired=[1-9]' /tmp/obs-faulty.txt
 	grep '"event":"slo_burn"' /tmp/obs-events.jsonl >/dev/null
+	grep '"slo":"ps-rpc-failures"' /tmp/obs-events.jsonl >/dev/null
 	test -s /tmp/obs-flight-slo_ps-rpc-failures.trace.json
-	grep -c 'instance="127.0.0.1:7101"' /tmp/obs-federated.txt >/dev/null
-	grep -c 'role="trainer"' /tmp/obs-federated.txt >/dev/null
+	for needle in 'instance="127.0.0.1:7101"' 'instance="127.0.0.1:7102"' \
+		'role="trainer"' 'role="ps"' 'role="obs"' mamdr_build_info mamdr_ps_rpc_failures_total \
+		mamdr_slo_burn_alerts_total mamdr_obs_scrapes_total; do \
+		grep -qF "$$needle" /tmp/obs-federated.txt || { echo "federated exposition missing $$needle"; exit 1; }; done
+	! grep -vE '^$$|^#|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [^[:space:]]+$$' /tmp/obs-federated.txt
 	/tmp/mamdr-bin/mamdr-obs \
 		-scrape trainer=127.0.0.1:9191,rpc://127.0.0.1:7101,rpc://127.0.0.1:7102 \
 		-interval 500ms -run-for 15s -slo-fast -addr 127.0.0.1:9601 \
@@ -115,7 +121,7 @@ smoke-obs:
 	grep -E 'alerts_fired=0' /tmp/obs-clean.txt
 	@echo "ok: faulted run fired, clean run quiet"
 
-# The CI quality-smoke job locally: one serving process with streaming
+# One serving process with streaming
 # model-quality tracking, observed by mamdr-obs. Matched traffic
 # (val+test replayed with true labels) must fire no alert; drifted
 # traffic (fixed items, inverted labels) must burn the quality SLOs and
@@ -149,6 +155,7 @@ smoke-quality:
 	grep -E 'alerts_fired=[1-9]' /tmp/quality-drift.txt
 	grep '"slo":"quality-psi-drift"' /tmp/quality-events.jsonl >/dev/null
 	grep '"slo":"quality-auc-floor"' /tmp/quality-events.jsonl >/dev/null
+	grep '"slo":"quality-calibration"' /tmp/quality-events.jsonl >/dev/null
 	python3 -c "import json; r=json.load(open('/tmp/quality-report.json')); \
 		assert not r['go'], 'drift run still reports go'; \
 		assert any(s.startswith('quality-') for s in r['firing']), r['firing']; \
@@ -157,13 +164,14 @@ smoke-quality:
 		print('ok: drift fired', r['firing'], 'worst domain', w['domain'])"
 	@echo "ok: matched traffic quiet, drifted traffic fired the quality SLOs"
 
-# The CI rollout-smoke job locally: one serving process seeded from a
+# One serving process seeded from a
 # clean checkpoint with the canary gate on. Re-publishing the clean
 # snapshot must auto-promote (the traffic driver mirrors every batch to
 # both arms via precomputed X-Request-IDs, so identical weights show a
 # zero quality gap); publishing a label-flipped checkpoint must
 # auto-roll-back with zero client-visible errors (the driver fails on
-# any non-2xx), the incumbent must keep serving afterwards, and the
+# any non-2xx), only the promoted snapshot may be announced as the
+# incumbent, the incumbent must keep serving afterwards, and the
 # rollback must burn the rollout-rollbacks SLO in mamdr-obs. A final
 # restart with an injected serve-path fault proves the chaos schedule
 # reaches /predict and is contained to one request.
@@ -205,6 +213,8 @@ smoke-rollout:
 	curl -s 127.0.0.1:8086/metrics | grep -E 'mamdr_rollout_decisions_total\{decision="rollback"'
 	grep -E 'alerts_fired=[1-9]' /tmp/rollout-obs.txt
 	grep '"slo":"rollout-rollbacks"' /tmp/rollout-events.jsonl >/dev/null
+	grep 'snapshot v2 .* is now the incumbent' /tmp/rollout-serve.log
+	test "$$(grep -c 'is now the incumbent' /tmp/rollout-serve.log)" = 1
 	kill `cat /tmp/rollout-serve.pid`
 	/tmp/mamdr-bin/mamdr-serve -preset taobao-10 -samples 2000 -seed 7 \
 		-checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8087 -access-log off \
@@ -218,7 +228,7 @@ smoke-rollout:
 	kill `cat /tmp/rollout-chaos.pid`
 	@echo "ok: clean publish promoted, poisoned publish rolled back, injected predict fault contained"
 
-# The CI batch-smoke job locally: the same mirrored replay driven twice
+# The same mirrored replay driven twice
 # through one checkpoint — once with coalescing off (one forward per
 # request), once with `-batch-max=64` under 16 concurrent client threads
 # — must produce byte-identical score dumps at -snapshot-quant=off (the
@@ -258,12 +268,13 @@ smoke-batch:
 		>/tmp/batch-serve-on.log 2>&1 & echo $$! > /tmp/batch-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8089/healthz >/dev/null 2>&1 && break; \
 		kill -0 `cat /tmp/batch-serve.pid` || { cat /tmp/batch-serve-on.log; exit 1; }; sleep 1; done
-	grep 'request coalescing' /tmp/batch-serve-on.log
+	grep 'request coalescing on' /tmp/batch-serve-on.log
 	python3 scripts/rollout_traffic.py --base http://127.0.0.1:8089 \
 		--data /tmp/batch-ds.json --repeat 1 --workers 16 \
 		--dump-scores /tmp/batch-scores-on.jsonl
 	curl -s 127.0.0.1:8089/metrics | grep -E 'mamdr_serve_batch_flushes_total\{reason="slot"\} [1-9]'
 	kill `cat /tmp/batch-serve.pid`
+	test -s /tmp/batch-scores-off.jsonl
 	diff /tmp/batch-scores-off.jsonl /tmp/batch-scores-on.jsonl
 	MAMDR_SMOKE_BATCH=1 $(GO) test -count=1 -v -run TestQuantAUCBudget ./internal/exp
 	@echo "ok: batched scores byte-identical to unbatched; int8 AUC gate passed"
@@ -322,12 +333,13 @@ bench-telemetry:
 	$(GO) test ./internal/core -run xxx -bench TelemetryOverhead -benchtime 10x
 	$(GO) test ./internal/serve -run xxx -bench TelemetryOverhead -benchtime 2s
 
-# The CI bench-smoke job locally: all six mamdr-bench workloads at
-# shrunk sizes, answers checked, no timing gate.
+# All six mamdr-bench workloads at shrunk sizes, answers checked, no
+# timing gate.
 bench-smoke:
 	bash cmd/mamdr-bench/run.sh -quick
 
-# What CI runs (.github/workflows/ci.yml).
+# What CI's test job runs (.github/workflows/ci.yml): every smoke runs
+# here and only here.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -342,5 +354,6 @@ ci:
 	$(MAKE) smoke-quality
 	$(MAKE) smoke-rollout
 	$(MAKE) smoke-batch
+	$(MAKE) smoke-trace
 
 check: vet build test race

@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -132,7 +131,7 @@ func main() {
 	// POST /admin/publish {"source":"upstream"} pulls fresh snapshots.
 	var upstream *serve.Upstream
 	if *psAddrs != "" {
-		groups := parseShardAddrs(*psAddrs)
+		groups := cluster.ParseAddrs(*psAddrs)
 		if len(groups) == 0 {
 			log.Fatal("-ps-addrs: no addresses given")
 		}
@@ -144,11 +143,17 @@ func main() {
 		if err != nil {
 			log.Fatalf("-ps-addrs: %v", err)
 		}
-		router.Close() // probes and publishes dial fresh; a condemned replica must not linger
 		state.Shared = snap
 		log.Printf("loaded shared parameters from %d-shard cluster at %s", len(groups), *psAddrs)
 		upstream = &serve.Upstream{
-			Ping: shardProber(groups),
+			// The startup router stays on as the /readyz probe: TryPing
+			// never condemns a replica, and every replica must answer
+			// within a second.
+			Ping: func(ctx context.Context) error {
+				ctx, cancel := context.WithTimeout(ctx, time.Second)
+				defer cancel()
+				return router.TryPing(ctx)
+			},
 			// Each pull dials a fresh router: shard condemnation inside a
 			// Router is permanent, so a long-lived one would go stale after
 			// any transient loss. Publishes are rare; the dial is cheap.
@@ -388,53 +393,4 @@ func pickEpochs2(checkpoint, psAddrs string, epochs int) int {
 		return 1
 	}
 	return epochs
-}
-
-// parseShardAddrs splits "a,b,c" into per-shard address groups; the
-// replicas of one shard are joined with '|' ("a0|a1,b0|b1") — the same
-// syntax mamdr-train's -ps-serve/-ps-addrs use.
-func parseShardAddrs(s string) [][]string {
-	var out [][]string
-	for _, shard := range strings.Split(s, ",") {
-		var reps []string
-		for _, a := range strings.Split(shard, "|") {
-			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
-			}
-		}
-		if len(reps) > 0 {
-			out = append(out, reps)
-		}
-	}
-	return out
-}
-
-// shardProber dials one probe client per shard replica and returns the
-// /readyz upstream check: every replica must answer a Ping within a
-// second, and the first failure names the shard that is down.
-func shardProber(groups [][]string) func(context.Context) error {
-	type probe struct {
-		sh, rep int
-		cl      *ps.Client
-	}
-	var probes []probe
-	for sh, g := range groups {
-		for rep, addr := range g {
-			cl, err := ps.Dial(addr)
-			if err != nil {
-				log.Fatalf("shard %d replica %d (%s): %v", sh, rep, addr, err)
-			}
-			probes = append(probes, probe{sh, rep, cl})
-		}
-	}
-	return func(ctx context.Context) error {
-		ctx, cancel := context.WithTimeout(ctx, time.Second)
-		defer cancel()
-		for _, p := range probes {
-			if err := p.cl.Ping(ctx); err != nil {
-				return fmt.Errorf("shard %d replica %d: %w", p.sh, p.rep, err)
-			}
-		}
-		return nil
-	}
 }

@@ -330,31 +330,13 @@ type deployOpts struct {
 	addrs    string // remote shard addresses (cluster mode over sockets)
 }
 
-// parseShardAddrs splits "a,b,c" into per-shard address groups; the
-// replicas of one shard are joined with '|' ("a0|a1,b0|b1").
-func parseShardAddrs(s string) [][]string {
-	var out [][]string
-	for _, shard := range strings.Split(s, ",") {
-		var reps []string
-		for _, a := range strings.Split(shard, "|") {
-			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
-			}
-		}
-		if len(reps) > 0 {
-			out = append(out, reps)
-		}
-	}
-	return out
-}
-
 // serveCluster hosts the parameter-server shards of the given model on
 // the listed addresses and blocks. The partition plan is derived from
 // the model layout and -seed, exactly as the training side derives it,
 // so both ends agree on which shard owns which slice (cluster.Dial
 // verifies the layouts and refuses a mismatched cluster).
 func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed int64, outerLR float64, checkpointDir string, tracer *trace.Tracer, reg *telemetry.Registry) {
-	groups := parseShardAddrs(addrSpec)
+	groups := cluster.ParseAddrs(addrSpec)
 	if len(groups) == 0 {
 		log.Fatal("-ps-serve: no addresses given")
 	}
@@ -462,7 +444,7 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o deployOpts, 
 	shards := opts.Shards
 	var groups [][]string
 	if o.addrs != "" {
-		groups = parseShardAddrs(o.addrs)
+		groups = cluster.ParseAddrs(o.addrs)
 		shards = len(groups)
 	}
 	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), shards, opts.Seed)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"strings"
 
 	"mamdr/internal/cluster"
 	"mamdr/internal/data"
@@ -51,7 +50,10 @@ func main() {
 	// process connects with -ps-addrs. Both derive the same partition
 	// plan from the shared model config, so the slices line up.
 	if *serve != "" {
-		groups := parseAddrs(*serve)
+		groups := cluster.ParseAddrs(*serve)
+		if len(groups) == 0 {
+			log.Fatal("-serve: no addresses given")
+		}
 		plan := ps.NewPlan(layout, len(groups), 7)
 		servers := cluster.Shards(serving.Parameters(), plan, cluster.ShardOptions{Replicas: len(groups[0])})
 		log.Printf("serving %s", plan.String())
@@ -77,7 +79,10 @@ func main() {
 	// remote servers keep their trained state, so a second run would not
 	// start from the same parameters.)
 	if *psAddrs != "" {
-		groups := parseAddrs(*psAddrs)
+		groups := cluster.ParseAddrs(*psAddrs)
+		if len(groups) == 0 {
+			log.Fatal("-ps-addrs: no addresses given")
+		}
 		plan := ps.NewPlan(layout, len(groups), 7)
 		router, err := cluster.Dial(plan, groups, nil, cluster.Options{})
 		if err != nil {
@@ -122,25 +127,4 @@ func main() {
 	fmt.Printf("\nthe static/dynamic cache cuts synchronization traffic by %.1fx\n",
 		float64(cOff.FloatsMoved)/float64(cOn.FloatsMoved))
 	fmt.Println("while querying the latest embeddings from the PS on miss bounds staleness.")
-}
-
-// parseAddrs splits "a,b,c" into per-shard address groups; replicas of
-// one shard are joined with '|'.
-func parseAddrs(s string) [][]string {
-	var out [][]string
-	for _, shard := range strings.Split(s, ",") {
-		var reps []string
-		for _, a := range strings.Split(shard, "|") {
-			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
-			}
-		}
-		if len(reps) > 0 {
-			out = append(out, reps)
-		}
-	}
-	if len(out) == 0 {
-		log.Fatal("no addresses given")
-	}
-	return out
 }

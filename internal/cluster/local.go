@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/paramvec"
@@ -143,6 +144,26 @@ func ServeTCP(servers [][]*ps.Server) ([][]string, func(), error) {
 		}
 	}
 	return addrs, closeAll, nil
+}
+
+// ParseAddrs reads the address list every cluster flag takes: shards
+// separated by ',', the replicas of one shard by '|' ("a0|a1,b0|b1").
+// Spaces around an address are trimmed and empty groups dropped, so ""
+// yields no shards; callers decide whether that is an error.
+func ParseAddrs(s string) [][]string {
+	var out [][]string
+	for _, shard := range strings.Split(s, ",") {
+		var reps []string
+		for _, a := range strings.Split(shard, "|") {
+			if a = strings.TrimSpace(a); a != "" {
+				reps = append(reps, a)
+			}
+		}
+		if len(reps) > 0 {
+			out = append(out, reps)
+		}
+	}
+	return out
 }
 
 // Dial connects to an already-serving shard cluster: addrs[sh] lists

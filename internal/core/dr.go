@@ -191,7 +191,7 @@ func newDRWorker(id int, m models.Model, cfg framework.Config) *drWorker {
 // same update — with one visible difference: a θ_i entry that is -0.0
 // (reachable only by loading one; training never produces it) stays
 // -0.0 where -0.0 + γ·0 wrote +0.0. Under an inner optimizer that moves
-// rows on zero gradient (Adam, momentum) every entry counts as moved and
+// rows on zero gradient (Adam) every entry counts as moved and
 // the same algebra runs over all of |θ| per helper. Nothing of size |θ|
 // is allocated: the inner optimizer is the worker's, Reset per helper,
 // which is float for float a fresh one.

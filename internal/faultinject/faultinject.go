@@ -23,8 +23,7 @@
 //	                               drawn from the injector's seeded RNG
 //
 // Faults surface to the caller as a Fault value; the transport (the
-// ps RPC client, or ps.FaultyStore for in-process stores) applies it.
-// Non-transport callers use Fault.Apply. The serving fleet evaluates
+// ps RPC client) applies it. Non-transport callers use Fault.Apply. The serving fleet evaluates
 // the same grammar under its own operation names: "Predict" (a slow or
 // failing model replica), "PublishSource" (reading a snapshot for
 // /admin/publish), and "UpstreamPing"/"UpstreamSnapshot" (the serve→PS

@@ -17,19 +17,19 @@ import (
 //
 // The rows a batch gathers (models.RowSet) are an input of the step: its
 // backward writes those rows of each declared table's Grad and no
-// others. When the optimizer declares that a zero gradient is a no-op
-// (optim.RowStepper: plain SGD, Adagrad) the step therefore clears and
-// steps only those rows, which is float for float the dense step. Under
-// any other optimizer (Adam, momentum), or for a model that declares no
-// tables, it clears and steps every entry as before. The choice is read
-// from the optimizer and the model on every step; there is no knob.
+// others. When the optimizer steps by rows (optim.RowStepper: SGD,
+// Adagrad, for which a zero gradient is a no-op) the step therefore
+// clears and steps only those rows, which is float for float the dense
+// step. Under Adam, or for a model that declares no tables, it clears and
+// steps every entry as before. The choice is read from the optimizer's
+// type and the model on every step; there is no knob.
 //
 // Grad-buffer invariant. Between the steps of one Stepper, a declared
 // table's Grad is zero outside the rows of the last backward (the set
 // the Stepper remembers). ZeroGrad establishes it and every step keeps
-// it, so dense readers of Grad — EpochRecorder's grad-norm,
-// optim.ClipGradNorm, paramvec.SnapshotGrads — see exactly one batch's
-// gradient, as they did when every step cleared everything. Code that
+// it, so dense readers of Grad — EpochRecorder's grad-norm and
+// paramvec.SnapshotGrads — see exactly one batch's gradient, as they did
+// when every step cleared everything. Code that
 // fills Grad densely outside a Stepper (the DN outer step, MAML/MLDG/
 // PCGrad's combined gradients, DomainGradient) breaks it for any Stepper
 // alive at the time, so none is kept across such a writer: a caller whose
@@ -94,8 +94,8 @@ func (s *Stepper) zeroRows() {
 // the batch loss. When ctx carries a sampled span the three phases emit
 // train.forward / train.backward / train.optimizer child spans.
 func (s *Stepper) Step(ctx context.Context, b *data.Batch, opt optim.Optimizer) float64 {
-	rowOpt, _ := opt.(optim.RowStepper)
-	sparse := len(s.rows) > 0 && rowOpt != nil && rowOpt.ZeroGradIsNoOp()
+	rowOpt, isRowOpt := opt.(optim.RowStepper)
+	sparse := len(s.rows) > 0 && isRowOpt
 	if !sparse || s.denseGrad {
 		// Everything: the dense loop as it always was — or the one full
 		// clear when a row step follows a dense one, whose gradient sits

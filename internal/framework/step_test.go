@@ -50,18 +50,17 @@ func rowOutside(t *testing.T, m models.Model, a, b *data.Batch) (param, row int)
 // TestStepperRowPathEqualsDensePath: under SGD and Adagrad the Stepper
 // steps only gathered rows; parameters, losses and the gradient buffers
 // a dense reader sees after every step are bit-identical to the dense
-// loop's. It also pins what Moved reports. Under Adam and momentum the
-// Stepper takes the dense loop itself, and a row outside the batch moves
-// — nobody made them lazy.
+// loop's. It also pins what Moved reports. Under Adam the Stepper takes
+// the dense loop itself, and a row outside the batch moves — nobody made
+// it lazy.
 func TestStepperRowPathEqualsDensePath(t *testing.T) {
 	ds := testDataset(t)
 	batches := append(ds.Batches(2, data.Train, 16, nil)[:2], ds.Batches(1, data.Train, 16, nil)[:2]...)
 	ctx := context.Background()
 	for name, build := range map[string]func() optim.Optimizer{
-		"sgd":          func() optim.Optimizer { return optim.NewSGD(0.1) },
-		"adagrad":      func() optim.Optimizer { return optim.NewAdagrad(0.1) },
-		"adam":         func() optim.Optimizer { return optim.NewAdam(0.01) },
-		"sgd-momentum": func() optim.Optimizer { return optim.NewSGDMomentum(0.1, 0.9) },
+		"sgd":     func() optim.Optimizer { return optim.NewSGD(0.1) },
+		"adagrad": func() optim.Optimizer { return optim.NewAdagrad(0.1) },
+		"adam":    func() optim.Optimizer { return optim.NewAdam(0.01) },
 	} {
 		rowModel, denseModel := testModel(t, ds), denseOnly{testModel(t, ds)}
 		rows, dense := NewStepper(rowModel), NewStepper(denseModel)
@@ -83,7 +82,7 @@ func TestStepperRowPathEqualsDensePath(t *testing.T) {
 				t.Fatalf("%s step %d: parameters differ between row path and dense path", name, i)
 			}
 			if !vectorsBitEqual(paramvec.SnapshotGrads(rowModel.Parameters()), paramvec.SnapshotGrads(denseModel.Parameters())) {
-				t.Fatalf("%s step %d: gradient buffers differ: a dense reader (grad-norm, ClipGradNorm) would see another batch's rows", name, i)
+				t.Fatalf("%s step %d: gradient buffers differ: a dense reader (grad-norm, SnapshotGrads) would see another batch's rows", name, i)
 			}
 			p := rowModel.Parameters()[param]
 			row := p.Data[outside*p.Cols : (outside+1)*p.Cols]

@@ -1,10 +1,9 @@
 // Package optim implements the gradient-descent optimizers used by the
-// MAMDR learning frameworks: SGD (with optional momentum), Adam, and
-// Adagrad. Inner and outer loops of Domain Negotiation can use different
-// optimizers (the paper's industrial configuration uses SGD inside and
-// Adagrad outside), so optimizers keep per-tensor state keyed by
-// parameter identity and can be Reset when the parameter set they track
-// is rebound.
+// MAMDR learning frameworks: SGD, Adam, and Adagrad. Inner and outer
+// loops of Domain Negotiation can use different optimizers (the paper's
+// industrial configuration uses SGD inside and Adagrad outside), so
+// optimizers keep per-tensor state keyed by parameter identity and can be
+// Reset when the parameter set they track is rebound.
 package optim
 
 import (
@@ -14,17 +13,21 @@ import (
 	"mamdr/internal/autograd/kernels"
 )
 
+// Adam's defaults (Kingma & Ba, 2015) and the epsilon Adam and Adagrad
+// add to their denominators.
+const (
+	beta1 = 0.9
+	beta2 = 0.999
+	eps   = 1e-8
+)
+
 // Optimizer updates parameters in place from their accumulated
-// gradients. Implementations keep internal state (momentum, adaptive
-// moments) per parameter tensor.
+// gradients. Implementations keep internal state (adaptive moments) per
+// parameter tensor.
 type Optimizer interface {
 	// Step applies one update to every parameter using its Grad buffer.
 	// Gradients are not cleared; callers zero them between steps.
 	Step(params []*autograd.Tensor)
-	// SetLR changes the learning rate for subsequent steps.
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
 	// Reset returns the optimizer to the state of a freshly built one:
 	// the next steps are float for float those of optim.New. Buffers as
 	// large as the tensors already stepped are cleared in place and kept
@@ -32,76 +35,36 @@ type Optimizer interface {
 	Reset()
 }
 
-// RowStepper is implemented by optimizers that can apply a step to some
-// rows of a tensor only. It is what lets a train step skip the rows of
-// an embedding table its batch did not gather: their gradient is zero,
-// and when ZeroGradIsNoOp holds, Step would leave them — value and
-// optimizer state — bit for bit as they are. Plain SGD and Adagrad
-// qualify. Momentum and Adam do not (a row keeps moving on its decaying
-// moments after its gradient returns to zero) and are stepped densely:
-// there is no lazy variant of either here.
+// RowStepper is implemented by the optimizers whose Step leaves an entry
+// with a +0 gradient — value and optimizer state — bit for bit as it is:
+// SGD and Adagrad. It is what lets a train step skip the rows of an
+// embedding table its batch did not gather, since their gradient is zero.
+// Adam does not qualify (a row keeps moving on its decaying moments after
+// its gradient returns to zero) and is stepped densely: there is no lazy
+// variant of it here.
 type RowStepper interface {
-	// ZeroGradIsNoOp reports whether Step leaves an entry whose gradient
-	// is +0 unchanged, so that StepRows over the rows that carry gradient
-	// equals Step.
-	ZeroGradIsNoOp() bool
 	// StepRows applies to the given rows of p exactly what Step applies
 	// to them, and nothing to any other row.
 	StepRows(p *autograd.Tensor, rows []int)
 }
 
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	lr       float64
-	Momentum float64
-	velocity map[*autograd.Tensor][]float64
-}
+// SGD is plain stochastic gradient descent.
+type SGD struct{ lr float64 }
 
-// NewSGD returns an SGD optimizer with the given learning rate and no
-// momentum.
+// NewSGD returns an SGD optimizer with the given learning rate.
 func NewSGD(lr float64) *SGD { return &SGD{lr: lr} }
-
-// NewSGDMomentum returns an SGD optimizer with classical momentum.
-func NewSGDMomentum(lr, momentum float64) *SGD {
-	return &SGD{lr: lr, Momentum: momentum}
-}
 
 // Step implements Optimizer.
 func (s *SGD) Step(params []*autograd.Tensor) {
 	for _, p := range params {
-		if p.Grad == nil {
-			continue
-		}
-		if s.Momentum == 0 {
-			for i, g := range p.Grad {
-				p.Data[i] -= s.lr * g
-			}
-			continue
-		}
-		if s.velocity == nil {
-			s.velocity = map[*autograd.Tensor][]float64{}
-		}
-		v := s.velocity[p]
-		if v == nil {
-			v = make([]float64, len(p.Data))
-			s.velocity[p] = v
-		}
 		for i, g := range p.Grad {
-			v[i] = s.Momentum*v[i] + g
-			p.Data[i] -= s.lr * v[i]
+			p.Data[i] -= s.lr * g
 		}
 	}
 }
 
-// ZeroGradIsNoOp implements RowStepper: x - lr*0 is x; with momentum the
-// velocity keeps moving x.
-func (s *SGD) ZeroGradIsNoOp() bool { return s.Momentum == 0 }
-
-// StepRows implements RowStepper (momentum-free SGD only).
+// StepRows implements RowStepper: x - lr*0 is x.
 func (s *SGD) StepRows(p *autograd.Tensor, rows []int) {
-	if s.Momentum != 0 {
-		panic("optim: StepRows on SGD with momentum")
-	}
 	for _, r := range rows {
 		data, grad := p.Data[r*p.Cols:(r+1)*p.Cols], p.Grad[r*p.Cols:(r+1)*p.Cols]
 		for i, g := range grad {
@@ -110,31 +73,21 @@ func (s *SGD) StepRows(p *autograd.Tensor, rows []int) {
 	}
 }
 
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.lr }
-
-// Reset implements Optimizer.
-func (s *SGD) Reset() { clearAll(s.velocity) }
+// Reset implements Optimizer: SGD keeps no state.
+func (s *SGD) Reset() {}
 
 // Adam implements the Adam optimizer (Kingma & Ba, 2015). The per-element
 // update is the active kernel backend's AdamStep, bit-identical on every
 // backend.
 type Adam struct {
-	lr           float64
-	Beta1, Beta2 float64
-	Eps          float64
-	step         int
-	m, v         map[*autograd.Tensor][]float64
+	lr   float64
+	step int
+	m, v map[*autograd.Tensor][]float64
 }
 
 // NewAdam returns Adam with the standard defaults beta1=0.9, beta2=0.999,
 // eps=1e-8.
-func NewAdam(lr float64) *Adam {
-	return &Adam{lr: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
+func NewAdam(lr float64) *Adam { return &Adam{lr: lr} }
 
 // Step implements Optimizer.
 func (a *Adam) Step(params []*autograd.Tensor) {
@@ -143,8 +96,8 @@ func (a *Adam) Step(params []*autograd.Tensor) {
 		a.v = map[*autograd.Tensor][]float64{}
 	}
 	a.step++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	c1 := 1 - math.Pow(beta1, float64(a.step))
+	c2 := 1 - math.Pow(beta2, float64(a.step))
 	be := kernels.Default()
 	for _, p := range params {
 		if p.Grad == nil {
@@ -158,15 +111,9 @@ func (a *Adam) Step(params []*autograd.Tensor) {
 			a.m[p] = m
 			a.v[p] = v
 		}
-		be.AdamStep(p.Data, p.Grad, m, v, a.Beta1, a.Beta2, a.lr, a.Eps, c1, c2)
+		be.AdamStep(p.Data, p.Grad, m, v, beta1, beta2, a.lr, eps, c1, c2)
 	}
 }
-
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.lr }
 
 // Reset implements Optimizer.
 func (a *Adam) Reset() {
@@ -178,9 +125,8 @@ func (a *Adam) Reset() {
 // Adagrad implements the Adagrad optimizer (Duchi et al., 2011), used by
 // the paper's industrial outer loop.
 type Adagrad struct {
-	lr  float64
-	Eps float64
-	g2  map[*autograd.Tensor][]float64
+	lr float64
+	g2 map[*autograd.Tensor][]float64
 	// rowG2 holds the accumulators of tensors that have only ever been
 	// stepped by rows, one Cols-wide buffer per row seen: a fresh
 	// optimizer stepping a few rows of an embedding table must not
@@ -189,7 +135,7 @@ type Adagrad struct {
 }
 
 // NewAdagrad returns Adagrad with eps=1e-8.
-func NewAdagrad(lr float64) *Adagrad { return &Adagrad{lr: lr, Eps: 1e-8} }
+func NewAdagrad(lr float64) *Adagrad { return &Adagrad{lr: lr} }
 
 // accumulator returns p's full-size accumulator, creating it — from the
 // row accumulators, if StepRows got to p first — when absent.
@@ -218,16 +164,13 @@ func (a *Adagrad) Step(params []*autograd.Tensor) {
 		s := a.accumulator(p)
 		for i, g := range p.Grad {
 			s[i] += g * g
-			p.Data[i] -= a.lr * g / (math.Sqrt(s[i]) + a.Eps)
+			p.Data[i] -= a.lr * g / (math.Sqrt(s[i]) + eps)
 		}
 	}
 }
 
-// ZeroGradIsNoOp implements RowStepper: a zero gradient adds nothing to
-// the accumulator and 0/(sqrt(s)+eps) to the value.
-func (a *Adagrad) ZeroGradIsNoOp() bool { return true }
-
-// StepRows implements RowStepper.
+// StepRows implements RowStepper: a zero gradient adds nothing to the
+// accumulator and 0/(sqrt(s)+eps) to the value.
 func (a *Adagrad) StepRows(p *autograd.Tensor, rows []int) {
 	full := a.g2[p]
 	byRow := a.rowG2[p]
@@ -250,16 +193,10 @@ func (a *Adagrad) StepRows(p *autograd.Tensor, rows []int) {
 		data, grad := p.Data[lo:hi], p.Grad[lo:hi]
 		for i, g := range grad {
 			s[i] += g * g
-			data[i] -= a.lr * g / (math.Sqrt(s[i]) + a.Eps)
+			data[i] -= a.lr * g / (math.Sqrt(s[i]) + eps)
 		}
 	}
 }
-
-// SetLR implements Optimizer.
-func (a *Adagrad) SetLR(lr float64) { a.lr = lr }
-
-// LR implements Optimizer.
-func (a *Adagrad) LR() float64 { return a.lr }
 
 // Reset implements Optimizer. The row accumulators are dropped, not
 // cleared: they exist so that stepping a few rows of a table costs those
@@ -274,30 +211,6 @@ func clearAll(state map[*autograd.Tensor][]float64) {
 	for _, buf := range state {
 		clear(buf)
 	}
-}
-
-// ClipGradNorm scales all gradients down so their global L2 norm does not
-// exceed maxNorm. It returns the pre-clip norm. It reads and scales every
-// entry, so it is exact on row-sparse table gradients too (zero rows add
-// nothing to the norm and stay zero) as long as the buffers hold one
-// backward's gradient — see framework.Stepper.
-func ClipGradNorm(params []*autograd.Tensor, maxNorm float64) float64 {
-	var total float64
-	for _, p := range params {
-		for _, g := range p.Grad {
-			total += g * g
-		}
-	}
-	norm := math.Sqrt(total)
-	if norm > maxNorm && norm > 0 {
-		scale := maxNorm / norm
-		for _, p := range params {
-			for i := range p.Grad {
-				p.Grad[i] *= scale
-			}
-		}
-	}
-	return norm
 }
 
 // New builds an optimizer by name ("sgd", "adam", "adagrad"); it panics

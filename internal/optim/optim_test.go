@@ -30,10 +30,9 @@ func converges(t *testing.T, opt Optimizer, steps int, tol float64) {
 	}
 }
 
-func TestSGDConverges(t *testing.T)         { converges(t, NewSGD(0.1), 200, 1e-6) }
-func TestSGDMomentumConverges(t *testing.T) { converges(t, NewSGDMomentum(0.05, 0.9), 300, 1e-4) }
-func TestAdamConverges(t *testing.T)        { converges(t, NewAdam(0.1), 600, 1e-3) }
-func TestAdagradConverges(t *testing.T)     { converges(t, NewAdagrad(1.0), 500, 1e-3) }
+func TestSGDConverges(t *testing.T)     { converges(t, NewSGD(0.1), 200, 1e-6) }
+func TestAdamConverges(t *testing.T)    { converges(t, NewAdam(0.1), 600, 1e-3) }
+func TestAdagradConverges(t *testing.T) { converges(t, NewAdagrad(1.0), 500, 1e-3) }
 
 func TestSGDSingleStepExactUpdate(t *testing.T) {
 	x := autograd.Param(1, 2, []float64{1, 2})
@@ -50,15 +49,6 @@ func TestOptimizerSkipsNilGrad(t *testing.T) {
 		opt.Step([]*autograd.Tensor{x})
 		if x.Data[0] != 1 || x.Data[1] != 2 {
 			t.Fatal("optimizer modified a gradient-free tensor")
-		}
-	}
-}
-
-func TestSetLR(t *testing.T) {
-	for _, opt := range []Optimizer{NewSGD(0.1), NewAdam(0.1), NewAdagrad(0.1)} {
-		opt.SetLR(0.42)
-		if opt.LR() != 0.42 {
-			t.Fatalf("%T LR = %g, want 0.42", opt, opt.LR())
 		}
 	}
 }
@@ -99,16 +89,14 @@ func TestAdagradMonotonicallyShrinksSteps(t *testing.T) {
 // table-sized buffers it already had and none of Adagrad's per-row ones.
 func TestResetEqualsFreshOptimizer(t *testing.T) {
 	builds := map[string]func() Optimizer{
-		"sgd":      func() Optimizer { return New("sgd", 0.1) },
-		"momentum": func() Optimizer { return NewSGDMomentum(0.1, 0.9) },
-		"adam":     func() Optimizer { return New("adam", 0.05) },
-		"adagrad":  func() Optimizer { return New("adagrad", 0.5) },
+		"sgd":     func() Optimizer { return New("sgd", 0.1) },
+		"adam":    func() Optimizer { return New("adam", 0.05) },
+		"adagrad": func() Optimizer { return New("adagrad", 0.5) },
 	}
 	for name, build := range builds {
 		rng := rand.New(rand.NewSource(11))
 		used, fresh := build(), build()
 		rs, byRows := used.(RowStepper)
-		byRows = byRows && rs.ZeroGradIsNoOp()
 
 		// Give the used optimizer a history the fresh one lacks.
 		a, b := sparseGradTable(rng, []int{1, 4})
@@ -154,7 +142,7 @@ func TestResetKeepsItsBuffers(t *testing.T) {
 		x.Grad[i] = 1
 	}
 	params := []*autograd.Tensor{x}
-	for _, opt := range []Optimizer{NewSGDMomentum(0.1, 0.9), NewAdam(0.1), NewAdagrad(0.1)} {
+	for _, opt := range []Optimizer{NewAdam(0.1), NewAdagrad(0.1)} {
 		opt.Step(params)
 		if n := testing.AllocsPerRun(20, func() {
 			opt.Reset()
@@ -162,28 +150,6 @@ func TestResetKeepsItsBuffers(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%T: Reset+Step allocates %v times", opt, n)
 		}
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	x := autograd.Param(1, 2, []float64{0, 0})
-	x.Grad[0], x.Grad[1] = 3, 4 // norm 5
-	pre := ClipGradNorm([]*autograd.Tensor{x}, 1)
-	if math.Abs(pre-5) > 1e-12 {
-		t.Fatalf("pre-clip norm = %g, want 5", pre)
-	}
-	norm := math.Hypot(x.Grad[0], x.Grad[1])
-	if math.Abs(norm-1) > 1e-12 {
-		t.Fatalf("post-clip norm = %g, want 1", norm)
-	}
-}
-
-func TestClipGradNormNoOpBelowMax(t *testing.T) {
-	x := autograd.Param(1, 2, []float64{0, 0})
-	x.Grad[0], x.Grad[1] = 0.3, 0.4
-	ClipGradNorm([]*autograd.Tensor{x}, 10)
-	if x.Grad[0] != 0.3 || x.Grad[1] != 0.4 {
-		t.Fatal("clip modified gradients below threshold")
 	}
 }
 

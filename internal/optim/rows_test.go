@@ -42,11 +42,11 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestStepRowsEqualsStepOnSparseGradients: for the optimizers that
-// declare a zero gradient a no-op, stepping only the rows that carry
-// gradient is bit for bit the dense step — over several steps with
-// changing row sets, through a switch to dense steps (Adagrad folds its
-// row accumulators into the full one) and through CaptureState.
+// TestStepRowsEqualsStepOnSparseGradients: for the optimizers that step
+// by rows, stepping only the rows that carry gradient is bit for bit the
+// dense step — over several steps with changing row sets, through a
+// switch to dense steps (Adagrad folds its row accumulators into the
+// full one) and through CaptureState.
 func TestStepRowsEqualsStepOnSparseGradients(t *testing.T) {
 	for name, build := range map[string]func() Optimizer{
 		"sgd":     func() Optimizer { return NewSGD(0.1) },
@@ -55,9 +55,6 @@ func TestStepRowsEqualsStepOnSparseGradients(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		dense, byRows := build(), build()
 		rs := byRows.(RowStepper)
-		if !rs.ZeroGradIsNoOp() {
-			t.Fatalf("%s must declare that a zero gradient is a no-op", name)
-		}
 		rowSets := [][]int{{1, 4}, {4, 6, 7}, {0}, {1, 4}}
 		a, b := sparseGradTable(rng, rowSets[0])
 		for step, rows := range rowSets {
@@ -100,34 +97,23 @@ func TestStepRowsEqualsStepOnSparseGradients(t *testing.T) {
 }
 
 // TestOnlyZeroGradNoOpOptimizersStepByRows pins who may be stepped by
-// rows: Adam does not implement RowStepper at all, and SGD withdraws as
-// soon as it has momentum — both keep moving an entry whose gradient has
-// returned to zero, so neither is made lazy.
+// rows: Adam does not implement RowStepper, because it keeps moving an
+// entry whose gradient has returned to zero, so it is not made lazy.
 func TestOnlyZeroGradNoOpOptimizersStepByRows(t *testing.T) {
-	if _, ok := Optimizer(NewAdam(0.01)).(RowStepper); ok {
+	opt := Optimizer(NewAdam(0.01))
+	if _, ok := opt.(RowStepper); ok {
 		t.Fatal("Adam must not implement RowStepper")
 	}
-	if NewSGDMomentum(0.1, 0.9).ZeroGradIsNoOp() {
-		t.Fatal("SGD with momentum must not declare a zero gradient a no-op")
+	x := autograd.Param(2, 1, []float64{1, 1})
+	x.Grad[0] = 1
+	opt.Step([]*autograd.Tensor{x})
+	x.ZeroGrad()
+	before := x.Data[0]
+	opt.Step([]*autograd.Tensor{x})
+	if x.Data[0] == before {
+		t.Fatal("adam: an entry with zero gradient stood still; the dense loop would no longer be needed")
 	}
-	for name, opt := range map[string]Optimizer{"adam": NewAdam(0.01), "sgd-momentum": NewSGDMomentum(0.1, 0.9)} {
-		x := autograd.Param(2, 1, []float64{1, 1})
-		x.Grad[0] = 1
-		opt.Step([]*autograd.Tensor{x})
-		x.ZeroGrad()
-		before := x.Data[0]
-		opt.Step([]*autograd.Tensor{x})
-		if x.Data[0] == before {
-			t.Fatalf("%s: an entry with zero gradient stood still; the dense loop would no longer be needed", name)
-		}
-		if x.Data[1] != 1 {
-			t.Fatalf("%s moved an entry that never had gradient", name)
-		}
+	if x.Data[1] != 1 {
+		t.Fatal("adam moved an entry that never had gradient")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StepRows on SGD with momentum must panic")
-		}
-	}()
-	NewSGDMomentum(0.1, 0.9).StepRows(autograd.Param(1, 1, []float64{0}), []int{0})
 }

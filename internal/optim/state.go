@@ -10,16 +10,16 @@ import (
 // aligned slot-for-slot with the parameter list it was captured from.
 // It is what crash-safe checkpoints persist so a resumed run replays
 // the exact update trajectory of an uninterrupted one: Adagrad's
-// accumulators, Adam's moments and step counter, SGD's momentum
-// velocities. All fields are exported for encoding/gob.
+// accumulators, Adam's moments and step counter; SGD's holds only its
+// name. All fields are exported for encoding/gob.
 type State struct {
 	// Name records the optimizer kind ("sgd", "adam", "adagrad") as a
 	// guard against restoring into a different optimizer.
 	Name string
 	// Step is Adam's bias-correction step counter (zero elsewhere).
 	Step int
-	// Slots maps a slot name ("velocity", "m", "v", "g2") to one buffer
-	// per parameter; a nil buffer means the optimizer never touched that
+	// Slots maps a slot name ("m", "v", "g2") to one buffer per
+	// parameter; a nil buffer means the optimizer never touched that
 	// tensor (lazily initialized state stays lazy after restore).
 	Slots map[string][][]float64
 }
@@ -84,21 +84,22 @@ func checkKind(st State, want string) error {
 	return nil
 }
 
-// CaptureState implements Stateful.
-func (s *SGD) CaptureState(params []*autograd.Tensor) State {
-	return State{Name: "sgd", Slots: map[string][][]float64{"velocity": captureSlot(s.velocity, params)}}
-}
+// CaptureState implements Stateful: SGD has no state beyond its kind.
+func (s *SGD) CaptureState([]*autograd.Tensor) State { return State{Name: "sgd"} }
 
-// RestoreState implements Stateful.
-func (s *SGD) RestoreState(params []*autograd.Tensor, st State) error {
+// RestoreState implements Stateful. Checkpoints written while SGD could
+// carry momentum hold a "velocity" slot, of nil buffers for plain SGD;
+// those resume, and a buffer with values — a momentum this SGD would drop
+// — is refused.
+func (s *SGD) RestoreState(_ []*autograd.Tensor, st State) error {
 	if err := checkKind(st, "sgd"); err != nil {
 		return err
 	}
-	m, err := restoreSlot(st.Slots["velocity"], params, "velocity", "sgd")
-	if err != nil {
-		return err
+	for i, buf := range st.Slots["velocity"] {
+		if len(buf) != 0 {
+			return fmt.Errorf("optim: sgd state holds a momentum velocity for param %d; SGD has no momentum", i)
+		}
 	}
-	s.velocity = m
 	return nil
 }
 

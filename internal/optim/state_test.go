@@ -24,12 +24,12 @@ func fillGrads(params []*autograd.Tensor, v float64) {
 // TestStateRoundTripContinuesIdentically: an optimizer restored from
 // captured state must continue the trajectory bit-for-bit — the property
 // the checkpoint/resume path needs for Adagrad accumulators, Adam
-// moments, and SGD momentum.
+// moments, and SGD's name.
 func TestStateRoundTripContinuesIdentically(t *testing.T) {
 	builders := map[string]func() Optimizer{
-		"sgd-momentum": func() Optimizer { return NewSGDMomentum(0.1, 0.9) },
-		"adam":         func() Optimizer { return NewAdam(0.01) },
-		"adagrad":      func() Optimizer { return NewAdagrad(0.1) },
+		"sgd":     func() Optimizer { return NewSGD(0.1) },
+		"adam":    func() Optimizer { return NewAdam(0.01) },
+		"adagrad": func() Optimizer { return NewAdagrad(0.1) },
 	}
 	for name, mk := range builders {
 		t.Run(name, func(t *testing.T) {
@@ -146,5 +146,25 @@ func TestCaptureStatePreservesUntouchedSlots(t *testing.T) {
 	}
 	if err := NewAdagrad(0.1).RestoreState(params, st); err != nil {
 		t.Fatalf("restoring a pre-step state: %v", err)
+	}
+}
+
+// TestSGDRestoresNilVelocitySlot: checkpoints written while SGD could
+// carry momentum save plain SGD as a "velocity" slot of nil buffers.
+// Those resume; a velocity with values is a momentum SGD no longer has,
+// and restoring it fails, naming the tensor.
+func TestSGDRestoresNilVelocitySlot(t *testing.T) {
+	params := statefulParams()
+	old := State{Name: "sgd", Slots: map[string][][]float64{"velocity": {nil, nil}}}
+	if err := NewSGD(0.1).RestoreState(params, old); err != nil {
+		t.Fatalf("a momentum-free sgd state: %v", err)
+	}
+	moving := State{Name: "sgd", Slots: map[string][][]float64{"velocity": {nil, {0.5, 0, 0}}}}
+	err := NewSGD(0.1).RestoreState(params, moving)
+	if err == nil {
+		t.Fatal("an sgd state with a non-zero velocity restored")
+	}
+	if !strings.Contains(err.Error(), "param 1") {
+		t.Fatalf("error %q does not name the tensor", err)
 	}
 }

@@ -163,6 +163,32 @@ func TestDuplicatePushAppliedExactlyOnce(t *testing.T) {
 	}
 }
 
+// faultyClient serves server on a loopback listener and returns a client
+// of it whose transport injects schedule's faults under a tight retry
+// policy: the store a test hands one worker through WrapStore. A call
+// that exhausts its retries panics, which the trainer supervises as a
+// worker death. WrapStore may run off the test's goroutine, so a setup
+// failure is a t.Error and the worker keeps the plain server.
+func faultyClient(t *testing.T, server *Server, schedule string) Store {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Error(err)
+		return server
+	}
+	t.Cleanup(func() { lis.Close() })
+	go Serve(server, lis)
+	cl, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Error(err)
+		return server
+	}
+	t.Cleanup(func() { cl.Close() })
+	cl.SetBackoff(Backoff{Attempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond, Seed: 1})
+	cl.SetInjector(faultinject.MustParse(schedule, 1))
+	return cl
+}
+
 // TestWorkerLossRedistributesDomains kills one of two workers
 // mid-training (its store errors every push) and checks the run still
 // completes: the survivor takes over the dead worker's domains, the
@@ -182,7 +208,7 @@ func TestWorkerLossRedistributesDomains(t *testing.T) {
 		if workerID != 1 {
 			return base
 		}
-		return NewFaultyStore(base, faultinject.MustParse("PushDelta:err@*", 1))
+		return faultyClient(t, base.(*Server), "PushDelta:err@*")
 	}
 	res := Train(replicaFactory(ds), ds, opts)
 
@@ -237,7 +263,7 @@ func TestHeartbeatWatchdogCancelsStalledWorker(t *testing.T) {
 		if workerID != 1 {
 			return base
 		}
-		return NewFaultyStore(base, faultinject.MustParse("PullRows:delay=500ms@*", 1))
+		return faultyClient(t, base.(*Server), "PullRows:delay=500ms@*")
 	}
 	done := make(chan *Result, 1)
 	go func() { done <- Train(replicaFactory(ds), ds, opts) }()

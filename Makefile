@@ -339,8 +339,9 @@ bench-smoke:
 	bash cmd/mamdr-bench/run.sh -quick
 
 # What CI's test job runs (.github/workflows/ci.yml): every smoke runs
-# here and only here.
+# here and only here. The first line fails on any file gofmt would change.
 ci:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...

@@ -65,12 +65,8 @@ func main() {
 
 	var events *telemetry.EventLog
 	if *eventsPath != "" {
-		if *eventsMaxBytes > 0 {
-			events, err = telemetry.OpenEventLogRotating(*eventsPath,
-				telemetry.Rotation{MaxBytes: *eventsMaxBytes, Keep: *eventsKeep})
-		} else {
-			events, err = telemetry.OpenEventLog(*eventsPath)
-		}
+		events, err = telemetry.OpenEventLog(*eventsPath,
+			telemetry.Rotation{MaxBytes: *eventsMaxBytes, Keep: *eventsKeep})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func main() {
 		psAddrs       = flag.String("ps-addrs", "", "comma-separated shard-server addresses (replicas of one shard joined with '|'): load the shared parameters from the running cluster and report its connectivity in /readyz")
 
 		withQuality   = flag.Bool("quality", true, "streaming model-quality tracking: /feedback label joins, drift detection vs the checkpoint baseline, quality SLO breach counters (needs -metrics)")
-		qualityWindow = flag.Int("quality-window", 0, "labeled prequential-evaluation window per domain (0 = default)")
+		qualityWindow = flag.Int("quality-window", 0, fmt.Sprintf("labeled prequential-evaluation window per domain (0 = default %d)", quality.DefaultWindow))
 		feedbackTTL   = flag.Duration("feedback-ttl", 0, "how long /predict scores wait in the join buffer for /feedback labels (0 = default 2m)")
 
 		withMetrics = flag.Bool("metrics", true, "expose Prometheus /metrics and instrument the request path")
@@ -79,8 +79,8 @@ func main() {
 
 		withRollout    = flag.Bool("rollout", true, "canary-gate live publications (POST /admin/publish): new snapshots take a traffic fraction and auto-promote or auto-rollback on live quality")
 		canaryFraction = flag.Float64("canary-fraction", 0.2, "traffic share the canary snapshot takes during evaluation")
-		rolloutLabeled = flag.Int("rollout-min-labeled", 0, "labeled observations per arm before the AUC/logloss gates may decide (0 = default 200)")
-		rolloutScores  = flag.Int("rollout-min-scores", 0, "served scores per arm before the PSI gate may decide (0 = default 500)")
+		rolloutLabeled = flag.Int("rollout-min-labeled", 0, fmt.Sprintf("labeled observations per arm before the AUC/logloss gates may decide (0 = default %d)", quality.MinLabeled))
+		rolloutScores  = flag.Int("rollout-min-scores", 0, fmt.Sprintf("served scores per arm before the PSI gate may decide (0 = default %d)", quality.MinScores))
 		rolloutMaxWait = flag.Duration("rollout-max-wait", 0, "fail-safe: a canary still unproven after this long is rolled back (0 = default 10m)")
 		maxQueue       = flag.Int("max-queue", 0, "admission control: shed predictions once this many wait for a forward slot beyond the -replicas running (0 = 4×replicas)")
 		serveFaults    = flag.String("serve-faults", "", "serving-path fault schedule (op:kind@occurrences; ops: Predict, PublishSource, UpstreamPing, UpstreamSnapshot), seeded by -seed")

@@ -139,7 +139,7 @@ func main() {
 	if *tracePath != "" || *flightDump != "" || *metricsAddr != "" {
 		tracer = trace.New(trace.Options{Sample: *traceSample, FlightPath: *flightDump})
 		if *tracePath != "" {
-			exporter = trace.NewChromeExporter(*tracePath, 0)
+			exporter = trace.NewChromeExporter(*tracePath)
 			tracer.AddSink(exporter)
 		}
 	}
@@ -171,12 +171,8 @@ func main() {
 	}
 	var events *telemetry.EventLog
 	if *eventsPath != "" {
-		if *eventsMaxBytes > 0 {
-			events, err = telemetry.OpenEventLogRotating(*eventsPath,
-				telemetry.Rotation{MaxBytes: *eventsMaxBytes, Keep: *eventsKeep})
-		} else {
-			events, err = telemetry.OpenEventLog(*eventsPath)
-		}
+		events, err = telemetry.OpenEventLog(*eventsPath,
+			telemetry.Rotation{MaxBytes: *eventsMaxBytes, Keep: *eventsKeep})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -225,9 +221,6 @@ func main() {
 			SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
 		}
 		if *checkpointDir != "" {
-			if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-				log.Fatal(err)
-			}
 			opts.CheckpointPath = filepath.Join(*checkpointDir, "ps.ckpt")
 			opts.CheckpointEvery, opts.Resume = *checkpointEvery, *resume
 		}
@@ -358,9 +351,6 @@ func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed in
 	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), len(groups), seed)
 	so := cluster.ShardOptions{Replicas: reps, OuterLR: outerLR, Tracer: tracer, Metrics: ps.NewMetrics(reg)}
 	if checkpointDir != "" {
-		if err := os.MkdirAll(checkpointDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
 		so.CheckpointPath = filepath.Join(checkpointDir, "ps.ckpt")
 	}
 	servers := cluster.Shards(serving.Parameters(), plan, so)
@@ -405,7 +395,7 @@ func trainDistributed(ds *mamdr.Dataset, model string, opts ps.Options, o deploy
 			if reg != nil {
 				sink = telemetry.NewCountingSink(f, reg)
 			}
-			tm.Anomalies = telemetry.NewLossWatch(sink, 0, 0)
+			tm.Anomalies = telemetry.NewLossWatch(sink)
 		}
 	}
 	opts.Metrics, opts.Telemetry, opts.Tracer = psm, tm, tracer

@@ -92,7 +92,6 @@ func TestShardFailoverMatchesCleanRun(t *testing.T) {
 	expo := buf.String()
 	for _, series := range []string{
 		`mamdr_cluster_shard_failures_total{shard="0"} 1`,
-		"mamdr_cluster_replica_deaths_total 1",
 		`mamdr_cluster_failovers_total{shard="0"}`,
 	} {
 		if !strings.Contains(expo, series) {

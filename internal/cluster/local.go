@@ -14,11 +14,12 @@ import (
 
 // ShardOptions configures how Shards builds the per-shard ps.Servers.
 type ShardOptions struct {
-	// Replicas is how many identical servers host each shard (>= 1).
+	// Replicas is how many identical servers host each shard (at least 1).
 	// With R > 1 the router broadcasts writes to all replicas and fails
 	// reads over, so losing R-1 servers of a shard is survivable.
 	Replicas int
-	// OuterOpt and OuterLR configure each shard's outer optimizer (Eq. 3).
+	// OuterOpt and OuterLR configure each shard's outer optimizer (Eq. 3;
+	// ps.NewServer decides what zero values mean).
 	OuterOpt string
 	OuterLR  float64
 	// CheckpointPath, when set, is the cluster's base checkpoint path;
@@ -32,23 +33,6 @@ type ShardOptions struct {
 	// traffic lands in one registry — the registry the shard's RPC
 	// MetricsSnapshot method exports for fleet federation.
 	Metrics *ps.Metrics
-}
-
-func (o ShardOptions) withDefaults() ShardOptions {
-	if o.Replicas < 1 {
-		o.Replicas = 1
-	}
-	// Mirror ps.Options.WithDefaults so a shard server configured with
-	// zero values applies the same outer update a default single server
-	// would — a silently different outer learning rate on the serve side
-	// would break bit-identity with in-process runs.
-	if o.OuterOpt == "" {
-		o.OuterOpt = "sgd"
-	}
-	if o.OuterLR == 0 {
-		o.OuterLR = 0.5
-	}
-	return o
 }
 
 // ReplicaCheckpointPath derives the checkpoint path of replica rep of
@@ -69,11 +53,10 @@ func ReplicaCheckpointPath(base string, sh, of, rep int) string {
 // the router broadcasts writes in replica order, replicas stay
 // bit-identical until one dies.
 func Shards(params []*autograd.Tensor, plan ps.Plan, o ShardOptions) [][]*ps.Server {
-	o = o.withDefaults()
 	out := make([][]*ps.Server, plan.NumShards)
 	for sh := 0; sh < plan.NumShards; sh++ {
 		tables := plan.ShardTables(sh)
-		for rep := 0; rep < o.Replicas; rep++ {
+		for rep := 0; rep < max(o.Replicas, 1); rep++ {
 			srv := ps.NewServer(plan.ShardParams(params, sh), tables, o.OuterOpt, o.OuterLR)
 			if o.CheckpointPath != "" {
 				srv.SetCheckpointPath(ReplicaCheckpointPath(o.CheckpointPath, sh, plan.NumShards, rep))

@@ -10,20 +10,18 @@ import (
 
 // Metrics mirrors the router's scatter-gather activity into a telemetry
 // registry as per-shard time series: pull/push latency, floats moved,
-// call failures and replica failovers per shard, plus the partition
+// replicas condemned and replica failovers per shard, plus the partition
 // plan's static load figures (per-shard element counts and the
 // imbalance gauge). Like ps.Metrics, every method is nil-receiver-safe,
 // so the uninstrumented path costs nothing.
 type Metrics struct {
-	reg *telemetry.Registry
-
-	replicaDeaths *telemetry.Counter
-	imbalance     *telemetry.Gauge
+	reg       *telemetry.Registry
+	imbalance *telemetry.Gauge
 
 	mu        sync.Mutex
 	latency   map[string]*telemetry.Histogram // (shard, op) -> seconds
 	floats    map[string]*telemetry.Counter   // (shard, op) -> floats moved
-	failures  map[string]*telemetry.Counter   // shard -> failed replica calls
+	failures  map[string]*telemetry.Counter   // shard -> replicas condemned
 	failovers map[string]*telemetry.Counter   // shard -> reads retried on another replica
 }
 
@@ -35,8 +33,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	}
 	return &Metrics{
 		reg: reg,
-		replicaDeaths: reg.Counter("mamdr_cluster_replica_deaths_total",
-			"Shard replicas the router condemned after a failed call (no longer served reads or writes)."),
 		imbalance: reg.Gauge("mamdr_cluster_imbalance_ratio",
 			"Largest shard's element count over the mean (1.0 = perfectly balanced partition plan)."),
 		latency:   map[string]*telemetry.Histogram{},
@@ -90,8 +86,9 @@ func (m *Metrics) observeShardOp(sh int, op string, seconds float64, floats int)
 	c.Add(int64(floats))
 }
 
-// observeFailure counts one failed call to a replica of shard sh.
-func (m *Metrics) observeFailure(sh int) {
+// observeCondemned counts one replica of shard sh condemned after a
+// failed call.
+func (m *Metrics) observeCondemned(sh int) {
 	if m == nil {
 		return
 	}
@@ -100,13 +97,12 @@ func (m *Metrics) observeFailure(sh int) {
 	c, ok := m.failures[shard]
 	if !ok {
 		c = m.reg.Counter("mamdr_cluster_shard_failures_total",
-			"Failed calls to a shard replica (each condemns that replica).",
+			"Shard replicas the router condemned after a failed call (each is counted once and serves no further reads or writes).",
 			telemetry.L("shard", shard))
 		m.failures[shard] = c
 	}
 	m.mu.Unlock()
 	c.Inc()
-	m.replicaDeaths.Inc()
 }
 
 // observeFailover counts one read that had to move past a dead or

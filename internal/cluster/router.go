@@ -158,7 +158,7 @@ func (r *Router) condemn(sh, rep int, op string, err error) {
 	if r.dead[sh][rep].Swap(true) {
 		return
 	}
-	r.metrics.observeFailure(sh)
+	r.metrics.observeCondemned(sh)
 	r.tracer.Flight().Trigger("shard_failover", map[string]any{
 		"shard":   sh,
 		"replica": rep,

@@ -38,6 +38,19 @@ func TestEnvelopeInfoMatchesFile(t *testing.T) {
 	}
 }
 
+// TestSaveGobCreatesDirectory: a checkpoint path whose directories do
+// not exist yet (a fresh -checkpoint-dir) is written, not refused.
+func TestSaveGobCreatesDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a", "b", "c.ckpt")
+	if err := SaveGob(path, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	if err := LoadGob(path, &got); err != nil || len(got) != 2 {
+		t.Fatalf("LoadGob = %v, %v", got, err)
+	}
+}
+
 // TestEnvelopeInfoRejectsDamage is the reject-before-publish property:
 // every way a snapshot file can be damaged — flipped payload bit,
 // truncation, wrong magic — surfaces as ErrCorruptCheckpoint from the

@@ -44,14 +44,17 @@ const headerLen = 8 + 4 + 8 + 4
 var ErrCorruptCheckpoint = errors.New("corrupt or truncated checkpoint")
 
 // SaveGob atomically writes v to path in the checkpoint envelope:
-// encode to memory, write magic/version/length/CRC32 + payload into
-// path.tmp, fsync, then rename over path. A crash at any point leaves
-// either the previous complete file or a stray .tmp — never a torn
-// checkpoint under the final name.
+// encode to memory, create path's directory if it is missing, write
+// magic/version/length/CRC32 + payload into path.tmp, fsync, then rename
+// over path. A crash at any point leaves either the previous complete
+// file or a stray .tmp — never a torn checkpoint under the final name.
 func SaveGob(path string, v any) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		return fmt.Errorf("core: encode %s: %w", path, err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 
 	var head [headerLen]byte

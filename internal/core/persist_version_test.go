@@ -92,7 +92,7 @@ func TestSaveLoadWithBaseline(t *testing.T) {
 	m := testModel(t, ds)
 	st := framework.MustNew("mamdr").Fit(m, ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 9}).(*State)
 
-	bb := quality.NewBaselineBuilder(0)
+	bb := quality.NewBaselineBuilder()
 	for d := range ds.Domains {
 		b := ds.FullBatch(d, data.Val)
 		bb.Observe(ds.Domains[d].Name, st.Predict(b), b.Labels)

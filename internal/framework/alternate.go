@@ -40,9 +40,12 @@ func (Alternate) Fit(m models.Model, ds *data.Dataset, cfg Config) Predictor {
 }
 
 // AlternateFinetune runs Alternate training and then finetunes a copy of
-// the parameters on each domain separately, keeping one parameter vector
-// per domain (the traditional way to obtain domain-specific models).
+// the parameters on each domain separately, finetuneEpochs passes each,
+// keeping one parameter vector per domain (the traditional way to obtain
+// domain-specific models).
 type AlternateFinetune struct{}
+
+const finetuneEpochs = 3
 
 // Name implements Framework.
 func (AlternateFinetune) Name() string { return "Alternate+Finetune" }
@@ -59,7 +62,7 @@ func (AlternateFinetune) Fit(m models.Model, ds *data.Dataset, cfg Config) Predi
 	for d := range ds.Domains {
 		paramvec.Restore(params, base)
 		opt := optim.New(cfg.InnerOpt, cfg.LR)
-		for e := 0; e < cfg.FinetuneEpochs; e++ {
+		for e := 0; e < finetuneEpochs; e++ {
 			TrainDomainPass(m, ds, d, opt, cfg.BatchSize, cfg.MaxBatchesPerDomain, rng)
 		}
 		perDomain[d] = paramvec.Snapshot(params)

@@ -49,9 +49,6 @@ type Config struct {
 	// MaxBatchesPerDomain caps the mini-batches consumed per domain
 	// visit (0 = one full pass).
 	MaxBatchesPerDomain int
-	// FinetuneEpochs is the per-domain finetune budget of
-	// Alternate+Finetune.
-	FinetuneEpochs int
 	// Seed drives all framework-level randomness.
 	Seed int64
 	// CheckpointDir, when non-empty, enables crash-safe epoch-boundary
@@ -102,9 +99,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.OuterOpt == "" {
 		c.OuterOpt = "sgd"
-	}
-	if c.FinetuneEpochs == 0 {
-		c.FinetuneEpochs = 3
 	}
 	return c
 }
@@ -263,7 +257,7 @@ func MeanAUC(p Predictor, ds *data.Dataset, split data.Split) float64 {
 // serving process compares live traffic against (PSI drift, AUC
 // regression), frozen into checkpoints by SaveWithBaseline.
 func QualityBaseline(p Predictor, ds *data.Dataset, split data.Split) *quality.Baseline {
-	bb := quality.NewBaselineBuilder(0)
+	bb := quality.NewBaselineBuilder()
 	for d, dom := range ds.Domains {
 		b := ds.FullBatch(d, split)
 		if b.Size() == 0 {

@@ -58,7 +58,7 @@ func TestMustNewPanics(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
 	if c.Epochs == 0 || c.BatchSize == 0 || c.LR == 0 || c.OuterLR == 0 ||
-		c.DRLR == 0 || c.SampleK == 0 || c.InnerOpt == "" || c.OuterOpt == "" || c.FinetuneEpochs == 0 {
+		c.DRLR == 0 || c.SampleK == 0 || c.InnerOpt == "" || c.OuterOpt == "" {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 	c2 := Config{Epochs: 3, LR: 0.5}.WithDefaults()

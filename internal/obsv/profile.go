@@ -17,32 +17,13 @@ import (
 type ProfileOptions struct {
 	// Dir receives the profile ring files (created if missing).
 	Dir string
-	// Interval between capture rounds. Default 30s.
+	// Interval between capture rounds. Default 30s. Each CPU profile
+	// samples for min(2s, Interval/2).
 	Interval time.Duration
-	// CPUDuration is how long each CPU profile samples. Default 2s.
-	// Zero-interval CPU capture is impossible; captures shorter than
-	// the scheduler quantum see nothing.
-	CPUDuration time.Duration
-	// Keep bounds the ring: at most Keep files of each kind survive.
-	// Default 8.
-	Keep int
 }
 
-func (o ProfileOptions) withDefaults() ProfileOptions {
-	if o.Interval <= 0 {
-		o.Interval = 30 * time.Second
-	}
-	if o.CPUDuration <= 0 {
-		o.CPUDuration = 2 * time.Second
-	}
-	if o.CPUDuration > o.Interval {
-		o.CPUDuration = o.Interval / 2
-	}
-	if o.Keep <= 0 {
-		o.Keep = 8
-	}
-	return o
-}
+// ringKeep bounds the ring: at most ringKeep files of each kind survive.
+const ringKeep = 8
 
 // Profiler periodically captures pprof CPU and heap profiles into a
 // bounded on-disk ring, so "what was the process doing just before the
@@ -63,7 +44,9 @@ type Profiler struct {
 // NewProfiler builds a profiler; the directory is created eagerly so
 // misconfiguration surfaces at startup, not at the first anomaly.
 func NewProfiler(opts ProfileOptions) (*Profiler, error) {
-	opts = opts.withDefaults()
+	if opts.Interval <= 0 {
+		opts.Interval = 30 * time.Second
+	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("obsv: profiler needs a directory")
 	}
@@ -121,7 +104,7 @@ func (p *Profiler) captureCPU(ctx context.Context, seq int) {
 	}
 	select {
 	case <-ctx.Done():
-	case <-time.After(p.opts.CPUDuration):
+	case <-time.After(min(2*time.Second, p.opts.Interval/2)):
 	}
 	pprof.StopCPUProfile()
 }
@@ -140,7 +123,7 @@ func (p *Profiler) ringPath(kind string, seq int) string {
 	return filepath.Join(p.opts.Dir, fmt.Sprintf("%s-%06d.pprof", kind, seq))
 }
 
-// pruneRing deletes the oldest files of each kind beyond Keep.
+// pruneRing deletes the oldest files of each kind beyond ringKeep.
 func (p *Profiler) pruneRing() {
 	for _, kind := range []string{"cpu", "heap"} {
 		files, err := filepath.Glob(filepath.Join(p.opts.Dir, kind+"-*.pprof"))
@@ -148,7 +131,7 @@ func (p *Profiler) pruneRing() {
 			continue
 		}
 		sort.Strings(files) // zero-padded sequence numbers sort chronologically
-		for len(files) > p.opts.Keep {
+		for len(files) > ringKeep {
 			os.Remove(files[0])
 			files = files[1:]
 		}

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,28 +12,30 @@ import (
 )
 
 // TestProfilerRingBounded pins the ring contract: capture rounds keep
-// producing profiles, but at most Keep files of each kind survive, and
-// the survivors are the newest.
+// producing profiles, but at most ringKeep files of each kind survive,
+// and the survivors are the newest.
 func TestProfilerRingBounded(t *testing.T) {
 	dir := t.TempDir()
-	p, err := NewProfiler(ProfileOptions{Dir: dir, Keep: 2, CPUDuration: 10 * time.Millisecond})
+	// A 20ms interval samples the CPU for 10ms per round.
+	p, err := NewProfiler(ProfileOptions{Dir: dir, Interval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	const rounds = ringKeep + 3
+	for i := 0; i < rounds; i++ {
 		p.CaptureOnce(context.Background())
 	}
 	heaps, _ := filepath.Glob(filepath.Join(dir, "heap-*.pprof"))
-	if len(heaps) != 2 {
-		t.Fatalf("heap ring holds %d files, want 2: %v", len(heaps), heaps)
+	if len(heaps) != ringKeep {
+		t.Fatalf("heap ring holds %d files, want %d: %v", len(heaps), ringKeep, heaps)
 	}
 	// Zero-padded sequence numbers: the survivors must be the newest.
-	if filepath.Base(heaps[len(heaps)-1]) != "heap-000005.pprof" {
-		t.Errorf("newest heap profile is %s, want heap-000005.pprof", heaps[len(heaps)-1])
+	if want := fmt.Sprintf("heap-%06d.pprof", rounds); filepath.Base(heaps[len(heaps)-1]) != want {
+		t.Errorf("newest heap profile is %s, want %s", heaps[len(heaps)-1], want)
 	}
 	cpus, _ := filepath.Glob(filepath.Join(dir, "cpu-*.pprof"))
-	if len(cpus) > 2 {
-		t.Fatalf("cpu ring holds %d files, want <= 2", len(cpus))
+	if len(cpus) > ringKeep {
+		t.Fatalf("cpu ring holds %d files, want <= %d", len(cpus), ringKeep)
 	}
 	for _, f := range p.Ring() {
 		st, err := os.Stat(f)
@@ -47,7 +50,7 @@ func TestProfilerRingBounded(t *testing.T) {
 // ring next to the trace dump.
 func TestProfilerDumpsWithFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
-	p, err := NewProfiler(ProfileOptions{Dir: filepath.Join(dir, "ring"), Keep: 3, CPUDuration: 10 * time.Millisecond})
+	p, err := NewProfiler(ProfileOptions{Dir: filepath.Join(dir, "ring"), Interval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

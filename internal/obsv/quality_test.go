@@ -134,7 +134,7 @@ func TestQualitySLOsFireOnBreachCounters(t *testing.T) {
 // TestServerServesQualityEndpoint exercises the HTTP surface: a server
 // scraping only itself answers /quality with a well-formed go report.
 func TestServerServesQualityEndpoint(t *testing.T) {
-	s := NewServer(ServerOptions{Instance: "obs-test"})
+	s := NewServer(ServerOptions{})
 	s.ScrapeOnce()
 
 	req := httptest.NewRequest(http.MethodGet, "/quality", nil)

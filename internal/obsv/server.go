@@ -28,10 +28,6 @@ type ServerOptions struct {
 	// Flight receives a trigger per rising-edge alert so the dump
 	// carries recent span history.
 	Flight telemetry.AnomalySink
-	// Instance names this process in its own federated view.
-	Instance string
-	// Now is the SLO clock; nil means time.Now.
-	Now func() time.Time
 }
 
 // Server scrapes the fleet on a cadence, maintains the latest
@@ -65,9 +61,6 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.SLOs == nil {
 		opts.SLOs = DefaultSLOs()
 	}
-	if opts.Instance == "" {
-		opts.Instance = "mamdr-obs"
-	}
 	reg := telemetry.New()
 	RegisterBuildInfo(reg, "obs")
 	s := &Server{
@@ -75,7 +68,7 @@ func NewServer(opts ServerOptions) *Server {
 		reg:     reg,
 		scraper: Scraper{Timeout: opts.Timeout},
 		eval: NewEvaluator(opts.SLOs, EvalOptions{
-			Registry: reg, Events: opts.Events, Flight: opts.Flight, Now: opts.Now,
+			Registry: reg, Events: opts.Events, Flight: opts.Flight,
 		}),
 		scrapes: reg.Counter("mamdr_obs_scrapes_total",
 			"Fleet scrape attempts across all targets."),
@@ -114,7 +107,7 @@ func (s *Server) ScrapeOnce() []Alert {
 	s.scrapeDur.Observe(time.Since(start).Seconds())
 
 	self := s.reg.Snapshot()
-	self.Role, self.Instance = "obs", s.opts.Instance
+	self.Role, self.Instance = "obs", "mamdr-obs"
 	snaps = append(snaps, self)
 
 	fleet, err := Federate(snaps)

@@ -429,5 +429,5 @@ func TestWorkerLayoutMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on layout/replica mismatch")
 		}
 	}()
-	NewWorker(0, other, ds, []int{0}, store, true)
+	NewWorker(0, other, ds, []int{0}, store, true, framework.Config{})
 }

@@ -221,11 +221,19 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 // NewServer builds a server over the given initial parameters. tables is
 // the explicit embedding classification (parameter index -> schema
 // field; models.EmbeddingTablesOf supplies it — nil means everything
-// syncs densely). outerOpt ("sgd", "adagrad", "adam") with learning rate
-// beta performs the outer update of Eq. 3. NewServer panics if the
-// resulting layout fails Validate — a tensor unreachable by both sync
-// paths is a silent-desync bug, not a recoverable condition.
+// syncs densely). outerOpt ("sgd", "adagrad", "adam"; "" means "sgd")
+// with learning rate beta (0 means 0.5) performs the outer update of
+// Eq. 3 — this is the one place those defaults are decided, so every
+// server of a cluster and every trainer that builds one agree. NewServer
+// panics if the resulting layout fails Validate — a tensor unreachable
+// by both sync paths is a silent-desync bug, not a recoverable condition.
 func NewServer(params []*autograd.Tensor, tables map[int]int, outerOpt string, beta float64) *Server {
+	if outerOpt == "" {
+		outerOpt = "sgd"
+	}
+	if beta == 0 {
+		beta = 0.5
+	}
 	layout := LayoutOf(params, tables)
 	if err := layout.Validate(-1); err != nil {
 		panic(err)

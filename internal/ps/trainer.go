@@ -28,17 +28,18 @@ type Options struct {
 	// CacheEnabled toggles the embedding PS-Worker cache of §IV-E.
 	CacheEnabled bool
 	// OuterOpt/OuterLR configure the PS-side outer update (the paper's
-	// industrial setup: Adagrad with lr in [0.1, 1]).
+	// industrial setup: Adagrad with lr in [0.1, 1]); NewServer decides
+	// what zero values mean.
 	OuterOpt string
 	OuterLR  float64
 	// InnerOpt/InnerLR configure worker-local inner steps (SGD 0.1 in
 	// the paper's industrial setup).
 	InnerOpt string
 	InnerLR  float64
-	// Epochs, BatchSize, MaxBatchesPerDomain bound the training loop.
-	Epochs              int
-	BatchSize           int
-	MaxBatchesPerDomain int
+	// Epochs and BatchSize bound the training loop; every domain visit
+	// is one full pass.
+	Epochs    int
+	BatchSize int
 	// UseDR enables the Domain Regularization phase after DN training;
 	// SampleK and DRLR are Algorithm 2's k and γ.
 	UseDR   bool
@@ -96,12 +97,6 @@ type Options struct {
 func (o Options) WithDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 4
-	}
-	if o.OuterOpt == "" {
-		o.OuterOpt = "sgd"
-	}
-	if o.OuterLR == 0 {
-		o.OuterLR = 0.5
 	}
 	if o.InnerOpt == "" {
 		o.InnerOpt = "sgd"
@@ -197,6 +192,14 @@ func TrainWithStore(replica func() models.Model, serving models.Model, store Sto
 		panic("ps: SyncPush requires CacheEnabled (deferred pushes ride the cache protocol)")
 	}
 
+	// One training configuration for the whole run: every worker's DN
+	// inner loop and the DR phase read it.
+	cfg := framework.Config{
+		Epochs: 1, BatchSize: opts.BatchSize, LR: opts.InnerLR,
+		InnerOpt: opts.InnerOpt, SampleK: opts.SampleK, DRLR: opts.DRLR,
+		Seed: opts.Seed, Telemetry: opts.Telemetry, Tracer: opts.Tracer,
+	}.WithDefaults()
+
 	// Partition domains round-robin across workers.
 	sup := make([]*supervisedWorker, opts.Workers)
 	for i := range sup {
@@ -208,11 +211,8 @@ func TrainWithStore(replica func() models.Model, serving models.Model, store Sto
 		if opts.WrapStore != nil {
 			ws = opts.WrapStore(i, store)
 		}
-		w := NewWorker(i, replica(), ds, domains, ws, opts.CacheEnabled)
-		w.InnerOpt, w.InnerLR = opts.InnerOpt, opts.InnerLR
-		w.BatchSize, w.MaxBatchesPerDomain = opts.BatchSize, opts.MaxBatchesPerDomain
-		w.Metrics, w.Telemetry = opts.Metrics, opts.Telemetry
-		w.Tracer = opts.Tracer
+		w := NewWorker(i, replica(), ds, domains, ws, opts.CacheEnabled, cfg)
+		w.Metrics = opts.Metrics
 		s := &supervisedWorker{w: w}
 		w.OnBeat = func() { s.lastBeat.Store(time.Now().UnixNano()) }
 		sup[i] = s
@@ -273,12 +273,6 @@ func TrainWithStore(replica func() models.Model, serving models.Model, store Sto
 	// come from anywhere, as in Algorithm 2; θ_i depends on θ_S and
 	// Seed, not on how many workers are left to run it.
 	if opts.UseDR {
-		cfg := framework.Config{
-			Epochs: 1, BatchSize: opts.BatchSize, LR: opts.InnerLR,
-			InnerOpt: opts.InnerOpt, SampleK: opts.SampleK, DRLR: opts.DRLR,
-			MaxBatchesPerDomain: opts.MaxBatchesPerDomain, Seed: opts.Seed,
-			Telemetry: opts.Telemetry, Tracer: opts.Tracer,
-		}.WithDefaults()
 		var replicas []models.Model
 		for _, s := range sup {
 			if !s.dead {

@@ -37,25 +37,10 @@ type Worker struct {
 	Store        Store
 	CacheEnabled bool
 
-	// InnerOpt and InnerLR configure the worker's local optimizer.
-	InnerOpt string
-	InnerLR  float64
-	// BatchSize and MaxBatchesPerDomain bound the inner loop per domain.
-	BatchSize           int
-	MaxBatchesPerDomain int
-
 	// Metrics, when non-nil, records the dynamic-cache hit/miss ratio
 	// and the row-staleness distribution (shared with the server's
-	// traffic series). Telemetry, when non-nil, records the same
-	// per-domain loss/timing/conflict series as single-process training,
-	// tagged with the worker id in the event log.
-	Metrics   *Metrics
-	Telemetry *framework.TrainMetrics
-	// Tracer, when non-nil, emits one trace per epoch: worker.epoch →
-	// worker.inner_step per domain → per-batch forward/backward/
-	// optimizer phase spans, with every PS pull and push parented to
-	// the step that issued it (across the RPC socket too).
-	Tracer *trace.Tracer
+	// traffic series).
+	Metrics *Metrics
 
 	// OnBeat, when non-nil, is the worker's heartbeat: it fires after
 	// every completed mini-batch (piggybacking liveness on real
@@ -63,6 +48,14 @@ type Worker struct {
 	// missed-heartbeat deadline without any extra RPC traffic.
 	OnBeat func()
 
+	// cfg is the run's training configuration: the inner optimizer
+	// (InnerOpt, LR) and the per-domain batch bounds; its Telemetry
+	// records the same per-domain series as single-process training,
+	// tagged with the worker id, and its Tracer emits one trace per
+	// epoch — worker.epoch → worker.inner_step per domain → per-batch
+	// phase spans, with every PS pull and push parented to the step that
+	// issued it (across the RPC socket too).
+	cfg    framework.Config
 	params []*autograd.Tensor
 	// rows is the embedding rows of the current batch, table by table as
 	// the store's layout declares them: what resolveEmbeddingRows pulls.
@@ -92,17 +85,16 @@ type cachedRow struct {
 	pulledAt int
 }
 
-// NewWorker builds a worker over a model replica. It panics if the
-// store's layout does not align with the replica's parameters or names
-// fields the dataset schema does not have — a mismatch here means some
-// tensor would silently never synchronize.
-func NewWorker(id int, m models.Model, ds *data.Dataset, domains []int, store Store, cache bool) *Worker {
+// NewWorker builds a worker over a model replica that trains as cfg
+// says. It panics if the store's layout does not align with the
+// replica's parameters or names fields the dataset schema does not have
+// — a mismatch here means some tensor would silently never synchronize.
+func NewWorker(id int, m models.Model, ds *data.Dataset, domains []int, store Store, cache bool, cfg framework.Config) *Worker {
 	w := &Worker{
 		ID: id, Model: m, Dataset: ds, Domains: domains, Store: store,
 		CacheEnabled: cache,
-		InnerOpt:     "sgd", InnerLR: 0.1,
-		BatchSize: 64,
-		params:    m.Parameters(),
+		cfg:          cfg,
+		params:       m.Parameters(),
 	}
 	w.verifyLayout()
 	w.rows = models.NewRowSet(w.params, store.Layout().Tables())
@@ -159,7 +151,7 @@ func (a *WorkerAbort) Error() string {
 // Without the PS-Worker cache the worker pushes mid-epoch by design and
 // parks nothing.
 func (w *Worker) TrainEpoch(ctx context.Context, rng *rand.Rand) {
-	ctx = w.Tracer.Context(ctx)
+	ctx = w.cfg.Tracer.Context(ctx)
 	ctx, epochSpan := trace.Start(ctx, "worker.epoch", trace.A("worker", w.ID))
 	defer epochSpan.End()
 
@@ -173,11 +165,10 @@ func (w *Worker) TrainEpoch(ctx context.Context, rng *rand.Rand) {
 	for i, di := range order {
 		order[i] = w.Domains[di]
 	}
-	cfg := framework.Config{BatchSize: w.BatchSize, MaxBatchesPerDomain: w.MaxBatchesPerDomain, Telemetry: w.Telemetry}
 	// The same inner loop as the single-process trainer: under SGD and
 	// Adagrad its steps clear and step only the rows the batch gathers,
 	// which are the rows the cache has just resolved.
-	rec := framework.InnerLoopEpoch(ctx, w.Model, w.Dataset, order, optim.New(w.InnerOpt, w.InnerLR), cfg, rng, "worker", w.ID,
+	rec := framework.InnerLoopEpoch(ctx, w.Model, w.Dataset, order, optim.New(w.cfg.InnerOpt, w.cfg.LR), w.cfg, rng, "worker", w.ID,
 		func(ctx context.Context, b *data.Batch) {
 			if err := ctx.Err(); err != nil {
 				panic(&WorkerAbort{ID: w.ID, Reason: err.Error()})
@@ -209,7 +200,7 @@ func (w *Worker) TrainEpoch(ctx context.Context, rng *rand.Rand) {
 // PushEpoch applies the delta parked by TrainEpoch.
 func (w *Worker) PushEpoch(ctx context.Context) {
 	if w.pending != nil {
-		ctx = w.Tracer.Context(ctx)
+		ctx = w.cfg.Tracer.Context(ctx)
 		w.send(ctx, *w.pending)
 		w.pending = nil
 	}

@@ -53,7 +53,6 @@ func (b *Baseline) Domain(name string) *DomainBaseline {
 // typically a validation-split eval pass — and freezes them into a
 // Baseline. Not safe for concurrent use.
 type BaselineBuilder struct {
-	bins    int
 	order   []string
 	domains map[string]*baselineAccum
 	fleet   baselineAccum
@@ -67,31 +66,28 @@ type baselineAccum struct {
 	predSum float64
 }
 
-// NewBaselineBuilder starts a builder at the given histogram resolution
-// (DefaultPSIBins when bins <= 0).
-func NewBaselineBuilder(bins int) *BaselineBuilder {
-	if bins <= 0 {
-		bins = DefaultPSIBins
-	}
-	return &BaselineBuilder{bins: bins, domains: map[string]*baselineAccum{}}
+// NewBaselineBuilder starts a builder at the DefaultPSIBins histogram
+// resolution.
+func NewBaselineBuilder() *BaselineBuilder {
+	return &BaselineBuilder{domains: map[string]*baselineAccum{}}
 }
 
 // Observe adds one domain's scored batch to the profile.
 func (bb *BaselineBuilder) Observe(domain string, scores, labels []float64) {
 	acc, ok := bb.domains[domain]
 	if !ok {
-		acc = &baselineAccum{hist: make([]int64, bb.bins)}
+		acc = &baselineAccum{hist: make([]int64, DefaultPSIBins)}
 		bb.domains[domain] = acc
 		bb.order = append(bb.order, domain)
 	}
 	if bb.fleet.hist == nil {
-		bb.fleet.hist = make([]int64, bb.bins)
+		bb.fleet.hist = make([]int64, DefaultPSIBins)
 	}
 	for i, s := range scores {
 		q := Quantize(s)
 		pos := i < len(labels) && labels[i] > 0.5
 		for _, a := range []*baselineAccum{acc, &bb.fleet} {
-			a.hist[binOf(q, bb.bins)]++
+			a.hist[binOf(q, DefaultPSIBins)]++
 			a.scores = append(a.scores, q)
 			a.predSum += q
 			if pos {
@@ -106,7 +102,7 @@ func (bb *BaselineBuilder) Observe(domain string, scores, labels []float64) {
 // Build freezes the accumulated observations into a Baseline. Domains
 // appear in first-observed order.
 func (bb *BaselineBuilder) Build() *Baseline {
-	out := &Baseline{Bins: bb.bins}
+	out := &Baseline{Bins: DefaultPSIBins}
 	for _, name := range bb.order {
 		out.Domains = append(out.Domains, bb.domains[name].freeze(name))
 	}
@@ -133,7 +129,7 @@ func (a *baselineAccum) freeze(name string) DomainBaseline {
 // (quantization, tie handling, degenerate-class 0.5) without importing
 // package metrics — keeping quality a leaf package.
 func aucOf(scores, labels []float64) float64 {
-	w := NewWindowEval(len(scores), 0)
+	w := NewWindowEval(len(scores))
 	for i, s := range scores {
 		w.Add(s, labels[i] > 0.5)
 	}
@@ -141,7 +137,7 @@ func aucOf(scores, labels []float64) float64 {
 }
 
 func logLossOf(scores, labels []float64) float64 {
-	w := NewWindowEval(len(scores), 0)
+	w := NewWindowEval(len(scores))
 	for i, s := range scores {
 		w.Add(s, labels[i] > 0.5)
 	}

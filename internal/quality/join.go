@@ -27,7 +27,7 @@ type PendingPrediction struct {
 // oldest-first when full. Safe for concurrent use.
 //
 // Storage is a flat ring of slots plus an integer-keyed index, not a
-// linked list keyed by string: at the default 65536 capacity the
+// linked list keyed by string: at its 65536-entry capacity the
 // buffer sits on the serving hot path mostly unjoined (labels may
 // never arrive), and tens of thousands of list nodes and string map
 // buckets made every GC cycle walk the whole buffer. The ring keeps
@@ -36,7 +36,6 @@ type PendingPrediction struct {
 // benchmark inside the telemetry budget.
 type JoinBuffer struct {
 	ttl int64 // nanoseconds
-	max int
 	now func() time.Time
 
 	mu    sync.Mutex
@@ -60,20 +59,20 @@ type joinSlot struct {
 	deadline int64 // unix nanos
 }
 
-// NewJoinBuffer builds a buffer holding at most max predictions for at
-// most ttl each (defaults: 65536 entries, 2 minutes). The now func is
-// injectable for tests; nil means time.Now.
-func NewJoinBuffer(max int, ttl time.Duration, now func() time.Time) *JoinBuffer {
-	if max <= 0 {
-		max = 65536
-	}
+// joinCapacity is how many predictions a JoinBuffer holds at most.
+const joinCapacity = 65536
+
+// NewJoinBuffer builds a buffer holding at most joinCapacity predictions
+// for at most ttl each (default 2 minutes). The now func is injectable
+// for tests; nil means time.Now.
+func NewJoinBuffer(ttl time.Duration, now func() time.Time) *JoinBuffer {
 	if ttl <= 0 {
 		ttl = 2 * time.Minute
 	}
 	if now == nil {
 		now = time.Now
 	}
-	return &JoinBuffer{ttl: ttl.Nanoseconds(), max: max, now: now, index: map[uint64]int{}}
+	return &JoinBuffer{ttl: ttl.Nanoseconds(), now: now, index: map[uint64]int{}}
 }
 
 // Put parks a prediction under its request ID. A duplicate ID replaces
@@ -96,7 +95,7 @@ func (j *JoinBuffer) Put(id string, p PendingPrediction) {
 			j.clearSlot(n)
 		}
 	}
-	for j.live >= j.max {
+	for j.live >= joinCapacity {
 		j.evictOldestLocked()
 	}
 	j.ensureSpaceLocked()
@@ -191,11 +190,11 @@ func (j *JoinBuffer) evictOldestLocked() {
 }
 
 // ensureSpaceLocked makes room for one more slot: skip leading
-// tombstones, then grow the ring (up to max), then compact interior
-// tombstones, then evict the oldest live entry.
+// tombstones, then grow the ring (up to joinCapacity), then compact
+// interior tombstones, then evict the oldest live entry.
 func (j *JoinBuffer) ensureSpaceLocked() {
 	if len(j.slots) == 0 {
-		j.slots = make([]joinSlot, min(256, j.max))
+		j.slots = make([]joinSlot, 256)
 		return
 	}
 	for j.head < j.tail && !j.slot(j.head).used {
@@ -205,8 +204,8 @@ func (j *JoinBuffer) ensureSpaceLocked() {
 		return
 	}
 	switch {
-	case len(j.slots) < j.max:
-		j.rebuild(min(2*len(j.slots), j.max))
+	case len(j.slots) < joinCapacity:
+		j.rebuild(min(2*len(j.slots), joinCapacity))
 	case j.live < len(j.slots):
 		j.rebuild(len(j.slots))
 	default:

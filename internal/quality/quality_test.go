@@ -3,6 +3,7 @@ package quality
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func TestLabelPSI(t *testing.T) {
 }
 
 func TestBaselineBuilder(t *testing.T) {
-	bb := NewBaselineBuilder(0)
+	bb := NewBaselineBuilder()
 	bb.Observe("books", []float64{0.9, 0.8, 0.1, 0.2}, []float64{1, 1, 0, 0})
 	bb.Observe("music", []float64{0.5, 0.5}, []float64{1, 0})
 	b := bb.Build()
@@ -91,7 +92,7 @@ func TestBaselineBuilder(t *testing.T) {
 func TestJoinBuffer(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
-	j := NewJoinBuffer(3, time.Minute, clock)
+	j := NewJoinBuffer(time.Minute, clock)
 
 	j.Put("a", PendingPrediction{Domain: "d1", Scores: []float32{0.5}})
 	if p, ok := j.Take("a"); !ok || p.Domain != "d1" {
@@ -102,20 +103,21 @@ func TestJoinBuffer(t *testing.T) {
 	}
 
 	// Capacity eviction: oldest goes first.
-	for _, id := range []string{"1", "2", "3", "4"} {
+	for i := 1; i <= joinCapacity+1; i++ {
+		id := strconv.Itoa(i)
 		j.Put(id, PendingPrediction{Domain: id})
 	}
 	if _, ok := j.Take("1"); ok {
 		t.Fatal("oldest entry should have been evicted at capacity")
 	}
-	if _, ok := j.Take("4"); !ok {
+	if _, ok := j.Take(strconv.Itoa(joinCapacity + 1)); !ok {
 		t.Fatal("newest entry should survive capacity eviction")
 	}
 	if j.Evictions() == 0 {
 		t.Fatal("capacity eviction not counted")
 	}
 
-	// TTL expiry (this also expires the still-parked "3").
+	// TTL expiry (this also expires every entry still parked).
 	j.Put("ttl", PendingPrediction{Domain: "d"})
 	now = now.Add(2 * time.Minute)
 	if _, ok := j.Take("ttl"); ok {
@@ -169,14 +171,11 @@ func labelsMatch(have, want []telemetry.Label) bool {
 
 func TestTrackerBreaches(t *testing.T) {
 	reg := telemetry.New()
-	tr := NewTracker(reg, Options{
-		Window: 512, ScoreWindow: 512, Checks: true,
-		MinLabeled: 50, MinScores: 50, CheckEvery: 16,
-	})
+	tr := NewTracker(reg, Options{Window: 512, Checks: true})
 
 	// Build a healthy baseline from a separable score stream.
 	r := rand.New(rand.NewSource(3))
-	bb := NewBaselineBuilder(0)
+	bb := NewBaselineBuilder()
 	var bScores, bLabels []float64
 	for i := 0; i < 600; i++ {
 		s, y := streamDists["discriminative"](r)
@@ -239,12 +238,13 @@ func TestTrackerBreaches(t *testing.T) {
 
 func TestTrackerChecksOffNeverBreaches(t *testing.T) {
 	reg := telemetry.New()
-	tr := NewTracker(reg, Options{Checks: false, MinLabeled: 1, MinScores: 1, CheckEvery: 1})
-	bb := NewBaselineBuilder(0)
+	tr := NewTracker(reg, Options{Checks: false})
+	bb := NewBaselineBuilder()
 	bb.Observe("d0", []float64{0.1, 0.2, 0.8, 0.9}, []float64{0, 0, 1, 1})
 	tr.SetBaseline(bb.Build())
-	scores := make([]float64, 400)
-	labels := make([]bool, 400)
+	// Past every evidence threshold, so only Checks keeps the counters at 0.
+	scores := make([]float64, MinScores+MinLabeled)
+	labels := make([]bool, len(scores))
 	for i := range scores {
 		scores[i] = 0.99
 	}

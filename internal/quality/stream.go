@@ -46,7 +46,6 @@ type sample struct {
 // calibration (predicted CTR vs observed CTR, overall and per score
 // bucket). Not safe for concurrent use; callers lock.
 type WindowEval struct {
-	bins   int
 	window int
 
 	ring  []sample
@@ -65,20 +64,16 @@ type WindowEval struct {
 }
 
 // NewWindowEval builds an evaluator over the last window observations
-// at the given bin resolution (DefaultBins when bins <= 0).
-func NewWindowEval(window, bins int) *WindowEval {
+// (DefaultWindow when <= 0) at DefaultBins resolution.
+func NewWindowEval(window int) *WindowEval {
 	if window <= 0 {
-		window = 2048
-	}
-	if bins <= 0 {
-		bins = DefaultBins
+		window = DefaultWindow
 	}
 	return &WindowEval{
-		bins:       bins,
 		window:     window,
 		ring:       make([]sample, window),
-		pos:        make([]int64, bins),
-		neg:        make([]int64, bins),
+		pos:        make([]int64, DefaultBins),
+		neg:        make([]int64, DefaultBins),
 		calibPred:  make([]float64, DefaultCalibBuckets),
 		calibPos:   make([]int64, DefaultCalibBuckets),
 		calibCount: make([]int64, DefaultCalibBuckets),
@@ -145,7 +140,7 @@ func (w *WindowEval) evict(s sample) {
 // floating-point cancellation in the running sums.
 func (w *WindowEval) apply(q float64, pos bool, dir int) {
 	d := int64(dir)
-	b := binOf(q, w.bins)
+	b := binOf(q, DefaultBins)
 	if pos {
 		w.pos[b] += d
 		w.posTotal += d
@@ -190,7 +185,7 @@ func (w *WindowEval) AUC() float64 {
 	}
 	var cumNeg int64
 	var rankSum float64
-	for b := 0; b < w.bins; b++ {
+	for b := 0; b < DefaultBins; b++ {
 		if w.pos[b] > 0 {
 			rankSum += float64(w.pos[b]) * (float64(cumNeg) + 0.5*float64(w.neg[b]))
 		}
@@ -239,7 +234,7 @@ func (w *WindowEval) BucketCalibration() (ratios []float64, counts []int64) {
 // counts folded down to the given number of buckets — the live
 // distribution PSI compares against the baseline.
 func (w *WindowEval) Histogram(buckets int) []int64 {
-	return foldBins(w.pos, w.neg, w.bins, buckets)
+	return foldBins(w.pos, w.neg, buckets)
 }
 
 // ScoreWindow tracks the score distribution of the most recent Window
@@ -247,7 +242,6 @@ func (w *WindowEval) Histogram(buckets int) []int64 {
 // denser than the delayed label stream and therefore the primary drift
 // signal. Not safe for concurrent use; callers lock.
 type ScoreWindow struct {
-	bins   int
 	window int
 	ring   []float32
 	head   int
@@ -255,29 +249,26 @@ type ScoreWindow struct {
 	counts []int64
 }
 
-// NewScoreWindow builds a score-distribution window at the given bin
-// resolution.
-func NewScoreWindow(window, bins int) *ScoreWindow {
+// NewScoreWindow builds a window over the last window scores
+// (scoreWindow when <= 0) at DefaultBins resolution.
+func NewScoreWindow(window int) *ScoreWindow {
 	if window <= 0 {
-		window = 8192
+		window = scoreWindow
 	}
-	if bins <= 0 {
-		bins = DefaultBins
-	}
-	return &ScoreWindow{bins: bins, window: window, ring: make([]float32, window), counts: make([]int64, bins)}
+	return &ScoreWindow{window: window, ring: make([]float32, window), counts: make([]int64, DefaultBins)}
 }
 
 // Add records one predicted score. O(1).
 func (s *ScoreWindow) Add(score float64) {
 	q := Quantize(score)
 	if s.count == s.window {
-		s.counts[binOf(float64(s.ring[s.head]), s.bins)]--
+		s.counts[binOf(float64(s.ring[s.head]), DefaultBins)]--
 	} else {
 		s.count++
 	}
 	s.ring[s.head] = float32(q)
 	s.head = (s.head + 1) % s.window
-	s.counts[binOf(q, s.bins)]++
+	s.counts[binOf(q, DefaultBins)]++
 }
 
 // Count returns the number of scores currently in the window.
@@ -286,18 +277,18 @@ func (s *ScoreWindow) Count() int { return s.count }
 // Histogram returns the window's score counts folded down to the given
 // number of buckets.
 func (s *ScoreWindow) Histogram(buckets int) []int64 {
-	return foldBins(s.counts, nil, s.bins, buckets)
+	return foldBins(s.counts, nil, buckets)
 }
 
-// foldBins collapses fine-grained bin counts (a plus optional b) into
-// coarse buckets by index range.
-func foldBins(a, b []int64, bins, buckets int) []int64 {
-	if buckets <= 0 || buckets > bins {
-		buckets = bins
+// foldBins collapses DefaultBins-long bin counts (a plus optional b)
+// into coarse buckets by index range.
+func foldBins(a, b []int64, buckets int) []int64 {
+	if buckets <= 0 || buckets > DefaultBins {
+		buckets = DefaultBins
 	}
 	out := make([]int64, buckets)
-	for i := 0; i < bins; i++ {
-		j := i * buckets / bins
+	for i := 0; i < DefaultBins; i++ {
+		j := i * buckets / DefaultBins
 		out[j] += a[i]
 		if b != nil {
 			out[j] += b[i]

@@ -63,7 +63,7 @@ func TestStreamAUCWithinToleranceOfExact(t *testing.T) {
 	for name, draw := range streamDists {
 		for _, window := range []int{64, 512, 2048} {
 			r := rand.New(rand.NewSource(int64(window)*7919 + int64(len(name))))
-			w := NewWindowEval(window, DefaultBins)
+			w := NewWindowEval(window)
 			n := window*3 + 57 // force wrap-around evictions
 			scores := make([]float64, 0, n)
 			labels := make([]float64, 0, n)
@@ -101,7 +101,7 @@ func TestStreamAUCWithinToleranceOfExact(t *testing.T) {
 // TestStreamAUCDegenerate covers the degenerate domains the batch
 // convention defines as 0.5: all-ties, single-class, and empty.
 func TestStreamAUCDegenerate(t *testing.T) {
-	w := NewWindowEval(128, 0)
+	w := NewWindowEval(128)
 	if got := w.AUC(); got != 0.5 {
 		t.Fatalf("empty window AUC = %v, want 0.5", got)
 	}
@@ -111,14 +111,14 @@ func TestStreamAUCDegenerate(t *testing.T) {
 	if got := w.AUC(); got != 0.5 {
 		t.Fatalf("all-positive window AUC = %v, want 0.5", got)
 	}
-	w = NewWindowEval(128, 0)
+	w = NewWindowEval(128)
 	for i := 0; i < 50; i++ { // single class: all negatives
 		w.Add(0.2, false)
 	}
 	if got := w.AUC(); got != 0.5 {
 		t.Fatalf("all-negative window AUC = %v, want 0.5", got)
 	}
-	w = NewWindowEval(128, 0)
+	w = NewWindowEval(128)
 	for i := 0; i < 60; i++ { // all scores tied, both classes present
 		w.Add(0.42, i%3 == 0)
 	}
@@ -136,7 +136,7 @@ func TestStreamAUCDegenerate(t *testing.T) {
 func TestWindowEvalLogLossAndCalibration(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	const window = 200
-	w := NewWindowEval(window, 0)
+	w := NewWindowEval(window)
 	var scores, labels []float64
 	for i := 0; i < 730; i++ {
 		s, y := streamDists["discriminative"](r)
@@ -180,7 +180,7 @@ func TestWindowEvalLogLossAndCalibration(t *testing.T) {
 // empty-class stretches) and asserts no reading ever goes NaN/Inf —
 // gauges travel through the JSON snapshot codec, which rejects NaN.
 func TestWindowEvalNoNaN(t *testing.T) {
-	w := NewWindowEval(32, 0)
+	w := NewWindowEval(32)
 	inputs := []float64{-3, -0.1, 0, 0.5, 1, 1.5, 42, math.SmallestNonzeroFloat64}
 	for i, s := range inputs {
 		w.Add(s, i%2 == 0)
@@ -194,7 +194,7 @@ func TestWindowEvalNoNaN(t *testing.T) {
 
 // TestScoreWindowHistogram checks ring eviction keeps counts exact.
 func TestScoreWindowHistogram(t *testing.T) {
-	s := NewScoreWindow(100, 0)
+	s := NewScoreWindow(100)
 	for i := 0; i < 1000; i++ {
 		s.Add((float64(i%10) + 0.5) / 10) // mid-bucket, away from fold boundaries
 	}
@@ -215,7 +215,7 @@ func TestScoreWindowHistogram(t *testing.T) {
 }
 
 func BenchmarkWindowEvalAdd(b *testing.B) {
-	w := NewWindowEval(2048, 0)
+	w := NewWindowEval(2048)
 	r := rand.New(rand.NewSource(1))
 	scores := make([]float64, 4096)
 	for i := range scores {
@@ -228,7 +228,7 @@ func BenchmarkWindowEvalAdd(b *testing.B) {
 }
 
 func BenchmarkWindowEvalAUC(b *testing.B) {
-	w := NewWindowEval(2048, 0)
+	w := NewWindowEval(2048)
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 2048; i++ {
 		w.Add(r.Float64(), i%4 == 0)

@@ -6,80 +6,48 @@ import (
 	"mamdr/internal/telemetry"
 )
 
-// Options configures a Tracker. Zero values are replaced by defaults.
+// The evidence rules of a quality check. The rollout canary gate holds
+// its two arms to the same numbers.
+const (
+	// DefaultWindow is the labeled observation window per domain — the
+	// horizon of the prequential AUC/logloss/calibration.
+	DefaultWindow = 2048
+	// MinLabeled gates label-dependent checks (AUC floor, calibration,
+	// label PSI) until a domain has this many labeled observations
+	// windowed: thin evidence must not fire alerts.
+	MinLabeled = 200
+	// MinScores gates score-PSI checks until this many scores are
+	// windowed.
+	MinScores = 500
+	// PSICeiling is the per-domain PSI ceiling, the conventional "major
+	// shift" threshold.
+	PSICeiling = 0.25
+)
+
+const (
+	// scoreWindow is the unlabeled score window per domain — the horizon
+	// of score-distribution drift.
+	scoreWindow = 8192
+	// checkEvery is how many observations per domain pass between gauge
+	// refreshes and breach checks, amortizing the O(bins) AUC read off
+	// the request path.
+	checkEvery = 64
+	// aucFloor is the fleet windowed-AUC floor; below it
+	// mamdr_quality_auc_floor_breaches_total increments.
+	aucFloor = 0.55
+	// calibLow and calibHigh bound the acceptable calibration ratio.
+	calibLow, calibHigh = 0.5, 2.0
+)
+
+// Options configures a Tracker.
 type Options struct {
-	// Window is the labeled observation window per domain (default
-	// 2048) — the horizon of the prequential AUC/logloss/calibration.
+	// Window is the labeled observation window per domain (0 means
+	// DefaultWindow).
 	Window int
-	// ScoreWindow is the unlabeled score window per domain (default
-	// 8192) — the horizon of score-distribution drift.
-	ScoreWindow int
-	// Bins is the streaming-AUC bin resolution (default DefaultBins).
-	Bins int
-	// PSIBins is the drift histogram resolution (default
-	// DefaultPSIBins).
-	PSIBins int
 	// Checks enables breach counting — the series the quality SLOs
 	// burn against. Leave false for passive emitters (the trainer's
 	// offline eval) so they can never fire fleet alerts.
 	Checks bool
-	// MinLabeled gates label-dependent checks (AUC floor, calibration,
-	// label PSI) until a domain has this many labeled observations
-	// windowed (default 200): thin evidence must not fire alerts.
-	MinLabeled int
-	// MinScores gates score-PSI checks until this many scores are
-	// windowed (default 500).
-	MinScores int
-	// CheckEvery re-derives gauges and runs breach checks every this
-	// many observations per domain (default 64), amortizing the
-	// O(bins) AUC read off the request path.
-	CheckEvery int
-	// AUCFloor is the fleet windowed-AUC floor (default 0.55); below
-	// it mamdr_quality_auc_floor_breaches_total increments.
-	AUCFloor float64
-	// PSICeiling is the per-domain PSI ceiling (default 0.25, the
-	// conventional "major shift" threshold).
-	PSICeiling float64
-	// CalibLow and CalibHigh bound the acceptable calibration ratio
-	// (defaults 0.5 and 2.0).
-	CalibLow, CalibHigh float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 2048
-	}
-	if o.ScoreWindow <= 0 {
-		o.ScoreWindow = 8192
-	}
-	if o.Bins <= 0 {
-		o.Bins = DefaultBins
-	}
-	if o.PSIBins <= 0 {
-		o.PSIBins = DefaultPSIBins
-	}
-	if o.MinLabeled <= 0 {
-		o.MinLabeled = 200
-	}
-	if o.MinScores <= 0 {
-		o.MinScores = 500
-	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = 64
-	}
-	if o.AUCFloor == 0 {
-		o.AUCFloor = 0.55
-	}
-	if o.PSICeiling == 0 {
-		o.PSICeiling = 0.25
-	}
-	if o.CalibLow == 0 {
-		o.CalibLow = 0.5
-	}
-	if o.CalibHigh == 0 {
-		o.CalibHigh = 2.0
-	}
-	return o
 }
 
 // Tracker owns the per-domain and fleet-wide streaming evaluators and
@@ -132,7 +100,7 @@ func NewTracker(reg *telemetry.Registry, opts Options) *Tracker {
 	if reg == nil {
 		reg = telemetry.New()
 	}
-	t := &Tracker{opts: opts.withDefaults(), reg: reg, domains: map[string]*domainState{}}
+	t := &Tracker{opts: opts, reg: reg, domains: map[string]*domainState{}}
 	t.fleet = t.newDomainState("")
 	t.fleetBreaches = reg.Counter("mamdr_quality_auc_floor_breaches_total",
 		"Quality checks where the fleet windowed AUC was below the configured floor.")
@@ -155,8 +123,8 @@ func NewTracker(reg *telemetry.Registry, opts Options) *Tracker {
 func (t *Tracker) newDomainState(name string) *domainState {
 	d := &domainState{
 		name:   name,
-		eval:   NewWindowEval(t.opts.Window, t.opts.Bins),
-		scores: NewScoreWindow(t.opts.ScoreWindow, t.opts.Bins),
+		eval:   NewWindowEval(t.opts.Window),
+		scores: NewScoreWindow(scoreWindow),
 	}
 	if name == "" {
 		d.auc = t.reg.Gauge("mamdr_quality_fleet_auc",
@@ -337,7 +305,7 @@ func (t *Tracker) SyncEvictions(total int64) {
 }
 
 // Flush re-derives every domain's gauges immediately, regardless of the
-// CheckEvery cadence — used by the trainer after its final eval pass so
+// checkEvery cadence — used by the trainer after its final eval pass so
 // the emitted series reflect all observations.
 func (t *Tracker) Flush() {
 	if t == nil {
@@ -358,11 +326,11 @@ func (t *Tracker) Flush() {
 }
 
 // advanceLocked bumps the observation counter and refreshes gauges and
-// breach checks once per CheckEvery observations.
+// breach checks once per checkEvery observations.
 func (d *domainState) advanceLocked(t *Tracker, n int) {
 	first := d.sinceCheck == 0 && d.eval.Count()+d.scores.Count() == n
 	d.sinceCheck += n
-	if first || d.sinceCheck >= t.opts.CheckEvery {
+	if first || d.sinceCheck >= checkEvery {
 		d.sinceCheck = 0
 		d.refreshLocked(t)
 	}
@@ -373,7 +341,7 @@ func (d *domainState) advanceLocked(t *Tracker, n int) {
 // breaches. Gauges never hold NaN: undefined readings report 0 (and
 // the AUC of a single-class window reports 0.5 by construction).
 func (d *domainState) refreshLocked(t *Tracker) {
-	opts := t.opts
+	checks := t.opts.Checks
 	labeled := d.eval.Count()
 	auc := d.eval.AUC()
 	calib := d.eval.CalibrationRatio()
@@ -397,10 +365,10 @@ func (d *domainState) refreshLocked(t *Tracker) {
 			d.psiScore.Set(psiScore)
 			d.psiLabel.Set(psiLabel)
 		}
-		if opts.Checks && nScores >= opts.MinScores && psiScore > opts.PSICeiling {
+		if checks && nScores >= MinScores && psiScore > PSICeiling {
 			d.psiBreachScore.Inc()
 		}
-		if opts.Checks && labeled >= opts.MinLabeled && psiLabel > opts.PSICeiling {
+		if checks && labeled >= MinLabeled && psiLabel > PSICeiling {
 			d.psiBreachLabel.Inc()
 		}
 	} else if d.psiScore != nil {
@@ -408,11 +376,11 @@ func (d *domainState) refreshLocked(t *Tracker) {
 		d.psiLabel.Set(0)
 	}
 
-	if opts.Checks && labeled >= opts.MinLabeled {
-		if d.name == "" && auc < opts.AUCFloor {
+	if checks && labeled >= MinLabeled {
+		if d.name == "" && auc < aucFloor {
 			t.fleetBreaches.Inc()
 		}
-		if d.calibBreach != nil && calib > 0 && (calib < opts.CalibLow || calib > opts.CalibHigh) {
+		if d.calibBreach != nil && calib > 0 && (calib < calibLow || calib > calibHigh) {
 			d.calibBreach.Inc()
 		}
 	}

@@ -9,11 +9,11 @@
 // or rolls it back automatically:
 //
 //	rollback  when the canary's windowed AUC trails the incumbent's by
-//	          more than AUCMargin, its logloss exceeds the incumbent's
-//	          by more than LogLossMargin, or the PSI between the two
-//	          arms' score distributions exceeds PSIMax (a poisoned model
-//	          usually shows up in its score histogram long before enough
-//	          labels arrive to move AUC);
+//	          more than aucMargin, its logloss exceeds the incumbent's
+//	          by more than logLossMargin, or the PSI between the two
+//	          arms' score distributions exceeds quality.PSICeiling (a
+//	          poisoned model usually shows up in its score histogram
+//	          long before enough labels arrive to move AUC);
 //	promote   when the labeled-evidence threshold is met on both arms
 //	          and no gate is breached;
 //	rollback  (fail-safe) when MaxWait elapses without a verdict — a
@@ -50,34 +50,29 @@ type Fleet interface {
 	RollbackCanary(version uint64) error
 }
 
+// How far the canary's AUC and logloss may fall behind the incumbent's
+// before the gate rolls it back.
+const (
+	aucMargin     = 0.02
+	logLossMargin = 0.05
+)
+
 // Config tunes the gate. Zero values take defaults.
 type Config struct {
 	// Fraction is the share of traffic the canary takes (default 0.2).
 	Fraction float64
 	// MinLabeled is the labeled-observation evidence each arm needs
-	// before the AUC/logloss gates may issue a verdict (default 200).
+	// before the AUC/logloss gates may issue a verdict (default
+	// quality.MinLabeled).
 	MinLabeled int
 	// MinScores is the (unlabeled) score evidence each arm needs before
-	// the PSI gate may fire (default 500). Scores accrue at serving
-	// rate, so PSI is usually the first gate with enough evidence.
+	// the PSI gate may fire (default quality.MinScores). Scores accrue at
+	// serving rate, so PSI is usually the first gate with enough evidence.
 	MinScores int
-	// AUCMargin: roll back when canary AUC < incumbent AUC − AUCMargin
-	// (default 0.02).
-	AUCMargin float64
-	// LogLossMargin: roll back when canary logloss > incumbent logloss
-	// + LogLossMargin (default 0.05).
-	LogLossMargin float64
-	// PSIMax: roll back when the PSI between the two arms' score
-	// histograms exceeds this (default 0.25, the conventional
-	// major-shift threshold).
-	PSIMax float64
 	// MaxWait is the fail-safe deadline: a canary still unproven after
 	// this long is rolled back, never promoted by default (default 10m).
 	// Enforced by Tick, which the owner must call periodically.
 	MaxWait time.Duration
-	// Window and Bins size each arm's evaluators (defaults 2048 and
-	// quality's streaming-AUC default).
-	Window, Bins int
 	// Now is the clock, injectable for tests (nil = time.Now).
 	Now func() time.Time
 	// OnDecision, when non-nil, runs after every decision has been
@@ -90,28 +85,13 @@ func (c Config) withDefaults() Config {
 		c.Fraction = 0.2
 	}
 	if c.MinLabeled <= 0 {
-		c.MinLabeled = 200
+		c.MinLabeled = quality.MinLabeled
 	}
 	if c.MinScores <= 0 {
-		c.MinScores = 500
-	}
-	if c.AUCMargin <= 0 {
-		c.AUCMargin = 0.02
-	}
-	if c.LogLossMargin <= 0 {
-		c.LogLossMargin = 0.05
-	}
-	if c.PSIMax <= 0 {
-		c.PSIMax = 0.25
+		c.MinScores = quality.MinScores
 	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = 10 * time.Minute
-	}
-	if c.Window <= 0 {
-		c.Window = 2048
-	}
-	if c.Bins <= 0 {
-		c.Bins = quality.DefaultBins
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -149,10 +129,18 @@ func (d Decision) String() string {
 		d.CanaryLabeled, d.IncumbentLabeled, d.Elapsed.Round(time.Millisecond))
 }
 
-// arm is one side's evaluators.
+// arm is one side's evaluators; both windows hold the last
+// quality.DefaultWindow observations.
 type arm struct {
 	eval   *quality.WindowEval
 	scores *quality.ScoreWindow
+}
+
+func newArm() *arm {
+	return &arm{
+		eval:   quality.NewWindowEval(quality.DefaultWindow),
+		scores: quality.NewScoreWindow(quality.DefaultWindow),
+	}
 }
 
 // evaluation is one in-flight canary.
@@ -162,6 +150,11 @@ type evaluation struct {
 	started   time.Time
 	canary    *arm
 	incArm    *arm
+}
+
+// psi is the PSI between the two arms' score distributions.
+func (e *evaluation) psi() float64 {
+	return quality.PSI(e.incArm.scores.Histogram(quality.DefaultPSIBins), e.canary.scores.Histogram(quality.DefaultPSIBins))
 }
 
 // Status is the GET /admin/rollout view.
@@ -240,8 +233,8 @@ func (c *Controller) Begin(version, incumbent uint64) error {
 		version:   version,
 		incumbent: incumbent,
 		started:   c.cfg.Now(),
-		canary:    &arm{eval: quality.NewWindowEval(c.cfg.Window, c.cfg.Bins), scores: quality.NewScoreWindow(c.cfg.Window, c.cfg.Bins)},
-		incArm:    &arm{eval: quality.NewWindowEval(c.cfg.Window, c.cfg.Bins), scores: quality.NewScoreWindow(c.cfg.Window, c.cfg.Bins)},
+		canary:    newArm(),
+		incArm:    newArm(),
 	}
 	c.activeGauge.Set(1)
 	c.versionGauge.Set(float64(version))
@@ -365,10 +358,9 @@ func (c *Controller) maybeDecideLocked(fromTick bool) *Decision {
 
 	// PSI gate: pure score evidence, usually available first.
 	if e.canary.scores.Count() >= c.cfg.MinScores && e.incArm.scores.Count() >= c.cfg.MinScores {
-		psi := quality.PSI(e.incArm.scores.Histogram(quality.DefaultPSIBins), e.canary.scores.Histogram(quality.DefaultPSIBins))
-		if psi > c.cfg.PSIMax {
+		if psi := e.psi(); psi > quality.PSICeiling {
 			return c.decisionLocked("rollback", "psi",
-				fmt.Sprintf("canary-vs-incumbent score PSI %.4f > %.4f", psi, c.cfg.PSIMax))
+				fmt.Sprintf("canary-vs-incumbent score PSI %.4f > %.4f", psi, quality.PSICeiling))
 		}
 	}
 
@@ -377,12 +369,12 @@ func (c *Controller) maybeDecideLocked(fromTick bool) *Decision {
 		cAUC, iAUC := e.canary.eval.AUC(), e.incArm.eval.AUC()
 		cLL, iLL := e.canary.eval.LogLoss(), e.incArm.eval.LogLoss()
 		switch {
-		case cAUC < iAUC-c.cfg.AUCMargin:
+		case cAUC < iAUC-aucMargin:
 			return c.decisionLocked("rollback", "auc",
-				fmt.Sprintf("canary AUC %.4f < incumbent %.4f − %.4f", cAUC, iAUC, c.cfg.AUCMargin))
-		case cLL > iLL+c.cfg.LogLossMargin:
+				fmt.Sprintf("canary AUC %.4f < incumbent %.4f − %.4f", cAUC, iAUC, aucMargin))
+		case cLL > iLL+logLossMargin:
 			return c.decisionLocked("rollback", "logloss",
-				fmt.Sprintf("canary logloss %.4f > incumbent %.4f + %.4f", cLL, iLL, c.cfg.LogLossMargin))
+				fmt.Sprintf("canary logloss %.4f > incumbent %.4f + %.4f", cLL, iLL, logLossMargin))
 		default:
 			return c.decisionLocked("promote", "clean", "evidence met, no gate breached")
 		}
@@ -413,7 +405,7 @@ func (c *Controller) decisionLocked(action, reason, detail string) *Decision {
 		IncumbentAUC:     e.incArm.eval.AUC(),
 		CanaryLogLoss:    e.canary.eval.LogLoss(),
 		IncumbentLogLoss: e.incArm.eval.LogLoss(),
-		PSI:              quality.PSI(e.incArm.scores.Histogram(quality.DefaultPSIBins), e.canary.scores.Histogram(quality.DefaultPSIBins)),
+		PSI:              e.psi(),
 		CanaryLabeled:    e.canary.eval.Count(),
 		IncumbentLabeled: e.incArm.eval.Count(),
 	}
@@ -492,6 +484,6 @@ func (c *Controller) Status() Status {
 	st.IncumbentScores = e.incArm.scores.Count()
 	st.CanaryAUC = e.canary.eval.AUC()
 	st.IncumbentAUC = e.incArm.eval.AUC()
-	st.PSI = quality.PSI(e.incArm.scores.Histogram(quality.DefaultPSIBins), e.canary.scores.Histogram(quality.DefaultPSIBins))
+	st.PSI = e.psi()
 	return st
 }

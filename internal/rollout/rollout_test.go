@@ -58,7 +58,7 @@ func feedLabeled(c *Controller, version uint64, rng *rand.Rand, n int, flip bool
 
 func gateConfig(decided *[]Decision) Config {
 	return Config{
-		MinLabeled: 100, MinScores: 100, AUCMargin: 0.05,
+		MinLabeled: 100, MinScores: 100,
 		MaxWait: time.Minute,
 		OnDecision: func(d Decision) {
 			*decided = append(*decided, d)

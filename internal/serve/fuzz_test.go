@@ -22,8 +22,6 @@ import (
 // the statuses Handler documents; a 200 must answer what the body asked.
 // The seeds run under plain `go test`.
 
-const fuzzBodyBytes = 4096
-
 func fuzzPost(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
@@ -46,7 +44,7 @@ func expectStatus(t *testing.T, w *httptest.ResponseRecorder, body []byte, ok ..
 // the body as the handler decoded it, each strictly inside (0, 1).
 func FuzzPredictBody(f *testing.F) {
 	st, ds, _ := testState(f)
-	h := NewWithOptions(st, ds, Options{MaxBodyBytes: fuzzBodyBytes}).Handler()
+	h := New(st, ds).Handler()
 	for _, body := range []string{
 		`{"domain":0,"users":[0,1,2],"items":[2,1,0]}`,
 		`{"domain":1,"users":[3],"items":[4]} trailing bytes`,
@@ -63,7 +61,7 @@ func FuzzPredictBody(f *testing.F) {
 		`{"domain":"0","users":[0],"items":[0]}`,
 		`{"domain":9223372036854775808,"users":[0],"items":[0]}`,
 		`[]`, `null`, `{`, ``,
-		`{"domain":0,"users":[` + strings.Repeat("0,", fuzzBodyBytes) + `0],"items":[0]}`,
+		`{"domain":0,"users":[` + strings.Repeat("0,", maxBodyBytes/2) + `0],"items":[0]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -95,9 +93,7 @@ func FuzzPredictBody(f *testing.F) {
 // under request ID "fz"; a 200 joined exactly the body's labels to it.
 func FuzzFeedbackBody(f *testing.F) {
 	st, ds, _ := testState(f)
-	s := NewWithOptions(st, ds, Options{
-		MaxBodyBytes: fuzzBodyBytes, Quality: quality.NewTracker(telemetry.New(), quality.Options{}),
-	})
+	s := NewWithOptions(st, ds, Options{Quality: quality.NewTracker(telemetry.New(), quality.Options{})})
 	h := s.Handler()
 	for _, body := range []string{
 		`{"request_id":"fz","labels":[1,0]}`,
@@ -111,7 +107,7 @@ func FuzzFeedbackBody(f *testing.F) {
 		`{"labels":[1,0]}`,
 		`{"request_id":7,"labels":[1,0]}`,
 		`[]`, `null`, `{`, ``,
-		`{"request_id":"fz","labels":[` + strings.Repeat("1,", fuzzBodyBytes) + `0]}`,
+		`{"request_id":"fz","labels":[` + strings.Repeat("1,", maxBodyBytes/2) + `0]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -154,8 +150,7 @@ func FuzzPublishBody(f *testing.F) {
 	}
 	ours := map[string]bool{good: true, corrupt: true, missing: true}
 	s := NewWithOptions(st, ds, Options{
-		MaxBodyBytes: fuzzBodyBytes,
-		Upstream:     &Upstream{Snapshot: func() (paramvec.Vector, error) { return st.Shared.Clone(), nil }},
+		Upstream: &Upstream{Snapshot: func() (paramvec.Vector, error) { return st.Shared.Clone(), nil }},
 	})
 	h := s.Handler()
 	for _, body := range []string{
@@ -172,7 +167,7 @@ func FuzzPublishBody(f *testing.F) {
 		`{"source":"elsewhere"}`,
 		`{"path":7}`,
 		`{}`, `[]`, `null`, `{`, ``,
-		`{"source":"upstream","x":"` + strings.Repeat("x", fuzzBodyBytes) + `"}`,
+		`{"source":"upstream","x":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
 	} {
 		f.Add([]byte(body))
 	}

@@ -18,7 +18,7 @@ func qualityServer(t *testing.T) (*Server, *telemetry.Registry, *quality.Tracker
 	t.Helper()
 	st, ds, factory := testState(t)
 	reg := telemetry.New()
-	tr := quality.NewTracker(reg, quality.Options{Checks: true, MinLabeled: 8, MinScores: 8, CheckEvery: 1})
+	tr := quality.NewTracker(reg, quality.Options{Checks: true})
 	srv := NewWithOptions(st, ds, Options{
 		Replicas: 2, ReplicaFactory: factory, Metrics: reg, Quality: tr,
 	})

@@ -93,8 +93,6 @@ type Options struct {
 	// still waiting for a forward slot when it passes gets 503 +
 	// Retry-After. Each flush's forward is bounded by it too. Default 5s.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps the request body size. Default 1 MiB.
-	MaxBodyBytes int64
 	// Metrics, when non-nil, receives the serving instruments —
 	// per-domain latency histograms, flush shape and queueing,
 	// per-status-code request counters — and is exposed at GET /metrics
@@ -116,14 +114,11 @@ type Options struct {
 	// loaded from a cluster. /readyz probes Upstream.Ping after the
 	// local checks, through a circuit breaker: transient failures fail
 	// readiness (the load balancer steers away), but once
-	// UpstreamThreshold consecutive probes fail the breaker opens and
+	// three consecutive probes fail the breaker opens and
 	// the server degrades instead — /readyz goes green again, serving
 	// the last good snapshot with a staleness gauge, because a dead PS
 	// cluster must not take the whole serving fleet out with it.
 	Upstream *Upstream
-	// UpstreamThreshold is the consecutive-failure count that opens
-	// the upstream circuit breaker. Default 3.
-	UpstreamThreshold int
 	// UpstreamBackoff paces upstream probes while the breaker is open
 	// (zero value takes the ps package defaults).
 	UpstreamBackoff ps.Backoff
@@ -145,11 +140,9 @@ type Options struct {
 	// incumbent's version and envelope CRC (0 when sourced outside
 	// a checkpoint). Called without internal locks held.
 	OnSwap func(version uint64, crc uint32)
-	// InitialVersion and InitialCRC label the snapshot the server boots
-	// with, normally the loaded checkpoint's envelope identity.
-	// InitialVersion defaults to 1.
-	InitialVersion uint64
-	InitialCRC     uint32
+	// InitialCRC labels the snapshot the server boots with (version 1),
+	// normally the loaded checkpoint's envelope CRC.
+	InitialCRC uint32
 	// Quality, when non-nil, turns on model-quality observability:
 	// every successful prediction feeds per-domain score-distribution
 	// histograms and the tracker's drift windows, responses carry a
@@ -189,20 +182,11 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * time.Second
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 4 * o.Replicas
 	}
 	if o.ShedSeed == 0 {
 		o.ShedSeed = 1
-	}
-	if o.UpstreamThreshold <= 0 {
-		o.UpstreamThreshold = 3
-	}
-	if o.InitialVersion == 0 {
-		o.InitialVersion = 1
 	}
 	if o.QuantCacheRows <= 0 {
 		o.QuantCacheRows = 4096
@@ -367,17 +351,16 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 	}
 	s.view.Store(&view{
 		incumbent:    s.composeState(state),
-		incumbentV:   opts.InitialVersion,
+		incumbentV:   1,
 		incumbentCRC: opts.InitialCRC,
 	})
 	s.metrics = newServeMetrics(opts.Metrics, opts.Replicas)
-	s.metrics.snapshotVersions(opts.InitialVersion, 0)
+	s.metrics.snapshotVersions(1, 0)
 	s.shedRng = rand.New(rand.NewSource(opts.ShedSeed))
-	s.upstream = newUpstreamMonitor(opts.Upstream, opts.Faults, opts.Metrics,
-		opts.UpstreamThreshold, opts.UpstreamBackoff)
+	s.upstream = newUpstreamMonitor(opts.Upstream, opts.Faults, opts.Metrics, opts.UpstreamBackoff)
 	if opts.Quality != nil {
 		s.quality = opts.Quality
-		s.feedback = quality.NewJoinBuffer(0, opts.FeedbackTTL, nil)
+		s.feedback = quality.NewJoinBuffer(opts.FeedbackTTL, nil)
 	}
 	maxRows := max(opts.BatchMax, 1)
 	s.coalescer = batch.New(batch.Options{
@@ -513,7 +496,7 @@ func (s *Server) Close() { s.coalescer.Close() }
 //	POST /admin/rollback -> rolls back the in-flight canary manually
 //
 // A body that does not decode or validate is a 400 (413 past
-// MaxBodyBytes), an unknown domain or request_id a 404, a publish source
+// maxBodyBytes), an unknown domain or request_id a 404, a publish source
 // that fails a 422 and a publication Publish refuses a 409. /predict
 // answers 503 + Retry-After when shed, when its deadline passes before
 // its scores, or after Close, and 499 when its client hung up first.
@@ -817,10 +800,13 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeBody decodes r's JSON body, read up to MaxBodyBytes, into v. On
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body, read up to maxBodyBytes, into v. On
 // failure it has answered 413 (body too large) or 400 and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(v)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:

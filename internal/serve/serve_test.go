@@ -193,11 +193,11 @@ func TestDomainsListAndRegister(t *testing.T) {
 
 func TestPredictBodySizeLimit(t *testing.T) {
 	st, ds, _ := testState(t)
-	s := NewWithOptions(st, ds, Options{MaxBodyBytes: 64})
-	h := s.Handler()
+	h := New(st, ds).Handler()
 
+	// Each pair adds at least four bytes ("0," twice) to the body.
 	big := PredictRequest{Domain: 0}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < maxBodyBytes/4; i++ {
 		big.Users = append(big.Users, 0)
 		big.Items = append(big.Items, 0)
 	}
@@ -538,7 +538,6 @@ func TestReadyzReportsUpstreamHealth(t *testing.T) {
 			}
 			return nil
 		}},
-		UpstreamThreshold: 2,
 	})
 	// The breaker's probe budget is time-based; a fixed clock keeps the
 	// open-breaker probe schedule out of this test's way.
@@ -568,9 +567,15 @@ func TestReadyzReportsUpstreamHealth(t *testing.T) {
 	if wh := get("/healthz"); wh.Code != http.StatusOK {
 		t.Fatalf("healthz with dead upstream = %d, want 200", wh.Code)
 	}
+	// Failures short of the threshold keep readiness failing.
+	for i := 2; i < upstreamThreshold; i++ {
+		if w := get("/readyz"); w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("readyz after %d failed probes = %d, want 503", i, w.Code)
+		}
+	}
 
-	// Second consecutive failure crosses the threshold: the breaker
-	// opens and the server degrades instead of staying out of rotation.
+	// The threshold-th consecutive failure opens the breaker and the
+	// server degrades instead of staying out of rotation.
 	w = get("/readyz")
 	if w.Code != http.StatusOK {
 		t.Fatalf("readyz with open breaker = %d, want 200 (degraded)", w.Code)

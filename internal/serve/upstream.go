@@ -13,16 +13,15 @@ import (
 // upstreamMonitor is the circuit breaker on the serve→PS path. Probes
 // run through it on every /readyz; while the breaker is closed each
 // probe hits the real upstream and a failure fails readiness. Once
-// UpstreamThreshold consecutive probes fail, the breaker opens: the
+// upstreamThreshold consecutive probes fail, the breaker opens: the
 // server degrades to serving its last good snapshot (readyz green,
 // staleness gauge climbing) and re-probes only on the seeded backoff
 // schedule — a dead cluster is asked occasionally, not hammered.
 type upstreamMonitor struct {
-	up        *Upstream
-	faults    *faultinject.Injector
-	threshold int
-	bo        ps.Backoff
-	now       func() time.Time
+	up     *Upstream
+	faults *faultinject.Injector
+	bo     ps.Backoff
+	now    func() time.Time
 
 	healthyGauge *telemetry.Gauge
 	staleGauge   *telemetry.Gauge
@@ -36,18 +35,21 @@ type upstreamMonitor struct {
 	lastErr     error
 }
 
+// upstreamThreshold is the consecutive-failure count that opens the
+// breaker.
+const upstreamThreshold = 3
+
 // newUpstreamMonitor returns nil (all methods nil-safe) when no
 // upstream is configured.
-func newUpstreamMonitor(up *Upstream, faults *faultinject.Injector, reg *telemetry.Registry, threshold int, bo ps.Backoff) *upstreamMonitor {
+func newUpstreamMonitor(up *Upstream, faults *faultinject.Injector, reg *telemetry.Registry, bo ps.Backoff) *upstreamMonitor {
 	if up == nil || up.Ping == nil {
 		return nil
 	}
 	m := &upstreamMonitor{
-		up:        up,
-		faults:    faults,
-		threshold: threshold,
-		bo:        bo.WithDefaults(),
-		now:       time.Now,
+		up:     up,
+		faults: faults,
+		bo:     bo.WithDefaults(),
+		now:    time.Now,
 	}
 	m.lastHealthy = m.now()
 	if reg != nil {
@@ -93,7 +95,7 @@ func (m *upstreamMonitor) check(ctx context.Context) (bool, error) {
 
 	m.consecutive++
 	m.lastErr = err
-	if !m.open && m.consecutive >= m.threshold {
+	if !m.open && m.consecutive >= upstreamThreshold {
 		m.open = true
 		m.probes = 0
 	}

@@ -44,16 +44,22 @@ func (c *CountingSink) Trigger(kind string, fields map[string]any) {
 	}
 }
 
+// A loss spikes when it lands more than spikeZ standard deviations
+// above its domain's running mean, once the domain has spikeWarmup
+// finite observations.
+const (
+	spikeZ      = 4
+	spikeWarmup = 8
+)
+
 // LossWatch detects training-loss anomalies per domain: NaN or Inf
 // losses fire immediately ("nan_loss"); finite losses feed a running
 // mean/variance (Welford) and fire "loss_spike" when a loss lands
-// more than Z standard deviations above the domain's mean after a
-// warmup period. All methods are safe for concurrent use (workers
+// more than spikeZ standard deviations above the domain's mean after
+// a warmup period. All methods are safe for concurrent use (workers
 // observe from their own goroutines) and nil-receiver-safe.
 type LossWatch struct {
-	sink   AnomalySink
-	z      float64
-	warmup int
+	sink AnomalySink
 
 	mu    sync.Mutex
 	stats map[string]*welford
@@ -79,18 +85,10 @@ func (w *welford) std() float64 {
 	return math.Sqrt(w.m2 / float64(w.n-1))
 }
 
-// NewLossWatch watches for NaN/Inf losses and per-domain spikes above
-// zThreshold standard deviations (<= 0 means the default 4), ignoring
-// spikes until a domain has warmup finite observations (<= 0 means
-// the default 8).
-func NewLossWatch(sink AnomalySink, zThreshold float64, warmup int) *LossWatch {
-	if zThreshold <= 0 {
-		zThreshold = 4
-	}
-	if warmup <= 0 {
-		warmup = 8
-	}
-	return &LossWatch{sink: sink, z: zThreshold, warmup: warmup, stats: map[string]*welford{}}
+// NewLossWatch watches for NaN/Inf losses and per-domain loss spikes,
+// triggering sink.
+func NewLossWatch(sink AnomalySink) *LossWatch {
+	return &LossWatch{sink: sink, stats: map[string]*welford{}}
 }
 
 // Observe feeds one finished pass's mean loss for a domain. extra
@@ -120,10 +118,10 @@ func (lw *LossWatch) Observe(domain string, loss float64, extra map[string]any) 
 	}
 	spiked := false
 	var z float64
-	if st.n >= lw.warmup {
+	if st.n >= spikeWarmup {
 		if sd := st.std(); sd > 0 {
 			z = (loss - st.mean) / sd
-			spiked = z > lw.z
+			spiked = z > spikeZ
 		}
 	}
 	st.observe(loss)

@@ -53,16 +53,10 @@ func NewEventLog(w io.Writer) *EventLog {
 }
 
 // OpenEventLog appends events to the file at path, creating it if
-// needed. The file grows without bound; long-lived processes should
-// prefer OpenEventLogRotating.
-func OpenEventLog(path string) (*EventLog, error) {
-	return OpenEventLogRotating(path, Rotation{})
-}
-
-// OpenEventLogRotating appends events to the file at path and rotates
-// it by size per pol: at MaxBytes the active file becomes <path>.1,
-// existing segments shift up, and segments beyond Keep are deleted.
-func OpenEventLogRotating(path string, pol Rotation) (*EventLog, error) {
+// needed, and rotates it by size per pol: at MaxBytes the active file
+// becomes <path>.1, existing segments shift up, and segments beyond
+// Keep are deleted. The zero Rotation never rotates.
+func OpenEventLog(path string, pol Rotation) (*EventLog, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: open event log: %w", err)

@@ -48,7 +48,7 @@ func readEvents(t *testing.T, path string) []int {
 func TestEventLogRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.jsonl")
-	log, err := OpenEventLogRotating(path, Rotation{MaxBytes: 400, Keep: 2})
+	log, err := OpenEventLog(path, Rotation{MaxBytes: 400, Keep: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEventLogRotationBoundary(t *testing.T) {
 
 	// MaxBytes = 300: two ~120-byte lines stay under, the third always
 	// crosses — every segment must hold exactly three whole events.
-	log, err := OpenEventLogRotating(path, Rotation{MaxBytes: 300, Keep: 5})
+	log, err := OpenEventLog(path, Rotation{MaxBytes: 300, Keep: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEventLogRotationBoundary(t *testing.T) {
 func TestEventLogRotationConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.jsonl")
-	log, err := OpenEventLogRotating(path, Rotation{MaxBytes: 1 << 10, Keep: 3})
+	log, err := OpenEventLog(path, Rotation{MaxBytes: 1 << 10, Keep: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +178,12 @@ func TestEventLogRotationConcurrent(t *testing.T) {
 	}
 }
 
-// TestOpenEventLogAppendCompat pins that the non-rotating constructor
+// TestOpenEventLogAppendCompat pins that a log opened without rotation
 // still appends to an existing file (the pre-rotation contract).
 func TestOpenEventLogAppendCompat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.jsonl")
 	for round := 0; round < 2; round++ {
-		log, err := OpenEventLog(path)
+		log, err := OpenEventLog(path, Rotation{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,15 +98,11 @@ type ChromeExporter struct {
 	mu    sync.Mutex
 	spans []*Span
 	path  string
-	pid   int
 }
 
 // NewChromeExporter buffers spans destined for path.
-func NewChromeExporter(path string, pid int) *ChromeExporter {
-	if pid == 0 {
-		pid = os.Getpid()
-	}
-	return &ChromeExporter{path: path, pid: pid}
+func NewChromeExporter(path string) *ChromeExporter {
+	return &ChromeExporter{path: path}
 }
 
 // Record implements Sink.
@@ -133,7 +129,7 @@ func (e *ChromeExporter) Close() error {
 	if err != nil {
 		return fmt.Errorf("trace: create %s: %w", e.path, err)
 	}
-	if err := WriteChrome(f, spans, e.pid, 0); err != nil {
+	if err := WriteChrome(f, spans, os.Getpid(), 0); err != nil {
 		f.Close()
 		return err
 	}

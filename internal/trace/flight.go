@@ -27,7 +27,6 @@ type FlightRecorder struct {
 	next   int
 	full   bool
 	path   string
-	pid    int
 	fired  map[string]bool
 	dumps  []Dump
 	onDump func(Dump)
@@ -54,7 +53,6 @@ func NewFlightRecorder(capacity int, pathPrefix string) *FlightRecorder {
 	return &FlightRecorder{
 		buf:   make([]*Span, capacity),
 		path:  pathPrefix,
-		pid:   os.Getpid(),
 		fired: map[string]bool{},
 	}
 }
@@ -162,9 +160,9 @@ func (f *FlightRecorder) writeDump(d Dump, trigger uint64) {
 	}
 	marker := chromeEvent{
 		Name: "ANOMALY: " + d.Kind, Cat: "anomaly", Phase: "i",
-		TS: time.Now().UnixMicro(), PID: f.pid, Scope: "g", Args: args,
+		TS: time.Now().UnixMicro(), PID: os.Getpid(), Scope: "g", Args: args,
 	}
-	WriteChrome(w, d.Spans, f.pid, trigger, marker)
+	WriteChrome(w, d.Spans, os.Getpid(), trigger, marker)
 }
 
 // Dumps returns the anomaly dumps fired so far.

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 )
@@ -43,6 +44,6 @@ func CaptureHandler(t *Tracer) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition",
 			fmt.Sprintf(`attachment; filename="capture-%ds.trace.json"`, sec))
-		WriteChrome(w, col.Spans(), t.pid, 0)
+		WriteChrome(w, col.Spans(), os.Getpid(), 0)
 	})
 }

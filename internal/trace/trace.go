@@ -26,7 +26,6 @@ package trace
 import (
 	"context"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,15 +258,12 @@ type Options struct {
 	// FlightPath is the dump file prefix: an anomaly of kind K writes
 	// <FlightPath>-K.trace.json. Empty keeps dumps in memory only.
 	FlightPath string
-	// PID labels exported Chrome events; zero means os.Getpid().
-	PID int
 }
 
 // Tracer creates and collects spans. The zero value is not usable;
 // call New. A nil *Tracer is a valid disabled tracer.
 type Tracer struct {
 	sample float64
-	pid    int
 	flight *FlightRecorder
 
 	mu    sync.Mutex // guards sink add/remove (copy-on-write)
@@ -277,17 +273,13 @@ type Tracer struct {
 // New builds a tracer. The flight recorder (unless disabled) is
 // attached as a permanent sink.
 func New(opts Options) *Tracer {
-	t := &Tracer{sample: opts.Sample, pid: opts.PID}
-	if t.pid == 0 {
-		t.pid = os.Getpid()
-	}
+	t := &Tracer{sample: opts.Sample}
 	size := opts.FlightSize
 	if size == 0 {
 		size = 256
 	}
 	if size > 0 {
 		t.flight = NewFlightRecorder(size, opts.FlightPath)
-		t.flight.pid = t.pid
 		t.AddSink(t.flight)
 	}
 	return t
@@ -301,14 +293,6 @@ func (t *Tracer) Flight() *FlightRecorder {
 		return nil
 	}
 	return t.flight
-}
-
-// PID returns the process id used in Chrome exports.
-func (t *Tracer) PID() int {
-	if t == nil {
-		return 0
-	}
-	return t.pid
 }
 
 // AddSink attaches a sink to receive every completed span.

@@ -150,7 +150,7 @@ func TestChromeExportParses(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.trace.json")
 	tr := New(Options{FlightSize: -1})
-	exp := NewChromeExporter(path, 42)
+	exp := NewChromeExporter(path)
 	tr.AddSink(exp)
 
 	ctx := tr.Context(context.Background())
@@ -169,7 +169,7 @@ func TestChromeExportParses(t *testing.T) {
 	}
 	byName := map[string]map[string]any{}
 	for _, ev := range events {
-		if ev["ph"] != "X" || ev["pid"] != float64(42) {
+		if ev["ph"] != "X" || ev["pid"] != float64(os.Getpid()) {
 			t.Fatalf("bad event: %v", ev)
 		}
 		byName[ev["name"].(string)] = ev

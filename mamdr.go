@@ -205,7 +205,7 @@ func Train(spec TrainSpec) (*Result, error) {
 	if spec.Tracer != nil {
 		cfg.Tracer = spec.Tracer
 		if f := spec.Tracer.Flight(); f != nil {
-			cfg.Telemetry.Anomalies = telemetry.NewLossWatch(f, 0, 0)
+			cfg.Telemetry.Anomalies = telemetry.NewLossWatch(f)
 		}
 	}
 	pred := fw.Fit(m, spec.Dataset, cfg)

@@ -279,9 +279,11 @@ smoke-batch:
 	MAMDR_SMOKE_BATCH=1 $(GO) test -count=1 -v -run TestQuantAUCBudget ./internal/exp
 	@echo "ok: batched scores byte-identical to unbatched; int8 AUC gate passed"
 
-# The PS, cluster, serving, batching, and quant paths are the
-# concurrent hot spots, and core's DR phase runs one worker goroutine per
-# kernel thread over autograd and its buffer arena; keep them race-clean.
+# The PS, cluster, serving, batching, quant and quality paths are the
+# concurrent hot spots — quality's feedback join buffer and tracker run
+# on every quality-on /predict — and core's DR phase runs one worker
+# goroutine per kernel thread over autograd and its buffer arena; keep
+# them race-clean.
 # The race detector does not see loads and stores made in assembly —
 # gemmAddAVX2 (gemm_amd64.s), adamAVX2 and addAVX2 (elementwise_amd64.s):
 # TestParallelGemmConcurrent under -race covers how rows are partitioned
@@ -290,7 +292,7 @@ smoke-batch:
 # AccumAdd, AddTo, ColSumAdd and the fused bias are unseen by it.
 race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
-		./internal/batch/... ./internal/quant/... ./internal/core/... ./internal/autograd/...
+		./internal/batch/... ./internal/quant/... ./internal/quality/... ./internal/core/... ./internal/autograd/...
 
 # The DR phase's oracle (any worker count == the sequential per-target
 # loop, float for float) with its workers interleaved on one P and

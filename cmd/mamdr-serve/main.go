@@ -86,8 +86,7 @@ func main() {
 		serveFaults    = flag.String("serve-faults", "", "serving-path fault schedule (op:kind@occurrences; ops: Predict, PublishSource, UpstreamPing, UpstreamSnapshot), seeded by -seed")
 
 		batchMax      = flag.Int("batch-max", 0, "every /predict goes through one scheduler: a request that finds a replica free runs at once; ones that arrive while every replica is busy coalesce into forwards of at most this many rows (0 = off, one request per forward)")
-		snapshotQuant = flag.String("snapshot-quant", "off", `serving-snapshot embedding storage: "off" (float64) or "int8" (symmetric-per-row quantized tables + hot-row dequantization cache)`)
-		quantCache    = flag.Int("quant-cache", 0, "dequantization LRU capacity in rows across all domains (0 = default 4096, with -snapshot-quant=int8)")
+		snapshotQuant = flag.String("snapshot-quant", "off", `serving-snapshot embedding storage: "off" (float64) or "int8" (symmetric-per-row quantized tables, each gathered row decoded on lookup)`)
 	)
 	flag.Parse()
 	kernels.SetThreads(*kernelThreads)
@@ -264,7 +263,6 @@ func main() {
 		InitialCRC:      initialCRC,
 		BatchMax:        *batchMax,
 		SnapshotQuant:   *snapshotQuant,
-		QuantCacheRows:  *quantCache,
 		OnSwap: func(version uint64, crc uint32) {
 			publishInfo(version, crc)
 			log.Printf("snapshot v%d (crc %08x) is now the incumbent", version, crc)
@@ -281,12 +279,7 @@ func main() {
 		log.Printf("request coalescing on: batches of up to %d rows, formed only while every replica is busy", *batchMax)
 	}
 	if *snapshotQuant == "int8" {
-		log.Printf("snapshot embeddings quantized int8 (dequant cache %d rows)", func() int {
-			if *quantCache > 0 {
-				return *quantCache
-			}
-			return 4096
-		}())
+		log.Printf("snapshot embeddings quantized int8")
 	}
 
 	// The canary gate: serve routes traffic and reports observations,

@@ -34,6 +34,10 @@ type PendingPrediction struct {
 // the per-slot pointers in one flat array and the index map
 // pointer-free, which is what holds the quality-enabled serving
 // benchmark inside the telemetry budget.
+//
+// The ring grows to twice the capacity, so at most half its slots are
+// ever live: a compaction frees at least as many slots as it copies,
+// and Put and Take stay amortized O(1) however full the buffer is.
 type JoinBuffer struct {
 	ttl int64 // nanoseconds
 	now func() time.Time
@@ -42,13 +46,16 @@ type JoinBuffer struct {
 	slots []joinSlot
 	// head/tail are absolute slot numbers; slot n lives at
 	// slots[n%len(slots)]. head..tail is the occupied window,
-	// oldest-first; taken or replaced entries leave tombstones
-	// (used=false) that compaction reclaims.
+	// oldest-first, and head is a live slot unless the window is empty;
+	// taken or replaced entries leave tombstones (used=false) that
+	// compaction reclaims.
 	head, tail int
 	live       int
 	index      map[uint64]int // id hash -> absolute slot number
 
 	evictions int64
+	// copied counts slots moved by compaction.
+	copied int64
 }
 
 type joinSlot struct {
@@ -81,14 +88,19 @@ func NewJoinBuffer(ttl time.Duration, now func() time.Time) *JoinBuffer {
 // shadowed one can no longer be taken and ages out by TTL) — at the
 // bounded capacity the collision odds are ~2^-32, and the cost is one
 // missed join, never a mislabeled one.
-func (j *JoinBuffer) Put(id string, p PendingPrediction) {
+//
+// Put is where entries leave unjoined: it returns how many it dropped —
+// expired, shadowed, or the oldest at capacity — for the caller to
+// count (Tracker.FeedbackEvicted).
+func (j *JoinBuffer) Put(id string, p PendingPrediction) (evicted int) {
 	if id == "" {
-		return
+		return 0
 	}
 	nowN := j.now().UnixNano()
 	h := hashID(id)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	before := j.evictions
 	j.expireLocked(nowN)
 	if n, ok := j.index[h]; ok {
 		if s := j.slot(n); s.used && s.id == id {
@@ -96,7 +108,8 @@ func (j *JoinBuffer) Put(id string, p PendingPrediction) {
 		}
 	}
 	for j.live >= joinCapacity {
-		j.evictOldestLocked()
+		j.clearSlot(j.head)
+		j.evictions++
 	}
 	j.ensureSpaceLocked()
 	n := j.tail
@@ -104,22 +117,23 @@ func (j *JoinBuffer) Put(id string, p PendingPrediction) {
 	j.index[h] = n
 	j.tail++
 	j.live++
+	return int(j.evictions - before)
 }
 
 // Take removes and returns the prediction parked under id. ok is false
-// when the ID is unknown, already taken, or expired.
+// when the ID is unknown, already taken, or expired. An expired entry
+// stays parked until the next Put drops and counts it.
 func (j *JoinBuffer) Take(id string) (PendingPrediction, bool) {
 	nowN := j.now().UnixNano()
 	h := hashID(id)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.expireLocked(nowN)
 	n, ok := j.index[h]
 	if !ok {
 		return PendingPrediction{}, false
 	}
 	s := j.slot(n)
-	if !s.used || s.id != id {
+	if !s.used || s.id != id || nowN >= s.deadline {
 		return PendingPrediction{}, false
 	}
 	p := s.pending
@@ -134,8 +148,8 @@ func (j *JoinBuffer) Len() int {
 	return j.live
 }
 
-// Evictions returns the number of entries dropped by TTL expiry or
-// capacity pressure since creation.
+// Evictions returns the number of entries Put has dropped since
+// creation.
 func (j *JoinBuffer) Evictions() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -164,75 +178,62 @@ func (j *JoinBuffer) clearSlot(n int) {
 // non-decreasing in insertion order, so scanning from the front stops
 // at the first live one.
 func (j *JoinBuffer) expireLocked(nowN int64) {
-	for j.head < j.tail {
-		s := j.slot(j.head)
-		if !s.used {
-			j.head++
-			continue
-		}
-		if nowN < s.deadline {
-			return
-		}
+	for j.head < j.tail && nowN >= j.slot(j.head).deadline {
 		j.clearSlot(j.head)
 		j.evictions++
 	}
 }
 
-func (j *JoinBuffer) evictOldestLocked() {
-	for j.head < j.tail && !j.slot(j.head).used {
-		j.head++
-	}
-	if j.head == j.tail {
-		return
-	}
-	j.clearSlot(j.head)
-	j.evictions++
-}
-
-// ensureSpaceLocked makes room for one more slot: skip leading
-// tombstones, then grow the ring (up to joinCapacity), then compact
-// interior tombstones, then evict the oldest live entry.
+// ensureSpaceLocked makes room for one more slot at the tail. A full
+// window is compacted, into a ring twice the size when more than half
+// its slots are live. Since at most joinCapacity are live, the ring
+// stops growing at 2×joinCapacity slots.
 func (j *JoinBuffer) ensureSpaceLocked() {
 	if len(j.slots) == 0 {
 		j.slots = make([]joinSlot, 256)
 		return
 	}
-	for j.head < j.tail && !j.slot(j.head).used {
-		j.head++
-	}
 	if j.tail-j.head < len(j.slots) {
 		return
 	}
-	switch {
-	case len(j.slots) < joinCapacity:
-		j.rebuild(min(2*len(j.slots), joinCapacity))
-	case j.live < len(j.slots):
-		j.rebuild(len(j.slots))
-	default:
-		j.evictOldestLocked()
+	n := len(j.slots)
+	if 2*j.live > n {
+		n *= 2
 	}
+	j.compact(n)
 }
 
-// rebuild repacks the live entries oldest-first into a ring of size n
-// and re-derives the index.
-func (j *JoinBuffer) rebuild(n int) {
-	fresh := make([]joinSlot, n)
-	idx := make(map[uint64]int, j.live)
-	w := 0
+// compact repacks the live entries oldest-first into a ring of n slots
+// — the current one, in place, when n is its size — and re-points the
+// index. Shadowed entries are dropped: only the slot the index points
+// at could ever be taken.
+func (j *JoinBuffer) compact(n int) {
+	dst := j.slots
+	if n != len(dst) {
+		dst = make([]joinSlot, n)
+	}
+	// Renumber from head's position in dst. In place, every write lands
+	// at or behind the slot being read, so nothing unread is overwritten.
+	start := j.head % n
+	w := start
 	for i := j.head; i < j.tail; i++ {
 		s := j.slot(i)
-		if !s.used {
+		if m, ok := j.index[s.hash]; !s.used || !ok || m != i {
 			continue
 		}
-		// Preserve shadowing: only the slot the index points at is
-		// takeable, so carry exactly those forward.
-		if m, ok := j.index[s.hash]; ok && m == i {
-			fresh[w] = *s
-			idx[s.hash] = w
-			w++
+		dst[w%n] = *s
+		j.index[s.hash] = w
+		w++
+	}
+	if n == len(j.slots) {
+		// Zero the vacated slots so the GC can reclaim what they held.
+		for i := w; i < start+j.tail-j.head; i++ {
+			dst[i%n] = joinSlot{}
 		}
 	}
-	j.slots, j.index, j.head, j.tail, j.live = fresh, idx, 0, w, w
+	j.copied += int64(w - start)
+	j.evictions += int64(j.live - (w - start))
+	j.slots, j.head, j.tail, j.live = dst, start, w, w-start
 }
 
 // hashID is FNV-1a over the request ID.

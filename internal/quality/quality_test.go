@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,6 +135,97 @@ func TestJoinBuffer(t *testing.T) {
 	if j.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", j.Len())
 	}
+}
+
+// fullJoinBuffer returns a buffer holding joinCapacity predictions
+// under the first joinCapacity of 4×joinCapacity distinct IDs.
+func fullJoinBuffer() (*JoinBuffer, []string) {
+	ids := make([]string, 4*joinCapacity)
+	for i := range ids {
+		ids[i] = strconv.Itoa(i)
+	}
+	j := NewJoinBuffer(time.Hour, nil)
+	for _, id := range ids[:joinCapacity] {
+		j.Put(id, PendingPrediction{})
+	}
+	return j, ids
+}
+
+// churnAtCapacity is serving at a 4:1 predict:feedback mix on a full
+// buffer: op i Puts the next ID, and every 4th op also Takes the ID put
+// just before, leaving a tombstone inside the window. It reports how
+// many Takes joined.
+func churnAtCapacity(j *JoinBuffer, ids []string, ops int) (joined int) {
+	for i := 0; i < ops; i++ {
+		k := joinCapacity + i
+		j.Put(ids[k%len(ids)], PendingPrediction{})
+		if i%4 == 3 {
+			if _, ok := j.Take(ids[(k-1)%len(ids)]); ok {
+				joined++
+			}
+		}
+	}
+	return joined
+}
+
+// TestJoinBufferAtCapacityStaysAmortized: a full buffer with interior
+// tombstones compacts at most once per joinCapacity Puts, so the slots
+// it copies stay within twice the Puts made.
+func TestJoinBufferAtCapacityStaysAmortized(t *testing.T) {
+	j, ids := fullJoinBuffer()
+	copied := j.copied
+	const puts = 4 * joinCapacity
+	if joined := churnAtCapacity(j, ids, puts); joined != puts/4 {
+		t.Fatalf("%d of %d Takes joined, want all", joined, puts/4)
+	}
+	if got := j.copied - copied; got > 2*puts {
+		t.Fatalf("compaction copied %d slots over %d Puts, want ≤ %d", got, puts, 2*puts)
+	}
+	if len(j.slots) > 2*joinCapacity || j.Len() > joinCapacity {
+		t.Fatalf("ring %d slots holding %d, want ≤ %d and ≤ %d", len(j.slots), j.Len(), 2*joinCapacity, joinCapacity)
+	}
+}
+
+// TestJoinBufferConcurrent: Puts and Takes from several goroutines, as
+// concurrent /predict and /feedback handlers make them, through ring
+// growth and compaction. Every Take of an ID its goroutine parked
+// joins, and the rest stay parked.
+func TestJoinBufferConcurrent(t *testing.T) {
+	j := NewJoinBuffer(time.Hour, nil)
+	const workers, ops = 4, 20000
+	var misses atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(base int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				j.Put(strconv.Itoa(base+i), PendingPrediction{})
+				if i%2 == 1 {
+					if _, ok := j.Take(strconv.Itoa(base + i - 1)); !ok {
+						misses.Add(1)
+					}
+				}
+			}
+		}(w * ops)
+	}
+	wg.Wait()
+	if m := misses.Load(); m != 0 {
+		t.Fatalf("%d Takes of parked IDs missed", m)
+	}
+	if got := j.Len(); got != workers*ops/2 {
+		t.Fatalf("Len = %d, want %d", got, workers*ops/2)
+	}
+}
+
+// BenchmarkJoinBufferAtCapacity times one op of churnAtCapacity on a
+// full buffer. Run with:
+//
+//	go test ./internal/quality -run '^$' -bench JoinBufferAtCapacity
+func BenchmarkJoinBufferAtCapacity(b *testing.B) {
+	j, ids := fullJoinBuffer()
+	b.ResetTimer()
+	churnAtCapacity(j, ids, b.N)
 }
 
 // counterValue digs a series value out of a registry snapshot.
@@ -283,7 +376,7 @@ func TestTrackerNilSafe(t *testing.T) {
 	tr.Flush()
 	tr.FeedbackJoined()
 	tr.FeedbackMissed()
-	tr.SyncEvictions(3)
+	tr.FeedbackEvicted(3)
 	if tr.Baseline() != nil {
 		t.Fatal("nil tracker Baseline() should be nil")
 	}

@@ -70,7 +70,6 @@ type Tracker struct {
 	feedbackJoins  *telemetry.Counter
 	feedbackMisses *telemetry.Counter
 	feedbackEvict  *telemetry.Counter
-	lastEvictions  int64
 }
 
 // domainState is one domain's evaluators plus its instrument handles.
@@ -271,9 +270,7 @@ func (t *Tracker) ObserveLabeled(domain string, scores []float64, labels []bool)
 	f.mu.Unlock()
 }
 
-// FeedbackJoined / FeedbackMissed count /feedback join outcomes;
-// SyncEvictions folds the join buffer's eviction count into its
-// counter (call with the buffer's current total).
+// FeedbackJoined counts a feedback request joined to its prediction.
 func (t *Tracker) FeedbackJoined() {
 	if t == nil {
 		return
@@ -290,18 +287,13 @@ func (t *Tracker) FeedbackMissed() {
 	t.feedbackMisses.Inc()
 }
 
-// SyncEvictions advances the eviction counter to the buffer's total.
-func (t *Tracker) SyncEvictions(total int64) {
-	if t == nil {
+// FeedbackEvicted counts n pending predictions the join buffer dropped
+// unjoined — what JoinBuffer.Put returns.
+func (t *Tracker) FeedbackEvicted(n int) {
+	if t == nil || n == 0 {
 		return
 	}
-	t.mu.Lock()
-	delta := total - t.lastEvictions
-	if delta > 0 {
-		t.lastEvictions = total
-	}
-	t.mu.Unlock()
-	t.feedbackEvict.Add(delta)
+	t.feedbackEvict.Add(int64(n))
 }
 
 // Flush re-derives every domain's gauges immediately, regardless of the

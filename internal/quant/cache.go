@@ -18,9 +18,14 @@ type Key struct {
 
 // RowCache is a bounded LRU over dequantized embedding rows — the hot
 // head of the Zipf access distribution stays decoded while the cold
-// tail pays the (cheap) int8 decode on each touch. Returned slices are
-// shared and read-only: entries are never rewritten in place, so a
-// reader holding a row while it is evicted still sees correct values.
+// tail pays the int8 decode on each touch. Returned slices are shared
+// and read-only: entries are never rewritten in place, so a reader
+// holding a row while it is evicted still sees correct values.
+//
+// Serving does not use it: its global mutex, map and list cost more on
+// a hit than Table.Row costs to decode (package doc). Its one user is
+// cmd/mamdr-bench's quant.row_hit_ns/row_miss_ns probe; the type goes
+// when that probe does.
 type RowCache struct {
 	hits, misses atomic.Int64
 

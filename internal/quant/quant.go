@@ -4,9 +4,11 @@
 // rows are read-only and Zipf-skewed: a handful of hot users and items
 // dominate traffic while the long tail sits cold in memory. Storing
 // the tables as int8 with one float32 scale per row cuts the resident
-// bytes per row from 8·cols to cols+4 (~7.8× at cols=32), and a small
-// LRU over the dequantized hot rows (RowCache) keeps the head of the
-// distribution served at float speed.
+// bytes per row from 8·cols to cols+4 (~7.8× at cols=32). Serving
+// decodes each gathered row straight into the lookup's buffer: on a
+// 2-vCPU Xeon that takes 12 ns at cols=16 and 24 ns at cols=32, less
+// than a hit in a shared LRU of decoded rows (RowCache: 58 ns, and
+// 255 ns on a miss).
 //
 // The codec is symmetric (no zero point): scale_r = maxAbs(row_r)/127,
 // q = round(x/scale), x̂ = float64(q)·float64(scale). Per-row scaling
@@ -82,8 +84,8 @@ func (t *Table) Row(r int, dst []float64) {
 }
 
 // Dequantize reconstructs the whole table into a fresh float64 slice —
-// the offline path the AUC-tradeoff experiment uses; serving goes
-// row-wise through the cache instead.
+// the offline path the AUC-tradeoff experiment uses; serving decodes
+// row-wise instead.
 func (t *Table) Dequantize() []float64 {
 	out := make([]float64, t.Rows*t.Cols)
 	for r := 0; r < t.Rows; r++ {

@@ -19,6 +19,7 @@ import (
 
 	"mamdr/internal/faultinject"
 	"mamdr/internal/quality"
+	"mamdr/internal/quant"
 	"mamdr/internal/rollout"
 	"mamdr/internal/telemetry"
 )
@@ -361,21 +362,27 @@ func TestBatchCloseShedsCleanly(t *testing.T) {
 	}
 }
 
-// TestQuantServingStaysClose: under -snapshot-quant=int8 the served
+// TestQuantServingStaysClose: under -snapshot-quant=int8 every table
+// of a composition is served through its int8 encoding, and the served
 // scores track the exact float64 scores within a coarse bound (the
-// per-row quantization error is scale/2 per element), and the hot-row
-// cache actually carries the lookups.
+// per-row quantization error is scale/2 per element) without matching
+// them.
 func TestQuantServingStaysClose(t *testing.T) {
 	st, ds, factory := testState(t)
-	qs := NewWithOptions(st, ds, Options{
-		Replicas: 2, ReplicaFactory: factory, SnapshotQuant: "int8", QuantCacheRows: 8,
-	})
-	if qs.layout.cache == nil {
-		t.Fatal("test model has embedding tables; the int8 row cache must be armed")
+	qs := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory, SnapshotQuant: "int8"})
+	if len(qs.layout.tables) == 0 {
+		t.Fatal("test model has no embedding tables to quantize")
+	}
+	comp := qs.view.Load().incumbent.comp(0)
+	for p := range qs.layout.tables {
+		if _, ok := comp.Rows[p].(*quant.Table); !ok {
+			t.Fatalf("domain 0 serves table %d through %T, want *quant.Table", p, comp.Rows[p])
+		}
 	}
 	ref := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory})
 	h, rh := qs.Handler(), ref.Handler()
 
+	differs := false
 	for i := 0; i < 12; i++ {
 		req := PredictRequest{
 			Domain: i % 2,
@@ -390,13 +397,15 @@ func TestQuantServingStaysClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range exact.Probabilities {
-			if d := got.Probabilities[j] - exact.Probabilities[j]; d > 0.05 || d < -0.05 {
+			d := got.Probabilities[j] - exact.Probabilities[j]
+			if d > 0.05 || d < -0.05 {
 				t.Fatalf("request %d pair %d: int8 score %v vs exact %v (|Δ|=%v too large)",
 					i, j, got.Probabilities[j], exact.Probabilities[j], d)
 			}
+			differs = differs || d != 0
 		}
 	}
-	if hits, misses := qs.layout.cache.Stats(); hits+misses == 0 {
-		t.Fatal("quantized serving never touched the row cache")
+	if !differs {
+		t.Fatal("every int8 score equals the exact one: the int8 tables were never read")
 	}
 }

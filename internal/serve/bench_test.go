@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
 
+	"mamdr/internal/autograd"
 	"mamdr/internal/core"
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
@@ -199,38 +201,28 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantLookup is the micro-benchmark of the quantized
-// lookup path: a cache hit returns a shared decoded row; a miss pays
-// the int8 row decode. Run with:
+// BenchmarkQuantLookup is the micro-benchmark of the quantized lookup
+// path: quant.Table.Row, the row source of an int8 composition,
+// decoding one row into the gather buffer at the embedding widths
+// serving runs. Run with:
 //
 //	go test ./internal/serve -bench QuantLookup -benchtime 300ms
 func BenchmarkQuantLookup(b *testing.B) {
-	const rows, cols = 4096, 32
-	data := make([]float64, rows*cols)
-	for i := range data {
-		data[i] = float64(i%97)/97 - 0.5
+	const rows = 4096
+	for _, cols := range []int{16, 32} {
+		b.Run(fmt.Sprintf("cols=%d", cols), func(b *testing.B) {
+			data := make([]float64, rows*cols)
+			for i := range data {
+				data[i] = float64(i%97)/97 - 0.5
+			}
+			var src autograd.RowSource = quant.Quantize(data, rows, cols)
+			dst := make([]float64, cols)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Row(i%rows, dst)
+			}
+		})
 	}
-	tbl := quant.Quantize(data, rows, cols)
-	fill := func(row int) func([]float64) {
-		return func(dst []float64) { tbl.Row(row, dst) }
-	}
-	b.Run("hit", func(b *testing.B) {
-		c := quant.NewRowCache(64)
-		k := quant.Key{Snap: 1, Row: 7}
-		c.Get(k, cols, fill(7))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Get(k, cols, fill(7))
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		c := quant.NewRowCache(1) // every distinct row evicts the last
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := i % rows
-			c.Get(quant.Key{Snap: 1, Row: r}, cols, fill(r))
-		}
-	})
 }
 
 // BenchmarkComposeSnapshot measures the publish path's composition

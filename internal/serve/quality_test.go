@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mamdr/internal/quality"
 	"mamdr/internal/telemetry"
@@ -114,6 +115,28 @@ func TestFeedbackJoinFlow(t *testing.T) {
 	}
 	if fw = postJSON(t, h, "/feedback", FeedbackRequest{Labels: []float64{1}}); fw.Code != http.StatusBadRequest {
 		t.Fatalf("no-id feedback = %d, want 400", fw.Code)
+	}
+}
+
+// TestFeedbackEvictionsCountedWithoutFeedback: predictions that age out
+// of the join buffer are counted as they go, on a server that never
+// receives a /feedback.
+func TestFeedbackEvictionsCountedWithoutFeedback(t *testing.T) {
+	st, ds, factory := testState(t)
+	reg := telemetry.New()
+	srv := NewWithOptions(st, ds, Options{
+		Replicas: 1, ReplicaFactory: factory, Metrics: reg,
+		Quality: quality.NewTracker(reg, quality.Options{}), FeedbackTTL: time.Millisecond,
+	})
+	h := srv.Handler()
+	for i := 0; i < 2; i++ {
+		if w := postJSON(t, h, "/predict", PredictRequest{Domain: 0, Users: []int{0}, Items: []int{0}}); w.Code != http.StatusOK {
+			t.Fatalf("predict %d = %d: %s", i, w.Code, w.Body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v, ok := seriesValue(t, reg, "mamdr_quality_feedback_evictions_total"); !ok || v < 1 {
+		t.Fatalf("feedback_evictions_total = %v (%v), want ≥ 1: the first prediction expired", v, ok)
 	}
 }
 

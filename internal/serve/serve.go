@@ -59,7 +59,6 @@ import (
 	"mamdr/internal/paramvec"
 	"mamdr/internal/ps"
 	"mamdr/internal/quality"
-	"mamdr/internal/quant"
 	"mamdr/internal/rollout"
 	"mamdr/internal/telemetry"
 	"mamdr/internal/trace"
@@ -163,13 +162,10 @@ type Options struct {
 	// SnapshotQuant selects how serving snapshots supply embedding
 	// rows: "off" (default) composes θ_S[row] + θ_i[row] in float64 as
 	// a lookup gathers it; "int8" stores each domain's composed tables
-	// symmetric-per-row quantized (internal/quant) and decodes gathered
-	// rows through a hot-row dequantization cache. Models without
+	// symmetric-per-row quantized (internal/quant) and decodes each
+	// gathered row straight into the lookup's buffer. Models without
 	// learned embedding tables serve exactly as "off".
 	SnapshotQuant string
-	// QuantCacheRows caps the shared dequantization LRU (rows held
-	// decoded across all domains and snapshots). Default 4096.
-	QuantCacheRows int
 }
 
 func (o Options) withDefaults() Options {
@@ -187,9 +183,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShedSeed == 0 {
 		o.ShedSeed = 1
-	}
-	if o.QuantCacheRows <= 0 {
-		o.QuantCacheRows = 4096
 	}
 	return o
 }
@@ -341,11 +334,9 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 	switch opts.SnapshotQuant {
 	case "", "off":
 	case "int8":
-		// Left nil when the model has no learned embedding tables (the
-		// fixed-feature presets): nothing to quantize, serve as "off".
-		if len(s.layout.tables) > 0 {
-			s.layout.cache = quant.NewRowCache(opts.QuantCacheRows)
-		}
+		// A model without learned embedding tables (the fixed-feature
+		// presets) has nothing to quantize and serves as "off".
+		s.layout.int8 = len(s.layout.tables) > 0
 	default:
 		panic(fmt.Sprintf("serve: unknown SnapshotQuant %q (off or int8)", opts.SnapshotQuant))
 	}
@@ -704,9 +695,6 @@ func (s *Server) execute(ctx context.Context, a arm, domain int, riders []*batch
 	probs := framework.SigmoidAll(logits)
 	logits.Release()
 	span.End()
-	if c := s.layout.cache; c != nil {
-		s.metrics.quantCache(c.Stats())
-	}
 	// The EWMA sees the pass's wall time spread over its riders — the
 	// marginal replica cost per request, which is what the admission
 	// gate's drain-time projection prices (see observeServiceTime).
@@ -734,7 +722,7 @@ func (s *Server) recordPrediction(rid, domain string, version uint64, probs []fl
 		scores[i] = float32(p)
 	}
 	s.quality.ObserveScores(domain, probs)
-	s.feedback.Put(rid, quality.PendingPrediction{Domain: domain, Scores: scores, Version: version})
+	s.quality.FeedbackEvicted(s.feedback.Put(rid, quality.PendingPrediction{Domain: domain, Scores: scores, Version: version}))
 	return rid
 }
 
@@ -757,7 +745,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pending, ok := s.feedback.Take(req.RequestID)
-	s.quality.SyncEvictions(s.feedback.Evictions())
 	if !ok {
 		s.quality.FeedbackMissed()
 		http.Error(w, "unknown or expired request_id", http.StatusNotFound)

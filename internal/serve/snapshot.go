@@ -24,16 +24,11 @@ import (
 	"mamdr/internal/quant"
 )
 
-// snapSeq hands every snapshot a process-unique identity — the cache
-// namespace keeping dequantized rows of different snapshots apart.
-var snapSeq atomic.Uint64
-
 // snapshot is the immutable view predictions serve from. The parameter
 // vectors it references are never written after publication, so any
 // number of replicas may read them concurrently; the lazily composed
 // per-domain entries are write-once behind an atomic pointer.
 type snapshot struct {
-	id uint64
 	// shared and specific reference the published state's vectors;
 	// domain d serves shared + specific[d] (Eq. 4).
 	shared   paramvec.Vector
@@ -56,9 +51,8 @@ type layout struct {
 	// tables keys the indices of params that are embedding tables (the
 	// models.EmbeddingTabler map; empty on fixed-feature presets).
 	tables map[int]int
-	// cache, when non-nil, selects int8 row storage (Options.SnapshotQuant)
-	// and holds the decoded hot rows of every snapshot and domain.
-	cache *quant.RowCache
+	// int8 selects int8 row storage (Options.SnapshotQuant).
+	int8 bool
 }
 
 // validate checks a candidate state's vectors align with the served
@@ -108,45 +102,26 @@ func (sn *snapshot) comp(d int) *paramvec.Bound {
 func (sn *snapshot) composeDomain(d int) *paramvec.Bound {
 	l := sn.layout
 	c := paramvec.SumBound(l.params, l.tables, sn.shared, sn.specific[d])
-	if l.cache != nil {
+	if l.int8 {
 		for p := range l.tables {
 			// Sum of this one segment; the floats live only until they
 			// are encoded.
 			full := paramvec.Sum(sn.shared[p:p+1], sn.specific[d][p:p+1])[0]
-			c.Rows[p] = &int8Rows{
-				table: quant.Quantize(full, l.params[p].Rows, l.params[p].Cols),
-				cache: l.cache,
-				key:   quant.Key{Snap: sn.id, Domain: d, Param: p},
-			}
+			// A quant.Table is its own row source: each lookup decodes
+			// its row straight into the gather buffer.
+			c.Rows[p] = quant.Quantize(full, l.params[p].Rows, l.params[p].Cols)
 		}
 	}
 	return &c
 }
 
-// int8Rows serves one composed embedding table from its int8 encoding,
-// decoded rows shared through the hot-row cache.
-type int8Rows struct {
-	table *quant.Table
-	cache *quant.RowCache
-	key   quant.Key // Row is filled in per lookup
-}
-
-// Row implements autograd.RowSource.
-func (q *int8Rows) Row(r int, dst []float64) {
-	k := q.key
-	k.Row = r
-	copy(dst, q.cache.Get(k, q.table.Cols, func(out []float64) { q.table.Row(r, out) }))
-}
-
 // extend appends one domain without touching the published snapshot
 // (capped appends: the old slices stay immutable) and carries over
-// every already-materialized composition. The snapshot id is kept —
-// existing domains' cached rows stay valid because their inputs are
-// unchanged.
+// every already-materialized composition: existing domains' inputs
+// are unchanged.
 func (sn *snapshot) extend(specific paramvec.Vector, id int) *snapshot {
 	n := len(sn.specific)
 	out := &snapshot{
-		id:       sn.id,
 		shared:   sn.shared,
 		specific: append(sn.specific[:n:n], specific),
 		names:    append(sn.names[:n:n], fmt.Sprintf("runtime-%d", id)),
@@ -166,7 +141,6 @@ func (sn *snapshot) extend(specific paramvec.Vector, id int) *snapshot {
 // installed. Composition itself is deferred per domain.
 func (s *Server) composeState(st *core.State) *snapshot {
 	sn := &snapshot{
-		id:       snapSeq.Add(1),
 		shared:   st.Shared,
 		specific: append([]paramvec.Vector(nil), st.Specific...),
 		names:    make([]string, len(st.Specific)),

@@ -36,11 +36,6 @@ type serveMetrics struct {
 	batchOccupancy *telemetry.Histogram
 	flushes        map[string]*telemetry.Counter
 
-	// Quantized-snapshot instruments (Options.SnapshotQuant = "int8").
-	quantHits   *telemetry.Gauge
-	quantMisses *telemetry.Gauge
-	quantRatio  *telemetry.Gauge
-
 	// codeCounters, latencies, and scoreHists cache instrument pointers
 	// so the hot request path skips the registry's mutex-guarded lookup
 	// (the registry is get-or-create, so a racing double-create is
@@ -79,12 +74,6 @@ func newServeMetrics(reg *telemetry.Registry, replicas int) *serveMetrics {
 		batchOccupancy: reg.Histogram("mamdr_serve_batch_occupancy",
 			"Flushed rows divided by the row cap (BatchMax, at least 1); an oversize request rides alone and reads 1.",
 			telemetry.LinearBuckets(0.125, 0.125, 8)),
-		quantHits: reg.Gauge("mamdr_serve_quant_cache_hits_total",
-			"Cumulative dequantization row-cache hits."),
-		quantMisses: reg.Gauge("mamdr_serve_quant_cache_misses_total",
-			"Cumulative dequantization row-cache misses (int8 decodes)."),
-		quantRatio: reg.Gauge("mamdr_serve_quant_cache_hit_ratio",
-			"Dequantization row-cache hit ratio over the process lifetime."),
 		flushes: map[string]*telemetry.Counter{},
 	}
 	for _, reason := range []string{"idle", "slot", "close"} {
@@ -170,18 +159,6 @@ func (m *serveMetrics) batchFlush(requests, rows int, waited time.Duration, reas
 	m.batchWait.Observe(waited.Seconds())
 	m.batchOccupancy.Observe(float64(min(rows, maxRows)) / float64(maxRows))
 	m.flushes[reason].Inc()
-}
-
-// quantCache publishes the dequantization cache's cumulative counters.
-func (m *serveMetrics) quantCache(hits, misses int64) {
-	if m == nil {
-		return
-	}
-	m.quantHits.Set(float64(hits))
-	m.quantMisses.Set(float64(misses))
-	if total := hits + misses; total > 0 {
-		m.quantRatio.Set(float64(hits) / float64(total))
-	}
 }
 
 // snapshotVersions publishes the live snapshot identities (canary 0

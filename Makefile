@@ -75,7 +75,8 @@ smoke-cluster:
 		grep -q "\"name\":\"$$span\"" /tmp/cluster.trace.json || { echo "trace has no $$span span"; exit 1; }; done
 	$(GO) test -count=1 -run 'TestClusterTrainingBitIdenticalAcrossShardCounts|TestShardFailoverMatchesCleanRun|TestClusterChaosOverRPCBitIdentical' ./internal/cluster/
 
-# Two shard servers plus a faulted
+# Two shard servers in one host process (scraped once, on its
+# -metrics-addr) plus a faulted
 # 2-worker training run, observed live by mamdr-obs. The federated
 # exposition must carry every instance, the faulted run must fire at
 # least one burn-rate alert (with a flight-recorder dump and an event),
@@ -84,11 +85,12 @@ smoke-cluster:
 smoke-obs:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-obs
 	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -seed 7 \
-		-ps-serve 127.0.0.1:7101,127.0.0.1:7102 >/tmp/obs-ps.log 2>&1 & echo $$! > /tmp/obs-ps.pid
+		-ps-serve 127.0.0.1:7101,127.0.0.1:7102 -metrics-addr 127.0.0.1:9192 \
+		>/tmp/obs-ps.log 2>&1 & echo $$! > /tmp/obs-ps.pid
 	sleep 1
 	kill -0 `cat /tmp/obs-ps.pid` || { cat /tmp/obs-ps.log; exit 1; }
 	/tmp/mamdr-bin/mamdr-obs \
-		-scrape trainer=127.0.0.1:9190,rpc://127.0.0.1:7101,rpc://127.0.0.1:7102 \
+		-scrape trainer=127.0.0.1:9190,ps=127.0.0.1:9192 \
 		-interval 500ms -run-for 30s -slo-fast -addr 127.0.0.1:9600 \
 		-events /tmp/obs-events.jsonl -flight-dump /tmp/obs-flight \
 		>/tmp/obs-faulty.txt 2>&1 & \
@@ -103,13 +105,13 @@ smoke-obs:
 	grep '"event":"slo_burn"' /tmp/obs-events.jsonl >/dev/null
 	grep '"slo":"ps-rpc-failures"' /tmp/obs-events.jsonl >/dev/null
 	test -s /tmp/obs-flight-slo_ps-rpc-failures.trace.json
-	for needle in 'instance="127.0.0.1:7101"' 'instance="127.0.0.1:7102"' \
+	for needle in 'instance="127.0.0.1:9192"' \
 		'role="trainer"' 'role="ps"' 'role="obs"' mamdr_build_info mamdr_ps_rpc_failures_total \
 		mamdr_slo_burn_alerts_total mamdr_obs_scrapes_total; do \
 		grep -qF "$$needle" /tmp/obs-federated.txt || { echo "federated exposition missing $$needle"; exit 1; }; done
 	! grep -vE '^$$|^#|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [^[:space:]]+$$' /tmp/obs-federated.txt
 	/tmp/mamdr-bin/mamdr-obs \
-		-scrape trainer=127.0.0.1:9191,rpc://127.0.0.1:7101,rpc://127.0.0.1:7102 \
+		-scrape trainer=127.0.0.1:9191,ps=127.0.0.1:9192 \
 		-interval 500ms -run-for 15s -slo-fast -addr 127.0.0.1:9601 \
 		>/tmp/obs-clean.txt 2>&1 & \
 	sleep 0.5; \
@@ -279,11 +281,13 @@ smoke-batch:
 	MAMDR_SMOKE_BATCH=1 $(GO) test -count=1 -v -run TestQuantAUCBudget ./internal/exp
 	@echo "ok: batched scores byte-identical to unbatched; int8 AUC gate passed"
 
-# The PS, cluster, serving, batching, quant and quality paths are the
-# concurrent hot spots — quality's feedback join buffer and tracker run
-# on every quality-on /predict — and core's DR phase runs one worker
-# goroutine per kernel thread over autograd and its buffer arena; keep
-# them race-clean.
+# The PS, cluster, serving, batching, quant, quality, telemetry and obsv
+# paths are the concurrent hot spots — quality's feedback join buffer
+# and tracker run on every quality-on /predict, every serve goroutine
+# looks its labelled series up through telemetry's family handles, and
+# obsv scrapes targets concurrently — and core's DR phase runs one
+# worker goroutine per kernel thread over autograd and its buffer arena;
+# keep them race-clean.
 # The race detector does not see loads and stores made in assembly —
 # gemmAddAVX2 (gemm_amd64.s), adamAVX2 and addAVX2 (elementwise_amd64.s):
 # TestParallelGemmConcurrent under -race covers how rows are partitioned
@@ -292,7 +296,8 @@ smoke-batch:
 # AccumAdd, AddTo, ColSumAdd and the fused bias are unseen by it.
 race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
-		./internal/batch/... ./internal/quant/... ./internal/quality/... ./internal/core/... ./internal/autograd/...
+		./internal/batch/... ./internal/quant/... ./internal/quality/... ./internal/core/... ./internal/autograd/... \
+		./internal/telemetry/... ./internal/obsv/...
 
 # The DR phase's oracle (any worker count == the sequential per-target
 # loop, float for float) with its workers interleaved on one P and

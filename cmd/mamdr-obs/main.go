@@ -1,13 +1,13 @@
 // Command mamdr-obs is the fleet observer: it scrapes the metric
-// snapshots of every mamdr process — trainers and serve frontends over
-// HTTP (/metrics/snapshot), parameter-server shards over their gob RPC
-// socket (rpc://host:port) — federates them into one fleet-wide
+// snapshot (GET /metrics/snapshot) of every mamdr process — trainers
+// and parameter-server shard hosts on their -metrics-addr, serve
+// frontends on their listener — federates them into one fleet-wide
 // Prometheus exposition, burns the SLO error budgets against the
 // aggregate, and serves a live dashboard.
 //
 // Usage:
 //
-//	mamdr-obs -scrape trainer=127.0.0.1:9090,rpc://127.0.0.1:7001,rpc://127.0.0.1:7002
+//	mamdr-obs -scrape trainer=127.0.0.1:9090,ps=127.0.0.1:9092,serve=127.0.0.1:8080
 //	curl localhost:9600/metrics          # federated fleet exposition
 //	curl localhost:9600/slo              # SLO burn status + alerts fired
 //	open http://localhost:9600/          # live dashboard
@@ -37,7 +37,7 @@ func main() {
 	log.SetPrefix("mamdr-obs: ")
 
 	var (
-		scrape   = flag.String("scrape", "", `comma-separated scrape targets: "host:port" (HTTP /metrics/snapshot), "role=host:port", or "rpc://host:port" (PS shard gob RPC)`)
+		scrape   = flag.String("scrape", "", `comma-separated scrape targets serving /metrics/snapshot over HTTP: "host:port" or "role=host:port"`)
 		addr     = flag.String("addr", ":9600", "serve the federated /metrics, /slo, and dashboard on this address")
 		interval = flag.Duration("interval", 5*time.Second, "scrape cadence")
 		timeout  = flag.Duration("timeout", 3*time.Second, "per-target scrape timeout")

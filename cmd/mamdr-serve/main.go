@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -96,16 +97,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := mamdr.Train(mamdr.TrainSpec{
-		Dataset: ds, Model: *model, Framework: "mamdr",
-		Epochs: pickEpochs2(*checkpoint, *psAddrs, *epochs), EmbDim: *embDim, Seed: *seed,
-	})
+	state, err := startState(ds, *model, *embDim, *epochs, *seed, *checkpoint == "" && *psAddrs == "")
 	if err != nil {
 		log.Fatal(err)
-	}
-	state, ok := res.Predictor.(*core.State)
-	if !ok {
-		log.Fatalf("predictor is %T, want *core.State", res.Predictor)
 	}
 	var ckptBaseline *quality.Baseline
 	var initialCRC uint32
@@ -117,55 +111,12 @@ func main() {
 		ckptBaseline, initialCRC = b, env.CRC
 		log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes)",
 			*checkpoint, env.Version, env.CRC, env.PayloadBytes)
-	} else {
-		log.Printf("trained %s on %s: mean test AUC %.4f", *model, ds.Name, res.MeanTestAUC)
 	}
 
-	// Cluster-backed state: pull the shared parameters straight from a
-	// running shard cluster (the one mamdr-train -ps-serve hosts). The
-	// initial load retries with seeded backoff — a serve process racing
-	// its cluster at startup waits for it instead of dying on the first
-	// connection refusal — and the cluster stays wired in as the
-	// Upstream: /readyz probes it through the circuit breaker, and
-	// POST /admin/publish {"source":"upstream"} pulls fresh snapshots.
 	var upstream *serve.Upstream
 	if *psAddrs != "" {
-		groups := cluster.ParseAddrs(*psAddrs)
-		if len(groups) == 0 {
-			log.Fatal("-ps-addrs: no addresses given")
-		}
-		serving := models.MustNew(*model, models.Config{Dataset: ds, EmbDim: *embDim, Seed: *seed})
-		plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), len(groups), *seed)
-		dialCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		router, snap, err := cluster.DialSnapshot(dialCtx, plan, groups, nil, cluster.Options{}, ps.Backoff{Seed: *seed})
-		cancel()
-		if err != nil {
+		if upstream, err = dialUpstream(state, *psAddrs, *seed); err != nil {
 			log.Fatalf("-ps-addrs: %v", err)
-		}
-		state.Shared = snap
-		log.Printf("loaded shared parameters from %d-shard cluster at %s", len(groups), *psAddrs)
-		upstream = &serve.Upstream{
-			// The startup router stays on as the /readyz probe: TryPing
-			// never condemns a replica, and every replica must answer
-			// within a second.
-			Ping: func(ctx context.Context) error {
-				ctx, cancel := context.WithTimeout(ctx, time.Second)
-				defer cancel()
-				return router.TryPing(ctx)
-			},
-			// Each pull dials a fresh router: shard condemnation inside a
-			// Router is permanent, so a long-lived one would go stale after
-			// any transient loss. Publishes are rare; the dial is cheap.
-			Snapshot: func() (paramvec.Vector, error) {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				r, v, err := cluster.DialSnapshot(ctx, plan, groups, nil, cluster.Options{}, ps.Backoff{Seed: *seed})
-				if err != nil {
-					return nil, err
-				}
-				r.Close()
-				return v, nil
-			},
 		}
 	}
 
@@ -378,12 +329,80 @@ func openAccessLog(dest string) (*slog.Logger, error) {
 	return slog.New(slog.NewJSONHandler(w, nil)), nil
 }
 
-// pickEpochs2 trains minimally when a checkpoint or a live PS cluster
-// will overwrite the shared state anyway (the model must still be
-// constructed with the right structure).
-func pickEpochs2(checkpoint, psAddrs string, epochs int) int {
-	if checkpoint != "" || psAddrs != "" {
-		return 1
+// startState is the state serving starts from: with train, an -epochs
+// fit. Otherwise a -checkpoint or -ps-addrs is about to replace its
+// parameters, so no fit runs and it is a fresh model with every θ_i
+// zero — each domain served with the shared parameters, as a domain
+// registered at runtime is.
+func startState(ds *mamdr.Dataset, model string, embDim, epochs int, seed int64, train bool) (*core.State, error) {
+	if !train {
+		m, err := models.New(model, models.Config{Dataset: ds, EmbDim: embDim, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		st := &core.State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
+		for range ds.Domains {
+			st.AddDomain()
+		}
+		return st, nil
 	}
-	return epochs
+	res, err := mamdr.Train(mamdr.TrainSpec{
+		Dataset: ds, Model: model, Framework: "mamdr",
+		Epochs: epochs, EmbDim: embDim, Seed: seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	st, ok := res.Predictor.(*core.State)
+	if !ok {
+		return nil, fmt.Errorf("predictor is %T, want *core.State", res.Predictor)
+	}
+	log.Printf("trained %s on %s: mean test AUC %.4f", model, ds.Name, res.MeanTestAUC)
+	return st, nil
+}
+
+// dialUpstream loads θ_S from the running shard cluster at addrs (the
+// one mamdr-train -ps-serve hosts) into st and returns the cluster as
+// the serving Upstream. The initial load retries with seeded backoff —
+// a serve process racing its cluster at startup waits for it instead of
+// dying on the first connection refusal — and the cluster stays wired
+// in: /readyz probes it through the circuit breaker, and POST
+// /admin/publish {"source":"upstream"} pulls fresh snapshots.
+func dialUpstream(st *core.State, addrs string, seed int64) (*serve.Upstream, error) {
+	groups := cluster.ParseAddrs(addrs)
+	if len(groups) == 0 {
+		return nil, errors.New("no addresses given")
+	}
+	plan := ps.NewPlan(ps.LayoutOf(st.Model.Parameters(), models.EmbeddingTablesOf(st.Model)), len(groups), seed)
+	dialCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	router, snap, err := cluster.DialSnapshot(dialCtx, plan, groups, nil, cluster.Options{}, ps.Backoff{Seed: seed})
+	cancel()
+	if err != nil {
+		return nil, err
+	}
+	st.Shared = snap
+	log.Printf("loaded shared parameters from %d-shard cluster at %s", len(groups), addrs)
+	return &serve.Upstream{
+		// The startup router stays on as the /readyz probe: TryPing
+		// never condemns a replica, and every replica must answer
+		// within a second.
+		Ping: func(ctx context.Context) error {
+			ctx, cancel := context.WithTimeout(ctx, time.Second)
+			defer cancel()
+			return router.TryPing(ctx)
+		},
+		// Each pull dials a fresh router: shard condemnation inside a
+		// Router is permanent, so a long-lived one would go stale after
+		// any transient loss. Publishes are rare; the dial is cheap.
+		Snapshot: func() (paramvec.Vector, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			r, v, err := cluster.DialSnapshot(ctx, plan, groups, nil, cluster.Options{}, ps.Backoff{Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			r.Close()
+			return v, nil
+		},
+	}, nil
 }

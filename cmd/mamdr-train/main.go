@@ -327,7 +327,9 @@ type deployOpts struct {
 // the listed addresses and blocks. The partition plan is derived from
 // the model layout and -seed, exactly as the training side derives it,
 // so both ends agree on which shard owns which slice (cluster.Dial
-// verifies the layouts and refuses a mismatched cluster).
+// verifies the layouts and refuses a mismatched cluster). Every shard
+// shares reg, so with -metrics-addr the process is one scrape target,
+// role ps, for all the shards it hosts.
 func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed int64, outerLR float64, checkpointDir string, tracer *trace.Tracer, reg *telemetry.Registry) {
 	groups := cluster.ParseAddrs(addrSpec)
 	if len(groups) == 0 {
@@ -338,13 +340,6 @@ func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed in
 		if len(g) != reps {
 			log.Fatalf("-ps-serve: every shard needs the same replica count (got %v)", groups)
 		}
-	}
-	// Shard servers always carry metrics so the fleet aggregator can
-	// scrape them over the PS.MetricsSnapshot RPC, even when no HTTP
-	// /metrics endpoint was requested.
-	if reg == nil {
-		reg = telemetry.New()
-		obsv.RegisterBuildInfo(reg, "ps")
 	}
 	serving := models.MustNew(model, models.Config{Dataset: ds, EmbDim: embDim, Seed: seed})
 	tables := models.EmbeddingTablesOf(serving)
@@ -376,29 +371,7 @@ func trainDistributed(ds *mamdr.Dataset, model string, opts ps.Options, o deploy
 	replica := func() models.Model {
 		return models.MustNew(model, models.Config{Dataset: ds, EmbDim: o.embDim, Seed: opts.Seed})
 	}
-	var (
-		psm *ps.Metrics
-		tm  *framework.TrainMetrics
-	)
-	if reg != nil {
-		psm = ps.NewMetrics(reg)
-	}
-	if reg != nil || events != nil || tracer != nil {
-		tm = framework.NewTrainMetrics(reg, ds, events)
-	}
-	if tracer != nil {
-		if f := tracer.Flight(); f != nil {
-			// Counting wrapper: every anomaly increments
-			// mamdr_anomalies_total{kind} before the flight recorder
-			// dumps, so the SLO engine can burn-rate on anomalies.
-			var sink telemetry.AnomalySink = f
-			if reg != nil {
-				sink = telemetry.NewCountingSink(f, reg)
-			}
-			tm.Anomalies = telemetry.NewLossWatch(sink)
-		}
-	}
-	opts.Metrics, opts.Telemetry, opts.Tracer = psm, tm, tracer
+	opts.Metrics, opts.Telemetry, opts.Tracer = ps.NewMetrics(reg), framework.WireTrainMetrics(reg, ds, events, tracer), tracer
 	res := trainCluster(ds, replica, o, opts, reg, tracer)
 	c := res.Counters
 	log.Printf("PS traffic: %d dense pulls, %d dense pushes, %d row pulls, %d row pushes, %d floats moved",

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -12,11 +13,20 @@ import (
 	"mamdr/internal/telemetry/promtest"
 )
 
+// snapshotHost serves reg's /metrics/snapshot as a shard host's
+// -metrics-addr does and returns the target that scrapes it.
+func snapshotHost(t *testing.T, reg *telemetry.Registry) obsv.Target {
+	t.Helper()
+	host := httptest.NewServer(telemetry.SnapshotHandler("ps", "", reg))
+	t.Cleanup(host.Close)
+	return obsv.Target{Role: "ps", Addr: strings.TrimPrefix(host.URL, "http://")}
+}
+
 // TestFederatedSnapshotEqualsPerProcessRegistries is the federation
 // acceptance test: train over real sockets against a multi-shard
 // cluster where every shard server owns its own registry (one registry
-// per process, exactly as a deployed fleet), scrape each shard through
-// the gob-RPC MetricsSnapshot surface, and require the aggregated
+// per process, exactly as a deployed fleet), scrape each registry
+// through the HTTP snapshot handler its process serves, and require the aggregated
 // fleet view to equal — byte for byte in the rendered exposition — the
 // aggregate computed directly from the in-process registries. Nothing
 // may be lost, duplicated, or rounded on the wire.
@@ -51,12 +61,10 @@ func TestFederatedSnapshotEqualsPerProcessRegistries(t *testing.T) {
 	}
 	ps.TrainWithStore(factory, serving, router, router, ds, deterministicOptions())
 
-	// Scrape every shard over the same RPC sockets the workers used.
+	// Scrape every shard's registry over HTTP, as mamdr-obs does.
 	var targets []obsv.Target
-	for _, reps := range addrs {
-		for _, a := range reps {
-			targets = append(targets, obsv.Target{Role: "ps", Addr: "rpc://" + a})
-		}
+	for _, reg := range regs {
+		targets = append(targets, snapshotHost(t, reg))
 	}
 	var scraped []telemetry.RegistrySnapshot
 	for _, r := range (obsv.Scraper{}).ScrapeAll(targets) {
@@ -133,5 +141,56 @@ func TestFederatedSnapshotEqualsPerProcessRegistries(t *testing.T) {
 				t.Fatalf("aggregated dense pulls = %v, want the per-process sum %v", got, sum)
 			}
 		}
+	}
+}
+
+// TestTwoShardHostScrapedOnce: mamdr-train -ps-serve a,b hosts two
+// shards in one process on one registry. The process is one scrape
+// target, so the fleet aggregate equals its registry instead of
+// counting the shared registry once per shard.
+func TestTwoShardHostScrapedOnce(t *testing.T) {
+	ds := testDataset(t)
+	factory := replicaFactory(ds)
+	serving := factory()
+	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), 2, 7)
+	reg := telemetry.New()
+	servers := Shards(serving.Parameters(), plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1, Metrics: ps.NewMetrics(reg)})
+	addrs, closeAll, err := ServeTCP(servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll()
+	router, err := Dial(plan, addrs, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	ps.TrainWithStore(factory, serving, router, router, ds, deterministicOptions())
+
+	snap, err := (obsv.Scraper{}).Scrape(snapshotHost(t, reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := obsv.Aggregate([]telemetry.RegistrySnapshot{snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := func(fams []telemetry.FamilySnapshot) float64 {
+		var sum float64
+		for _, fam := range fams {
+			if fam.Name == "mamdr_ps_dense_pulls_total" {
+				for _, se := range fam.Series {
+					sum += se.Value
+				}
+			}
+		}
+		return sum
+	}
+	want := total(reg.Snapshot().Families)
+	if want == 0 {
+		t.Fatal("no dense pulls recorded; the check is vacuous")
+	}
+	if got := total(agg); got != want {
+		t.Fatalf("aggregate mamdr_ps_dense_pulls_total = %v, the host's registry holds %v", got, want)
 	}
 }

@@ -29,9 +29,9 @@ type ShardOptions struct {
 	// Tracer, when non-nil, is attached to every shard server so
 	// server-side spans join the workers' traces.
 	Tracer *trace.Tracer
-	// Metrics, when non-nil, is attached to every shard server so PS
-	// traffic lands in one registry — the registry the shard's RPC
-	// MetricsSnapshot method exports for fleet federation.
+	// Metrics, when non-nil, is attached to every shard server, so the
+	// PS traffic of all the shards one process hosts lands in one
+	// registry, scraped once on that process's /metrics/snapshot.
 	Metrics *ps.Metrics
 }
 

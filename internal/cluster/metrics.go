@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"strconv"
-	"sync"
 
 	"mamdr/internal/ps"
 	"mamdr/internal/telemetry"
@@ -15,14 +14,12 @@ import (
 // imbalance gauge). Like ps.Metrics, every method is nil-receiver-safe,
 // so the uninstrumented path costs nothing.
 type Metrics struct {
-	reg       *telemetry.Registry
 	imbalance *telemetry.Gauge
-
-	mu        sync.Mutex
-	latency   map[string]*telemetry.Histogram // (shard, op) -> seconds
-	floats    map[string]*telemetry.Counter   // (shard, op) -> floats moved
-	failures  map[string]*telemetry.Counter   // shard -> replicas condemned
-	failovers map[string]*telemetry.Counter   // shard -> reads retried on another replica
+	elements  *telemetry.Family[telemetry.Gauge]     // by shard
+	latency   *telemetry.Family[telemetry.Histogram] // by shard, op: seconds
+	floats    *telemetry.Family[telemetry.Counter]   // by shard, op: floats moved
+	failures  *telemetry.Family[telemetry.Counter]   // by shard: replicas condemned
+	failovers *telemetry.Family[telemetry.Counter]   // by shard: reads retried on another replica
 }
 
 // NewMetrics registers the cluster series in reg. A nil registry yields
@@ -32,13 +29,19 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		reg: reg,
 		imbalance: reg.Gauge("mamdr_cluster_imbalance_ratio",
 			"Largest shard's element count over the mean (1.0 = perfectly balanced partition plan)."),
-		latency:   map[string]*telemetry.Histogram{},
-		floats:    map[string]*telemetry.Counter{},
-		failures:  map[string]*telemetry.Counter{},
-		failovers: map[string]*telemetry.Counter{},
+		elements: reg.GaugeFamily("mamdr_cluster_shard_elements",
+			"Float64 elements owned by each parameter-server shard under the partition plan.", "shard"),
+		latency: reg.HistogramFamily("mamdr_cluster_shard_op_seconds",
+			"Latency of scatter-gather calls to each parameter-server shard, by operation.",
+			telemetry.ExponentialBuckets(1e-5, 2, 16), "shard", "op"),
+		floats: reg.CounterFamily("mamdr_cluster_shard_floats_total",
+			"Float64 values moved to or from each parameter-server shard, by operation.", "shard", "op"),
+		failures: reg.CounterFamily("mamdr_cluster_shard_failures_total",
+			"Shard replicas the router condemned after a failed call (each is counted once and serves no further reads or writes).", "shard"),
+		failovers: reg.CounterFamily("mamdr_cluster_failovers_total",
+			"Reads served by a backup replica after the shard's primary failed.", "shard"),
 	}
 }
 
@@ -50,9 +53,7 @@ func (m *Metrics) BindPlan(p ps.Plan) {
 	}
 	m.imbalance.Set(p.Imbalance())
 	for sh := 0; sh < p.NumShards; sh++ {
-		m.reg.Gauge("mamdr_cluster_shard_elements",
-			"Float64 elements owned by each parameter-server shard under the partition plan.",
-			telemetry.L("shard", strconv.Itoa(sh))).Set(float64(p.Elements(sh)))
+		m.elements.With(strconv.Itoa(sh)).Set(float64(p.Elements(sh)))
 	}
 }
 
@@ -64,26 +65,8 @@ func (m *Metrics) observeShardOp(sh int, op string, seconds float64, floats int)
 		return
 	}
 	shard := strconv.Itoa(sh)
-	key := shard + "/" + op
-	m.mu.Lock()
-	h, ok := m.latency[key]
-	if !ok {
-		h = m.reg.Histogram("mamdr_cluster_shard_op_seconds",
-			"Latency of scatter-gather calls to each parameter-server shard, by operation.",
-			telemetry.ExponentialBuckets(1e-5, 2, 16),
-			telemetry.L("shard", shard), telemetry.L("op", op))
-		m.latency[key] = h
-	}
-	c, ok := m.floats[key]
-	if !ok {
-		c = m.reg.Counter("mamdr_cluster_shard_floats_total",
-			"Float64 values moved to or from each parameter-server shard, by operation.",
-			telemetry.L("shard", shard), telemetry.L("op", op))
-		m.floats[key] = c
-	}
-	m.mu.Unlock()
-	h.Observe(seconds)
-	c.Add(int64(floats))
+	m.latency.With(shard, op).Observe(seconds)
+	m.floats.With(shard, op).Add(int64(floats))
 }
 
 // observeCondemned counts one replica of shard sh condemned after a
@@ -92,17 +75,7 @@ func (m *Metrics) observeCondemned(sh int) {
 	if m == nil {
 		return
 	}
-	shard := strconv.Itoa(sh)
-	m.mu.Lock()
-	c, ok := m.failures[shard]
-	if !ok {
-		c = m.reg.Counter("mamdr_cluster_shard_failures_total",
-			"Shard replicas the router condemned after a failed call (each is counted once and serves no further reads or writes).",
-			telemetry.L("shard", shard))
-		m.failures[shard] = c
-	}
-	m.mu.Unlock()
-	c.Inc()
+	m.failures.With(strconv.Itoa(sh)).Inc()
 }
 
 // observeFailover counts one read that had to move past a dead or
@@ -111,15 +84,5 @@ func (m *Metrics) observeFailover(sh int) {
 	if m == nil {
 		return
 	}
-	shard := strconv.Itoa(sh)
-	m.mu.Lock()
-	c, ok := m.failovers[shard]
-	if !ok {
-		c = m.reg.Counter("mamdr_cluster_failovers_total",
-			"Reads served by a backup replica after the shard's primary failed.",
-			telemetry.L("shard", shard))
-		m.failovers[shard] = c
-	}
-	m.mu.Unlock()
-	c.Inc()
+	m.failovers.With(strconv.Itoa(sh)).Inc()
 }

@@ -18,7 +18,7 @@ import (
 // poisons the loss and the nan_loss watch dumps the run-up.
 func TestPoisonedWeightTripsNaNFlightRecorder(t *testing.T) {
 	rec := trace.NewFlightRecorder(16, "")
-	watch := telemetry.NewLossWatch(rec)
+	watch := telemetry.NewLossWatch(rec, nil)
 
 	// Feature vector with a dead (zero) input wired to a poisoned
 	// weight row: the only path to the Inf is through 0×Inf.

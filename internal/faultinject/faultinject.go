@@ -154,8 +154,7 @@ type Injector struct {
 	partitionLeft int64
 	counts        map[string]int64
 
-	reg      *telemetry.Registry
-	counters map[string]*telemetry.Counter
+	injected *telemetry.Family[telemetry.Counter] // by op, kind
 }
 
 // Parse compiles a schedule (see the package comment for the grammar)
@@ -259,8 +258,8 @@ func (in *Injector) BindMetrics(reg *telemetry.Registry) {
 		return
 	}
 	in.mu.Lock()
-	in.reg = reg
-	in.counters = map[string]*telemetry.Counter{}
+	in.injected = reg.CounterFamily("mamdr_fault_injected_total",
+		"Faults injected by the faultinject schedule, by operation and kind.", "op", "kind")
 	in.mu.Unlock()
 }
 
@@ -330,19 +329,8 @@ func (in *Injector) Eval(op string) Fault {
 
 // countLocked tallies one injection. Callers hold mu.
 func (in *Injector) countLocked(op string, kind Kind) {
-	key := op + ":" + string(kind)
-	in.counts[key]++
-	if in.reg == nil {
-		return
-	}
-	c, ok := in.counters[key]
-	if !ok {
-		c = in.reg.Counter("mamdr_fault_injected_total",
-			"Faults injected by the faultinject schedule, by operation and kind.",
-			telemetry.L("op", op), telemetry.L("kind", string(kind)))
-		in.counters[key] = c
-	}
-	c.Inc()
+	in.counts[op+":"+string(kind)]++
+	in.injected.With(op, string(kind)).Inc()
 }
 
 // Counts returns a snapshot of injected-fault tallies keyed "op:kind".

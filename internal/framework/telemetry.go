@@ -79,6 +79,23 @@ func NewTrainMetrics(reg *telemetry.Registry, ds *data.Dataset, events *telemetr
 	return tm
 }
 
+// WireTrainMetrics is how a training run, single-process or
+// distributed, instruments itself: nil when it has no registry, event
+// log or tracer; otherwise NewTrainMetrics, with Anomalies watching
+// every pass when the tracer keeps a flight recorder — each anomaly
+// counted in reg's mamdr_anomalies_total{kind}, then handed to the
+// recorder.
+func WireTrainMetrics(reg *telemetry.Registry, ds *data.Dataset, events *telemetry.EventLog, tracer *trace.Tracer) *TrainMetrics {
+	if reg == nil && events == nil && tracer == nil {
+		return nil
+	}
+	tm := NewTrainMetrics(reg, ds, events)
+	if f := tracer.Flight(); f != nil {
+		tm.Anomalies = telemetry.NewLossWatch(f, reg)
+	}
+	return tm
+}
+
 // DomainName returns the instrumented name for a domain id (runtime-
 // registered domains fall back to their id).
 func (tm *TrainMetrics) DomainName(d int) string {

@@ -215,13 +215,13 @@ func TestConcurrentScrapeFederation(t *testing.T) {
 }
 
 func TestParseTargets(t *testing.T) {
-	ts, err := ParseTargets("trainer=127.0.0.1:9090, ps=rpc://127.0.0.1:7000,127.0.0.1:8080")
+	ts, err := ParseTargets("trainer=127.0.0.1:9090, ps=127.0.0.1:7000,127.0.0.1:8080")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Target{
 		{Role: "trainer", Addr: "127.0.0.1:9090"},
-		{Role: "ps", Addr: "rpc://127.0.0.1:7000"},
+		{Role: "ps", Addr: "127.0.0.1:7000"},
 		{Role: "unknown", Addr: "127.0.0.1:8080"},
 	}
 	if len(ts) != len(want) {
@@ -231,9 +231,6 @@ func TestParseTargets(t *testing.T) {
 		if ts[i] != want[i] {
 			t.Errorf("target[%d] = %+v, want %+v", i, ts[i], want[i])
 		}
-	}
-	if !ts[1].RPC() || ts[0].RPC() {
-		t.Error("RPC() misclassifies targets")
 	}
 	if _, err := ParseTargets("not-an-addr"); err == nil {
 		t.Error("bad address accepted")

@@ -1,6 +1,6 @@
 // Package obsv is the fleet-observability layer: it federates the
 // per-process telemetry registries of a distributed MAMDR deployment
-// (trainer, PS shards, serve replicas) into one pane of glass, burns
+// (trainer, PS shard hosts, serve replicas) into one pane of glass, burns
 // SLO error budgets against the federated series, and keeps a bounded
 // ring of pprof profiles so every alert ships with the evidence needed
 // to explain it. It depends only on internal/telemetry, internal/trace,
@@ -12,23 +12,20 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/rpc"
 	"strings"
 	"time"
 
 	"mamdr/internal/telemetry"
 )
 
-// Target is one scrape endpoint. Addr is "host:port" for processes
-// exposing /metrics/snapshot over HTTP (trainer, serve) or
-// "rpc://host:port" for gob-RPC PS shards, which speak no HTTP.
+// Target is one scrape endpoint: a process serving /metrics/snapshot
+// over HTTP at Addr ("host:port") — a trainer or a PS shard host on its
+// -metrics-addr, a serve frontend on its listener. A process is one
+// target however many shards it hosts.
 type Target struct {
 	Role string
 	Addr string
 }
-
-// RPC reports whether the target is scraped over the PS gob-RPC path.
-func (t Target) RPC() bool { return strings.HasPrefix(t.Addr, "rpc://") }
 
 // String renders the target the way ParseTargets accepts it.
 func (t Target) String() string {
@@ -39,9 +36,8 @@ func (t Target) String() string {
 }
 
 // ParseTargets parses a comma-separated scrape list. Each entry is
-// either "addr" or "role=addr"; "rpc://" addresses default to role
-// "ps", plain addresses to role "unknown" (the snapshot's own Role, if
-// set, wins either way).
+// either "host:port" or "role=host:port"; without a role the target is
+// "unknown" (the snapshot's own Role, if set, wins either way).
 func ParseTargets(s string) ([]Target, error) {
 	var out []Target
 	for _, raw := range strings.Split(s, ",") {
@@ -53,16 +49,11 @@ func ParseTargets(s string) ([]Target, error) {
 		if role, addr, ok := strings.Cut(raw, "="); ok {
 			t.Role, t.Addr = role, addr
 		}
-		host := strings.TrimPrefix(t.Addr, "rpc://")
-		if _, _, err := net.SplitHostPort(host); err != nil {
+		if _, _, err := net.SplitHostPort(t.Addr); err != nil {
 			return nil, fmt.Errorf("obsv: bad scrape target %q: %w", raw, err)
 		}
 		if t.Role == "" {
-			if t.RPC() {
-				t.Role = "ps"
-			} else {
-				t.Role = "unknown"
-			}
+			t.Role = "unknown"
 		}
 		out = append(out, t)
 	}
@@ -88,13 +79,7 @@ func (s Scraper) timeout() time.Duration {
 // Scrape fetches and validates one target's snapshot, filling in Role
 // and Instance when the serving side left them blank.
 func (s Scraper) Scrape(t Target) (telemetry.RegistrySnapshot, error) {
-	var snap telemetry.RegistrySnapshot
-	var err error
-	if t.RPC() {
-		snap, err = s.scrapeRPC(strings.TrimPrefix(t.Addr, "rpc://"))
-	} else {
-		snap, err = s.scrapeHTTP(t.Addr)
-	}
+	snap, err := s.get(t.Addr)
 	if err != nil {
 		return snap, fmt.Errorf("obsv: scrape %s: %w", t, err)
 	}
@@ -105,12 +90,13 @@ func (s Scraper) Scrape(t Target) (telemetry.RegistrySnapshot, error) {
 		snap.Role = t.Role
 	}
 	if snap.Instance == "" {
-		snap.Instance = strings.TrimPrefix(t.Addr, "rpc://")
+		snap.Instance = t.Addr
 	}
 	return snap, nil
 }
 
-func (s Scraper) scrapeHTTP(addr string) (telemetry.RegistrySnapshot, error) {
+// get reads GET http://addr/metrics/snapshot.
+func (s Scraper) get(addr string) (telemetry.RegistrySnapshot, error) {
 	var snap telemetry.RegistrySnapshot
 	client := http.Client{Timeout: s.timeout()}
 	resp, err := client.Get("http://" + addr + "/metrics/snapshot")
@@ -122,21 +108,6 @@ func (s Scraper) scrapeHTTP(addr string) (telemetry.RegistrySnapshot, error) {
 		return snap, fmt.Errorf("status %s", resp.Status)
 	}
 	return snap, json.NewDecoder(resp.Body).Decode(&snap)
-}
-
-// scrapeRPC pulls the snapshot over the PS shard's gob-RPC surface.
-// The empty args struct gob-decodes into ps.Nothing on the far side,
-// so obsv does not need to import internal/ps.
-func (s Scraper) scrapeRPC(addr string) (telemetry.RegistrySnapshot, error) {
-	var snap telemetry.RegistrySnapshot
-	conn, err := net.DialTimeout("tcp", addr, s.timeout())
-	if err != nil {
-		return snap, err
-	}
-	conn.SetDeadline(time.Now().Add(s.timeout()))
-	client := rpc.NewClient(conn)
-	defer client.Close()
-	return snap, client.Call("PS.MetricsSnapshot", struct{}{}, &snap)
 }
 
 // ScrapeResult pairs one target with its snapshot or scrape error.

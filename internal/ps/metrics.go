@@ -2,7 +2,6 @@ package ps
 
 import (
 	"strconv"
-	"sync"
 
 	"mamdr/internal/telemetry"
 )
@@ -19,8 +18,6 @@ import (
 // method is safe for concurrent use and nil-receiver-safe, so the
 // uninstrumented path costs nothing.
 type Metrics struct {
-	reg *telemetry.Registry
-
 	densePulls, densePushes *telemetry.Counter
 	rowPulls, rowPushes     *telemetry.Counter
 	floats                  *telemetry.Counter
@@ -32,10 +29,9 @@ type Metrics struct {
 	duplicatePushes *telemetry.Counter // retried pushes discarded by seq dedup
 	workerDeaths    *telemetry.Counter // workers the supervisor declared dead
 
-	mu          sync.Mutex
-	rowFloats   map[int]*telemetry.Counter    // per-tensor row-sync volume
-	rpcFailures map[string]*telemetry.Counter // per-method RPC failures
-	rpcRetries  map[string]*telemetry.Counter // per-method retry attempts
+	rowSyncFloats *telemetry.Family[telemetry.Counter] // by tensor
+	rpcFailures   *telemetry.Family[telemetry.Counter] // by method
+	rpcRetries    *telemetry.Family[telemetry.Counter] // by method
 }
 
 // NewMetrics registers the PS series in reg. A nil registry yields a
@@ -45,7 +41,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		reg: reg,
 		densePulls: reg.Counter("mamdr_ps_dense_pulls_total",
 			"PullDense calls served by the parameter server."),
 		densePushes: reg.Counter("mamdr_ps_dense_pushes_total",
@@ -71,20 +66,13 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Retried pushes the server discarded via the (worker, seq) idempotency token."),
 		workerDeaths: reg.Counter("mamdr_ps_worker_deaths_total",
 			"Workers the trainer's supervisor declared dead (crash or missed heartbeats)."),
-		rowFloats:   map[int]*telemetry.Counter{},
-		rpcFailures: map[string]*telemetry.Counter{},
-		rpcRetries:  map[string]*telemetry.Counter{},
+		rowSyncFloats: reg.CounterFamily("mamdr_ps_row_sync_floats_total",
+			"Row-synchronized floats per embedding tensor.", "tensor"),
+		rpcFailures: reg.CounterFamily("mamdr_ps_rpc_failures_total",
+			"Failed worker-to-PS RPC calls by method (including failed retries).", "method"),
+		rpcRetries: reg.CounterFamily("mamdr_ps_rpc_retries_total",
+			"Worker-to-PS RPC retry attempts by method (jittered exponential backoff).", "method"),
 	}
-}
-
-// Registry returns the registry the metrics mirror into (nil for a
-// disabled Metrics). The PS RPC surface uses it to export snapshots of
-// the whole process registry for fleet federation.
-func (m *Metrics) Registry() *telemetry.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
 }
 
 // observePushFailure counts one push that failed after exhausting its
@@ -118,35 +106,15 @@ func (m *Metrics) observeRPCRetry(method string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	c, ok := m.rpcRetries[method]
-	if !ok {
-		c = m.reg.Counter("mamdr_ps_rpc_retries_total",
-			"Worker-to-PS RPC retry attempts by method (jittered exponential backoff).",
-			telemetry.L("method", method))
-		m.rpcRetries[method] = c
-	}
-	m.mu.Unlock()
-	c.Inc()
+	m.rpcRetries.With(method).Inc()
 }
 
-// observeRPCFailure counts one failed RPC call by method. It is on
-// the failure path only, so the mutex-guarded lookup costs nothing in
-// healthy runs.
+// observeRPCFailure counts one failed RPC call by method.
 func (m *Metrics) observeRPCFailure(method string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	c, ok := m.rpcFailures[method]
-	if !ok {
-		c = m.reg.Counter("mamdr_ps_rpc_failures_total",
-			"Failed worker-to-PS RPC calls by method (including failed retries).",
-			telemetry.L("method", method))
-		m.rpcFailures[method] = c
-	}
-	m.mu.Unlock()
-	c.Inc()
+	m.rpcFailures.With(method).Inc()
 }
 
 // observeDensePull records one PullDense serving n floats.
@@ -166,7 +134,7 @@ func (m *Metrics) observeRowPull(t, rows, n int) {
 	}
 	m.rowPulls.Add(int64(rows))
 	m.floats.Add(int64(n))
-	m.tensorRowFloats(t).Add(int64(n))
+	m.rowSyncFloats.With(strconv.Itoa(t)).Add(int64(n))
 }
 
 // observeDensePush records one push carrying dense deltas.
@@ -193,7 +161,7 @@ func (m *Metrics) observeRowPush(t, rows, n int) {
 	}
 	m.rowPushes.Add(int64(rows))
 	m.floats.Add(int64(n))
-	m.tensorRowFloats(t).Add(int64(n))
+	m.rowSyncFloats.With(strconv.Itoa(t)).Add(int64(n))
 }
 
 // observeCacheResolve records one batch's embedding-row resolution.
@@ -214,18 +182,4 @@ func (m *Metrics) observeStaleness(batches int) {
 		return
 	}
 	m.staleness.Observe(float64(batches))
-}
-
-// tensorRowFloats lazily creates the per-tensor row-sync counter.
-func (m *Metrics) tensorRowFloats(t int) *telemetry.Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.rowFloats[t]
-	if !ok {
-		c = m.reg.Counter("mamdr_ps_row_sync_floats_total",
-			"Row-synchronized floats per embedding tensor.",
-			telemetry.L("tensor", strconv.Itoa(t)))
-		m.rowFloats[t] = c
-	}
-	return c
 }

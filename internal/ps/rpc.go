@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"mamdr/internal/faultinject"
-	"mamdr/internal/telemetry"
 	"mamdr/internal/trace"
 )
 
@@ -105,18 +104,6 @@ func (s *RPCService) Counters(_ Nothing, reply *Counters) error {
 // loop is alive. Workers use it as a dedicated heartbeat when no data
 // call is in flight.
 func (s *RPCService) Ping(_ Nothing, _ *Nothing) error { return nil }
-
-// MetricsSnapshot exports the shard's whole telemetry registry as a
-// versioned snapshot for fleet federation. Socket-mode shards speak
-// only gob RPC, so this is their scrape surface; the aggregator fills
-// in Instance from the address it dialed. An uninstrumented server
-// returns a valid empty snapshot.
-func (s *RPCService) MetricsSnapshot(_ Nothing, reply *telemetry.RegistrySnapshot) error {
-	snap := s.server.Metrics().Registry().Snapshot()
-	snap.Role = "ps"
-	*reply = snap
-	return nil
-}
 
 // SaveCheckpoint persists the server's state (parameters, per-shard
 // optimizer state, epoch cursor) to its configured checkpoint path.

@@ -206,10 +206,6 @@ type Server struct {
 // in-flight calls.
 func (s *Server) SetMetrics(m *Metrics) { s.metrics = m }
 
-// Metrics returns the attached telemetry mirror (nil when
-// uninstrumented).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // SetTracer attaches a tracer for server-side spans. Attach before
 // serving traffic; the field is not synchronized against in-flight
 // calls.

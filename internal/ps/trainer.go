@@ -107,15 +107,6 @@ func (o Options) WithDefaults() Options {
 	if o.Epochs == 0 {
 		o.Epochs = 10
 	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 64
-	}
-	if o.SampleK == 0 {
-		o.SampleK = 3
-	}
-	if o.DRLR == 0 {
-		o.DRLR = 0.1
-	}
 	return o
 }
 

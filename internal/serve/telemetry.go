@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,11 +14,9 @@ import (
 )
 
 // serveMetrics are the request-path instruments. All fields are safe
-// for concurrent use; the struct itself is nil when metrics are
-// disabled (every method is nil-receiver-safe).
+// for concurrent use; without a registry every one is nil and records
+// nothing, so no call site branches on metrics being on.
 type serveMetrics struct {
-	reg *telemetry.Registry
-
 	poolTimeouts  *telemetry.Counter
 	poolSize      *telemetry.Gauge
 	writeFailures *telemetry.Counter
@@ -29,29 +26,22 @@ type serveMetrics struct {
 
 	// Scheduler instruments, one observation per flush: its shape,
 	// queueing for a forward slot, rows relative to the row cap, and
-	// why it left (the scheduler's three reasons; read-only map).
+	// why it left (the scheduler's three reasons).
 	batchRequests  *telemetry.Histogram
 	batchRows      *telemetry.Histogram
 	batchWait      *telemetry.Histogram
 	batchOccupancy *telemetry.Histogram
-	flushes        map[string]*telemetry.Counter
+	flushes        *telemetry.Family[telemetry.Counter] // by reason
 
-	// codeCounters, latencies, and scoreHists cache instrument pointers
-	// so the hot request path skips the registry's mutex-guarded lookup
-	// (the registry is get-or-create, so a racing double-create is
-	// benign — both callers get the same series).
-	codeCounters sync.Map // int -> *telemetry.Counter
-	latencies    sync.Map // string -> *telemetry.Histogram
-	scoreHists   sync.Map // string -> *telemetry.Histogram
-	shedCounters sync.Map // string -> *telemetry.Counter
+	requests  *telemetry.Family[telemetry.Counter]   // by status code
+	latency   *telemetry.Family[telemetry.Histogram] // by domain
+	scores    *telemetry.Family[telemetry.Histogram] // by domain
+	sheds     *telemetry.Family[telemetry.Counter]   // by reason
+	publishes *telemetry.Family[telemetry.Counter]   // by outcome
 }
 
 func newServeMetrics(reg *telemetry.Registry, replicas int) *serveMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &serveMetrics{
-		reg: reg,
 		poolTimeouts: reg.Counter("mamdr_serve_pool_timeouts_total",
 			"Predictions whose deadline passed before their scores (503 + Retry-After)."),
 		poolSize: reg.Gauge("mamdr_serve_replica_pool_size",
@@ -74,99 +64,65 @@ func newServeMetrics(reg *telemetry.Registry, replicas int) *serveMetrics {
 		batchOccupancy: reg.Histogram("mamdr_serve_batch_occupancy",
 			"Flushed rows divided by the row cap (BatchMax, at least 1); an oversize request rides alone and reads 1.",
 			telemetry.LinearBuckets(0.125, 0.125, 8)),
-		flushes: map[string]*telemetry.Counter{},
+		flushes: reg.CounterFamily("mamdr_serve_batch_flushes_total",
+			"Scheduler flushes by trigger (idle, slot, close).", "reason"),
+		requests: reg.CounterFamily("mamdr_serve_requests_total",
+			"HTTP requests by status code.", "code"),
+		latency: reg.HistogramFamily("mamdr_serve_request_seconds",
+			"Prediction latency by domain.", telemetry.DefBuckets, "domain"),
+		scores: reg.HistogramFamily("mamdr_serve_scores",
+			"Predicted click probabilities by domain.", telemetry.LinearBuckets(0.1, 0.1, 9), "domain"),
+		sheds: reg.CounterFamily("mamdr_serve_shed_total",
+			"Predictions shed by the admission gate before reaching the scheduler, by reason.", "reason"),
+		publishes: reg.CounterFamily("mamdr_serve_publish_total",
+			"Snapshot publication attempts, by outcome.", "outcome"),
 	}
+	// Declare the flush reasons and the status-code family up front so a
+	// scrape before the first request still shows them.
 	for _, reason := range []string{"idle", "slot", "close"} {
-		m.flushes[reason] = reg.Counter("mamdr_serve_batch_flushes_total",
-			"Scheduler flushes by trigger (idle, slot, close).", telemetry.L("reason", reason))
+		m.flushes.With(reason)
 	}
 	m.poolSize.Set(float64(replicas))
-	// Declare the status-code counter family up front so a scrape
-	// before the first request still shows it.
-	m.requestCounter(http.StatusOK).Add(0)
+	m.requests.With(strconv.Itoa(http.StatusOK))
 	return m
 }
 
-// requestCounter returns the per-status-code request counter.
-func (m *serveMetrics) requestCounter(code int) *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	if v, ok := m.codeCounters.Load(code); ok {
-		return v.(*telemetry.Counter)
-	}
-	c := m.reg.Counter("mamdr_serve_requests_total",
-		"HTTP requests by status code.", telemetry.L("code", strconv.Itoa(code)))
-	m.codeCounters.Store(code, c)
-	return c
+// request counts one finished HTTP request by status code.
+func (m *serveMetrics) request(code int) {
+	m.requests.With(strconv.Itoa(code)).Inc()
 }
 
 // latencyFor returns the per-domain request latency histogram.
 func (m *serveMetrics) latencyFor(domain string) *telemetry.Histogram {
-	if m == nil {
-		return nil
-	}
-	if v, ok := m.latencies.Load(domain); ok {
-		return v.(*telemetry.Histogram)
-	}
-	h := m.reg.Histogram("mamdr_serve_request_seconds",
-		"Prediction latency by domain.", telemetry.DefBuckets, telemetry.L("domain", domain))
-	m.latencies.Store(domain, h)
-	return h
+	return m.latency.With(domain)
 }
 
 // scoreHistFor returns the per-domain served-score histogram — the
 // live score distribution, the raw material of drift detection.
 func (m *serveMetrics) scoreHistFor(domain string) *telemetry.Histogram {
-	if m == nil {
-		return nil
-	}
-	if v, ok := m.scoreHists.Load(domain); ok {
-		return v.(*telemetry.Histogram)
-	}
-	h := m.reg.Histogram("mamdr_serve_scores",
-		"Predicted click probabilities by domain.",
-		telemetry.LinearBuckets(0.1, 0.1, 9), telemetry.L("domain", domain))
-	m.scoreHists.Store(domain, h)
-	return h
+	return m.scores.With(domain)
 }
 
 // shed counts one admission-gate rejection by reason ("queue_full",
 // "deadline").
 func (m *serveMetrics) shed(reason string) {
-	if m == nil {
-		return
-	}
-	c, ok := m.shedCounters.Load(reason)
-	if !ok {
-		c = m.reg.Counter("mamdr_serve_shed_total",
-			"Predictions shed by the admission gate before reaching the scheduler, by reason.",
-			telemetry.L("reason", reason))
-		m.shedCounters.Store(reason, c)
-	}
-	c.(*telemetry.Counter).Inc()
+	m.sheds.With(reason).Inc()
 }
 
 // batchFlush records one scheduler flush: its request/row shape, the
 // oldest rider's wait, the trigger reason, and the occupancy relative
 // to the row cap.
 func (m *serveMetrics) batchFlush(requests, rows int, waited time.Duration, reason string, maxRows int) {
-	if m == nil {
-		return
-	}
 	m.batchRequests.Observe(float64(requests))
 	m.batchRows.Observe(float64(rows))
 	m.batchWait.Observe(waited.Seconds())
 	m.batchOccupancy.Observe(float64(min(rows, maxRows)) / float64(maxRows))
-	m.flushes[reason].Inc()
+	m.flushes.With(reason).Inc()
 }
 
 // snapshotVersions publishes the live snapshot identities (canary 0
 // when none is flying).
 func (m *serveMetrics) snapshotVersions(incumbent, canary uint64) {
-	if m == nil {
-		return
-	}
 	m.snapshotVersion.Set(float64(incumbent))
 	m.canaryVersion.Set(float64(canary))
 }
@@ -174,29 +130,17 @@ func (m *serveMetrics) snapshotVersions(incumbent, canary uint64) {
 // publishOutcome counts one publication attempt ("accepted",
 // "rejected").
 func (m *serveMetrics) publishOutcome(outcome string) {
-	if m == nil {
-		return
-	}
-	m.reg.Counter("mamdr_serve_publish_total",
-		"Snapshot publication attempts, by outcome.",
-		telemetry.L("outcome", outcome)).Inc()
+	m.publishes.With(outcome).Inc()
 }
 
 // writeFailure counts one failed response-body write.
 func (m *serveMetrics) writeFailure() {
-	if m == nil {
-		return
-	}
 	m.writeFailures.Inc()
 }
 
 // timeout counts one prediction whose deadline passed before its
-// scores. Nil-safe: the timeout path must work on metrics-less servers
-// too.
+// scores.
 func (m *serveMetrics) timeout() {
-	if m == nil {
-		return
-	}
 	m.poolTimeouts.Inc()
 }
 
@@ -245,7 +189,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // access-log line per request.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	metrics, logger, tracer := s.metrics, s.opts.AccessLog, s.opts.Tracer
-	if metrics == nil && logger == nil && tracer == nil {
+	if s.opts.Metrics == nil && logger == nil && tracer == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -257,7 +201,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			trace.A("rid", rid), trace.A("method", r.Method), trace.A("path", r.URL.Path))
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		span.EndWith(trace.A("status", sw.code))
-		metrics.requestCounter(sw.code).Inc()
+		metrics.request(sw.code)
 		if logger != nil {
 			logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 				slog.String("request_id", rid),

@@ -15,35 +15,6 @@ type AnomalySink interface {
 	Trigger(kind string, fields map[string]any)
 }
 
-// CountingSink forwards anomaly triggers to an inner sink while
-// counting them per kind in mamdr_anomalies_total, so anomaly volume
-// becomes a federated series that SLOs can burn against — the flight
-// recorder's once-per-kind dump latch hides repetition that an error
-// budget must see.
-type CountingSink struct {
-	inner AnomalySink
-	reg   *Registry
-}
-
-// NewCountingSink wraps inner (which may be nil for count-only use),
-// counting triggers as mamdr_anomalies_total{kind=...} on reg.
-func NewCountingSink(inner AnomalySink, reg *Registry) *CountingSink {
-	return &CountingSink{inner: inner, reg: reg}
-}
-
-// Trigger implements AnomalySink.
-func (c *CountingSink) Trigger(kind string, fields map[string]any) {
-	if c == nil {
-		return
-	}
-	c.reg.Counter("mamdr_anomalies_total",
-		"Training anomalies observed, by kind (nan_loss, loss_spike, ...).",
-		L("kind", kind)).Inc()
-	if c.inner != nil {
-		c.inner.Trigger(kind, fields)
-	}
-}
-
 // A loss spikes when it lands more than spikeZ standard deviations
 // above its domain's running mean, once the domain has spikeWarmup
 // finite observations.
@@ -56,10 +27,15 @@ const (
 // losses fire immediately ("nan_loss"); finite losses feed a running
 // mean/variance (Welford) and fire "loss_spike" when a loss lands
 // more than spikeZ standard deviations above the domain's mean after
-// a warmup period. All methods are safe for concurrent use (workers
+// a warmup period. Each anomaly is counted in
+// mamdr_anomalies_total{kind} before it reaches the sink, so anomaly
+// volume is a federated series SLOs can burn against — a flight
+// recorder's once-per-kind dump latch hides the repetition an error
+// budget must see. All methods are safe for concurrent use (workers
 // observe from their own goroutines) and nil-receiver-safe.
 type LossWatch struct {
-	sink AnomalySink
+	sink      AnomalySink
+	anomalies *Family[Counter]
 
 	mu    sync.Mutex
 	stats map[string]*welford
@@ -86,9 +62,14 @@ func (w *welford) std() float64 {
 }
 
 // NewLossWatch watches for NaN/Inf losses and per-domain loss spikes,
-// triggering sink.
-func NewLossWatch(sink AnomalySink) *LossWatch {
-	return &LossWatch{sink: sink, stats: map[string]*welford{}}
+// counting each in reg and then triggering sink; either may be nil.
+func NewLossWatch(sink AnomalySink, reg *Registry) *LossWatch {
+	return &LossWatch{
+		sink: sink,
+		anomalies: reg.CounterFamily("mamdr_anomalies_total",
+			"Training anomalies observed, by kind (nan_loss, loss_spike, ...).", "kind"),
+		stats: map[string]*welford{},
+	}
 }
 
 // Observe feeds one finished pass's mean loss for a domain. extra
@@ -106,7 +87,7 @@ func (lw *LossWatch) Observe(domain string, loss float64, extra map[string]any) 
 		// JSON has no NaN/Inf literal; stringify so event sinks that
 		// marshal the fields do not drop the record.
 		fields["loss"] = "non-finite"
-		lw.sink.Trigger("nan_loss", fields)
+		lw.trigger("nan_loss", fields)
 		return
 	}
 
@@ -129,6 +110,14 @@ func (lw *LossWatch) Observe(domain string, loss float64, extra map[string]any) 
 
 	if spiked {
 		fields["z"] = z
-		lw.sink.Trigger("loss_spike", fields)
+		lw.trigger("loss_spike", fields)
+	}
+}
+
+// trigger counts one anomaly, then hands it to the sink.
+func (lw *LossWatch) trigger(kind string, fields map[string]any) {
+	lw.anomalies.With(kind).Inc()
+	if lw.sink != nil {
+		lw.sink.Trigger(kind, fields)
 	}
 }

@@ -32,7 +32,7 @@ func (s *recordingSink) fired() []string {
 
 func TestLossWatchNaNAndInf(t *testing.T) {
 	sink := &recordingSink{}
-	lw := telemetry.NewLossWatch(sink)
+	lw := telemetry.NewLossWatch(sink, nil)
 	lw.Observe("books", 0.5, nil)
 	lw.Observe("books", math.NaN(), map[string]any{"worker": 3})
 	lw.Observe("games", math.Inf(1), nil)
@@ -46,7 +46,7 @@ func TestLossWatchNaNAndInf(t *testing.T) {
 
 func TestLossWatchSpikeZScore(t *testing.T) {
 	sink := &recordingSink{}
-	lw := telemetry.NewLossWatch(sink)
+	lw := telemetry.NewLossWatch(sink, nil)
 	// Steady losses around 0.5 with a little variance.
 	for i := 0; i < 20; i++ {
 		lw.Observe("books", 0.5+float64(i%5)*0.01, nil)
@@ -91,7 +91,7 @@ func TestNaNLossDumpsFlightRecorderOnce(t *testing.T) {
 		last = s
 	}
 
-	lw := telemetry.NewLossWatch(tr.Flight())
+	lw := telemetry.NewLossWatch(tr.Flight(), nil)
 	inject := func() {
 		lw.Observe("books", math.NaN(), map[string]any{
 			"trace_id": last.TraceID, "span_id": last.ID,

@@ -19,8 +19,8 @@ const SnapshotVersion = 1
 // the raw (non-cumulative) per-bucket counts — len(bounds)+1, the last
 // being the +Inf overflow — plus the observation Sum and Count.
 //
-// All fields are exported so the snapshot travels over both
-// encoding/json (HTTP federation) and encoding/gob (the PS RPC path).
+// All fields are exported so the snapshot travels as JSON, the body of
+// /metrics/snapshot.
 type SeriesSnapshot struct {
 	Labels  []Label `json:"labels,omitempty"`
 	Value   float64 `json:"value"`
@@ -42,8 +42,7 @@ type FamilySnapshot struct {
 // RegistrySnapshot is a consistent, self-describing export of a whole
 // registry — the unit the fleet aggregator scrapes from every process.
 // Role and Instance identify the process in a federated view; the
-// registry itself does not know them, so the serving layer (HTTP
-// handler, RPC service) fills them in.
+// registry itself does not know them, so SnapshotHandler fills them in.
 type RegistrySnapshot struct {
 	Version       int              `json:"version"`
 	Role          string           `json:"role,omitempty"`
@@ -127,9 +126,10 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 
 // SnapshotHandler serves the registry as a JSON RegistrySnapshot — the
 // HTTP federation surface, mounted at /metrics/snapshot on every
-// process that already serves /metrics. role names the process's job
-// ("trainer", "serve"); instance may be left empty for the scraper to
-// fill in with the address it dialed.
+// process that already serves /metrics, and the one way a process is
+// scraped. role names the process's job ("trainer", "ps", "serve");
+// instance may be left empty for the scraper to fill in with the
+// address it dialed.
 func SnapshotHandler(role, instance string, r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		snap := r.Snapshot()

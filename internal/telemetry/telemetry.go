@@ -13,7 +13,10 @@
 // registration time (one time series per Counter/Gauge/Histogram
 // value). Get-or-create semantics make per-domain or per-tensor series
 // cheap to wire: asking the registry for an existing (name, labels)
-// pair returns the same instrument.
+// pair returns the same instrument. Code that picks a series by label
+// value on a hot path holds a Family (CounterFamily, GaugeFamily,
+// HistogramFamily) instead, whose With is the one cache of label values
+// to instruments.
 package telemetry
 
 import (

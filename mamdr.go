@@ -198,15 +198,8 @@ func Train(spec TrainSpec) (*Result, error) {
 		CheckpointDir:   spec.CheckpointDir,
 		CheckpointEvery: spec.CheckpointEvery,
 		Resume:          spec.Resume,
-	}
-	if spec.Metrics != nil || spec.Events != nil || spec.Tracer != nil {
-		cfg.Telemetry = framework.NewTrainMetrics(spec.Metrics, spec.Dataset, spec.Events)
-	}
-	if spec.Tracer != nil {
-		cfg.Tracer = spec.Tracer
-		if f := spec.Tracer.Flight(); f != nil {
-			cfg.Telemetry.Anomalies = telemetry.NewLossWatch(f)
-		}
+		Telemetry:       framework.WireTrainMetrics(spec.Metrics, spec.Dataset, spec.Events, spec.Tracer),
+		Tracer:          spec.Tracer,
 	}
 	pred := fw.Fit(m, spec.Dataset, cfg)
 

@@ -287,7 +287,8 @@ smoke-batch:
 # looks its labelled series up through telemetry's family handles, and
 # obsv scrapes targets concurrently — and core's DR phase runs one
 # worker goroutine per kernel thread over autograd and its buffer arena;
-# keep them race-clean.
+# a serve publish takes the rollout gate's lock under the server's, and
+# every span ends into trace's shared sinks; keep them race-clean.
 # The race detector does not see loads and stores made in assembly —
 # gemmAddAVX2 (gemm_amd64.s), adamAVX2 and addAVX2 (elementwise_amd64.s):
 # TestParallelGemmConcurrent under -race covers how rows are partitioned
@@ -297,7 +298,7 @@ smoke-batch:
 race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
 		./internal/batch/... ./internal/quant/... ./internal/quality/... ./internal/core/... ./internal/autograd/... \
-		./internal/telemetry/... ./internal/obsv/...
+		./internal/telemetry/... ./internal/obsv/... ./internal/rollout/... ./internal/trace/...
 
 # The DR phase's oracle (any worker count == the sequential per-target
 # loop, float for float) with its workers interleaved on one P and

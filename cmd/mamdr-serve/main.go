@@ -70,7 +70,7 @@ func main() {
 		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		accessLog   = flag.String("access-log", "stderr", `structured JSON access log: "stderr", "stdout", a file path, or "off"`)
 
-		tracePath   = flag.String("trace", "", "stream per-request spans as JSONL to this file (serving never exits; use GET /debug/trace?sec=N for a Chrome/Perfetto capture)")
+		tracePath   = flag.String("trace", "", "stream per-request spans as JSONL \"span\" events to this file, rotated at 64 MiB with 3 segments kept (use GET /debug/trace?sec=N for a Chrome/Perfetto capture)")
 		traceSample = flag.Float64("trace-sample", 1, "fraction of request root spans to record (0..1)")
 		flightDump  = flag.String("flight-dump", "", "flight-recorder dump path prefix for anomalies such as pool saturation (default <trace>.flight when -trace is set)")
 		withTrace   = flag.Bool("tracing", true, "enable request tracing and /debug/trace capture-on-demand")
@@ -141,12 +141,14 @@ func main() {
 		}
 		tracer = trace.New(trace.Options{Sample: *traceSample, FlightPath: *flightDump})
 		if *tracePath != "" {
-			exp, err := trace.OpenJSONLExporter(*tracePath)
+			// The server never exits, so the span log rotates at 64 MiB
+			// and keeps the default three rotated segments.
+			spans, err := telemetry.OpenEventLog(*tracePath, telemetry.Rotation{MaxBytes: 64 << 20})
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer exp.Close()
-			tracer.AddSink(exp)
+			defer spans.Close()
+			tracer.AddSink(trace.LogSink{Log: spans})
 			log.Printf("streaming spans to %s", *tracePath)
 		}
 	}

@@ -41,62 +41,3 @@ func BCEWithLogits(logits *Tensor, labels []float64) *Tensor {
 	}
 	return out
 }
-
-// MSE computes the mean squared error between predictions (Nx1) and
-// targets as a 1x1 scalar.
-func MSE(pred *Tensor, targets []float64) *Tensor {
-	if pred.Cols != 1 || pred.Rows != len(targets) {
-		panic(fmt.Sprintf("autograd: MSE pred %dx%d vs %d targets", pred.Rows, pred.Cols, len(targets)))
-	}
-	n := len(targets)
-	var total float64
-	for i, x := range pred.Data {
-		d := x - targets[i]
-		total += d * d
-	}
-	data := alloc(1)
-	data[0] = total / float64(n)
-	out := newResult(1, 1, data, nil, pred)
-	if out.parents == nil {
-		return out
-	}
-	out.backward = func() {
-		if pred.Grad == nil {
-			return
-		}
-		g := out.Grad[0] * 2 / float64(n)
-		for i, x := range pred.Data {
-			pred.Grad[i] += g * (x - targets[i])
-		}
-	}
-	return out
-}
-
-// L2Penalty returns lambda/2 * sum over all given tensors of the squared
-// Frobenius norm, as a 1x1 scalar attached to the graph.
-func L2Penalty(lambda float64, params ...*Tensor) *Tensor {
-	var total float64
-	for _, p := range params {
-		for _, v := range p.Data {
-			total += v * v
-		}
-	}
-	data := alloc(1)
-	data[0] = lambda / 2 * total
-	out := newResult(1, 1, data, nil, params...)
-	if out.parents == nil {
-		return out
-	}
-	out.backward = func() {
-		g := out.Grad[0] * lambda
-		for _, p := range params {
-			if p.Grad == nil {
-				continue
-			}
-			for i, v := range p.Data {
-				p.Grad[i] += g * v
-			}
-		}
-	}
-	return out
-}

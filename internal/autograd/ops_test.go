@@ -384,17 +384,6 @@ func TestBCEWithLogitsExtremeLogitsFinite(t *testing.T) {
 	}
 }
 
-func TestMSEGrad(t *testing.T) {
-	pred := randParam(4, 1, 30)
-	targets := []float64{0.5, -0.25, 1, 0}
-	checkOp(t, "MSE", func() *Tensor { return MSE(pred, targets) }, pred)
-}
-
-func TestL2PenaltyGrad(t *testing.T) {
-	a, b := randParam(2, 2, 31), randParam(1, 3, 32)
-	checkOp(t, "L2Penalty", func() *Tensor { return L2Penalty(0.1, a, b) }, a, b)
-}
-
 func TestBiInteractionMatchesPairwiseSum(t *testing.T) {
 	const fields, dim = 3, 2
 	rng := rand.New(rand.NewSource(33))

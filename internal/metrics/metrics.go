@@ -101,21 +101,6 @@ func LogLoss(probs, labels []float64) float64 {
 	return total / float64(len(probs))
 }
 
-// Accuracy returns the fraction of predictions on the correct side of
-// the 0.5 probability threshold.
-func Accuracy(probs, labels []float64) float64 {
-	if len(probs) == 0 {
-		return 0
-	}
-	var hit int
-	for i, p := range probs {
-		if (p >= 0.5) == (labels[i] > 0.5) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(probs))
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

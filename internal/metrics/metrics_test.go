@@ -121,17 +121,6 @@ func TestLogLossEmpty(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	probs := []float64{0.9, 0.4, 0.6, 0.1}
-	labels := []float64{1, 1, 0, 0}
-	if got := Accuracy(probs, labels); got != 0.5 {
-		t.Fatalf("Accuracy = %g, want 0.5", got)
-	}
-	if got := Accuracy(nil, nil); got != 0 {
-		t.Fatalf("empty Accuracy = %g", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %g", got)

@@ -27,16 +27,6 @@ func ParamCount(m Module) int {
 	return n
 }
 
-// Collect flattens the parameters of several modules into one list,
-// preserving order.
-func Collect(ms ...Module) []*autograd.Tensor {
-	var out []*autograd.Tensor
-	for _, m := range ms {
-		out = append(out, m.Parameters()...)
-	}
-	return out
-}
-
 // ZeroGrads clears the gradient buffers of all parameters of m.
 func ZeroGrads(m Module) {
 	for _, p := range m.Parameters() {

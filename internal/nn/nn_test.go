@@ -298,16 +298,6 @@ func TestInteractingLayerAttendsAcrossFields(t *testing.T) {
 	}
 }
 
-func TestCollect(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	d1 := NewDense(2, 2, Linear, rng)
-	d2 := NewDense(2, 1, Linear, rng)
-	ps := Collect(d1, d2)
-	if len(ps) != 4 {
-		t.Fatalf("Collect len = %d, want 4", len(ps))
-	}
-}
-
 func TestZeroGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d := NewDense(2, 1, Linear, rng)

@@ -82,15 +82,69 @@ func (s *RPCService) PullDense(args PullDenseArgs, reply *map[int][]float64) err
 	return nil
 }
 
-// PullRows returns the requested embedding rows.
+// PullRows returns the requested embedding rows. Arguments off the
+// socket are checked first: the Server panics on an out-of-range
+// tensor or row, and net/rpc does not recover a panicking method, so
+// one malformed call would end the hosting process.
 func (s *RPCService) PullRows(args PullRowsArgs, reply *[][]float64) error {
+	if err := s.server.layout.checkRows(args.Tensor, args.Rows); err != nil {
+		return err
+	}
 	*reply = s.server.PullRows(s.remoteCtx(args.TC), args.Tensor, args.Rows)
 	return nil
 }
 
-// PushDelta applies a worker's outer-loop delta.
+// PushDelta applies a worker's outer-loop delta. The whole delta is
+// checked against the layout before any of it applies, so a rejected
+// push changes no parameter and does not advance the worker's sequence.
 func (s *RPCService) PushDelta(args PushDeltaArgs, _ *Nothing) error {
+	if err := s.server.layout.checkDelta(args.Delta); err != nil {
+		return err
+	}
 	s.server.PushDelta(s.remoteCtx(args.TC), args.Delta)
+	return nil
+}
+
+// checkRows reports why rows of tensor t cannot be pulled or pushed:
+// t is out of range or dense, or a row is out of range.
+func (l Layout) checkRows(t int, rows []int) error {
+	if t < 0 || t >= l.NumTensors() || !l.Embedding[t] {
+		return fmt.Errorf("ps: tensor %d is not an embedding table of this server", t)
+	}
+	for _, r := range rows {
+		if r < 0 || r >= l.Rows[t] {
+			return fmt.Errorf("ps: row %d of tensor %d is out of range [0, %d)", r, t, l.Rows[t])
+		}
+	}
+	return nil
+}
+
+// checkDelta reports why d does not fit the layout: a dense delta for
+// a tensor that is out of range or a table, or of the wrong length;
+// rows that checkRows refuses; or row deltas that do not pair one to
+// one with the rows at the table's width.
+func (l Layout) checkDelta(d Delta) error {
+	for t, delta := range d.Dense {
+		if t < 0 || t >= l.NumTensors() || l.Embedding[t] {
+			return fmt.Errorf("ps: tensor %d is not a dense tensor of this server", t)
+		}
+		if want := l.Rows[t] * l.Cols[t]; len(delta) != want {
+			return fmt.Errorf("ps: dense delta for tensor %d has %d values, want %d", t, len(delta), want)
+		}
+	}
+	for t, rows := range d.Rows {
+		if err := l.checkRows(t, rows); err != nil {
+			return err
+		}
+		if len(d.RowDeltas[t]) != len(rows) {
+			return fmt.Errorf("ps: tensor %d pushes %d rows with %d row deltas", t, len(rows), len(d.RowDeltas[t]))
+		}
+		for i, rd := range d.RowDeltas[t] {
+			if len(rd) != l.Cols[t] {
+				return fmt.Errorf("ps: delta for row %d of tensor %d has width %d, want %d", rows[i], t, len(rd), l.Cols[t])
+			}
+		}
+	}
 	return nil
 }
 

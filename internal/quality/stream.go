@@ -28,10 +28,6 @@ const DefaultBins = 1024
 // and is asserted by TestStreamAUCWithinToleranceOfExact.
 const AUCTolerance = 0.01
 
-// DefaultCalibBuckets is the number of equal-width score buckets the
-// calibration ratio is tracked over.
-const DefaultCalibBuckets = 10
-
 // sample is one labeled observation in the window ring. Scores are
 // stored as float32: the quantization (~1e-7) is far below the bin
 // width and halves the ring's memory.
@@ -43,8 +39,8 @@ type sample struct {
 // WindowEval is a streaming prequential evaluator over the most recent
 // Window labeled (score, label) observations: windowed AUC via a
 // fixed-bin rank approximation, windowed logloss, and windowed
-// calibration (predicted CTR vs observed CTR, overall and per score
-// bucket). Not safe for concurrent use; callers lock.
+// calibration (predicted CTR vs observed CTR). Not safe for concurrent
+// use; callers lock.
 type WindowEval struct {
 	window int
 
@@ -57,10 +53,6 @@ type WindowEval struct {
 	loglossSum float64
 	predSum    float64
 	posTotal   int64
-
-	calibPred  []float64 // per calibration bucket: Σ predicted p
-	calibPos   []int64   // per calibration bucket: Σ labels
-	calibCount []int64
 }
 
 // NewWindowEval builds an evaluator over the last window observations
@@ -70,13 +62,10 @@ func NewWindowEval(window int) *WindowEval {
 		window = DefaultWindow
 	}
 	return &WindowEval{
-		window:     window,
-		ring:       make([]sample, window),
-		pos:        make([]int64, DefaultBins),
-		neg:        make([]int64, DefaultBins),
-		calibPred:  make([]float64, DefaultCalibBuckets),
-		calibPos:   make([]int64, DefaultCalibBuckets),
-		calibCount: make([]int64, DefaultCalibBuckets),
+		window: window,
+		ring:   make([]sample, window),
+		pos:    make([]int64, DefaultBins),
+		neg:    make([]int64, DefaultBins),
 	}
 }
 
@@ -149,12 +138,6 @@ func (w *WindowEval) apply(q float64, pos bool, dir int) {
 	}
 	w.loglossSum += float64(dir) * pointLoss(q, pos)
 	w.predSum += float64(dir) * q
-	cb := binOf(q, DefaultCalibBuckets)
-	w.calibPred[cb] += float64(dir) * q
-	if pos {
-		w.calibPos[cb] += d
-	}
-	w.calibCount[cb] += d
 }
 
 // Count returns the number of observations currently in the window.
@@ -214,20 +197,6 @@ func (w *WindowEval) CalibrationRatio() float64 {
 		return 0
 	}
 	return w.predSum / float64(w.posTotal)
-}
-
-// BucketCalibration returns the per-score-bucket calibration ratios
-// (predicted/observed CTR per bucket; 0 where a bucket has no
-// positives) and each bucket's observation count.
-func (w *WindowEval) BucketCalibration() (ratios []float64, counts []int64) {
-	ratios = make([]float64, DefaultCalibBuckets)
-	counts = append([]int64(nil), w.calibCount...)
-	for b := range ratios {
-		if w.calibPos[b] > 0 {
-			ratios[b] = w.calibPred[b] / float64(w.calibPos[b])
-		}
-	}
-	return ratios, counts
 }
 
 // Histogram returns the window's total (positive + negative) score

@@ -161,19 +161,6 @@ func TestWindowEvalLogLossAndCalibration(t *testing.T) {
 	if got, want := w.PosRate(), posSum/float64(len(wl)); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("pos rate %.12f vs direct %.12f", got, want)
 	}
-	ratios, counts := w.BucketCalibration()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total != int64(window) {
-		t.Fatalf("bucket counts sum to %d, want %d", total, window)
-	}
-	for b, ratio := range ratios {
-		if math.IsNaN(ratio) || math.IsInf(ratio, 0) {
-			t.Fatalf("bucket %d ratio is %v", b, ratio)
-		}
-	}
 }
 
 // TestWindowEvalNoNaN streams pathological inputs (out-of-range scores,

@@ -67,6 +67,15 @@ func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline
 		return version, false, nil
 	}
 
+	// The gate accepts the evaluation before any request can be routed
+	// to the canary, so a refusal (it still evaluates another version)
+	// leaves nothing to undo. The controller never takes s.mu while it
+	// holds its own lock, so taking its lock under s.mu is safe.
+	if err := gate.Begin(version, old.incumbentV); err != nil {
+		s.mu.Unlock()
+		s.metrics.publishOutcome("rejected")
+		return 0, false, err
+	}
 	// Stage as canary: the incumbent stays in the view — pinned in
 	// memory as the last known good — while the canary takes its
 	// fraction.
@@ -77,20 +86,7 @@ func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline
 	})
 	s.pendingState, s.pendingBaseline = state, baseline
 	s.metrics.snapshotVersions(old.incumbentV, version)
-	incumbentV := old.incumbentV
 	s.mu.Unlock()
-
-	if err := gate.Begin(version, incumbentV); err != nil {
-		// The gate refused (e.g. it raced another evaluation): undo the
-		// staging so view and gate cannot disagree about what's flying.
-		s.mu.Lock()
-		s.view.Store(old)
-		s.pendingState, s.pendingBaseline = nil, nil
-		s.metrics.snapshotVersions(old.incumbentV, 0)
-		s.mu.Unlock()
-		s.metrics.publishOutcome("rejected")
-		return 0, false, err
-	}
 	s.metrics.publishOutcome("accepted")
 	return version, true, nil
 }

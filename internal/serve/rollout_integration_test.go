@@ -587,6 +587,44 @@ func TestPublishRejectsSecondCanary(t *testing.T) {
 	}
 }
 
+// TestPublishGateRefusalStagesNothing: when the gate refuses to begin
+// an evaluation (it still evaluates an earlier version), Publish fails
+// and never stages the canary.
+func TestPublishGateRefusalStagesNothing(t *testing.T) {
+	st, ds, factory := testState(t)
+	reg := telemetry.New()
+	s := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory, Metrics: reg})
+	ctrl := rollout.New(s, reg, nil, rollout.Config{Fraction: 0.5, MinLabeled: 1 << 20, MinScores: 1 << 20})
+	s.SetRollout(ctrl)
+
+	if v, canary, err := s.Publish(cloneState(st, factory()), 2, 0, nil); err != nil || !canary || v != 2 {
+		t.Fatalf("Publish v2 = (%d, canary %v, %v)", v, canary, err)
+	}
+	// Drop v2 behind the gate's back: the view has no canary, but the
+	// gate still evaluates v2 and refuses to begin another.
+	if err := s.RollbackCanary(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Publish(cloneState(st, factory()), 3, 0, nil); err == nil {
+		t.Fatal("Publish v3 accepted while the gate still evaluates v2")
+	}
+	if inc, can := s.Versions(); inc != 1 || can != 0 {
+		t.Fatalf("Versions after refusal = (%d, %d), want (1, 0)", inc, can)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"mamdr_serve_canary_version 0\n",
+		`mamdr_serve_publish_total{outcome="rejected"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 // TestUpstreamSourcedPublishWithChaos covers the "source":"upstream"
 // publish path and the serving-side fault injector: the first snapshot
 // pull and the first path load are injected to fail (422, loudly), then

@@ -136,73 +136,46 @@ func (e *ChromeExporter) Close() error {
 	return f.Close()
 }
 
-// --- JSONL ---
+// --- event log ---
 
-// JSONLExporter is a Sink that streams one JSON object per completed
-// span — append-only, crash-tolerant (every line written is complete),
-// and greppable.
-type JSONLExporter struct {
-	mu     sync.Mutex
-	w      io.Writer
-	closer io.Closer
-}
-
-// NewJSONLExporter streams span lines to w.
-func NewJSONLExporter(w io.Writer) *JSONLExporter { return &JSONLExporter{w: w} }
-
-// OpenJSONLExporter appends span lines to the file at path.
-func OpenJSONLExporter(path string) (*JSONLExporter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("trace: open span log: %w", err)
+// LogSink is a Sink that writes one "span" event per completed span
+// through Log — in the programs a telemetry.EventLog, whose size-based
+// rotation bounds the file of a process that never exits. Each event
+// carries the span's name, trace/span/parent ids, start, dur_us,
+// remote, and its attributes.
+type LogSink struct {
+	Log interface {
+		Log(name string, fields map[string]any)
 	}
-	return &JSONLExporter{w: f, closer: f}, nil
 }
 
-// Record implements Sink. Marshal failures are dropped — tracing must
-// never take down the traced process.
-func (e *JSONLExporter) Record(s *Span) {
+// Record implements Sink.
+func (l LogSink) Record(s *Span) {
 	rec := map[string]any{
 		"name":   s.Name,
 		"trace":  fmt.Sprintf("%016x", s.TraceID),
 		"span":   fmt.Sprintf("%016x", s.ID),
 		"parent": fmt.Sprintf("%016x", s.ParentID),
-		"start":  s.start.UTC().Format("2006-01-02T15:04:05.000000Z"),
-		"dur_us": s.dur.Microseconds(),
+		"start":  s.Start().UTC().Format("2006-01-02T15:04:05.000000Z"),
+		"dur_us": s.Duration().Microseconds(),
 	}
 	if s.Remote {
 		rec["remote"] = true
 	}
-	for _, a := range s.attrs {
+	for _, a := range s.Attrs() {
 		rec[a.Key] = a.Value
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.w.Write(line)
-	e.w.Write([]byte{'\n'})
-}
-
-// Close closes the underlying file when the exporter owns one.
-func (e *JSONLExporter) Close() error {
-	if e.closer == nil {
-		return nil
-	}
-	return e.closer.Close()
+	l.Log.Log("span", rec)
 }
 
 // --- bounded in-memory collection (capture windows, tests) ---
 
 // Collector is a Sink that retains completed spans in memory up to a
-// cap (default 1<<17), dropping and counting the overflow.
+// cap (default 1<<17), dropping the overflow.
 type Collector struct {
-	mu      sync.Mutex
-	spans   []*Span
-	max     int
-	dropped int
+	mu    sync.Mutex
+	spans []*Span
+	max   int
 }
 
 // NewCollector retains at most max spans (<= 0 means the default).
@@ -218,8 +191,6 @@ func (c *Collector) Record(s *Span) {
 	c.mu.Lock()
 	if len(c.spans) < c.max {
 		c.spans = append(c.spans, s)
-	} else {
-		c.dropped++
 	}
 	c.mu.Unlock()
 }
@@ -230,11 +201,4 @@ func (c *Collector) Spans() []*Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.spans
-}
-
-// Dropped returns how many spans overflowed the cap.
-func (c *Collector) Dropped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
 }

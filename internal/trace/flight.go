@@ -15,8 +15,7 @@ import (
 //
 // Each anomaly kind dumps at most once per recorder lifetime (a NaN
 // loss repeats every subsequent step; one dump of the run-up is the
-// signal, a thousand identical dumps are noise). Rearm re-enables a
-// kind after the dump has been collected.
+// signal, a thousand identical dumps are noise).
 //
 // Trigger's signature matches telemetry's AnomalySink interface, so a
 // recorder can be handed directly to telemetry.NewLossWatch without
@@ -94,7 +93,7 @@ func (f *FlightRecorder) snapshotLocked() []*Span {
 
 // Trigger fires an anomaly of the given kind: the ring buffer is
 // dumped exactly once per kind (later triggers of the same kind are
-// dropped until Rearm). fields annotate the dump's anomaly marker;
+// dropped). fields annotate the dump's anomaly marker;
 // the keys "trace_id" and "span_id" (uint64), when present, identify
 // the span that tripped the detector so the dump marks it.
 //
@@ -173,15 +172,4 @@ func (f *FlightRecorder) Dumps() []Dump {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]Dump(nil), f.dumps...)
-}
-
-// Rearm re-enables dumping for an anomaly kind after its dump has
-// been collected.
-func (f *FlightRecorder) Rearm(kind string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	delete(f.fired, kind)
-	f.mu.Unlock()
 }

@@ -10,8 +10,9 @@
 // the call even across a real socket.
 //
 // Completed spans flow to pluggable Sinks: a Chrome trace-event JSON
-// exporter (loadable in Perfetto or chrome://tracing), an append-only
-// JSONL exporter, a bounded in-memory Collector (behind the
+// exporter (loadable in Perfetto or chrome://tracing), a LogSink that
+// writes one event per span to an event log, a bounded in-memory
+// Collector (behind the
 // /debug/trace capture handler), and the FlightRecorder — a ring
 // buffer of the most recent spans that dumps itself to disk when an
 // anomaly fires (NaN loss, loss spike, RPC error, serve-pool

@@ -124,15 +124,18 @@ smoke-obs:
 	@echo "ok: faulted run fired, clean run quiet"
 
 # One serving process with streaming
-# model-quality tracking, observed by mamdr-obs. Matched traffic
+# model-quality tracking, serving the checkpoint (and its validation
+# baseline) that mamdr-train -save wrote, observed by mamdr-obs. Matched traffic
 # (val+test replayed with true labels) must fire no alert; drifted
 # traffic (fixed items, inverted labels) must burn the quality SLOs and
 # flip /quality to no-go.
 smoke-quality:
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-serve ./cmd/mamdr-obs ./cmd/datagen
+	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/mamdr-obs ./cmd/datagen
 	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 3000 -seed 11 -out /tmp/quality-ds.json
-	/tmp/mamdr-bin/mamdr-serve -preset amazon-6 -samples 3000 -seed 11 -epochs 8 \
-		-addr 127.0.0.1:8085 -access-log off \
+	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 3000 -seed 11 -epochs 8 \
+		-save /tmp/quality.ckpt >/tmp/quality-train.log 2>&1
+	/tmp/mamdr-bin/mamdr-serve -preset amazon-6 -samples 3000 -seed 11 \
+		-checkpoint /tmp/quality.ckpt -addr 127.0.0.1:8085 -access-log off \
 		>/tmp/quality-serve.log 2>&1 & echo $$! > /tmp/quality-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8085/healthz >/dev/null 2>&1 && break; \
 		kill -0 `cat /tmp/quality-serve.pid` || { cat /tmp/quality-serve.log; exit 1; }; sleep 1; done
@@ -174,7 +177,10 @@ smoke-quality:
 # auto-roll-back with zero client-visible errors (the driver fails on
 # any non-2xx), only the promoted snapshot may be announced as the
 # incumbent, the incumbent must keep serving afterwards, and the
-# rollback must burn the rollout-rollbacks SLO in mamdr-obs. A final
+# rollback must burn the rollout-rollbacks SLO in mamdr-obs. Its access
+# log goes to a file through the rotating event log: once the server
+# has drained, the file must hold one JSON line, carrying a request_id,
+# per request the server counted (plus the last /metrics read). A final
 # restart with an injected serve-path fault proves the chaos schedule
 # reaches /predict and is contained to one request.
 smoke-rollout:
@@ -185,8 +191,9 @@ smoke-rollout:
 	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -samples 2000 -seed 7 -epochs 4 \
 		-flip-labels -save /tmp/rollout-poison.ckpt >>/tmp/rollout-train.log 2>&1
 	grep 'flip-labels' /tmp/rollout-train.log
+	rm -f /tmp/rollout-access.jsonl*
 	/tmp/mamdr-bin/mamdr-serve -preset taobao-10 -samples 2000 -seed 7 \
-		-checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8086 -access-log off \
+		-checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8086 -access-log /tmp/rollout-access.jsonl \
 		-canary-fraction 0.5 -rollout-min-labeled 48 -rollout-min-scores 64 \
 		-rollout-max-wait 2m \
 		>/tmp/rollout-serve.log 2>&1 & echo $$! > /tmp/rollout-serve.pid
@@ -212,12 +219,20 @@ smoke-rollout:
 	grep 'canary v3 at 50%' /tmp/rollout-canary-readyz.txt
 	grep -E 'rollout_decision=rollback version=3 reason=(psi|auc|logloss)' /tmp/rollout-serve.log
 	curl -sf 127.0.0.1:8086/readyz | grep 'ready v2 crc='
-	curl -s 127.0.0.1:8086/metrics | grep -E 'mamdr_rollout_decisions_total\{decision="rollback"'
+	curl -s 127.0.0.1:8086/metrics > /tmp/rollout-metrics.txt
+	grep -E 'mamdr_rollout_decisions_total\{decision="rollback"' /tmp/rollout-metrics.txt
 	grep -E 'alerts_fired=[1-9]' /tmp/rollout-obs.txt
 	grep '"slo":"rollout-rollbacks"' /tmp/rollout-events.jsonl >/dev/null
 	grep 'snapshot v2 .* is now the incumbent' /tmp/rollout-serve.log
 	test "$$(grep -c 'is now the incumbent' /tmp/rollout-serve.log)" = 1
 	kill `cat /tmp/rollout-serve.pid`
+	while kill -0 `cat /tmp/rollout-serve.pid` 2>/dev/null; do sleep 0.2; done
+	python3 -c "import json, re; \
+		recs = [json.loads(l) for l in open('/tmp/rollout-access.jsonl')]; \
+		assert all(r['msg'] == 'request' and r['request_id'] for r in recs), 'access-log line without request_id'; \
+		n = sum(int(v) for v in re.findall(r'^mamdr_serve_requests_total\{[^}]*\} (\d+)$$', open('/tmp/rollout-metrics.txt').read(), re.M)); \
+		assert len(recs) == n + 1, ('access-log lines', len(recs), 'requests counted', n); \
+		print('ok: access log holds one line per request:', len(recs))"
 	/tmp/mamdr-bin/mamdr-serve -preset taobao-10 -samples 2000 -seed 7 \
 		-checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8087 -access-log off \
 		-rollout=false -serve-faults 'Predict:err@1' \

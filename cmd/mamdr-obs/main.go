@@ -45,10 +45,8 @@ func main() {
 		once     = flag.Bool("once", false, "one scrape round: print the federated exposition to stdout and exit")
 		sloFast  = flag.Bool("slo-fast", false, "shrink every SLO burn window to seconds (CI and demos: alerts fire within one scrape round of a fault)")
 
-		eventsPath     = flag.String("events", "", "append JSONL observer events (scrape errors, slo_burn, slo_clear) to this file")
-		eventsMaxBytes = flag.Int64("events-max-bytes", 0, "rotate the -events file after it reaches this size (0 = never rotate)")
-		eventsKeep     = flag.Int("events-keep", 3, "rotated -events segments to keep (with -events-max-bytes)")
-		flightDump     = flag.String("flight-dump", "", "flight-recorder dump path prefix written when an SLO alert fires")
+		eventsPath = flag.String("events", "", "append JSONL observer events (scrape errors, slo_burn, slo_clear) to this file, rotated at 64 MiB with 3 segments kept")
+		flightDump = flag.String("flight-dump", "", "flight-recorder dump path prefix written when an SLO alert fires")
 
 		profileDir      = flag.String("profile-dir", "", "continuous profiling: keep a ring of CPU+heap pprof profiles in this directory")
 		profileInterval = flag.Duration("profile-interval", 30*time.Second, "continuous-profiling capture cadence (with -profile-dir)")
@@ -65,8 +63,7 @@ func main() {
 
 	var events *telemetry.EventLog
 	if *eventsPath != "" {
-		events, err = telemetry.OpenEventLog(*eventsPath,
-			telemetry.Rotation{MaxBytes: *eventsMaxBytes, Keep: *eventsKeep})
+		events, err = telemetry.OpenEventLog(*eventsPath)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,9 +1,12 @@
-// Command mamdr-serve trains (or loads) a MAMDR state and serves click
-// predictions over HTTP — the serving side of the paper's MDR platform.
+// Command mamdr-serve loads a MAMDR state — a checkpoint mamdr-train
+// -save wrote, or a running shard cluster's parameters — and serves
+// click predictions over HTTP: the serving side of the paper's MDR
+// platform. It never trains.
 //
 // Usage:
 //
-//	mamdr-serve -preset taobao-10 -epochs 10 -addr :8080
+//	mamdr-train -preset taobao-10 -epochs 10 -save model.ckpt
+//	mamdr-serve -preset taobao-10 -checkpoint model.ckpt -addr :8080
 //	curl -XPOST localhost:8080/predict -d '{"domain":0,"users":[1,2],"items":[3,4]}'
 //	curl -XPOST localhost:8080/domains          # register a new domain
 //	curl localhost:8080/metrics                 # Prometheus exposition
@@ -15,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -48,16 +52,15 @@ func main() {
 	log.SetPrefix("mamdr-serve: ")
 
 	var (
-		preset        = flag.String("preset", "taobao-10", "benchmark preset to train on")
+		preset        = flag.String("preset", "taobao-10", "benchmark preset the state was trained on")
 		samples       = flag.Int("samples", 8000, "dataset scale")
 		model         = flag.String("model", "mlp", "model structure")
-		epochs        = flag.Int("epochs", 10, "training epochs before serving")
 		seed          = flag.Int64("seed", 1, "random seed")
 		addr          = flag.String("addr", ":8080", "listen address")
 		replicas      = flag.Int("replicas", 0, "forward passes that run at once: the request scheduler's slots, one model replica each (0 = GOMAXPROCS)")
 		kernelThreads = flag.Int("kernel-threads", 1, "goroutines per math kernel (0 = GOMAXPROCS; serving defaults to 1 so concurrency comes from -replicas, not intra-op fan-out)")
 		timeout       = flag.Duration("timeout", 5*time.Second, "per-request deadline: a prediction still waiting for a forward slot when it passes gets 503 + Retry-After")
-		checkpoint    = flag.String("checkpoint", "", "load a state saved with core.State.Save instead of training")
+		checkpoint    = flag.String("checkpoint", "", "load the state (and its quality baseline) that mamdr-train -save wrote")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 		embDim        = flag.Int("emb", 8, "embedding dimension (must match the cluster's -emb when -ps-addrs is set)")
 		psAddrs       = flag.String("ps-addrs", "", "comma-separated shard-server addresses (replicas of one shard joined with '|'): load the shared parameters from the running cluster and report its connectivity in /readyz")
@@ -73,7 +76,6 @@ func main() {
 		tracePath   = flag.String("trace", "", "stream per-request spans as JSONL \"span\" events to this file, rotated at 64 MiB with 3 segments kept (use GET /debug/trace?sec=N for a Chrome/Perfetto capture)")
 		traceSample = flag.Float64("trace-sample", 1, "fraction of request root spans to record (0..1)")
 		flightDump  = flag.String("flight-dump", "", "flight-recorder dump path prefix for anomalies such as pool saturation (default <trace>.flight when -trace is set)")
-		withTrace   = flag.Bool("tracing", true, "enable request tracing and /debug/trace capture-on-demand")
 
 		profileDir      = flag.String("profile-dir", "", "continuous profiling: keep a ring of CPU+heap pprof profiles in this directory")
 		profileInterval = flag.Duration("profile-interval", 30*time.Second, "continuous-profiling capture cadence (with -profile-dir)")
@@ -90,6 +92,9 @@ func main() {
 		snapshotQuant = flag.String("snapshot-quant", "off", `serving-snapshot embedding storage: "off" (float64) or "int8" (symmetric-per-row quantized tables, each gathered row decoded on lookup)`)
 	)
 	flag.Parse()
+	if *checkpoint == "" && *psAddrs == "" {
+		log.Fatal("nothing to serve: give -checkpoint (a state mamdr-train -save wrote) or -ps-addrs (a running shard cluster)")
+	}
 	kernels.SetThreads(*kernelThreads)
 
 	ds, err := mamdr.GenerateDatasetErr(mamdr.DatasetSpec{Preset: *preset, TotalSamples: *samples, Seed: *seed})
@@ -97,7 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	state, err := startState(ds, *model, *embDim, *epochs, *seed, *checkpoint == "" && *psAddrs == "")
+	state, err := startState(ds, *model, *embDim, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -134,23 +139,18 @@ func main() {
 	// Tracing: per-request spans with an optional JSONL stream; the
 	// flight recorder dumps recent spans when a prediction times out in
 	// the scheduler. Capture-on-demand Chrome JSON lives at /debug/trace.
-	var tracer *trace.Tracer
-	if *withTrace || *tracePath != "" || *flightDump != "" {
-		if *tracePath != "" && *flightDump == "" {
-			*flightDump = *tracePath + ".flight"
+	if *tracePath != "" && *flightDump == "" {
+		*flightDump = *tracePath + ".flight"
+	}
+	tracer := trace.New(trace.Options{Sample: *traceSample, FlightPath: *flightDump})
+	if *tracePath != "" {
+		spans, err := telemetry.OpenEventLog(*tracePath)
+		if err != nil {
+			log.Fatal(err)
 		}
-		tracer = trace.New(trace.Options{Sample: *traceSample, FlightPath: *flightDump})
-		if *tracePath != "" {
-			// The server never exits, so the span log rotates at 64 MiB
-			// and keeps the default three rotated segments.
-			spans, err := telemetry.OpenEventLog(*tracePath, telemetry.Rotation{MaxBytes: 64 << 20})
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer spans.Close()
-			tracer.AddSink(trace.LogSink{Log: spans})
-			log.Printf("streaming spans to %s", *tracePath)
-		}
+		defer spans.Close()
+		tracer.AddSink(trace.LogSink{Log: spans})
+		log.Printf("streaming spans to %s", *tracePath)
 	}
 
 	// Continuous profiling: bounded pprof ring, flushed next to the
@@ -161,17 +161,15 @@ func main() {
 			log.Fatal(err)
 		}
 		go prof.Run(context.Background())
-		if tracer != nil {
-			tracer.Flight().SetOnDump(func(d trace.Dump) {
-				prof.DumpTo(filepath.Join(*profileDir, "flight-"+d.Kind))
-			})
-		}
+		tracer.Flight().SetOnDump(func(d trace.Dump) {
+			prof.DumpTo(filepath.Join(*profileDir, "flight-"+d.Kind))
+		})
 		log.Printf("continuous profiling to %s every %s", *profileDir, *profileInterval)
 	}
 
 	// Model-quality tracking: the drift baseline comes from the
-	// checkpoint envelope when one is loaded; otherwise it is profiled
-	// from the validation split of the model this process just trained.
+	// checkpoint envelope when one is loaded; a state loaded from a
+	// cluster is profiled on the validation split.
 	// A pre-quality (v2) checkpoint carries no baseline — serving
 	// continues with drift detection disabled, logged and counted.
 	var tracker *quality.Tracker
@@ -199,7 +197,6 @@ func main() {
 		log.Printf("serving-path fault injection armed: %s (seed %d)", *serveFaults, *seed)
 	}
 
-	publishInfo := obsv.SnapshotInfoPublisher(reg, "serve")
 	srv := serve.NewWithOptions(state, ds, serve.Options{
 		Replicas:        *replicas,
 		RequestTimeout:  *timeout,
@@ -217,7 +214,6 @@ func main() {
 		BatchMax:        *batchMax,
 		SnapshotQuant:   *snapshotQuant,
 		OnSwap: func(version uint64, crc uint32) {
-			publishInfo(version, crc)
 			log.Printf("snapshot v%d (crc %08x) is now the incumbent", version, crc)
 		},
 		// Replicas mirror the trained model's structure (same Config,
@@ -227,7 +223,6 @@ func main() {
 			return models.MustNew(*model, models.Config{Dataset: ds, EmbDim: *embDim, Seed: *seed})
 		},
 	})
-	publishInfo(1, initialCRC)
 	if *batchMax > 0 {
 		log.Printf("request coalescing on: batches of up to %d rows, formed only while every replica is busy", *batchMax)
 	}
@@ -311,9 +306,10 @@ func main() {
 }
 
 // openAccessLog resolves the -access-log destination to a JSON slog
-// logger, or nil when disabled.
+// logger, or nil when disabled. A file rotates like every other log
+// file the programs append to.
 func openAccessLog(dest string) (*slog.Logger, error) {
-	var w *os.File
+	var w io.Writer
 	switch dest {
 	case "", "off", "none":
 		return nil, nil
@@ -322,44 +318,28 @@ func openAccessLog(dest string) (*slog.Logger, error) {
 	case "stdout":
 		w = os.Stdout
 	default:
-		f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		el, err := telemetry.OpenEventLog(dest)
 		if err != nil {
 			return nil, fmt.Errorf("access log: %w", err)
 		}
-		w = f
+		w = el
 	}
 	return slog.New(slog.NewJSONHandler(w, nil)), nil
 }
 
-// startState is the state serving starts from: with train, an -epochs
-// fit. Otherwise a -checkpoint or -ps-addrs is about to replace its
-// parameters, so no fit runs and it is a fresh model with every θ_i
-// zero — each domain served with the shared parameters, as a domain
+// startState is the state serving starts from before a -checkpoint or
+// -ps-addrs replaces its parameters: a fresh model with every θ_i zero
+// — each domain served with the shared parameters, as a domain
 // registered at runtime is.
-func startState(ds *mamdr.Dataset, model string, embDim, epochs int, seed int64, train bool) (*core.State, error) {
-	if !train {
-		m, err := models.New(model, models.Config{Dataset: ds, EmbDim: embDim, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		st := &core.State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
-		for range ds.Domains {
-			st.AddDomain()
-		}
-		return st, nil
-	}
-	res, err := mamdr.Train(mamdr.TrainSpec{
-		Dataset: ds, Model: model, Framework: "mamdr",
-		Epochs: epochs, EmbDim: embDim, Seed: seed,
-	})
+func startState(ds *mamdr.Dataset, model string, embDim int, seed int64) (*core.State, error) {
+	m, err := models.New(model, models.Config{Dataset: ds, EmbDim: embDim, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	st, ok := res.Predictor.(*core.State)
-	if !ok {
-		return nil, fmt.Errorf("predictor is %T, want *core.State", res.Predictor)
+	st := &core.State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
+	for range ds.Domains {
+		st.AddDomain()
 	}
-	log.Printf("trained %s on %s: mean test AUC %.4f", model, ds.Name, res.MeanTestAUC)
 	return st, nil
 }
 

@@ -38,7 +38,7 @@ func TestPSAddrsServesClusterSharedWithZeroSpecific(t *testing.T) {
 		shards = append(shards, strings.Join(reps, "|"))
 	}
 
-	st, err := startState(ds, model, embDim, 10, seed, false)
+	st, err := startState(ds, model, embDim, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,9 @@ func main() {
 
 		kernelThreads = flag.Int("kernel-threads", 0, "compute parallelism cap: goroutines per math kernel, or DR workers during a DR phase (0 = GOMAXPROCS; results are bit-identical at any setting)")
 
-		metricsAddr    = flag.String("metrics-addr", "", "serve Prometheus /metrics on this address during training (e.g. :9090)")
-		metricsLinger  = flag.Duration("metrics-linger", 0, "keep /metrics up this long after training (for a final scrape)")
-		eventsPath     = flag.String("events", "", "append one JSONL event per epoch to this file")
-		eventsMaxBytes = flag.Int64("events-max-bytes", 0, "rotate the -events file after it reaches this size (0 = never rotate)")
-		eventsKeep     = flag.Int("events-keep", 3, "rotated -events segments to keep (with -events-max-bytes)")
+		metricsAddr   = flag.String("metrics-addr", "", "serve Prometheus /metrics on this address during training (e.g. :9090)")
+		metricsLinger = flag.Duration("metrics-linger", 0, "keep /metrics up this long after training (for a final scrape)")
+		eventsPath    = flag.String("events", "", "append one JSONL event per epoch to this file, rotated at 64 MiB with 3 segments kept")
 
 		profileDir      = flag.String("profile-dir", "", "continuous profiling: keep a ring of CPU+heap pprof profiles in this directory")
 		profileInterval = flag.Duration("profile-interval", 30*time.Second, "continuous-profiling capture cadence (with -profile-dir)")
@@ -171,8 +169,7 @@ func main() {
 	}
 	var events *telemetry.EventLog
 	if *eventsPath != "" {
-		events, err = telemetry.OpenEventLog(*eventsPath,
-			telemetry.Rotation{MaxBytes: *eventsMaxBytes, Keep: *eventsKeep})
+		events, err = telemetry.OpenEventLog(*eventsPath)
 		if err != nil {
 			log.Fatal(err)
 		}

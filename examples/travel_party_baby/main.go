@@ -16,7 +16,6 @@ import (
 
 	"mamdr"
 	"mamdr/internal/data"
-	"mamdr/internal/framework"
 	"mamdr/internal/synth"
 )
 
@@ -81,6 +80,4 @@ func main() {
 	b := ds.FullBatch(2, data.Val)
 	probs := ours.Predictor.Predict(b)
 	fmt.Printf("baby domain val predictions still served: %d scores, first=%.3f\n", len(probs), probs[0])
-
-	_ = framework.Keys // keep the import for the doc pointer below
 }

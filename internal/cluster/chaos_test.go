@@ -42,7 +42,6 @@ func (k *killAfter) PushDelta(ctx context.Context, d ps.Delta) {
 	k.tick()
 	k.base.PushDelta(ctx, d)
 }
-func (k *killAfter) Counters() ps.Counters { return k.base.Counters() }
 
 // TestShardFailoverMatchesCleanRun is the replicated-shard guarantee:
 // with two replicas per shard, one shard's primary dying mid-training

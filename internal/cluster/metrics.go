@@ -10,11 +10,11 @@ import (
 // Metrics mirrors the router's scatter-gather activity into a telemetry
 // registry as per-shard time series: pull/push latency, floats moved,
 // replicas condemned and replica failovers per shard, plus the partition
-// plan's static load figures (per-shard element counts and the
-// imbalance gauge). Like ps.Metrics, every method is nil-receiver-safe,
-// so the uninstrumented path costs nothing.
+// plan's static load (per-shard element counts; the imbalance, their
+// max over their mean, is in the plan line the trainers log). Like
+// ps.Metrics, every method is nil-receiver-safe, so the uninstrumented
+// path costs nothing.
 type Metrics struct {
-	imbalance *telemetry.Gauge
 	elements  *telemetry.Family[telemetry.Gauge]     // by shard
 	latency   *telemetry.Family[telemetry.Histogram] // by shard, op: seconds
 	floats    *telemetry.Family[telemetry.Counter]   // by shard, op: floats moved
@@ -29,8 +29,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		imbalance: reg.Gauge("mamdr_cluster_imbalance_ratio",
-			"Largest shard's element count over the mean (1.0 = perfectly balanced partition plan)."),
 		elements: reg.GaugeFamily("mamdr_cluster_shard_elements",
 			"Float64 elements owned by each parameter-server shard under the partition plan.", "shard"),
 		latency: reg.HistogramFamily("mamdr_cluster_shard_op_seconds",
@@ -45,13 +43,12 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	}
 }
 
-// BindPlan exports the partition plan's static load shape: the
-// imbalance gauge and one element-count gauge per shard.
+// BindPlan exports the partition plan's static load shape: one
+// element-count gauge per shard.
 func (m *Metrics) BindPlan(p ps.Plan) {
 	if m == nil {
 		return
 	}
-	m.imbalance.Set(p.Imbalance())
 	for sh := 0; sh < p.NumShards; sh++ {
 		m.elements.With(strconv.Itoa(sh)).Set(float64(p.Elements(sh)))
 	}

@@ -36,7 +36,7 @@ import (
 // Options configures a Router.
 type Options struct {
 	// Metrics, when non-nil, records per-shard latency/volume/failover
-	// series and the plan's imbalance gauge.
+	// series and the plan's per-shard element counts.
 	Metrics *Metrics
 	// Tracer, when non-nil, receives shard_failover flight-recorder
 	// triggers; fan-out spans parent to the caller's context regardless.
@@ -416,7 +416,8 @@ func (r *Router) PushDelta(ctx context.Context, d ps.Delta) {
 	atomic.AddInt64(&r.counters.floats, int64(denseFloats+rowFloats))
 }
 
-// Counters implements ps.Store. The tallies are logical (router-level):
+// Counters is the router's traffic tally, the source the trainer reads
+// traffic from. The tallies are logical (router-level):
 // one dense pull per PullDense regardless of how many shards it
 // scattered to, so sharded and unsharded runs report the same
 // synchronization-overhead numbers.

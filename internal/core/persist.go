@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"mamdr/internal/autograd"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/quality"
@@ -284,17 +285,12 @@ func (s *State) load(path string, outer optim.Optimizer) (ck Checkpoint, env Env
 		return ck, env, fmt.Errorf("core: checkpoint is for model %q, state has %q", ck.ModelName, s.Model.Name())
 	}
 	params := s.Model.Parameters()
-	if len(ck.Shared) != len(params) {
-		return ck, env, fmt.Errorf("core: checkpoint has %d shared segments, model has %d tensors", len(ck.Shared), len(params))
-	}
-	for i, p := range params {
-		if len(ck.Shared[i]) != len(p.Data) {
-			return ck, env, fmt.Errorf("core: shared segment %d has %d values, tensor has %d", i, len(ck.Shared[i]), len(p.Data))
-		}
+	if err := fits(ck.Shared, params); err != nil {
+		return ck, env, fmt.Errorf("core: shared vector: %w", err)
 	}
 	for d, v := range ck.Specific {
-		if len(v) != len(params) {
-			return ck, env, fmt.Errorf("core: specific vector %d misaligned", d)
+		if err := fits(v, params); err != nil {
+			return ck, env, fmt.Errorf("core: specific vector %d: %w", d, err)
 		}
 	}
 	s.Shared = ck.Shared
@@ -310,4 +306,18 @@ func (s *State) load(path string, outer optim.Optimizer) (ck Checkpoint, env Env
 		}
 	}
 	return ck, env, nil
+}
+
+// fits reports whether v has one segment per tensor, each of the
+// tensor's size.
+func fits(v paramvec.Vector, params []*autograd.Tensor) error {
+	if len(v) != len(params) {
+		return fmt.Errorf("%d segments, model has %d tensors", len(v), len(params))
+	}
+	for i, p := range params {
+		if len(v[i]) != len(p.Data) {
+			return fmt.Errorf("segment %d has %d values, tensor has %d", i, len(v[i]), len(p.Data))
+		}
+	}
+	return nil
 }

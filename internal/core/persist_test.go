@@ -12,6 +12,7 @@ import (
 	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/optim"
+	"mamdr/internal/paramvec"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -57,6 +58,28 @@ func TestLoadRejectsWrongModel(t *testing.T) {
 	other := &State{Model: models.MustNew("wdl", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{16, 8}, Seed: 5})}
 	if err := other.Load(path); err == nil {
 		t.Fatal("expected model-name mismatch error")
+	}
+}
+
+// TestLoadRejectsMisfitSpecific: a checkpoint whose θ_i segment is one
+// entry short of its tensor is refused at load, as a short θ_S segment
+// is, instead of booting a server that panics on the domain's first
+// request.
+func TestLoadRejectsMisfitSpecific(t *testing.T) {
+	ds := testDataset(t, 0.5)
+	m := testModel(t, ds)
+	ck := Checkpoint{ModelName: m.Name(), Shared: paramvec.Snapshot(m.Parameters()), Epoch: -1}
+	for range ds.Domains {
+		ck.Specific = append(ck.Specific, ck.Shared.Zero())
+	}
+	last := len(ck.Specific[1]) - 1
+	ck.Specific[1][last] = ck.Specific[1][last][:len(ck.Specific[1][last])-1]
+	path := filepath.Join(t.TempDir(), "misfit.ckpt")
+	if err := SaveGob(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&State{Model: testModel(t, ds)}).Load(path); err == nil {
+		t.Fatal("a checkpoint with a short θ_i segment loaded without error")
 	}
 }
 

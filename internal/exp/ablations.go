@@ -8,6 +8,7 @@ import (
 	"mamdr/internal/core"
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
+	"mamdr/internal/metrics"
 	"mamdr/internal/models"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
@@ -39,7 +40,7 @@ func AblationDNOrder(s Scale) *Table {
 			core.DomainNegotiationEpochOpt(st, ds, cfg, outer, rng, fixed)
 		}
 		paramvec.Restore(params, st.Shared)
-		return meanAUCOf(framework.EvaluateAUC(st, ds, data.Test))
+		return metrics.Mean(framework.EvaluateAUC(st, ds, data.Test))
 	}
 	avg := func(fixed bool) float64 {
 		var sum float64
@@ -83,7 +84,7 @@ func AblationDROrder(s Scale) *Table {
 		for e := 0; e < 2; e++ {
 			core.DomainRegularizationPhase(st, ds, seedCfg, rng, opts)
 		}
-		return meanAUCOf(framework.EvaluateAUC(st, ds, data.Test))
+		return metrics.Mean(framework.EvaluateAUC(st, ds, data.Test))
 	}
 	avg := func(opts core.DROptions) float64 {
 		var sum float64
@@ -116,7 +117,7 @@ func AblationCache(s Scale) *Table {
 			Workers: 4, Epochs: s.Epochs, Seed: s.Seed, CacheEnabled: cache,
 			BatchSize: s.BatchSize,
 		})
-		return meanAUCOf(framework.EvaluateAUC(res.State, ds, data.Test)), res.Counters
+		return metrics.Mean(framework.EvaluateAUC(res.State, ds, data.Test)), res.Counters
 	}
 
 	t := &Table{

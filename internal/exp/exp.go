@@ -15,7 +15,6 @@ import (
 	_ "mamdr/internal/core" // register dn/dr/mamdr frameworks
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
-	"mamdr/internal/metrics"
 	"mamdr/internal/models"
 	"mamdr/internal/synth"
 )
@@ -179,6 +178,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(out)
 	return out
 }
-
-// meanAUCOf averages per-domain AUCs.
-func meanAUCOf(aucs []float64) float64 { return metrics.Mean(aucs) }

@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"mamdr/internal/data"
-	"mamdr/internal/framework"
 	"mamdr/internal/metrics"
-	"mamdr/internal/models"
 	"mamdr/internal/synth"
 )
 
@@ -128,7 +126,7 @@ func TableV(s Scale) *Table {
 		for _, ds := range dss {
 			perDomain := results[ds.Name]
 			ranks := metrics.RankAmong(perDomain)
-			row = append(row, f4(meanAUCOf(perDomain[m.display])), f1(ranks[m.display]))
+			row = append(row, f4(metrics.Mean(perDomain[m.display])), f1(ranks[m.display]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -176,7 +174,7 @@ func TableVI(s Scale) *Table {
 	for _, v := range ablationVariants {
 		row := []string{v.display}
 		for _, ds := range dss {
-			row = append(row, f4(meanAUCOf(results[ds.Name][v.display])))
+			row = append(row, f4(metrics.Mean(results[ds.Name][v.display])))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -267,7 +265,7 @@ func TableVIII(s Scale) *Table {
 			s.IndustryDomains, s.IndustrySamples)},
 	}
 	for _, m := range tableVIIIMethods {
-		t.Rows = append(t.Rows, []string{m.display, f4(meanAUCOf(results[m.display]))})
+		t.Rows = append(t.Rows, []string{m.display, f4(metrics.Mean(results[m.display]))})
 	}
 	return t
 }
@@ -366,7 +364,7 @@ func TableX(s Scale) *Table {
 	for _, m := range tableXModels {
 		row := []string{m.display}
 		for _, fw := range tableXFrameworks {
-			row = append(row, f4(meanAUCOf(results[m.display+"/"+fw.display])))
+			row = append(row, f4(metrics.Mean(results[m.display+"/"+fw.display])))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -405,7 +403,7 @@ func Figure8(s Scale) *Table {
 	for _, k := range ks {
 		var sum float64
 		for _, seed := range seeds {
-			sum += meanAUCOf(results[fmt.Sprintf("k=%d seed=%d", k, seed)])
+			sum += metrics.Mean(results[fmt.Sprintf("k=%d seed=%d", k, seed)])
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", k), f4(sum / float64(len(seeds)))})
 	}
@@ -461,7 +459,7 @@ func Figure9(s Scale) *Table {
 		for _, b := range betas {
 			var sum float64
 			for _, seed := range seeds {
-				sum += meanAUCOf(results[fmt.Sprintf("a=%g b=%g s=%d", a, b, seed)])
+				sum += metrics.Mean(results[fmt.Sprintf("a=%g b=%g s=%d", a, b, seed)])
 			}
 			row = append(row, f4(sum/float64(len(seeds))))
 		}
@@ -469,11 +467,3 @@ func Figure9(s Scale) *Table {
 	}
 	return t
 }
-
-// evalPredictor is a tiny helper for ad-hoc experiments.
-func evalPredictor(p framework.Predictor, ds *data.Dataset) []float64 {
-	return framework.EvaluateAUC(p, ds, data.Test)
-}
-
-var _ = evalPredictor // referenced by ablation experiments
-var _ = models.Names  // keep import

@@ -1,10 +1,8 @@
 package obsv
 
 import (
-	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
 
 	"mamdr/internal/autograd/kernels"
 	"mamdr/internal/telemetry"
@@ -32,34 +30,4 @@ func RegisterBuildInfo(reg *telemetry.Registry, role string) {
 		telemetry.L("threads", strconv.Itoa(kernels.Threads())),
 		telemetry.L("version", Version),
 	).Set(1)
-}
-
-// SnapshotInfoPublisher returns the hook a serving process calls every
-// time a snapshot becomes its incumbent (boot, publish, promote). The
-// identity lands as mamdr_snapshot_info{role,version,crc} = 1 — the
-// same labels-carry-the-information idiom as mamdr_build_info, so a
-// federated view can tell which replica serves which checkpoint during
-// a rollout. The previously published series is zeroed: exactly one
-// series per process is 1 at any time.
-func SnapshotInfoPublisher(reg *telemetry.Registry, role string) func(version uint64, crc uint32) {
-	if reg == nil {
-		return func(uint64, uint32) {}
-	}
-	var mu sync.Mutex
-	var prev *telemetry.Gauge
-	return func(version uint64, crc uint32) {
-		g := reg.Gauge("mamdr_snapshot_info",
-			"Serving snapshot identity of this process; constant 1, the information is in the labels.",
-			telemetry.L("crc", fmt.Sprintf("%08x", crc)),
-			telemetry.L("role", role),
-			telemetry.L("version", strconv.FormatUint(version, 10)),
-		)
-		mu.Lock()
-		if prev != nil && prev != g {
-			prev.Set(0)
-		}
-		prev = g
-		mu.Unlock()
-		g.Set(1)
-	}
 }

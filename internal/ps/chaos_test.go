@@ -94,7 +94,7 @@ func TestChaosDeterminismOverRPC(t *testing.T) {
 		injectors = append(injectors, inj)
 		return cl
 	}
-	faulty := TrainWithStore(factory, serving, base, base, ds, opts)
+	faulty := TrainWithStore(factory, serving, base, server, ds, opts)
 
 	var injected int64
 	for _, inj := range injectors {

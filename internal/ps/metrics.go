@@ -9,7 +9,7 @@ import (
 // Metrics mirrors parameter-server traffic into a telemetry registry as
 // live time series: the pull/push call and float counters that the ad
 // hoc Counters struct has always tallied, plus per-tensor row-sync
-// volume, the worker-side dynamic-cache hit/miss ratio, and the
+// volume, the worker-side dynamic-cache hits and misses, and the
 // distribution of row staleness (how many local batches a cached
 // embedding row went without re-pulling from the PS — the quantity the
 // paper's static/dynamic cache design bounds).
@@ -22,7 +22,6 @@ type Metrics struct {
 	rowPulls, rowPushes     *telemetry.Counter
 	floats                  *telemetry.Counter
 	cacheHits, cacheMisses  *telemetry.Counter
-	hitRatio                *telemetry.Gauge
 	staleness               *telemetry.Histogram
 
 	pushFailures    *telemetry.Counter // pushes that failed after retries
@@ -55,8 +54,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Embedding rows resolved from the worker dynamic cache without a PS round trip."),
 		cacheMisses: reg.Counter("mamdr_ps_cache_misses_total",
 			"Embedding rows that missed the dynamic cache and were pulled from the PS."),
-		hitRatio: reg.Gauge("mamdr_ps_cache_hit_ratio",
-			"Cumulative dynamic-cache hit ratio: hits / (hits + misses)."),
 		staleness: reg.Histogram("mamdr_ps_row_staleness_batches",
 			"Local mini-batches a cached embedding row aged between its PS pull and its delta push.",
 			telemetry.ExponentialBuckets(1, 2, 9)),
@@ -166,13 +163,11 @@ func (m *Metrics) observeRowPush(t, rows, n int) {
 
 // observeCacheResolve records one batch's embedding-row resolution.
 func (m *Metrics) observeCacheResolve(hits, misses int) {
-	if m == nil || hits+misses == 0 {
+	if m == nil {
 		return
 	}
 	m.cacheHits.Add(int64(hits))
 	m.cacheMisses.Add(int64(misses))
-	h, miss := float64(m.cacheHits.Value()), float64(m.cacheMisses.Value())
-	m.hitRatio.Set(h / (h + miss))
 }
 
 // observeStaleness records how many batches a row aged in the dynamic

@@ -262,8 +262,8 @@ func (p *Plan) ShardParams(params []*autograd.Tensor, sh int) []*autograd.Tensor
 func (p *Plan) Elements(sh int) int { return p.elements[sh] }
 
 // Imbalance is the load-balance figure of merit: the largest shard's
-// element count over the mean (1.0 = perfectly balanced). It is the
-// value the cluster telemetry exports as the imbalance gauge.
+// element count over the mean (1.0 = perfectly balanced), as the plan's
+// String reports it.
 func (p *Plan) Imbalance() float64 {
 	max, total := 0, 0
 	for _, e := range p.elements {

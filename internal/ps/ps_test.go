@@ -349,7 +349,7 @@ func TestRPCTransportEndToEnd(t *testing.T) {
 		t.Fatal("layout mismatch over RPC")
 	}
 
-	res := TrainWithStore(factory, serving, client, client, ds, Options{
+	res := TrainWithStore(factory, serving, client, server, ds, Options{
 		Workers: 2, Epochs: 10, Seed: 9, CacheEnabled: true,
 	})
 	auc := framework.MeanAUC(res.State, ds, data.Test)

@@ -148,12 +148,6 @@ func (l Layout) checkDelta(d Delta) error {
 	return nil
 }
 
-// Counters returns the traffic counters.
-func (s *RPCService) Counters(_ Nothing, reply *Counters) error {
-	*reply = s.server.Counters()
-	return nil
-}
-
 // Ping is the liveness probe: it answers as long as the server's RPC
 // loop is alive. Workers use it as a dedicated heartbeat when no data
 // call is in flight.
@@ -422,13 +416,6 @@ func (cl *Client) PullRows(ctx context.Context, tensor int, rows []int) [][]floa
 // delta silently.
 func (cl *Client) PushDelta(ctx context.Context, d Delta) {
 	cl.call(ctx, "PS.PushDelta", PushDeltaArgs{TC: trace.ContextOf(ctx), Delta: d}, &Nothing{})
-}
-
-// Counters implements Store.
-func (cl *Client) Counters() Counters {
-	var reply Counters
-	cl.call(context.Background(), "PS.Counters", Nothing{}, &reply)
-	return reply
 }
 
 // Ping probes server liveness through the retry policy, returning an

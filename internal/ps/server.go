@@ -142,8 +142,6 @@ type Store interface {
 	// full delta Θ̃−Θ, for embeddings only the touched rows' deltas. The
 	// server feeds -(delta) to its outer optimizer.
 	PushDelta(ctx context.Context, d Delta)
-	// Counters returns a snapshot of the traffic counters.
-	Counters() Counters
 }
 
 // Delta is one worker's outer-loop contribution.
@@ -367,7 +365,7 @@ func sortedKeys[V any](m map[int]V) []int {
 	return keys
 }
 
-// Counters implements Store.
+// Counters returns a snapshot of the server's traffic counters.
 func (s *Server) Counters() Counters {
 	return Counters{
 		DensePulls:  atomic.LoadInt64(&s.counters.densePulls),

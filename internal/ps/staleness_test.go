@@ -94,9 +94,6 @@ func (s *staleStore) PushDelta(ctx context.Context, d Delta) {
 	s.record()
 }
 
-// Counters implements Store.
-func (s *staleStore) Counters() Counters { return s.inner.Counters() }
-
 // TestTrainingTolleratesStaleReads verifies DN training still learns
 // when every parameter read is several pushes stale — the asynchronous
 // regime the embedding cache's query-latest-on-miss design targets.
@@ -107,7 +104,7 @@ func TestTrainingToleratesStaleReads(t *testing.T) {
 	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "sgd", 0.5)
 	store := newStaleStore(server, 3)
 
-	res := TrainWithStore(factory, serving, store, store, ds, Options{
+	res := TrainWithStore(factory, serving, store, server, ds, Options{
 		Workers: 2, Epochs: 20, Seed: 9, CacheEnabled: true,
 	})
 	auc := framework.MeanAUC(res.State, ds, data.Test)

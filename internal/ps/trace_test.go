@@ -48,7 +48,7 @@ func TestRPCTracePropagation(t *testing.T) {
 	workerTracer.AddSink(workerSpans)
 	client.SetTracer(workerTracer)
 
-	res := TrainWithStore(factory, serving, client, client, ds, Options{
+	res := TrainWithStore(factory, serving, client, server, ds, Options{
 		Workers: 2, Epochs: 10, Seed: 9, CacheEnabled: true, Tracer: workerTracer,
 	})
 	auc := framework.MeanAUC(res.State, ds, data.Test)

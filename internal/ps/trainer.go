@@ -163,8 +163,9 @@ type death struct {
 }
 
 // TrainWithStore is Train against an arbitrary Store (e.g. an RPC
-// client); server-side counters are read from counterSrc, which may be
-// nil when the caller tracks them elsewhere.
+// client). The run's traffic tally is read from counterSrc — a Store
+// carries training traffic only — which may be nil when the caller
+// tracks it elsewhere.
 //
 // Fault tolerance: each epoch runs under supervision — a worker that
 // panics (a push that exhausted its retries, an injected fault, a

@@ -182,7 +182,6 @@ type Controller struct {
 	fleet  Fleet
 	tracer *trace.Tracer
 
-	activeGauge  *telemetry.Gauge
 	versionGauge *telemetry.Gauge
 	unattributed *telemetry.Counter
 	reg          *telemetry.Registry
@@ -200,8 +199,6 @@ func New(fleet Fleet, reg *telemetry.Registry, tracer *trace.Tracer, cfg Config)
 		reg = telemetry.New()
 	}
 	c := &Controller{cfg: cfg.withDefaults(), fleet: fleet, tracer: tracer, reg: reg}
-	c.activeGauge = reg.Gauge("mamdr_rollout_canary_active",
-		"1 while a canary snapshot is under evaluation, else 0.")
 	c.versionGauge = reg.Gauge("mamdr_rollout_canary_version",
 		"Version of the canary snapshot under evaluation (0 when none).")
 	c.unattributed = reg.Counter("mamdr_rollout_unattributed_total",
@@ -236,7 +233,6 @@ func (c *Controller) Begin(version, incumbent uint64) error {
 		canary:    newArm(),
 		incArm:    newArm(),
 	}
-	c.activeGauge.Set(1)
 	c.versionGauge.Set(float64(version))
 	return nil
 }
@@ -411,7 +407,6 @@ func (c *Controller) decisionLocked(action, reason, detail string) *Decision {
 	}
 	c.cur = nil
 	c.last = d
-	c.activeGauge.Set(0)
 	c.versionGauge.Set(0)
 	return d
 }

@@ -85,7 +85,6 @@ func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline
 		fraction: gate.Fraction(),
 	})
 	s.pendingState, s.pendingBaseline = state, baseline
-	s.metrics.snapshotVersions(old.incumbentV, version)
 	s.mu.Unlock()
 	s.metrics.publishOutcome("accepted")
 	return version, true, nil
@@ -123,7 +122,6 @@ func (s *Server) RollbackCanary(version uint64) error {
 	}
 	s.view.Store(&view{incumbent: v.incumbent, incumbentV: v.incumbentV, incumbentCRC: v.incumbentCRC})
 	s.pendingState, s.pendingBaseline = nil, nil
-	s.metrics.snapshotVersions(v.incumbentV, 0)
 	return nil
 }
 

@@ -267,9 +267,8 @@ func TestPoisonedCanaryAutoRollsBackBitIdentical(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		`mamdr_rollout_decisions_total{decision="rollback",reason="` + d.Reason + `"} 1`,
-		"mamdr_rollout_canary_active 0",
-		"mamdr_serve_canary_version 0",
-		"mamdr_serve_snapshot_version 1",
+		"mamdr_rollout_canary_version 0",
+		`mamdr_snapshot_info{crc="00000000",role="serve",version="1"} 1`,
 		`mamdr_serve_publish_total{outcome="accepted"} 1`,
 	} {
 		if !strings.Contains(out, want) {
@@ -616,13 +615,55 @@ func TestPublishGateRefusalStagesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"mamdr_serve_canary_version 0\n",
 		`mamdr_serve_publish_total{outcome="rejected"} 1`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// TestSnapshotInfoNamesTheIncumbent: mamdr_snapshot_info follows the
+// incumbent through an ungated swap (v2), a canary that is only staged
+// (v3 under the gate), and its promotion — exactly one series reads 1
+// each time, and it names the incumbent's version and CRC.
+func TestSnapshotInfoNamesTheIncumbent(t *testing.T) {
+	st, ds, factory := testState(t)
+	reg := telemetry.New()
+	s := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory, Metrics: reg, InitialCRC: 0xa1})
+	want := func(version, crc string) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var live []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "mamdr_snapshot_info{") && strings.HasSuffix(line, "} 1") {
+				live = append(live, line)
+			}
+		}
+		series := `mamdr_snapshot_info{crc="` + crc + `",role="serve",version="` + version + `"} 1`
+		if len(live) != 1 || live[0] != series {
+			t.Fatalf("snapshot_info series reading 1 = %q, want only %q", live, series)
+		}
+	}
+	want("1", "000000a1")
+
+	if v, canary, err := s.Publish(cloneState(st, factory()), 0, 0xb2, nil); err != nil || canary || v != 2 {
+		t.Fatalf("ungated Publish = (%d, canary %v, %v)", v, canary, err)
+	}
+	want("2", "000000b2")
+
+	s.SetRollout(rollout.New(s, reg, nil, rollout.Config{Fraction: 0.5, MinLabeled: 1 << 20, MinScores: 1 << 20}))
+	if v, canary, err := s.Publish(cloneState(st, factory()), 0, 0xc3, nil); err != nil || !canary || v != 3 {
+		t.Fatalf("gated Publish = (%d, canary %v, %v)", v, canary, err)
+	}
+	want("2", "000000b2") // a canary is not the incumbent
+	if err := s.PromoteCanary(3); err != nil {
+		t.Fatal(err)
+	}
+	want("3", "000000c3")
 }
 
 // TestUpstreamSourcedPublishWithChaos covers the "source":"upstream"

@@ -346,7 +346,7 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 		incumbentCRC: opts.InitialCRC,
 	})
 	s.metrics = newServeMetrics(opts.Metrics, opts.Replicas)
-	s.metrics.snapshotVersions(1, 0)
+	s.metrics.incumbent(1, opts.InitialCRC)
 	s.shedRng = rand.New(rand.NewSource(opts.ShedSeed))
 	s.upstream = newUpstreamMonitor(opts.Upstream, opts.Faults, opts.Metrics, opts.UpstreamBackoff)
 	if opts.Quality != nil {
@@ -402,7 +402,7 @@ func (s *Server) AddDomain() (int, error) {
 func (s *Server) installLocked(state *core.State, snap *snapshot, version uint64, crc uint32, baseline *quality.Baseline) {
 	s.state = state
 	s.view.Store(&view{incumbent: snap, incumbentV: version, incumbentCRC: crc})
-	s.metrics.snapshotVersions(version, 0)
+	s.metrics.incumbent(version, crc)
 	if baseline != nil && s.quality != nil {
 		s.quality.SetBaseline(baseline)
 	}

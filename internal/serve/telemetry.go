@@ -21,8 +21,10 @@ type serveMetrics struct {
 	poolSize      *telemetry.Gauge
 	writeFailures *telemetry.Counter
 
-	snapshotVersion *telemetry.Gauge
-	canaryVersion   *telemetry.Gauge
+	// reg registers the snapshot identity series; snapshotInfo is the
+	// one that reads 1.
+	reg          *telemetry.Registry
+	snapshotInfo *telemetry.Gauge
 
 	// Scheduler instruments, one observation per flush: its shape,
 	// queueing for a forward slot, rows relative to the row cap, and
@@ -48,10 +50,7 @@ func newServeMetrics(reg *telemetry.Registry, replicas int) *serveMetrics {
 			"Configured model-replica pool size: forward passes that run at once."),
 		writeFailures: reg.Counter("mamdr_serve_write_failures_total",
 			"Response body writes that failed after headers were sent (client gone, broken pipe)."),
-		snapshotVersion: reg.Gauge("mamdr_serve_snapshot_version",
-			"Version of the incumbent serving snapshot."),
-		canaryVersion: reg.Gauge("mamdr_serve_canary_version",
-			"Version of the canary snapshot taking traffic (0 when none)."),
+		reg: reg,
 		batchRequests: reg.Histogram("mamdr_serve_batch_requests",
 			"Requests coalesced per micro-batch flush.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
@@ -120,11 +119,23 @@ func (m *serveMetrics) batchFlush(requests, rows int, waited time.Duration, reas
 	m.flushes.With(reason).Inc()
 }
 
-// snapshotVersions publishes the live snapshot identities (canary 0
-// when none is flying).
-func (m *serveMetrics) snapshotVersions(incumbent, canary uint64) {
-	m.snapshotVersion.Set(float64(incumbent))
-	m.canaryVersion.Set(float64(canary))
+// incumbent publishes the incumbent snapshot's identity as
+// mamdr_snapshot_info{role="serve",version,crc} = 1 — the information
+// is in the labels, as in mamdr_build_info — and zeroes the previous
+// incumbent's series, so exactly one series reads 1. Callers serialize
+// (boot, and installs under the server's mutex).
+func (m *serveMetrics) incumbent(version uint64, crc uint32) {
+	g := m.reg.Gauge("mamdr_snapshot_info",
+		"Serving snapshot identity of this process; constant 1, the information is in the labels.",
+		telemetry.L("crc", fmt.Sprintf("%08x", crc)),
+		telemetry.L("role", "serve"),
+		telemetry.L("version", strconv.FormatUint(version, 10)),
+	)
+	if m.snapshotInfo != g {
+		m.snapshotInfo.Set(0)
+	}
+	m.snapshotInfo = g
+	g.Set(1)
 }
 
 // publishOutcome counts one publication attempt ("accepted",

@@ -9,42 +9,31 @@ import (
 	"time"
 )
 
-// Rotation bounds a file-backed EventLog: when the active file reaches
-// MaxBytes the log rotates it to <path>.1 (shifting older segments to
-// .2, .3, ...) and starts a fresh file, keeping at most Keep rotated
-// segments. Rotation happens only between events, so every segment
-// holds whole JSON lines.
-type Rotation struct {
-	// MaxBytes triggers a rotation once the active file reaches it.
-	// Zero or negative disables rotation (the pre-rotation behavior:
-	// the file grows without bound).
-	MaxBytes int64
-	// Keep is how many rotated segments survive; older ones are
-	// deleted. Zero or negative means the default of 3.
-	Keep int
-}
+// The one rotation policy of every file a program appends to: at 64 MiB
+// the active file becomes <path>.1, older segments shift up, and three
+// rotated segments are kept.
+const (
+	rotateBytes = 64 << 20
+	rotateKeep  = 3
+)
 
-func (p Rotation) withDefaults() Rotation {
-	if p.Keep <= 0 {
-		p.Keep = 3
-	}
-	return p
-}
-
-// EventLog appends structured training events as JSON Lines, one object
-// per line, each stamped with a UTC timestamp and an event name. It is
-// safe for concurrent use and nil-receiver-safe, so instrumented code
-// can log unconditionally. File-backed logs can rotate by size (see
-// Rotation) so long-lived runs do not grow one file without bound.
+// EventLog appends JSON Lines: structured events through Log, or whole
+// lines written by anything that takes an io.Writer (an slog JSON
+// handler writes one record per Write). It is safe for concurrent use
+// and nil-receiver-safe, so instrumented code can log unconditionally.
+// A file-backed log rotates by size between writes, so every segment
+// holds whole lines and a process that never exits does not grow one
+// file without bound.
 type EventLog struct {
 	mu     sync.Mutex
 	w      io.Writer
 	closer io.Closer
 
-	// rotation state; zero-valued for writer-backed logs.
-	path string
-	pol  Rotation
-	size int64
+	// rotation state; path is empty for writer-backed logs.
+	path     string
+	maxBytes int64
+	keep     int
+	size     int64
 }
 
 // NewEventLog writes events to w (never rotates).
@@ -53,15 +42,19 @@ func NewEventLog(w io.Writer) *EventLog {
 }
 
 // OpenEventLog appends events to the file at path, creating it if
-// needed, and rotates it by size per pol: at MaxBytes the active file
-// becomes <path>.1, existing segments shift up, and segments beyond
-// Keep are deleted. The zero Rotation never rotates.
-func OpenEventLog(path string, pol Rotation) (*EventLog, error) {
+// needed, and rotates it at 64 MiB with three rotated segments kept.
+func OpenEventLog(path string) (*EventLog, error) {
+	return openEventLog(path, rotateBytes, rotateKeep)
+}
+
+// openEventLog is OpenEventLog under any policy, so tests can rotate at
+// a few hundred bytes.
+func openEventLog(path string, maxBytes int64, keep int) (*EventLog, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: open event log: %w", err)
 	}
-	l := &EventLog{w: f, closer: f, path: path, pol: pol.withDefaults()}
+	l := &EventLog{w: f, closer: f, path: path, maxBytes: maxBytes, keep: keep}
 	if st, err := f.Stat(); err == nil {
 		l.size = st.Size()
 	}
@@ -86,15 +79,23 @@ func (l *EventLog) Log(name string, fields map[string]any) {
 	if err != nil {
 		return
 	}
+	l.Write(append(line, '\n'))
+}
+
+// Write appends p, which must be whole lines, and rotates the file
+// afterwards once it has reached the size limit.
+func (l *EventLog) Write(p []byte) (int, error) {
+	if l == nil {
+		return len(p), nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n, _ := l.w.Write(line)
+	n, err := l.w.Write(p)
 	l.size += int64(n)
-	n, _ = l.w.Write([]byte{'\n'})
-	l.size += int64(n)
-	if l.path != "" && l.pol.MaxBytes > 0 && l.size >= l.pol.MaxBytes {
+	if l.path != "" && l.size >= l.maxBytes {
 		l.rotate()
 	}
+	return n, err
 }
 
 // rotate shifts <path>.k to <path>.k+1 for the kept segments, moves the
@@ -105,8 +106,8 @@ func (l *EventLog) rotate() {
 	if l.closer != nil {
 		l.closer.Close()
 	}
-	os.Remove(segmentPath(l.path, l.pol.Keep))
-	for k := l.pol.Keep - 1; k >= 1; k-- {
+	os.Remove(segmentPath(l.path, l.keep))
+	for k := l.keep - 1; k >= 1; k-- {
 		os.Rename(segmentPath(l.path, k), segmentPath(l.path, k+1))
 	}
 	os.Rename(l.path, segmentPath(l.path, 1))

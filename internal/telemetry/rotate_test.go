@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,7 +50,7 @@ func readEvents(t *testing.T, path string) []int {
 func TestEventLogRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.jsonl")
-	log, err := OpenEventLog(path, Rotation{MaxBytes: 400, Keep: 2})
+	log, err := openEventLog(path, 400, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestEventLogRotationBoundary(t *testing.T) {
 
 	// MaxBytes = 300: two ~120-byte lines stay under, the third always
 	// crosses — every segment must hold exactly three whole events.
-	log, err := OpenEventLog(path, Rotation{MaxBytes: 300, Keep: 5})
+	log, err := openEventLog(path, 300, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,7 @@ func TestEventLogRotationBoundary(t *testing.T) {
 func TestEventLogRotationConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.jsonl")
-	log, err := OpenEventLog(path, Rotation{MaxBytes: 1 << 10, Keep: 3})
+	log, err := openEventLog(path, 1<<10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +180,12 @@ func TestEventLogRotationConcurrent(t *testing.T) {
 	}
 }
 
-// TestOpenEventLogAppendCompat pins that a log opened without rotation
-// still appends to an existing file (the pre-rotation contract).
+// TestOpenEventLogAppendCompat pins that reopening a log appends to the
+// existing file instead of truncating it.
 func TestOpenEventLogAppendCompat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.jsonl")
 	for round := 0; round < 2; round++ {
-		log, err := OpenEventLog(path, Rotation{})
+		log, err := OpenEventLog(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,5 +194,56 @@ func TestOpenEventLogAppendCompat(t *testing.T) {
 	}
 	if got := readEvents(t, path); fmt.Sprint(got) != "[0 1]" {
 		t.Fatalf("append-compat events = %v, want [0 1]", got)
+	}
+}
+
+// TestEventLogAsSlogWriter: an slog JSON handler writing through a
+// rotating EventLog — how mamdr-serve writes its access log — leaves
+// whole JSON records in every segment, each carrying its attributes.
+func TestEventLogAsSlogWriter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "access.jsonl")
+	el, err := openEventLog(path, 1<<10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logger := slog.New(slog.NewJSONHandler(el, nil))
+	const total = 100
+	for i := 0; i < total; i++ {
+		logger.Info("request", slog.String("request_id", fmt.Sprintf("rid-%03d", i)), slog.Int("status", 200))
+	}
+	el.Close()
+
+	if _, err := os.Stat(segmentPath(path, 3)); err != nil {
+		t.Fatalf("100 records did not rotate three times at 1 KiB: %v", err)
+	}
+	seen := 0
+	for _, p := range []string{segmentPath(path, 3), segmentPath(path, 2), segmentPath(path, 1), path} {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) > 0 && raw[len(raw)-1] != '\n' {
+			t.Fatalf("%s ends mid-record", p)
+		}
+		for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			var rec struct {
+				Msg       string `json:"msg"`
+				RequestID string `json:"request_id"`
+				Status    int    `json:"status"`
+			}
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("%s: torn record %q: %v", p, line, err)
+			}
+			if rec.Msg != "request" || !strings.HasPrefix(rec.RequestID, "rid-") || rec.Status != 200 {
+				t.Fatalf("%s: record = %+v", p, rec)
+			}
+			seen++
+		}
+	}
+	if seen == 0 || seen >= total {
+		t.Fatalf("%d of %d records retained; rotation should have dropped the oldest", seen, total)
 	}
 }

@@ -60,6 +60,11 @@ smoke-chaos:
 # fixes the delta-apply order), the injected faults must be counted,
 # and the trace must carry the scatter-gather spans. Amazon-6 is the
 # preset with learned embeddings, so row traffic crosses the shards.
+# The faulted run's -save file is what serving loads: mamdr-serve
+# -checkpoint must come up ready and answer a prediction. The 1- and
+# 3-shard files are not compared byte for byte: their decoded states
+# are identical, but gob's type ids, and with them the payload bytes
+# and CRC, depend on what the process encoded first.
 smoke-cluster:
 	$(GO) run ./cmd/mamdr-train -preset amazon-6 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 \
@@ -67,12 +72,21 @@ smoke-cluster:
 	$(GO) run ./cmd/mamdr-train -preset amazon-6 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 -ps-shards 3 \
 		-ps-faults "PullRows:err@2; PushDelta:err@5; conn:drop@6" \
-		-trace /tmp/cluster.trace.json \
+		-trace /tmp/cluster.trace.json -save /tmp/cluster.ckpt \
 		2>/tmp/cluster-3shard.log | grep -v '^trained in\|^training ' > /tmp/cluster-3shard.txt
 	diff /tmp/cluster-1shard.txt /tmp/cluster-3shard.txt
 	grep -E '[1-9][0-9]* faults injected' /tmp/cluster-3shard.log
 	for span in cluster.pull_rows cluster.push_delta cluster.shard_call; do \
 		grep -q "\"name\":\"$$span\"" /tmp/cluster.trace.json || { echo "trace has no $$span span"; exit 1; }; done
+	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-serve
+	/tmp/mamdr-bin/mamdr-serve -preset amazon-6 -samples 2000 -seed 7 \
+		-checkpoint /tmp/cluster.ckpt -addr 127.0.0.1:8090 -access-log off \
+		>/tmp/cluster-serve.log 2>&1 & echo $$! > /tmp/cluster-serve.pid
+	for i in `seq 90`; do curl -sf 127.0.0.1:8090/healthz >/dev/null 2>&1 && break; \
+		kill -0 `cat /tmp/cluster-serve.pid` || { cat /tmp/cluster-serve.log; exit 1; }; sleep 1; done
+	curl -sf 127.0.0.1:8090/readyz && \
+		curl -sf -XPOST 127.0.0.1:8090/predict -d '{"domain":0,"users":[1,2],"items":[3,4]}'; \
+		status=$$?; kill `cat /tmp/cluster-serve.pid`; exit $$status
 	$(GO) test -count=1 -run 'TestClusterTrainingBitIdenticalAcrossShardCounts|TestShardFailoverMatchesCleanRun|TestClusterChaosOverRPCBitIdentical' ./internal/cluster/
 
 # Two shard servers in one host process (scraped once, on its

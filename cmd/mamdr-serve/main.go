@@ -1,21 +1,20 @@
-// Command mamdr-serve loads a MAMDR state — a checkpoint mamdr-train
-// -save wrote, or a running shard cluster's parameters — and serves
+// Command mamdr-serve loads the MAMDR state a mamdr-train -save wrote —
+// θ_S, every θ_i and the validation-time quality baseline — and serves
 // click predictions over HTTP: the serving side of the paper's MDR
-// platform. It never trains.
+// platform. It never trains, and -checkpoint is required.
 //
 // Usage:
 //
 //	mamdr-train -preset taobao-10 -epochs 10 -save model.ckpt
+//	mamdr-train -preset taobao-10 -epochs 10 -ps-workers 4 -save model.ckpt   # or a PS-Worker fit
 //	mamdr-serve -preset taobao-10 -checkpoint model.ckpt -addr :8080
 //	curl -XPOST localhost:8080/predict -d '{"domain":0,"users":[1,2],"items":[3,4]}'
 //	curl -XPOST localhost:8080/domains          # register a new domain
 //	curl localhost:8080/metrics                 # Prometheus exposition
-//	mamdr-serve -ps-addrs 127.0.0.1:7001,127.0.0.1:7002   # serve a live PS cluster's parameters
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,15 +30,10 @@ import (
 
 	"mamdr"
 	"mamdr/internal/autograd/kernels"
-	"mamdr/internal/cluster"
 	"mamdr/internal/core"
-	"mamdr/internal/data"
 	"mamdr/internal/faultinject"
-	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/obsv"
-	"mamdr/internal/paramvec"
-	"mamdr/internal/ps"
 	"mamdr/internal/quality"
 	"mamdr/internal/rollout"
 	"mamdr/internal/serve"
@@ -60,10 +54,9 @@ func main() {
 		replicas      = flag.Int("replicas", 0, "forward passes that run at once: the request scheduler's slots, one model replica each (0 = GOMAXPROCS)")
 		kernelThreads = flag.Int("kernel-threads", 1, "goroutines per math kernel (0 = GOMAXPROCS; serving defaults to 1 so concurrency comes from -replicas, not intra-op fan-out)")
 		timeout       = flag.Duration("timeout", 5*time.Second, "per-request deadline: a prediction still waiting for a forward slot when it passes gets 503 + Retry-After")
-		checkpoint    = flag.String("checkpoint", "", "load the state (and its quality baseline) that mamdr-train -save wrote")
+		checkpoint    = flag.String("checkpoint", "", "the state (and its quality baseline) that mamdr-train -save wrote; required")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-		embDim        = flag.Int("emb", 8, "embedding dimension (must match the cluster's -emb when -ps-addrs is set)")
-		psAddrs       = flag.String("ps-addrs", "", "comma-separated shard-server addresses (replicas of one shard joined with '|'): load the shared parameters from the running cluster and report its connectivity in /readyz")
+		embDim        = flag.Int("emb", 8, "embedding dimension the state was trained with")
 
 		withQuality   = flag.Bool("quality", true, "streaming model-quality tracking: /feedback label joins, drift detection vs the checkpoint baseline, quality SLO breach counters (needs -metrics)")
 		qualityWindow = flag.Int("quality-window", 0, fmt.Sprintf("labeled prequential-evaluation window per domain (0 = default %d)", quality.DefaultWindow))
@@ -86,14 +79,14 @@ func main() {
 		rolloutScores  = flag.Int("rollout-min-scores", 0, fmt.Sprintf("served scores per arm before the PSI gate may decide (0 = default %d)", quality.MinScores))
 		rolloutMaxWait = flag.Duration("rollout-max-wait", 0, "fail-safe: a canary still unproven after this long is rolled back (0 = default 10m)")
 		maxQueue       = flag.Int("max-queue", 0, "admission control: shed predictions once this many wait for a forward slot beyond the -replicas running (0 = 4×replicas)")
-		serveFaults    = flag.String("serve-faults", "", "serving-path fault schedule (op:kind@occurrences; ops: Predict, PublishSource, UpstreamPing, UpstreamSnapshot), seeded by -seed")
+		serveFaults    = flag.String("serve-faults", "", "serving-path fault schedule (op:kind@occurrences; ops: Predict, PublishSource), seeded by -seed")
 
 		batchMax      = flag.Int("batch-max", 0, "every /predict goes through one scheduler: a request that finds a replica free runs at once; ones that arrive while every replica is busy coalesce into forwards of at most this many rows (0 = off, one request per forward)")
 		snapshotQuant = flag.String("snapshot-quant", "off", `serving-snapshot embedding storage: "off" (float64) or "int8" (symmetric-per-row quantized tables, each gathered row decoded on lookup)`)
 	)
 	flag.Parse()
-	if *checkpoint == "" && *psAddrs == "" {
-		log.Fatal("nothing to serve: give -checkpoint (a state mamdr-train -save wrote) or -ps-addrs (a running shard cluster)")
+	if *checkpoint == "" {
+		log.Fatal("nothing to serve: -checkpoint is required (the state mamdr-train -save wrote)")
 	}
 	kernels.SetThreads(*kernelThreads)
 
@@ -102,28 +95,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	state, err := startState(ds, *model, *embDim, *seed)
+	m, err := models.New(*model, models.Config{Dataset: ds, EmbDim: *embDim, Seed: *seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var ckptBaseline *quality.Baseline
-	var initialCRC uint32
-	if *checkpoint != "" {
-		b, env, err := state.LoadWithBaseline(*checkpoint)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ckptBaseline, initialCRC = b, env.CRC
-		log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes)",
-			*checkpoint, env.Version, env.CRC, env.PayloadBytes)
+	state := &core.State{Model: m}
+	ckptBaseline, env, err := state.LoadWithBaseline(*checkpoint)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	var upstream *serve.Upstream
-	if *psAddrs != "" {
-		if upstream, err = dialUpstream(state, *psAddrs, *seed); err != nil {
-			log.Fatalf("-ps-addrs: %v", err)
-		}
-	}
+	log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes)",
+		*checkpoint, env.Version, env.CRC, env.PayloadBytes)
 
 	var reg *telemetry.Registry
 	if *withMetrics {
@@ -168,23 +150,16 @@ func main() {
 	}
 
 	// Model-quality tracking: the drift baseline comes from the
-	// checkpoint envelope when one is loaded; a state loaded from a
-	// cluster is profiled on the validation split.
-	// A pre-quality (v2) checkpoint carries no baseline — serving
-	// continues with drift detection disabled, logged and counted.
+	// checkpoint envelope. A pre-quality (v2) checkpoint carries none —
+	// serving continues with drift detection disabled, logged and counted.
 	var tracker *quality.Tracker
 	if *withQuality && reg != nil {
 		tracker = quality.NewTracker(reg, quality.Options{Checks: true, Window: *qualityWindow})
-		switch {
-		case ckptBaseline != nil:
-			tracker.SetBaseline(ckptBaseline)
+		tracker.SetBaseline(ckptBaseline)
+		if ckptBaseline != nil {
 			log.Printf("quality baseline loaded from checkpoint (%d domains)", len(ckptBaseline.Domains))
-		case *checkpoint != "":
-			tracker.SetBaseline(nil)
+		} else {
 			log.Printf("pre-quality checkpoint: drift detection disabled (re-save with a baseline to enable)")
-		default:
-			tracker.SetBaseline(framework.QualityBaseline(state, ds, data.Val))
-			log.Printf("quality baseline profiled from the validation split")
 		}
 	}
 
@@ -198,21 +173,19 @@ func main() {
 	}
 
 	srv := serve.NewWithOptions(state, ds, serve.Options{
-		Replicas:        *replicas,
-		RequestTimeout:  *timeout,
-		MaxQueue:        *maxQueue,
-		ShedSeed:        *seed,
-		Metrics:         reg,
-		AccessLog:       logger,
-		Tracer:          tracer,
-		Upstream:        upstream,
-		UpstreamBackoff: ps.Backoff{Seed: *seed},
-		Quality:         tracker,
-		FeedbackTTL:     *feedbackTTL,
-		Faults:          faults,
-		InitialCRC:      initialCRC,
-		BatchMax:        *batchMax,
-		SnapshotQuant:   *snapshotQuant,
+		Replicas:       *replicas,
+		RequestTimeout: *timeout,
+		MaxQueue:       *maxQueue,
+		ShedSeed:       *seed,
+		Metrics:        reg,
+		AccessLog:      logger,
+		Tracer:         tracer,
+		Quality:        tracker,
+		FeedbackTTL:    *feedbackTTL,
+		Faults:         faults,
+		InitialCRC:     env.CRC,
+		BatchMax:       *batchMax,
+		SnapshotQuant:  *snapshotQuant,
 		OnSwap: func(version uint64, crc uint32) {
 			log.Printf("snapshot v%d (crc %08x) is now the incumbent", version, crc)
 		},
@@ -325,66 +298,4 @@ func openAccessLog(dest string) (*slog.Logger, error) {
 		w = el
 	}
 	return slog.New(slog.NewJSONHandler(w, nil)), nil
-}
-
-// startState is the state serving starts from before a -checkpoint or
-// -ps-addrs replaces its parameters: a fresh model with every θ_i zero
-// — each domain served with the shared parameters, as a domain
-// registered at runtime is.
-func startState(ds *mamdr.Dataset, model string, embDim int, seed int64) (*core.State, error) {
-	m, err := models.New(model, models.Config{Dataset: ds, EmbDim: embDim, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	st := &core.State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
-	for range ds.Domains {
-		st.AddDomain()
-	}
-	return st, nil
-}
-
-// dialUpstream loads θ_S from the running shard cluster at addrs (the
-// one mamdr-train -ps-serve hosts) into st and returns the cluster as
-// the serving Upstream. The initial load retries with seeded backoff —
-// a serve process racing its cluster at startup waits for it instead of
-// dying on the first connection refusal — and the cluster stays wired
-// in: /readyz probes it through the circuit breaker, and POST
-// /admin/publish {"source":"upstream"} pulls fresh snapshots.
-func dialUpstream(st *core.State, addrs string, seed int64) (*serve.Upstream, error) {
-	groups := cluster.ParseAddrs(addrs)
-	if len(groups) == 0 {
-		return nil, errors.New("no addresses given")
-	}
-	plan := ps.NewPlan(ps.LayoutOf(st.Model.Parameters(), models.EmbeddingTablesOf(st.Model)), len(groups), seed)
-	dialCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	router, snap, err := cluster.DialSnapshot(dialCtx, plan, groups, nil, cluster.Options{}, ps.Backoff{Seed: seed})
-	cancel()
-	if err != nil {
-		return nil, err
-	}
-	st.Shared = snap
-	log.Printf("loaded shared parameters from %d-shard cluster at %s", len(groups), addrs)
-	return &serve.Upstream{
-		// The startup router stays on as the /readyz probe: TryPing
-		// never condemns a replica, and every replica must answer
-		// within a second.
-		Ping: func(ctx context.Context) error {
-			ctx, cancel := context.WithTimeout(ctx, time.Second)
-			defer cancel()
-			return router.TryPing(ctx)
-		},
-		// Each pull dials a fresh router: shard condemnation inside a
-		// Router is permanent, so a long-lived one would go stale after
-		// any transient loss. Publishes are rare; the dial is cheap.
-		Snapshot: func() (paramvec.Vector, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			r, v, err := cluster.DialSnapshot(ctx, plan, groups, nil, cluster.Options{}, ps.Backoff{Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			r.Close()
-			return v, nil
-		},
-	}, nil
 }

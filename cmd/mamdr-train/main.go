@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -74,7 +75,7 @@ func main() {
 		traceSample = flag.Float64("trace-sample", 1, "fraction of root spans to record (0..1)")
 		flightDump  = flag.String("flight-dump", "", "flight-recorder dump path prefix for anomalies (default <trace>.flight when -trace is set)")
 
-		psWorkers = flag.Int("ps-workers", 0, "run distributed PS-Worker training with this many workers (0 = single process; mamdr framework only)")
+		psWorkers = flag.Int("ps-workers", 0, "run distributed PS-Worker training with this many workers (0 = single process; -framework mamdr or dn)")
 		psShards  = flag.Int("ps-shards", 1, "partition the parameter server across this many in-process cluster shards for -ps-workers (with -ps-sync-push training is bit-identical across shard counts)")
 		psCache   = flag.Bool("ps-cache", true, "enable the PS-Worker embedding cache (§IV-E) for -ps-workers")
 		psFaults  = flag.String("ps-faults", "", `fault-injection schedule for -ps-workers chaos runs, e.g. "PushDelta:err@p0.05; PullRows:delay=10ms@*" (seeded per worker and shard from -seed)`)
@@ -92,6 +93,13 @@ func main() {
 	)
 	flag.Parse()
 	kernels.SetThreads(*kernelThreads)
+	var psUseDR bool
+	if *psWorkers > 0 {
+		var err error
+		if psUseDR, err = psFramework(*fw, *psCache, *psSync); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	var (
 		ds  *mamdr.Dataset
@@ -209,12 +217,12 @@ func main() {
 		pred            framework.Predictor
 	)
 	if *psWorkers > 0 {
-		fmt.Printf("training %s with distributed mamdr (%d workers, %d shards, cache=%v) for %d epochs...\n",
-			*model, *psWorkers, *psShards, *psCache, *epochs)
+		fmt.Printf("training %s with distributed %s (%d workers, %d shards, cache=%v) for %d epochs...\n",
+			*model, *fw, *psWorkers, *psShards, *psCache, *epochs)
 		opts := ps.Options{
 			Workers: *psWorkers, Shards: *psShards, CacheEnabled: *psCache,
 			Epochs: *epochs, BatchSize: *batch, InnerLR: *innerLR, OuterLR: *outerLR,
-			UseDR: true, SampleK: *sampleK, DRLR: *drLR, Seed: *seed,
+			UseDR: psUseDR, SampleK: *sampleK, DRLR: *drLR, Seed: *seed,
 			SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
 		}
 		if *checkpointDir != "" {
@@ -309,6 +317,23 @@ func main() {
 		log.Printf("holding /metrics open for %s", *metricsLinger)
 		time.Sleep(*metricsLinger)
 	}
+}
+
+// psFramework maps -framework onto what a -ps-workers fit runs: mamdr
+// is DN then DR, dn is DN alone, and the PS trainer implements no other
+// framework. Deferred pushes ride the cache protocol, so -ps-sync-push
+// needs -ps-cache.
+func psFramework(framework string, cache, syncPush bool) (useDR bool, err error) {
+	if syncPush && !cache {
+		return false, errors.New("-ps-sync-push requires -ps-cache")
+	}
+	switch framework {
+	case "mamdr":
+		return true, nil
+	case "dn":
+		return false, nil
+	}
+	return false, fmt.Errorf("-framework %q: -ps-workers trains mamdr or dn", framework)
 }
 
 // deployOpts is how a distributed run is deployed; what it trains is

@@ -52,3 +52,30 @@ func TestResumeRefusesSingleServerCheckpoint(t *testing.T) {
 		t.Fatalf("base file beside one of this plan's shard files refused: %v", err)
 	}
 }
+
+// TestPSFrameworkFlags: a -ps-workers fit runs the framework -framework
+// names — mamdr with its DR phase, dn without — and any other framework,
+// or -ps-sync-push without the cache it needs, is refused before
+// training starts.
+func TestPSFrameworkFlags(t *testing.T) {
+	for _, tc := range []struct {
+		framework       string
+		cache, syncPush bool
+		useDR, ok       bool
+	}{
+		{"mamdr", true, false, true, true},
+		{"mamdr", true, true, true, true},
+		{"mamdr", false, false, true, true},
+		{"dn", true, true, false, true},
+		{"dr", true, false, false, false},
+		{"alternate", true, false, false, false},
+		{"mamdr", false, true, false, false},
+		{"dn", false, true, false, false},
+	} {
+		useDR, err := psFramework(tc.framework, tc.cache, tc.syncPush)
+		if (err == nil) != tc.ok || (tc.ok && useDR != tc.useDR) {
+			t.Errorf("psFramework(%q, cache=%v, sync=%v) = (%v, %v), want useDR=%v ok=%v",
+				tc.framework, tc.cache, tc.syncPush, useDR, err, tc.useDR, tc.ok)
+		}
+	}
+}

@@ -5,7 +5,11 @@ package mamdr
 // serving -> runtime domain registration -> distributed parity.
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -15,6 +19,7 @@ import (
 	"mamdr/internal/metrics"
 	"mamdr/internal/models"
 	"mamdr/internal/ps"
+	"mamdr/internal/serve"
 	"mamdr/internal/synth"
 )
 
@@ -142,6 +147,70 @@ func TestDistributedMatchesLocalQuality(t *testing.T) {
 	if distAUC < 0.53 {
 		t.Fatalf("distributed training too weak: %.4f", distAUC)
 	}
+}
+
+// TestDistributedFitServesFromItsCheckpoint: the file a PS-Worker MAMDR
+// fit saves is the state it trained — θ_S and every DR-trained θ_i —
+// and a server that loads it answers /predict float for float as the
+// fit's own state predicts.
+func TestDistributedFitServesFromItsCheckpoint(t *testing.T) {
+	cfg := synth.Taobao10(2000, 11)
+	cfg.FixedFeatures = false // learned embeddings: row traffic and sparse θ_i rows
+	ds := synth.Generate(cfg)
+	replica := func() models.Model {
+		return models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{16, 8}, Seed: 5})
+	}
+	res := ps.Train(replica, ds, ps.Options{Workers: 2, Epochs: 2, Seed: 9, CacheEnabled: true, SyncPush: true, UseDR: true})
+
+	nonZero := 0
+	for _, v := range res.State.Specific {
+		for _, seg := range v {
+			for _, x := range seg {
+				if x != 0 {
+					nonZero++
+				}
+			}
+		}
+	}
+	if nonZero == 0 {
+		t.Fatal("every θ_i is zero after a DR fit: the test would not tell θ_S from Θ")
+	}
+
+	path := filepath.Join(t.TempDir(), "ps.ckpt")
+	if err := res.State.SaveWithBaseline(path, framework.QualityBaseline(res.State, ds, data.Val)); err != nil {
+		t.Fatal(err)
+	}
+	loaded := &core.State{Model: replica()}
+	if _, _, err := loaded.LoadWithBaseline(path); err != nil {
+		t.Fatal(err)
+	}
+	h := serve.NewWithOptions(loaded, ds, serve.Options{}).Handler()
+	for d := range ds.Domains {
+		b := ds.FullBatch(d, data.Test)
+		want := res.State.Predict(b)
+		body, err := json.Marshal(serve.PredictRequest{Domain: d, Users: b.Users, Items: b.Items})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("domain %d: /predict = %d: %s", d, w.Code, w.Body)
+		}
+		var resp serve.PredictResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Probabilities) != len(want) {
+			t.Fatalf("domain %d: %d probabilities for %d pairs", d, len(resp.Probabilities), len(want))
+		}
+		for i, p := range resp.Probabilities {
+			if p != want[i] {
+				t.Fatalf("domain %d pair %d: served %v, the fit predicts %v", d, i, p, want[i])
+			}
+		}
+	}
+	t.Logf("%d non-zero θ_i entries; served predictions match the fit float for float", nonZero)
 }
 
 // TestRankMetricAcrossRealRun sanity-checks the Table V RANK aggregation

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -183,39 +182,4 @@ func Dial(plan ps.Plan, addrs [][]string, cfg func(sh, rep int, cl *ps.Client), 
 		return nil, err
 	}
 	return r, nil
-}
-
-// DialSnapshot dials the cluster and pulls a full parameter snapshot,
-// retrying the whole dial+snapshot unit under a bounded seeded backoff.
-// A serve instance typically races the cluster it fronts at startup —
-// the shard servers may still be binding their listeners — so a single
-// attempt turns an ordering accident into a dead fleet. Each retry
-// starts from a fresh router: router condemnation is deliberately
-// permanent (a replica that missed a write must never serve a read), so
-// a router that watched the cluster come up half-alive must not be kept.
-// The abandoned attempt's clients are closed before the backoff sleep.
-// On success the caller owns both the router and the snapshot.
-func DialSnapshot(ctx context.Context, plan ps.Plan, addrs [][]string, cfg func(sh, rep int, cl *ps.Client), opts Options, bo ps.Backoff) (*Router, paramvec.Vector, error) {
-	bo = bo.WithDefaults()
-	var lastErr error
-	for att := 1; att <= bo.Attempts; att++ {
-		if att > 1 {
-			if err := bo.Wait(ctx, att-1); err != nil {
-				return nil, nil, fmt.Errorf("cluster: dial+snapshot aborted after %d attempts: %w (last error: %v)", att-1, err, lastErr)
-			}
-		}
-		r, err := Dial(plan, addrs, cfg, opts)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		v, err := r.TrySnapshot()
-		if err != nil {
-			lastErr = err
-			r.Close()
-			continue
-		}
-		return r, v, nil
-	}
-	return nil, nil, fmt.Errorf("cluster: dial+snapshot failed after %d attempts: %w", bo.Attempts, lastErr)
 }

@@ -481,47 +481,8 @@ func (r *Router) Snapshot() paramvec.Vector {
 	return out
 }
 
-// TrySnapshot is Snapshot with the ps.Store failure mode — a panic when
-// a whole shard is gone — converted to an error. Training wants the
-// panic (continuing on a partial parameter space would silently corrupt
-// the run), but the serving path wants to degrade: a serve instance
-// whose upstream cluster died keeps answering from its last good
-// snapshot, and TrySnapshot is how it probes for a fresh one without
-// risking the process.
-func (r *Router) TrySnapshot() (v paramvec.Vector, err error) {
-	if perr := attempt(func() { v = r.Snapshot() }); perr != nil {
-		return nil, perr
-	}
-	return v, nil
-}
-
-// TryPing pings every replica of every shard through the endpoints that
-// support it, converting panics to errors. Unlike the data-path reads it
-// never condemns a replica — a health probe must be side-effect-free, so
-// a shard that flaps and recovers keeps serving. The first failure names
-// the shard and replica.
-func (r *Router) TryPing(ctx context.Context) error {
-	for sh, reps := range r.shards {
-		for rep, ep := range reps {
-			p, ok := ep.(interface{ Ping(context.Context) error })
-			if !ok {
-				continue
-			}
-			var err error
-			if perr := attempt(func() { err = p.Ping(ctx) }); perr != nil {
-				err = perr
-			}
-			if err != nil {
-				return fmt.Errorf("cluster: shard %d replica %d: ping: %w", sh, rep, err)
-			}
-		}
-	}
-	return nil
-}
-
 // Close closes every endpoint that supports closing (ps.Clients do;
-// in-process ps.Servers do not). Used when a dial+snapshot attempt is
-// abandoned and retried against a fresh router.
+// in-process ps.Servers do not).
 func (r *Router) Close() error {
 	var first error
 	for _, reps := range r.shards {

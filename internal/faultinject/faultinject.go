@@ -23,11 +23,10 @@
 //	                               drawn from the injector's seeded RNG
 //
 // Faults surface to the caller as a Fault value; the transport (the
-// ps RPC client) applies it. Non-transport callers use Fault.Apply. The serving fleet evaluates
-// the same grammar under its own operation names: "Predict" (a slow or
-// failing model replica), "PublishSource" (reading a snapshot for
-// /admin/publish), and "UpstreamPing"/"UpstreamSnapshot" (the serve→PS
-// circuit-breaker path).
+// ps RPC client) applies it. Non-transport callers use Fault.Apply. The
+// serving fleet evaluates the same grammar under its own operation
+// names: "Predict" (a slow or failing model replica) and
+// "PublishSource" (reading a checkpoint for /admin/publish).
 // Every injected fault is tallied per (op, kind), optionally mirrored
 // into a telemetry registry, so flight-recorder dumps and dashboards
 // can tell injected failures from organic ones.
@@ -93,7 +92,7 @@ type Fault struct {
 // context dies first), then return the Err, treating DropConn as an
 // error too — a caller with no connection to drop still must not
 // proceed. A nil ctx means no cancellation. This is how non-RPC code
-// paths (the serving pool, publish sources, upstream probes) consume
+// paths (the serving pool, publish sources) consume
 // the same schedule grammar the PS transport does.
 func (f Fault) Apply(ctx context.Context) error {
 	if f.Delay > 0 {

@@ -72,8 +72,9 @@ func (AlternateFinetune) Fit(m models.Model, ds *data.Dataset, cfg Config) Predi
 }
 
 // PerDomainPredictor swaps a per-domain parameter vector into the model
-// before scoring each batch. It is shared by every framework that keeps
-// domain-specific parameter states (Finetune, DR, MAMDR).
+// before scoring each batch. It is shared by the frameworks that keep
+// one whole parameter state per domain (Finetune, Separate, CDR); DR and
+// MAMDR serve θ_S + θ_i through core.State.
 type PerDomainPredictor struct {
 	Model   models.Model
 	Vectors []paramvec.Vector

@@ -66,7 +66,7 @@ func NewTrainMetrics(reg *telemetry.Registry, ds *data.Dataset, events *telemetr
 	tm.gradCos = reg.Histogram("mamdr_train_grad_cosine",
 		"Pairwise cosine similarity of per-domain parameter-update deltas within one epoch; mass below zero indicates domain conflict (paper Sec. IV-C).",
 		telemetry.CosineBuckets())
-	for d, name := range tm.names {
+	for _, name := range tm.names {
 		lbl := telemetry.L("domain", name)
 		tm.loss = append(tm.loss, reg.Gauge("mamdr_train_domain_loss",
 			"Mean training BCE loss of the domain's latest inner-loop pass.", lbl))
@@ -74,7 +74,6 @@ func NewTrainMetrics(reg *telemetry.Registry, ds *data.Dataset, events *telemetr
 			"L2 norm of the last mini-batch gradient after the domain's latest pass.", lbl))
 		tm.drLoss = append(tm.drLoss, reg.Gauge("mamdr_train_dr_loss",
 			"Mean target-domain loss of the latest Domain Regularization lookahead.", lbl))
-		_ = d
 	}
 	return tm
 }

@@ -148,11 +148,6 @@ func (l Layout) checkDelta(d Delta) error {
 	return nil
 }
 
-// Ping is the liveness probe: it answers as long as the server's RPC
-// loop is alive. Workers use it as a dedicated heartbeat when no data
-// call is in flight.
-func (s *RPCService) Ping(_ Nothing, _ *Nothing) error { return nil }
-
 // SaveCheckpoint persists the server's state (parameters, per-shard
 // optimizer state, epoch cursor) to its configured checkpoint path.
 func (s *RPCService) SaveCheckpoint(args SaveCheckpointArgs, _ *Nothing) error {
@@ -416,12 +411,6 @@ func (cl *Client) PullRows(ctx context.Context, tensor int, rows []int) [][]floa
 // delta silently.
 func (cl *Client) PushDelta(ctx context.Context, d Delta) {
 	cl.call(ctx, "PS.PushDelta", PushDeltaArgs{TC: trace.ContextOf(ctx), Delta: d}, &Nothing{})
-}
-
-// Ping probes server liveness through the retry policy, returning an
-// error only when the full attempt budget failed.
-func (cl *Client) Ping(ctx context.Context) error {
-	return cl.callErr(ctx, "PS.Ping", Nothing{}, &Nothing{})
 }
 
 // SaveCheckpoint implements CheckpointStore over RPC: the server

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"mamdr/internal/paramvec"
 	"mamdr/internal/quality"
 	"mamdr/internal/telemetry"
 )
@@ -149,9 +148,7 @@ func FuzzPublishBody(f *testing.F) {
 		f.Fatal(err)
 	}
 	ours := map[string]bool{good: true, corrupt: true, missing: true}
-	s := NewWithOptions(st, ds, Options{
-		Upstream: &Upstream{Snapshot: func() (paramvec.Vector, error) { return st.Shared.Clone(), nil }},
-	})
+	s := NewWithOptions(st, ds, Options{})
 	h := s.Handler()
 	for _, body := range []string{
 		fmt.Sprintf(`{"path":%q}`, good),

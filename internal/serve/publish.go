@@ -131,11 +131,10 @@ func (s *Server) Versions() (incumbent, canary uint64) {
 	return v.incumbentV, v.canaryV
 }
 
-// PublishRequest is the POST /admin/publish body: exactly one source —
-// a checkpoint path, or "upstream" to pull the live cluster snapshot.
+// PublishRequest is the POST /admin/publish body: the checkpoint to
+// stage, and optionally the version to stage it as.
 type PublishRequest struct {
 	Path    string `json:"path,omitempty"`
-	Source  string `json:"source,omitempty"`
 	Version uint64 `json:"version,omitempty"`
 }
 
@@ -167,21 +166,11 @@ func (s *Server) handleAdminPublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var (
-		state    *core.State
-		crc      uint32
-		baseline *quality.Baseline
-		err      error
-	)
-	switch {
-	case req.Path != "" && req.Source == "":
-		state, crc, baseline, err = s.loadPublishSource(r.Context(), req.Path)
-	case req.Source == "upstream" && req.Path == "":
-		state, err = s.upstreamPublishSource(r.Context())
-	default:
-		http.Error(w, `exactly one of "path" or "source":"upstream" required`, http.StatusBadRequest)
+	if req.Path == "" {
+		http.Error(w, `"path" required`, http.StatusBadRequest)
 		return
 	}
+	state, crc, baseline, err := s.loadPublishSource(r.Context(), req.Path)
 	if err != nil {
 		s.metrics.publishOutcome("rejected")
 		http.Error(w, "publish source: "+err.Error(), http.StatusUnprocessableEntity)
@@ -224,27 +213,6 @@ func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.Stat
 		return nil, 0, nil, err
 	}
 	return &core.State{Model: s.layout.model, Shared: ck.Shared, Specific: ck.Specific}, env.CRC, ck.Quality, nil
-}
-
-// upstreamPublishSource builds a publishable state from the live
-// cluster snapshot: fresh shared parameters over the served
-// domain-specific ones.
-func (s *Server) upstreamPublishSource(ctx context.Context) (*core.State, error) {
-	up := s.opts.Upstream
-	if up == nil || up.Snapshot == nil {
-		return nil, errors.New("serve: no upstream snapshot source configured")
-	}
-	if err := s.opts.Faults.Eval("UpstreamSnapshot").Apply(ctx); err != nil {
-		return nil, err
-	}
-	vec, err := up.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("upstream snapshot: %w", err)
-	}
-	s.mu.Lock()
-	cur := s.state
-	s.mu.Unlock()
-	return &core.State{Model: cur.Model, Shared: vec, Specific: cur.Specific}, nil
 }
 
 func (s *Server) handleRolloutStatus(w http.ResponseWriter, r *http.Request) {

@@ -464,9 +464,9 @@ func TestAdminPublishLifecycle(t *testing.T) {
 		t.Fatalf("incumbent = v%d after rejected publishes, want v2", inc)
 	}
 
-	// Exactly one source is required.
-	if w := postJSON(t, h, "/admin/publish", PublishRequest{Path: good, Source: "upstream"}); w.Code != http.StatusBadRequest {
-		t.Fatalf("two-source publish = %d, want 400", w.Code)
+	// A checkpoint path is required; a cluster is no publish source.
+	if w := postJSON(t, h, "/admin/publish", map[string]string{"source": "upstream"}); w.Code != http.StatusBadRequest {
+		t.Fatalf("pathless publish = %d, want 400", w.Code)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/admin/publish", nil)
 	wg := httptest.NewRecorder()
@@ -664,42 +664,6 @@ func TestSnapshotInfoNamesTheIncumbent(t *testing.T) {
 		t.Fatal(err)
 	}
 	want("3", "000000c3")
-}
-
-// TestUpstreamSourcedPublishWithChaos covers the "source":"upstream"
-// publish path and the serving-side fault injector: the first snapshot
-// pull and the first path load are injected to fail (422, loudly), then
-// the retry succeeds.
-func TestUpstreamSourcedPublishWithChaos(t *testing.T) {
-	st, ds, factory := testState(t)
-	shared := st.Shared.Clone()
-	for i := range shared {
-		for j := range shared[i] {
-			shared[i][j] *= 1.01
-		}
-	}
-	s := NewWithOptions(st, ds, Options{
-		Replicas: 2, ReplicaFactory: factory,
-		Upstream: &Upstream{Snapshot: func() (paramvec.Vector, error) { return shared.Clone(), nil }},
-		Faults:   faultinject.MustParse("UpstreamSnapshot:err@1", 7),
-	})
-	h := s.Handler()
-
-	w := postJSON(t, h, "/admin/publish", PublishRequest{Source: "upstream"})
-	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "faultinject") {
-		t.Fatalf("injected upstream publish = %d %q, want 422 injected", w.Code, w.Body.String())
-	}
-	w = postJSON(t, h, "/admin/publish", PublishRequest{Source: "upstream"})
-	if w.Code != http.StatusOK {
-		t.Fatalf("upstream publish after fault = %d: %s", w.Code, w.Body)
-	}
-	var resp PublishResponse
-	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Version != 2 || resp.Canary {
-		t.Fatalf("upstream publish = %+v, want immediate v2", resp)
-	}
 }
 
 // TestPredictFaultInjectionReturnsReplica: an injected forward-pass

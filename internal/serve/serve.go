@@ -27,12 +27,9 @@
 // a rollback is a pointer drop: post-rollback predictions are
 // bit-identical to never having published.
 //
-// Overload and upstream failure degrade instead of cascading: an
-// admission gate sheds requests (503 + jittered Retry-After) before
-// the queue for a forward slot outgrows its bound, and a circuit
-// breaker on the serve→PS upstream keeps /readyz green — serving the
-// last good snapshot with a staleness gauge — when the cluster behind
-// it dies.
+// Overload degrades instead of cascading: an admission gate sheds
+// requests (503 + jittered Retry-After) before the queue for a forward
+// slot outgrows its bound.
 package serve
 
 import (
@@ -57,24 +54,11 @@ import (
 	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
-	"mamdr/internal/ps"
 	"mamdr/internal/quality"
 	"mamdr/internal/rollout"
 	"mamdr/internal/telemetry"
 	"mamdr/internal/trace"
 )
-
-// Upstream describes the PS cluster backing this server's parameters:
-// a health probe and a snapshot source for live publication. Both are
-// wrapped in the server's circuit breaker and fault-injection hooks.
-type Upstream struct {
-	// Ping probes shard connectivity.
-	Ping func(ctx context.Context) error
-	// Snapshot pulls a fresh shared-parameter vector from the cluster —
-	// the publish source behind POST /admin/publish {"source":"upstream"}.
-	// Optional; nil disables upstream-sourced publication.
-	Snapshot func() (paramvec.Vector, error)
-}
 
 // Options configures the serving path.
 type Options struct {
@@ -108,19 +92,6 @@ type Options struct {
 	// and raises a pool_saturation anomaly into the tracer's flight
 	// recorder when a prediction's deadline passes before its scores.
 	Tracer *trace.Tracer
-	// Upstream, when non-nil, connects this server to the snapshot
-	// source backing it — PS/shard connectivity when the state was
-	// loaded from a cluster. /readyz probes Upstream.Ping after the
-	// local checks, through a circuit breaker: transient failures fail
-	// readiness (the load balancer steers away), but once
-	// three consecutive probes fail the breaker opens and
-	// the server degrades instead — /readyz goes green again, serving
-	// the last good snapshot with a staleness gauge, because a dead PS
-	// cluster must not take the whole serving fleet out with it.
-	Upstream *Upstream
-	// UpstreamBackoff paces upstream probes while the breaker is open
-	// (zero value takes the ps package defaults).
-	UpstreamBackoff ps.Backoff
 	// MaxQueue bounds how many admitted predictions may wait for a
 	// forward slot beyond the Replicas executing; requests past it are
 	// shed immediately (503 + jittered Retry-After) instead of piling
@@ -131,8 +102,8 @@ type Options struct {
 	// does not come back as one wave.
 	ShedSeed int64
 	// Faults, when non-nil, injects deterministic serving-path faults
-	// for chaos drills under the operation names "Predict",
-	// "PublishSource", "UpstreamPing", and "UpstreamSnapshot".
+	// for chaos drills under the operation names "Predict" and
+	// "PublishSource".
 	Faults *faultinject.Injector
 	// OnSwap, when non-nil, runs after a snapshot becomes the incumbent
 	// — every immediate publish and promotion — with the new
@@ -271,8 +242,6 @@ type Server struct {
 	shedMu  sync.Mutex
 	shedRng *rand.Rand
 
-	upstream *upstreamMonitor
-
 	metrics  *serveMetrics
 	quality  *quality.Tracker
 	feedback *quality.JoinBuffer
@@ -348,7 +317,6 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 	s.metrics = newServeMetrics(opts.Metrics, opts.Replicas)
 	s.metrics.incumbent(1, opts.InitialCRC)
 	s.shedRng = rand.New(rand.NewSource(opts.ShedSeed))
-	s.upstream = newUpstreamMonitor(opts.Upstream, opts.Faults, opts.Metrics, opts.UpstreamBackoff)
 	if opts.Quality != nil {
 		s.quality = opts.Quality
 		s.feedback = quality.NewJoinBuffer(opts.FeedbackTTL, nil)
@@ -477,10 +445,10 @@ func (s *Server) Close() { s.coalescer.Close() }
 //	                     free, and the server is not draining; 503
 //	                     otherwise, with the reason in the body. The
 //	                     body carries the incumbent snapshot version
-//	                     (and canary/degraded state when applicable).
+//	                     (and canary state when applicable).
 //	GET  /metrics     -> Prometheus text exposition (when Options.Metrics is set)
 //
-//	POST /admin/publish  {path | source:"upstream", version?} -> {version, crc, canary, fraction}
+//	POST /admin/publish  {path, version?} -> {version, crc, canary, fraction}
 //	                     (stages a new snapshot: as a canary when a
 //	                     rollout gate is attached, else an immediate swap)
 //	GET  /admin/rollout  -> incumbent/canary versions + gate status
@@ -524,7 +492,7 @@ func (s *Server) Handler() http.Handler {
 // right now — a replica is free (a request would not queue) and no drain
 // is in progress. A snapshot is always published: the constructor
 // installs the first.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.draining.Load():
 		http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -532,24 +500,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "replica pool saturated", http.StatusServiceUnavailable)
 	default:
 		v := s.view.Load()
-		degraded, err := s.upstream.check(r.Context())
-		switch {
-		case err != nil && !degraded:
-			// Transient upstream failure, breaker still closed: fail
-			// readiness so the load balancer steers away while it lasts.
-			http.Error(w, "upstream: "+err.Error(), http.StatusServiceUnavailable)
-		case degraded:
-			// Breaker open: the upstream is persistently gone, but the
-			// last good snapshot still serves. Staying ready keeps the
-			// fleet up; the staleness gauge keeps operators honest.
-			fmt.Fprintf(w, "ready v%d crc=%08x (degraded: upstream down, serving last good snapshot: %v)\n",
-				v.incumbentV, v.incumbentCRC, err)
-		case v.canary != nil:
+		if v.canary != nil {
 			fmt.Fprintf(w, "ready v%d crc=%08x (canary v%d at %.0f%%)\n",
 				v.incumbentV, v.incumbentCRC, v.canaryV, v.fraction*100)
-		default:
-			fmt.Fprintf(w, "ready v%d crc=%08x\n", v.incumbentV, v.incumbentCRC)
+			return
 		}
+		fmt.Fprintf(w, "ready v%d crc=%08x\n", v.incumbentV, v.incumbentCRC)
 	}
 }
 

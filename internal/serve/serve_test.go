@@ -2,15 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -518,79 +515,6 @@ func TestReadyzReportsPoolSaturation(t *testing.T) {
 	}
 	if w := get(); w.Code != http.StatusOK {
 		t.Fatalf("readyz after replica returned = %d, want 200", w.Code)
-	}
-}
-
-// TestReadyzReportsUpstreamHealth pins the cluster-backed readiness
-// contract: a server whose snapshot source (PS shards) goes away must
-// fail /readyz with the upstream reason while the outage looks
-// transient, then — once the circuit breaker decides the upstream is
-// persistently gone — degrade to serving the last good snapshot with
-// /readyz green again. /healthz stays green throughout — the process
-// is fine, its upstream is not.
-func TestReadyzReportsUpstreamHealth(t *testing.T) {
-	st, ds, _ := testState(t)
-	upErr := atomic.Pointer[string]{}
-	s := NewWithOptions(st, ds, Options{
-		Upstream: &Upstream{Ping: func(context.Context) error {
-			if msg := upErr.Load(); msg != nil {
-				return errors.New(*msg)
-			}
-			return nil
-		}},
-	})
-	// The breaker's probe budget is time-based; a fixed clock keeps the
-	// open-breaker probe schedule out of this test's way.
-	now := time.Unix(1000, 0)
-	s.upstream.now = func() time.Time { return now }
-	h := s.Handler()
-	get := func(path string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodGet, path, nil)
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		return w
-	}
-
-	if w := get("/readyz"); w.Code != http.StatusOK {
-		t.Fatalf("readyz with healthy upstream = %d, want 200", w.Code)
-	}
-
-	msg := "shard 1: connection refused"
-	upErr.Store(&msg)
-	w := get("/readyz")
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz with dead upstream = %d, want 503", w.Code)
-	}
-	if !strings.Contains(w.Body.String(), "upstream: shard 1") {
-		t.Fatalf("upstream reason missing: %q", w.Body.String())
-	}
-	if wh := get("/healthz"); wh.Code != http.StatusOK {
-		t.Fatalf("healthz with dead upstream = %d, want 200", wh.Code)
-	}
-	// Failures short of the threshold keep readiness failing.
-	for i := 2; i < upstreamThreshold; i++ {
-		if w := get("/readyz"); w.Code != http.StatusServiceUnavailable {
-			t.Fatalf("readyz after %d failed probes = %d, want 503", i, w.Code)
-		}
-	}
-
-	// The threshold-th consecutive failure opens the breaker and the
-	// server degrades instead of staying out of rotation.
-	w = get("/readyz")
-	if w.Code != http.StatusOK {
-		t.Fatalf("readyz with open breaker = %d, want 200 (degraded)", w.Code)
-	}
-	if !strings.Contains(w.Body.String(), "degraded") {
-		t.Fatalf("degraded notice missing: %q", w.Body.String())
-	}
-
-	// Recovery: advance past the probe schedule so the next /readyz
-	// actually re-probes, sees health, and closes the breaker.
-	upErr.Store(nil)
-	now = now.Add(time.Hour)
-	w = get("/readyz")
-	if w.Code != http.StatusOK || strings.Contains(w.Body.String(), "degraded") {
-		t.Fatalf("readyz after upstream recovery = %d %q, want clean 200", w.Code, w.Body.String())
 	}
 }
 

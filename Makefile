@@ -79,8 +79,7 @@ smoke-cluster:
 	for span in cluster.pull_rows cluster.push_delta cluster.shard_call; do \
 		grep -q "\"name\":\"$$span\"" /tmp/cluster.trace.json || { echo "trace has no $$span span"; exit 1; }; done
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-serve
-	/tmp/mamdr-bin/mamdr-serve -preset amazon-6 -samples 2000 -seed 7 \
-		-checkpoint /tmp/cluster.ckpt -addr 127.0.0.1:8090 -access-log off \
+	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/cluster.ckpt -addr 127.0.0.1:8090 -access-log off \
 		>/tmp/cluster-serve.log 2>&1 & echo $$! > /tmp/cluster-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8090/healthz >/dev/null 2>&1 && break; \
 		kill -0 `cat /tmp/cluster-serve.pid` || { cat /tmp/cluster-serve.log; exit 1; }; sleep 1; done
@@ -139,17 +138,18 @@ smoke-obs:
 
 # One serving process with streaming
 # model-quality tracking, serving the checkpoint (and its validation
-# baseline) that mamdr-train -save wrote, observed by mamdr-obs. Matched traffic
+# baseline) that mamdr-train -save wrote, observed by mamdr-obs. The
+# trainer reads the dataset JSON the traffic driver replays (-data), so
+# the server rebuilds it from the path the checkpoint records. Matched traffic
 # (val+test replayed with true labels) must fire no alert; drifted
 # traffic (fixed items, inverted labels) must burn the quality SLOs and
 # flip /quality to no-go.
 smoke-quality:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/mamdr-obs ./cmd/datagen
 	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 3000 -seed 11 -out /tmp/quality-ds.json
-	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 3000 -seed 11 -epochs 8 \
+	/tmp/mamdr-bin/mamdr-train -data /tmp/quality-ds.json -seed 11 -epochs 8 \
 		-save /tmp/quality.ckpt >/tmp/quality-train.log 2>&1
-	/tmp/mamdr-bin/mamdr-serve -preset amazon-6 -samples 3000 -seed 11 \
-		-checkpoint /tmp/quality.ckpt -addr 127.0.0.1:8085 -access-log off \
+	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/quality.ckpt -addr 127.0.0.1:8085 -access-log off \
 		>/tmp/quality-serve.log 2>&1 & echo $$! > /tmp/quality-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8085/healthz >/dev/null 2>&1 && break; \
 		kill -0 `cat /tmp/quality-serve.pid` || { cat /tmp/quality-serve.log; exit 1; }; sleep 1; done
@@ -191,7 +191,10 @@ smoke-quality:
 # auto-roll-back with zero client-visible errors (the driver fails on
 # any non-2xx), only the promoted snapshot may be announced as the
 # incumbent, the incumbent must keep serving afterwards, and the
-# rollback must burn the rollout-rollbacks SLO in mamdr-obs. Its access
+# rollback must burn the rollout-rollbacks SLO in mamdr-obs. A checkpoint
+# of the same shapes trained on another dataset (taobao-10 at 2,400
+# samples, whose fixed feature vectors differ) must be refused with a
+# 422, leaving v2 serving. The server's access
 # log goes to a file through the rotating event log: once the server
 # has drained, the file must hold one JSON line, carrying a request_id,
 # per request the server counted (plus the last /metrics read). A final
@@ -205,9 +208,10 @@ smoke-rollout:
 	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -samples 2000 -seed 7 -epochs 4 \
 		-flip-labels -save /tmp/rollout-poison.ckpt >>/tmp/rollout-train.log 2>&1
 	grep 'flip-labels' /tmp/rollout-train.log
+	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -samples 2400 -seed 7 -epochs 1 \
+		-save /tmp/rollout-other.ckpt >>/tmp/rollout-train.log 2>&1
 	rm -f /tmp/rollout-access.jsonl*
-	/tmp/mamdr-bin/mamdr-serve -preset taobao-10 -samples 2000 -seed 7 \
-		-checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8086 -access-log /tmp/rollout-access.jsonl \
+	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8086 -access-log /tmp/rollout-access.jsonl \
 		-canary-fraction 0.5 -rollout-min-labeled 48 -rollout-min-scores 64 \
 		-rollout-max-wait 2m \
 		>/tmp/rollout-serve.log 2>&1 & echo $$! > /tmp/rollout-serve.pid
@@ -233,6 +237,9 @@ smoke-rollout:
 	grep 'canary v3 at 50%' /tmp/rollout-canary-readyz.txt
 	grep -E 'rollout_decision=rollback version=3 reason=(psi|auc|logloss)' /tmp/rollout-serve.log
 	curl -sf 127.0.0.1:8086/readyz | grep 'ready v2 crc='
+	test "$$(curl -s -o /dev/null -w '%{http_code}' -XPOST \
+		-d '{"path":"/tmp/rollout-other.ckpt"}' 127.0.0.1:8086/admin/publish)" = 422
+	curl -sf 127.0.0.1:8086/readyz | grep 'ready v2 crc='
 	curl -s 127.0.0.1:8086/metrics > /tmp/rollout-metrics.txt
 	grep -E 'mamdr_rollout_decisions_total\{decision="rollback"' /tmp/rollout-metrics.txt
 	grep -E 'alerts_fired=[1-9]' /tmp/rollout-obs.txt
@@ -247,8 +254,7 @@ smoke-rollout:
 		n = sum(int(v) for v in re.findall(r'^mamdr_serve_requests_total\{[^}]*\} (\d+)$$', open('/tmp/rollout-metrics.txt').read(), re.M)); \
 		assert len(recs) == n + 1, ('access-log lines', len(recs), 'requests counted', n); \
 		print('ok: access log holds one line per request:', len(recs))"
-	/tmp/mamdr-bin/mamdr-serve -preset taobao-10 -samples 2000 -seed 7 \
-		-checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8087 -access-log off \
+	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8087 -access-log off \
 		-rollout=false -serve-faults 'Predict:err@1' \
 		>/tmp/rollout-chaos.log 2>&1 & echo $$! > /tmp/rollout-chaos.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8087/healthz >/dev/null 2>&1 && break; \
@@ -280,8 +286,7 @@ smoke-batch:
 	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 2000 -seed 7 -out /tmp/batch-ds.json
 	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -seed 7 -epochs 4 \
 		-save /tmp/batch.ckpt >/tmp/batch-train.log 2>&1
-	/tmp/mamdr-bin/mamdr-serve -preset amazon-6 -samples 2000 -seed 7 \
-		-checkpoint /tmp/batch.ckpt -addr 127.0.0.1:8088 -access-log off \
+	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/batch.ckpt -addr 127.0.0.1:8088 -access-log off \
 		-rollout=false -batch-max=0 -max-queue 256 \
 		>/tmp/batch-serve-off.log 2>&1 & echo $$! > /tmp/batch-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8088/healthz >/dev/null 2>&1 && break; \
@@ -291,8 +296,7 @@ smoke-batch:
 		--dump-scores /tmp/batch-scores-off.jsonl
 	curl -s 127.0.0.1:8088/metrics | grep -E 'mamdr_serve_batch_flushes_total\{reason="idle"\} [1-9]'
 	kill `cat /tmp/batch-serve.pid`
-	/tmp/mamdr-bin/mamdr-serve -preset amazon-6 -samples 2000 -seed 7 \
-		-checkpoint /tmp/batch.ckpt -addr 127.0.0.1:8089 -access-log off \
+	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/batch.ckpt -addr 127.0.0.1:8089 -access-log off \
 		-rollout=false -batch-max=64 -snapshot-quant=off \
 		-replicas 1 -serve-faults 'Predict:delay=20ms@*' \
 		-max-queue 256 \

@@ -1,13 +1,14 @@
 // Command mamdr-serve loads the MAMDR state a mamdr-train -save wrote —
-// θ_S, every θ_i and the validation-time quality baseline — and serves
-// click predictions over HTTP: the serving side of the paper's MDR
-// platform. It never trains, and -checkpoint is required.
+// θ_S, every θ_i, the validation-time quality baseline and the spec of
+// the dataset and model it was trained on, from which it rebuilds both
+// — and serves click predictions over HTTP: the serving side of the
+// paper's MDR platform. It never trains, and -checkpoint is required.
 //
 // Usage:
 //
 //	mamdr-train -preset taobao-10 -epochs 10 -save model.ckpt
 //	mamdr-train -preset taobao-10 -epochs 10 -ps-workers 4 -save model.ckpt   # or a PS-Worker fit
-//	mamdr-serve -preset taobao-10 -checkpoint model.ckpt -addr :8080
+//	mamdr-serve -checkpoint model.ckpt -addr :8080
 //	curl -XPOST localhost:8080/predict -d '{"domain":0,"users":[1,2],"items":[3,4]}'
 //	curl -XPOST localhost:8080/domains          # register a new domain
 //	curl localhost:8080/metrics                 # Prometheus exposition
@@ -46,25 +47,18 @@ func main() {
 	log.SetPrefix("mamdr-serve: ")
 
 	var (
-		preset        = flag.String("preset", "taobao-10", "benchmark preset the state was trained on")
-		samples       = flag.Int("samples", 8000, "dataset scale")
-		model         = flag.String("model", "mlp", "model structure")
-		seed          = flag.Int64("seed", 1, "random seed")
 		addr          = flag.String("addr", ":8080", "listen address")
 		replicas      = flag.Int("replicas", 0, "forward passes that run at once: the request scheduler's slots, one model replica each (0 = GOMAXPROCS)")
 		kernelThreads = flag.Int("kernel-threads", 1, "goroutines per math kernel (0 = GOMAXPROCS; serving defaults to 1 so concurrency comes from -replicas, not intra-op fan-out)")
 		timeout       = flag.Duration("timeout", 5*time.Second, "per-request deadline: a prediction still waiting for a forward slot when it passes gets 503 + Retry-After")
-		checkpoint    = flag.String("checkpoint", "", "the state (and its quality baseline) that mamdr-train -save wrote; required")
+		checkpoint    = flag.String("checkpoint", "", "the state, quality baseline and training spec that mamdr-train -save wrote; required")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-		embDim        = flag.Int("emb", 8, "embedding dimension the state was trained with")
 
-		withQuality   = flag.Bool("quality", true, "streaming model-quality tracking: /feedback label joins, drift detection vs the checkpoint baseline, quality SLO breach counters (needs -metrics)")
 		qualityWindow = flag.Int("quality-window", 0, fmt.Sprintf("labeled prequential-evaluation window per domain (0 = default %d)", quality.DefaultWindow))
 		feedbackTTL   = flag.Duration("feedback-ttl", 0, "how long /predict scores wait in the join buffer for /feedback labels (0 = default 2m)")
 
-		withMetrics = flag.Bool("metrics", true, "expose Prometheus /metrics and instrument the request path")
-		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		accessLog   = flag.String("access-log", "stderr", `structured JSON access log: "stderr", "stdout", a file path, or "off"`)
+		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		accessLog = flag.String("access-log", "stderr", `structured JSON access log: "stderr", "stdout", a file path, or "off"`)
 
 		tracePath   = flag.String("trace", "", "stream per-request spans as JSONL \"span\" events to this file, rotated at 64 MiB with 3 segments kept (use GET /debug/trace?sec=N for a Chrome/Perfetto capture)")
 		traceSample = flag.Float64("trace-sample", 1, "fraction of request root spans to record (0..1)")
@@ -79,7 +73,7 @@ func main() {
 		rolloutScores  = flag.Int("rollout-min-scores", 0, fmt.Sprintf("served scores per arm before the PSI gate may decide (0 = default %d)", quality.MinScores))
 		rolloutMaxWait = flag.Duration("rollout-max-wait", 0, "fail-safe: a canary still unproven after this long is rolled back (0 = default 10m)")
 		maxQueue       = flag.Int("max-queue", 0, "admission control: shed predictions once this many wait for a forward slot beyond the -replicas running (0 = 4×replicas)")
-		serveFaults    = flag.String("serve-faults", "", "serving-path fault schedule (op:kind@occurrences; ops: Predict, PublishSource), seeded by -seed")
+		serveFaults    = flag.String("serve-faults", "", "serving-path fault schedule (op:kind@occurrences; ops: Predict, PublishSource), seeded by the checkpoint's training seed")
 
 		batchMax      = flag.Int("batch-max", 0, "every /predict goes through one scheduler: a request that finds a replica free runs at once; ones that arrive while every replica is busy coalesce into forwards of at most this many rows (0 = off, one request per forward)")
 		snapshotQuant = flag.String("snapshot-quant", "off", `serving-snapshot embedding storage: "off" (float64) or "int8" (symmetric-per-row quantized tables, each gathered row decoded on lookup)`)
@@ -90,29 +84,36 @@ func main() {
 	}
 	kernels.SetThreads(*kernelThreads)
 
-	ds, err := mamdr.GenerateDatasetErr(mamdr.DatasetSpec{Preset: *preset, TotalSamples: *samples, Seed: *seed})
+	// One read of the file: its spec rebuilds the dataset and the model,
+	// then the same decoded vectors install into that model.
+	var ck core.Checkpoint
+	env, err := core.LoadGobEnvelope(*checkpoint, &ck)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	m, err := models.New(*model, models.Config{Dataset: ds, EmbDim: *embDim, Seed: *seed})
+	spec := ck.Spec
+	if spec == (core.Spec{}) {
+		log.Fatalf("%s records no training spec (written before v4, or not by mamdr-train -save): re-save it with mamdr-train -save", *checkpoint)
+	}
+	ds, err := mamdr.SpecDataset(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := models.Config{Dataset: ds, EmbDim: spec.EmbDim, Seed: spec.Seed}
+	m, err := models.New(spec.Model, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	state := &core.State{Model: m}
-	ckptBaseline, env, err := state.LoadWithBaseline(*checkpoint)
-	if err != nil {
+	if err := state.Install(ck, nil); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes)",
-		*checkpoint, env.Version, env.CRC, env.PayloadBytes)
+	log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes), trained on %+v",
+		*checkpoint, env.Version, env.CRC, env.PayloadBytes, spec)
 
-	var reg *telemetry.Registry
-	if *withMetrics {
-		reg = telemetry.New()
-		telemetry.RegisterGoRuntime(reg)
-		obsv.RegisterBuildInfo(reg, "serve")
-	}
+	reg := telemetry.New()
+	telemetry.RegisterGoRuntime(reg)
+	obsv.RegisterBuildInfo(reg, "serve")
 	logger, err := openAccessLog(*accessLog)
 	if err != nil {
 		log.Fatal(err)
@@ -150,33 +151,30 @@ func main() {
 	}
 
 	// Model-quality tracking: the drift baseline comes from the
-	// checkpoint envelope. A pre-quality (v2) checkpoint carries none —
-	// serving continues with drift detection disabled, logged and counted.
-	var tracker *quality.Tracker
-	if *withQuality && reg != nil {
-		tracker = quality.NewTracker(reg, quality.Options{Checks: true, Window: *qualityWindow})
-		tracker.SetBaseline(ckptBaseline)
-		if ckptBaseline != nil {
-			log.Printf("quality baseline loaded from checkpoint (%d domains)", len(ckptBaseline.Domains))
-		} else {
-			log.Printf("pre-quality checkpoint: drift detection disabled (re-save with a baseline to enable)")
-		}
+	// checkpoint. A checkpoint saved without one serves with drift
+	// detection disabled, logged and counted.
+	tracker := quality.NewTracker(reg, quality.Options{Checks: true, Window: *qualityWindow})
+	tracker.SetBaseline(ck.Quality)
+	if ck.Quality != nil {
+		log.Printf("quality baseline loaded from checkpoint (%d domains)", len(ck.Quality.Domains))
+	} else {
+		log.Printf("checkpoint carries no quality baseline: drift detection disabled")
 	}
 
 	var faults *faultinject.Injector
 	if *serveFaults != "" {
-		faults, err = faultinject.Parse(*serveFaults, *seed)
+		faults, err = faultinject.Parse(*serveFaults, spec.Seed)
 		if err != nil {
 			log.Fatalf("-serve-faults: %v", err)
 		}
-		log.Printf("serving-path fault injection armed: %s (seed %d)", *serveFaults, *seed)
+		log.Printf("serving-path fault injection armed: %s (seed %d)", *serveFaults, spec.Seed)
 	}
 
 	srv := serve.NewWithOptions(state, ds, serve.Options{
 		Replicas:       *replicas,
 		RequestTimeout: *timeout,
 		MaxQueue:       *maxQueue,
-		ShedSeed:       *seed,
+		ShedSeed:       spec.Seed,
 		Metrics:        reg,
 		AccessLog:      logger,
 		Tracer:         tracer,
@@ -192,9 +190,7 @@ func main() {
 		// Replicas mirror the trained model's structure (same Config,
 		// including Seed); the server drops their weights, because every
 		// prediction binds the replica to the served snapshot.
-		ReplicaFactory: func() models.Model {
-			return models.MustNew(*model, models.Config{Dataset: ds, EmbDim: *embDim, Seed: *seed})
-		},
+		ReplicaFactory: func() models.Model { return models.MustNew(spec.Model, cfg) },
 	})
 	if *batchMax > 0 {
 		log.Printf("request coalescing on: batches of up to %d rows, formed only while every replica is busy", *batchMax)

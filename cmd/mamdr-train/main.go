@@ -49,7 +49,7 @@ func main() {
 
 	var (
 		preset   = flag.String("preset", "taobao-10", "benchmark preset (ignored when -data is set)")
-		dataPath = flag.String("data", "", "path to a dataset JSON written by datagen")
+		dataPath = flag.String("data", "", "path to a dataset JSON written by datagen (-save records it as an absolute path, which mamdr-serve reloads)")
 		samples  = flag.Int("samples", 10000, "dataset scale when generating a preset")
 		model    = flag.String("model", "mlp", "model structure: "+strings.Join(mamdr.ModelNames(), ", "))
 		fw       = flag.String("framework", "mamdr", "learning framework: "+strings.Join(mamdr.FrameworkNames(), ", "))
@@ -88,33 +88,29 @@ func main() {
 		checkpointDir   = flag.String("checkpoint-dir", "", "write crash-safe epoch-boundary checkpoints into this directory")
 		checkpointEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in epochs (with -checkpoint-dir)")
 		resume          = flag.Bool("resume", false, "resume from the last checkpoint in -checkpoint-dir (bit-identical to an uninterrupted run under the same seed)")
-		savePath        = flag.String("save", "", "save the trained state with a quality baseline profiled on the validation split (loadable by mamdr-serve -checkpoint)")
+		savePath        = flag.String("save", "", "save the trained state with a quality baseline profiled on the validation split and the dataset and model spec it was trained on (all mamdr-serve -checkpoint needs; -framework dn, dr or mamdr)")
 		flipLabels      = flag.Bool("flip-labels", false, "invert every interaction label before training — produces a deliberately quality-regressed model for rollout/rollback drills")
 	)
 	flag.Parse()
 	kernels.SetThreads(*kernelThreads)
-	var psUseDR bool
-	if *psWorkers > 0 {
-		var err error
-		if psUseDR, err = psFramework(*fw, *psCache, *psSync); err != nil {
-			log.Fatal(err)
-		}
+	psUseDR, err := checkFramework(*fw, *savePath != "", *psWorkers, *psCache, *psSync)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	var (
-		ds  *mamdr.Dataset
-		err error
-	)
+	// The spec is the one description of what this run trains on; -save
+	// records it, and mamdr-serve rebuilds the dataset and model from it.
+	spec := core.Spec{Preset: *preset, Samples: *samples, Seed: *seed, Model: *model, EmbDim: *embDim}
 	if *dataPath != "" {
-		ds, err = mamdr.LoadDataset(*dataPath)
+		abs, err := filepath.Abs(*dataPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-	} else {
-		ds, err = mamdr.GenerateDatasetErr(mamdr.DatasetSpec{Preset: *preset, TotalSamples: *samples, Seed: *seed})
-		if err != nil {
-			log.Fatal(err)
-		}
+		spec.Preset, spec.Samples, spec.DataPath = "", 0, abs
+	}
+	ds, err := mamdr.SpecDataset(spec)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *flipLabels {
 		// The drill model: structurally identical to an honest run, but
@@ -275,10 +271,8 @@ func main() {
 	// profile into one envelope; mamdr-serve -checkpoint loads both and
 	// detects drift against the profile.
 	if *savePath != "" {
-		st, ok := pred.(*core.State)
-		if !ok {
-			log.Fatalf("-save: predictor is %T, want *core.State (framework %q does not produce a saveable state)", pred, *fw)
-		}
+		st := pred.(*core.State) // checkFramework refused every other framework
+		st.Spec = spec
 		if err := st.SaveWithBaseline(*savePath, framework.QualityBaseline(st, ds, data.Val)); err != nil {
 			log.Fatal(err)
 		}
@@ -319,21 +313,31 @@ func main() {
 	}
 }
 
-// psFramework maps -framework onto what a -ps-workers fit runs: mamdr
-// is DN then DR, dn is DN alone, and the PS trainer implements no other
-// framework. Deferred pushes ride the cache protocol, so -ps-sync-push
-// needs -ps-cache.
-func psFramework(framework string, cache, syncPush bool) (useDR bool, err error) {
+// checkFramework refuses, before any data is built, a -framework the
+// other flags cannot use: -save needs a fit that is a *core.State (a
+// core.MAMDR framework), and a -ps-workers fit runs mamdr (DN then DR)
+// or dn (DN alone) — the PS trainer implements no other framework. It
+// reports whether a -ps-workers fit runs DR. Deferred pushes ride the
+// cache protocol, so -ps-sync-push needs -ps-cache.
+func checkFramework(fw string, save bool, psWorkers int, cache, syncPush bool) (useDR bool, err error) {
+	if f, _ := framework.New(fw); save { // an unknown name builds nil, no *core.MAMDR
+		if _, ok := f.(*core.MAMDR); !ok {
+			return false, fmt.Errorf("-save: -framework %q fits no state that mamdr-serve can load", fw)
+		}
+	}
+	if psWorkers == 0 {
+		return false, nil
+	}
 	if syncPush && !cache {
 		return false, errors.New("-ps-sync-push requires -ps-cache")
 	}
-	switch framework {
+	switch fw {
 	case "mamdr":
 		return true, nil
 	case "dn":
 		return false, nil
 	}
-	return false, fmt.Errorf("-framework %q: -ps-workers trains mamdr or dn", framework)
+	return false, fmt.Errorf("-framework %q: -ps-workers trains mamdr or dn", fw)
 }
 
 // deployOpts is how a distributed run is deployed; what it trains is

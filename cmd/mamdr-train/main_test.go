@@ -72,10 +72,40 @@ func TestPSFrameworkFlags(t *testing.T) {
 		{"mamdr", false, true, false, false},
 		{"dn", false, true, false, false},
 	} {
-		useDR, err := psFramework(tc.framework, tc.cache, tc.syncPush)
+		useDR, err := checkFramework(tc.framework, false, 2, tc.cache, tc.syncPush)
 		if (err == nil) != tc.ok || (tc.ok && useDR != tc.useDR) {
-			t.Errorf("psFramework(%q, cache=%v, sync=%v) = (%v, %v), want useDR=%v ok=%v",
+			t.Errorf("checkFramework(%q, cache=%v, sync=%v) = (%v, %v), want useDR=%v ok=%v",
 				tc.framework, tc.cache, tc.syncPush, useDR, err, tc.useDR, tc.ok)
+		}
+	}
+}
+
+// TestSaveFrameworkFlags: -save writes a *core.State, so every framework
+// whose fit is something else is refused before the dataset is built,
+// not after the last epoch; a -ps-workers fit always saves one.
+func TestSaveFrameworkFlags(t *testing.T) {
+	for _, tc := range []struct {
+		framework string
+		psWorkers int
+		ok        bool
+	}{
+		{"mamdr", 0, true},
+		{"dn", 0, true},
+		{"dr", 0, true},
+		{"mamdr", 2, true},
+		{"dn", 2, true},
+		{"alternate", 0, false},
+		{"finetune", 0, false},
+		{"separate", 0, false},
+		{"maml", 0, false},
+		{"nosuch", 0, false},
+	} {
+		_, err := checkFramework(tc.framework, true, tc.psWorkers, true, false)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkFramework(%q, save, workers=%d) = %v, want ok=%v", tc.framework, tc.psWorkers, err, tc.ok)
+		}
+		if _, err := checkFramework(tc.framework, false, 0, true, false); err != nil {
+			t.Errorf("checkFramework(%q) without -save or -ps-workers = %v, want nil", tc.framework, err)
 		}
 	}
 }

@@ -213,6 +213,84 @@ func TestDistributedFitServesFromItsCheckpoint(t *testing.T) {
 	t.Logf("%d non-zero θ_i entries; served predictions match the fit float for float", nonZero)
 }
 
+// TestServeBootsFromCheckpointAlone: the file a fit saves with its spec
+// is all serving needs. Booting the way mamdr-serve does — read the
+// file once, rebuild the dataset and the model from its Spec, install
+// the same vectors — answers /predict float for float as the training
+// process's own state predicts, for a user that a smaller taobao-10
+// dataset does not have too: taobao's fixed feature vectors depend on
+// the sample count, so serving over any other dataset would answer
+// with other scores (or "unknown user") while every shape still fits.
+func TestServeBootsFromCheckpointAlone(t *testing.T) {
+	spec := core.Spec{Preset: "taobao-10", Samples: 3000, Seed: 11, Model: "mlp", EmbDim: 8}
+	ds, err := SpecDataset(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Train(TrainSpec{Dataset: ds, Model: spec.Model, Framework: "mamdr", Epochs: 2, EmbDim: spec.EmbDim, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Predictor.(*core.State)
+	st.Spec = spec
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := st.SaveWithBaseline(path, framework.QualityBaseline(st, ds, data.Val)); err != nil {
+		t.Fatal(err)
+	}
+
+	var ck core.Checkpoint
+	if _, err := core.LoadGobEnvelope(path, &ck); err != nil {
+		t.Fatal(err)
+	}
+	served, err := SpecDataset(ck.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := models.New(ck.Spec.Model, models.Config{Dataset: served, EmbDim: ck.Spec.EmbDim, Seed: ck.Spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := &core.State{Model: m}
+	if err := loaded.Install(ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := serve.NewWithOptions(loaded, served, serve.Options{}).Handler()
+
+	smaller := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 2000, Seed: spec.Seed})
+	if smaller.NumUsers >= ds.NumUsers {
+		t.Fatalf("the smaller dataset has %d users, the trained one %d", smaller.NumUsers, ds.NumUsers)
+	}
+	for d, dom := range ds.Domains {
+		ins := append(append([]data.Interaction(nil), dom.Test...), data.Interaction{User: smaller.NumUsers, Item: 3})
+		want := st.Predict(ds.MakeBatch(d, ins))
+		req := serve.PredictRequest{Domain: d}
+		for _, in := range ins {
+			req.Users, req.Items = append(req.Users, in.User), append(req.Items, in.Item)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("domain %d: /predict = %d: %s", d, w.Code, w.Body)
+		}
+		var resp serve.PredictResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Probabilities) != len(want) {
+			t.Fatalf("domain %d: %d probabilities for %d pairs", d, len(resp.Probabilities), len(want))
+		}
+		for i, p := range resp.Probabilities {
+			if p != want[i] {
+				t.Fatalf("domain %d pair %d (user %d): served %v, the trainer predicts %v", d, i, ins[i].User, p, want[i])
+			}
+		}
+	}
+}
+
 // TestRankMetricAcrossRealRun sanity-checks the Table V RANK aggregation
 // on genuine training output: ranks must average to (m+1)/2 across
 // methods.

@@ -122,15 +122,18 @@ func TestEnvelopeInfoRejectsDamage(t *testing.T) {
 func FuzzCheckpointEnvelope(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, "fuzz.ckpt")
-	seed := func(version uint32) []byte {
-		writeEnvelope(f, path, version, Checkpoint{ModelName: "MLP", Epoch: -1})
+	seed := func(version uint32, ck Checkpoint) []byte {
+		writeEnvelope(f, path, version, ck)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return raw
 	}
-	v2, v3 := seed(2), seed(3)
+	v2 := seed(2, Checkpoint{ModelName: "MLP", Epoch: -1})
+	v3 := seed(3, Checkpoint{ModelName: "MLP", Epoch: -1})
+	v4 := seed(4, Checkpoint{ModelName: "MLP", Epoch: -1,
+		Spec: Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 8}})
 	mutated := func(mutate func(b []byte)) []byte {
 		c := append([]byte(nil), v3...)
 		mutate(c)
@@ -138,6 +141,7 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 	}
 	f.Add(v2)
 	f.Add(v3)
+	f.Add(v4)
 	f.Add(v3[:headerLen-2])                                                           // truncated header
 	f.Add(mutated(func(b []byte) { copy(b[:8], "NOTMAMDR") }))                        // bad magic
 	f.Add(mutated(func(b []byte) { binary.LittleEndian.PutUint64(b[12:20], 1<<62) })) // length far past the file

@@ -77,6 +77,9 @@ type State struct {
 	Model    models.Model
 	Shared   paramvec.Vector
 	Specific []paramvec.Vector
+	// Spec is what the state was trained on; every Save writes it and
+	// every load sets it. Training leaves it zero for its caller to set.
+	Spec Spec
 
 	// replicas of Model that the DR phases of a training run train
 	// targets on beside it; Fit drops them when it returns.

@@ -27,12 +27,13 @@ const (
 	checkpointMagic = "MAMDRCKP"
 	// checkpointVersion is the envelope version this build writes,
 	// bumped on envelope/payload changes; v3 added the optional
-	// quality-baseline block to Checkpoint payloads.
-	checkpointVersion uint32 = 3
+	// quality-baseline block to Checkpoint payloads, v4 the Spec.
+	checkpointVersion uint32 = 4
 	// checkpointMinVersion is the oldest envelope this build still
 	// reads. v2 (pre-quality) payloads decode with a nil Quality
-	// baseline — drift detection is disabled, not fatal. Versions
-	// outside [min, current] are rejected loudly.
+	// baseline — drift detection is disabled, not fatal — and pre-v4
+	// payloads with a zero Spec. Versions outside [min, current] are
+	// rejected loudly.
 	checkpointMinVersion uint32 = 2
 )
 
@@ -180,19 +181,33 @@ func LoadGobEnvelope(path string, v any) (Envelope, error) {
 	return env, nil
 }
 
+// Spec records what a state was trained on, so its checkpoint alone
+// rebuilds the dataset (the JSON file at DataPath, or Preset generated
+// at Samples and Seed) and the model (the models.New key Model at
+// EmbDim and Seed). The zero Spec records nothing.
+type Spec struct {
+	Preset   string
+	Samples  int
+	DataPath string
+	Seed     int64
+	Model    string
+	EmbDim   int
+}
+
 // Checkpoint is the serializable form of a trained MAMDR state: the
-// shared parameter vector and every domain's specific vector, plus an
-// optional resume cursor (completed-epoch count and the DN outer
-// optimizer's state) for crash-safe training restarts. The model
-// structure itself is rebuilt from configuration by the caller (the
-// vectors align with Model.Parameters() order, which is stable for a
-// given structure and dataset schema).
+// shared parameter vector and every domain's specific vector, the Spec
+// it was trained on, plus an optional resume cursor (completed-epoch
+// count and the DN outer optimizer's state) for crash-safe training
+// restarts. The vectors align with Model.Parameters() order, which is
+// stable for a given structure and dataset schema; Spec names both.
 type Checkpoint struct {
-	// ModelName records the structure the state was trained with, as a
-	// guard against loading into a mismatched model.
+	// ModelName records the structure's display name, as a guard
+	// against loading into a mismatched model.
 	ModelName string
-	Shared    paramvec.Vector
-	Specific  []paramvec.Vector
+	// Spec is the training run's dataset and model (zero before v4).
+	Spec     Spec
+	Shared   paramvec.Vector
+	Specific []paramvec.Vector
 	// Epoch is the number of fully completed training epochs when the
 	// checkpoint was taken; -1 marks a final state with no resume
 	// cursor (the State.Save format).
@@ -221,6 +236,7 @@ func (s *State) Save(path string) error {
 func (s *State) SaveWithBaseline(path string, b *quality.Baseline) error {
 	return SaveGob(path, Checkpoint{
 		ModelName: s.Model.Name(),
+		Spec:      s.Spec,
 		Shared:    s.Shared,
 		Specific:  s.Specific,
 		Epoch:     -1,
@@ -235,6 +251,7 @@ func (s *State) SaveWithBaseline(path string, b *quality.Baseline) error {
 func (s *State) SaveTraining(path string, epoch int, outer optim.Optimizer) error {
 	ck := Checkpoint{
 		ModelName: s.Model.Name(),
+		Spec:      s.Spec,
 		Shared:    s.Shared,
 		Specific:  s.Specific,
 		Epoch:     epoch,
@@ -278,34 +295,44 @@ func (s *State) LoadTraining(path string, outer optim.Optimizer) (epoch int, err
 // load is the one State reader: a single verified file read, checked
 // against the state's model before anything is installed.
 func (s *State) load(path string, outer optim.Optimizer) (ck Checkpoint, env Envelope, err error) {
-	if env, err = LoadGobEnvelope(path, &ck); err != nil {
-		return ck, env, err
+	if env, err = LoadGobEnvelope(path, &ck); err == nil {
+		err = s.Install(ck, outer)
 	}
+	return ck, env, err
+}
+
+// Install checks a checkpoint decoded by LoadGobEnvelope against the
+// state's model — the structure's name and every vector's shape — and
+// only then installs its vectors and Spec, and with a non-nil outer the
+// optimizer state it carries. A caller that needs the Spec to build the
+// model decodes the file once and installs the same vectors.
+func (s *State) Install(ck Checkpoint, outer optim.Optimizer) error {
 	if ck.ModelName != s.Model.Name() {
-		return ck, env, fmt.Errorf("core: checkpoint is for model %q, state has %q", ck.ModelName, s.Model.Name())
+		return fmt.Errorf("core: checkpoint is for model %q, state has %q", ck.ModelName, s.Model.Name())
 	}
 	params := s.Model.Parameters()
 	if err := fits(ck.Shared, params); err != nil {
-		return ck, env, fmt.Errorf("core: shared vector: %w", err)
+		return fmt.Errorf("core: shared vector: %w", err)
 	}
 	for d, v := range ck.Specific {
 		if err := fits(v, params); err != nil {
-			return ck, env, fmt.Errorf("core: specific vector %d: %w", d, err)
+			return fmt.Errorf("core: specific vector %d: %w", d, err)
 		}
 	}
 	s.Shared = ck.Shared
 	s.Specific = ck.Specific
+	s.Spec = ck.Spec
 	paramvec.Restore(params, s.Shared)
 	if outer != nil && !ck.Outer.Empty() {
 		st, ok := outer.(optim.Stateful)
 		if !ok {
-			return ck, env, fmt.Errorf("core: checkpoint carries %q optimizer state but the outer optimizer cannot restore state", ck.Outer.Name)
+			return fmt.Errorf("core: checkpoint carries %q optimizer state but the outer optimizer cannot restore state", ck.Outer.Name)
 		}
 		if err := st.RestoreState(params, ck.Outer); err != nil {
-			return ck, env, fmt.Errorf("core: restore outer optimizer: %w", err)
+			return fmt.Errorf("core: restore outer optimizer: %w", err)
 		}
 	}
-	return ck, env, nil
+	return nil
 }
 
 // fits reports whether v has one segment per tensor, each of the

@@ -46,6 +46,46 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecRoundTrips: the training spec a state carries is written by
+// Save and SaveTraining and set again by Load and LoadTraining, and a
+// pre-v4 file, which records none, loads with the zero Spec.
+func TestSpecRoundTrips(t *testing.T) {
+	ds := testDataset(t, 0.5)
+	st := framework.MustNew("dn").Fit(testModel(t, ds), ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 9}).(*State)
+	specs := []Spec{
+		{Preset: "taobao-10", Samples: 2400, Seed: 7, Model: "mlp", EmbDim: 4},
+		{DataPath: "/data/ds.json", Seed: 11, Model: "mlp", EmbDim: 4},
+	}
+	dir := t.TempDir()
+	final, resumable, legacy := filepath.Join(dir, "final.ckpt"), filepath.Join(dir, "train.ckpt"), filepath.Join(dir, "v3.ckpt")
+	for _, spec := range specs {
+		st.Spec = spec
+		if err := st.Save(final); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SaveTraining(resumable, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		loaded := &State{Model: testModel(t, ds)}
+		if err := loaded.Load(final); err != nil || loaded.Spec != spec {
+			t.Fatalf("Load: spec %+v, err %v; saved %+v", loaded.Spec, err, spec)
+		}
+		resumed := &State{Model: testModel(t, ds)}
+		if _, err := resumed.LoadTraining(resumable, nil); err != nil || resumed.Spec != spec {
+			t.Fatalf("LoadTraining: spec %+v, err %v; saved %+v", resumed.Spec, err, spec)
+		}
+		var ck Checkpoint
+		if _, err := LoadGobEnvelope(final, &ck); err != nil || ck.Spec != spec {
+			t.Fatalf("LoadGobEnvelope: spec %+v, err %v; saved %+v", ck.Spec, err, spec)
+		}
+	}
+	writeEnvelope(t, legacy, 3, legacyCheckpoint{ModelName: st.Model.Name(), Shared: st.Shared, Specific: st.Specific, Epoch: -1})
+	old := &State{Model: testModel(t, ds), Spec: specs[0]}
+	if err := old.Load(legacy); err != nil || old.Spec != (Spec{}) {
+		t.Fatalf("v3 file: spec %+v, err %v; want the zero Spec", old.Spec, err)
+	}
+}
+
 func TestLoadRejectsWrongModel(t *testing.T) {
 	ds := testDataset(t, 0.5)
 	m := testModel(t, ds)

@@ -490,6 +490,55 @@ func TestAdminPublishLifecycle(t *testing.T) {
 	}
 }
 
+// TestPublishRefusesAnotherSpec: a checkpoint whose vectors fit the
+// served model but that was trained on another dataset would serve its
+// weights over the wrong features, so /admin/publish answers 422,
+// stages nothing and counts the publish rejected. The same vectors
+// under the served spec are accepted.
+func TestPublishRefusesAnotherSpec(t *testing.T) {
+	st, ds, factory := testState(t)
+	st.Spec = core.Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 4}
+	reg := telemetry.New()
+	s := NewWithOptions(st, ds, Options{Metrics: reg})
+	h := s.Handler()
+	dir := t.TempDir()
+
+	other := framework.MustNew("mamdr").Fit(factory(), ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 123}).(*core.State)
+	other.Spec = st.Spec
+	other.Spec.Samples = 8000
+	path := filepath.Join(dir, "other.ckpt")
+	if err := other.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	before := predictRID(t, h, "probe", PredictRequest{Domain: 0, Users: []int{0, 1}, Items: []int{0, 1}})
+
+	w := postJSON(t, h, "/admin/publish", PublishRequest{Path: path})
+	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "trained on") {
+		t.Fatalf("publish of another spec = %d %q, want 422 naming the spec", w.Code, w.Body.String())
+	}
+	if inc, can := s.Versions(); inc != 1 || can != 0 {
+		t.Fatalf("Versions = (%d, %d) after a refused publish, want (1, 0)", inc, can)
+	}
+	if after := predictRID(t, h, "probe", PredictRequest{Domain: 0, Users: []int{0, 1}, Items: []int{0, 1}}); after.Body.String() != before.Body.String() {
+		t.Fatalf("refused publish changed the scores: %s -> %s", before.Body, after.Body)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `mamdr_serve_publish_total{outcome="rejected"} 1`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition missing %q", want)
+	}
+
+	other.Spec = st.Spec
+	if err := other.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if w := postJSON(t, h, "/admin/publish", PublishRequest{Path: path}); w.Code != http.StatusOK {
+		t.Fatalf("publish under the served spec = %d: %s", w.Code, w.Body)
+	}
+}
+
 // TestPublishDoesNotNeedAReplica: a file publish decodes vectors, not a
 // model. On a single-replica server whose only replica is held by an
 // in-flight forward (stalled by an injected delay), POST /admin/publish

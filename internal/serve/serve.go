@@ -299,7 +299,7 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 		}
 		s.pool <- &replica{model: m, binding: paramvec.NewBinding(own)}
 	}
-	s.layout = &layout{model: state.Model, params: params, tables: models.EmbeddingTablesOf(state.Model)}
+	s.layout = &layout{model: state.Model, params: params, tables: models.EmbeddingTablesOf(state.Model), spec: state.Spec}
 	switch opts.SnapshotQuant {
 	case "", "off":
 	case "int8":

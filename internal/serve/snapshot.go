@@ -53,6 +53,9 @@ type layout struct {
 	tables map[int]int
 	// int8 selects int8 row storage (Options.SnapshotQuant).
 	int8 bool
+	// spec is what the boot state was trained on: the dataset whose
+	// features the server resolves. A published checkpoint must match.
+	spec core.Spec
 }
 
 // validate checks a candidate state's vectors align with the served

@@ -23,7 +23,7 @@ package mamdr
 import (
 	"fmt"
 
-	_ "mamdr/internal/core" // register dn/dr/mamdr frameworks
+	"mamdr/internal/core" // also registers the dn/dr/mamdr frameworks
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
 	"mamdr/internal/metrics"
@@ -78,6 +78,16 @@ func GenerateDatasetErr(spec DatasetSpec) (*Dataset, error) {
 		return nil, fmt.Errorf("mamdr: unknown preset %q (have %v)", spec.Preset, names)
 	}
 	return synth.Generate(cfg), nil
+}
+
+// SpecDataset returns the dataset a training spec names: the JSON file
+// at DataPath, or Preset generated at Samples and Seed. mamdr-train
+// trains on it and mamdr-serve rebuilds it from a checkpoint's Spec.
+func SpecDataset(spec core.Spec) (*Dataset, error) {
+	if spec.DataPath != "" {
+		return LoadDataset(spec.DataPath)
+	}
+	return GenerateDatasetErr(DatasetSpec{Preset: spec.Preset, TotalSamples: spec.Samples, Seed: spec.Seed})
 }
 
 // LoadDataset reads a dataset saved with SaveDataset (JSON).

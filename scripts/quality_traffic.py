@@ -37,7 +37,7 @@ def post(url, payload, timeout):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--base", default="http://127.0.0.1:8085", help="mamdr-serve base URL")
-    ap.add_argument("--data", required=True, help="dataset JSON written by datagen (must match the server's -preset/-samples/-seed)")
+    ap.add_argument("--data", required=True, help="dataset JSON written by datagen: the file the served checkpoint was trained on (mamdr-train -data), or datagen run at the trainer's -preset/-samples/-seed")
     ap.add_argument("--mode", choices=["control", "drift"], required=True)
     ap.add_argument("--repeat", type=int, default=8, help="times to replay the val+test set (drives windows past the evidence thresholds)")
     ap.add_argument("--batch", type=int, default=16)
@@ -88,7 +88,7 @@ def main():
 
     print(f"{args.mode}: {requests} predict requests, {joined} feedback joins, {labels_sent} labels")
     if joined == 0:
-        print("no feedback joined — is the server running with -quality?", file=sys.stderr)
+        print("no feedback joined — did /feedback reach the server that answered /predict?", file=sys.stderr)
         return 1
     return 0
 

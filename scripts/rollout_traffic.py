@@ -58,7 +58,7 @@ def post(url, payload, timeout, rid=None):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--base", default="http://127.0.0.1:8086", help="mamdr-serve base URL")
-    ap.add_argument("--data", required=True, help="dataset JSON written by datagen (must match the server's -preset/-samples/-seed)")
+    ap.add_argument("--data", required=True, help="dataset JSON written by datagen: the file the served checkpoint was trained on (mamdr-train -data), or datagen run at the trainer's -preset/-samples/-seed")
     ap.add_argument("--fraction", type=float, default=0.5, help="the server's -canary-fraction (rids are precomputed against it)")
     ap.add_argument("--repeat", type=int, default=4, help="times to replay the val+test set (drives both arms past the gate's evidence thresholds)")
     ap.add_argument("--batch", type=int, default=16)
@@ -139,7 +139,7 @@ def main():
     print("mirrored: %d predict requests (%d pairs), %d feedback joins, %d labels"
           % (totals["requests"], seq, totals["joined"], totals["labels"]))
     if totals["joined"] == 0:
-        print("no feedback joined -- is the server running with -quality?", file=sys.stderr)
+        print("no feedback joined -- did /feedback reach the server that answered /predict?", file=sys.stderr)
         return 1
     return 0
 

@@ -323,11 +323,14 @@ smoke-batch:
 # a serve publish takes the rollout gate's lock under the server's, and
 # every span ends into trace's shared sinks; keep them race-clean.
 # The race detector does not see loads and stores made in assembly —
-# gemmAddAVX2 (gemm_amd64.s), adamAVX2 and addAVX2 (elementwise_amd64.s):
-# TestParallelGemmConcurrent under -race covers how rows are partitioned
-# among goroutines, not the inner loop (which shares nothing: a goroutine
-# writes only its own rows), and the Adam update and the vector add under
-# AccumAdd, AddTo, ColSumAdd and the fused bias are unseen by it.
+# gemmAddAVX2 (gemm_amd64.s: its eight-lane ZMM tiles where the CPU has
+# AVX-512 and its four-lane YMM tiles), adamAVX2 (elementwise_amd64.s:
+# its full path and the path that skips a group of +0 moments) and
+# addAVX2: TestParallelGemmConcurrent under -race covers how rows are
+# partitioned among goroutines, not the inner loop (which shares
+# nothing: a goroutine writes only its own rows), and the Adam update
+# and the vector add under AccumAdd, AddTo, ColSumAdd and the fused bias
+# are unseen by it.
 race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
 		./internal/batch/... ./internal/quant/... ./internal/quality/... ./internal/core/... ./internal/autograd/... \
@@ -356,9 +359,12 @@ OUT ?= BENCH.json
 bench: bench-kernels
 	bash cmd/mamdr-bench/run.sh -out $(OUT) -repeat 5
 
-# The kernel's own rows: the three GEMM products at the MLP's shapes, the
-# Adam update and the vector add at 18,689 and 105,000 elements, each on
-# the assembly routine and on the Go loops, and the autograd ops on top.
+# The kernel's own rows: the three GEMM products at the MLP's shapes on
+# the assembly routine's eight-lane and four-lane tiles (lanes=8|4) and
+# on the Go loops; the Adam update at 0, 22 and 50 % of elements with
+# +0 moments and gradient (zero=…%) and the vector add, at 18,689 and
+# 105,000 elements, on the assembly routines and the Go loops; and the
+# autograd ops on top.
 bench-kernels:
 	$(GO) test ./internal/autograd/kernels -run '^$$' -bench 'BenchmarkGemm|BenchmarkAdamStep|BenchmarkAdd' -benchtime 2000x
 	$(GO) test ./internal/autograd -run '^$$' -bench 'BenchmarkMatMul64x64|BenchmarkMatMul256x256|BenchmarkDenseActFused' -benchtime 2000x

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func adamAVX2(data, grad, m, v *float64, n int, b1, a1, b2, a2, lr, eps, c1, c2 float64)
+// func adamAVX2(data, grad, m, v *float64, n int, b1, a1, b2, a2, lr, eps, c1, c2 float64, zeroSkip bool)
 //
 // One Adam update of n elements, four per iteration, with a1 = 1−b1 and
 // a2 = 1−b2 computed by the caller:
@@ -13,18 +13,25 @@
 //
 // Each operation is one VMULPD, VADDPD, VDIVPD, VSQRTPD or VSUBPD, in
 // the order of the Go loop (adamGo) — no FMA, no reciprocal estimate —
-// so every lane is that loop's float. n must be a positive multiple of 4.
+// so every lane is that loop's float. With zeroSkip, a group whose four
+// m' and four v' are all bitwise +0 skips the divisions and the square
+// root: the caller sets it only where lr, eps, c1 and c2 make that
+// update exactly +0, and the group still subtracts +0 from p, as the
+// loop does (a signalling NaN in p comes out quiet, −0 stays −0). A −0
+// m' fails the bitwise test and takes the full path, whose update is −0.
+// n must be a positive multiple of 4.
 //
 //	DI  data    SI  grad    DX  m    R8  v
 //	BX  byte offset of the current four elements
-//	CX  elements left
+//	CX  elements left       R9  zeroSkip
 //	Y8  b1  Y9  a1  Y10 b2  Y11 a2  Y12 lr  Y13 eps  Y14 c1  Y15 c2
-TEXT ·adamAVX2(SB), NOSPLIT, $0-104
+TEXT ·adamAVX2(SB), NOSPLIT, $0-105
 	MOVQ data+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), DX
 	MOVQ v+24(FP), R8
 	MOVQ n+32(FP), CX
+	MOVBQZX zeroSkip+104(FP), R9
 	VBROADCASTSD b1+40(FP), Y8
 	VBROADCASTSD a1+48(FP), Y9
 	VBROADCASTSD b2+56(FP), Y10
@@ -46,14 +53,23 @@ loop:
 	VMULPD  Y0, Y4, Y4          // (a2·g)·g
 	VADDPD  Y4, Y3, Y3          // v'
 	VMOVUPD Y3, (R8)(BX*1)
+	TESTQ   R9, R9
+	JZ      full
+	VORPD   Y1, Y3, Y4
+	VPTEST  Y4, Y4
+	JZ      apply // every bit of m' and v' zero: Y4 is +0, the update
+
+full:
 	VDIVPD  Y14, Y1, Y1 // m'/c1
 	VDIVPD  Y15, Y3, Y3 // v'/c2
 	VSQRTPD Y3, Y3
 	VADDPD  Y13, Y3, Y3 // √(v'/c2) + eps
 	VMULPD  Y12, Y1, Y1 // lr·(m'/c1)
-	VDIVPD  Y3, Y1, Y1
+	VDIVPD  Y3, Y1, Y4
+
+apply:
 	VMOVUPD (DI)(BX*1), Y2
-	VSUBPD  Y1, Y2, Y2
+	VSUBPD  Y4, Y2, Y2
 	VMOVUPD Y2, (DI)(BX*1)
 	ADDQ    $32, BX
 	SUBQ    $4, CX

@@ -32,18 +32,95 @@ func adamBuffer(rng *rand.Rand, n int, nonNegative bool) []float64 {
 	return buf
 }
 
+// zeroGroups builds Adam buffers four lanes at a time, in step with
+// adamAVX2's groups, around the moments and gradients that are +0 in
+// every lane — the groups it may skip — for each parameter value in
+// params: all four lanes +0; one lane's gradient, first or second moment
+// non-zero; a subnormal gradient whose moments underflow to +0; and −0
+// first moments with −0 gradients, whose new first moment is −0.
+func zeroGroups(params []float64) (data, grad, m, v []float64) {
+	negZero := math.Copysign(0, -1)
+	group := func(p float64, edit func(g, m, v *[4]float64)) {
+		var gg, mm, vv [4]float64
+		edit(&gg, &mm, &vv)
+		data = append(data, p, p, p, p)
+		grad, m, v = append(grad, gg[:]...), append(m, mm[:]...), append(v, vv[:]...)
+	}
+	for _, p := range params {
+		group(p, func(g, m, v *[4]float64) {})
+		for lane := 0; lane < 4; lane++ {
+			group(p, func(g, m, v *[4]float64) { g[lane] = 0.5 })
+			group(p, func(g, m, v *[4]float64) { m[lane] = -0.25 })
+			group(p, func(g, m, v *[4]float64) { v[lane] = 0.125 })
+			group(p, func(g, m, v *[4]float64) { g[lane], m[lane] = negZero, negZero })
+		}
+		group(p, func(g, m, v *[4]float64) { *g = [4]float64{5e-324, 5e-324, 5e-324, 5e-324} })
+		group(p, func(g, m, v *[4]float64) {
+			for lane := range g {
+				g[lane], m[lane], v[lane] = negZero, negZero, negZero
+			}
+		})
+	}
+	return data, grad, m, v
+}
+
+// identicalBits compares float slices bit for bit, NaNs included: a
+// signalling NaN the Go loop quiets must come out of the vector path
+// quiet, with the same payload.
+func identicalBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d (group %d lane %d): %x (%g) vs %x (%g)", label, i, i/4, i%4,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
 // TestAdamStepMatchesGoLoop: Blocked.AdamStep — adamAVX2 on the multiple
 // of four in front, the Go loop on the rest — leaves data, m and v bit for
 // bit where Naive's Go loop does, over three consecutive steps, at every
 // length from 0 to 67 and at the 18,689 parameters of the benchmark's
-// train-head model, on unaligned buffers full of special values.
+// train-head model, on unaligned buffers full of special values. Then on
+// zeroGroups, NaN payloads included: groups adamAVX2 may skip beside
+// parameters of −0, quiet and signalling NaN, ±Inf and subnormals, groups
+// it must not skip, and hyperparameters under which no group may skip
+// because the update of a +0 moment is not +0 (lr ≤ 0 or infinite, eps
+// = 0, c1 = 0, c2 = 0, a NaN).
 func TestAdamStepMatchesGoLoop(t *testing.T) {
 	const beta1, beta2, lr, eps = 0.9, 0.999, 0.01, 1e-8
 	lengths := []int{18689}
 	for n := 0; n <= 67; n++ {
 		lengths = append(lengths, n)
 	}
+	signalling := math.Float64frombits(0x7ff0000000000001)
+	params := []float64{math.Copysign(0, -1), 0, math.NaN(), signalling, math.Inf(1), math.Inf(-1), 5e-324, -2.5e-310, 1.5}
+	hypers := []struct{ lr, eps, c1, c2 float64 }{
+		{lr, eps, 0.1, 0.001},
+		{0, eps, 0.1, 0.001},
+		{-lr, eps, 0.1, 0.001},
+		{math.Inf(1), eps, 0.1, 0.001},
+		{math.NaN(), eps, 0.1, 0.001},
+		{lr, 0, 0.1, 0.001},
+		{lr, eps, 0, 0.001},
+		{lr, eps, 0.1, 0},
+		{lr, eps, 0.1, math.Inf(1)},
+	}
 	eachPath(t, func(t *testing.T) {
+		for _, h := range hypers {
+			data, grad, m, v := zeroGroups(params)
+			wantData := append([]float64(nil), data...)
+			wantM := append([]float64(nil), m...)
+			wantV := append([]float64(nil), v...)
+			for step := 1; step <= 3; step++ {
+				Naive.AdamStep(wantData, grad, wantM, wantV, beta1, beta2, h.lr, h.eps, h.c1, h.c2)
+				Blocked.AdamStep(data, grad, m, v, beta1, beta2, h.lr, h.eps, h.c1, h.c2)
+				label := fmt.Sprintf("zero groups, lr=%g eps=%g c1=%g c2=%g, step %d", h.lr, h.eps, h.c1, h.c2, step)
+				identicalBits(t, label+" data", data, wantData)
+				identicalBits(t, label+" m", m, wantM)
+				identicalBits(t, label+" v", v, wantV)
+			}
+		}
 		rng := rand.New(rand.NewSource(27))
 		for _, n := range lengths {
 			data, m, v := adamBuffer(rng, n, false), adamBuffer(rng, n, false), adamBuffer(rng, n, true)

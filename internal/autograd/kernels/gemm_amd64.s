@@ -2,20 +2,29 @@
 
 #include "textflag.h"
 
-// One p step of a tile: the broadcast a element times four b columns,
-// rounded, then added to the tile's accumulator, rounded again. Two
-// instructions on purpose: a fused multiply-add would round once.
+// One p step of a tile: the broadcast a element times four (MULADD) or
+// eight (MULADDZ) b columns, rounded, then added to the tile's
+// accumulator, rounded again. Two instructions on purpose: a fused
+// multiply-add would round once.
 #define MULADD(off, tmp, acc) \
 	VMULPD off(AX), Y8, tmp; \
+	VADDPD tmp, acc, acc
+
+#define MULADDZ(off, tmp, acc) \
+	VMULPD off(AX), Z8, tmp; \
 	VADDPD tmp, acc, acc
 
 // func gemmAddAVX2(dst, a, b *float64, m, k, n, aRow, aCol int)
 //
 // dst[i][j] += Σ_p a[i·aRow + p·aCol] · b[p][j] for i < m, j < n, with
 // dst and b row-major at stride n. A YMM register holds four adjacent
-// columns j of one output row — four different output elements, never
-// partial sums of one — and every element is loaded from dst, takes its
-// k terms in ascending p, and is stored once. m, k and n must be > 0.
+// columns j of one output row, a ZMM register eight — different output
+// elements, never partial sums of one — and every element is loaded from
+// dst, takes its k terms in ascending p, and is stored once. Where
+// zmmTiles is set a row runs ZMM tiles of 64, 32 and 8 columns first, so
+// at most seven columns are left for the YMM tile of 4 and the scalar
+// tail; otherwise it runs YMM tiles of 32, 16 and 4. m, k and n must be
+// > 0.
 //
 //	DI  dst row             SI  one past the row's last a element
 //	DX  b                   R8  rows left
@@ -42,6 +51,94 @@ TEXT ·gemmAddAVX2(SB), NOSPLIT, $0-64
 row:
 	XORQ BX, BX
 	MOVQ n+40(FP), CX
+	CMPB ·zmmTiles(SB), $0
+	JEQ  tile32
+
+zmm64:
+	CMPQ CX, $64
+	JLT  zmm32
+	VMOVUPD 0(DI)(BX*1), Z0
+	VMOVUPD 64(DI)(BX*1), Z1
+	VMOVUPD 128(DI)(BX*1), Z2
+	VMOVUPD 192(DI)(BX*1), Z3
+	VMOVUPD 256(DI)(BX*1), Z4
+	VMOVUPD 320(DI)(BX*1), Z5
+	VMOVUPD 384(DI)(BX*1), Z6
+	VMOVUPD 448(DI)(BX*1), Z7
+	LEAQ (DX)(BX*1), AX
+	MOVQ R9, R10
+	NEGQ R10
+
+pz64:
+	VBROADCASTSD (SI)(R10*1), Z8
+	MULADDZ(0, Z9, Z0)
+	MULADDZ(64, Z10, Z1)
+	MULADDZ(128, Z11, Z2)
+	MULADDZ(192, Z12, Z3)
+	MULADDZ(256, Z13, Z4)
+	MULADDZ(320, Z14, Z5)
+	MULADDZ(384, Z15, Z6)
+	MULADDZ(448, Z9, Z7)
+	ADDQ R13, AX
+	ADDQ R12, R10
+	JNZ  pz64
+	VMOVUPD Z0, 0(DI)(BX*1)
+	VMOVUPD Z1, 64(DI)(BX*1)
+	VMOVUPD Z2, 128(DI)(BX*1)
+	VMOVUPD Z3, 192(DI)(BX*1)
+	VMOVUPD Z4, 256(DI)(BX*1)
+	VMOVUPD Z5, 320(DI)(BX*1)
+	VMOVUPD Z6, 384(DI)(BX*1)
+	VMOVUPD Z7, 448(DI)(BX*1)
+	ADDQ $512, BX
+	SUBQ $64, CX
+	JMP  zmm64
+
+zmm32:
+	CMPQ CX, $32
+	JLT  zmm8
+	VMOVUPD 0(DI)(BX*1), Z0
+	VMOVUPD 64(DI)(BX*1), Z1
+	VMOVUPD 128(DI)(BX*1), Z2
+	VMOVUPD 192(DI)(BX*1), Z3
+	LEAQ (DX)(BX*1), AX
+	MOVQ R9, R10
+	NEGQ R10
+
+pz32:
+	VBROADCASTSD (SI)(R10*1), Z8
+	MULADDZ(0, Z9, Z0)
+	MULADDZ(64, Z10, Z1)
+	MULADDZ(128, Z11, Z2)
+	MULADDZ(192, Z12, Z3)
+	ADDQ R13, AX
+	ADDQ R12, R10
+	JNZ  pz32
+	VMOVUPD Z0, 0(DI)(BX*1)
+	VMOVUPD Z1, 64(DI)(BX*1)
+	VMOVUPD Z2, 128(DI)(BX*1)
+	VMOVUPD Z3, 192(DI)(BX*1)
+	ADDQ $256, BX
+	SUBQ $32, CX
+
+zmm8:
+	CMPQ CX, $8
+	JLT  tile4
+	VMOVUPD (DI)(BX*1), Z0
+	LEAQ (DX)(BX*1), AX
+	MOVQ R9, R10
+	NEGQ R10
+
+pz8:
+	VBROADCASTSD (SI)(R10*1), Z8
+	MULADDZ(0, Z9, Z0)
+	ADDQ R13, AX
+	ADDQ R12, R10
+	JNZ  pz8
+	VMOVUPD Z0, (DI)(BX*1)
+	ADDQ $64, BX
+	SUBQ $8, CX
+	JMP  zmm8
 
 tile32:
 	CMPQ CX, $32
@@ -157,35 +254,20 @@ next:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX2() bool
-//
-// CPUID.1:ECX says the CPU has AVX (bit 28) and the OS uses XSAVE (bit
-// 27), XGETBV(0) that the OS saves XMM and YMM state (bits 1 and 2) —
-// without that a context switch loses the upper lanes — and
-// CPUID.7.0:EBX bit 5 is AVX2.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
 	CPUID
-	CMPL AX, $7
-	JLT  done
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  done
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-
-done:
+	MOVL AX, ret+0(FP)
 	RET

@@ -50,20 +50,31 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// eachPath runs f twice: on the assembly routines with the small-product
-// cut-off bypassed, so every non-empty product reaches gemmAddAVX2, and
-// on the Go loops alone. The assembly arm is skipped where it cannot run.
+// eachPath runs f on the assembly routines with the small-product cut-off
+// bypassed, so every non-empty product reaches gemmAddAVX2: "asm" at the
+// widest lanes the CPU has — the eight-lane ZMM tiles where it has
+// AVX-512 — and "asm4" with the four-lane YMM tiles forced on an AVX-512
+// CPU, so that path stays tested there (elsewhere "asm" is that path).
+// Then "go", on the Go loops alone. An arm is skipped where it cannot
+// run.
 func eachPath(t *testing.T, f func(t *testing.T)) {
-	defer func(from int, vec bool) { asmFrom, vecAVX2 = from, vec }(asmFrom, vecAVX2)
+	defer func(from int, vec, zmm bool) { asmFrom, vecAVX2, zmmTiles = from, vec, zmm }(asmFrom, vecAVX2, zmmTiles)
 	t.Run("asm", func(t *testing.T) {
 		if !hasAVX2 {
 			t.Skip("no AVX2 on this CPU, or a build without the assembly (purego, not amd64)")
 		}
-		asmFrom, vecAVX2 = 1, true
+		asmFrom, vecAVX2, zmmTiles = 1, true, hasAVX512
+		f(t)
+	})
+	t.Run("asm4", func(t *testing.T) {
+		if !hasAVX512 {
+			t.Skip("no AVX-512 on this CPU, or a build without the assembly: the asm arm ran four lanes")
+		}
+		asmFrom, vecAVX2, zmmTiles = 1, true, false
 		f(t)
 	})
 	t.Run("go", func(t *testing.T) {
-		asmFrom, vecAVX2 = math.MaxInt, false
+		asmFrom, vecAVX2, zmmTiles = math.MaxInt, false, false
 		f(t)
 	})
 }
@@ -120,16 +131,25 @@ func matchNaive(t *testing.T, rng *rand.Rand, rows, red, cols int, withSpecials 
 // all three GEMM products and the fused dense forward, at every thread
 // count, on the assembly routine and on the Go loops — on random shapes
 // and values, including zeros, Inf and NaN, and then on every tile
-// boundary of the routine: output widths around its 4-, 16- and
-// 32-column tiles, reductions past the Go loops' kc panel, one row and
-// many, a product large enough to be split among goroutines, and empty
-// matrices, which must return quietly.
+// boundary of the routine: every output width from 1 to 130, which
+// crosses each boundary of its 64-, 32- and 8-column ZMM tiles and its
+// 32-, 16- and 4-column YMM tiles and leaves every tail of each,
+// reductions past the assembly's mc and the Go loops' kc panels, one row
+// and many, a product large enough to be split among goroutines, and
+// empty matrices, which must return quietly.
 func TestBlockedMatchesNaive(t *testing.T) {
 	defer SetThreads(0)
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		for trial := 0; trial < 60; trial++ {
 			matchNaive(t, rng, 1+rng.Intn(50), 1+rng.Intn(50), 1+rng.Intn(50), trial%3 == 0)
+		}
+		for cols := 1; cols <= 130; cols++ {
+			for _, red := range []int{1, 5, 40} {
+				for _, rows := range []int{1, 7} {
+					matchNaive(t, rng, rows, red, cols, true)
+				}
+			}
 		}
 		for _, cols := range []int{1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100} {
 			for _, red := range []int{1, 5, 129, 200} {
@@ -159,18 +179,30 @@ func TestGemmAddAccumulates(t *testing.T) {
 // TestNoZeroSkip pins the bugfix this package was introduced for: a
 // zero in a must not skip the multiply against a non-finite row of b,
 // because 0×Inf = NaN. The pre-kernel MatMul had an `av == 0` fast
-// path that silently masked poisoned parameters from the loss. Five
-// output columns put the 0·Inf operand once in a vector lane of the
-// assembly routine (column 1) and once in its scalar tail (column 4).
+// path that silently masked poisoned parameters from the loss. 69
+// output columns put the 0·Inf operand in a lane of each kind the
+// assembly routine has: with eight lanes, in its 64-column ZMM tile's
+// first register (column 1) and in a later one (column 9), in the YMM
+// tile of 4 (column 66) and the scalar tail (column 68); with four
+// lanes, in the first and the second 32-column tile, and the same tails.
 func TestNoZeroSkip(t *testing.T) {
+	const n = 69
 	inf := math.Inf(1)
+	poisoned := make([]bool, n)
+	b0, b1 := make([]float64, n), make([]float64, n)
+	for j := range b0 {
+		b0[j], b1[j] = 5, 5
+	}
+	for _, j := range []int{1, 9, 40, 66, 68} {
+		poisoned[j], b0[j] = true, inf
+	}
 	check := func(t *testing.T, be Backend) {
 		t.Helper()
-		dst := make([]float64, 5)
-		be.GemmAdd(dst, []float64{0, 1}, []float64{5, inf, 5, 5, inf, 5, 5, 5, 5, 5}, 1, 2, 5)
-		dB := make([]float64, 10)
-		be.GemmAtBAdd(dB, []float64{0, 1}, []float64{5, inf, 5, 5, inf}, 1, 2, 5)
-		for j, poisoned := range []bool{false, true, false, false, true} {
+		dst := make([]float64, n)
+		be.GemmAdd(dst, []float64{0, 1}, append(append([]float64(nil), b0...), b1...), 1, 2, n)
+		dB := make([]float64, 2*n)
+		be.GemmAtBAdd(dB, []float64{0, 1}, b0, 1, 2, n)
+		for j, poisoned := range poisoned {
 			if math.IsNaN(dst[j]) != poisoned {
 				t.Fatalf("%s: column %d of 0*b0 + 1*b1 = %g, want NaN only where b0 is Inf (zero-skip is back?)", be.Name(), j, dst[j])
 			}

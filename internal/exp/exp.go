@@ -47,8 +47,9 @@ var Quick = Scale{
 	Seed:            17,
 }
 
-// Full is the scale used by cmd/experiments for the recorded results
-// (minutes per table).
+// Full is cmd/experiments' -scale full (minutes per table). The
+// recorded results, results_quick.md, are Quick: -scale quick is the
+// default.
 var Full = Scale{
 	TotalSamples:    24000,
 	IndustrySamples: 24000,

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet loc staticcheck race race-dr fuzz-smoke bench bench-kernels bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
+.PHONY: all build test vet loc staticcheck race race-dr fuzz-smoke bench bench-kernels bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-resume smoke-obs smoke-quality smoke-rollout smoke-batch ci check
 
 all: check
 
@@ -87,6 +87,28 @@ smoke-cluster:
 		curl -sf -XPOST 127.0.0.1:8090/predict -d '{"domain":0,"users":[1,2],"items":[3,4]}'; \
 		status=$$?; kill `cat /tmp/cluster-serve.pid`; exit $$status
 	$(GO) test -count=1 -run 'TestClusterTrainingBitIdenticalAcrossShardCounts|TestShardFailoverMatchesCleanRun|TestClusterChaosOverRPCBitIdentical' ./internal/cluster/
+
+# A resume continues the run it checkpointed, and only that run. On the
+# core path and on a 2-worker sync-push PS run, 2 epochs and a -resume
+# to 3 print the AUC table of an uninterrupted 3-epoch run. A -resume on
+# another dataset (Amazon-6's embedding tables change shape with it) or
+# another model exits 1 with one line naming the spec fields that
+# differ, never a goroutine trace.
+smoke-resume:
+	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train
+	set -e; for ps in "" "-ps-workers 2 -ps-sync-push"; do \
+		dir=/tmp/resume$${ps:+-ps}; rm -rf $$dir; \
+		run="/tmp/mamdr-bin/mamdr-train -preset amazon-6 $$ps -epochs 3"; \
+		$$run -samples 3000 -seed 1 | grep -v '^trained in' > $$dir-full.txt; \
+		$$run -samples 3000 -seed 1 -epochs 2 -checkpoint-dir $$dir > /dev/null; \
+		$$run -samples 3000 -seed 1 -checkpoint-dir $$dir -resume | grep -v '^trained in' > $$dir-resumed.txt; \
+		diff $$dir-full.txt $$dir-resumed.txt; \
+		for other in "-samples 2400 -seed 9:Samples 2400.*Seed 9" "-samples 3000 -seed 1 -model wdl:Model \"wdl\""; do \
+			status=0; $$run $${other%%:*} -checkpoint-dir $$dir -resume > /dev/null 2> $$dir-refused.log || status=$$?; \
+			if [ $$status -ne 1 ] || grep -q goroutine $$dir-refused.log || ! grep -q "$${other#*:}" $$dir-refused.log; then \
+				echo "resume $${other%%:*} $$ps: exit $$status"; cat $$dir-refused.log; exit 1; fi; \
+		done; \
+	done
 
 # Two shard servers in one host process (scraped once, on its
 # -metrics-addr) plus a faulted
@@ -398,6 +420,7 @@ ci:
 	$(MAKE) bench-smoke
 	$(MAKE) smoke-chaos
 	$(MAKE) smoke-cluster
+	$(MAKE) smoke-resume
 	$(MAKE) smoke-obs
 	$(MAKE) smoke-quality
 	$(MAKE) smoke-rollout

@@ -33,6 +33,7 @@ import (
 	"mamdr/internal/autograd/kernels"
 	"mamdr/internal/core"
 	"mamdr/internal/faultinject"
+	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/obsv"
 	"mamdr/internal/quality"
@@ -92,15 +93,14 @@ func main() {
 		log.Fatal(err)
 	}
 	spec := ck.Spec
-	if spec == (core.Spec{}) {
+	if spec == (framework.Spec{}) {
 		log.Fatalf("%s records no training spec (written before v4, or not by mamdr-train -save): re-save it with mamdr-train -save", *checkpoint)
 	}
 	ds, err := mamdr.SpecDataset(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := models.Config{Dataset: ds, EmbDim: spec.EmbDim, Seed: spec.Seed}
-	m, err := models.New(spec.Model, cfg)
+	m, err := mamdr.SpecModel(ds, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -187,10 +187,10 @@ func main() {
 		OnSwap: func(version uint64, crc uint32) {
 			log.Printf("snapshot v%d (crc %08x) is now the incumbent", version, crc)
 		},
-		// Replicas mirror the trained model's structure (same Config,
-		// including Seed); the server drops their weights, because every
-		// prediction binds the replica to the served snapshot.
-		ReplicaFactory: func() models.Model { return models.MustNew(spec.Model, cfg) },
+		// Replicas mirror the trained model's structure (the spec built m
+		// above, so it cannot fail); the server drops their weights, because
+		// every prediction binds the replica to the served snapshot.
+		ReplicaFactory: func() models.Model { r, _ := mamdr.SpecModel(ds, spec); return r },
 	})
 	if *batchMax > 0 {
 		log.Printf("request coalescing on: batches of up to %d rows, formed only while every replica is busy", *batchMax)

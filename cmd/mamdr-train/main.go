@@ -47,20 +47,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mamdr-train: ")
 
+	runConfig := trainingFlags()
 	var (
-		preset   = flag.String("preset", "taobao-10", "benchmark preset (ignored when -data is set)")
-		dataPath = flag.String("data", "", "path to a dataset JSON written by datagen (-save records it as an absolute path, which mamdr-serve reloads)")
-		samples  = flag.Int("samples", 10000, "dataset scale when generating a preset")
-		model    = flag.String("model", "mlp", "model structure: "+strings.Join(mamdr.ModelNames(), ", "))
-		fw       = flag.String("framework", "mamdr", "learning framework: "+strings.Join(mamdr.FrameworkNames(), ", "))
-		epochs   = flag.Int("epochs", 15, "training epochs")
-		batch    = flag.Int("batch", 64, "mini-batch size")
-		innerLR  = flag.Float64("lr", 0, "inner-loop learning rate α (0 = framework default)")
-		outerLR  = flag.Float64("outer-lr", 0, "DN outer-loop learning rate β (0 = default)")
-		drLR     = flag.Float64("dr-lr", 0, "DR learning rate γ (0 = default)")
-		sampleK  = flag.Int("k", 0, "DR helper-domain sample count (0 = default)")
-		embDim   = flag.Int("emb", 8, "embedding dimension")
-		seed     = flag.Int64("seed", 1, "random seed")
+		fw = flag.String("framework", "mamdr", "learning framework: "+strings.Join(mamdr.FrameworkNames(), ", "))
 
 		kernelThreads = flag.Int("kernel-threads", 0, "compute parallelism cap: goroutines per math kernel, or DR workers during a DR phase (0 = GOMAXPROCS; results are bit-identical at any setting)")
 
@@ -85,30 +74,18 @@ func main() {
 		psServe  = flag.String("ps-serve", "", "host the parameter-server shards on these comma-separated addresses for -model/-preset and block (replica addresses of one shard joined with '|')")
 		replicas = flag.Int("shard-replicas", 1, "replicas per cluster shard: writes broadcast to all, reads fail over past dead ones")
 
-		checkpointDir   = flag.String("checkpoint-dir", "", "write crash-safe epoch-boundary checkpoints into this directory")
-		checkpointEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in epochs (with -checkpoint-dir)")
-		resume          = flag.Bool("resume", false, "resume from the last checkpoint in -checkpoint-dir (bit-identical to an uninterrupted run under the same seed)")
-		savePath        = flag.String("save", "", "save the trained state with a quality baseline profiled on the validation split and the dataset and model spec it was trained on (all mamdr-serve -checkpoint needs; -framework dn, dr or mamdr)")
-		flipLabels      = flag.Bool("flip-labels", false, "invert every interaction label before training — produces a deliberately quality-regressed model for rollout/rollback drills")
+		savePath   = flag.String("save", "", "save the trained state with a quality baseline profiled on the validation split and the dataset and model spec it was trained on (all mamdr-serve -checkpoint needs; -framework dn, dr or mamdr)")
+		flipLabels = flag.Bool("flip-labels", false, "invert every interaction label before training — produces a deliberately quality-regressed model for rollout/rollback drills")
 	)
 	flag.Parse()
+	cfg := runConfig()
 	kernels.SetThreads(*kernelThreads)
-	psUseDR, err := checkFramework(*fw, *savePath != "", *psWorkers, *psCache, *psSync)
+	psUseDR, err := checkFlags(cfg, *fw, *savePath != "", *psWorkers, *psCache, *psSync)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// The spec is the one description of what this run trains on; -save
-	// records it, and mamdr-serve rebuilds the dataset and model from it.
-	spec := core.Spec{Preset: *preset, Samples: *samples, Seed: *seed, Model: *model, EmbDim: *embDim}
-	if *dataPath != "" {
-		abs, err := filepath.Abs(*dataPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		spec.Preset, spec.Samples, spec.DataPath = "", 0, abs
-	}
-	ds, err := mamdr.SpecDataset(spec)
+	ds, err := mamdr.SpecDataset(cfg.Spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -203,9 +180,10 @@ func main() {
 	// training process with matching -model/-emb/-seed (so the partition
 	// plans agree) then connects with -ps-addrs.
 	if *psServe != "" {
-		serveCluster(ds, *model, *psServe, *embDim, *seed, *outerLR, *checkpointDir, tracer, reg)
+		serveCluster(ds, cfg, *psServe, tracer, reg)
 		return
 	}
+	cfg.Telemetry, cfg.Tracer = framework.WireTrainMetrics(reg, ds, events, tracer), tracer
 
 	start := time.Now()
 	var (
@@ -214,47 +192,31 @@ func main() {
 	)
 	if *psWorkers > 0 {
 		fmt.Printf("training %s with distributed %s (%d workers, %d shards, cache=%v) for %d epochs...\n",
-			*model, *fw, *psWorkers, *psShards, *psCache, *epochs)
+			cfg.Spec.Model, *fw, *psWorkers, *psShards, *psCache, cfg.Epochs)
 		opts := ps.Options{
 			Workers: *psWorkers, Shards: *psShards, CacheEnabled: *psCache,
-			Epochs: *epochs, BatchSize: *batch, InnerLR: *innerLR, OuterLR: *outerLR,
-			UseDR: psUseDR, SampleK: *sampleK, DRLR: *drLR, Seed: *seed,
+			Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, InnerLR: cfg.LR, OuterLR: cfg.OuterLR,
+			UseDR: psUseDR, SampleK: cfg.SampleK, DRLR: cfg.DRLR, Seed: cfg.Seed,
 			SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
 		}
-		if *checkpointDir != "" {
-			opts.CheckpointPath = filepath.Join(*checkpointDir, "ps.ckpt")
-			opts.CheckpointEvery, opts.Resume = *checkpointEvery, *resume
+		if cfg.CheckpointDir != "" {
+			opts.CheckpointPath = filepath.Join(cfg.CheckpointDir, "ps.ckpt")
+			opts.CheckpointEvery, opts.Resume = cfg.CheckpointEvery, cfg.Resume
 		}
-		valAUC, testAUC, pred = trainDistributed(ds, *model, opts, deployOpts{
-			embDim: *embDim, replicas: *replicas, faults: *psFaults, addrs: *psAddrs,
-		}, reg, events, tracer)
-	} else {
-		fmt.Printf("training %s with %s for %d epochs...\n", *model, *fw, *epochs)
-		res, err := mamdr.Train(mamdr.TrainSpec{
-			Dataset:   ds,
-			Model:     *model,
-			Framework: *fw,
-			Epochs:    *epochs,
-			BatchSize: *batch,
-			InnerLR:   *innerLR,
-			OuterLR:   *outerLR,
-			DRLR:      *drLR,
-			SampleK:   *sampleK,
-			EmbDim:    *embDim,
-			Seed:      *seed,
-			Metrics:   reg,
-			Events:    events,
-			Tracer:    tracer,
-
-			CheckpointDir:   *checkpointDir,
-			CheckpointEvery: *checkpointEvery,
-			Resume:          *resume,
+		err = framework.CatchResume(func() {
+			valAUC, testAUC, pred = trainDistributed(ds, cfg, opts, deployOpts{
+				replicas: *replicas, faults: *psFaults, addrs: *psAddrs,
+			}, reg)
 		})
-		if err != nil {
-			log.Fatal(err)
+	} else {
+		fmt.Printf("training %s with %s for %d epochs...\n", cfg.Spec.Model, *fw, cfg.Epochs)
+		var res *mamdr.Result
+		if res, err = mamdr.Train(ds, *fw, cfg); err == nil {
+			valAUC, testAUC, pred = res.ValAUC, res.TestAUC, res.Predictor
 		}
-		valAUC, testAUC = res.ValAUC, res.TestAUC
-		pred = res.Predictor
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("trained in %s\n\n", time.Since(start).Round(time.Millisecond))
 
@@ -271,8 +233,7 @@ func main() {
 	// profile into one envelope; mamdr-serve -checkpoint loads both and
 	// detects drift against the profile.
 	if *savePath != "" {
-		st := pred.(*core.State) // checkFramework refused every other framework
-		st.Spec = spec
+		st := pred.(*core.State) // checkFlags refused every other framework
 		if err := st.SaveWithBaseline(*savePath, framework.QualityBaseline(st, ds, data.Val)); err != nil {
 			log.Fatal(err)
 		}
@@ -313,13 +274,55 @@ func main() {
 	}
 }
 
-// checkFramework refuses, before any data is built, a -framework the
-// other flags cannot use: -save needs a fit that is a *core.State (a
-// core.MAMDR framework), and a -ps-workers fit runs mamdr (DN then DR)
-// or dn (DN alone) — the PS trainer implements no other framework. It
-// reports whether a -ps-workers fit runs DR. Deferred pushes ride the
-// cache protocol, so -ps-sync-push needs -ps-cache.
-func checkFramework(fw string, save bool, psWorkers int, cache, syncPush bool) (useDR bool, err error) {
+// trainingFlags defines the flags that say what a run trains on and how,
+// and returns the one function that maps them onto its framework.Config,
+// whose Spec every checkpoint records (a -data file by absolute path).
+func trainingFlags() func() framework.Config {
+	var (
+		preset   = flag.String("preset", "taobao-10", "benchmark preset (ignored when -data is set)")
+		dataPath = flag.String("data", "", "path to a dataset JSON written by datagen (-save records it as an absolute path, which mamdr-serve reloads)")
+		samples  = flag.Int("samples", 10000, "dataset scale when generating a preset")
+		model    = flag.String("model", "mlp", "model structure: "+strings.Join(mamdr.ModelNames(), ", "))
+		epochs   = flag.Int("epochs", 15, "training epochs")
+		batch    = flag.Int("batch", 64, "mini-batch size")
+		innerLR  = flag.Float64("lr", 0, "inner-loop learning rate α (0 = framework default)")
+		outerLR  = flag.Float64("outer-lr", 0, "DN outer-loop learning rate β (0 = default)")
+		drLR     = flag.Float64("dr-lr", 0, "DR learning rate γ (0 = default)")
+		sampleK  = flag.Int("k", 0, "DR helper-domain sample count (0 = default)")
+		embDim   = flag.Int("emb", 8, "embedding dimension")
+		seed     = flag.Int64("seed", 1, "random seed")
+
+		checkpointDir   = flag.String("checkpoint-dir", "", "write crash-safe epoch-boundary checkpoints into this directory")
+		checkpointEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in epochs (with -checkpoint-dir)")
+		resume          = flag.Bool("resume", false, "resume from the last checkpoint in -checkpoint-dir (bit-identical to an uninterrupted run under the same seed; refused when the checkpoint was trained on another dataset or model)")
+	)
+	return func() framework.Config {
+		spec := framework.Spec{Preset: *preset, Samples: *samples, Seed: *seed, Model: *model, EmbDim: *embDim}
+		if *dataPath != "" {
+			abs, err := filepath.Abs(*dataPath)
+			if err != nil {
+				log.Fatal(err)
+			}
+			spec.Preset, spec.Samples, spec.DataPath = "", 0, abs
+		}
+		return framework.Config{
+			Spec: spec, Epochs: *epochs, BatchSize: *batch, Seed: *seed,
+			LR: *innerLR, OuterLR: *outerLR, DRLR: *drLR, SampleK: *sampleK,
+			CheckpointDir: *checkpointDir, CheckpointEvery: *checkpointEvery, Resume: *resume,
+		}
+	}
+}
+
+// checkFlags refuses, before any data is built, flags that cannot work
+// together: -resume without -checkpoint-dir; -save of a fit that is no
+// *core.State (a core.MAMDR framework); a -ps-workers fit of anything
+// but mamdr (DN then DR) or dn (DN alone), the PS trainer's only two,
+// and whose DR it reports; -ps-sync-push without -ps-cache, whose
+// protocol deferred pushes ride.
+func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int, cache, syncPush bool) (useDR bool, err error) {
+	if cfg.Resume && cfg.CheckpointDir == "" {
+		return false, errors.New("-resume needs -checkpoint-dir: there is no checkpoint to resume from")
+	}
 	if f, _ := framework.New(fw); save { // an unknown name builds nil, no *core.MAMDR
 		if _, ok := f.(*core.MAMDR); !ok {
 			return false, fmt.Errorf("-save: -framework %q fits no state that mamdr-serve can load", fw)
@@ -341,22 +344,21 @@ func checkFramework(fw string, save bool, psWorkers int, cache, syncPush bool) (
 }
 
 // deployOpts is how a distributed run is deployed; what it trains is
-// its ps.Options.
+// its framework.Spec and its ps.Options.
 type deployOpts struct {
-	embDim   int
 	replicas int
 	faults   string // faultinject schedule applied to every worker's store
 	addrs    string // remote shard addresses (cluster mode over sockets)
 }
 
-// serveCluster hosts the parameter-server shards of the given model on
+// serveCluster hosts the parameter-server shards of cfg.Spec's model on
 // the listed addresses and blocks. The partition plan is derived from
 // the model layout and -seed, exactly as the training side derives it,
 // so both ends agree on which shard owns which slice (cluster.Dial
 // verifies the layouts and refuses a mismatched cluster). Every shard
-// shares reg, so with -metrics-addr the process is one scrape target,
-// role ps, for all the shards it hosts.
-func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed int64, outerLR float64, checkpointDir string, tracer *trace.Tracer, reg *telemetry.Registry) {
+// file records cfg.Spec. Every shard shares reg, so with -metrics-addr
+// the process is one scrape target, role ps, for all the shards it hosts.
+func serveCluster(ds *mamdr.Dataset, cfg framework.Config, addrSpec string, tracer *trace.Tracer, reg *telemetry.Registry) {
 	groups := cluster.ParseAddrs(addrSpec)
 	if len(groups) == 0 {
 		log.Fatal("-ps-serve: no addresses given")
@@ -367,12 +369,11 @@ func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed in
 			log.Fatalf("-ps-serve: every shard needs the same replica count (got %v)", groups)
 		}
 	}
-	serving := models.MustNew(model, models.Config{Dataset: ds, EmbDim: embDim, Seed: seed})
-	tables := models.EmbeddingTablesOf(serving)
-	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), len(groups), seed)
-	so := cluster.ShardOptions{Replicas: reps, OuterLR: outerLR, Tracer: tracer, Metrics: ps.NewMetrics(reg)}
-	if checkpointDir != "" {
-		so.CheckpointPath = filepath.Join(checkpointDir, "ps.ckpt")
+	serving := specModel(ds, cfg.Spec)
+	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), len(groups), cfg.Spec.Seed)
+	so := cluster.ShardOptions{Replicas: reps, OuterLR: cfg.OuterLR, Spec: cfg.Spec, Tracer: tracer, Metrics: ps.NewMetrics(reg)}
+	if cfg.CheckpointDir != "" {
+		so.CheckpointPath = filepath.Join(cfg.CheckpointDir, "ps.ckpt")
 	}
 	servers := cluster.Shards(serving.Parameters(), plan, so)
 	log.Printf("serving %s", plan.String())
@@ -390,15 +391,13 @@ func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed in
 }
 
 // trainDistributed runs the PS-Worker trainer (the paper's industrial
-// deployment shape) with full telemetry: PS traffic, cache hit ratio,
-// row staleness, the per-domain training series from every worker, and
-// (with a tracer) one trace per worker epoch plus anomaly watching.
-func trainDistributed(ds *mamdr.Dataset, model string, opts ps.Options, o deployOpts, reg *telemetry.Registry, events *telemetry.EventLog, tracer *trace.Tracer) (val, test []float64, st *core.State) {
-	replica := func() models.Model {
-		return models.MustNew(model, models.Config{Dataset: ds, EmbDim: o.embDim, Seed: opts.Seed})
-	}
-	opts.Metrics, opts.Telemetry, opts.Tracer = ps.NewMetrics(reg), framework.WireTrainMetrics(reg, ds, events, tracer), tracer
-	res := trainCluster(ds, replica, o, opts, reg, tracer)
+// deployment shape) on cfg.Spec with full telemetry: PS traffic, cache
+// hit ratio, row staleness, cfg.Telemetry from every worker, and
+// cfg.Tracer's traces. The state it returns carries cfg.Spec.
+func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, o deployOpts, reg *telemetry.Registry) (val, test []float64, st *core.State) {
+	opts.Metrics, opts.Telemetry, opts.Tracer = ps.NewMetrics(reg), cfg.Telemetry, cfg.Tracer
+	res := trainCluster(ds, cfg.Spec, o, opts, reg)
+	res.State.Spec = cfg.Spec
 	c := res.Counters
 	log.Printf("PS traffic: %d dense pulls, %d dense pushes, %d row pulls, %d row pushes, %d floats moved",
 		c.DensePulls, c.DensePushes, c.RowPulls, c.RowPushes, c.FloatsMoved)
@@ -426,8 +425,9 @@ func trainDistributed(ds *mamdr.Dataset, model string, opts ps.Options, o deploy
 //
 // The partition plan is a pure function of (layout, shards, seed), so
 // with -ps-sync-push the run is bit-identical across shard counts.
-func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o deployOpts, opts ps.Options, reg *telemetry.Registry, tracer *trace.Tracer) *ps.Result {
-	serving := replica()
+func trainCluster(ds *mamdr.Dataset, spec framework.Spec, o deployOpts, opts ps.Options, reg *telemetry.Registry) *ps.Result {
+	replica := func() models.Model { return specModel(ds, spec) }
+	serving, tracer := replica(), opts.Tracer
 	tables := models.EmbeddingTablesOf(serving)
 
 	shards := opts.Shards
@@ -442,7 +442,7 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o deployOpts, 
 	// The shard servers of the two in-process deployments.
 	so := cluster.ShardOptions{
 		Replicas: o.replicas, OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR,
-		CheckpointPath: opts.CheckpointPath, Tracer: tracer, Metrics: opts.Metrics,
+		CheckpointPath: opts.CheckpointPath, Spec: spec, Tracer: tracer, Metrics: opts.Metrics,
 	}
 	if groups == nil && opts.Resume {
 		if err := refuseLegacyCheckpoint(opts.CheckpointPath, plan.NumShards); err != nil {
@@ -532,6 +532,15 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o deployOpts, 
 		log.Printf("chaos: %d faults injected", injected)
 	}
 	return res
+}
+
+// specModel builds the model spec names over ds, or exits.
+func specModel(ds *mamdr.Dataset, spec framework.Spec) models.Model {
+	m, err := mamdr.SpecModel(ds, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return m
 }
 
 // refuseLegacyCheckpoint keeps -resume from silently starting over on a

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mamdr/internal/framework"
 	"mamdr/internal/ps"
 )
 
@@ -72,9 +73,9 @@ func TestPSFrameworkFlags(t *testing.T) {
 		{"mamdr", false, true, false, false},
 		{"dn", false, true, false, false},
 	} {
-		useDR, err := checkFramework(tc.framework, false, 2, tc.cache, tc.syncPush)
+		useDR, err := checkFlags(framework.Config{}, tc.framework, false, 2, tc.cache, tc.syncPush)
 		if (err == nil) != tc.ok || (tc.ok && useDR != tc.useDR) {
-			t.Errorf("checkFramework(%q, cache=%v, sync=%v) = (%v, %v), want useDR=%v ok=%v",
+			t.Errorf("checkFlags(%q, cache=%v, sync=%v) = (%v, %v), want useDR=%v ok=%v",
 				tc.framework, tc.cache, tc.syncPush, useDR, err, tc.useDR, tc.ok)
 		}
 	}
@@ -100,12 +101,27 @@ func TestSaveFrameworkFlags(t *testing.T) {
 		{"maml", 0, false},
 		{"nosuch", 0, false},
 	} {
-		_, err := checkFramework(tc.framework, true, tc.psWorkers, true, false)
+		_, err := checkFlags(framework.Config{}, tc.framework, true, tc.psWorkers, true, false)
 		if (err == nil) != tc.ok {
-			t.Errorf("checkFramework(%q, save, workers=%d) = %v, want ok=%v", tc.framework, tc.psWorkers, err, tc.ok)
+			t.Errorf("checkFlags(%q, save, workers=%d) = %v, want ok=%v", tc.framework, tc.psWorkers, err, tc.ok)
 		}
-		if _, err := checkFramework(tc.framework, false, 0, true, false); err != nil {
-			t.Errorf("checkFramework(%q) without -save or -ps-workers = %v, want nil", tc.framework, err)
+		if _, err := checkFlags(framework.Config{}, tc.framework, false, 0, true, false); err != nil {
+			t.Errorf("checkFlags(%q) without -save or -ps-workers = %v, want nil", tc.framework, err)
+		}
+	}
+}
+
+// TestResumeNeedsCheckpointDir: -resume without -checkpoint-dir has
+// nothing to resume from, so it is refused before the dataset is built
+// instead of training from scratch under a flag that promised a resume.
+func TestResumeNeedsCheckpointDir(t *testing.T) {
+	for _, psWorkers := range []int{0, 2} {
+		_, err := checkFlags(framework.Config{Resume: true}, "mamdr", false, psWorkers, true, false)
+		if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
+			t.Errorf("-resume without -checkpoint-dir, %d PS workers: err = %v, want one naming -checkpoint-dir", psWorkers, err)
+		}
+		if _, err := checkFlags(framework.Config{Resume: true, CheckpointDir: t.TempDir()}, "mamdr", false, psWorkers, true, false); err != nil {
+			t.Errorf("-resume with -checkpoint-dir, %d PS workers: %v", psWorkers, err)
 		}
 	}
 }

@@ -11,13 +11,12 @@ import (
 	"log"
 	"math/rand"
 
+	"mamdr" // its facade registers the dn/dr/mamdr frameworks
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
 	"mamdr/internal/nn"
 	"mamdr/internal/synth"
-
-	_ "mamdr/internal/core" // registers the dn/dr/mamdr frameworks
 )
 
 // TwoTower is a user-tower / item-tower dot-product model: each side
@@ -73,7 +72,9 @@ func main() {
 	// feature regime; drop the frozen features to exercise id towers.
 	ds.FixedUserVecs, ds.FixedItemVecs = nil, nil
 
-	cfg := framework.Config{Epochs: 10, Seed: 5}
+	// A custom structure has no models.New key: mamdr.Train cannot build
+	// it, so the framework fits it directly and the run's Spec stays zero.
+	cfg := mamdr.Config{Epochs: 10, Seed: 5}
 
 	model := NewTwoTower(ds.NumUsers, ds.NumItems, 8, 5)
 	fmt.Printf("custom structure %q: %d parameter tensors\n", model.Name(), len(model.Parameters()))

@@ -15,26 +15,23 @@ func main() {
 
 	// 1. A multi-domain dataset: 10 Taobao theme domains with the
 	// paper's imbalance profile and CTR ratios, at laptop scale.
-	ds := mamdr.GenerateDataset(mamdr.DatasetSpec{
-		Preset:       "taobao-10",
-		TotalSamples: 8000,
-		Seed:         7,
-	})
+	// The spec names the dataset and the model a run trains on; every
+	// checkpoint of the run records it.
+	spec := mamdr.Spec{Preset: "taobao-10", Samples: 8000, Seed: 7, Model: "mlp", EmbDim: 8}
+	ds, err := mamdr.SpecDataset(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("dataset %s: %d domains, %d users, %d items, %d interactions\n\n",
 		ds.Name, ds.NumDomains(), ds.NumUsers, ds.NumItems, ds.TotalSamples())
 
 	// 2. Train the same MLP structure two ways.
-	baseline, err := mamdr.Train(mamdr.TrainSpec{
-		Dataset: ds, Model: "mlp", Framework: "alternate",
-		Epochs: 12, Seed: 7,
-	})
+	cfg := mamdr.Config{Spec: spec, Epochs: 12, Seed: 7}
+	baseline, err := mamdr.Train(ds, "alternate", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ours, err := mamdr.Train(mamdr.TrainSpec{
-		Dataset: ds, Model: "mlp", Framework: "mamdr",
-		Epochs: 12, Seed: 7,
-	})
+	ours, err := mamdr.Train(ds, "mamdr", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

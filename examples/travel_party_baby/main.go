@@ -42,10 +42,8 @@ func main() {
 		ds.Name, ds.NumDomains(), ds.Domains[2].Samples())
 
 	run := func(fw string) *mamdr.Result {
-		res, err := mamdr.Train(mamdr.TrainSpec{
-			Dataset: ds, Model: "mlp", Framework: fw,
-			Epochs: 12, Seed: 3,
-		})
+		// A hand-built dataset has no preset: the spec names the model.
+		res, err := mamdr.Train(ds, fw, mamdr.Config{Spec: mamdr.Spec{Model: "mlp", Seed: 3}, Epochs: 12, Seed: 3})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,7 @@ import (
 
 func TestPipelineGenerateSaveLoadTrainServe(t *testing.T) {
 	// 1. Generate and persist.
-	ds := GenerateDataset(DatasetSpec{Preset: "amazon-6", TotalSamples: 3000, Seed: 11})
+	ds := specDataset(t, Spec{Preset: "amazon-6", Samples: 3000, Seed: 11})
 	path := filepath.Join(t.TempDir(), "amazon6.json")
 	if err := SaveDataset(ds, path); err != nil {
 		t.Fatal(err)
@@ -36,10 +36,7 @@ func TestPipelineGenerateSaveLoadTrainServe(t *testing.T) {
 	}
 
 	// 2. Train on the loaded copy.
-	res, err := Train(TrainSpec{
-		Dataset: loaded, Model: "deepfm", Framework: "mamdr",
-		Epochs: 4, Seed: 5,
-	})
+	res, err := Train(loaded, "mamdr", Config{Spec: Spec{Model: "deepfm", Seed: 5}, Epochs: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +82,9 @@ func TestPipelineGenerateSaveLoadTrainServe(t *testing.T) {
 // the MAMDR framework on a small dataset — the model-agnosticism claim
 // as a test.
 func TestEveryModelTrainsUnderMAMDR(t *testing.T) {
-	ds := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 1500, Seed: 11})
+	ds := specDataset(t, Spec{Preset: "taobao-10", Samples: 1500, Seed: 11})
 	for _, name := range ModelNames() {
-		res, err := Train(TrainSpec{
-			Dataset: ds, Model: name, Framework: "mamdr",
-			Epochs: 1, Seed: 5,
-		})
+		res, err := Train(ds, "mamdr", Config{Spec: Spec{Model: name, Seed: 5}, Epochs: 1, Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -104,12 +98,9 @@ func TestEveryModelTrainsUnderMAMDR(t *testing.T) {
 // feature regimes (learned Amazon embeddings, frozen Taobao features).
 func TestEveryFrameworkTrainsEveryRegime(t *testing.T) {
 	for _, preset := range []string{"amazon-6", "taobao-10"} {
-		ds := GenerateDataset(DatasetSpec{Preset: preset, TotalSamples: 1200, Seed: 11})
+		ds := specDataset(t, Spec{Preset: preset, Samples: 1200, Seed: 11})
 		for _, fw := range FrameworkNames() {
-			res, err := Train(TrainSpec{
-				Dataset: ds, Model: "mlp", Framework: fw,
-				Epochs: 1, Seed: 5,
-			})
+			res, err := Train(ds, fw, Config{Spec: Spec{Model: "mlp", Seed: 5}, Epochs: 1, Seed: 5})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", preset, fw, err)
 			}
@@ -222,17 +213,16 @@ func TestDistributedFitServesFromItsCheckpoint(t *testing.T) {
 // the sample count, so serving over any other dataset would answer
 // with other scores (or "unknown user") while every shape still fits.
 func TestServeBootsFromCheckpointAlone(t *testing.T) {
-	spec := core.Spec{Preset: "taobao-10", Samples: 3000, Seed: 11, Model: "mlp", EmbDim: 8}
+	spec := framework.Spec{Preset: "taobao-10", Samples: 3000, Seed: 11, Model: "mlp", EmbDim: 8}
 	ds, err := SpecDataset(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Train(TrainSpec{Dataset: ds, Model: spec.Model, Framework: "mamdr", Epochs: 2, EmbDim: spec.EmbDim, Seed: spec.Seed})
+	res, err := Train(ds, "mamdr", Config{Spec: spec, Epochs: 2, Seed: spec.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := res.Predictor.(*core.State)
-	st.Spec = spec
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 	if err := st.SaveWithBaseline(path, framework.QualityBaseline(st, ds, data.Val)); err != nil {
 		t.Fatal(err)
@@ -246,7 +236,7 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := models.New(ck.Spec.Model, models.Config{Dataset: served, EmbDim: ck.Spec.EmbDim, Seed: ck.Spec.Seed})
+	m, err := SpecModel(served, ck.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +246,7 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 	}
 	h := serve.NewWithOptions(loaded, served, serve.Options{}).Handler()
 
-	smaller := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 2000, Seed: spec.Seed})
+	smaller := specDataset(t, Spec{Preset: "taobao-10", Samples: 2000, Seed: spec.Seed})
 	if smaller.NumUsers >= ds.NumUsers {
 		t.Fatalf("the smaller dataset has %d users, the trained one %d", smaller.NumUsers, ds.NumUsers)
 	}
@@ -295,10 +285,10 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 // on genuine training output: ranks must average to (m+1)/2 across
 // methods.
 func TestRankMetricAcrossRealRun(t *testing.T) {
-	ds := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 1500, Seed: 11})
+	ds := specDataset(t, Spec{Preset: "taobao-10", Samples: 1500, Seed: 11})
 	perMethod := map[string][]float64{}
 	for _, fw := range []string{"alternate", "finetune", "mamdr"} {
-		res, err := Train(TrainSpec{Dataset: ds, Model: "mlp", Framework: fw, Epochs: 2, Seed: 5})
+		res, err := Train(ds, fw, Config{Spec: Spec{Model: "mlp", Seed: 5}, Epochs: 2, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

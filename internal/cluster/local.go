@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"mamdr/internal/autograd"
+	"mamdr/internal/framework"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/ps"
 	"mamdr/internal/trace"
@@ -25,6 +26,9 @@ type ShardOptions struct {
 	// shard sh replica r persists to ShardCheckpointPath(base, sh, N)
 	// (plus a ".r<r>" suffix for backup replicas).
 	CheckpointPath string
+	// Spec is the run the shards host: every shard file records it, and
+	// a restore refuses a file that recorded another.
+	Spec framework.Spec
 	// Tracer, when non-nil, is attached to every shard server so
 	// server-side spans join the workers' traces.
 	Tracer *trace.Tracer
@@ -58,7 +62,7 @@ func Shards(params []*autograd.Tensor, plan ps.Plan, o ShardOptions) [][]*ps.Ser
 		for rep := 0; rep < max(o.Replicas, 1); rep++ {
 			srv := ps.NewServer(plan.ShardParams(params, sh), tables, o.OuterOpt, o.OuterLR)
 			if o.CheckpointPath != "" {
-				srv.SetCheckpointPath(ReplicaCheckpointPath(o.CheckpointPath, sh, plan.NumShards, rep))
+				srv.SetCheckpoint(ReplicaCheckpointPath(o.CheckpointPath, sh, plan.NumShards, rep), o.Spec)
 			}
 			srv.SetTracer(o.Tracer)
 			srv.SetMetrics(o.Metrics)

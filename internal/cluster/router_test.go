@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/data"
+	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/ps"
@@ -269,5 +272,52 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 	torn := NewLocal(params, plan, so, Options{})
 	if _, err := torn.Router.LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), "torn") {
 		t.Fatalf("torn checkpoint not rejected: %v", err)
+	}
+}
+
+// TestResumeRefusesAnotherSpec: a cluster resumed under another spec than
+// the one its shard files recorded — another dataset (its sample count
+// and seed), or another model over the same one — makes TrainWithStore
+// panic with a *framework.ResumeError naming the fields that differ,
+// before any file is checked against a shard's tensors. Under the spec
+// that wrote them, the files resume.
+func TestResumeRefusesAnotherSpec(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "ps.ckpt")
+	fit := func(spec framework.Spec, resume bool) error {
+		ds := synth.Generate(synth.Presets(spec.Samples, spec.Seed)[spec.Preset])
+		factory := func() models.Model {
+			return models.MustNew(spec.Model, models.Config{Dataset: ds, EmbDim: spec.EmbDim, Seed: spec.Seed})
+		}
+		serving := factory()
+		local := newLocalFor(serving, 2, 1, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1, CheckpointPath: base, Spec: spec})
+		opts := deterministicOptions()
+		opts.Epochs, opts.CheckpointEvery, opts.Resume = 1, 1, resume
+		return framework.CatchResume(func() { ps.TrainWithStore(factory, serving, local.Router, local.Router, ds, opts) })
+	}
+	saved := framework.Spec{Preset: "amazon-6", Samples: 3000, Seed: 1, Model: "mlp", EmbDim: 8}
+	if err := fit(saved, false); err != nil {
+		t.Fatal(err)
+	}
+	other := saved
+	other.Samples, other.Seed = 2400, 9
+	wdl := saved
+	wdl.Model = "wdl"
+	for _, tc := range []struct {
+		spec    framework.Spec
+		differs []string
+	}{{other, []string{"Samples", "Seed"}}, {wdl, []string{"Model"}}} {
+		err := fit(tc.spec, true)
+		var re *framework.ResumeError
+		if !errors.As(err, &re) {
+			t.Fatalf("resume as %+v: %v, want a *framework.ResumeError", tc.spec, err)
+		}
+		for _, field := range []string{"Preset", "Samples", "Seed", "Model", "EmbDim"} {
+			if named, want := strings.Contains(err.Error(), field+" "), slices.Contains(tc.differs, field); named != want {
+				t.Errorf("resume as %+v: %q names %s: %v, want %v", tc.spec, err, field, named, want)
+			}
+		}
+	}
+	if err := fit(saved, true); err != nil {
+		t.Fatalf("resume under the spec that wrote the files: %v", err)
 	}
 }

@@ -8,6 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mamdr/internal/framework"
+	"mamdr/internal/optim"
+	"mamdr/internal/paramvec"
 )
 
 // TestEnvelopeInfoMatchesFile pins the publication key: EnvelopeInfo
@@ -122,8 +126,8 @@ func TestEnvelopeInfoRejectsDamage(t *testing.T) {
 func FuzzCheckpointEnvelope(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, "fuzz.ckpt")
-	seed := func(version uint32, ck Checkpoint) []byte {
-		writeEnvelope(f, path, version, ck)
+	seed := func(version uint32, payload any) []byte {
+		writeEnvelope(f, path, version, payload)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -132,8 +136,16 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 	}
 	v2 := seed(2, Checkpoint{ModelName: "MLP", Epoch: -1})
 	v3 := seed(3, Checkpoint{ModelName: "MLP", Epoch: -1})
-	v4 := seed(4, Checkpoint{ModelName: "MLP", Epoch: -1,
-		Spec: Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 8}})
+	spec := framework.Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 8}
+	v4 := seed(4, Checkpoint{ModelName: "MLP", Epoch: -1, Spec: spec})
+	// A PS shard file: the per-shard payload ps writes, with the spec
+	// its host recorded.
+	shard := seed(4, struct {
+		Params paramvec.Vector
+		Shards []optim.State
+		Epoch  int
+		Spec   framework.Spec
+	}{Params: paramvec.Vector{{0.5, -1}}, Shards: []optim.State{{}}, Epoch: 2, Spec: spec})
 	mutated := func(mutate func(b []byte)) []byte {
 		c := append([]byte(nil), v3...)
 		mutate(c)
@@ -142,6 +154,7 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 	f.Add(v2)
 	f.Add(v3)
 	f.Add(v4)
+	f.Add(shard)
 	f.Add(v3[:headerLen-2])                                                           // truncated header
 	f.Add(mutated(func(b []byte) { copy(b[:8], "NOTMAMDR") }))                        // bad magic
 	f.Add(mutated(func(b []byte) { binary.LittleEndian.PutUint64(b[12:20], 1<<62) })) // length far past the file

@@ -78,8 +78,8 @@ type State struct {
 	Shared   paramvec.Vector
 	Specific []paramvec.Vector
 	// Spec is what the state was trained on; every Save writes it and
-	// every load sets it. Training leaves it zero for its caller to set.
-	Spec Spec
+	// every load sets it. Fit sets it from Config.Spec.
+	Spec framework.Spec
 
 	// replicas of Model that the DR phases of a training run train
 	// targets on beside it; Fit drops them when it returns.
@@ -131,6 +131,7 @@ func (t *MAMDR) Fit(m models.Model, ds *data.Dataset, cfg framework.Config) fram
 	st := &State{
 		Model:  m,
 		Shared: paramvec.Snapshot(params),
+		Spec:   cfg.Spec,
 	}
 	for range ds.Domains {
 		st.AddDomain()
@@ -147,13 +148,11 @@ func (t *MAMDR) Fit(m models.Model, ds *data.Dataset, cfg framework.Config) fram
 		}
 		if cfg.Resume {
 			if _, err := os.Stat(ckpt); err == nil {
-				epoch, err := st.LoadTraining(ckpt, outer)
+				epoch, err := st.resume(ckpt, cfg.Spec, outer)
 				if err != nil {
-					panic(fmt.Sprintf("core: resume from %s: %v", ckpt, err))
+					panic(&framework.ResumeError{Err: fmt.Errorf("core: resume from %s: %w", ckpt, err)})
 				}
-				if epoch > 0 {
-					startEpoch = epoch
-				}
+				startEpoch = max(epoch, 0)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"mamdr/internal/autograd"
+	"mamdr/internal/framework"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/quality"
@@ -181,22 +182,9 @@ func LoadGobEnvelope(path string, v any) (Envelope, error) {
 	return env, nil
 }
 
-// Spec records what a state was trained on, so its checkpoint alone
-// rebuilds the dataset (the JSON file at DataPath, or Preset generated
-// at Samples and Seed) and the model (the models.New key Model at
-// EmbDim and Seed). The zero Spec records nothing.
-type Spec struct {
-	Preset   string
-	Samples  int
-	DataPath string
-	Seed     int64
-	Model    string
-	EmbDim   int
-}
-
 // Checkpoint is the serializable form of a trained MAMDR state: the
-// shared parameter vector and every domain's specific vector, the Spec
-// it was trained on, plus an optional resume cursor (completed-epoch
+// shared parameter vector and every domain's specific vector, the
+// framework.Spec it was trained on, plus an optional resume cursor (completed-epoch
 // count and the DN outer optimizer's state) for crash-safe training
 // restarts. The vectors align with Model.Parameters() order, which is
 // stable for a given structure and dataset schema; Spec names both.
@@ -205,7 +193,7 @@ type Checkpoint struct {
 	// against loading into a mismatched model.
 	ModelName string
 	// Spec is the training run's dataset and model (zero before v4).
-	Spec     Spec
+	Spec     framework.Spec
 	Shared   paramvec.Vector
 	Specific []paramvec.Vector
 	// Epoch is the number of fully completed training epochs when the
@@ -267,7 +255,7 @@ func (s *State) SaveTraining(path string, epoch int, outer optim.Optimizer) erro
 // parameters. The state's Model must already be constructed with the
 // same structure and dataset schema as at save time.
 func (s *State) Load(path string) error {
-	_, _, err := s.load(path, nil)
+	_, _, err := s.LoadWithBaseline(path)
 	return err
 }
 
@@ -279,26 +267,28 @@ func (s *State) Load(path string) error {
 // count the degraded load (Tracker.SetBaseline(nil) does the counting)
 // and carry on serving.
 func (s *State) LoadWithBaseline(path string) (*quality.Baseline, Envelope, error) {
-	ck, env, err := s.load(path, nil)
+	var ck Checkpoint
+	env, err := LoadGobEnvelope(path, &ck)
+	if err == nil {
+		err = s.Install(ck, nil)
+	}
 	return ck.Quality, env, err
 }
 
-// LoadTraining is Load plus resume-cursor recovery: it restores the
-// parameters, rebinds the outer optimizer's saved state, and returns
-// the completed-epoch count the run should continue from. Loading a
-// final checkpoint (Save) yields epoch -1.
-func (s *State) LoadTraining(path string, outer optim.Optimizer) (epoch int, err error) {
-	ck, _, err := s.load(path, outer)
-	return ck.Epoch, err
-}
-
-// load is the one State reader: a single verified file read, checked
-// against the state's model before anything is installed.
-func (s *State) load(path string, outer optim.Optimizer) (ck Checkpoint, env Envelope, err error) {
-	if env, err = LoadGobEnvelope(path, &ck); err == nil {
-		err = s.Install(ck, outer)
+// resume is Load for a training run of the given spec: it refuses a
+// checkpoint that recorded another spec (framework.CheckResume) before
+// anything of it is checked against the model, rebinds the outer
+// optimizer's saved state, and returns the completed-epoch cursor the
+// run continues from (-1 for a final, Save-written state).
+func (s *State) resume(path string, spec framework.Spec, outer optim.Optimizer) (epoch int, err error) {
+	var ck Checkpoint
+	if _, err := LoadGobEnvelope(path, &ck); err != nil {
+		return 0, err
 	}
-	return ck, env, err
+	if err := framework.CheckResume(spec, ck.Spec); err != nil {
+		return 0, err
+	}
+	return ck.Epoch, s.Install(ck, outer)
 }
 
 // Install checks a checkpoint decoded by LoadGobEnvelope against the

@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"mamdr/internal/autograd/kernels"
@@ -13,6 +15,7 @@ import (
 	"mamdr/internal/models"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
+	"mamdr/internal/synth"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -47,12 +50,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestSpecRoundTrips: the training spec a state carries is written by
-// Save and SaveTraining and set again by Load and LoadTraining, and a
+// Save and SaveTraining and set again by Load and a resume, and a
 // pre-v4 file, which records none, loads with the zero Spec.
 func TestSpecRoundTrips(t *testing.T) {
 	ds := testDataset(t, 0.5)
 	st := framework.MustNew("dn").Fit(testModel(t, ds), ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 9}).(*State)
-	specs := []Spec{
+	specs := []framework.Spec{
 		{Preset: "taobao-10", Samples: 2400, Seed: 7, Model: "mlp", EmbDim: 4},
 		{DataPath: "/data/ds.json", Seed: 11, Model: "mlp", EmbDim: 4},
 	}
@@ -71,8 +74,8 @@ func TestSpecRoundTrips(t *testing.T) {
 			t.Fatalf("Load: spec %+v, err %v; saved %+v", loaded.Spec, err, spec)
 		}
 		resumed := &State{Model: testModel(t, ds)}
-		if _, err := resumed.LoadTraining(resumable, nil); err != nil || resumed.Spec != spec {
-			t.Fatalf("LoadTraining: spec %+v, err %v; saved %+v", resumed.Spec, err, spec)
+		if _, err := resumed.resume(resumable, spec, nil); err != nil || resumed.Spec != spec {
+			t.Fatalf("resume: spec %+v, err %v; saved %+v", resumed.Spec, err, spec)
 		}
 		var ck Checkpoint
 		if _, err := LoadGobEnvelope(final, &ck); err != nil || ck.Spec != spec {
@@ -81,7 +84,7 @@ func TestSpecRoundTrips(t *testing.T) {
 	}
 	writeEnvelope(t, legacy, 3, legacyCheckpoint{ModelName: st.Model.Name(), Shared: st.Shared, Specific: st.Specific, Epoch: -1})
 	old := &State{Model: testModel(t, ds), Spec: specs[0]}
-	if err := old.Load(legacy); err != nil || old.Spec != (Spec{}) {
+	if err := old.Load(legacy); err != nil || old.Spec != (framework.Spec{}) {
 		t.Fatalf("v3 file: spec %+v, err %v; want the zero Spec", old.Spec, err)
 	}
 }
@@ -199,7 +202,7 @@ func TestSaveTrainingRoundTripsOptimizerState(t *testing.T) {
 	m2 := testModel(t, ds)
 	st2 := &State{Model: m2}
 	outer2 := optim.New("adagrad", 0.1)
-	epoch, err := st2.LoadTraining(path, outer2)
+	epoch, err := st2.resume(path, framework.Spec{}, outer2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,5 +267,57 @@ func TestFitResumeBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFitRefusesResumeOfAnotherSpec: a fit resumed from a checkpoint
+// that recorded another spec — another dataset (its sample count and
+// seed), or another model over the same one — panics with a
+// *framework.ResumeError naming the fields that differ, before any
+// vector is checked against the model; a checkpoint that recorded no
+// spec is refused with the advice to retrain. Under the spec that wrote
+// it, the checkpoint resumes.
+func TestFitRefusesResumeOfAnotherSpec(t *testing.T) {
+	dir := t.TempDir()
+	// fit trains the model build names on the dataset it names for one
+	// epoch, recording spec in its checkpoint.
+	fit := func(build, spec framework.Spec, resume bool) error {
+		ds := synth.Generate(synth.Presets(build.Samples, build.Seed)[build.Preset])
+		m := models.MustNew(build.Model, models.Config{Dataset: ds, EmbDim: build.EmbDim, Seed: build.Seed})
+		cfg := framework.Config{Spec: spec, Epochs: 1, Seed: build.Seed, CheckpointDir: dir, Resume: resume}
+		return framework.CatchResume(func() { framework.MustNew("dn").Fit(m, ds, cfg) })
+	}
+	saved := framework.Spec{Preset: "amazon-6", Samples: 3000, Seed: 1, Model: "mlp", EmbDim: 8}
+	other := saved
+	other.Samples, other.Seed = 2400, 9
+	wdl := saved
+	wdl.Model = "wdl"
+
+	if err := fit(saved, framework.Spec{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := fit(saved, saved, true); err == nil || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("resume of a checkpoint with no spec: %v, want a refusal that says to retrain", err)
+	}
+	if err := fit(saved, saved, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec    framework.Spec
+		differs []string
+	}{{other, []string{"Samples", "Seed"}}, {wdl, []string{"Model"}}} {
+		err := fit(tc.spec, tc.spec, true)
+		var re *framework.ResumeError
+		if !errors.As(err, &re) {
+			t.Fatalf("resume as %+v: %v, want a *framework.ResumeError", tc.spec, err)
+		}
+		for _, field := range []string{"Preset", "Samples", "Seed", "Model", "EmbDim"} {
+			if named, want := strings.Contains(err.Error(), field+" "), slices.Contains(tc.differs, field); named != want {
+				t.Errorf("resume as %+v: %q names %s: %v, want %v", tc.spec, err, field, named, want)
+			}
+		}
+	}
+	if err := fit(saved, saved, true); err != nil {
+		t.Fatalf("resume under the spec that wrote the checkpoint: %v", err)
 	}
 }

@@ -31,6 +31,9 @@ import (
 // Config carries the hyper-parameters shared by all frameworks. Zero
 // values are filled with the paper's benchmark settings (scaled).
 type Config struct {
+	// Spec is what the run trains on; a fit records it in every
+	// checkpoint, and Resume refuses one that recorded another.
+	Spec Spec
 	// Epochs is the number of passes over all domains.
 	Epochs int
 	// BatchSize is the mini-batch size.
@@ -61,6 +64,7 @@ type Config struct {
 	// Resume restores the last checkpoint in CheckpointDir before
 	// training and skips the epochs it already covers; a resumed run
 	// reproduces the uninterrupted run bit for bit under the same seed.
+	// A checkpoint it cannot resume makes Fit panic with a *ResumeError.
 	Resume bool
 	// Telemetry, when non-nil, receives per-domain training telemetry —
 	// loss and grad-norm gauges, DN step timings, the gradient-conflict

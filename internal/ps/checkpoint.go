@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"mamdr/internal/core"
+	"mamdr/internal/framework"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
 )
@@ -29,18 +30,22 @@ var _ CheckpointStore = (*Server)(nil)
 
 // serverCheckpoint is the gob payload of a PS checkpoint: every managed
 // tensor's values plus the outer optimizer's state, aligned with the
-// tensors in index order. Shards holds that one state: a slice because
-// servers once kept an optimizer per lock stripe, and every file a
-// one-stripe server wrote — every cluster run's — has this shape.
+// tensors in index order, and the spec of the run its host serves.
+// Shards holds that one state: a slice because servers once kept an
+// optimizer per lock stripe, and every file a one-stripe server wrote —
+// every cluster run's — has this shape.
 type serverCheckpoint struct {
 	Params paramvec.Vector
 	Shards []optim.State
 	Epoch  int
+	Spec   framework.Spec
 }
 
-// SetCheckpointPath configures where SaveCheckpoint/LoadCheckpoint
-// persist the server's snapshot. Set before serving traffic.
-func (s *Server) SetCheckpointPath(path string) { s.ckptPath = path }
+// SetCheckpoint configures where SaveCheckpoint/LoadCheckpoint persist
+// the server's snapshot, and the spec of the run it hosts: every save
+// records it, and a load refuses a file that recorded another
+// (framework.CheckResume). Set before serving traffic.
+func (s *Server) SetCheckpoint(path string, spec framework.Spec) { s.ckptPath, s.spec = path, spec }
 
 // SaveCheckpoint implements CheckpointStore: it writes the server's
 // parameters, optimizer state, and the completed-epoch cursor to the
@@ -50,7 +55,7 @@ func (s *Server) SaveCheckpoint(epoch int) error {
 	if s.ckptPath == "" {
 		return errors.New("ps: no checkpoint path configured on the server")
 	}
-	ck := serverCheckpoint{Shards: []optim.State{{}}, Epoch: epoch}
+	ck := serverCheckpoint{Shards: []optim.State{{}}, Epoch: epoch, Spec: s.spec}
 	s.mu.Lock()
 	ck.Params = paramvec.Snapshot(s.data)
 	if st, ok := s.opt.(optim.Stateful); ok {
@@ -60,11 +65,11 @@ func (s *Server) SaveCheckpoint(epoch int) error {
 	return core.SaveGob(s.ckptPath, ck)
 }
 
-// LoadCheckpoint implements CheckpointStore: it restores parameters and
-// optimizer state from the configured path and returns the epoch cursor
-// the run should continue from, or (-1, nil) when no checkpoint file
-// exists. Per-worker push sequences reset on load — a resumed run
-// spawns fresh workers whose sequences restart at 1.
+// LoadCheckpoint implements CheckpointStore: it checks the file's spec,
+// restores parameters and optimizer state from the configured path, and
+// returns the epoch cursor the run should continue from, or (-1, nil)
+// when no checkpoint file exists. Per-worker push sequences reset on
+// load — a resumed run spawns fresh workers whose sequences restart at 1.
 func (s *Server) LoadCheckpoint() (int, error) {
 	if s.ckptPath == "" {
 		return 0, errors.New("ps: no checkpoint path configured on the server")
@@ -75,6 +80,9 @@ func (s *Server) LoadCheckpoint() (int, error) {
 	var ck serverCheckpoint
 	if err := core.LoadGob(s.ckptPath, &ck); err != nil {
 		return 0, err
+	}
+	if err := framework.CheckResume(s.spec, ck.Spec); err != nil {
+		return 0, fmt.Errorf("ps: %s: %w", s.ckptPath, err)
 	}
 	if len(ck.Params) != s.layout.NumTensors() {
 		return 0, fmt.Errorf("ps: checkpoint has %d tensors, server manages %d", len(ck.Params), s.layout.NumTensors())

@@ -8,6 +8,7 @@ import (
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/core"
+	"mamdr/internal/framework"
 	"mamdr/internal/optim"
 )
 
@@ -43,7 +44,7 @@ func TestServerCheckpointKeepsItsShape(t *testing.T) {
 		tables := map[int]int{0: 0}
 
 		a := NewServer(checkpointParams(), tables, outer, 0.1)
-		a.SetCheckpointPath(path)
+		a.SetCheckpoint(path, framework.Spec{})
 		a.PushDelta(ctx, checkpointDelta(1))
 		a.PushDelta(ctx, checkpointDelta(2))
 		if err := a.SaveCheckpoint(2); err != nil {
@@ -65,7 +66,7 @@ func TestServerCheckpointKeepsItsShape(t *testing.T) {
 		}
 
 		b := NewServer(checkpointParams(), tables, outer, 0.1)
-		b.SetCheckpointPath(path)
+		b.SetCheckpoint(path, framework.Spec{})
 		if epoch, err := b.LoadCheckpoint(); err != nil || epoch != 2 {
 			t.Fatalf("%s: LoadCheckpoint = %d, %v; want 2, nil", outer, epoch, err)
 		}
@@ -93,11 +94,60 @@ func TestServerRefusesStripedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(params, map[int]int{0: 0}, "adagrad", 0.1)
-	s.SetCheckpointPath(path)
+	s.SetCheckpoint(path, framework.Spec{})
 	before := s.Snapshot()
 	_, err := s.LoadCheckpoint()
 	if err == nil || !strings.Contains(err.Error(), "checkpoint has 2 shards, server has 1") {
 		t.Fatalf("LoadCheckpoint of a two-stripe file = %v, want the shard-count refusal", err)
 	}
 	requireSameVector(t, "after a refused load", before, s.Snapshot())
+}
+
+// TestSpecRoundTrips: a shard server writes the spec of the run it hosts
+// into its file, and a server of that spec restores it. A server of
+// another spec is refused with the differing fields named, and so is a
+// file that recorded no spec, with the advice to retrain; neither
+// refusal touches the server. A server that hosts no spec (a library
+// run) restores a file that recorded none.
+func TestSpecRoundTrips(t *testing.T) {
+	path := filepath.Join(t.TempDir(), ShardCheckpointPath("ps.ckpt", 0, 1))
+	spec := framework.Spec{Preset: "taobao-10", Samples: 3000, Seed: 1, Model: "mlp", EmbDim: 8}
+	server := func(spec framework.Spec) *Server {
+		s := NewServer(checkpointParams(), map[int]int{0: 0}, "adagrad", 0.1)
+		s.SetCheckpoint(path, spec)
+		return s
+	}
+	a := server(spec)
+	a.PushDelta(context.Background(), checkpointDelta(1))
+	if err := a.SaveCheckpoint(2); err != nil {
+		t.Fatal(err)
+	}
+	var ck serverCheckpoint
+	if err := core.LoadGob(path, &ck); err != nil || ck.Spec != spec {
+		t.Fatalf("shard file records spec %+v (err %v), want %+v", ck.Spec, err, spec)
+	}
+	if epoch, err := server(spec).LoadCheckpoint(); err != nil || epoch != 2 {
+		t.Fatalf("same spec: LoadCheckpoint = %d, %v; want 2, nil", epoch, err)
+	}
+
+	other := spec
+	other.Samples, other.Seed = 2400, 9
+	refused := server(other)
+	before := refused.Snapshot()
+	if _, err := refused.LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), "Samples 2400 (checkpoint 3000)") ||
+		!strings.Contains(err.Error(), "Seed 9 (checkpoint 1)") || strings.Contains(err.Error(), "Model") {
+		t.Fatalf("another spec: LoadCheckpoint = %v, want a refusal naming Samples and Seed only", err)
+	}
+	requireSameVector(t, "after a refused load", before, refused.Snapshot())
+
+	ck.Spec = framework.Spec{}
+	if err := core.SaveGob(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server(spec).LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("file without a spec: LoadCheckpoint = %v, want a refusal that says to retrain", err)
+	}
+	if epoch, err := server(framework.Spec{}).LoadCheckpoint(); err != nil || epoch != 2 {
+		t.Fatalf("no spec on either side: LoadCheckpoint = %d, %v; want 2, nil", epoch, err)
+	}
 }

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"mamdr/internal/autograd"
+	"mamdr/internal/framework"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/trace"
@@ -195,8 +196,10 @@ type Server struct {
 	lastSeq map[int]int64
 
 	// ckptPath, when set, is where SaveCheckpoint/LoadCheckpoint persist
-	// the server's crash-safe snapshot (see checkpoint.go).
+	// the server's crash-safe snapshot; it records spec, the run the
+	// server hosts (see checkpoint.go).
 	ckptPath string
+	spec     framework.Spec
 }
 
 // SetMetrics attaches a telemetry mirror for the traffic counters.

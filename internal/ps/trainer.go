@@ -68,11 +68,12 @@ type Options struct {
 	HeartbeatTimeout time.Duration
 
 	// CheckpointPath, when set (with Train), configures the in-process
-	// server's checkpoint location. CheckpointEvery writes a server
-	// checkpoint every N completed epochs (0 disables; any value
-	// requires the store to implement CheckpointStore). Resume restores
-	// the store's last checkpoint before training and skips the epochs
-	// it already covers.
+	// server's checkpoint location (its files record the zero spec).
+	// CheckpointEvery writes a server checkpoint every N completed epochs
+	// (0 disables; any value requires the store to implement
+	// CheckpointStore). Resume restores the store's last checkpoint before
+	// training and skips the epochs it already covers; a refused one
+	// panics with a *framework.ResumeError.
 	CheckpointPath  string
 	CheckpointEvery int
 	Resume          bool
@@ -141,9 +142,7 @@ func Train(replica func() models.Model, ds *data.Dataset, opts Options) *Result 
 	server := NewServer(serving.Parameters(), tables, opts.OuterOpt, opts.OuterLR)
 	server.SetMetrics(opts.Metrics)
 	server.SetTracer(opts.Tracer)
-	if opts.CheckpointPath != "" {
-		server.SetCheckpointPath(opts.CheckpointPath)
-	}
+	server.SetCheckpoint(opts.CheckpointPath, framework.Spec{})
 	return TrainWithStore(replica, serving, server, server, ds, opts)
 }
 
@@ -224,7 +223,7 @@ func TrainWithStore(replica func() models.Model, serving models.Model, store Sto
 		}
 		epoch, err := cs.LoadCheckpoint()
 		if err != nil {
-			panic(fmt.Sprintf("ps: resume: %v", err))
+			panic(&framework.ResumeError{Err: fmt.Errorf("ps: resume: %w", err)})
 		}
 		if epoch > 0 {
 			startEpoch = epoch

@@ -497,7 +497,7 @@ func TestAdminPublishLifecycle(t *testing.T) {
 // under the served spec are accepted.
 func TestPublishRefusesAnotherSpec(t *testing.T) {
 	st, ds, factory := testState(t)
-	st.Spec = core.Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 4}
+	st.Spec = framework.Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 4}
 	reg := telemetry.New()
 	s := NewWithOptions(st, ds, Options{Metrics: reg})
 	h := s.Handler()

@@ -19,6 +19,7 @@ import (
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/core"
+	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/quant"
@@ -55,7 +56,7 @@ type layout struct {
 	int8 bool
 	// spec is what the boot state was trained on: the dataset whose
 	// features the server resolves. A published checkpoint must match.
-	spec core.Spec
+	spec framework.Spec
 }
 
 // validate checks a candidate state's vectors align with the served

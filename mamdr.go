@@ -8,12 +8,15 @@
 // model structure and a learning framework, train, and evaluate
 // per-domain AUC:
 //
-//	ds := mamdr.GenerateDataset(mamdr.DatasetSpec{Preset: "taobao-10", TotalSamples: 20000, Seed: 7})
-//	res, err := mamdr.Train(mamdr.TrainSpec{
-//		Dataset:   ds,
-//		Model:     "mlp",
-//		Framework: "mamdr",
-//	})
+//	spec := mamdr.Spec{Preset: "taobao-10", Samples: 20000, Seed: 7, Model: "mlp", EmbDim: 8}
+//	ds, err := mamdr.SpecDataset(spec)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	res, err := mamdr.Train(ds, "mamdr", mamdr.Config{Spec: spec, Seed: 7})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Println(res.MeanTestAUC)
 //
 // Everything the facade exposes is also available, with more control,
@@ -23,52 +26,33 @@ package mamdr
 import (
 	"fmt"
 
-	"mamdr/internal/core" // also registers the dn/dr/mamdr frameworks
+	_ "mamdr/internal/core" // registers the dn/dr/mamdr frameworks
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
 	"mamdr/internal/metrics"
 	"mamdr/internal/models"
 	"mamdr/internal/synth"
-	"mamdr/internal/telemetry"
-	"mamdr/internal/trace"
 )
 
 // Dataset is a multi-domain recommendation dataset.
 type Dataset = data.Dataset
 
-// DatasetSpec selects a synthetic benchmark to generate.
-type DatasetSpec struct {
-	// Preset names one of the paper's benchmarks: "amazon-6",
-	// "amazon-13", "taobao-10", "taobao-20", "taobao-30",
-	// "taobao-online".
-	Preset string
-	// TotalSamples scales the dataset (the paper's per-domain imbalance
-	// profile is preserved). Default 10000.
-	TotalSamples int
-	// Seed fixes generation. Default 1.
-	Seed int64
-}
+// Spec is what a run trains on: the dataset and the model.
+type Spec = framework.Spec
 
-// GenerateDataset builds a synthetic benchmark equivalent. It panics on
-// an unknown preset name; use GenerateDatasetErr for error handling.
-func GenerateDataset(spec DatasetSpec) *Dataset {
-	ds, err := GenerateDatasetErr(spec)
-	if err != nil {
-		panic(err)
-	}
-	return ds
-}
+// Config is one training run: its Spec, hyperparameters and hooks.
+type Config = framework.Config
 
-// GenerateDatasetErr is GenerateDataset returning an error for unknown
-// presets.
-func GenerateDatasetErr(spec DatasetSpec) (*Dataset, error) {
-	if spec.TotalSamples == 0 {
-		spec.TotalSamples = 10000
+// SpecDataset returns the dataset a training spec names: the JSON file
+// at DataPath, or Preset ("amazon-6", "amazon-13", "taobao-10",
+// "taobao-20", "taobao-30", "taobao-online") generated at Samples and
+// Seed with the paper's per-domain imbalance profile. mamdr-train
+// trains on it and mamdr-serve rebuilds it from a checkpoint's Spec.
+func SpecDataset(spec Spec) (*Dataset, error) {
+	if spec.DataPath != "" {
+		return LoadDataset(spec.DataPath)
 	}
-	if spec.Seed == 0 {
-		spec.Seed = 1
-	}
-	presets := synth.Presets(spec.TotalSamples, spec.Seed)
+	presets := synth.Presets(spec.Samples, spec.Seed)
 	cfg, ok := presets[spec.Preset]
 	if !ok {
 		names := make([]string, 0, len(presets))
@@ -80,14 +64,10 @@ func GenerateDatasetErr(spec DatasetSpec) (*Dataset, error) {
 	return synth.Generate(cfg), nil
 }
 
-// SpecDataset returns the dataset a training spec names: the JSON file
-// at DataPath, or Preset generated at Samples and Seed. mamdr-train
-// trains on it and mamdr-serve rebuilds it from a checkpoint's Spec.
-func SpecDataset(spec core.Spec) (*Dataset, error) {
-	if spec.DataPath != "" {
-		return LoadDataset(spec.DataPath)
-	}
-	return GenerateDatasetErr(DatasetSpec{Preset: spec.Preset, TotalSamples: spec.Samples, Seed: spec.Seed})
+// SpecModel builds the model a training spec names over ds (the
+// models.New key Model at EmbDim and Seed), as SpecDataset its dataset.
+func SpecModel(ds *Dataset, spec Spec) (models.Model, error) {
+	return models.New(spec.Model, models.Config{Dataset: ds, EmbDim: spec.EmbDim, Seed: spec.Seed})
 }
 
 // LoadDataset reads a dataset saved with SaveDataset (JSON).
@@ -102,59 +82,6 @@ func ModelNames() []string { return models.Names() }
 // FrameworkNames lists the available learning frameworks (including
 // "dn", "dr" and "mamdr").
 func FrameworkNames() []string { return framework.Keys() }
-
-// TrainSpec configures one training run.
-type TrainSpec struct {
-	Dataset *Dataset
-	// Model names the structure ("mlp", "wdl", "neurfm", "autoint",
-	// "deepfm", "sharedbottom", "mmoe", "cgc", "ple", "star", "raw").
-	Model string
-	// Framework names the learning framework ("alternate", "finetune",
-	// "weighted", "pcgrad", "maml", "reptile", "mldg", "separate",
-	// "dn", "dr", "mamdr").
-	Framework string
-	// Epochs, BatchSize, Seed and the learning rates override the
-	// framework defaults when non-zero.
-	Epochs    int
-	BatchSize int
-	Seed      int64
-	// InnerLR is the inner-loop learning rate α.
-	InnerLR float64
-	// OuterLR is DN's outer-loop learning rate β.
-	OuterLR float64
-	// DRLR is Domain Regularization's learning rate γ.
-	DRLR float64
-	// SampleK is DR's helper-domain sample count k.
-	SampleK int
-	// CheckpointDir enables crash-safe epoch-boundary checkpointing for
-	// frameworks that support it (MAMDR): parameters plus outer
-	// optimizer state land atomically in <dir>/mamdr.ckpt every
-	// CheckpointEvery epochs (default 1 when a dir is set).
-	CheckpointDir   string
-	CheckpointEvery int
-	// Resume restores the last checkpoint in CheckpointDir and skips the
-	// epochs it covers; with the same Seed the resumed run reproduces an
-	// uninterrupted run bit for bit.
-	Resume bool
-	// EmbDim and Hidden override the model defaults when non-zero.
-	EmbDim int
-	Hidden []int
-	// Dropout is the model's dropout rate.
-	Dropout float64
-	// Metrics, when non-nil, receives training telemetry (per-domain
-	// loss/grad-norm gauges, DN step timings, the gradient-conflict
-	// histogram) for Prometheus exposition via Metrics.Handler().
-	Metrics *telemetry.Registry
-	// Events, when non-nil, receives one JSONL event per epoch so runs
-	// are replayable and plottable.
-	Events *telemetry.EventLog
-	// Tracer, when non-nil, emits structured spans for the training run
-	// (epochs, per-domain inner steps, forward/backward/optimizer
-	// phases, DR lookaheads) and arms its flight recorder: a NaN/Inf
-	// loss or a per-domain loss z-score spike dumps the most recent
-	// spans to a Chrome trace-event JSON file.
-	Tracer *trace.Tracer
-}
 
 // Result reports a finished training run.
 type Result struct {
@@ -171,53 +98,37 @@ type Result struct {
 	MeanValAUC  float64
 }
 
-// Train builds the model, fits it with the chosen framework, and
-// evaluates per-domain AUC on the validation and test splits.
-func Train(spec TrainSpec) (*Result, error) {
-	if spec.Dataset == nil {
-		return nil, fmt.Errorf("mamdr: TrainSpec.Dataset is nil")
+// Train builds the model cfg.Spec names ("mlp" when empty) over ds, fits
+// it with the framework fw names (one of FrameworkNames, "mamdr" when
+// empty), and evaluates per-domain AUC on the validation and test
+// splits. A fit that cannot resume returns its *framework.ResumeError.
+func Train(ds *Dataset, fw string, cfg Config) (*Result, error) {
+	if ds == nil {
+		return nil, fmt.Errorf("mamdr: Train: nil dataset")
 	}
-	if spec.Model == "" {
-		spec.Model = "mlp"
+	if cfg.Spec.Model == "" {
+		cfg.Spec.Model = "mlp"
 	}
-	if spec.Framework == "" {
-		spec.Framework = "mamdr"
+	if fw == "" {
+		fw = "mamdr"
 	}
-	m, err := models.New(spec.Model, models.Config{
-		Dataset: spec.Dataset,
-		EmbDim:  spec.EmbDim,
-		Hidden:  spec.Hidden,
-		Dropout: spec.Dropout,
-		Seed:    spec.Seed,
-	})
+	m, err := SpecModel(ds, cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
-	fw, err := framework.New(spec.Framework)
+	f, err := framework.New(fw)
 	if err != nil {
 		return nil, err
 	}
-	cfg := framework.Config{
-		Epochs:          spec.Epochs,
-		BatchSize:       spec.BatchSize,
-		Seed:            spec.Seed,
-		LR:              spec.InnerLR,
-		OuterLR:         spec.OuterLR,
-		DRLR:            spec.DRLR,
-		SampleK:         spec.SampleK,
-		CheckpointDir:   spec.CheckpointDir,
-		CheckpointEvery: spec.CheckpointEvery,
-		Resume:          spec.Resume,
-		Telemetry:       framework.WireTrainMetrics(spec.Metrics, spec.Dataset, spec.Events, spec.Tracer),
-		Tracer:          spec.Tracer,
+	var pred framework.Predictor
+	if err := framework.CatchResume(func() { pred = f.Fit(m, ds, cfg) }); err != nil {
+		return nil, err
 	}
-	pred := fw.Fit(m, spec.Dataset, cfg)
-
 	res := &Result{
 		Predictor: pred,
 		Model:     m,
-		TestAUC:   framework.EvaluateAUC(pred, spec.Dataset, data.Test),
-		ValAUC:    framework.EvaluateAUC(pred, spec.Dataset, data.Val),
+		TestAUC:   framework.EvaluateAUC(pred, ds, data.Test),
+		ValAUC:    framework.EvaluateAUC(pred, ds, data.Val),
 	}
 	res.MeanTestAUC = metrics.Mean(res.TestAUC)
 	res.MeanValAUC = metrics.Mean(res.ValAUC)

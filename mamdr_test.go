@@ -1,35 +1,42 @@
 package mamdr
 
 import (
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mamdr/internal/data"
+	"mamdr/internal/framework"
 )
 
-func TestGenerateDatasetPresets(t *testing.T) {
+// specDataset is SpecDataset for a spec the test knows is valid.
+func specDataset(t testing.TB, spec Spec) *Dataset {
+	t.Helper()
+	ds, err := SpecDataset(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+func TestSpecDatasetPresets(t *testing.T) {
 	for _, preset := range []string{"amazon-6", "amazon-13", "taobao-10", "taobao-20", "taobao-30", "taobao-online"} {
-		ds := GenerateDataset(DatasetSpec{Preset: preset, TotalSamples: 1500, Seed: 3})
+		ds := specDataset(t, Spec{Preset: preset, Samples: 1500, Seed: 3})
 		if err := ds.Validate(); err != nil {
 			t.Fatalf("%s: %v", preset, err)
 		}
 	}
 }
 
-func TestGenerateDatasetUnknownPreset(t *testing.T) {
-	if _, err := GenerateDatasetErr(DatasetSpec{Preset: "netflix"}); err == nil {
+func TestSpecDatasetUnknownPreset(t *testing.T) {
+	if _, err := SpecDataset(Spec{Preset: "netflix", Samples: 1500, Seed: 3}); err == nil {
 		t.Fatal("expected error for unknown preset")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GenerateDataset should panic on unknown preset")
-		}
-	}()
-	GenerateDataset(DatasetSpec{Preset: "netflix"})
 }
 
 func TestSaveLoadDataset(t *testing.T) {
-	ds := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 1200, Seed: 3})
+	ds := specDataset(t, Spec{Preset: "taobao-10", Samples: 1200, Seed: 3})
 	path := filepath.Join(t.TempDir(), "ds.json")
 	if err := SaveDataset(ds, path); err != nil {
 		t.Fatal(err)
@@ -61,14 +68,8 @@ func TestNamesNonEmpty(t *testing.T) {
 }
 
 func TestTrainEndToEnd(t *testing.T) {
-	ds := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 2000, Seed: 3})
-	res, err := Train(TrainSpec{
-		Dataset:   ds,
-		Model:     "mlp",
-		Framework: "mamdr",
-		Epochs:    3,
-		Seed:      5,
-	})
+	ds := specDataset(t, Spec{Preset: "taobao-10", Samples: 2000, Seed: 3})
+	res, err := Train(ds, "mamdr", Config{Spec: Spec{Model: "mlp", Seed: 5}, Epochs: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestTrainEndToEnd(t *testing.T) {
 }
 
 func TestTrainDefaults(t *testing.T) {
-	ds := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 1200, Seed: 3})
-	res, err := Train(TrainSpec{Dataset: ds, Epochs: 1})
+	ds := specDataset(t, Spec{Preset: "taobao-10", Samples: 1200, Seed: 3})
+	res, err := Train(ds, "", Config{Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,21 +96,21 @@ func TestTrainDefaults(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(TrainSpec{}); err == nil {
+	if _, err := Train(nil, "", Config{}); err == nil {
 		t.Fatal("expected error for nil dataset")
 	}
-	ds := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 1200, Seed: 3})
-	if _, err := Train(TrainSpec{Dataset: ds, Model: "nope"}); err == nil {
+	ds := specDataset(t, Spec{Preset: "taobao-10", Samples: 1200, Seed: 3})
+	if _, err := Train(ds, "", Config{Spec: Spec{Model: "nope"}}); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
-	if _, err := Train(TrainSpec{Dataset: ds, Framework: "nope"}); err == nil {
+	if _, err := Train(ds, "nope", Config{}); err == nil {
 		t.Fatal("expected error for unknown framework")
 	}
 }
 
 func TestPredictHelper(t *testing.T) {
-	ds := GenerateDataset(DatasetSpec{Preset: "taobao-10", TotalSamples: 1200, Seed: 3})
-	res, err := Train(TrainSpec{Dataset: ds, Model: "mlp", Framework: "alternate", Epochs: 1})
+	ds := specDataset(t, Spec{Preset: "taobao-10", Samples: 1200, Seed: 3})
+	res, err := Train(ds, "alternate", Config{Spec: Spec{Model: "mlp"}, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +123,24 @@ func TestPredictHelper(t *testing.T) {
 		if p < 0 || p > 1 {
 			t.Fatalf("probability %g out of range", p)
 		}
+	}
+}
+
+// TestTrainRefusesResumeOfAnotherSpec: a Train that resumes a checkpoint
+// written by a run on another dataset returns the refusal, naming what
+// differs, instead of panicking or training on.
+func TestTrainRefusesResumeOfAnotherSpec(t *testing.T) {
+	dir := t.TempDir()
+	saved := Spec{Preset: "taobao-10", Samples: 1200, Seed: 3, Model: "mlp", EmbDim: 4}
+	ds := specDataset(t, saved)
+	if _, err := Train(ds, "dn", Config{Spec: saved, Epochs: 1, Seed: 3, CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	other := saved
+	other.Samples, other.Seed = 1000, 9
+	_, err := Train(specDataset(t, other), "dn", Config{Spec: other, Epochs: 2, Seed: 9, CheckpointDir: dir, Resume: true})
+	var re *framework.ResumeError
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), "Samples") || !strings.Contains(err.Error(), "Seed") {
+		t.Fatalf("resume of another spec: err = %v, want a *framework.ResumeError naming Samples and Seed", err)
 	}
 }

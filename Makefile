@@ -28,12 +28,24 @@ staticcheck:
 	staticcheck ./...
 
 # A 2-worker traced run whose trace file must carry the worker, train-step
-# and PS spans.
+# and PS spans (the file is removed first: -trace appends, so a leftover
+# file would answer the greps); and a long traced run killed by SIGTERM
+# mid-training must leave the spans it completed on disk (the file
+# streams a line per span).
 smoke-trace:
+	rm -f /tmp/smoke.trace.jsonl*
 	$(GO) run ./cmd/mamdr-train -preset taobao-10 -samples 2000 -epochs 2 \
-		-ps-workers 2 -trace /tmp/smoke.trace.json
+		-ps-workers 2 -trace /tmp/smoke.trace.jsonl
 	for span in worker.epoch worker.inner_step train.forward ps.pull_dense ps.push_delta; do \
-		grep -q "\"name\":\"$$span\"" /tmp/smoke.trace.json || { echo "trace has no $$span span"; exit 1; }; done
+		grep -q "\"name\":\"$$span\"" /tmp/smoke.trace.jsonl || { echo "trace has no $$span span"; exit 1; }; done
+	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train
+	rm -f /tmp/smoke-killed.trace.jsonl
+	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -epochs 100000 -ps-workers 2 \
+		-trace /tmp/smoke-killed.trace.jsonl >/tmp/smoke-killed.log 2>&1 & pid=$$!; \
+	for i in `seq 100`; do grep -qs '"name":"worker.inner_step"' /tmp/smoke-killed.trace.jsonl && break; sleep 0.1; done; \
+	kill -TERM $$pid; wait $$pid; \
+	test $$? -eq 143 || { cat /tmp/smoke-killed.log; echo "the traced run ended before SIGTERM killed it"; exit 1; }; \
+	grep -q '"name":"worker.inner_step"' /tmp/smoke-killed.trace.jsonl || { echo "killed run left no worker.inner_step span"; exit 1; }
 
 # A 2-worker run over a loopback RPC
 # parameter server with injected errors, delays, and connection drops
@@ -69,15 +81,16 @@ smoke-cluster:
 	$(GO) run ./cmd/mamdr-train -preset amazon-6 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 \
 		| grep -v '^trained in\|^training ' > /tmp/cluster-1shard.txt
+	rm -f /tmp/cluster.trace.jsonl*
 	$(GO) run ./cmd/mamdr-train -preset amazon-6 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 -ps-shards 3 \
 		-ps-faults "PullRows:err@2; PushDelta:err@5; conn:drop@6" \
-		-trace /tmp/cluster.trace.json -save /tmp/cluster.ckpt \
+		-trace /tmp/cluster.trace.jsonl -save /tmp/cluster.ckpt \
 		2>/tmp/cluster-3shard.log | grep -v '^trained in\|^training ' > /tmp/cluster-3shard.txt
 	diff /tmp/cluster-1shard.txt /tmp/cluster-3shard.txt
 	grep -E '[1-9][0-9]* faults injected' /tmp/cluster-3shard.log
 	for span in cluster.pull_rows cluster.push_delta cluster.shard_call; do \
-		grep -q "\"name\":\"$$span\"" /tmp/cluster.trace.json || { echo "trace has no $$span span"; exit 1; }; done
+		grep -q "\"name\":\"$$span\"" /tmp/cluster.trace.jsonl || { echo "trace has no $$span span"; exit 1; }; done
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-serve
 	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/cluster.ckpt -addr 127.0.0.1:8090 -access-log off \
 		>/tmp/cluster-serve.log 2>&1 & echo $$! > /tmp/cluster-serve.pid
@@ -133,7 +146,7 @@ smoke-obs:
 	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -epochs 4 -seed 7 \
 		-ps-workers 2 -ps-sync-push -ps-addrs 127.0.0.1:7101,127.0.0.1:7102 \
 		-ps-faults "PushDelta:err@p0.3; PullRows:err@p0.2" \
-		-metrics-addr 127.0.0.1:9190 -metrics-linger 30s -trace /tmp/obs.trace.json \
+		-metrics-addr 127.0.0.1:9190 -metrics-linger 30s -trace /tmp/obs.trace.jsonl \
 		>/tmp/obs-train.log 2>&1 & \
 	sleep 12; curl -s 127.0.0.1:9600/metrics > /tmp/obs-federated.txt; wait
 	grep -E 'alerts_fired=[1-9]' /tmp/obs-faulty.txt

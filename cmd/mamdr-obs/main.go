@@ -28,14 +28,13 @@ import (
 	"time"
 
 	"mamdr/internal/obsv"
-	"mamdr/internal/telemetry"
-	"mamdr/internal/trace"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mamdr-obs: ")
 
+	harness := obsv.HarnessFlags(flag.CommandLine, obsv.Uses{Events: true})
 	var (
 		scrape   = flag.String("scrape", "", `comma-separated scrape targets serving /metrics/snapshot over HTTP: "host:port" or "role=host:port"`)
 		addr     = flag.String("addr", ":9600", "serve the federated /metrics, /slo, and dashboard on this address")
@@ -44,12 +43,6 @@ func main() {
 		runFor   = flag.Duration("run-for", 0, "exit after this long with a summary line (0 = run until killed)")
 		once     = flag.Bool("once", false, "one scrape round: print the federated exposition to stdout and exit")
 		sloFast  = flag.Bool("slo-fast", false, "shrink every SLO burn window to seconds (CI and demos: alerts fire within one scrape round of a fault)")
-
-		eventsPath = flag.String("events", "", "append JSONL observer events (scrape errors, slo_burn, slo_clear) to this file, rotated at 64 MiB with 3 segments kept")
-		flightDump = flag.String("flight-dump", "", "flight-recorder dump path prefix written when an SLO alert fires")
-
-		profileDir      = flag.String("profile-dir", "", "continuous profiling: keep a ring of CPU+heap pprof profiles in this directory")
-		profileInterval = flag.Duration("profile-interval", 30*time.Second, "continuous-profiling capture cadence (with -profile-dir)")
 	)
 	flag.Parse()
 
@@ -61,19 +54,13 @@ func main() {
 		log.Fatal("-scrape: no targets given (see -help)")
 	}
 
-	var events *telemetry.EventLog
-	if *eventsPath != "" {
-		events, err = telemetry.OpenEventLog(*eventsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer events.Close()
+	// An SLO alert appends an event and, with -flight-dump, fires a dump
+	// of a recorder that holds no spans: mamdr-obs has no tracer.
+	h, err := harness(false)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	var flight *trace.FlightRecorder
-	if *flightDump != "" {
-		flight = trace.NewFlightRecorder(0, *flightDump)
-	}
+	defer h.Close()
 
 	slos := obsv.DefaultSLOs()
 	if *sloFast {
@@ -89,23 +76,13 @@ func main() {
 		Interval: *interval,
 		Timeout:  *timeout,
 		SLOs:     slos,
-		Events:   events,
-		Flight:   flight,
+		Events:   h.Events,
+		Flight:   h.Flight,
 	})
-
-	if *profileDir != "" {
-		prof, err := obsv.NewProfiler(obsv.ProfileOptions{Dir: *profileDir, Interval: *profileInterval})
-		if err != nil {
-			log.Fatal(err)
-		}
-		go prof.Run(context.Background())
-		flight.SetOnDump(func(d trace.Dump) { prof.DumpTo(*profileDir + "/flight-" + d.Kind) })
-		log.Printf("continuous profiling to %s every %s", *profileDir, *profileInterval)
-	}
 
 	if *once {
 		srv.ScrapeOnce()
-		if err := writeFederated(srv, os.Stdout); err != nil {
+		if err := srv.WriteFederated(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		summarize(srv)
@@ -128,37 +105,6 @@ func main() {
 	}
 	srv.Run(ctx)
 	summarize(srv)
-	if flight != nil {
-		for _, d := range flight.Dumps() {
-			log.Printf("flight-recorder dump (%s): %s", d.Kind, d.Path)
-		}
-	}
-}
-
-// writeFederated renders the current federated exposition.
-func writeFederated(srv *obsv.Server, w *os.File) error {
-	req, _ := http.NewRequest("GET", "/metrics", nil)
-	rec := newSink(w)
-	srv.Handler().ServeHTTP(rec, req)
-	return rec.err
-}
-
-// sink adapts an *os.File to http.ResponseWriter for -once output.
-type sink struct {
-	w   *os.File
-	h   http.Header
-	err error
-}
-
-func newSink(w *os.File) *sink      { return &sink{w: w, h: http.Header{}} }
-func (s *sink) Header() http.Header { return s.h }
-func (s *sink) WriteHeader(int)     {}
-func (s *sink) Write(p []byte) (int, error) {
-	n, err := s.w.Write(p)
-	if err != nil && s.err == nil {
-		s.err = err
-	}
-	return n, err
 }
 
 // summarize prints the greppable exit line CI asserts on.

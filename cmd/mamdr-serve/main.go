@@ -25,7 +25,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -40,13 +39,13 @@ import (
 	"mamdr/internal/rollout"
 	"mamdr/internal/serve"
 	"mamdr/internal/telemetry"
-	"mamdr/internal/trace"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mamdr-serve: ")
 
+	harness := obsv.HarnessFlags(flag.CommandLine, obsv.Uses{Trace: true})
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		replicas      = flag.Int("replicas", 0, "forward passes that run at once: the request scheduler's slots, one model replica each (0 = GOMAXPROCS)")
@@ -60,13 +59,6 @@ func main() {
 
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		accessLog = flag.String("access-log", "stderr", `structured JSON access log: "stderr", "stdout", a file path, or "off"`)
-
-		tracePath   = flag.String("trace", "", "stream per-request spans as JSONL \"span\" events to this file, rotated at 64 MiB with 3 segments kept (use GET /debug/trace?sec=N for a Chrome/Perfetto capture)")
-		traceSample = flag.Float64("trace-sample", 1, "fraction of request root spans to record (0..1)")
-		flightDump  = flag.String("flight-dump", "", "flight-recorder dump path prefix for anomalies such as pool saturation (default <trace>.flight when -trace is set)")
-
-		profileDir      = flag.String("profile-dir", "", "continuous profiling: keep a ring of CPU+heap pprof profiles in this directory")
-		profileInterval = flag.Duration("profile-interval", 30*time.Second, "continuous-profiling capture cadence (with -profile-dir)")
 
 		withRollout    = flag.Bool("rollout", true, "canary-gate live publications (POST /admin/publish): new snapshots take a traffic fraction and auto-promote or auto-rollback on live quality")
 		canaryFraction = flag.Float64("canary-fraction", 0.2, "traffic share the canary snapshot takes during evaluation")
@@ -119,36 +111,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Tracing: per-request spans with an optional JSONL stream; the
-	// flight recorder dumps recent spans when a prediction times out in
-	// the scheduler. Capture-on-demand Chrome JSON lives at /debug/trace.
-	if *tracePath != "" && *flightDump == "" {
-		*flightDump = *tracePath + ".flight"
+	// Tracing: every request is traced, and -trace streams the spans to
+	// a file; the flight recorder dumps recent spans when a prediction
+	// times out in the scheduler. Capture-on-demand Chrome JSON lives
+	// at /debug/trace.
+	h, err := harness(true)
+	if err != nil {
+		log.Fatal(err)
 	}
-	tracer := trace.New(trace.Options{Sample: *traceSample, FlightPath: *flightDump})
-	if *tracePath != "" {
-		spans, err := telemetry.OpenEventLog(*tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer spans.Close()
-		tracer.AddSink(trace.LogSink{Log: spans})
-		log.Printf("streaming spans to %s", *tracePath)
-	}
-
-	// Continuous profiling: bounded pprof ring, flushed next to the
-	// flight-recorder dump when an anomaly fires.
-	if *profileDir != "" {
-		prof, err := obsv.NewProfiler(obsv.ProfileOptions{Dir: *profileDir, Interval: *profileInterval})
-		if err != nil {
-			log.Fatal(err)
-		}
-		go prof.Run(context.Background())
-		tracer.Flight().SetOnDump(func(d trace.Dump) {
-			prof.DumpTo(filepath.Join(*profileDir, "flight-"+d.Kind))
-		})
-		log.Printf("continuous profiling to %s every %s", *profileDir, *profileInterval)
-	}
+	defer h.Close()
 
 	// Model-quality tracking: the drift baseline comes from the
 	// checkpoint. A checkpoint saved without one serves with drift
@@ -177,7 +148,7 @@ func main() {
 		ShedSeed:       spec.Seed,
 		Metrics:        reg,
 		AccessLog:      logger,
-		Tracer:         tracer,
+		Tracer:         h.Tracer,
 		Quality:        tracker,
 		FeedbackTTL:    *feedbackTTL,
 		Faults:         faults,
@@ -204,7 +175,7 @@ func main() {
 	// ticker arms the fail-safe deadline so an unproven canary cannot
 	// fly forever on a quiet service.
 	if *withRollout {
-		ctrl := rollout.New(srv, reg, tracer, rollout.Config{
+		ctrl := rollout.New(srv, reg, h.Tracer, rollout.Config{
 			Fraction:   *canaryFraction,
 			MinLabeled: *rolloutLabeled,
 			MinScores:  *rolloutScores,

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,6 +47,7 @@ func main() {
 	log.SetPrefix("mamdr-train: ")
 
 	runConfig := trainingFlags()
+	harness := obsv.HarnessFlags(flag.CommandLine, obsv.Uses{Trace: true, Events: true})
 	var (
 		fw = flag.String("framework", "mamdr", "learning framework: "+strings.Join(mamdr.FrameworkNames(), ", "))
 
@@ -55,14 +55,6 @@ func main() {
 
 		metricsAddr   = flag.String("metrics-addr", "", "serve Prometheus /metrics on this address during training (e.g. :9090)")
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep /metrics up this long after training (for a final scrape)")
-		eventsPath    = flag.String("events", "", "append one JSONL event per epoch to this file, rotated at 64 MiB with 3 segments kept")
-
-		profileDir      = flag.String("profile-dir", "", "continuous profiling: keep a ring of CPU+heap pprof profiles in this directory")
-		profileInterval = flag.Duration("profile-interval", 30*time.Second, "continuous-profiling capture cadence (with -profile-dir)")
-
-		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (load in Perfetto or chrome://tracing)")
-		traceSample = flag.Float64("trace-sample", 1, "fraction of root spans to record (0..1)")
-		flightDump  = flag.String("flight-dump", "", "flight-recorder dump path prefix for anomalies (default <trace>.flight when -trace is set)")
 
 		psWorkers = flag.Int("ps-workers", 0, "run distributed PS-Worker training with this many workers (0 = single process; -framework mamdr or dn)")
 		psShards  = flag.Int("ps-shards", 1, "partition the parameter server across this many in-process cluster shards for -ps-workers (with -ps-sync-push training is bit-identical across shard counts)")
@@ -105,28 +97,17 @@ func main() {
 
 	// Tracing: the tracer is built whenever -trace/-flight-dump asks for
 	// it, or when /metrics is up (so /debug/trace capture-on-demand
-	// works even without a trace file). Training spans flow into the
-	// Chrome exporter; the flight recorder dumps the recent span history
-	// when an anomaly (NaN loss, loss spike, RPC error) fires.
-	var (
-		tracer   *trace.Tracer
-		exporter *trace.ChromeExporter
-	)
-	if *tracePath != "" && *flightDump == "" {
-		*flightDump = *tracePath + ".flight"
-	}
-	if *tracePath != "" || *flightDump != "" || *metricsAddr != "" {
-		tracer = trace.New(trace.Options{Sample: *traceSample, FlightPath: *flightDump})
-		if *tracePath != "" {
-			exporter = trace.NewChromeExporter(*tracePath)
-			tracer.AddSink(exporter)
-		}
+	// works even without a trace file); the flight recorder dumps the
+	// recent span history when an anomaly (NaN loss, loss spike, RPC
+	// error) fires.
+	h, err := harness(*metricsAddr != "")
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	// Observability: a private registry exposed over HTTP plus an
-	// append-only JSONL event log. Both are optional and free when off.
-	// The /metrics/snapshot endpoint serves the versioned JSON snapshot
-	// that mamdr-obs federates across the fleet.
+	// Observability: a private registry exposed over HTTP, optional and
+	// free when off. The /metrics/snapshot endpoint serves the versioned
+	// JSON snapshot that mamdr-obs federates across the fleet.
 	role := "trainer"
 	if *psServe != "" {
 		role = "ps"
@@ -139,7 +120,7 @@ func main() {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg.Handler())
 		mux.Handle("/metrics/snapshot", telemetry.SnapshotHandler(role, *metricsAddr, reg))
-		mux.Handle("/debug/trace", trace.CaptureHandler(tracer))
+		mux.Handle("/debug/trace", trace.CaptureHandler(h.Tracer))
 		go func() {
 			log.Printf("serving /metrics on %s", *metricsAddr)
 			srv := &http.Server{Addr: *metricsAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
@@ -148,31 +129,6 @@ func main() {
 			}
 		}()
 	}
-	var events *telemetry.EventLog
-	if *eventsPath != "" {
-		events, err = telemetry.OpenEventLog(*eventsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer events.Close()
-	}
-
-	// Continuous profiling: a bounded on-disk ring of CPU+heap pprof
-	// captures; a flight-recorder dump copies the ring next to the trace
-	// so an anomaly ships with the profiles of the moments before it.
-	if *profileDir != "" {
-		prof, err := obsv.NewProfiler(obsv.ProfileOptions{Dir: *profileDir, Interval: *profileInterval})
-		if err != nil {
-			log.Fatal(err)
-		}
-		go prof.Run(context.Background())
-		if tracer != nil {
-			tracer.Flight().SetOnDump(func(d trace.Dump) {
-				prof.DumpTo(filepath.Join(*profileDir, "flight-"+d.Kind))
-			})
-		}
-		log.Printf("continuous profiling to %s every %s", *profileDir, *profileInterval)
-	}
 
 	fmt.Printf("dataset %s: %d domains, %d samples\n", ds.Name, ds.NumDomains(), ds.TotalSamples())
 
@@ -180,10 +136,10 @@ func main() {
 	// training process with matching -model/-emb/-seed (so the partition
 	// plans agree) then connects with -ps-addrs.
 	if *psServe != "" {
-		serveCluster(ds, cfg, *psServe, tracer, reg)
+		serveCluster(ds, cfg, *psServe, h.Tracer, reg)
 		return
 	}
-	cfg.Telemetry, cfg.Tracer = framework.WireTrainMetrics(reg, ds, events, tracer), tracer
+	cfg.Telemetry, cfg.Tracer = framework.WireTrainMetrics(reg, ds, h.Events, h.Tracer), h.Tracer
 
 	start := time.Now()
 	var (
@@ -247,18 +203,7 @@ func main() {
 		}
 	}
 
-	if exporter != nil {
-		if err := exporter.Close(); err != nil {
-			log.Printf("trace: %v", err)
-		} else {
-			log.Printf("trace: wrote %s", *tracePath)
-		}
-	}
-	if tracer != nil {
-		for _, d := range tracer.Flight().Dumps() {
-			log.Printf("trace: flight-recorder dump (%s): %s", d.Kind, d.Path)
-		}
-	}
+	h.Close()
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Domain\tSamples\tVal AUC\tTest AUC")

@@ -9,7 +9,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"sync"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -36,13 +38,14 @@ const ringKeep = 8
 // round skips CPU and still captures heap.
 type Profiler struct {
 	opts ProfileOptions
-
-	mu  sync.Mutex
-	seq int
+	seq  atomic.Int64 // the last capture round's number
 }
 
 // NewProfiler builds a profiler; the directory is created eagerly so
-// misconfiguration surfaces at startup, not at the first anomaly.
+// misconfiguration surfaces at startup, not at the first anomaly. Its
+// sequence starts after the highest capture already in the directory,
+// so a restarted process's captures are the newest of the ring rather
+// than the first ones pruned.
 func NewProfiler(opts ProfileOptions) (*Profiler, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 30 * time.Second
@@ -53,16 +56,20 @@ func NewProfiler(opts ProfileOptions) (*Profiler, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obsv: profile dir: %w", err)
 	}
-	return &Profiler{opts: opts}, nil
+	p := &Profiler{opts: opts}
+	for _, f := range p.Ring() { // cpu-NNNNNN.pprof, heap-NNNNNN.pprof
+		name := strings.TrimSuffix(filepath.Base(f), ".pprof")
+		if seq, err := strconv.ParseInt(name[strings.IndexByte(name, '-')+1:], 10, 64); err == nil && seq > p.seq.Load() {
+			p.seq.Store(seq)
+		}
+	}
+	return p, nil
 }
 
 // Run captures profiles until ctx is done. Errors are swallowed after
 // the first capture round — the profiler must never take down the
 // process it is observing.
 func (p *Profiler) Run(ctx context.Context) {
-	if p == nil {
-		return
-	}
 	ticker := time.NewTicker(p.opts.Interval)
 	defer ticker.Stop()
 	for {
@@ -78,14 +85,7 @@ func (p *Profiler) Run(ctx context.Context) {
 // CaptureOnce runs one capture round: a CPU profile (if the process
 // profiler is free) and a heap profile, then prunes the ring.
 func (p *Profiler) CaptureOnce(ctx context.Context) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.seq++
-	seq := p.seq
-	p.mu.Unlock()
-
+	seq := int(p.seq.Add(1))
 	p.captureCPU(ctx, seq)
 	p.captureHeap(seq)
 	p.pruneRing()
@@ -140,9 +140,6 @@ func (p *Profiler) pruneRing() {
 
 // Ring lists the current ring files, oldest first.
 func (p *Profiler) Ring() []string {
-	if p == nil {
-		return nil
-	}
 	var out []string
 	for _, kind := range []string{"cpu", "heap"} {
 		files, _ := filepath.Glob(filepath.Join(p.opts.Dir, kind+"-*.pprof"))
@@ -157,7 +154,7 @@ func (p *Profiler) Ring() []string {
 // file. Failures are swallowed for the same reason the recorder
 // swallows its own.
 func (p *Profiler) DumpTo(dir string) {
-	if p == nil || dir == "" {
+	if dir == "" {
 		return
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {

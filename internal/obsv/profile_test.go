@@ -45,6 +45,40 @@ func TestProfilerRingBounded(t *testing.T) {
 	}
 }
 
+// TestProfilerRestartKeepsNewest: a profiler restarted into a used
+// directory numbers its captures after the ones already there, so its
+// own captures survive the prune and the oldest of the old run go.
+func TestProfilerRestartKeepsNewest(t *testing.T) {
+	dir := t.TempDir()
+	opts := ProfileOptions{Dir: dir, Interval: 20 * time.Millisecond}
+	first, err := NewProfiler(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ringKeep+2; i++ {
+		first.CaptureOnce(context.Background())
+	}
+	restarted, err := NewProfiler(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted.CaptureOnce(context.Background())
+	restarted.CaptureOnce(context.Background())
+
+	heaps, _ := filepath.Glob(filepath.Join(dir, "heap-*.pprof"))
+	var got []string
+	for _, h := range heaps {
+		got = append(got, filepath.Base(h))
+	}
+	var want []string
+	for seq := 5; seq <= ringKeep+4; seq++ {
+		want = append(want, fmt.Sprintf("heap-%06d.pprof", seq))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("heap ring after a restart = %v, want %v", got, want)
+	}
+}
+
 // TestProfilerDumpsWithFlightRecorder wires the profiler into a flight
 // recorder's dump hook: triggering an anomaly must copy the profile
 // ring next to the trace dump.

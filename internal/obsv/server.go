@@ -3,6 +3,7 @@ package obsv
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -184,6 +185,18 @@ func (s *Server) summary() Summary {
 	return sum
 }
 
+// WriteFederated writes the last round's federated Prometheus
+// exposition, all instances (nothing before the first round).
+func (s *Server) WriteFederated(w io.Writer) error {
+	s.mu.Lock()
+	fleet := s.fleet
+	s.mu.Unlock()
+	if fleet == nil {
+		return nil
+	}
+	return fleet.WritePrometheus(w)
+}
+
 // Handler serves the observability surface:
 //
 //	GET /              -> live HTML dashboard
@@ -195,13 +208,8 @@ func (s *Server) summary() Summary {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fleet := s.fleet
-		s.mu.Unlock()
 		w.Header().Set("Content-Type", telemetry.ContentType)
-		if fleet != nil {
-			fleet.WritePrometheus(w)
-		}
+		s.WriteFederated(w)
 	})
 	mux.HandleFunc("/metrics/summary", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -90,82 +90,29 @@ func WriteChrome(w io.Writer, spans []*Span, pid int, trigger uint64, extra ...c
 	return bw.Flush()
 }
 
-// ChromeExporter is a Sink that accumulates every completed span and
-// writes one Chrome trace-event JSON file on Close. Suitable for
-// bounded runs (mamdr-train -trace); for always-on serving prefer the
-// /debug/trace capture handler, which bounds memory by time window.
-type ChromeExporter struct {
-	mu    sync.Mutex
-	spans []*Span
-	path  string
+// --- streamed span file ---
+
+// LineSink is a Sink that streams every completed span as one Chrome
+// trace event: a JSON object on a line of its own, handed to W in one
+// Write. In the programs W is a telemetry.EventLog, which rotates the
+// file between whole lines, so a process that never exits keeps a
+// bounded file and a killed one leaves every span it completed on
+// disk. Joining the lines into a JSON array gives the events
+// WriteChrome writes for the same spans, a file Perfetto loads:
+//
+//	(echo '['; paste -sd, run.trace.jsonl; echo ']') > run.trace.json
+type LineSink struct {
+	W io.Writer
 }
 
-// NewChromeExporter buffers spans destined for path.
-func NewChromeExporter(path string) *ChromeExporter {
-	return &ChromeExporter{path: path}
-}
-
-// Record implements Sink.
-func (e *ChromeExporter) Record(s *Span) {
-	e.mu.Lock()
-	e.spans = append(e.spans, s)
-	e.mu.Unlock()
-}
-
-// Len returns the number of buffered spans.
-func (e *ChromeExporter) Len() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.spans)
-}
-
-// Close writes the trace file.
-func (e *ChromeExporter) Close() error {
-	e.mu.Lock()
-	spans := e.spans
-	e.spans = nil
-	e.mu.Unlock()
-	f, err := os.Create(e.path)
+// Record implements Sink. A span that fails to encode or write is
+// dropped: tracing must never take down the run it observes.
+func (l LineSink) Record(s *Span) {
+	line, err := json.Marshal(spanToChrome(s, os.Getpid(), false))
 	if err != nil {
-		return fmt.Errorf("trace: create %s: %w", e.path, err)
+		return
 	}
-	if err := WriteChrome(f, spans, os.Getpid(), 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// --- event log ---
-
-// LogSink is a Sink that writes one "span" event per completed span
-// through Log — in the programs a telemetry.EventLog, whose size-based
-// rotation bounds the file of a process that never exits. Each event
-// carries the span's name, trace/span/parent ids, start, dur_us,
-// remote, and its attributes.
-type LogSink struct {
-	Log interface {
-		Log(name string, fields map[string]any)
-	}
-}
-
-// Record implements Sink.
-func (l LogSink) Record(s *Span) {
-	rec := map[string]any{
-		"name":   s.Name,
-		"trace":  fmt.Sprintf("%016x", s.TraceID),
-		"span":   fmt.Sprintf("%016x", s.ID),
-		"parent": fmt.Sprintf("%016x", s.ParentID),
-		"start":  s.Start().UTC().Format("2006-01-02T15:04:05.000000Z"),
-		"dur_us": s.Duration().Microseconds(),
-	}
-	if s.Remote {
-		rec["remote"] = true
-	}
-	for _, a := range s.Attrs() {
-		rec[a.Key] = a.Value
-	}
-	l.Log.Log("span", rec)
+	l.W.Write(append(line, '\n'))
 }
 
 // --- bounded in-memory collection (capture windows, tests) ---

@@ -35,7 +35,7 @@ type FlightRecorder struct {
 type Dump struct {
 	Kind string
 	// Path is the written file ("" when the recorder has no dump
-	// path; the spans are still retained in Spans).
+	// path or the write failed; the spans are still retained in Spans).
 	Path  string
 	Spans []*Span
 	// Fields are the anomaly details supplied by the trigger.
@@ -118,8 +118,10 @@ func (f *FlightRecorder) Trigger(kind string, fields map[string]any) {
 	}
 	d := Dump{Kind: kind, Spans: spans, Fields: fields}
 	if f.path != "" {
-		d.Path = fmt.Sprintf("%s-%s.trace.json", f.path, kind)
-		f.writeDump(d, trigger)
+		path := fmt.Sprintf("%s-%s.trace.json", f.path, kind)
+		if writeDump(path, d, trigger) == nil {
+			d.Path = path
+		}
 	}
 	f.mu.Lock()
 	f.dumps = append(f.dumps, d)
@@ -145,14 +147,14 @@ func (f *FlightRecorder) SetOnDump(fn func(Dump)) {
 	f.mu.Unlock()
 }
 
-// writeDump renders the dump file; failures are swallowed (the
-// recorder must never take down the run it is observing).
-func (f *FlightRecorder) writeDump(d Dump, trigger uint64) {
-	w, err := os.Create(d.Path)
+// writeDump renders the dump file at path. Its caller records the path
+// only when this returns nil and otherwise carries on: the recorder
+// must never take down the run it is observing.
+func writeDump(path string, d Dump, trigger uint64) error {
+	w, err := os.Create(path)
 	if err != nil {
-		return
+		return err
 	}
-	defer w.Close()
 	args := map[string]any{"kind": d.Kind}
 	for k, v := range d.Fields {
 		args[k] = v
@@ -161,7 +163,14 @@ func (f *FlightRecorder) writeDump(d Dump, trigger uint64) {
 		Name: "ANOMALY: " + d.Kind, Cat: "anomaly", Phase: "i",
 		TS: time.Now().UnixMicro(), PID: os.Getpid(), Scope: "g", Args: args,
 	}
-	WriteChrome(w, d.Spans, os.Getpid(), trigger, marker)
+	err = WriteChrome(w, d.Spans, os.Getpid(), trigger, marker)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path) // no half-written dump left behind
+	}
+	return err
 }
 
 // Dumps returns the anomaly dumps fired so far.

@@ -9,13 +9,12 @@
 // parameter-server-side span links to the worker-side span that issued
 // the call even across a real socket.
 //
-// Completed spans flow to pluggable Sinks: a Chrome trace-event JSON
-// exporter (loadable in Perfetto or chrome://tracing), a LogSink that
-// writes one event per span to an event log, a bounded in-memory
-// Collector (behind the
-// /debug/trace capture handler), and the FlightRecorder — a ring
-// buffer of the most recent spans that dumps itself to disk when an
-// anomaly fires (NaN loss, loss spike, RPC error, serve-pool
+// Completed spans flow to pluggable Sinks: a LineSink that streams one
+// Chrome trace event per line to a file (the lines joined into an array
+// load in Perfetto or chrome://tracing), a bounded in-memory Collector
+// (behind the /debug/trace capture handler), and the FlightRecorder — a
+// ring buffer of the most recent spans that dumps itself to disk when
+// an anomaly fires (NaN loss, loss spike, RPC error, serve-pool
 // saturation).
 //
 // Everything is nil-receiver-safe: a nil *Tracer yields nil *Spans

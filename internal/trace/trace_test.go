@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -151,11 +152,13 @@ func TestConcurrentSpansRaceClean(t *testing.T) {
 }
 
 func TestChromeExportParses(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.trace.json")
+	path := filepath.Join(t.TempDir(), "out.trace.jsonl")
+	spans, err := telemetry.OpenEventLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := New(Options{FlightSize: -1})
-	exp := NewChromeExporter(path)
-	tr.AddSink(exp)
+	tr.AddSink(LineSink{W: spans})
 
 	ctx := tr.Context(context.Background())
 	rctx, root := Start(ctx, "dn.outer_step")
@@ -163,11 +166,15 @@ func TestChromeExportParses(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	inner.End()
 	root.End()
-	if err := exp.Close(); err != nil {
+	if err := spans.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	events := loadChrome(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := joinLines(t, raw)
 	if len(events) != 2 {
 		t.Fatalf("trace has %d events, want 2", len(events))
 	}
@@ -194,36 +201,59 @@ func TestChromeExportParses(t *testing.T) {
 	}
 }
 
+// joinLines joins a streamed span file's lines into a JSON array, as
+// (echo '['; paste -sd, FILE; echo ']') does, and parses it.
+func joinLines(t *testing.T, raw []byte) []map[string]any {
+	t.Helper()
+	joined := "[" + strings.Join(strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n"), ",") + "]"
+	var events []map[string]any
+	if err := json.Unmarshal([]byte(joined), &events); err != nil {
+		t.Fatalf("joined lines are not Chrome trace-event JSON: %v\n%s", err, joined)
+	}
+	return events
+}
+
 func loadChrome(t *testing.T, path string) []map[string]any {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(raw, &events); err != nil {
-		t.Fatalf("not valid Chrome trace-event JSON: %v\n%s", err, raw)
-	}
-	return events
+	return loadChromeBytes(t, raw)
 }
 
-// TestJSONLExportLines pins the span event log: one "span" line per
-// span carrying its name, attributes and ids. (How the programs' event
-// log files rotate is telemetry's to test.)
+// writeLog records every Write it is handed, so a test can tell one
+// whole line per Write from a line split across two.
+type writeLog struct {
+	mu     sync.Mutex
+	writes []string
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.writes = append(w.writes, string(p))
+	w.mu.Unlock()
+	return len(p), nil
+}
+
+// TestJSONLExportLines pins the streamed span file: each span is one
+// Write of one whole line, a Chrome event carrying its name, attributes
+// and ids. (How the programs' files rotate is telemetry's to test.)
 func TestJSONLExportLines(t *testing.T) {
-	var buf bytes.Buffer
+	w := &writeLog{}
 	tr := New(Options{FlightSize: -1})
-	tr.AddSink(LogSink{Log: telemetry.NewEventLog(&buf)})
+	tr.AddSink(LineSink{W: w})
 	ctx := tr.Context(context.Background())
 	_, s := Start(ctx, "op", A("k", "v"))
 	s.End()
 
-	lines := readLines(t, buf.String())
+	lines := readLines(t, w.writes)
 	if len(lines) != 1 {
 		t.Fatalf("got %d lines, want 1", len(lines))
 	}
 	rec := lines[0]
-	if rec["event"] != "span" || rec["name"] != "op" || rec["k"] != "v" || rec["span"] != fmt.Sprintf("%016x", s.ID) {
+	args, _ := rec["args"].(map[string]any)
+	if rec["ph"] != "X" || rec["name"] != "op" || args["k"] != "v" || args["span"] != fmt.Sprintf("%016x", s.ID) {
 		t.Fatalf("record = %v", rec)
 	}
 
@@ -232,23 +262,24 @@ func TestJSONLExportLines(t *testing.T) {
 		_, s := Start(ctx, "op", A("i", i))
 		s.End()
 	}
-	lines = readLines(t, buf.String())
+	lines = readLines(t, w.writes)
 	if len(lines) != 21 {
 		t.Fatalf("got %d lines after 21 spans", len(lines))
 	}
 	for _, rec := range lines {
-		if rec["event"] != "span" || rec["name"] != "op" {
+		if rec["ph"] != "X" || rec["name"] != "op" {
 			t.Fatalf("record = %v", rec)
 		}
 	}
 }
 
-func readLines(t *testing.T, raw string) []map[string]any {
+// readLines parses writes that must each be exactly one whole line.
+func readLines(t *testing.T, writes []string) []map[string]any {
 	t.Helper()
 	var out []map[string]any
-	for _, line := range strings.Split(strings.TrimSpace(raw), "\n") {
-		if line == "" {
-			continue
+	for _, line := range writes {
+		if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
+			t.Fatalf("write is not one whole line: %q", line)
 		}
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -257,6 +288,43 @@ func readLines(t *testing.T, raw string) []map[string]any {
 		out = append(out, rec)
 	}
 	return out
+}
+
+// TestLineSinkJoinsToWriteChrome pins Perfetto loadability: a streamed
+// file's lines joined into an array are the events WriteChrome writes
+// for the same spans.
+func TestLineSinkJoinsToWriteChrome(t *testing.T) {
+	var lines bytes.Buffer
+	tr, col := collectingTracer(Options{FlightSize: -1})
+	tr.AddSink(LineSink{W: &lines})
+	ctx := tr.Context(context.Background())
+	for i := 0; i < 5; i++ {
+		c, root := Start(ctx, "worker.epoch", A("worker", i))
+		_, inner := Start(c, "worker.inner_step", A("domain", "books"), A("loss", 0.25*float64(i)))
+		inner.End()
+		root.End()
+	}
+	_, remote := Start(WithRemote(ctx, tr, TraceContext{TraceID: 7, SpanID: 9, Sampled: true}), "ps.push_delta")
+	remote.End()
+
+	var whole bytes.Buffer
+	if err := WriteChrome(&whole, col.Spans(), os.Getpid(), 0); err != nil {
+		t.Fatal(err)
+	}
+	want := loadChromeBytes(t, whole.Bytes())
+	got := joinLines(t, lines.Bytes())
+	if len(got) != 11 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("joined lines (%d events) differ from WriteChrome (%d events):\n%v\n%v", len(got), len(want), got, want)
+	}
+}
+
+func loadChromeBytes(t *testing.T, raw []byte) []map[string]any {
+	t.Helper()
+	var events []map[string]any
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatalf("not valid Chrome trace-event JSON: %v\n%s", err, raw)
+	}
+	return events
 }
 
 func TestFlightRecorderRingAndDump(t *testing.T) {
@@ -312,6 +380,25 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 	snap := tr.Flight().Snapshot()
 	if got := snap[0].Attrs()[0].Value.(int); got != 36 {
 		t.Fatalf("oldest retained span is i=%d, want 36", got)
+	}
+}
+
+// TestFlightDumpUnwrittenHasNoPath: a dump whose file cannot be written
+// reports no path, and the recorder carries on (the spans stay in the
+// dump, and the next kind still dumps).
+func TestFlightDumpUnwrittenHasNoPath(t *testing.T) {
+	f := NewFlightRecorder(4, filepath.Join(t.TempDir(), "missing", "x"))
+	f.Record(&Span{Name: "op", TraceID: 1, ID: 2})
+	f.Trigger("nan_loss", nil)
+	f.Trigger("loss_spike", nil)
+	dumps := f.Dumps()
+	if len(dumps) != 2 {
+		t.Fatalf("dumps = %d, want 2", len(dumps))
+	}
+	for _, d := range dumps {
+		if d.Path != "" || len(d.Spans) != 1 {
+			t.Fatalf("unwritten %s dump reports path %q with %d spans, want \"\" with 1", d.Kind, d.Path, len(d.Spans))
+		}
 	}
 }
 

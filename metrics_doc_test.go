@@ -62,12 +62,12 @@ func TestDocumentedFamiliesRegistered(t *testing.T) {
 
 // TestFlagTablesDefined: every backticked -flag in the first cell of a
 // README table row is a flag that mamdr-train, mamdr-serve or mamdr-obs
-// defines.
+// defines, in its main.go or through the shared process harness.
 func TestFlagTablesDefined(t *testing.T) {
 	defined := map[string]bool{}
-	decl := regexp.MustCompile(`flag\.[A-Za-z0-9]+\("([a-z0-9-]+)"`)
-	for _, cmd := range []string{"mamdr-train", "mamdr-serve", "mamdr-obs"} {
-		src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
+	decl := regexp.MustCompile(`(?:flag|fs)\.[A-Za-z0-9]+\("([a-z0-9-]+)"`)
+	for _, file := range []string{"cmd/mamdr-train/main.go", "cmd/mamdr-serve/main.go", "cmd/mamdr-obs/main.go", "internal/obsv/harness.go"} {
+		src, err := os.ReadFile(filepath.FromSlash(file))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -218,7 +218,9 @@ smoke-quality:
 		print('ok: drift fired', r['firing'], 'worst domain', w['domain'])"
 	@echo "ok: matched traffic quiet, drifted traffic fired the quality SLOs"
 
-# One serving process seeded from a
+# The trainer's -save files are envelope v5 (vector block), so every
+# publish, rollback and 422 below goes through the v5 reader. One
+# serving process seeded from a
 # clean checkpoint with the canary gate on. Re-publishing the clean
 # snapshot must auto-promote (the traffic driver mirrors every batch to
 # both arms via precomputed X-Request-IDs, so identical weights show a
@@ -245,6 +247,7 @@ smoke-rollout:
 	grep 'flip-labels' /tmp/rollout-train.log
 	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -samples 2400 -seed 7 -epochs 1 \
 		-save /tmp/rollout-other.ckpt >>/tmp/rollout-train.log 2>&1
+	grep 'rollout-clean.ckpt (envelope v5,' /tmp/rollout-train.log
 	rm -f /tmp/rollout-access.jsonl*
 	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8086 -access-log /tmp/rollout-access.jsonl \
 		-canary-fraction 0.5 -rollout-min-labeled 48 -rollout-min-scores 64 \

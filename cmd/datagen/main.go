@@ -5,7 +5,6 @@
 // Usage:
 //
 //	datagen -preset taobao-10 -samples 20000 -seed 7 -out taobao10.json
-//	datagen -preset amazon-6 -format csv -out ./amazon6/
 //	datagen -preset amazon-6 -imbalance 1.15 -out skewed.json   # Zipf-skewed domain sizes
 //	datagen -stats -samples 20000
 package main
@@ -30,8 +29,7 @@ func main() {
 		preset  = flag.String("preset", "taobao-10", "benchmark preset: amazon-6, amazon-13, taobao-10, taobao-20, taobao-30, taobao-online")
 		samples = flag.Int("samples", 20000, "total interaction budget for the dataset")
 		seed    = flag.Int64("seed", 1, "generation seed")
-		out     = flag.String("out", "", "output path (.json file or directory for -format csv)")
-		format  = flag.String("format", "json", "output format: json or csv")
+		out     = flag.String("out", "", "output path of the JSON dataset file")
 		stats   = flag.Bool("stats", false, "print Table I-IV style statistics for all presets and exit")
 		// -imbalance 1.15 on a uniform 6-domain preset approximates the
 		// real Amazon-6 head/tail sample ratio (~7.8x, Table II).
@@ -59,17 +57,8 @@ func main() {
 	if *out == "" {
 		log.Fatal("missing -out path (or use -stats)")
 	}
-	switch *format {
-	case "json":
-		if err := data.SaveJSON(ds, *out); err != nil {
-			log.Fatal(err)
-		}
-	case "csv":
-		if err := data.SaveCSV(ds, *out); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown format %q (json or csv)", *format)
+	if err := data.SaveJSON(ds, *out); err != nil {
+		log.Fatal(err)
 	}
 	o := ds.Overall()
 	fmt.Printf("wrote %s: %d domains, %d users, %d items, %d/%d/%d train/val/test\n",

@@ -79,8 +79,7 @@ func main() {
 
 	// One read of the file: its spec rebuilds the dataset and the model,
 	// then the same decoded vectors install into that model.
-	var ck core.Checkpoint
-	env, err := core.LoadGobEnvelope(*checkpoint, &ck)
+	ck, env, err := core.ReadState(*checkpoint)
 	if err != nil {
 		log.Fatal(err)
 	}

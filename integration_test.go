@@ -228,8 +228,8 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var ck core.Checkpoint
-	if _, err := core.LoadGobEnvelope(path, &ck); err != nil {
+	ck, _, err := core.ReadState(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	served, err := SpecDataset(ck.Spec)

@@ -19,7 +19,7 @@ import (
 // payload bytes, without decoding the payload.
 func TestEnvelopeInfoMatchesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "e.ckpt")
-	if err := SaveGob(path, map[string]int{"a": 1, "b": 2}); err != nil {
+	if err := WriteCheckpoint(path, map[string]int{"a": 1, "b": 2}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	env, err := EnvelopeInfo(path)
@@ -46,12 +46,12 @@ func TestEnvelopeInfoMatchesFile(t *testing.T) {
 // not exist yet (a fresh -checkpoint-dir) is written, not refused.
 func TestSaveGobCreatesDirectory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a", "b", "c.ckpt")
-	if err := SaveGob(path, []int{1, 2}); err != nil {
+	if err := WriteCheckpoint(path, []int{1, 2}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var got []int
-	if err := LoadGob(path, &got); err != nil || len(got) != 2 {
-		t.Fatalf("LoadGob = %v, %v", got, err)
+	if _, _, err := ReadCheckpoint(path, &got); err != nil || len(got) != 2 {
+		t.Fatalf("ReadCheckpoint = %v, %v", got, err)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestSaveGobCreatesDirectory(t *testing.T) {
 func TestEnvelopeInfoRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.ckpt")
-	if err := SaveGob(good, []float64{1, 2, 3}); err != nil {
+	if err := WriteCheckpoint(good, []float64{1, 2, 3}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(good)
@@ -120,7 +120,9 @@ func TestEnvelopeInfoRejectsDamage(t *testing.T) {
 // panic; what it accepts must be exactly a header followed by the
 // payload that header describes; and what it rejects must be named
 // either damage (ErrCorruptCheckpoint) or a format version this build
-// does not read. The seeds run under plain `go test`; to fuzz past them
+// does not read. An accepted payload then decodes against toyLayout to
+// an error or to vectors that fit it, and so does the input's payload
+// sealed again under a sound v5 header. The seeds run under plain `go test`; to fuzz past them
 // pass -fuzzminimizetime=0, because the file round trip makes coverage
 // noisy and the default minimizer spends its whole budget chasing it.
 func FuzzCheckpointEnvelope(f *testing.F) {
@@ -163,7 +165,60 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 	f.Add(mutated(func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 1<<31) }))  // version above range
 	f.Add(v3[:len(v3)-3])                                                             // truncated payload
 	f.Add([]byte{})
+	// v5: a core file of the trained shape, a PS shard file, and vector
+	// blocks that promise what the file cannot hold.
+	v5 := func(meta any, block []byte) []byte {
+		writeRawEnvelope(f, path, 5, v5Payload(f, meta, block))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	if err := WriteCheckpoint(path, Checkpoint{ModelName: "MLP", Epoch: 3, Spec: spec}, toyLayout, toyVectors()); err != nil {
+		f.Fatal(err)
+	}
+	trained, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(trained)
+	if err := WriteCheckpoint(path, struct {
+		Shards []optim.State
+		Epoch  int
+		Spec   framework.Spec
+	}{Shards: []optim.State{{}}, Epoch: 2, Spec: spec}, toyLayout, toyVectors()[:1]); err != nil {
+		f.Fatal(err)
+	}
+	psShard, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(psShard)
+	crafted := craftedBlocks()
+	for _, name := range []string{"row past its table", "rows past the file", "2^40 vectors"} {
+		f.Add(v5(Checkpoint{ModelName: "MLP", Epoch: -1}, crafted[name]))
+	}
 
+	// decodes requires the file at path to decode against toyLayout to
+	// an error or to vectors that fit it, never to a panic.
+	decodes := func(t *testing.T) {
+		ck, _, err := ReadState(path)
+		if err == nil {
+			err = ck.Decode(toyLayout)
+		}
+		if err != nil {
+			return
+		}
+		if ferr := toyLayout.fit(ck.Shared); ferr != nil {
+			t.Fatalf("decoded θ_S: %v", ferr)
+		}
+		for d, v := range ck.Specific {
+			if ferr := toyLayout.fit(v); ferr != nil {
+				t.Fatalf("decoded θ_%d: %v", d, ferr)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -180,16 +235,23 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 			if errors.Is(err, ErrCorruptCheckpoint) == foreign {
 				t.Fatalf("foreign version = %v, but the error is: %v", foreign, err)
 			}
-			return
+		} else {
+			if env.Version < checkpointMinVersion || env.Version > checkpointVersion {
+				t.Fatalf("accepted envelope v%d", env.Version)
+			}
+			if !bytes.Equal(payload, data[headerLen:]) || env.PayloadBytes != uint64(len(payload)) {
+				t.Fatalf("accepted %d payload bytes of a %d-byte file promising %d", len(payload), len(data), env.PayloadBytes)
+			}
+			if env.CRC != crc32.ChecksumIEEE(payload) {
+				t.Fatalf("accepted a payload hashing to %08x under CRC %08x", crc32.ChecksumIEEE(payload), env.CRC)
+			}
+			decodes(t)
 		}
-		if env.Version < checkpointMinVersion || env.Version > checkpointVersion {
-			t.Fatalf("accepted envelope v%d", env.Version)
-		}
-		if !bytes.Equal(payload, data[headerLen:]) || env.PayloadBytes != uint64(len(payload)) {
-			t.Fatalf("accepted %d payload bytes of a %d-byte file promising %d", len(payload), len(data), env.PayloadBytes)
-		}
-		if env.CRC != crc32.ChecksumIEEE(payload) {
-			t.Fatalf("accepted a payload hashing to %08x under CRC %08x", crc32.ChecksumIEEE(payload), env.CRC)
+		// A mutated payload rarely keeps its CRC; sealed again under a
+		// sound v5 header it reaches the decoders too.
+		if len(data) >= headerLen {
+			writeRawEnvelope(t, path, checkpointVersion, data[headerLen:])
+			decodes(t)
 		}
 	})
 }

@@ -7,74 +7,216 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/framework"
+	"mamdr/internal/models"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/quality"
 )
 
-// Checkpoint files are written crash-safely: the payload is gob-encoded
-// into a fixed envelope (magic, format version, payload length, CRC32)
-// and lands on disk via write-to-temp-file + fsync + atomic rename, so
-// a reader never observes a half-written checkpoint under its final
+// Checkpoint files are written crash-safely: the payload sits in a
+// fixed envelope (magic, format version, payload length, CRC32) and
+// lands on disk via write-to-temp-file + fsync + atomic rename, so a
+// reader never observes a half-written checkpoint under its final
 // name, and a truncated or bit-flipped file is rejected with a clear
 // error instead of decoding into garbage parameters.
+//
+// A v5 payload is a gob block of metadata followed by a vector block:
+//
+//	u64 gob length | gob(metadata, its vectors left out) |
+//	u64 vector count | vector...
+//
+// Each vector is its segments in VectorLayout order: a dense segment
+// as its values; an embedding table as its stored row count, then for
+// every row holding any bit other than +0 the row's u32 index and its
+// values, rows ascending. Every integer and float64 is little-endian.
+// A v2–v4 payload is one gob block with the vectors inside it.
 const (
 	// checkpointMagic opens every checkpoint file (8 bytes).
 	checkpointMagic = "MAMDRCKP"
 	// checkpointVersion is the envelope version this build writes,
 	// bumped on envelope/payload changes; v3 added the optional
-	// quality-baseline block to Checkpoint payloads, v4 the Spec.
-	checkpointVersion uint32 = 4
+	// quality-baseline block to Checkpoint payloads, v4 the Spec, v5
+	// the vector block.
+	checkpointVersion uint32 = 5
 	// checkpointMinVersion is the oldest envelope this build still
 	// reads. v2 (pre-quality) payloads decode with a nil Quality
 	// baseline — drift detection is disabled, not fatal — and pre-v4
 	// payloads with a zero Spec. Versions outside [min, current] are
 	// rejected loudly.
 	checkpointMinVersion uint32 = 2
+	// vectorBlockVersion is the first version whose vectors follow the
+	// gob block instead of sitting inside it.
+	vectorBlockVersion uint32 = 5
 )
 
 // headerLen is magic(8) + version(4) + payload length(8) + crc32(4).
 const headerLen = 8 + 4 + 8 + 4
 
 // ErrCorruptCheckpoint wraps every integrity failure (bad magic,
-// truncation, CRC mismatch), so callers can distinguish "this file is
-// damaged" from "this checkpoint belongs to a different model".
+// truncation, CRC mismatch, a vector block its layout cannot read), so
+// callers can distinguish "this file is damaged" from "this checkpoint
+// belongs to a different model".
 var ErrCorruptCheckpoint = errors.New("corrupt or truncated checkpoint")
 
-// SaveGob atomically writes v to path in the checkpoint envelope:
-// encode to memory, create path's directory if it is missing, write
-// magic/version/length/CRC32 + payload into path.tmp, fsync, then rename
-// over path. A crash at any point leaves either the previous complete
-// file or a stray .tmp — never a torn checkpoint under the final name.
-func SaveGob(path string, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+// VectorLayout is what a vector block is written and read against:
+// one segment per parameter tensor, in Model.Parameters() order.
+type VectorLayout []segment
+
+type segment struct {
+	size int // values in the tensor
+	cols int // row width of an embedding table; 0 for a dense tensor
+}
+
+// LayoutOf is the layout of params, whose embedding tables are the
+// indices tables keys (the models.EmbeddingTabler map). It reads
+// shapes only, so params may be bound elsewhere.
+func LayoutOf(params []*autograd.Tensor, tables map[int]int) VectorLayout {
+	l := make(VectorLayout, len(params))
+	for i, p := range params {
+		l[i].size = p.Size()
+		if _, ok := tables[i]; ok && p.Cols > 0 {
+			l[i].cols = p.Cols
+		}
+	}
+	return l
+}
+
+// modelLayout is LayoutOf m's parameters and tables.
+func modelLayout(m models.Model) VectorLayout {
+	return LayoutOf(m.Parameters(), models.EmbeddingTablesOf(m))
+}
+
+// fit reports whether v has one segment per tensor, each of the
+// tensor's size.
+func (l VectorLayout) fit(v paramvec.Vector) error {
+	if len(v) != len(l) {
+		return fmt.Errorf("%d segments, model has %d tensors", len(v), len(l))
+	}
+	for i, s := range l {
+		if len(v[i]) != s.size {
+			return fmt.Errorf("segment %d has %d values, tensor has %d", i, len(v[i]), s.size)
+		}
+	}
+	return nil
+}
+
+// rows is the number of rows of table segment s.
+func (s segment) rows() int { return s.size / s.cols }
+
+// minBytes is the fewest bytes a vector of l takes in a vector block:
+// its dense values and a row count per table.
+func (l VectorLayout) minBytes() int {
+	n := 0
+	for _, s := range l {
+		if s.cols == 0 {
+			n += 8 * s.size
+		} else {
+			n += 8
+		}
+	}
+	return n
+}
+
+// appendBlock appends the vector block of vecs, each checked against
+// l, to b.
+func (l VectorLayout) appendBlock(b []byte, vecs []paramvec.Vector) ([]byte, error) {
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, uint64(len(vecs)))
+	for k, v := range vecs {
+		if err := l.fit(v); err != nil {
+			return nil, fmt.Errorf("vector %d: %w", k, err)
+		}
+		for i, s := range l {
+			if s.cols == 0 {
+				b = appendFloats(b, v[i])
+				continue
+			}
+			if s.rows() > math.MaxUint32 {
+				return nil, fmt.Errorf("segment %d has %d rows, past a u32 index", i, s.rows())
+			}
+			count, stored := len(b), 0
+			b = le.AppendUint64(b, 0)
+			for r := 0; r < s.rows(); r++ {
+				if row := v[i][r*s.cols : (r+1)*s.cols]; !zeroRow(row) {
+					b = appendFloats(le.AppendUint32(b, uint32(r)), row)
+					stored++
+				}
+			}
+			le.PutUint64(b[count:], uint64(stored))
+		}
+	}
+	return b, nil
+}
+
+// zeroRow reports whether every value of row is +0 (all bits clear):
+// a row holding a -0, a NaN or anything else is written.
+func zeroRow(row []float64) bool {
+	for _, x := range row {
+		if math.Float64bits(x) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendFloats appends xs to b as little-endian float64s.
+func appendFloats(b []byte, xs []float64) []byte {
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// getFloats fills dst from the little-endian float64s at the head of b.
+func getFloats(dst []float64, b []byte) {
+	b = b[:8*len(dst)]
+	for j := range dst {
+		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+	}
+}
+
+// WriteCheckpoint atomically writes a v5 checkpoint to path: meta
+// gob-encoded (its vector fields left nil by the caller), then vecs,
+// each checked against layout, as the vector block. It creates path's
+// directory if it is missing, writes magic/version/length/CRC32 +
+// payload into path.tmp, fsyncs, then renames over path. A crash at any
+// point leaves either the previous complete file or a stray .tmp —
+// never a torn checkpoint under the final name.
+func WriteCheckpoint(path string, meta any, layout VectorLayout, vecs []paramvec.Vector) error {
+	var gobBlock bytes.Buffer
+	if err := gob.NewEncoder(&gobBlock).Encode(meta); err != nil {
 		return fmt.Errorf("core: encode %s: %w", path, err)
 	}
+	// Room for the header, the gob block and every vector's dense
+	// values and row counts; stored rows grow it.
+	file := make([]byte, headerLen, headerLen+8+gobBlock.Len()+8+len(vecs)*layout.minBytes())
+	file = binary.LittleEndian.AppendUint64(file, uint64(gobBlock.Len()))
+	file = append(file, gobBlock.Bytes()...)
+	file, err := layout.appendBlock(file, vecs)
+	if err != nil {
+		return fmt.Errorf("core: encode %s: %w", path, err)
+	}
+	payload := file[headerLen:]
+	copy(file[:8], checkpointMagic)
+	binary.LittleEndian.PutUint32(file[8:12], checkpointVersion)
+	binary.LittleEndian.PutUint64(file[12:20], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(file[20:24], crc32.ChecksumIEEE(payload))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-
-	var head [headerLen]byte
-	copy(head[:8], checkpointMagic)
-	binary.LittleEndian.PutUint32(head[8:12], checkpointVersion)
-	binary.LittleEndian.PutUint64(head[12:20], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(head[20:24], crc32.ChecksumIEEE(payload.Bytes()))
 
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: create %s: %w", tmp, err)
 	}
-	_, werr := f.Write(head[:])
-	if werr == nil {
-		_, werr = f.Write(payload.Bytes())
-	}
+	_, werr := f.Write(file)
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -107,7 +249,7 @@ type Envelope struct {
 	// Version is the envelope format version (checkpointVersion at
 	// write time).
 	Version uint32
-	// CRC is the IEEE CRC32 of the gob payload.
+	// CRC is the IEEE CRC32 of the payload.
 	CRC uint32
 	// PayloadBytes is the payload length the header promises.
 	PayloadBytes uint64
@@ -152,34 +294,114 @@ func readEnvelope(path string) (Envelope, []byte, error) {
 }
 
 // EnvelopeInfo verifies a checkpoint file and returns its envelope
-// without gob-decoding the payload, so a damaged snapshot can be
-// rejected before anything is built from it.
+// without decoding the payload, so a damaged snapshot can be rejected
+// before anything is built from it.
 func EnvelopeInfo(path string) (Envelope, error) {
 	env, _, err := readEnvelope(path)
 	return env, err
 }
 
-// LoadGob reads a file written by SaveGob into v, verifying the
-// envelope before decoding.
-func LoadGob(path string, v any) error {
-	_, err := LoadGobEnvelope(path, v)
-	return err
-}
-
-// LoadGobEnvelope is LoadGob returning the envelope the file was
-// written with — its CRC keys a publication, and its version lets
-// callers negotiate payload capabilities: gob's field-by-name decoding
-// leaves fields absent from older payloads at their zero value (e.g. a
-// v2 checkpoint yields a nil quality baseline).
-func LoadGobEnvelope(path string, v any) (Envelope, error) {
+// ReadCheckpoint is the one checkpoint reader: it verifies the file at
+// path, decodes its gob block into meta and returns the envelope with
+// the still-encoded vectors, which need the model's layout. A v2–v4
+// file's vectors came inside its gob block, so they are in meta. Gob
+// decodes fields by name, leaving those absent from older payloads at
+// their zero value (a v2 checkpoint yields a nil quality baseline).
+func ReadCheckpoint(path string, meta any) (Envelope, Vectors, error) {
 	env, payload, err := readEnvelope(path)
 	if err != nil {
-		return Envelope{}, err
+		return Envelope{}, Vectors{}, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return Envelope{}, fmt.Errorf("core: decode %s: %w: %v", path, ErrCorruptCheckpoint, err)
+	vs := Vectors{path: path}
+	if env.Version >= vectorBlockVersion {
+		if len(payload) < 8 || binary.LittleEndian.Uint64(payload) > uint64(len(payload)-8) {
+			return Envelope{}, Vectors{}, fmt.Errorf("core: %s: gob block runs past the payload: %w", path, ErrCorruptCheckpoint)
+		}
+		n := 8 + int(binary.LittleEndian.Uint64(payload))
+		payload, vs.block, vs.present = payload[8:n], payload[n:], true
 	}
-	return env, nil
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(meta); err != nil {
+		return Envelope{}, Vectors{}, fmt.Errorf("core: decode %s: %w: %v", path, ErrCorruptCheckpoint, err)
+	}
+	return env, vs, nil
+}
+
+// Vectors is a checkpoint's vector block, verified by its envelope's
+// CRC and not yet decoded.
+type Vectors struct {
+	path    string
+	block   []byte
+	present bool // false for a v2–v4 file, whose vectors were in its gob block
+}
+
+// Decode decodes the vector block against layout: every vector it
+// holds, each of layout's shape. It returns nil for a v2–v4 file. Each
+// count is checked against the bytes left before anything is sized by
+// it, and every allocation is sized by layout, so a damaged or crafted
+// block is refused with ErrCorruptCheckpoint and never allocates more
+// than its vector count (bounded by the file's length) times one
+// layout-shaped vector.
+func (vs Vectors) Decode(layout VectorLayout) ([]paramvec.Vector, error) {
+	if !vs.present {
+		return nil, nil
+	}
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("core: %s: vector block %s: %w", vs.path, fmt.Sprintf(format, args...), ErrCorruptCheckpoint)
+	}
+	b := vs.block
+	if len(b) < 8 {
+		return nil, corrupt("has no vector count")
+	}
+	n := binary.LittleEndian.Uint64(b)
+	b = b[8:]
+	if n > uint64(len(b)/max(layout.minBytes(), 1)) {
+		return nil, corrupt("promises %d vectors in %d bytes", n, len(b))
+	}
+	values := 0
+	for _, s := range layout {
+		values += s.size
+	}
+	vecs := make([]paramvec.Vector, n)
+	for k := range vecs {
+		backing := make([]float64, values)
+		v := make(paramvec.Vector, len(layout))
+		for i, s := range layout {
+			seg := backing[:s.size:s.size]
+			backing = backing[s.size:]
+			v[i] = seg
+			if s.cols == 0 {
+				if len(b) < 8*s.size {
+					return nil, corrupt("ends inside vector %d segment %d", k, i)
+				}
+				getFloats(seg, b)
+				b = b[8*s.size:]
+				continue
+			}
+			if len(b) < 8 {
+				return nil, corrupt("ends before vector %d table %d's row count", k, i)
+			}
+			stored := binary.LittleEndian.Uint64(b)
+			b = b[8:]
+			rowBytes := 4 + 8*s.cols
+			if stored > uint64(s.rows()) || stored > uint64(len(b)/rowBytes) {
+				return nil, corrupt("vector %d table %d stores %d rows of %d in %d bytes", k, i, stored, s.rows(), len(b))
+			}
+			last := -1
+			for range stored {
+				r := int(binary.LittleEndian.Uint32(b))
+				if r <= last || r >= s.rows() {
+					return nil, corrupt("vector %d table %d row %d after row %d of %d", k, i, r, last, s.rows())
+				}
+				getFloats(seg[r*s.cols:(r+1)*s.cols], b[4:])
+				b, last = b[rowBytes:], r
+			}
+		}
+		vecs[k] = v
+	}
+	if len(b) != 0 {
+		return nil, corrupt("has %d bytes past its last vector", len(b))
+	}
+	return vecs, nil
 }
 
 // Checkpoint is the serializable form of a trained MAMDR state: the
@@ -188,6 +410,8 @@ func LoadGobEnvelope(path string, v any) (Envelope, error) {
 // count and the DN outer optimizer's state) for crash-safe training
 // restarts. The vectors align with Model.Parameters() order, which is
 // stable for a given structure and dataset schema; Spec names both.
+// Its gob block carries everything but the vectors, which follow it
+// as the vector block.
 type Checkpoint struct {
 	// ModelName records the structure's display name, as a guard
 	// against loading into a mismatched model.
@@ -209,6 +433,46 @@ type Checkpoint struct {
 	// (pre-quality) checkpoints and in saves that skipped profiling;
 	// loaders treat nil as "drift detection disabled", never an error.
 	Quality *quality.Baseline
+	// vectors is the file's vector block until Decode.
+	vectors Vectors
+}
+
+// ReadState reads a core checkpoint file: everything but the vectors
+// now, and the vectors at Decode (or Install), once the model that
+// knows their layout is built — the Spec read here may be what builds
+// it.
+func ReadState(path string) (Checkpoint, Envelope, error) {
+	var ck Checkpoint
+	env, vs, err := ReadCheckpoint(path, &ck)
+	ck.vectors = vs
+	return ck, env, err
+}
+
+// Decode sets Shared and Specific from the file's vector block, decoded
+// against layout, and checks that a v2–v4 file's vectors, which came
+// with its gob block, fit it. After a nil error every vector fits
+// layout.
+func (ck *Checkpoint) Decode(layout VectorLayout) error {
+	vecs, err := ck.vectors.Decode(layout)
+	if err != nil {
+		return err
+	}
+	if vecs != nil {
+		if len(vecs) == 0 {
+			return fmt.Errorf("core: %s: vector block holds no shared vector: %w", ck.vectors.path, ErrCorruptCheckpoint)
+		}
+		ck.Shared, ck.Specific, ck.vectors = vecs[0], vecs[1:], Vectors{}
+		return nil
+	}
+	if err := layout.fit(ck.Shared); err != nil {
+		return fmt.Errorf("core: shared vector: %w", err)
+	}
+	for d, v := range ck.Specific {
+		if err := layout.fit(v); err != nil {
+			return fmt.Errorf("core: specific vector %d: %w", d, err)
+		}
+	}
+	return nil
 }
 
 // Save writes the state's parameters to path crash-safely (atomic
@@ -222,14 +486,7 @@ func (s *State) Save(path string) error {
 // envelope, so a serving process loading this checkpoint can detect
 // score/label drift against the model's validation-time profile.
 func (s *State) SaveWithBaseline(path string, b *quality.Baseline) error {
-	return SaveGob(path, Checkpoint{
-		ModelName: s.Model.Name(),
-		Spec:      s.Spec,
-		Shared:    s.Shared,
-		Specific:  s.Specific,
-		Epoch:     -1,
-		Quality:   b,
-	})
+	return s.write(path, Checkpoint{Epoch: -1, Quality: b})
 }
 
 // SaveTraining writes a resumable epoch-boundary checkpoint: parameters
@@ -237,17 +494,19 @@ func (s *State) SaveWithBaseline(path string, b *quality.Baseline) error {
 // killed run resumed from it replays the exact trajectory of an
 // uninterrupted one. Pass a nil outer for optimizer-free phases.
 func (s *State) SaveTraining(path string, epoch int, outer optim.Optimizer) error {
-	ck := Checkpoint{
-		ModelName: s.Model.Name(),
-		Spec:      s.Spec,
-		Shared:    s.Shared,
-		Specific:  s.Specific,
-		Epoch:     epoch,
-	}
+	ck := Checkpoint{Epoch: epoch}
 	if st, ok := outer.(optim.Stateful); ok {
 		ck.Outer = st.CaptureState(s.Model.Parameters())
 	}
-	return SaveGob(path, ck)
+	return s.write(path, ck)
+}
+
+// write is every core save: ck's metadata with the state's name and
+// Spec in the gob block, θ_S and then every θ_i in the vector block.
+func (s *State) write(path string, ck Checkpoint) error {
+	ck.ModelName, ck.Spec = s.Model.Name(), s.Spec
+	vecs := append([]paramvec.Vector{s.Shared}, s.Specific...)
+	return WriteCheckpoint(path, ck, modelLayout(s.Model), vecs)
 }
 
 // Load reads a checkpoint saved by Save (or SaveTraining) into the
@@ -267,8 +526,7 @@ func (s *State) Load(path string) error {
 // count the degraded load (Tracker.SetBaseline(nil) does the counting)
 // and carry on serving.
 func (s *State) LoadWithBaseline(path string) (*quality.Baseline, Envelope, error) {
-	var ck Checkpoint
-	env, err := LoadGobEnvelope(path, &ck)
+	ck, env, err := ReadState(path)
 	if err == nil {
 		err = s.Install(ck, nil)
 	}
@@ -281,8 +539,8 @@ func (s *State) LoadWithBaseline(path string) (*quality.Baseline, Envelope, erro
 // optimizer's saved state, and returns the completed-epoch cursor the
 // run continues from (-1 for a final, Save-written state).
 func (s *State) resume(path string, spec framework.Spec, outer optim.Optimizer) (epoch int, err error) {
-	var ck Checkpoint
-	if _, err := LoadGobEnvelope(path, &ck); err != nil {
+	ck, _, err := ReadState(path)
+	if err != nil {
 		return 0, err
 	}
 	if err := framework.CheckResume(spec, ck.Spec); err != nil {
@@ -291,24 +549,20 @@ func (s *State) resume(path string, spec framework.Spec, outer optim.Optimizer) 
 	return ck.Epoch, s.Install(ck, outer)
 }
 
-// Install checks a checkpoint decoded by LoadGobEnvelope against the
-// state's model — the structure's name and every vector's shape — and
-// only then installs its vectors and Spec, and with a non-nil outer the
-// optimizer state it carries. A caller that needs the Spec to build the
-// model decodes the file once and installs the same vectors.
+// Install checks a checkpoint read by ReadState against the state's
+// model — the structure's name, then its vectors decoded against the
+// model's layout — and only then installs its vectors and Spec, and
+// with a non-nil outer the optimizer state it carries. A caller that
+// needs the Spec to build the model reads the file once and installs
+// it into that model.
 func (s *State) Install(ck Checkpoint, outer optim.Optimizer) error {
 	if ck.ModelName != s.Model.Name() {
 		return fmt.Errorf("core: checkpoint is for model %q, state has %q", ck.ModelName, s.Model.Name())
 	}
+	if err := ck.Decode(modelLayout(s.Model)); err != nil {
+		return err
+	}
 	params := s.Model.Parameters()
-	if err := fits(ck.Shared, params); err != nil {
-		return fmt.Errorf("core: shared vector: %w", err)
-	}
-	for d, v := range ck.Specific {
-		if err := fits(v, params); err != nil {
-			return fmt.Errorf("core: specific vector %d: %w", d, err)
-		}
-	}
 	s.Shared = ck.Shared
 	s.Specific = ck.Specific
 	s.Spec = ck.Spec
@@ -320,20 +574,6 @@ func (s *State) Install(ck Checkpoint, outer optim.Optimizer) error {
 		}
 		if err := st.RestoreState(params, ck.Outer); err != nil {
 			return fmt.Errorf("core: restore outer optimizer: %w", err)
-		}
-	}
-	return nil
-}
-
-// fits reports whether v has one segment per tensor, each of the
-// tensor's size.
-func fits(v paramvec.Vector, params []*autograd.Tensor) error {
-	if len(v) != len(params) {
-		return fmt.Errorf("%d segments, model has %d tensors", len(v), len(params))
-	}
-	for i, p := range params {
-		if len(v[i]) != len(p.Data) {
-			return fmt.Errorf("segment %d has %d values, tensor has %d", i, len(v[i]), len(p.Data))
 		}
 	}
 	return nil

@@ -77,9 +77,8 @@ func TestSpecRoundTrips(t *testing.T) {
 		if _, err := resumed.resume(resumable, spec, nil); err != nil || resumed.Spec != spec {
 			t.Fatalf("resume: spec %+v, err %v; saved %+v", resumed.Spec, err, spec)
 		}
-		var ck Checkpoint
-		if _, err := LoadGobEnvelope(final, &ck); err != nil || ck.Spec != spec {
-			t.Fatalf("LoadGobEnvelope: spec %+v, err %v; saved %+v", ck.Spec, err, spec)
+		if ck, _, err := ReadState(final); err != nil || ck.Spec != spec {
+			t.Fatalf("ReadState: spec %+v, err %v; saved %+v", ck.Spec, err, spec)
 		}
 	}
 	writeEnvelope(t, legacy, 3, legacyCheckpoint{ModelName: st.Model.Name(), Shared: st.Shared, Specific: st.Specific, Epoch: -1})
@@ -118,9 +117,7 @@ func TestLoadRejectsMisfitSpecific(t *testing.T) {
 	last := len(ck.Specific[1]) - 1
 	ck.Specific[1][last] = ck.Specific[1][last][:len(ck.Specific[1][last])-1]
 	path := filepath.Join(t.TempDir(), "misfit.ckpt")
-	if err := SaveGob(path, ck); err != nil {
-		t.Fatal(err)
-	}
+	writeEnvelope(t, path, 4, ck)
 	if err := (&State{Model: testModel(t, ds)}).Load(path); err == nil {
 		t.Fatal("a checkpoint with a short θ_i segment loaded without error")
 	}

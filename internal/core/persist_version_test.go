@@ -38,12 +38,19 @@ func writeEnvelope(t testing.TB, path string, version uint32, v any) {
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		t.Fatal(err)
 	}
+	writeRawEnvelope(t, path, version, payload.Bytes())
+}
+
+// writeRawEnvelope writes payload under a valid header of the given
+// version: the right length and CRC.
+func writeRawEnvelope(t testing.TB, path string, version uint32, payload []byte) {
+	t.Helper()
 	var head [headerLen]byte
 	copy(head[:8], checkpointMagic)
 	binary.LittleEndian.PutUint32(head[8:12], version)
-	binary.LittleEndian.PutUint64(head[12:20], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(head[20:24], crc32.ChecksumIEEE(payload.Bytes()))
-	if err := os.WriteFile(path, append(head[:], payload.Bytes()...), 0o644); err != nil {
+	binary.LittleEndian.PutUint64(head[12:20], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(head[20:24], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, append(head[:], payload...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,8 +110,7 @@ func TestSaveLoadWithBaseline(t *testing.T) {
 	if err := st.SaveWithBaseline(path, want); err != nil {
 		t.Fatal(err)
 	}
-	var ck Checkpoint
-	env, err := LoadGobEnvelope(path, &ck)
+	_, env, err := ReadState(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +124,7 @@ func TestSaveLoadWithBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded != env {
-		t.Fatalf("LoadWithBaseline envelope = %+v, LoadGobEnvelope = %+v", loaded, env)
+		t.Fatalf("LoadWithBaseline envelope = %+v, ReadState = %+v", loaded, env)
 	}
 	if got == nil {
 		t.Fatal("baseline lost in round trip")

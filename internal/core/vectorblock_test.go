@@ -1,0 +1,273 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"encoding/hex"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"mamdr/internal/framework"
+	"mamdr/internal/models"
+	"mamdr/internal/paramvec"
+)
+
+// specials are the float64s a vector block must carry bit for bit: a
+// -0 alone in its row, NaNs with payloads, both infinities and
+// subnormals of both signs.
+var specials = []float64{
+	math.Copysign(0, -1),
+	math.Float64frombits(0x7ff8_0000_0000_0abc),
+	math.Float64frombits(0xfff0_0000_0000_0001),
+	math.Inf(1), math.Inf(-1),
+	math.Float64frombits(1), -math.Float64frombits(0x000f_ffff_ffff_ffff),
+}
+
+// sameBits fails unless got and want hold the same float64 bits,
+// segment for segment.
+func sameBits(t *testing.T, what string, got, want paramvec.Vector) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d segments, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: segment %d has %d values, want %d", what, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s[%d][%d] = %#x, want %#x", what, i, j, math.Float64bits(got[i][j]), math.Float64bits(want[i][j]))
+			}
+		}
+	}
+}
+
+func sameState(t *testing.T, got, want *State) {
+	t.Helper()
+	sameBits(t, "Shared", got.Shared, want.Shared)
+	if len(got.Specific) != len(want.Specific) {
+		t.Fatalf("%d specific vectors, want %d", len(got.Specific), len(want.Specific))
+	}
+	for d := range want.Specific {
+		sameBits(t, "Specific", got.Specific[d], want.Specific[d])
+	}
+}
+
+// specialState is a state of testModel whose θ_S and first θ_i carry
+// every special value in a dense segment and in table rows of their
+// own (the -0 alone in its row), whose second θ_i is all +0, and whose
+// other θ_i each hold one ordinary row.
+func specialState(t *testing.T) *State {
+	ds := testDataset(t, 0.5)
+	m := testModel(t, ds)
+	params := m.Parameters()
+	tables := models.EmbeddingTablesOf(m)
+	dense, table := -1, -1
+	for i := range params {
+		if _, ok := tables[i]; ok && table < 0 {
+			table = i
+		} else if !ok && dense < 0 {
+			dense = i
+		}
+	}
+	if dense < 0 || table < 0 {
+		t.Fatalf("test model has dense %d, table %d", dense, table)
+	}
+	shared := paramvec.Snapshot(params)
+	st := &State{Model: m, Shared: shared}
+	for range ds.Domains {
+		st.Specific = append(st.Specific, shared.Zero())
+	}
+	cols := params[table].Cols
+	for k, x := range specials {
+		for _, v := range []paramvec.Vector{shared, st.Specific[0]} {
+			v[dense][k] = x
+			v[table][(2+3*k)*cols] = x
+		}
+	}
+	for d := 2; d < len(st.Specific); d++ {
+		st.Specific[d][table][(d+1)*cols+1] = float64(d) / 8
+	}
+	return st
+}
+
+// TestV5RoundTripIsBitExact: Save then Load gives back every θ float
+// for float — the specials, an all-zero θ_i, and the serving pattern of
+// every θ_i aliasing one zero vector — in a v5 file.
+func TestV5RoundTripIsBitExact(t *testing.T) {
+	st := specialState(t)
+	alias := &State{Model: st.Model, Shared: st.Shared, Specific: make([]paramvec.Vector, len(st.Specific))}
+	zero := st.Shared.Zero()
+	for d := range alias.Specific {
+		alias.Specific[d] = zero
+	}
+	for name, want := range map[string]*State{"specials": st, "aliased zero θ_i": alias} {
+		path := filepath.Join(t.TempDir(), "v5.ckpt")
+		if err := want.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if env, err := EnvelopeInfo(path); err != nil || env.Version != 5 {
+			t.Fatalf("%s: envelope %+v, %v; want v5", name, env, err)
+		}
+		got := &State{Model: testModel(t, testDataset(t, 0.5))}
+		if err := got.Load(path); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameState(t, got, want)
+	}
+}
+
+// TestLegacyFilesLoadAndResaveAsV5: v2, v3 and v4 files, whose vectors
+// are inside their gob block, load float for float, and saving what
+// they loaded writes a v5 file that loads the same floats again.
+func TestLegacyFilesLoadAndResaveAsV5(t *testing.T) {
+	want := specialState(t)
+	spec := framework.Spec{Preset: "taobao-10", Samples: 2400, Seed: 7, Model: "mlp", EmbDim: 4}
+	files := map[uint32]any{
+		2: legacyCheckpoint{ModelName: want.Model.Name(), Shared: want.Shared, Specific: want.Specific, Epoch: -1},
+		3: legacyCheckpoint{ModelName: want.Model.Name(), Shared: want.Shared, Specific: want.Specific, Epoch: -1},
+		4: Checkpoint{ModelName: want.Model.Name(), Spec: spec, Shared: want.Shared, Specific: want.Specific, Epoch: -1},
+	}
+	for version, payload := range files {
+		dir := t.TempDir()
+		legacy, resaved := filepath.Join(dir, "legacy.ckpt"), filepath.Join(dir, "resaved.ckpt")
+		writeEnvelope(t, legacy, version, payload)
+		got := &State{Model: testModel(t, testDataset(t, 0.5))}
+		if _, env, err := got.LoadWithBaseline(legacy); err != nil || env.Version != version {
+			t.Fatalf("v%d: envelope %+v, %v", version, env, err)
+		}
+		sameState(t, got, want)
+		if err := got.Save(resaved); err != nil {
+			t.Fatal(err)
+		}
+		if env, err := EnvelopeInfo(resaved); err != nil || env.Version != 5 {
+			t.Fatalf("v%d re-saved: envelope %+v, %v; want v5", version, env, err)
+		}
+		again := &State{Model: testModel(t, testDataset(t, 0.5))}
+		if err := again.Load(resaved); err != nil {
+			t.Fatal(err)
+		}
+		sameState(t, again, want)
+		if again.Spec != got.Spec {
+			t.Fatalf("v%d re-saved: spec %+v, want %+v", version, again.Spec, got.Spec)
+		}
+	}
+}
+
+// toyLayout is a dense 1×2 tensor and a 3-row table of width 2.
+var toyLayout = VectorLayout{{size: 2}, {size: 6, cols: 2}}
+
+// toyVectors is θ_S and two θ_i over toyLayout: the table's middle row
+// of θ_S and all of θ_1 are +0 and stay out of the block, and θ_2's
+// first row holds only a -0.
+func toyVectors() []paramvec.Vector {
+	return []paramvec.Vector{
+		{{0.5, -1}, {1, 2, 0, 0, 0.25, -4}},
+		{{0, 0}, {0, 0, 0, 0, 0, 0}},
+		{{0, 2}, {math.Copysign(0, -1), 0, 0, 0, math.Inf(1), 0}},
+	}
+}
+
+// toyBlock is toyVectors' vector block: every integer and float64
+// little-endian, on any host.
+const toyBlock = "0300000000000000" + // 3 vectors
+	// θ_S: dense {0.5, -1}; table: 2 rows, row 0 {1, 2}, row 2 {0.25, -4}
+	"000000000000e03f" + "000000000000f0bf" +
+	"0200000000000000" +
+	"00000000" + "000000000000f03f" + "0000000000000040" +
+	"02000000" + "000000000000d03f" + "00000000000010c0" +
+	// θ_1: dense {0, 0}; table: no rows
+	"0000000000000000" + "0000000000000000" +
+	"0000000000000000" +
+	// θ_2: dense {0, 2}; table: 2 rows, row 0 {-0, 0}, row 2 {+Inf, 0}
+	"0000000000000000" + "0000000000000040" +
+	"0200000000000000" +
+	"00000000" + "0000000000000080" + "0000000000000000" +
+	"02000000" + "000000000000f07f" + "0000000000000000"
+
+// TestVectorBlockGolden pins the bytes of a 2-domain toy state's vector
+// block, so a change of format, or an assumption about the host's byte
+// order, fails here on any host; and the block decodes to the vectors.
+func TestVectorBlockGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "toy.ckpt")
+	if err := WriteCheckpoint(path, Checkpoint{ModelName: "toy", Epoch: -1}, toyLayout, toyVectors()); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[headerLen:]
+	block := payload[8+binary.LittleEndian.Uint64(payload):]
+	if got := hex.EncodeToString(block); got != toyBlock {
+		t.Fatalf("vector block\n got %s\nwant %s", got, toyBlock)
+	}
+	ck, _, err := ReadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Decode(toyLayout); err != nil {
+		t.Fatal(err)
+	}
+	want := toyVectors()
+	sameBits(t, "Shared", ck.Shared, want[0])
+	for d, v := range ck.Specific {
+		sameBits(t, "Specific", v, want[d+1])
+	}
+}
+
+// v5Payload is a v5 payload: meta's gob block, then block as the vector
+// block.
+func v5Payload(t testing.TB, meta any, block []byte) []byte {
+	t.Helper()
+	var g bytes.Buffer
+	if err := gob.NewEncoder(&g).Encode(meta); err != nil {
+		t.Fatal(err)
+	}
+	p := binary.LittleEndian.AppendUint64(nil, uint64(g.Len()))
+	return append(append(p, g.Bytes()...), block...)
+}
+
+// craftedBlocks are vector blocks over toyLayout that a decoder must
+// refuse: the names say what each promises.
+func craftedBlocks() map[string][]byte {
+	le := binary.LittleEndian
+	dense := make([]byte, 16)
+	return map[string][]byte{
+		"2^40 vectors": le.AppendUint64(nil, 1<<40),
+		"2^40 rows":    le.AppendUint64(le.AppendUint64(append(le.AppendUint64(nil, 1), dense...), 1<<40), 0),
+		"rows past the file": append(le.AppendUint64(append(le.AppendUint64(nil, 1), dense...), 3),
+			make([]byte, 20)...),
+		"row past its table": append(le.AppendUint32(le.AppendUint64(append(le.AppendUint64(nil, 1), dense...), 1), 3),
+			make([]byte, 16)...),
+	}
+}
+
+// TestVectorBlockRefusesCountsBeforeAllocating: a file promising 2^40
+// vectors (domains) or 2^40 rows, more rows than the file holds, or a
+// row past its table, is refused as corrupt — and the promise is never
+// allocated: the whole read stays under a megabyte.
+func TestVectorBlockRefusesCountsBeforeAllocating(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "crafted.ckpt")
+	for name, block := range craftedBlocks() {
+		writeRawEnvelope(t, path, 5, v5Payload(t, Checkpoint{ModelName: "toy", Epoch: -1}, block))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck, _, err := ReadState(path)
+		if err == nil {
+			err = ck.Decode(toyLayout)
+		}
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("%s: %v, want ErrCorruptCheckpoint", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: refusing it allocated %d bytes", name, grew)
+		}
+	}
+}

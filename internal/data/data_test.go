@@ -220,19 +220,6 @@ func TestLoadJSONMissingFile(t *testing.T) {
 	}
 }
 
-func TestSaveCSVWritesAllFiles(t *testing.T) {
-	d := tinyDataset()
-	dir := t.TempDir()
-	if err := SaveCSV(d, dir); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"users.csv", "items.csv", "domain_0.csv", "domain_1.csv"} {
-		if _, err := filepath.Glob(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-}
-
 func TestSchemaFieldsOrder(t *testing.T) {
 	s := tinyDataset().Schema
 	fields := s.Fields()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
 // SaveJSON writes the dataset as one indented JSON file. The format is
@@ -41,56 +40,4 @@ func LoadJSON(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("data: %s: %w", path, err)
 	}
 	return &d, nil
-}
-
-// SaveCSV writes the dataset as a directory of CSV files, one
-// interactions file per domain plus user/item feature files — the
-// layout released alongside the paper's public benchmarks.
-func SaveCSV(d *Dataset, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("data: mkdir %s: %w", dir, err)
-	}
-	writeFeatures := func(name string, rows [][]int) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := bufio.NewWriter(f)
-		for id, row := range rows {
-			fmt.Fprintf(w, "%d", id)
-			for _, v := range row {
-				fmt.Fprintf(w, ",%d", v)
-			}
-			fmt.Fprintln(w)
-		}
-		return w.Flush()
-	}
-	if err := writeFeatures("users.csv", d.UserFeatures); err != nil {
-		return fmt.Errorf("data: users.csv: %w", err)
-	}
-	if err := writeFeatures("items.csv", d.ItemFeatures); err != nil {
-		return fmt.Errorf("data: items.csv: %w", err)
-	}
-	for _, dom := range d.Domains {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("domain_%d.csv", dom.ID)))
-		if err != nil {
-			return fmt.Errorf("data: domain csv: %w", err)
-		}
-		w := bufio.NewWriter(f)
-		fmt.Fprintln(w, "split,user,item,label")
-		for _, split := range []Split{Train, Val, Test} {
-			for _, in := range dom.Get(split) {
-				fmt.Fprintf(w, "%s,%d,%d,%g\n", split, in.User, in.Item, in.Label)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return fmt.Errorf("data: domain csv flush: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("data: domain csv close: %w", err)
-		}
-	}
-	return nil
 }

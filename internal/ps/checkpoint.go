@@ -28,9 +28,10 @@ type CheckpointStore interface {
 
 var _ CheckpointStore = (*Server)(nil)
 
-// serverCheckpoint is the gob payload of a PS checkpoint: every managed
+// serverCheckpoint is the payload of a PS checkpoint: every managed
 // tensor's values plus the outer optimizer's state, aligned with the
 // tensors in index order, and the spec of the run its host serves.
+// Params is the file's vector block; the rest is its gob block.
 // Shards holds that one state: a slice because servers once kept an
 // optimizer per lock stripe, and every file a one-stripe server wrote —
 // every cluster run's — has this shape.
@@ -62,7 +63,45 @@ func (s *Server) SaveCheckpoint(epoch int) error {
 		ck.Shards[0] = st.CaptureState(s.data)
 	}
 	s.mu.Unlock()
-	return core.SaveGob(s.ckptPath, ck)
+	return writeCheckpoint(s.ckptPath, s.vectorLayout(), ck)
+}
+
+// vectorLayout is the layout of the server's tensors: the vector
+// block of its checkpoint file stores only the non-zero rows of each
+// embedding table.
+func (s *Server) vectorLayout() core.VectorLayout { return core.LayoutOf(s.data, s.layout.Tables()) }
+
+// writeCheckpoint writes ck to path, Params as the vector block.
+func writeCheckpoint(path string, layout core.VectorLayout, ck serverCheckpoint) error {
+	params := ck.Params
+	ck.Params = nil
+	return core.WriteCheckpoint(path, ck, layout, []paramvec.Vector{params})
+}
+
+// readCheckpoint reads the server's file, written by writeCheckpoint
+// (or an older one, whose Params came inside its gob block): it refuses
+// a file that recorded another spec (framework.CheckResume) before it
+// decodes Params against the server's layout.
+func (s *Server) readCheckpoint() (serverCheckpoint, error) {
+	var ck serverCheckpoint
+	_, vs, err := core.ReadCheckpoint(s.ckptPath, &ck)
+	if err != nil {
+		return ck, err
+	}
+	if err := framework.CheckResume(s.spec, ck.Spec); err != nil {
+		return ck, fmt.Errorf("ps: %s: %w", s.ckptPath, err)
+	}
+	vecs, err := vs.Decode(s.vectorLayout())
+	switch {
+	case err != nil:
+		return ck, err
+	case vecs == nil: // v2–v4
+	case len(vecs) != 1:
+		return ck, fmt.Errorf("ps: %s holds %d parameter vectors, want 1: %w", s.ckptPath, len(vecs), core.ErrCorruptCheckpoint)
+	default:
+		ck.Params = vecs[0]
+	}
+	return ck, nil
 }
 
 // LoadCheckpoint implements CheckpointStore: it checks the file's spec,
@@ -77,12 +116,9 @@ func (s *Server) LoadCheckpoint() (int, error) {
 	if _, err := os.Stat(s.ckptPath); os.IsNotExist(err) {
 		return -1, nil
 	}
-	var ck serverCheckpoint
-	if err := core.LoadGob(s.ckptPath, &ck); err != nil {
+	ck, err := s.readCheckpoint()
+	if err != nil {
 		return 0, err
-	}
-	if err := framework.CheckResume(s.spec, ck.Spec); err != nil {
-		return 0, fmt.Errorf("ps: %s: %w", s.ckptPath, err)
 	}
 	if len(ck.Params) != s.layout.NumTensors() {
 		return 0, fmt.Errorf("ps: checkpoint has %d tensors, server manages %d", len(ck.Params), s.layout.NumTensors())

@@ -51,8 +51,8 @@ func TestServerCheckpointKeepsItsShape(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var ck serverCheckpoint
-		if err := core.LoadGob(path, &ck); err != nil {
+		ck, err := a.readCheckpoint()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ck.Shards) != 1 || len(ck.Params) != 3 || ck.Epoch != 2 {
@@ -90,7 +90,7 @@ func TestServerRefusesStripedCheckpoint(t *testing.T) {
 	for _, p := range params {
 		striped.Params = append(striped.Params, make([]float64, len(p.Data)))
 	}
-	if err := core.SaveGob(path, striped); err != nil {
+	if err := writeCheckpoint(path, core.LayoutOf(params, map[int]int{0: 0}), striped); err != nil {
 		t.Fatal(err)
 	}
 	s := NewServer(params, map[int]int{0: 0}, "adagrad", 0.1)
@@ -122,8 +122,8 @@ func TestSpecRoundTrips(t *testing.T) {
 	if err := a.SaveCheckpoint(2); err != nil {
 		t.Fatal(err)
 	}
-	var ck serverCheckpoint
-	if err := core.LoadGob(path, &ck); err != nil || ck.Spec != spec {
+	ck, err := a.readCheckpoint()
+	if err != nil || ck.Spec != spec {
 		t.Fatalf("shard file records spec %+v (err %v), want %+v", ck.Spec, err, spec)
 	}
 	if epoch, err := server(spec).LoadCheckpoint(); err != nil || epoch != 2 {
@@ -141,7 +141,7 @@ func TestSpecRoundTrips(t *testing.T) {
 	requireSameVector(t, "after a refused load", before, refused.Snapshot())
 
 	ck.Spec = framework.Spec{}
-	if err := core.SaveGob(path, ck); err != nil {
+	if err := writeCheckpoint(path, a.vectorLayout(), ck); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := server(spec).LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), "retrain") {

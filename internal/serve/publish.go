@@ -195,14 +195,13 @@ func (s *Server) handleAdminPublish(w http.ResponseWriter, r *http.Request) {
 // loadPublishSource decodes a checkpoint straight into a publishable
 // state. It needs no model: the file is read and verified once — a
 // CRC-corrupt or truncated file is rejected before any decode — and its
-// vectors, checked against the served structure and trained on the
-// served dataset (the same Spec), become the state as they are.
+// vectors, decoded against the served structure's layout and trained
+// on the served dataset (the same Spec), become the state as they are.
 func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.State, uint32, *quality.Baseline, error) {
 	if err := s.opts.Faults.Eval("PublishSource").Apply(ctx); err != nil {
 		return nil, 0, nil, err
 	}
-	var ck core.Checkpoint
-	env, err := core.LoadGobEnvelope(path, &ck)
+	ck, env, err := core.ReadState(path)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -212,7 +211,7 @@ func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.Stat
 	if ck.Spec != s.layout.spec {
 		return nil, 0, nil, fmt.Errorf("serve: checkpoint was trained on %+v, server serves %+v", ck.Spec, s.layout.spec)
 	}
-	if err := s.layout.validate(ck.Shared, ck.Specific); err != nil {
+	if err := ck.Decode(core.LayoutOf(s.layout.params, s.layout.tables)); err != nil {
 		return nil, 0, nil, err
 	}
 	return &core.State{Model: s.layout.model, Shared: ck.Shared, Specific: ck.Specific, Spec: ck.Spec}, env.CRC, ck.Quality, nil

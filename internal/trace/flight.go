@@ -35,16 +35,18 @@ type FlightRecorder struct {
 type Dump struct {
 	Kind string
 	// Path is the written file ("" when the recorder has no dump
-	// path or the write failed; the spans are still retained in Spans).
-	Path  string
+	// path or the write failed).
+	Path string
+	// Spans is the ring at the trigger, oldest first; nil when the
+	// recorder has no dump path, since nothing would read it.
 	Spans []*Span
 	// Fields are the anomaly details supplied by the trigger.
 	Fields map[string]any
 }
 
 // NewFlightRecorder retains the last capacity completed spans and
-// dumps anomalies to <pathPrefix>-<kind>.trace.json (memory-only when
-// pathPrefix is empty).
+// dumps anomalies to <pathPrefix>-<kind>.trace.json (with an empty
+// pathPrefix a dump records only its kind and fields).
 func NewFlightRecorder(capacity int, pathPrefix string) *FlightRecorder {
 	if capacity < 1 {
 		capacity = 256
@@ -93,9 +95,11 @@ func (f *FlightRecorder) snapshotLocked() []*Span {
 
 // Trigger fires an anomaly of the given kind: the ring buffer is
 // dumped exactly once per kind (later triggers of the same kind are
-// dropped). fields annotate the dump's anomaly marker;
-// the keys "trace_id" and "span_id" (uint64), when present, identify
-// the span that tripped the detector so the dump marks it.
+// dropped). A recorder with no dump path latches the kind and keeps
+// only its kind and fields, with no copy of the ring. fields annotate
+// the dump's anomaly marker; the keys "trace_id" and "span_id"
+// (uint64), when present, identify the span that tripped the detector
+// so the dump marks it.
 //
 // Trigger satisfies telemetry.AnomalySink. A nil recorder ignores
 // triggers, so tracer.Flight().Trigger(...) is safe unconditionally.
@@ -109,15 +113,17 @@ func (f *FlightRecorder) Trigger(kind string, fields map[string]any) {
 		return
 	}
 	f.fired[kind] = true
-	spans := f.snapshotLocked()
+	d := Dump{Kind: kind, Fields: fields}
+	if f.path != "" {
+		d.Spans = f.snapshotLocked()
+	}
 	f.mu.Unlock()
 
-	var trigger uint64
-	if v, ok := fields["span_id"].(uint64); ok {
-		trigger = v
-	}
-	d := Dump{Kind: kind, Spans: spans, Fields: fields}
 	if f.path != "" {
+		var trigger uint64
+		if v, ok := fields["span_id"].(uint64); ok {
+			trigger = v
+		}
 		path := fmt.Sprintf("%s-%s.trace.json", f.path, kind)
 		if writeDump(path, d, trigger) == nil {
 			d.Path = path

@@ -402,6 +402,29 @@ func TestFlightDumpUnwrittenHasNoPath(t *testing.T) {
 	}
 }
 
+// TestFlightDumpWithoutPathKeepsNoSpans: a recorder with no dump path
+// latches each kind and keeps only its kind and fields, not a copy of
+// the ring nothing would read, and the next kind still dumps.
+func TestFlightDumpWithoutPathKeepsNoSpans(t *testing.T) {
+	f := NewFlightRecorder(4, "")
+	f.Record(&Span{Name: "op", TraceID: 1, ID: 2})
+	f.Trigger("nan_loss", map[string]any{"loss": "NaN"})
+	f.Trigger("nan_loss", nil)
+	f.Trigger("loss_spike", nil)
+	dumps := f.Dumps()
+	if len(dumps) != 2 || dumps[0].Kind != "nan_loss" || dumps[1].Kind != "loss_spike" {
+		t.Fatalf("dumps = %+v, want nan_loss then loss_spike", dumps)
+	}
+	if dumps[0].Fields["loss"] != "NaN" {
+		t.Fatalf("nan_loss fields = %v", dumps[0].Fields)
+	}
+	for _, d := range dumps {
+		if d.Path != "" || d.Spans != nil {
+			t.Fatalf("path-less %s dump reports path %q with %d spans, want none", d.Kind, d.Path, len(d.Spans))
+		}
+	}
+}
+
 func TestCaptureHandlerWindow(t *testing.T) {
 	tr := New(Options{FlightSize: -1})
 	ctx := tr.Context(context.Background())

@@ -363,12 +363,12 @@ smoke-batch:
 # The race detector does not see loads and stores made in assembly —
 # gemmAddAVX2 (gemm_amd64.s: its eight-lane ZMM tiles where the CPU has
 # AVX-512 and its four-lane YMM tiles), adamAVX2 (elementwise_amd64.s:
-# its full path and the path that skips a group of +0 moments) and
-# addAVX2: TestParallelGemmConcurrent under -race covers how rows are
-# partitioned among goroutines, not the inner loop (which shares
-# nothing: a goroutine writes only its own rows), and the Adam update
-# and the vector add under AccumAdd, AddTo, ColSumAdd and the fused bias
-# are unseen by it.
+# its full path and the path that skips a group of +0 moments), addAVX2
+# and reluAVX2: TestParallelGemmConcurrent under -race covers how rows
+# are partitioned among goroutines, not the inner loop (which shares
+# nothing: a goroutine writes only its own rows), and the Adam update,
+# the vector add under AccumAdd, AddTo, ColSumAdd and the fused bias,
+# and the ReLU under ReLUTo are unseen by it.
 race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
 		./internal/batch/... ./internal/quant/... ./internal/quality/... ./internal/core/... ./internal/autograd/... \

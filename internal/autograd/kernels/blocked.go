@@ -1,6 +1,10 @@
 package kernels
 
-import "math"
+import (
+	"bytes"
+	"math"
+	"unsafe"
+)
 
 // blocked is the default backend: the output rows are partitioned across
 // goroutines, and each share of a product runs on gemmAddAVX2 where the
@@ -68,22 +72,25 @@ func (blocked) Name() string { return "blocked" }
 func (blocked) GemmAdd(dst, a, b []float64, m, k, n int) {
 	checkGemm(dst, a, b, m, k, n)
 	parallelRows(m, k*n, func(lo, hi int) {
-		gemmAddRange(dst, a, b, lo, hi, k, n)
+		gemmAddRange(dst, a, b, lo, hi, 0, k, k, n)
 	})
 }
 
-// gemmAddRange accumulates dst rows [lo,hi) of dst += a·b. The p loop
-// is panel-blocked and 4x unrolled; every dst element receives its k
-// contributions in ascending p order through a single accumulator.
-func gemmAddRange(dst, a, b []float64, lo, hi, k, n int) {
-	if (hi-lo)*k*n >= asmFrom {
-		gemmAddAVX2(&dst[lo*n], &a[lo*k], &b[0], hi-lo, k, n, k, 1)
+// gemmAddRange accumulates dst rows [lo,hi) of dst += a[:, from:to]·
+// b[from:to, :], a at row stride k: reduction columns from up to to. The
+// p loop is panel-blocked and 4x unrolled; every dst element receives
+// its contributions in ascending p order through a single accumulator,
+// loaded from dst, so a product split at any column into two calls is
+// the same floats as one call.
+func gemmAddRange(dst, a, b []float64, lo, hi, from, to, k, n int) {
+	if (hi-lo)*(to-from)*n >= asmFrom {
+		gemmAddAVX2(&dst[lo*n], &a[lo*k+from], &b[from*n], hi-lo, to-from, n, k, 1)
 		return
 	}
-	for kb := 0; kb < k; kb += kc {
+	for kb := from; kb < to; kb += kc {
 		ke := kb + kc
-		if ke > k {
-			ke = k
+		if ke > to {
+			ke = to
 		}
 		for i := lo; i < hi; i++ {
 			ar := a[i*k : (i+1)*k]
@@ -238,10 +245,65 @@ func (blocked) DenseForward(dst, x, w, bias []float64, m, k, n int, act Act, slo
 	if bias != nil && len(bias) != n {
 		panic("kernels: DenseForward bias length mismatch")
 	}
-	parallelRows(m, k*n+2*n, func(lo, hi int) {
-		gemmAddRange(dst, x, w, lo, hi, k, n)
+	// A ranking request's first layer repeats its user's columns in every
+	// row: their partial sums are computed once, on row 0, and copied.
+	kp := sharedPrefix(dst, x, m, k, n)
+	if kp > 0 {
+		gemmAddRange(dst, x, w, 0, 1, 0, kp, k, n)
+		for i := 1; i < m; i++ {
+			copy(dst[i*n:(i+1)*n], dst[:n])
+		}
+	}
+	parallelRows(m, (k-kp)*n+2*n, func(lo, hi int) {
+		gemmAddRange(dst, x, w, lo, hi, kp, k, k, n)
 		biasActRange(dst, bias, lo, hi, n, act, slope)
 	})
+}
+
+// sharedPrefix returns kp, the length of the longest run of leading
+// columns of x (m×k) that are bitwise equal in every row, where the m
+// rows of dst (m×n) are bitwise equal too — and 0 for one row or none.
+// Every row's first kp accumulations then start from the same value and
+// add the same products in the same order, so row 0's partial sums are
+// every row's, bit for bit: −0 against +0 and NaN payloads count as
+// different.
+func sharedPrefix(dst, x []float64, m, k, n int) int {
+	if m < 2 || k == 0 {
+		return 0
+	}
+	kp := k
+	for i := 1; i < m && kp > 0; i++ {
+		if row := x[i*k : i*k+kp]; !bitsEqual(row, x[:kp]) {
+			kp = firstDiff(row, x[:kp])
+		}
+	}
+	// Row i equals row 0 for every i exactly when the matrix equals
+	// itself shifted down by one row.
+	if kp == 0 || !bitsEqual(dst[n:m*n], dst[:(m-1)*n]) {
+		return 0
+	}
+	return kp
+}
+
+// bitsEqual reports whether a and b (of one length) hold the same bits,
+// as one memory comparison.
+func bitsEqual(a, b []float64) bool {
+	if len(a) == 0 {
+		return true
+	}
+	return bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 8*len(a)),
+		unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), 8*len(b)))
+}
+
+// firstDiff returns the first index at which a and b differ in bits.
+func firstDiff(a, b []float64) int {
+	b = b[:len(a)]
+	for p, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[p]) {
+			return p
+		}
+	}
+	return len(a)
 }
 
 // biasActRange applies dst[i] = act(dst[i] + bias) to rows [lo,hi).

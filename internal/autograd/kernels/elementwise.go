@@ -9,10 +9,11 @@ import "math"
 // through one register reassociate nothing, so results stay
 // bit-identical to the straight loop). The vector add under AddTo,
 // AccumAdd, ColSumAdd and the fused bias runs on addAVX2 where the build
-// and the CPU have it: one VADDPD is four of the loop's additions.
+// and the CPU have it: one VADDPD is four of the loop's additions. ReLUTo
+// runs on reluAVX2 the same way: one compare and one AND per four.
 
-// vecAVX2 selects the elementwise assembly routines (addAVX2, and
-// adamAVX2 under Blocked.AdamStep): hasAVX2. Only tests write it, to run
+// vecAVX2 selects the elementwise assembly routines (addAVX2, reluAVX2,
+// and adamAVX2 under Blocked.AdamStep): hasAVX2. Only tests write it, to run
 // both paths on one machine.
 var vecAVX2 = hasAVX2
 
@@ -161,9 +162,17 @@ func positive(v float64) uint64 {
 }
 
 // ReLUTo sets dst[i] = a[i] when a[i] > 0 and +0 otherwise (dst need
-// not be pre-zeroed).
+// not be pre-zeroed; it may be a itself). The multiple of four in front
+// goes to reluAVX2, the rest to the Go loop.
 func ReLUTo(dst, a []float64) {
-	for i, v := range a[:len(dst)] {
+	a = a[:len(dst)]
+	n := 0
+	if vecAVX2 && len(dst) >= 4 {
+		n = len(dst) &^ 3
+		reluAVX2(&dst[0], &a[0], n)
+	}
+	for i := n; i < len(dst); i++ {
+		v := a[i]
 		dst[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
 	}
 }

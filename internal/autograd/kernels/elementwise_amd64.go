@@ -20,3 +20,11 @@ func adamAVX2(data, grad, m, v *float64, n int, b1, a1, b2, a2, lr, eps, c1, c2 
 //
 //go:noescape
 func addAVX2(dst, a, b *float64, n int)
+
+// reluAVX2 (elementwise_amd64.s) sets dst[i] = a[i] when a[i] > 0 and +0
+// otherwise, for i < n, four elements per instruction: each lane is
+// ReLUTo's bits & positive(v). dst may be a itself. n must be a positive
+// multiple of 4.
+//
+//go:noescape
+func reluAVX2(dst, a *float64, n int)

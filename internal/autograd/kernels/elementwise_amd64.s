@@ -124,3 +124,60 @@ add4:
 done:
 	VZEROUPPER
 	RET
+
+// func reluAVX2(dst, a *float64, n int)
+//
+// dst[i] = a[i] when a[i] > 0 and +0 otherwise, for i < n, sixteen and
+// then four at a time: VCMPPD with GT_OQ against +0 gives an all-ones
+// lane where a[i] > 0 and a zero lane where a[i] ≤ 0 or is NaN, and
+// VANDPD keeps a[i]'s bits under that mask — the Go loop's
+// bits & positive(v), signs of zero and NaN payloads included. Every
+// group is loaded before it is stored, so dst may be a itself (but must
+// not otherwise overlap it). n must be a positive multiple of 4.
+//
+//	DI  dst    SI  a    BX  byte offset    CX  elements left
+//	Y15 +0
+TEXT ·reluAVX2(SB), NOSPLIT, $0-24
+	MOVQ   dst+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   n+16(FP), CX
+	VXORPD Y15, Y15, Y15
+	XORQ   BX, BX
+
+relu16:
+	CMPQ    CX, $16
+	JLT     relu4
+	VMOVUPD 0(SI)(BX*1), Y0
+	VMOVUPD 32(SI)(BX*1), Y1
+	VMOVUPD 64(SI)(BX*1), Y2
+	VMOVUPD 96(SI)(BX*1), Y3
+	VCMPPD  $0x1e, Y15, Y0, Y4 // a > +0, ordered, quiet
+	VCMPPD  $0x1e, Y15, Y1, Y5
+	VCMPPD  $0x1e, Y15, Y2, Y6
+	VCMPPD  $0x1e, Y15, Y3, Y7
+	VANDPD  Y4, Y0, Y0
+	VANDPD  Y5, Y1, Y1
+	VANDPD  Y6, Y2, Y2
+	VANDPD  Y7, Y3, Y3
+	VMOVUPD Y0, 0(DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, 64(DI)(BX*1)
+	VMOVUPD Y3, 96(DI)(BX*1)
+	ADDQ    $128, BX
+	SUBQ    $16, CX
+	JMP     relu16
+
+relu4:
+	TESTQ   CX, CX
+	JZ      reludone
+	VMOVUPD (SI)(BX*1), Y0
+	VCMPPD  $0x1e, Y15, Y0, Y4
+	VANDPD  Y4, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	SUBQ    $4, CX
+	JMP     relu4
+
+reludone:
+	VZEROUPPER
+	RET

@@ -219,3 +219,40 @@ func TestReLUBits(t *testing.T) {
 		sameBits(t, "ActGradTo ReLU", got, grad)
 	})
 }
+
+// TestReLUMatchesGoLoop: ReLUTo — reluAVX2 on the multiple of four in
+// front, the Go loop on the rest — gives the Go loop's bits & positive(v)
+// bit for bit, NaN payloads included, at every width from 0 to 130, out
+// of place and in place, on unaligned buffers of ±0, ±Inf, quiet and
+// signalling NaNs with payloads of either sign, subnormals of either
+// sign, and ordinary values.
+func TestReLUMatchesGoLoop(t *testing.T) {
+	values := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000abc),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff4000000000000),
+		5e-324, -5e-324, 2.2e-308, -1e-310, math.MaxFloat64, -math.MaxFloat64,
+	}
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(48))
+		for n := 0; n <= 130; n++ {
+			a := unaligned(make([]float64, n+1))
+			for i := range a {
+				if rng.Float64() < 0.5 {
+					a[i] = values[rng.Intn(len(values))]
+				} else {
+					a[i] = rng.NormFloat64()
+				}
+			}
+			want := make([]float64, n)
+			for i, v := range a {
+				want[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
+			}
+			got := unaligned(make([]float64, n+1))
+			ReLUTo(got, a)
+			identicalBits(t, fmt.Sprintf("ReLUTo n=%d", n), got, want)
+			ReLUTo(a, a)
+			identicalBits(t, fmt.Sprintf("ReLUTo in place n=%d", n), a, want)
+		}
+	})
+}

@@ -16,7 +16,7 @@
 // one element; parallelism partitions output elements across
 // goroutines, never the reduction of a single element. The same rule
 // governs SIMD (gemmAddAVX2, the amd64 routine under the blocked
-// backend, and the elementwise adamAVX2 and addAVX2; build with -tags
+// backend, and the elementwise adamAVX2, addAVX2 and reluAVX2; build with -tags
 // purego to leave them out): vector lanes hold different output
 // elements, never partial sums of one, and each Go operation is one
 // correctly rounded instruction in the Go loop's order — multiply and

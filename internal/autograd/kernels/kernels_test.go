@@ -164,7 +164,113 @@ func TestBlockedMatchesNaive(t *testing.T) {
 		for _, shape := range [][3]int{{0, 5, 5}, {5, 0, 5}, {5, 5, 0}, {0, 0, 0}} {
 			matchNaive(t, rng, shape[0], shape[1], shape[2], true)
 		}
+		matchNaiveSharedPrefix(t, rng)
 	})
+}
+
+// flipBits returns v with the bits of mask flipped: a value that differs
+// from v bitwise whatever v is, Inf and NaN included.
+func flipBits(v float64, mask uint64) float64 {
+	return math.Float64frombits(math.Float64bits(v) ^ mask)
+}
+
+// matchNaiveSharedPrefix is TestBlockedMatchesNaive's arm for the fused
+// dense forward on inputs whose leading columns are equal in every row —
+// a ranking request's user fields — which Blocked accumulates once on row
+// 0 and copies. It checks both that the prefix sharedPrefix finds is the
+// one the input was built with and that the result is the naive one, bit
+// for bit, at threads 1, 2, 3 and 8: at m = 1, 2 and 256 rows, for a
+// prefix of 0, 1, k−1 and k columns, for a prefix that only the last row
+// breaks at its last column, for −0 against +0 and NaNs of different
+// payloads inside it (which break it), for equal NaNs (which do not), and
+// for dst rows that differ (which leave no prefix to share).
+func matchNaiveSharedPrefix(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	negZero := math.Copysign(0, -1)
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	const k, n = 40, 69
+	for _, m := range []int{1, 2, 256} {
+		for _, kp := range []int{0, 1, k - 1, k} {
+			cases := []struct {
+				name  string
+				edit  func(x, dst []float64) // after the prefix is copied
+				share int                    // the prefix sharedPrefix must find
+			}{
+				{"plain", func(x, dst []float64) {}, kp},
+				{"last row breaks the last column", func(x, dst []float64) {
+					if kp > 0 {
+						x[(m-1)*k+kp-1] = flipBits(x[kp-1], 1)
+					}
+				}, kp - 1},
+				{"-0 against +0", func(x, dst []float64) {
+					if kp > 0 {
+						x[kp/2] = 0
+						for i := 1; i < m; i++ {
+							x[i*k+kp/2] = 0
+						}
+						x[(m-1)*k+kp/2] = negZero
+					}
+				}, kp / 2},
+				{"NaN payloads", func(x, dst []float64) {
+					if kp > 0 {
+						for i := 0; i < m; i++ {
+							x[i*k+kp/2] = nan1
+						}
+						x[(m-1)*k+kp/2] = nan2
+					}
+				}, kp / 2},
+				{"one NaN", func(x, dst []float64) {
+					for i := 0; i < m && kp > 0; i++ {
+						x[i*k+kp-1] = nan1
+					}
+				}, kp},
+				{"dst rows differ", func(x, dst []float64) { dst[(m-1)*n] = flipBits(dst[(m-1)*n], 1) }, 0},
+			}
+			for _, c := range cases {
+				x := unaligned(randMatrix(rng, m*k+1, true))
+				for i := 1; i < m; i++ {
+					copy(x[i*k:i*k+kp], x[:kp])
+				}
+				// Columns past the prefix differ between row 0 and the
+				// others, so the prefix ends where it was built to.
+				if kp < k {
+					for i := 1; i < m; i++ {
+						x[i*k+kp] = flipBits(x[kp], uint64(i))
+					}
+				}
+				w := unaligned(randMatrix(rng, k*n+1, true))
+				bias := unaligned(randMatrix(rng, n+1, false))
+				dst0 := unaligned(make([]float64, m*n+1))
+				row := randMatrix(rng, n, false)
+				for i := 0; i < m; i++ {
+					copy(dst0[i*n:(i+1)*n], row)
+				}
+				c.edit(x, dst0)
+				want := c.share
+				if m == 1 || want < 0 {
+					want = 0 // one row has nothing to share
+				}
+				label := fmt.Sprintf("shared prefix %s: m=%d kp=%d", c.name, m, kp)
+				if got := sharedPrefix(dst0, x, m, k, n); got != want {
+					t.Fatalf("%s: sharedPrefix = %d, want %d", label, got, want)
+				}
+				act := Act(rng.Intn(5))
+				fresh := func() []float64 {
+					dst := unaligned(make([]float64, m*n+1))
+					copy(dst, dst0)
+					return dst
+				}
+				ref := fresh()
+				Naive.DenseForward(ref, x, w, bias, m, k, n, act, 0.01)
+				for _, threads := range []int{1, 2, 3, 8} {
+					SetThreads(threads)
+					got := fresh()
+					Blocked.DenseForward(got, x, w, bias, m, k, n, act, 0.01)
+					sameBits(t, fmt.Sprintf("%s at %d threads", label, threads), got, ref)
+				}
+			}
+		}
+	}
 }
 
 // TestGemmAddAccumulates pins the += contract: products accumulate on

@@ -17,3 +17,7 @@ func adamAVX2(data, grad, m, v *float64, n int, b1, a1, b2, a2, lr, eps, c1, c2 
 func addAVX2(dst, a, b *float64, n int) {
 	panic("kernels: addAVX2 called in a build without it")
 }
+
+func reluAVX2(dst, a *float64, n int) {
+	panic("kernels: reluAVX2 called in a build without it")
+}

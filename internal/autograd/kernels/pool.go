@@ -3,6 +3,7 @@ package kernels
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // The buffer arena: float64 scratch slices recycled through sync.Pool
@@ -22,6 +23,10 @@ const (
 	maxPoolClass = 21
 )
 
+// pools[c] holds free buffers of 1<<c elements, each as a pointer to its
+// first element: a pointer fits in an interface without a heap-allocated
+// box, where a slice header would take one on every Put. The pointer
+// keeps the whole backing array alive.
 var pools [maxPoolClass + 1]sync.Pool
 
 // Get returns a zeroed []float64 of length n, recycled from the arena
@@ -35,7 +40,7 @@ func Get(n int) []float64 {
 		return make([]float64, n)
 	}
 	if v := pools[c].Get(); v != nil {
-		buf := (*v.(*[]float64))[:n]
+		buf := unsafe.Slice(v.(*float64), 1<<c)[:n]
 		clear(buf)
 		return buf
 	}
@@ -51,8 +56,7 @@ func Put(buf []float64) {
 	if c < minPoolClass || c > maxPoolClass || cap(buf) != 1<<c {
 		return
 	}
-	s := buf[:cap(buf)]
-	pools[c].Put(&s)
+	pools[c].Put(unsafe.SliceData(buf))
 }
 
 // sizeClass returns the smallest c with 1<<c >= n, floored at

@@ -30,8 +30,8 @@ type Tensor struct {
 	// Data holds Rows*Cols values in row-major order.
 	Data []float64
 	// Grad accumulates the gradient of the loss with respect to Data.
-	// It is nil until the tensor participates in a backward pass (or is
-	// a parameter created with Param, which always carries a Grad buffer).
+	// It is nil until a backward pass reaches the tensor (or it is a
+	// parameter created with Param, which always carries a Grad buffer).
 	Grad []float64
 
 	// rows, when non-nil, supplies the tensor's rows in place of Data
@@ -187,14 +187,16 @@ func needsGraph(inputs ...*Tensor) bool {
 
 // newResult builds the output tensor of an op, wiring graph edges when any
 // input participates in differentiation. Every op allocates data via
-// alloc, so the result is marked pooled for Release.
+// alloc, so the result is marked pooled for Release. Its Grad stays nil:
+// Backward allocates an interior node's Grad before the first consumer
+// accumulates into it, so a forward that is never differentiated — a
+// prediction, an evaluation — allocates and zeroes no gradient buffer.
 func newResult(rows, cols int, data []float64, bw func(), inputs ...*Tensor) *Tensor {
 	out := New(rows, cols, data)
 	out.pooled = true
 	if needsGraph(inputs...) {
 		out.parents = inputs
 		out.backward = bw
-		out.ensureGrad()
 	}
 	return out
 }

@@ -140,6 +140,57 @@ func TestConstantOpsBuildNoGraph(t *testing.T) {
 	}
 }
 
+// TestForwardAllocatesNoGrad: a forward over trainable parameters that is
+// never differentiated — a prediction — leaves every op result's Grad nil;
+// Backward then gives each one on the loss's path a Grad, and the
+// parameters their gradients.
+func TestForwardAllocatesNoGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	emb := ParamRand(10, 4, 0.5, rng)
+	w1, b1 := ParamXavier(8, 6, rng), ParamZeros(1, 6)
+	w2 := ParamXavier(6, 1, rng)
+	x := ConcatCols(Gather(emb, []int{1, 1, 1}), Gather(emb, []int{2, 5, 7}))
+	h := DenseAct(x, w1, b1, ActReLU, 0)
+	logits := MatMul(Sigmoid(h), w2)
+	loss := BCEWithLogits(logits, []float64{1, 0, 1})
+
+	var results []*Tensor
+	seen := map[*Tensor]bool{}
+	stack := []*Tensor{loss}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[n] {
+			continue
+		}
+		seen[n] = true
+		if n.pooled {
+			results = append(results, n)
+		}
+		stack = append(stack, n.parents...)
+	}
+	if len(results) != 7 {
+		t.Fatalf("walked %d op results, want 7", len(results))
+	}
+	for _, n := range results {
+		if n.Grad != nil {
+			t.Fatalf("op result %v carries a Grad buffer before any Backward", n)
+		}
+	}
+	loss.Backward()
+	for _, n := range results {
+		if len(n.Grad) != len(n.Data) {
+			t.Fatalf("op result %v: Grad of %d after Backward, want %d", n, len(n.Grad), len(n.Data))
+		}
+	}
+	for _, p := range []*Tensor{emb, w1, b1, w2} {
+		if Sum(Square(New(p.Rows, p.Cols, p.Grad))).Item() == 0 {
+			t.Fatalf("parameter %v got no gradient", p)
+		}
+	}
+	loss.Release()
+}
+
 func TestQuickCloneRoundTrip(t *testing.T) {
 	f := func(vals []float64) bool {
 		if len(vals) == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -247,6 +248,73 @@ func BenchmarkComposeSnapshot(b *testing.B) {
 			for d := 0; d < sn.numDomains(); d++ {
 				sn.comp(d)
 			}
+		}
+	})
+}
+
+// BenchmarkPredictRank is one ranking request, one user × 256 candidates
+// on rankState's tail-shaped state: "handler" through Handler() with
+// metrics, quality and tracing on, as mamdr-serve runs by default, the
+// request and recorder included; then the codec's share of it, each half
+// beside the encoding/json call it replaces — the body decoded
+// (decodePredict, json.Decoder) and the 256 scores encoded
+// (appendPredictResponse, json.Encoder). The benchmark harness's
+// serve.decode_us and serve.encode_us time encoding/json itself and do
+// not see the codec. Run with:
+//
+//	go test ./internal/serve -run '^$' -bench PredictRank -benchtime 2000x
+func BenchmarkPredictRank(b *testing.B) {
+	st, ds, factory := rankState(b)
+	h := observedHandler(st, ds, factory)
+	body := rankBody(b, 0, 7, 256)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+	var resp PredictResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Probabilities) != 256 {
+		b.Fatalf("predict = %d %v: %.80s", w.Code, err, w.Body)
+	}
+	b.Run("handler", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("predict = %d: %s", w.Code, w.Body)
+			}
+		}
+	})
+	s := &Server{}
+	decoders := map[string]func(w http.ResponseWriter, r *http.Request, req *PredictRequest) bool{
+		"decode/scan": s.decodePredict,
+		"decode/json": func(w http.ResponseWriter, r *http.Request, req *PredictRequest) bool { return s.decodeBody(w, r, req) },
+	}
+	for _, name := range []string{"decode/scan", "decode/json"} {
+		decode := decoders[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			r := httptest.NewRequest(http.MethodPost, "/predict", nil)
+			for i := 0; i < b.N; i++ {
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				var req PredictRequest
+				if !decode(w, r, &req) || len(req.Items) != 256 {
+					b.Fatal("decode failed")
+				}
+			}
+		})
+	}
+	b.Run("encode/append", func(b *testing.B) {
+		b.ReportAllocs()
+		var out []byte
+		for i := 0; i < b.N; i++ {
+			out, _ = appendPredictResponse(out[:0], resp)
+		}
+	})
+	b.Run("encode/json", func(b *testing.B) {
+		b.ReportAllocs()
+		var out bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			json.NewEncoder(&out).Encode(resp)
 		}
 	})
 }

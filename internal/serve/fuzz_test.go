@@ -39,29 +39,33 @@ func expectStatus(t *testing.T, w *httptest.ResponseRecorder, body []byte, ok ..
 	return false
 }
 
+// predictBodySeeds are FuzzPredictBody's seeds, and FuzzPredictDecode's
+// first ones.
+var predictBodySeeds = []string{
+	`{"domain":0,"users":[0,1,2],"items":[2,1,0]}`,
+	`{"domain":1,"users":[3],"items":[4]} trailing bytes`,
+	`{"domain":0,"users":[0],"items":[0],"extra":{"x":[1,2]}}`,
+	`{"domain":0,"users":[0,1],"items":[0]}`,
+	`{"domain":0,"users":[],"items":[]}`,
+	`{"domain":0,"users":null,"items":null}`,
+	`{"domain":-1,"users":[0],"items":[0]}`,
+	`{"domain":99,"users":[0],"items":[0]}`,
+	`{"domain":0,"users":[-1],"items":[0]}`,
+	`{"domain":0,"users":[0],"items":[1000000000]}`,
+	`{"domain":0,"users":[0],"items":[1e3]}`,
+	`{"domain":0.5,"users":[0],"items":[0]}`,
+	`{"domain":"0","users":[0],"items":[0]}`,
+	`{"domain":9223372036854775808,"users":[0],"items":[0]}`,
+	`[]`, `null`, `{`, ``,
+	`{"domain":0,"users":[` + strings.Repeat("0,", maxBodyBytes/2) + `0],"items":[0]}`,
+}
+
 // FuzzPredictBody: a 200 carries one probability per user-item pair of
 // the body as the handler decoded it, each strictly inside (0, 1).
 func FuzzPredictBody(f *testing.F) {
 	st, ds, _ := testState(f)
 	h := New(st, ds).Handler()
-	for _, body := range []string{
-		`{"domain":0,"users":[0,1,2],"items":[2,1,0]}`,
-		`{"domain":1,"users":[3],"items":[4]} trailing bytes`,
-		`{"domain":0,"users":[0],"items":[0],"extra":{"x":[1,2]}}`,
-		`{"domain":0,"users":[0,1],"items":[0]}`,
-		`{"domain":0,"users":[],"items":[]}`,
-		`{"domain":0,"users":null,"items":null}`,
-		`{"domain":-1,"users":[0],"items":[0]}`,
-		`{"domain":99,"users":[0],"items":[0]}`,
-		`{"domain":0,"users":[-1],"items":[0]}`,
-		`{"domain":0,"users":[0],"items":[1000000000]}`,
-		`{"domain":0,"users":[0],"items":[1e3]}`,
-		`{"domain":0.5,"users":[0],"items":[0]}`,
-		`{"domain":"0","users":[0],"items":[0]}`,
-		`{"domain":9223372036854775808,"users":[0],"items":[0]}`,
-		`[]`, `null`, `{`, ``,
-		`{"domain":0,"users":[` + strings.Repeat("0,", maxBodyBytes/2) + `0],"items":[0]}`,
-	} {
+	for _, body := range predictBodySeeds {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

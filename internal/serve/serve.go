@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -525,7 +526,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PredictRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodePredict(w, r, &req) {
 		return
 	}
 	if len(req.Users) != len(req.Items) {
@@ -598,7 +599,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// The gate compares arms on the dense score signal; with no
 	// canary in flight this is a no-op.
 	s.gate().ObserveScores(job.arm.version, job.probs)
-	s.writeJSON(w, r, resp)
+	s.writePredict(w, r, resp)
 	s.metrics.latencyFor(domain).Observe(time.Since(start).Seconds())
 }
 
@@ -749,7 +750,13 @@ const maxBodyBytes = 1 << 20
 // decodeBody decodes r's JSON body, read up to maxBodyBytes, into v. On
 // failure it has answered 413 (body too large) or 400 and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	return s.decodeFrom(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeFrom is decodeBody on a body already limited by
+// http.MaxBytesReader.
+func (s *Server) decodeFrom(w http.ResponseWriter, body io.Reader, v any) bool {
+	err := json.NewDecoder(body).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
@@ -774,8 +781,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	s.writeBody(w, r, buf.Bytes())
+}
+
+// writeBody writes an encoded JSON body with its Content-Type.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.metrics.writeFailure()
 		if sw, ok := w.(*statusWriter); ok {
 			if sw.writeFailLogged {

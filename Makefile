@@ -67,9 +67,11 @@ smoke-chaos:
 
 # A 2-worker run against a 3-shard
 # partitioned PS cluster with injected per-shard faults must print
-# exactly the same per-domain AUC table as the 1-shard run (the
-# partition plan is a pure function of the layout and seed; SyncPush
-# fixes the delta-apply order), the injected faults must be counted,
+# exactly the same per-domain AUC table and the same `PS traffic:` line
+# as the 1-shard in-process run (the partition plan is a pure function
+# of the layout and seed; SyncPush fixes the delta-apply order; each
+# call is counted once, by the router it went through, however often
+# it was retried), the injected faults must be counted,
 # and the trace must carry the scatter-gather spans. Amazon-6 is the
 # preset with learned embeddings, so row traffic crosses the shards.
 # The faulted run's -save file is what serving loads: mamdr-serve
@@ -80,7 +82,7 @@ smoke-chaos:
 smoke-cluster:
 	$(GO) run ./cmd/mamdr-train -preset amazon-6 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 \
-		| grep -v '^trained in\|^training ' > /tmp/cluster-1shard.txt
+		2>/tmp/cluster-1shard.log | grep -v '^trained in\|^training ' > /tmp/cluster-1shard.txt
 	rm -f /tmp/cluster.trace.jsonl*
 	$(GO) run ./cmd/mamdr-train -preset amazon-6 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 -ps-shards 3 \
@@ -88,6 +90,8 @@ smoke-cluster:
 		-trace /tmp/cluster.trace.jsonl -save /tmp/cluster.ckpt \
 		2>/tmp/cluster-3shard.log | grep -v '^trained in\|^training ' > /tmp/cluster-3shard.txt
 	diff /tmp/cluster-1shard.txt /tmp/cluster-3shard.txt
+	for n in 1shard 3shard; do grep 'PS traffic:' /tmp/cluster-$$n.log > /tmp/cluster-$$n.traffic || exit 1; done
+	diff /tmp/cluster-1shard.traffic /tmp/cluster-3shard.traffic
 	grep -E '[1-9][0-9]* faults injected' /tmp/cluster-3shard.log
 	for span in cluster.pull_rows cluster.push_delta cluster.shard_call; do \
 		grep -q "\"name\":\"$$span\"" /tmp/cluster.trace.jsonl || { echo "trace has no $$span span"; exit 1; }; done

@@ -162,15 +162,18 @@ func BenchmarkClusterSync(b *testing.B) {
 
 	for _, shards := range []int{1, 4} {
 		plan := ps.NewPlan(layout, shards, 7)
-		local := cluster.NewLocal(params, plan, cluster.ShardOptions{}, cluster.Options{})
+		dep, err := cluster.Deploy(params, plan, cluster.ShardOptions{}, cluster.Options{}, cluster.Placement{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("shards=%d/imbalance=%.2f", shards, plan.Imbalance()), func(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				local.Router.PullDense(ctx)
-				local.Router.PullRows(ctx, 0, rows)
-				local.Router.PushDelta(ctx, ps.Delta{
+				dep.Router.PullDense(ctx)
+				dep.Router.PullRows(ctx, 0, rows)
+				dep.Router.PushDelta(ctx, ps.Delta{
 					WorkerID: 0, Seq: int64(i + 1),
 					Dense:     map[int][]float64{1: denseDelta},
 					Rows:      map[int][]int{0: rows},

@@ -22,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -58,7 +57,6 @@ func main() {
 
 		psWorkers = flag.Int("ps-workers", 0, "run distributed PS-Worker training with this many workers (0 = single process; -framework mamdr or dn)")
 		psShards  = flag.Int("ps-shards", 1, "partition the parameter server across this many in-process cluster shards for -ps-workers (with -ps-sync-push training is bit-identical across shard counts)")
-		psCache   = flag.Bool("ps-cache", true, "enable the PS-Worker embedding cache (§IV-E) for -ps-workers")
 		psFaults  = flag.String("ps-faults", "", `fault-injection schedule for -ps-workers chaos runs, e.g. "PushDelta:err@p0.05; PullRows:delay=10ms@*" (seeded per worker and shard from -seed)`)
 		psSync    = flag.Bool("ps-sync-push", false, "apply worker deltas serially per epoch for bit-reproducible distributed runs")
 
@@ -72,7 +70,7 @@ func main() {
 	flag.Parse()
 	cfg := runConfig()
 	kernels.SetThreads(*kernelThreads)
-	psUseDR, err := checkFlags(cfg, *fw, *savePath != "", *psWorkers, *psCache, *psSync)
+	psUseDR, err := checkFlags(cfg, *fw, *savePath != "", *psWorkers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -147,10 +145,10 @@ func main() {
 		pred            framework.Predictor
 	)
 	if *psWorkers > 0 {
-		fmt.Printf("training %s with distributed %s (%d workers, %d shards, cache=%v) for %d epochs...\n",
-			cfg.Spec.Model, *fw, *psWorkers, *psShards, *psCache, cfg.Epochs)
+		fmt.Printf("training %s with distributed %s (%d workers, %d shards) for %d epochs...\n",
+			cfg.Spec.Model, *fw, *psWorkers, *psShards, cfg.Epochs)
 		opts := ps.Options{
-			Workers: *psWorkers, Shards: *psShards, CacheEnabled: *psCache,
+			Workers: *psWorkers, Shards: *psShards, CacheEnabled: true,
 			Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, InnerLR: cfg.LR, OuterLR: cfg.OuterLR,
 			UseDR: psUseDR, SampleK: cfg.SampleK, DRLR: cfg.DRLR, Seed: cfg.Seed,
 			SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
@@ -160,9 +158,7 @@ func main() {
 			opts.CheckpointEvery, opts.Resume = cfg.CheckpointEvery, cfg.Resume
 		}
 		err = framework.CatchResume(func() {
-			valAUC, testAUC, pred = trainDistributed(ds, cfg, opts, deployOpts{
-				replicas: *replicas, faults: *psFaults, addrs: *psAddrs,
-			}, reg)
+			valAUC, testAUC, pred = trainDistributed(ds, cfg, opts, *replicas, *psFaults, *psAddrs, reg)
 		})
 	} else {
 		fmt.Printf("training %s with %s for %d epochs...\n", cfg.Spec.Model, *fw, cfg.Epochs)
@@ -262,9 +258,8 @@ func trainingFlags() func() framework.Config {
 // together: -resume without -checkpoint-dir; -save of a fit that is no
 // *core.State (a core.MAMDR framework); a -ps-workers fit of anything
 // but mamdr (DN then DR) or dn (DN alone), the PS trainer's only two,
-// and whose DR it reports; -ps-sync-push without -ps-cache, whose
-// protocol deferred pushes ride.
-func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int, cache, syncPush bool) (useDR bool, err error) {
+// and whose DR it reports.
+func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int) (useDR bool, err error) {
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return false, errors.New("-resume needs -checkpoint-dir: there is no checkpoint to resume from")
 	}
@@ -276,9 +271,6 @@ func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int, cache
 	if psWorkers == 0 {
 		return false, nil
 	}
-	if syncPush && !cache {
-		return false, errors.New("-ps-sync-push requires -ps-cache")
-	}
 	switch fw {
 	case "mamdr":
 		return true, nil
@@ -286,14 +278,6 @@ func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int, cache
 		return false, nil
 	}
 	return false, fmt.Errorf("-framework %q: -ps-workers trains mamdr or dn", fw)
-}
-
-// deployOpts is how a distributed run is deployed; what it trains is
-// its framework.Spec and its ps.Options.
-type deployOpts struct {
-	replicas int
-	faults   string // faultinject schedule applied to every worker's store
-	addrs    string // remote shard addresses (cluster mode over sockets)
 }
 
 // serveCluster hosts the parameter-server shards of cfg.Spec's model on
@@ -338,11 +322,68 @@ func serveCluster(ds *mamdr.Dataset, cfg framework.Config, addrSpec string, trac
 // trainDistributed runs the PS-Worker trainer (the paper's industrial
 // deployment shape) on cfg.Spec with full telemetry: PS traffic, cache
 // hit ratio, row staleness, cfg.Telemetry from every worker, and
-// cfg.Tracer's traces. The state it returns carries cfg.Spec.
-func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, o deployOpts, reg *telemetry.Registry) (val, test []float64, st *core.State) {
+// cfg.Tracer's traces. The flags place its cluster.Deploy: in-process
+// shards (-ps-shards, one by default, each with -shard-replicas
+// replicas), the servers at addrs (-ps-addrs), or under faults
+// (-ps-faults) in-process shards lifted onto loopback, where every
+// worker's per-shard clients carry a seeded fault injector. The plan is
+// a pure function of (layout, shards, seed), so with -ps-sync-push the
+// run is bit-identical across shard counts and placements. The state it
+// returns carries cfg.Spec.
+func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, replicas int, faults, addrs string, reg *telemetry.Registry) (val, test []float64, st *core.State) {
 	opts.Metrics, opts.Telemetry, opts.Tracer = ps.NewMetrics(reg), cfg.Telemetry, cfg.Tracer
-	res := trainCluster(ds, cfg.Spec, o, opts, reg)
+	replica := func() models.Model { return specModel(ds, cfg.Spec) }
+	serving := replica()
+	at := cluster.Placement{Addrs: cluster.ParseAddrs(addrs), Loopback: faults != ""}
+	if at.Addrs != nil {
+		opts.Shards = len(at.Addrs)
+	}
+	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), opts.Shards, opts.Seed)
+	log.Printf("cluster: %s", plan.String())
+	if at.Addrs == nil && opts.Resume {
+		if err := refuseLegacyCheckpoint(opts.CheckpointPath, plan.NumShards); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	// Every dialled client gets a seeded backoff; under -ps-faults each
+	// worker's clients (not the base router's) also get an injector.
+	var injectors []*faultinject.Injector
+	at.Client = func(worker, sh, rep int, cl *ps.Client) {
+		seed := opts.Seed + int64(worker*100+sh*10+rep)
+		cl.SetBackoff(ps.Backoff{Seed: seed})
+		cl.SetMetrics(opts.Metrics)
+		cl.SetTracer(opts.Tracer)
+		if faults != "" && worker >= 0 {
+			inj := faultinject.MustParse(faults, seed)
+			inj.BindMetrics(reg)
+			cl.SetInjector(inj)
+			injectors = append(injectors, inj)
+		}
+	}
+	dep, err := cluster.Deploy(serving.Parameters(), plan, cluster.ShardOptions{
+		Replicas: replicas, OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR,
+		CheckpointPath: opts.CheckpointPath, Spec: cfg.Spec, Tracer: opts.Tracer, Metrics: opts.Metrics,
+	}, cluster.Options{Metrics: cluster.NewMetrics(reg), Tracer: opts.Tracer}, at)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer dep.Close()
+	if at.Addrs == nil && at.Loopback {
+		log.Printf("chaos: %d shard servers on loopback, fault schedule %q", plan.NumShards, faults)
+	}
+	opts.WrapStore = dep.WorkerStore
+	res := ps.TrainWithStore(replica, serving, dep.Router, dep, ds, opts)
 	res.State.Spec = cfg.Spec
+	if faults != "" {
+		var injected int64
+		for _, inj := range injectors {
+			for _, n := range inj.Counts() {
+				injected += n
+			}
+		}
+		log.Printf("chaos: %d faults injected", injected)
+	}
 	c := res.Counters
 	log.Printf("PS traffic: %d dense pulls, %d dense pushes, %d row pulls, %d row pushes, %d floats moved",
 		c.DensePulls, c.DensePushes, c.RowPulls, c.RowPushes, c.FloatsMoved)
@@ -353,130 +394,6 @@ func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, 
 		log.Printf("supervision: %d worker death(s); domains redistributed to survivors", res.WorkerDeaths)
 	}
 	return framework.EvaluateAUC(res.State, ds, data.Val), framework.EvaluateAUC(res.State, ds, data.Test), res.State
-}
-
-// trainCluster runs the distributed trainer against a partitioned
-// parameter-server cluster: N shards each owning a deterministic slice
-// of the parameter space, fronted by a scatter-gather router. It is the
-// only distributed launch; three deployments share it:
-//
-//   - in-process shards (-ps-shards N, one by default): everything in
-//     this binary;
-//   - remote shards (-ps-addrs): each worker dials every shard server;
-//   - chaos (-ps-faults with either, at any shard count — one included,
-//     the CI chaos smoke): in-process shards are lifted onto
-//     loopback sockets and every worker's per-shard clients carry a
-//     seeded fault injector, so faults hit each shard independently.
-//
-// The partition plan is a pure function of (layout, shards, seed), so
-// with -ps-sync-push the run is bit-identical across shard counts.
-func trainCluster(ds *mamdr.Dataset, spec framework.Spec, o deployOpts, opts ps.Options, reg *telemetry.Registry) *ps.Result {
-	replica := func() models.Model { return specModel(ds, spec) }
-	serving, tracer := replica(), opts.Tracer
-	tables := models.EmbeddingTablesOf(serving)
-
-	shards := opts.Shards
-	var groups [][]string
-	if o.addrs != "" {
-		groups = cluster.ParseAddrs(o.addrs)
-		shards = len(groups)
-	}
-	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), shards, opts.Seed)
-	log.Printf("cluster: %s", plan.String())
-	ro := cluster.Options{Metrics: cluster.NewMetrics(reg), Tracer: tracer}
-	// The shard servers of the two in-process deployments.
-	so := cluster.ShardOptions{
-		Replicas: o.replicas, OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR,
-		CheckpointPath: opts.CheckpointPath, Spec: spec, Tracer: tracer, Metrics: opts.Metrics,
-	}
-	if groups == nil && opts.Resume {
-		if err := refuseLegacyCheckpoint(opts.CheckpointPath, plan.NumShards); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	var injectors []*faultinject.Injector
-	clientCfg := func(workerID int) func(sh, rep int, cl *ps.Client) {
-		return func(sh, rep int, cl *ps.Client) {
-			seed := opts.Seed + int64(workerID*100+sh*10+rep)
-			cl.SetBackoff(ps.Backoff{Seed: seed})
-			cl.SetMetrics(opts.Metrics)
-			cl.SetTracer(tracer)
-			if o.faults != "" && workerID >= 0 {
-				inj := faultinject.MustParse(o.faults, seed)
-				inj.BindMetrics(reg)
-				cl.SetInjector(inj)
-				injectors = append(injectors, inj)
-			}
-		}
-	}
-
-	if groups == nil && o.faults == "" {
-		// Fully in-process: workers share one router over the shard
-		// servers, no sockets involved.
-		local := cluster.NewLocal(serving.Parameters(), plan, so, ro)
-		return ps.TrainWithStore(replica, serving, local.Router, local.Router, ds, opts)
-	}
-
-	if groups == nil {
-		// Chaos over a cluster: lift the in-process shards onto loopback
-		// sockets so the injected faults exercise the real per-shard
-		// RPC retry/idempotency path.
-		servers := cluster.Shards(serving.Parameters(), plan, so)
-		addrs, closeAll, err := cluster.ServeTCP(servers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer closeAll()
-		groups = addrs
-		log.Printf("chaos: %d shard servers on loopback, fault schedule %q", shards, o.faults)
-	}
-
-	// The base router (no injector) serves snapshots and checkpoints;
-	// each worker dials its own per-shard clients so faults and retries
-	// are independent per (worker, shard). The logical traffic counters
-	// therefore live on the workers' routers, not base — sum them all
-	// so the reported numbers match an in-process run's.
-	base, err := cluster.Dial(plan, groups, clientCfg(-1), ro)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var mu sync.Mutex
-	routers := []*cluster.Router{base}
-	opts.WrapStore = func(workerID int, _ ps.Store) ps.Store {
-		r, err := cluster.Dial(plan, groups, clientCfg(workerID), cluster.Options{Metrics: ro.Metrics, Tracer: tracer})
-		if err != nil {
-			log.Fatal(err)
-		}
-		mu.Lock()
-		routers = append(routers, r)
-		mu.Unlock()
-		return r
-	}
-	res := ps.TrainWithStore(replica, serving, base, counterFunc(func() ps.Counters {
-		mu.Lock()
-		defer mu.Unlock()
-		var sum ps.Counters
-		for _, r := range routers {
-			c := r.Counters()
-			sum.DensePulls += c.DensePulls
-			sum.DensePushes += c.DensePushes
-			sum.RowPulls += c.RowPulls
-			sum.RowPushes += c.RowPushes
-			sum.FloatsMoved += c.FloatsMoved
-		}
-		return sum
-	}), ds, opts)
-	if o.faults != "" {
-		var injected int64
-		for _, inj := range injectors {
-			for _, n := range inj.Counts() {
-				injected += n
-			}
-		}
-		log.Printf("chaos: %d faults injected", injected)
-	}
-	return res
 }
 
 // specModel builds the model spec names over ds, or exits.
@@ -504,9 +421,3 @@ func refuseLegacyCheckpoint(base string, shards int) error {
 	return fmt.Errorf("-resume: %s is a single-server checkpoint and %s does not exist: this trainer resumes from per-shard files only (retrain, or drop -resume to start over)",
 		base, ps.ShardCheckpointPath(base, 0, shards))
 }
-
-// counterFunc adapts a closure to the Counters source TrainWithStore
-// reads the final traffic tallies from.
-type counterFunc func() ps.Counters
-
-func (f counterFunc) Counters() ps.Counters { return f() }

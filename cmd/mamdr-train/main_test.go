@@ -55,28 +55,22 @@ func TestResumeRefusesSingleServerCheckpoint(t *testing.T) {
 }
 
 // TestPSFrameworkFlags: a -ps-workers fit runs the framework -framework
-// names — mamdr with its DR phase, dn without — and any other framework,
-// or -ps-sync-push without the cache it needs, is refused before
-// training starts.
+// names — mamdr with its DR phase, dn without — and any other framework
+// is refused before training starts.
 func TestPSFrameworkFlags(t *testing.T) {
 	for _, tc := range []struct {
-		framework       string
-		cache, syncPush bool
-		useDR, ok       bool
+		framework string
+		useDR, ok bool
 	}{
-		{"mamdr", true, false, true, true},
-		{"mamdr", true, true, true, true},
-		{"mamdr", false, false, true, true},
-		{"dn", true, true, false, true},
-		{"dr", true, false, false, false},
-		{"alternate", true, false, false, false},
-		{"mamdr", false, true, false, false},
-		{"dn", false, true, false, false},
+		{"mamdr", true, true},
+		{"dn", false, true},
+		{"dr", false, false},
+		{"alternate", false, false},
 	} {
-		useDR, err := checkFlags(framework.Config{}, tc.framework, false, 2, tc.cache, tc.syncPush)
+		useDR, err := checkFlags(framework.Config{}, tc.framework, false, 2)
 		if (err == nil) != tc.ok || (tc.ok && useDR != tc.useDR) {
-			t.Errorf("checkFlags(%q, cache=%v, sync=%v) = (%v, %v), want useDR=%v ok=%v",
-				tc.framework, tc.cache, tc.syncPush, useDR, err, tc.useDR, tc.ok)
+			t.Errorf("checkFlags(%q) = (%v, %v), want useDR=%v ok=%v",
+				tc.framework, useDR, err, tc.useDR, tc.ok)
 		}
 	}
 }
@@ -101,11 +95,11 @@ func TestSaveFrameworkFlags(t *testing.T) {
 		{"maml", 0, false},
 		{"nosuch", 0, false},
 	} {
-		_, err := checkFlags(framework.Config{}, tc.framework, true, tc.psWorkers, true, false)
+		_, err := checkFlags(framework.Config{}, tc.framework, true, tc.psWorkers)
 		if (err == nil) != tc.ok {
 			t.Errorf("checkFlags(%q, save, workers=%d) = %v, want ok=%v", tc.framework, tc.psWorkers, err, tc.ok)
 		}
-		if _, err := checkFlags(framework.Config{}, tc.framework, false, 0, true, false); err != nil {
+		if _, err := checkFlags(framework.Config{}, tc.framework, false, 0); err != nil {
 			t.Errorf("checkFlags(%q) without -save or -ps-workers = %v, want nil", tc.framework, err)
 		}
 	}
@@ -116,11 +110,11 @@ func TestSaveFrameworkFlags(t *testing.T) {
 // instead of training from scratch under a flag that promised a resume.
 func TestResumeNeedsCheckpointDir(t *testing.T) {
 	for _, psWorkers := range []int{0, 2} {
-		_, err := checkFlags(framework.Config{Resume: true}, "mamdr", false, psWorkers, true, false)
+		_, err := checkFlags(framework.Config{Resume: true}, "mamdr", false, psWorkers)
 		if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 			t.Errorf("-resume without -checkpoint-dir, %d PS workers: err = %v, want one naming -checkpoint-dir", psWorkers, err)
 		}
-		if _, err := checkFlags(framework.Config{Resume: true, CheckpointDir: t.TempDir()}, "mamdr", false, psWorkers, true, false); err != nil {
+		if _, err := checkFlags(framework.Config{Resume: true, CheckpointDir: t.TempDir()}, "mamdr", false, psWorkers); err != nil {
 			t.Errorf("-resume with -checkpoint-dir, %d PS workers: %v", psWorkers, err)
 		}
 	}

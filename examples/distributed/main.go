@@ -45,18 +45,14 @@ func main() {
 	// cache on/off comparison starts from identical state.
 	plan := ps.NewPlan(layout, *shards, 7)
 	run := func(cache bool) (float64, ps.Counters) {
-		servers := cluster.Shards(replica().Parameters(), plan, cluster.ShardOptions{OuterOpt: "sgd", OuterLR: 0.5})
-		addrs, closeAll, err := cluster.ServeTCP(servers)
+		dep, err := cluster.Deploy(replica().Parameters(), plan, cluster.ShardOptions{OuterOpt: "sgd", OuterLR: 0.5},
+			cluster.Options{}, cluster.Placement{Loopback: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer closeAll()
-		router, err := cluster.Dial(plan, addrs, nil, cluster.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
+		defer dep.Close()
 		opts := ps.Options{Workers: *workers, Epochs: *epochs, Seed: 9, CacheEnabled: cache, UseDR: true}
-		res := ps.TrainWithStore(replica, replica(), router, router, ds, opts)
+		res := ps.TrainWithStore(replica, replica(), dep.Router, dep, ds, opts)
 		return framework.MeanAUC(res.State, ds, data.Test), res.Counters
 	}
 

@@ -134,6 +134,25 @@ func TestShardLossWithoutReplicaFailsLoudly(t *testing.T) {
 	router.PullRows(context.Background(), 0, rows)
 }
 
+// chaosClients is the Placement.Client of the loopback chaos tests:
+// every worker's client of every shard gets its own seeded injector
+// (failed pushes and dense pulls, delayed row pulls, two dropped
+// connections) and a retry budget that outlasts it, appended to
+// *injectors; the base router's clients run clean.
+func chaosClients(injectors *[]*faultinject.Injector) func(workerID, sh, rep int, cl *ps.Client) {
+	return func(workerID, sh, rep int, cl *ps.Client) {
+		if workerID < 0 {
+			return
+		}
+		seed := int64(workerID*10 + sh)
+		cl.SetBackoff(ps.Backoff{Attempts: 30, Base: time.Millisecond, Max: 4 * time.Millisecond, Seed: seed})
+		inj := faultinject.MustParse(
+			"PushDelta:err@p0.1; PullDense:err@p0.1; PullRows:delay=1ms@p0.05; conn:drop@4,9", seed)
+		cl.SetInjector(inj)
+		*injectors = append(*injectors, inj)
+	}
+}
+
 // TestClusterChaosOverRPCBitIdentical is the sharded analogue of the ps
 // package's headline chaos test: a 2-worker run against a 3-shard
 // cluster over real sockets, each worker dialing every shard through
@@ -149,35 +168,19 @@ func TestClusterChaosOverRPCBitIdentical(t *testing.T) {
 	serving := factory()
 	tables := models.EmbeddingTablesOf(serving)
 	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), 3, 7)
-	servers := Shards(serving.Parameters(), plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1})
-	addrs, closeAll, err := ServeTCP(servers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeAll()
-
-	base, err := Dial(plan, addrs, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var injectors []*faultinject.Injector
-	opts := deterministicOptions()
-	opts.WrapStore = func(workerID int, _ ps.Store) ps.Store {
-		r, err := Dial(plan, addrs, func(sh, rep int, cl *ps.Client) {
-			seed := int64(workerID*10 + sh)
-			cl.SetBackoff(ps.Backoff{Attempts: 30, Base: time.Millisecond, Max: 4 * time.Millisecond, Seed: seed})
-			inj := faultinject.MustParse(
-				"PushDelta:err@p0.1; PullDense:err@p0.1; PullRows:delay=1ms@p0.05; conn:drop@4,9", seed)
-			cl.SetInjector(inj)
-			injectors = append(injectors, inj)
-		}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	dep, err := Deploy(serving.Parameters(), plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1}, Options{}, Placement{
+		Loopback: true,
+		Client:   chaosClients(&injectors),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	faulty := ps.TrainWithStore(factory, serving, base, base, ds, opts)
+	defer dep.Close()
+
+	opts := deterministicOptions()
+	opts.WrapStore = dep.WorkerStore
+	faulty := ps.TrainWithStore(factory, serving, dep.Router, dep, ds, opts)
 
 	var injected int64
 	for _, inj := range injectors {

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/framework"
-	"mamdr/internal/paramvec"
 	"mamdr/internal/ps"
 	"mamdr/internal/trace"
 )
@@ -23,7 +23,7 @@ type ShardOptions struct {
 	OuterOpt string
 	OuterLR  float64
 	// CheckpointPath, when set, is the cluster's base checkpoint path;
-	// shard sh replica r persists to ShardCheckpointPath(base, sh, N)
+	// shard sh replica r persists to ps.ShardCheckpointPath(base, sh, N)
 	// (plus a ".r<r>" suffix for backup replicas).
 	CheckpointPath string
 	// Spec is the run the shards host: every shard file records it, and
@@ -38,18 +38,6 @@ type ShardOptions struct {
 	Metrics *ps.Metrics
 }
 
-// ReplicaCheckpointPath derives the checkpoint path of replica rep of
-// shard sh: the primary uses the plain per-shard path, backups append a
-// replica suffix so a replicated cluster on one filesystem never has
-// two servers clobbering the same file.
-func ReplicaCheckpointPath(base string, sh, of, rep int) string {
-	p := ps.ShardCheckpointPath(base, sh, of)
-	if rep > 0 {
-		p = fmt.Sprintf("%s.r%d", p, rep)
-	}
-	return p
-}
-
 // Shards builds the cluster's shard servers: for each of the plan's
 // partitions, Replicas identical ps.Servers seeded with that partition's
 // slice of params. Because every replica starts from the same slice and
@@ -62,7 +50,13 @@ func Shards(params []*autograd.Tensor, plan ps.Plan, o ShardOptions) [][]*ps.Ser
 		for rep := 0; rep < max(o.Replicas, 1); rep++ {
 			srv := ps.NewServer(plan.ShardParams(params, sh), tables, o.OuterOpt, o.OuterLR)
 			if o.CheckpointPath != "" {
-				srv.SetCheckpoint(ReplicaCheckpointPath(o.CheckpointPath, sh, plan.NumShards, rep), o.Spec)
+				// Backups get a suffix, so replicas on one filesystem
+				// never clobber each other's file.
+				p := ps.ShardCheckpointPath(o.CheckpointPath, sh, plan.NumShards)
+				if rep > 0 {
+					p = fmt.Sprintf("%s.r%d", p, rep)
+				}
+				srv.SetCheckpoint(p, o.Spec)
 			}
 			srv.SetTracer(o.Tracer)
 			srv.SetMetrics(o.Metrics)
@@ -72,38 +66,136 @@ func Shards(params []*autograd.Tensor, plan ps.Plan, o ShardOptions) [][]*ps.Ser
 	return out
 }
 
-// Local is a fully in-process sharded deployment: the plan, the shard
-// servers, and a router over them. It is what tests, benchmarks, and
-// single-binary training runs use.
-type Local struct {
+// Placement says where a Deployment's shard servers run: in this
+// process behind one shared router (the zero value), on loopback TCP
+// listeners (Loopback), or already serving at Addrs (ParseAddrs'
+// grouping, in the same replica order everywhere; the plan must have
+// len(Addrs) shards).
+type Placement struct {
+	Addrs    [][]string
+	Loopback bool // ignored with Addrs
+	// Client, when non-nil, configures each ps.Client the deployment
+	// dials before its first call (backoff, injector, metrics, tracer);
+	// worker is the WorkerStore id, or -1 for the base router's clients.
+	Client func(worker, sh, rep int, cl *ps.Client)
+}
+
+// Deployment is one shard cluster and every router fronting it. Servers
+// are the shard servers this process hosts (nil when dialled at Addrs).
+// Router is the base router: snapshots and checkpoints go through it,
+// and in process every worker shares it.
+type Deployment struct {
 	Plan    ps.Plan
 	Servers [][]*ps.Server
 	Router  *Router
+
+	addrs     [][]string // nil in process
+	client    func(worker, sh, rep int, cl *ps.Client)
+	opts      Options
+	listeners func() // closes the loopback listeners; nil without them
+
+	mu      sync.Mutex
+	routers []*Router // Router, then each worker's
 }
 
-// NewLocal partitions params per the plan, builds the shard servers,
-// and fronts them with a router.
-func NewLocal(params []*autograd.Tensor, plan ps.Plan, so ShardOptions, ro Options) *Local {
-	servers := Shards(params, plan, so)
-	stores := make([][]ps.Store, len(servers))
-	for sh, reps := range servers {
-		for _, srv := range reps {
-			stores[sh] = append(stores[sh], srv)
+// Deploy partitions params per the plan and builds the cluster at the
+// placement: shard servers (unless dialled), then the base router.
+func Deploy(params []*autograd.Tensor, plan ps.Plan, so ShardOptions, ro Options, at Placement) (*Deployment, error) {
+	d := &Deployment{Plan: plan, addrs: at.Addrs, client: at.Client, opts: ro}
+	var err error
+	if d.addrs == nil {
+		d.Servers = Shards(params, plan, so)
+		if !at.Loopback {
+			stores := make([][]ps.Store, len(d.Servers))
+			for sh, reps := range d.Servers {
+				for _, srv := range reps {
+					stores[sh] = append(stores[sh], srv)
+				}
+			}
+			if d.Router, err = New(plan, stores, ro); err != nil {
+				return nil, err
+			}
+			d.routers = []*Router{d.Router}
+			return d, nil
+		}
+		if d.addrs, d.listeners, err = ServeTCP(d.Servers); err != nil {
+			return nil, err
 		}
 	}
-	router, err := New(plan, stores, ro)
-	if err != nil {
-		// The endpoints were just built from the same plan; a mismatch
-		// here is a bug, not an environmental failure.
-		panic(err)
+	if d.Router, err = d.dial(-1); err != nil {
+		d.Close()
+		return nil, err
 	}
-	return &Local{Plan: plan, Servers: servers, Router: router}
+	return d, nil
 }
 
-// Snapshot reassembles the full parameter vector from the shards — the
-// cluster analogue of ps.Server.Snapshot, used to evaluate the trained
-// model.
-func (l *Local) Snapshot() paramvec.Vector { return l.Router.Snapshot() }
+// dial fronts the shards with a fresh router over its own ps.Clients.
+func (d *Deployment) dial(worker int) (*Router, error) {
+	var cfg func(sh, rep int, cl *ps.Client)
+	if d.client != nil {
+		cfg = func(sh, rep int, cl *ps.Client) { d.client(worker, sh, rep, cl) }
+	}
+	r, err := Dial(d.Plan, d.addrs, cfg, d.opts)
+	if err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	d.routers = append(d.routers, r)
+	d.mu.Unlock()
+	return r, nil
+}
+
+// WorkerStore is a ps.Options.WrapStore. Over sockets each worker dials
+// its own per-shard clients, so faults and retries are independent per
+// (worker, shard); in process every worker shares base. A failed dial
+// panics, as a ps.Store does on a lost server (WrapStore has no error).
+func (d *Deployment) WorkerStore(worker int, base ps.Store) ps.Store {
+	if d.addrs == nil {
+		return base
+	}
+	r, err := d.dial(worker)
+	if err != nil {
+		panic(fmt.Errorf("cluster: worker %d: %w", worker, err))
+	}
+	return r
+}
+
+// Counters sums the logical traffic of every router the deployment
+// built. A router counts only the calls made through it, and over
+// sockets the workers train through their own routers, so the sum is
+// what one shared in-process router counts.
+func (d *Deployment) Counters() ps.Counters {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var sum ps.Counters
+	for _, r := range d.routers {
+		c := r.Counters()
+		sum.DensePulls += c.DensePulls
+		sum.DensePushes += c.DensePushes
+		sum.RowPulls += c.RowPulls
+		sum.RowPushes += c.RowPushes
+		sum.FloatsMoved += c.FloatsMoved
+	}
+	return sum
+}
+
+// Close closes every router the deployment built (and with them every
+// ps.Client it dialled), then the loopback listeners. Closing twice is
+// harmless.
+func (d *Deployment) Close() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var first error
+	for _, r := range d.routers {
+		if err := r.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if d.listeners != nil {
+		d.listeners()
+	}
+	return first
+}
 
 // ServeTCP exposes every shard server on its own loopback TCP listener
 // and returns the per-shard replica addresses plus a close function

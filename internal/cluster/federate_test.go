@@ -37,29 +37,23 @@ func TestFederatedSnapshotEqualsPerProcessRegistries(t *testing.T) {
 	serving := factory()
 	tables := models.EmbeddingTablesOf(serving)
 	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), 3, 7)
-	servers := Shards(serving.Parameters(), plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1})
+	dep, err := Deploy(serving.Parameters(), plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1}, Options{}, Placement{Loopback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
 
-	// One registry per shard server — the per-process topology.
+	// One registry per shard server — the per-process topology —
+	// attached before any training traffic.
 	var regs []*telemetry.Registry
-	for _, reps := range servers {
+	for _, reps := range dep.Servers {
 		for _, srv := range reps {
 			reg := telemetry.New()
 			srv.SetMetrics(ps.NewMetrics(reg))
 			regs = append(regs, reg)
 		}
 	}
-
-	addrs, closeAll, err := ServeTCP(servers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeAll()
-
-	router, err := Dial(plan, addrs, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps.TrainWithStore(factory, serving, router, router, ds, deterministicOptions())
+	ps.TrainWithStore(factory, serving, dep.Router, dep.Router, ds, deterministicOptions())
 
 	// Scrape every shard's registry over HTTP, as mamdr-obs does.
 	var targets []obsv.Target
@@ -154,18 +148,13 @@ func TestTwoShardHostScrapedOnce(t *testing.T) {
 	serving := factory()
 	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), 2, 7)
 	reg := telemetry.New()
-	servers := Shards(serving.Parameters(), plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1, Metrics: ps.NewMetrics(reg)})
-	addrs, closeAll, err := ServeTCP(servers)
+	dep, err := Deploy(serving.Parameters(), plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1, Metrics: ps.NewMetrics(reg)},
+		Options{}, Placement{Loopback: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeAll()
-	router, err := Dial(plan, addrs, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	ps.TrainWithStore(factory, serving, router, router, ds, deterministicOptions())
+	defer dep.Close()
+	ps.TrainWithStore(factory, serving, dep.Router, dep.Router, ds, deterministicOptions())
 
 	snap, err := (obsv.Scraper{}).Scrape(snapshotHost(t, reg))
 	if err != nil {

@@ -125,9 +125,6 @@ func sameLayout(want, got ps.Layout) error {
 	return nil
 }
 
-// Plan returns the partition plan the router fans out over.
-func (r *Router) Plan() ps.Plan { return r.plan }
-
 // Layout implements ps.Store: workers see the global layout; the
 // partitioning is invisible to them.
 func (r *Router) Layout() ps.Layout { return r.plan.Layout }

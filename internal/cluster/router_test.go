@@ -65,14 +65,25 @@ func requireSameVector(t *testing.T, name string, a, b paramvec.Vector) {
 	}
 }
 
+// deployLocal builds the in-process deployment of params under plan the
+// tests drive.
+func deployLocal(t testing.TB, params []*autograd.Tensor, plan ps.Plan, so ShardOptions) *Deployment {
+	t.Helper()
+	dep, err := Deploy(params, plan, so, Options{}, Placement{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dep
+}
+
 // newLocalFor partitions a fresh serving model across shards and wires
 // the in-process cluster the tests train against.
-func newLocalFor(serving models.Model, shards, replicas int, so ShardOptions) *Local {
+func newLocalFor(t testing.TB, serving models.Model, shards, replicas int, so ShardOptions) *Deployment {
 	tables := models.EmbeddingTablesOf(serving)
 	layout := ps.LayoutOf(serving.Parameters(), tables)
 	plan := ps.NewPlan(layout, shards, 7)
 	so.Replicas = replicas
-	return NewLocal(serving.Parameters(), plan, so, Options{})
+	return deployLocal(t, serving.Parameters(), plan, so)
 }
 
 // TestClusterTrainingBitIdenticalAcrossShardCounts is the tentpole
@@ -89,7 +100,7 @@ func TestClusterTrainingBitIdenticalAcrossShardCounts(t *testing.T) {
 
 	run := func(shards int) *ps.Result {
 		serving := factory()
-		local := newLocalFor(serving, shards, 1, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1})
+		local := newLocalFor(t, serving, shards, 1, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1})
 		return ps.TrainWithStore(factory, serving, local.Router, local.Router, ds, deterministicOptions())
 	}
 	one := run(1)
@@ -124,7 +135,7 @@ func TestRouterMatchesSingleServerOps(t *testing.T) {
 	tables := map[int]int{0: 0, 2: 1}
 	single := ps.NewServer(params, tables, "adagrad", 0.5)
 	plan := ps.NewPlan(ps.LayoutOf(params, tables), 3, 7)
-	local := NewLocal(params, plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.5}, Options{})
+	local := deployLocal(t, params, plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.5})
 
 	ctx := context.Background()
 	rows0 := []int{5, 199, 0, 42, 7, 5} // duplicates and out-of-order on purpose
@@ -156,7 +167,7 @@ func TestRouterMatchesSingleServerOps(t *testing.T) {
 	}
 
 	// The reassembled snapshot matches the single server's too.
-	requireSameVector(t, "snapshot", single.Snapshot(), local.Snapshot())
+	requireSameVector(t, "snapshot", single.Snapshot(), local.Router.Snapshot())
 }
 
 func compareDense(t *testing.T, want, got map[int][]float64) {
@@ -239,7 +250,7 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "cluster.ckpt")
 	so := ShardOptions{OuterOpt: "adagrad", OuterLR: 0.5, CheckpointPath: base}
 
-	local := NewLocal(params, plan, so, Options{})
+	local := deployLocal(t, params, plan, so)
 	if epoch, err := local.Router.LoadCheckpoint(); err != nil || epoch != -1 {
 		t.Fatalf("fresh cluster LoadCheckpoint = (%d, %v), want (-1, nil)", epoch, err)
 	}
@@ -252,24 +263,24 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 		Rows:      map[int][]int{0: {3, 77, 119}},
 		RowDeltas: map[int][][]float64{0: {{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}},
 	})
-	want := local.Snapshot()
+	want := local.Router.Snapshot()
 	if err := local.Router.SaveCheckpoint(2); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 
-	restored := NewLocal(params, plan, so, Options{})
+	restored := deployLocal(t, params, plan, so)
 	epoch, err := restored.Router.LoadCheckpoint()
 	if err != nil || epoch != 2 {
 		t.Fatalf("LoadCheckpoint = (%d, %v), want (2, nil)", epoch, err)
 	}
-	requireSameVector(t, "restored cluster", want, restored.Snapshot())
+	requireSameVector(t, "restored cluster", want, restored.Router.Snapshot())
 
 	// Tear the checkpoint: one shard re-saves at a later epoch. The
 	// cluster must refuse to restore from mixed epochs.
 	if err := restored.Servers[1][0].SaveCheckpoint(5); err != nil {
 		t.Fatal(err)
 	}
-	torn := NewLocal(params, plan, so, Options{})
+	torn := deployLocal(t, params, plan, so)
 	if _, err := torn.Router.LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), "torn") {
 		t.Fatalf("torn checkpoint not rejected: %v", err)
 	}
@@ -289,7 +300,7 @@ func TestResumeRefusesAnotherSpec(t *testing.T) {
 			return models.MustNew(spec.Model, models.Config{Dataset: ds, EmbDim: spec.EmbDim, Seed: spec.Seed})
 		}
 		serving := factory()
-		local := newLocalFor(serving, 2, 1, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1, CheckpointPath: base, Spec: spec})
+		local := newLocalFor(t, serving, 2, 1, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.1, CheckpointPath: base, Spec: spec})
 		opts := deterministicOptions()
 		opts.Epochs, opts.CheckpointEvery, opts.Resume = 1, 1, resume
 		return framework.CatchResume(func() { ps.TrainWithStore(factory, serving, local.Router, local.Router, ds, opts) })

@@ -107,10 +107,11 @@ smoke-cluster:
 
 # A resume continues the run it checkpointed, and only that run. On the
 # core path and on a 2-worker sync-push PS run, 2 epochs and a -resume
-# to 3 print the AUC table of an uninterrupted 3-epoch run. A -resume on
-# another dataset (Amazon-6's embedding tables change shape with it) or
-# another model exits 1 with one line naming the spec fields that
-# differ, never a goroutine trace.
+# to 3 print the AUC table of an uninterrupted 3-epoch run (the epoch
+# cap is the one spec field a resume may change). A -resume on another
+# dataset (Amazon-6's embedding tables change shape with it), another
+# model, another -lr or another -framework exits 1 with one line naming
+# the spec fields that differ, never a goroutine trace.
 smoke-resume:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train
 	set -e; for ps in "" "-ps-workers 2 -ps-sync-push"; do \
@@ -120,7 +121,8 @@ smoke-resume:
 		$$run -samples 3000 -seed 1 -epochs 2 -checkpoint-dir $$dir > /dev/null; \
 		$$run -samples 3000 -seed 1 -checkpoint-dir $$dir -resume | grep -v '^trained in' > $$dir-resumed.txt; \
 		diff $$dir-full.txt $$dir-resumed.txt; \
-		for other in "-samples 2400 -seed 9:Samples 2400.*Seed 9" "-samples 3000 -seed 1 -model wdl:Model \"wdl\""; do \
+		for other in "-samples 2400 -seed 9:Samples 2400.*Seed 9" "-samples 3000 -seed 1 -model wdl:Model \"wdl\"" \
+			"-samples 3000 -seed 1 -lr 0.05:LR 0.05 (checkpoint" "-samples 3000 -seed 1 -framework dn:Framework \"dn\" (checkpoint \"mamdr\")"; do \
 			status=0; $$run $${other%%:*} -checkpoint-dir $$dir -resume > /dev/null 2> $$dir-refused.log || status=$$?; \
 			if [ $$status -ne 1 ] || grep -q goroutine $$dir-refused.log || ! grep -q "$${other#*:}" $$dir-refused.log; then \
 				echo "resume $${other%%:*} $$ps: exit $$status"; cat $$dir-refused.log; exit 1; fi; \
@@ -182,7 +184,9 @@ smoke-obs:
 # the server rebuilds it from the path the checkpoint records. Matched traffic
 # (val+test replayed with true labels) must fire no alert; drifted
 # traffic (fixed items, inverted labels) must burn the quality SLOs and
-# flip /quality to no-go.
+# flip /quality to no-go. Once the data file holds another dataset of
+# the same shape (another seed), the server must refuse to boot from the
+# checkpoint, naming the digest it recorded.
 smoke-quality:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/mamdr-obs ./cmd/datagen
 	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 3000 -seed 11 -out /tmp/quality-ds.json
@@ -220,7 +224,12 @@ smoke-quality:
 		w=r['worst_by_psi'][0]; \
 		assert max(w['score_psi'], w['label_psi']) > 0.25, w; \
 		print('ok: drift fired', r['firing'], 'worst domain', w['domain'])"
-	@echo "ok: matched traffic quiet, drifted traffic fired the quality SLOs"
+	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 3000 -seed 12 -out /tmp/quality-ds.json
+	status=0; timeout 120 /tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/quality.ckpt -addr 127.0.0.1:8085 -access-log off \
+		>/tmp/quality-rewritten.log 2>&1 || status=$$?; \
+	if [ $$status -eq 0 ] || [ $$status -eq 124 ] || ! grep -q DataSHA256 /tmp/quality-rewritten.log; then \
+		cat /tmp/quality-rewritten.log; echo "mamdr-serve over a rewritten data file: exit $$status"; exit 1; fi
+	@echo "ok: matched traffic quiet, drifted traffic fired the quality SLOs, a rewritten data file refused"
 
 # The trainer's -save files are envelope v5 (vector block), so every
 # publish, rollback and 422 below goes through the v5 reader. One

@@ -60,9 +60,13 @@ func main() {
 	if err := data.SaveJSON(ds, *out); err != nil {
 		log.Fatal(err)
 	}
+	sum, err := data.FileSHA256(*out) // what a -data checkpoint records and mamdr-serve logs
+	if err != nil {
+		log.Fatal(err)
+	}
 	o := ds.Overall()
-	fmt.Printf("wrote %s: %d domains, %d users, %d items, %d/%d/%d train/val/test\n",
-		*out, o.NumDomains, o.NumUsers, o.NumItems, o.TrainSamples, o.ValSamples, o.TestSamples)
+	fmt.Printf("wrote %s: %d domains, %d users, %d items, %d/%d/%d train/val/test, sha256 %s\n",
+		*out, o.NumDomains, o.NumUsers, o.NumItems, o.TrainSamples, o.ValSamples, o.TestSamples, sum)
 }
 
 func presetNames(m map[string]synth.Config) []string {

@@ -32,7 +32,6 @@ import (
 	"mamdr/internal/autograd/kernels"
 	"mamdr/internal/core"
 	"mamdr/internal/faultinject"
-	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/obsv"
 	"mamdr/internal/quality"
@@ -84,10 +83,10 @@ func main() {
 		log.Fatal(err)
 	}
 	spec := ck.Spec
-	if spec == (framework.Spec{}) {
-		log.Fatalf("%s records no training spec (written before v4, or not by mamdr-train -save): re-save it with mamdr-train -save", *checkpoint)
+	if spec.DataSHA256 == "" {
+		log.Fatalf("%s records no dataset digest (written before checkpoints recorded one, or not by mamdr-train -save): re-save it with mamdr-train -save", *checkpoint)
 	}
-	ds, err := mamdr.SpecDataset(spec)
+	ds, err := mamdr.SpecDataset(&spec)
 	if err != nil {
 		log.Fatal(err)
 	}

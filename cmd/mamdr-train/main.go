@@ -75,9 +75,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ds, err := mamdr.SpecDataset(cfg.Spec)
+	ds, err := mamdr.SpecDataset(&cfg.Spec)
 	if err != nil {
 		log.Fatal(err)
+	}
+	opts := ps.Options{
+		Workers: *psWorkers, Shards: *psShards, CacheEnabled: true,
+		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, InnerLR: cfg.LR, OuterLR: cfg.OuterLR,
+		UseDR: psUseDR, SampleK: cfg.SampleK, DRLR: cfg.DRLR, Seed: cfg.Seed,
+		SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
+	}
+	if *psWorkers > 0 || *psServe != "" {
+		// A PS fit records its own hyperparameters: ps.Options' defaults.
+		cfg.Spec = opts.Config(cfg.Spec).RunSpec(*fw)
 	}
 	if *flipLabels {
 		// The drill model: structurally identical to an honest run, but
@@ -147,12 +157,6 @@ func main() {
 	if *psWorkers > 0 {
 		fmt.Printf("training %s with distributed %s (%d workers, %d shards) for %d epochs...\n",
 			cfg.Spec.Model, *fw, *psWorkers, *psShards, cfg.Epochs)
-		opts := ps.Options{
-			Workers: *psWorkers, Shards: *psShards, CacheEnabled: true,
-			Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, InnerLR: cfg.LR, OuterLR: cfg.OuterLR,
-			UseDR: psUseDR, SampleK: cfg.SampleK, DRLR: cfg.DRLR, Seed: cfg.Seed,
-			SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
-		}
 		if cfg.CheckpointDir != "" {
 			opts.CheckpointPath = filepath.Join(cfg.CheckpointDir, "ps.ckpt")
 			opts.CheckpointEvery, opts.Resume = cfg.CheckpointEvery, cfg.Resume
@@ -194,8 +198,8 @@ func main() {
 		if env, err := core.EnvelopeInfo(*savePath); err != nil {
 			log.Fatalf("-save: reading back envelope: %v", err)
 		} else {
-			log.Printf("saved state + quality baseline to %s (envelope v%d, crc %08x, %d payload bytes)",
-				*savePath, env.Version, env.CRC, env.PayloadBytes)
+			log.Printf("saved state + quality baseline to %s (envelope v%d, crc %08x, %d payload bytes), trained on dataset sha256 %s",
+				*savePath, env.Version, env.CRC, env.PayloadBytes, st.Spec.DataSHA256)
 		}
 	}
 

@@ -18,7 +18,7 @@ func main() {
 	// The spec names the dataset and the model a run trains on; every
 	// checkpoint of the run records it.
 	spec := mamdr.Spec{Preset: "taobao-10", Samples: 8000, Seed: 7, Model: "mlp", EmbDim: 8}
-	ds, err := mamdr.SpecDataset(spec)
+	ds, err := mamdr.SpecDataset(&spec)
 	if err != nil {
 		log.Fatal(err)
 	}

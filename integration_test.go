@@ -7,10 +7,12 @@ package mamdr
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mamdr/internal/core"
@@ -214,7 +216,7 @@ func TestDistributedFitServesFromItsCheckpoint(t *testing.T) {
 // with other scores (or "unknown user") while every shape still fits.
 func TestServeBootsFromCheckpointAlone(t *testing.T) {
 	spec := framework.Spec{Preset: "taobao-10", Samples: 3000, Seed: 11, Model: "mlp", EmbDim: 8}
-	ds, err := SpecDataset(spec)
+	ds, err := SpecDataset(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := SpecDataset(ck.Spec)
+	served, err := SpecDataset(&ck.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +280,67 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 				t.Fatalf("domain %d pair %d (user %d): served %v, the trainer predicts %v", d, i, ins[i].User, p, want[i])
 			}
 		}
+	}
+}
+
+// TestServeBootRefusesARewrittenDataFile: a -data checkpoint names its
+// dataset by path and by content. Once the file at DataPath holds
+// another dataset of the same shape (another seed), the checkpoint
+// still installs into a model built over it, so only the digest tells;
+// booting the way mamdr-serve does then fails in SpecDataset with an
+// error naming DataSHA256 and both digests. With the file restored, the
+// boot goes through.
+func TestServeBootRefusesARewrittenDataFile(t *testing.T) {
+	dir := t.TempDir()
+	path, ckpt := filepath.Join(dir, "ds.json"), filepath.Join(dir, "model.ckpt")
+	write := func(seed int64) {
+		if err := SaveDataset(specDataset(t, Spec{Preset: "amazon-6", Samples: 1500, Seed: seed}), path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	spec := Spec{DataPath: path, Seed: 1, Model: "mlp", EmbDim: 4}
+	ds, err := SpecDataset(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Train(ds, "dn", Config{Spec: spec, Epochs: 1, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Predictor.(*core.State).Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	write(2)
+	ck, _, err := core.ReadState(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := LoadDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := SpecModel(rewritten, ck.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&core.State{Model: m}).Install(ck, nil); err != nil {
+		t.Fatalf("the checkpoint does not fit a model over the rewritten file (%v): the test would not show the digest's worth", err)
+	}
+	now, err := data.FileSHA256(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	booted := ck.Spec
+	if _, err := SpecDataset(&booted); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("DataSHA256 %q (checkpoint %q)", now, spec.DataSHA256)) {
+		t.Fatalf("boot over the rewritten file: %v, want a refusal naming DataSHA256 %s (checkpoint %s)", err, now, spec.DataSHA256)
+	}
+
+	write(1)
+	booted = ck.Spec
+	if _, err := SpecDataset(&booted); err != nil || booted != ck.Spec {
+		t.Fatalf("boot over the restored file: spec %+v, %v", booted, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -331,4 +332,67 @@ func TestResumeRefusesAnotherSpec(t *testing.T) {
 	if err := fit(saved, true); err != nil {
 		t.Fatalf("resume under the spec that wrote the files: %v", err)
 	}
+}
+
+// TestResumeRefusesAnotherFit: the spec a PS fit records carries the
+// hyperparameters the fit runs with (ps.Options.Config: SGD at 0.1
+// inside by default, not framework.Config's Adam at 0.003), and a
+// cluster resumed from files of another data file's content (its
+// digest), of another α or of another framework makes TrainWithStore
+// panic with a *framework.ResumeError naming that one field, with both
+// values. A resume that changes the epoch cap alone ends bit-identical
+// to an uninterrupted run.
+func TestResumeRefusesAnotherFit(t *testing.T) {
+	ds := testDataset(t)
+	factory := replicaFactory(ds)
+	digest := func(ds *data.Dataset) string {
+		sum, err := data.SHA256(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	saved := framework.Spec{DataPath: "/data/cluster-test.json", DataSHA256: digest(ds), Seed: 9, Model: "mlp", EmbDim: 4}
+	base := filepath.Join(t.TempDir(), "ps.ckpt")
+	fit := func(fw string, spec framework.Spec, opts ps.Options) (*ps.Result, error) {
+		opts.UseDR, opts.CheckpointPath, opts.CheckpointEvery, opts.Resume = fw == "mamdr", base, 1, true
+		serving := factory()
+		local := newLocalFor(t, serving, 2, 1, ShardOptions{OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR, CheckpointPath: base, Spec: opts.Config(spec).RunSpec(fw)})
+		var res *ps.Result
+		err := framework.CatchResume(func() { res = ps.TrainWithStore(factory, serving, local.Router, local.Router, ds, opts) })
+		return res, err
+	}
+	twoEpochs := deterministicOptions()
+	twoEpochs.Epochs = 2
+	if _, err := fit("mamdr", saved, twoEpochs); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := saved
+	rewritten.DataSHA256 = digest(synth.Generate(synth.Presets(600, 2)["amazon-6"]))
+	lr := twoEpochs
+	lr.InnerLR = 0.05
+	for _, tc := range []struct {
+		fw    string
+		spec  framework.Spec
+		opts  ps.Options
+		names string
+	}{
+		{"mamdr", rewritten, twoEpochs, fmt.Sprintf("DataSHA256 %q (checkpoint %q)", rewritten.DataSHA256, saved.DataSHA256)},
+		{"mamdr", saved, lr, "LR 0.05 (checkpoint 0.1)"},
+		{"dn", saved, twoEpochs, `Framework "dn" (checkpoint "mamdr")`},
+	} {
+		_, err := fit(tc.fw, tc.spec, tc.opts)
+		var re *framework.ResumeError
+		if !errors.As(err, &re) || !strings.Contains(err.Error(), tc.names) || strings.Count(err.Error(), "(checkpoint") != 1 {
+			t.Fatalf("resume as %s: %v, want a *framework.ResumeError naming %s alone", tc.fw, err, tc.names)
+		}
+	}
+	resumed, err := fit("mamdr", saved, deterministicOptions())
+	if err != nil || resumed.ResumedFrom != 2 {
+		t.Fatalf("resume with another epoch cap: resumed from %v, %v; want 2, nil", resumed, err)
+	}
+	uninterrupted := deterministicOptions()
+	uninterrupted.UseDR = true
+	full := ps.Train(factory, ds, uninterrupted)
+	requireSameVector(t, "resumed θ_S", full.State.Shared, resumed.State.Shared)
 }

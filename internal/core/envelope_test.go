@@ -136,6 +136,7 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 		}
 		return raw
 	}
+	// v2–v4 files: versions this build no longer reads.
 	v2 := seed(2, Checkpoint{ModelName: "MLP", Epoch: -1})
 	v3 := seed(3, Checkpoint{ModelName: "MLP", Epoch: -1})
 	spec := framework.Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 8}
@@ -199,6 +200,18 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 	for _, name := range []string{"row past its table", "rows past the file", "2^40 vectors"} {
 		f.Add(v5(Checkpoint{ModelName: "MLP", Epoch: -1}, crafted[name]))
 	}
+	// A core file whose spec records the dataset digest and the fit's
+	// hyperparameters, as every mamdr-train file does.
+	run := framework.Config{Spec: spec, LR: 0.05, OuterOpt: "adagrad", Epochs: 3}
+	run.Spec.DataSHA256 = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
+	if err := WriteCheckpoint(path, Checkpoint{ModelName: "MLP", Epoch: 3, Spec: run.RunSpec("mamdr")}, toyLayout, toyVectors()); err != nil {
+		f.Fatal(err)
+	}
+	recorded, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recorded)
 
 	// decodes requires the file at path to decode against toyLayout to
 	// an error or to vectors that fit it, never to a panic.

@@ -58,17 +58,20 @@ type MAMDR struct {
 }
 
 // Name implements framework.Framework.
-func (t *MAMDR) Name() string {
+func (t *MAMDR) Name() string { name, _ := t.names(); return name }
+
+// names is t's display name and the framework.Register key of its
+// switches, which Fit records.
+func (t *MAMDR) names() (name, key string) {
 	switch {
 	case t.UseDN && t.UseDR:
-		return "MAMDR (DN+DR)"
+		return "MAMDR (DN+DR)", "mamdr"
 	case t.UseDN:
-		return "DN"
+		return "DN", "dn"
 	case t.UseDR:
-		return "DR"
-	default:
-		return "Alternate"
+		return "DR", "dr"
 	}
+	return "Alternate", "alternate"
 }
 
 // State is the trained MAMDR parameter state: the shared vector and one
@@ -78,7 +81,7 @@ type State struct {
 	Shared   paramvec.Vector
 	Specific []paramvec.Vector
 	// Spec is what the state was trained on; every Save writes it and
-	// every load sets it. Fit sets it from Config.Spec.
+	// every load sets it. Fit sets it to Config.RunSpec.
 	Spec framework.Spec
 
 	// replicas of Model that the DR phases of a training run train
@@ -128,10 +131,11 @@ func (t *MAMDR) Fit(m models.Model, ds *data.Dataset, cfg framework.Config) fram
 	cfg = cfg.WithDefaults()
 	params := m.Parameters()
 
+	_, key := t.names()
 	st := &State{
 		Model:  m,
 		Shared: paramvec.Snapshot(params),
-		Spec:   cfg.Spec,
+		Spec:   cfg.RunSpec(key),
 	}
 	for range ds.Domains {
 		st.AddDomain()
@@ -148,7 +152,7 @@ func (t *MAMDR) Fit(m models.Model, ds *data.Dataset, cfg framework.Config) fram
 		}
 		if cfg.Resume {
 			if _, err := os.Stat(ckpt); err == nil {
-				epoch, err := st.resume(ckpt, cfg.Spec, outer)
+				epoch, err := st.resume(ckpt, st.Spec, outer)
 				if err != nil {
 					panic(&framework.ResumeError{Err: fmt.Errorf("core: resume from %s: %w", ckpt, err)})
 				}

@@ -35,7 +35,6 @@ import (
 // as its values; an embedding table as its stored row count, then for
 // every row holding any bit other than +0 the row's u32 index and its
 // values, rows ascending. Every integer and float64 is little-endian.
-// A v2–v4 payload is one gob block with the vectors inside it.
 const (
 	// checkpointMagic opens every checkpoint file (8 bytes).
 	checkpointMagic = "MAMDRCKP"
@@ -44,15 +43,9 @@ const (
 	// quality-baseline block to Checkpoint payloads, v4 the Spec, v5
 	// the vector block.
 	checkpointVersion uint32 = 5
-	// checkpointMinVersion is the oldest envelope this build still
-	// reads. v2 (pre-quality) payloads decode with a nil Quality
-	// baseline — drift detection is disabled, not fatal — and pre-v4
-	// payloads with a zero Spec. Versions outside [min, current] are
-	// rejected loudly.
-	checkpointMinVersion uint32 = 2
-	// vectorBlockVersion is the first version whose vectors follow the
-	// gob block instead of sitting inside it.
-	vectorBlockVersion uint32 = 5
+	// checkpointMinVersion is the oldest envelope this build reads (a
+	// v2–v4 spec has no dataset digest); others are rejected loudly.
+	checkpointMinVersion uint32 = 5
 )
 
 // headerLen is magic(8) + version(4) + payload length(8) + crc32(4).
@@ -303,24 +296,19 @@ func EnvelopeInfo(path string) (Envelope, error) {
 
 // ReadCheckpoint is the one checkpoint reader: it verifies the file at
 // path, decodes its gob block into meta and returns the envelope with
-// the still-encoded vectors, which need the model's layout. A v2–v4
-// file's vectors came inside its gob block, so they are in meta. Gob
-// decodes fields by name, leaving those absent from older payloads at
-// their zero value (a v2 checkpoint yields a nil quality baseline).
+// the still-encoded vectors, which need the model's layout. Gob decodes
+// fields by name, leaving those the payload lacks at their zero value.
 func ReadCheckpoint(path string, meta any) (Envelope, Vectors, error) {
 	env, payload, err := readEnvelope(path)
 	if err != nil {
 		return Envelope{}, Vectors{}, err
 	}
-	vs := Vectors{path: path}
-	if env.Version >= vectorBlockVersion {
-		if len(payload) < 8 || binary.LittleEndian.Uint64(payload) > uint64(len(payload)-8) {
-			return Envelope{}, Vectors{}, fmt.Errorf("core: %s: gob block runs past the payload: %w", path, ErrCorruptCheckpoint)
-		}
-		n := 8 + int(binary.LittleEndian.Uint64(payload))
-		payload, vs.block, vs.present = payload[8:n], payload[n:], true
+	if len(payload) < 8 || binary.LittleEndian.Uint64(payload) > uint64(len(payload)-8) {
+		return Envelope{}, Vectors{}, fmt.Errorf("core: %s: gob block runs past the payload: %w", path, ErrCorruptCheckpoint)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(meta); err != nil {
+	n := 8 + int(binary.LittleEndian.Uint64(payload))
+	vs := Vectors{path: path, block: payload[n:]}
+	if err := gob.NewDecoder(bytes.NewReader(payload[8:n])).Decode(meta); err != nil {
 		return Envelope{}, Vectors{}, fmt.Errorf("core: decode %s: %w: %v", path, ErrCorruptCheckpoint, err)
 	}
 	return env, vs, nil
@@ -329,22 +317,17 @@ func ReadCheckpoint(path string, meta any) (Envelope, Vectors, error) {
 // Vectors is a checkpoint's vector block, verified by its envelope's
 // CRC and not yet decoded.
 type Vectors struct {
-	path    string
-	block   []byte
-	present bool // false for a v2–v4 file, whose vectors were in its gob block
+	path  string
+	block []byte
 }
 
 // Decode decodes the vector block against layout: every vector it
-// holds, each of layout's shape. It returns nil for a v2–v4 file. Each
-// count is checked against the bytes left before anything is sized by
-// it, and every allocation is sized by layout, so a damaged or crafted
-// block is refused with ErrCorruptCheckpoint and never allocates more
-// than its vector count (bounded by the file's length) times one
-// layout-shaped vector.
+// holds, each of layout's shape. Each count is checked against the
+// bytes left before anything is sized by it, and every allocation is
+// sized by layout, so a damaged or crafted block is refused with
+// ErrCorruptCheckpoint and never allocates more than its vector count
+// (bounded by the file's length) times one layout-shaped vector.
 func (vs Vectors) Decode(layout VectorLayout) ([]paramvec.Vector, error) {
-	if !vs.present {
-		return nil, nil
-	}
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("core: %s: vector block %s: %w", vs.path, fmt.Sprintf(format, args...), ErrCorruptCheckpoint)
 	}
@@ -404,19 +387,16 @@ func (vs Vectors) Decode(layout VectorLayout) ([]paramvec.Vector, error) {
 	return vecs, nil
 }
 
-// Checkpoint is the serializable form of a trained MAMDR state: the
-// shared parameter vector and every domain's specific vector, the
-// framework.Spec it was trained on, plus an optional resume cursor (completed-epoch
-// count and the DN outer optimizer's state) for crash-safe training
-// restarts. The vectors align with Model.Parameters() order, which is
-// stable for a given structure and dataset schema; Spec names both.
-// Its gob block carries everything but the vectors, which follow it
-// as the vector block.
+// Checkpoint is the serializable form of a trained MAMDR state: θ_S and
+// every θ_i (the vector block, in Model.Parameters() order), the
+// framework.Spec it was trained on, and an optional resume cursor
+// (completed-epoch count and the DN outer optimizer's state) for
+// crash-safe training restarts; the gob block carries all but θ.
 type Checkpoint struct {
 	// ModelName records the structure's display name, as a guard
 	// against loading into a mismatched model.
 	ModelName string
-	// Spec is the training run's dataset and model (zero before v4).
+	// Spec is the training run's dataset, model and hyperparameters.
 	Spec     framework.Spec
 	Shared   paramvec.Vector
 	Specific []paramvec.Vector
@@ -429,9 +409,9 @@ type Checkpoint struct {
 	Outer optim.State
 	// Quality is the model's quality baseline — per-domain validation
 	// score distributions and eval metrics — frozen at save time so
-	// serving can measure live-traffic drift against it. Nil in v2
-	// (pre-quality) checkpoints and in saves that skipped profiling;
-	// loaders treat nil as "drift detection disabled", never an error.
+	// serving can measure live-traffic drift against it. Nil in saves
+	// that skipped profiling; loaders treat nil as "drift detection
+	// disabled", never an error.
 	Quality *quality.Baseline
 	// vectors is the file's vector block until Decode.
 	vectors Vectors
@@ -449,29 +429,16 @@ func ReadState(path string) (Checkpoint, Envelope, error) {
 }
 
 // Decode sets Shared and Specific from the file's vector block, decoded
-// against layout, and checks that a v2–v4 file's vectors, which came
-// with its gob block, fit it. After a nil error every vector fits
-// layout.
+// against layout. After a nil error every vector fits layout.
 func (ck *Checkpoint) Decode(layout VectorLayout) error {
 	vecs, err := ck.vectors.Decode(layout)
 	if err != nil {
 		return err
 	}
-	if vecs != nil {
-		if len(vecs) == 0 {
-			return fmt.Errorf("core: %s: vector block holds no shared vector: %w", ck.vectors.path, ErrCorruptCheckpoint)
-		}
-		ck.Shared, ck.Specific, ck.vectors = vecs[0], vecs[1:], Vectors{}
-		return nil
+	if len(vecs) == 0 {
+		return fmt.Errorf("core: %s: vector block holds no shared vector: %w", ck.vectors.path, ErrCorruptCheckpoint)
 	}
-	if err := layout.fit(ck.Shared); err != nil {
-		return fmt.Errorf("core: shared vector: %w", err)
-	}
-	for d, v := range ck.Specific {
-		if err := layout.fit(v); err != nil {
-			return fmt.Errorf("core: specific vector %d: %w", d, err)
-		}
-	}
+	ck.Shared, ck.Specific, ck.vectors = vecs[0], vecs[1:], Vectors{}
 	return nil
 }
 
@@ -520,9 +487,8 @@ func (s *State) Load(path string) error {
 
 // LoadWithBaseline is Load returning the file's envelope (one read
 // serves both) and the quality baseline frozen into the checkpoint. A
-// nil baseline means drift detection is unavailable
-// for this model: the checkpoint predates the quality block (v2
-// envelope) or was saved without profiling — the caller should log and
+// nil baseline means drift detection is unavailable for this model: the
+// checkpoint was saved without profiling — the caller should log and
 // count the degraded load (Tracker.SetBaseline(nil) does the counting)
 // and carry on serving.
 func (s *State) LoadWithBaseline(path string) (*quality.Baseline, Envelope, error) {
@@ -536,8 +502,9 @@ func (s *State) LoadWithBaseline(path string) (*quality.Baseline, Envelope, erro
 // resume is Load for a training run of the given spec: it refuses a
 // checkpoint that recorded another spec (framework.CheckResume) before
 // anything of it is checked against the model, rebinds the outer
-// optimizer's saved state, and returns the completed-epoch cursor the
-// run continues from (-1 for a final, Save-written state).
+// optimizer's saved state, keeps the run's spec (its epoch cap may be
+// another), and returns the completed-epoch cursor the run continues
+// from (-1 for a final, Save-written state).
 func (s *State) resume(path string, spec framework.Spec, outer optim.Optimizer) (epoch int, err error) {
 	ck, _, err := ReadState(path)
 	if err != nil {
@@ -546,6 +513,7 @@ func (s *State) resume(path string, spec framework.Spec, outer optim.Optimizer) 
 	if err := framework.CheckResume(spec, ck.Spec); err != nil {
 		return 0, err
 	}
+	ck.Spec = spec
 	return ck.Epoch, s.Install(ck, outer)
 }
 

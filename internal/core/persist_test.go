@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -49,18 +50,26 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTrips: the training spec a state carries is written by
-// Save and SaveTraining and set again by Load and a resume, and a
-// pre-v4 file, which records none, loads with the zero Spec.
+// TestSpecRoundTrips: the training spec a state carries — its dataset
+// digest and hyperparameters included — is written by Save and
+// SaveTraining and set again by Load and a resume.
 func TestSpecRoundTrips(t *testing.T) {
 	ds := testDataset(t, 0.5)
 	st := framework.MustNew("dn").Fit(testModel(t, ds), ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 9}).(*State)
+	digest, err := data.SHA256(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	specs := []framework.Spec{
 		{Preset: "taobao-10", Samples: 2400, Seed: 7, Model: "mlp", EmbDim: 4},
 		{DataPath: "/data/ds.json", Seed: 11, Model: "mlp", EmbDim: 4},
+		framework.Config{
+			Spec: framework.Spec{DataPath: "/data/ds.json", DataSHA256: digest, Seed: 11, Model: "mlp", EmbDim: 4},
+			LR:   0.05, Epochs: 3,
+		}.RunSpec("mamdr"),
 	}
 	dir := t.TempDir()
-	final, resumable, legacy := filepath.Join(dir, "final.ckpt"), filepath.Join(dir, "train.ckpt"), filepath.Join(dir, "v3.ckpt")
+	final, resumable := filepath.Join(dir, "final.ckpt"), filepath.Join(dir, "train.ckpt")
 	for _, spec := range specs {
 		st.Spec = spec
 		if err := st.Save(final); err != nil {
@@ -81,11 +90,6 @@ func TestSpecRoundTrips(t *testing.T) {
 			t.Fatalf("ReadState: spec %+v, err %v; saved %+v", ck.Spec, err, spec)
 		}
 	}
-	writeEnvelope(t, legacy, 3, legacyCheckpoint{ModelName: st.Model.Name(), Shared: st.Shared, Specific: st.Specific, Epoch: -1})
-	old := &State{Model: testModel(t, ds), Spec: specs[0]}
-	if err := old.Load(legacy); err != nil || old.Spec != (framework.Spec{}) {
-		t.Fatalf("v3 file: spec %+v, err %v; want the zero Spec", old.Spec, err)
-	}
 }
 
 func TestLoadRejectsWrongModel(t *testing.T) {
@@ -103,23 +107,28 @@ func TestLoadRejectsWrongModel(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMisfitSpecific: a checkpoint whose θ_i segment is one
-// entry short of its tensor is refused at load, as a short θ_S segment
-// is, instead of booting a server that panics on the domain's first
-// request.
+// TestLoadRejectsMisfitSpecific: a checkpoint whose last θ_i segment is
+// one entry short of its tensor is refused at load as damaged, instead
+// of booting a server that panics on the domain's first request.
 func TestLoadRejectsMisfitSpecific(t *testing.T) {
 	ds := testDataset(t, 0.5)
 	m := testModel(t, ds)
-	ck := Checkpoint{ModelName: m.Name(), Shared: paramvec.Snapshot(m.Parameters()), Epoch: -1}
-	for range ds.Domains {
-		ck.Specific = append(ck.Specific, ck.Shared.Zero())
+	layout := modelLayout(m)
+	if layout[len(layout)-1].cols != 0 {
+		t.Fatal("the test model's last tensor is a table: dropping one value would not shorten a segment")
 	}
-	last := len(ck.Specific[1]) - 1
-	ck.Specific[1][last] = ck.Specific[1][last][:len(ck.Specific[1][last])-1]
+	vecs := []paramvec.Vector{paramvec.Snapshot(m.Parameters())}
+	for range ds.Domains {
+		vecs = append(vecs, vecs[0].Zero())
+	}
+	block, err := layout.appendBlock(nil, vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "misfit.ckpt")
-	writeEnvelope(t, path, 4, ck)
-	if err := (&State{Model: testModel(t, ds)}).Load(path); err == nil {
-		t.Fatal("a checkpoint with a short θ_i segment loaded without error")
+	writeRawEnvelope(t, path, checkpointVersion, v5Payload(t, Checkpoint{ModelName: m.Name(), Epoch: -1}, block[:len(block)-8]))
+	if err := (&State{Model: testModel(t, ds)}).Load(path); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("a checkpoint with a short θ_i segment: Load = %v, want ErrCorruptCheckpoint", err)
 	}
 }
 
@@ -226,11 +235,14 @@ func TestSaveTrainingRoundTripsOptimizerState(t *testing.T) {
 // where an uninterrupted run of the same seed ends — with the DR phases
 // on three workers, and with dropout, whose mask stream no checkpoint
 // carries: every epoch and every DR target seeds it from the epoch RNG.
+// The resumed run's spec differs from the killed one's in the epoch cap
+// alone, which a resume may change.
 func TestFitResumeBitIdentical(t *testing.T) {
 	defer kernels.SetThreads(0)
 	kernels.SetThreads(3)
 	ds := testDataset(t, 0.5)
-	base := framework.Config{Epochs: 4, BatchSize: 32, Seed: 9, OuterOpt: "adagrad", OuterLR: 0.1}
+	spec := framework.Spec{DataPath: "/data/core-test.json", DataSHA256: "aa", Seed: 5, Model: "mlp", EmbDim: 4}
+	base := framework.Config{Spec: spec, Epochs: 4, BatchSize: 32, Seed: 9, OuterOpt: "adagrad", OuterLR: 0.1}
 	build := func() models.Model {
 		return models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{16, 8}, Dropout: 0.2, Seed: 5})
 	}
@@ -316,5 +328,50 @@ func TestFitRefusesResumeOfAnotherSpec(t *testing.T) {
 	}
 	if err := fit(saved, saved, true); err != nil {
 		t.Fatalf("resume under the spec that wrote the checkpoint: %v", err)
+	}
+}
+
+// TestFitRefusesResumeOfAnotherFit: a fit resumed over the same dataset
+// path and model but from a checkpoint of another data file's content
+// (its digest), of another α or of another framework panics with a
+// *framework.ResumeError naming that one field, with both values; a fit
+// that changes the epoch cap alone resumes.
+func TestFitRefusesResumeOfAnotherFit(t *testing.T) {
+	dir := t.TempDir()
+	ds := testDataset(t, 0.5)
+	digest := func(ds *data.Dataset) string {
+		sum, err := data.SHA256(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	saved := framework.Spec{DataPath: "/data/core-test.json", DataSHA256: digest(ds), Seed: 5, Model: "mlp", EmbDim: 4}
+	fit := func(fw string, cfg framework.Config) error {
+		cfg.BatchSize, cfg.Seed, cfg.CheckpointDir, cfg.Resume = 32, 9, dir, true
+		return framework.CatchResume(func() { framework.MustNew(fw).Fit(testModel(t, ds), ds, cfg) })
+	}
+	if err := fit("mamdr", framework.Config{Spec: saved, Epochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := saved
+	rewritten.DataSHA256 = digest(testDataset(t, 0.8))
+	for _, tc := range []struct {
+		fw    string
+		cfg   framework.Config
+		names string
+	}{
+		{"mamdr", framework.Config{Spec: rewritten, Epochs: 1}, fmt.Sprintf("DataSHA256 %q (checkpoint %q)", rewritten.DataSHA256, saved.DataSHA256)},
+		{"mamdr", framework.Config{Spec: saved, Epochs: 1, LR: 0.05}, "LR 0.05 (checkpoint 0.003)"},
+		{"dn", framework.Config{Spec: saved, Epochs: 1}, `Framework "dn" (checkpoint "mamdr")`},
+	} {
+		err := fit(tc.fw, tc.cfg)
+		var re *framework.ResumeError
+		if !errors.As(err, &re) || !strings.Contains(err.Error(), tc.names) || strings.Count(err.Error(), "(checkpoint") != 1 {
+			t.Fatalf("resume as %s %+v: %v, want a *framework.ResumeError naming %s alone", tc.fw, tc.cfg.Spec, err, tc.names)
+		}
+	}
+	if err := fit("mamdr", framework.Config{Spec: saved, Epochs: 2}); err != nil {
+		t.Fatalf("resume with another epoch cap: %v", err)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,9 +19,8 @@ import (
 )
 
 // legacyCheckpoint is the v2 payload layout — the Checkpoint struct as
-// it existed before the quality-baseline block. Gob matches fields by
-// name, so encoding this and decoding into today's Checkpoint is
-// exactly what reading a pre-quality file does.
+// it existed before the quality-baseline block, its vectors inside the
+// gob block as in every file before v5.
 type legacyCheckpoint struct {
 	ModelName string
 	Shared    paramvec.Vector
@@ -55,9 +54,11 @@ func writeRawEnvelope(t testing.TB, path string, version uint32, payload []byte)
 	}
 }
 
-// TestLoadPreQualityCheckpoint is the version-negotiation property: a
-// v2 (pre-quality) checkpoint must load cleanly — parameters restored,
-// nil baseline reported — instead of being rejected.
+// TestLoadPreQualityCheckpoint is the version-negotiation property for
+// the oldest shipped format: a v2 (pre-quality) checkpoint, whose spec
+// records no dataset digest, is refused with an error naming its
+// version and the range this build reads, reports no baseline, and
+// leaves the receiving state's parameters as they were.
 func TestLoadPreQualityCheckpoint(t *testing.T) {
 	ds := testDataset(t, 0.5)
 	m := testModel(t, ds)
@@ -65,29 +66,30 @@ func TestLoadPreQualityCheckpoint(t *testing.T) {
 	b := ds.FullBatch(0, data.Test)
 	want := st.Predict(b)
 
+	other := framework.MustNew("mamdr").Fit(testModel(t, ds), ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 10}).(*State)
 	path := filepath.Join(t.TempDir(), "v2.ckpt")
 	writeEnvelope(t, path, 2, legacyCheckpoint{
-		ModelName: st.Model.Name(),
-		Shared:    st.Shared,
-		Specific:  st.Specific,
+		ModelName: other.Model.Name(),
+		Shared:    other.Shared,
+		Specific:  other.Specific,
 		Epoch:     -1,
 	})
 
-	st2 := &State{Model: testModel(t, ds)}
-	base, env, err := st2.LoadWithBaseline(path)
-	if err != nil {
-		t.Fatalf("v2 checkpoint rejected: %v", err)
+	base, _, err := st.LoadWithBaseline(path)
+	if err == nil {
+		t.Fatal("v2 checkpoint loaded; want a version refusal")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "checkpoint format v2") ||
+		!strings.Contains(msg, fmt.Sprintf("reads v%d..v%d", checkpointMinVersion, checkpointVersion)) {
+		t.Fatalf("v2 refusal = %q, want it to name v2 and the readable range", msg)
 	}
 	if base != nil {
-		t.Fatalf("v2 checkpoint produced a baseline: %+v", base)
+		t.Fatalf("refused v2 checkpoint produced a baseline: %+v", base)
 	}
-	if env.Version != 2 {
-		t.Fatalf("v2 checkpoint loaded as envelope v%d", env.Version)
-	}
-	got := st2.Predict(b)
+	got := st.Predict(b)
 	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("prediction %d differs after v2 reload: %g vs %g", i, got[i], want[i])
+		if got[i] != want[i] {
+			t.Fatalf("prediction %d changed after a refused v2 load: %g vs %g", i, got[i], want[i])
 		}
 	}
 }
@@ -147,13 +149,14 @@ func TestSaveLoadWithBaseline(t *testing.T) {
 }
 
 // TestLoadRejectsOutOfRangeVersions pins the negotiation window: v1
-// (never shipped with this payload) and a future v4 both fail with a
+// (never shipped with this payload), the v2–v4 files, whose specs
+// record no dataset digest, and a future version all fail with a
 // version error, not silent misreads.
 func TestLoadRejectsOutOfRangeVersions(t *testing.T) {
 	ds := testDataset(t, 0.5)
 	m := testModel(t, ds)
 	st := framework.MustNew("dn").Fit(m, ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 9}).(*State)
-	for _, ver := range []uint32{1, checkpointVersion + 1} {
+	for _, ver := range []uint32{1, 2, 3, 4, checkpointVersion + 1} {
 		path := filepath.Join(t.TempDir(), "bad.ckpt")
 		writeEnvelope(t, path, ver, legacyCheckpoint{ModelName: st.Model.Name(), Shared: st.Shared, Specific: st.Specific, Epoch: -1})
 		fresh := &State{Model: testModel(t, ds)}

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
 )
@@ -119,43 +118,6 @@ func TestV5RoundTripIsBitExact(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		sameState(t, got, want)
-	}
-}
-
-// TestLegacyFilesLoadAndResaveAsV5: v2, v3 and v4 files, whose vectors
-// are inside their gob block, load float for float, and saving what
-// they loaded writes a v5 file that loads the same floats again.
-func TestLegacyFilesLoadAndResaveAsV5(t *testing.T) {
-	want := specialState(t)
-	spec := framework.Spec{Preset: "taobao-10", Samples: 2400, Seed: 7, Model: "mlp", EmbDim: 4}
-	files := map[uint32]any{
-		2: legacyCheckpoint{ModelName: want.Model.Name(), Shared: want.Shared, Specific: want.Specific, Epoch: -1},
-		3: legacyCheckpoint{ModelName: want.Model.Name(), Shared: want.Shared, Specific: want.Specific, Epoch: -1},
-		4: Checkpoint{ModelName: want.Model.Name(), Spec: spec, Shared: want.Shared, Specific: want.Specific, Epoch: -1},
-	}
-	for version, payload := range files {
-		dir := t.TempDir()
-		legacy, resaved := filepath.Join(dir, "legacy.ckpt"), filepath.Join(dir, "resaved.ckpt")
-		writeEnvelope(t, legacy, version, payload)
-		got := &State{Model: testModel(t, testDataset(t, 0.5))}
-		if _, env, err := got.LoadWithBaseline(legacy); err != nil || env.Version != version {
-			t.Fatalf("v%d: envelope %+v, %v", version, env, err)
-		}
-		sameState(t, got, want)
-		if err := got.Save(resaved); err != nil {
-			t.Fatal(err)
-		}
-		if env, err := EnvelopeInfo(resaved); err != nil || env.Version != 5 {
-			t.Fatalf("v%d re-saved: envelope %+v, %v; want v5", version, env, err)
-		}
-		again := &State{Model: testModel(t, testDataset(t, 0.5))}
-		if err := again.Load(resaved); err != nil {
-			t.Fatal(err)
-		}
-		sameState(t, again, want)
-		if again.Spec != got.Spec {
-			t.Fatalf("v%d re-saved: spec %+v, want %+v", version, again.Spec, got.Spec)
-		}
 	}
 }
 

@@ -202,6 +202,27 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSHA256IsTheFileDigest: SHA256 of a dataset is the digest of the
+// file SaveJSON writes for it, and FileSHA256 reads the same digest back.
+func TestSHA256IsTheFileDigest(t *testing.T) {
+	d := tinyDataset()
+	path := filepath.Join(t.TempDir(), "tiny.json")
+	if err := SaveJSON(d, path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := SHA256(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := FileSHA256(path); err != nil || got != want || len(got) != 64 {
+		t.Fatalf("FileSHA256 = %q, %v; SHA256 = %q", got, err, want)
+	}
+	d.Domains[0].Train[0].Label = 1 - d.Domains[0].Train[0].Label
+	if other, _ := SHA256(d); other == want {
+		t.Fatal("a changed label kept the dataset's digest")
+	}
+}
+
 func TestLoadJSONRejectsInvalid(t *testing.T) {
 	d := tinyDataset()
 	d.Domains[0].Train[0].User = 99

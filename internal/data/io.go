@@ -2,12 +2,15 @@ package data
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 )
 
-// SaveJSON writes the dataset as one indented JSON file. The format is
+// SaveJSON writes the dataset as one JSON file. The format is
 // self-describing and intended for interchange with other MDR research
 // code.
 func SaveJSON(d *Dataset, path string) error {
@@ -15,13 +18,26 @@ func SaveJSON(d *Dataset, path string) error {
 	if err != nil {
 		return fmt.Errorf("data: create %s: %w", path, err)
 	}
-	defer f.Close()
 	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(d); err != nil {
-		return fmt.Errorf("data: encode %s: %w", path, err)
+	if err := errors.Join(json.NewEncoder(w).Encode(d), w.Flush(), f.Close()); err != nil {
+		return fmt.Errorf("data: write %s: %w", path, err)
 	}
-	return w.Flush()
+	return nil
+}
+
+// SHA256 is the hex SHA-256 of SaveJSON's encoding of d: the digest of
+// the file SaveJSON writes.
+func SHA256(d *Dataset) (string, error) {
+	h := sha256.New()
+	err := json.NewEncoder(h).Encode(d)
+	return hex.EncodeToString(h.Sum(nil)), err
+}
+
+// FileSHA256 is the hex SHA-256 of the file at path.
+func FileSHA256(path string) (string, error) {
+	b, err := os.ReadFile(path)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), err
 }
 
 // LoadJSON reads a dataset previously written by SaveJSON and validates

@@ -78,10 +78,9 @@ func writeCheckpoint(path string, layout core.VectorLayout, ck serverCheckpoint)
 	return core.WriteCheckpoint(path, ck, layout, []paramvec.Vector{params})
 }
 
-// readCheckpoint reads the server's file, written by writeCheckpoint
-// (or an older one, whose Params came inside its gob block): it refuses
-// a file that recorded another spec (framework.CheckResume) before it
-// decodes Params against the server's layout.
+// readCheckpoint reads the server's file, written by writeCheckpoint: it
+// refuses a file that recorded another spec (framework.CheckResume)
+// before it decodes Params against the server's layout.
 func (s *Server) readCheckpoint() (serverCheckpoint, error) {
 	var ck serverCheckpoint
 	_, vs, err := core.ReadCheckpoint(s.ckptPath, &ck)
@@ -92,15 +91,13 @@ func (s *Server) readCheckpoint() (serverCheckpoint, error) {
 		return ck, fmt.Errorf("ps: %s: %w", s.ckptPath, err)
 	}
 	vecs, err := vs.Decode(s.vectorLayout())
-	switch {
-	case err != nil:
+	if err != nil {
 		return ck, err
-	case vecs == nil: // v2–v4
-	case len(vecs) != 1:
-		return ck, fmt.Errorf("ps: %s holds %d parameter vectors, want 1: %w", s.ckptPath, len(vecs), core.ErrCorruptCheckpoint)
-	default:
-		ck.Params = vecs[0]
 	}
+	if len(vecs) != 1 {
+		return ck, fmt.Errorf("ps: %s holds %d parameter vectors, want 1: %w", s.ckptPath, len(vecs), core.ErrCorruptCheckpoint)
+	}
+	ck.Params = vecs[0]
 	return ck, nil
 }
 
@@ -120,21 +117,14 @@ func (s *Server) LoadCheckpoint() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(ck.Params) != s.layout.NumTensors() {
-		return 0, fmt.Errorf("ps: checkpoint has %d tensors, server manages %d", len(ck.Params), s.layout.NumTensors())
-	}
-	// More than one optimizer state is a file written at 2+ lock
-	// stripes, whose states cover interleaved subsets of the tensors.
+	// Params fit the server's tensors (readCheckpoint decoded them against
+	// its layout). More than one optimizer state is a file written at 2+
+	// lock stripes, whose states cover interleaved subsets of the tensors.
 	if len(ck.Shards) != 1 {
 		return 0, fmt.Errorf("ps: checkpoint has %d shards, server has 1", len(ck.Shards))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for t, vals := range ck.Params {
-		if len(s.data[t].Data) != len(vals) {
-			return 0, fmt.Errorf("ps: checkpoint tensor %d has %d values, server tensor has %d", t, len(vals), len(s.data[t].Data))
-		}
-	}
 	paramvec.Restore(s.data, ck.Params)
 	if !ck.Shards[0].Empty() {
 		st, ok := s.opt.(optim.Stateful)

@@ -111,6 +111,16 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// Config is the framework.Config a fit of spec runs with: its workers'
+// inner loops and DR phase read it; NewServer's outer defaults are its own.
+func (o Options) Config(spec framework.Spec) framework.Config {
+	o = o.WithDefaults()
+	return framework.Config{
+		Spec: spec, Epochs: o.Epochs, BatchSize: o.BatchSize, LR: o.InnerLR, OuterLR: o.OuterLR, DRLR: o.DRLR,
+		SampleK: o.SampleK, InnerOpt: o.InnerOpt, OuterOpt: o.OuterOpt, Seed: o.Seed, Telemetry: o.Telemetry, Tracer: o.Tracer,
+	}.WithDefaults()
+}
+
 // Result is the outcome of distributed training.
 type Result struct {
 	// State holds the trained shared/specific parameters and serves as
@@ -183,13 +193,7 @@ func TrainWithStore(replica func() models.Model, serving models.Model, store Sto
 		panic("ps: SyncPush requires CacheEnabled (deferred pushes ride the cache protocol)")
 	}
 
-	// One training configuration for the whole run: every worker's DN
-	// inner loop and the DR phase read it.
-	cfg := framework.Config{
-		Epochs: 1, BatchSize: opts.BatchSize, LR: opts.InnerLR,
-		InnerOpt: opts.InnerOpt, SampleK: opts.SampleK, DRLR: opts.DRLR,
-		Seed: opts.Seed, Telemetry: opts.Telemetry, Tracer: opts.Tracer,
-	}.WithDefaults()
+	cfg := opts.Config(framework.Spec{})
 
 	// Partition domains round-robin across workers.
 	sup := make([]*supervisedWorker, opts.Workers)

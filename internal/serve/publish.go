@@ -14,6 +14,7 @@ import (
 	"net/http"
 
 	"mamdr/internal/core"
+	"mamdr/internal/framework"
 	"mamdr/internal/quality"
 	"mamdr/internal/rollout"
 )
@@ -196,7 +197,8 @@ func (s *Server) handleAdminPublish(w http.ResponseWriter, r *http.Request) {
 // state. It needs no model: the file is read and verified once — a
 // CRC-corrupt or truncated file is rejected before any decode — and its
 // vectors, decoded against the served structure's layout and trained
-// on the served dataset (the same Spec), become the state as they are.
+// on the served dataset and model (framework.CheckData), become the
+// state as they are.
 func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.State, uint32, *quality.Baseline, error) {
 	if err := s.opts.Faults.Eval("PublishSource").Apply(ctx); err != nil {
 		return nil, 0, nil, err
@@ -208,8 +210,8 @@ func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.Stat
 	if name := s.layout.model.Name(); ck.ModelName != name {
 		return nil, 0, nil, fmt.Errorf("serve: checkpoint is for model %q, server has %q", ck.ModelName, name)
 	}
-	if ck.Spec != s.layout.spec {
-		return nil, 0, nil, fmt.Errorf("serve: checkpoint was trained on %+v, server serves %+v", ck.Spec, s.layout.spec)
+	if err := framework.CheckData(s.layout.spec, ck.Spec); err != nil {
+		return nil, 0, nil, fmt.Errorf("serve: %w", err)
 	}
 	if err := ck.Decode(core.LayoutOf(s.layout.params, s.layout.tables)); err != nil {
 		return nil, 0, nil, err

@@ -492,12 +492,15 @@ func TestAdminPublishLifecycle(t *testing.T) {
 
 // TestPublishRefusesAnotherSpec: a checkpoint whose vectors fit the
 // served model but that was trained on another dataset would serve its
-// weights over the wrong features, so /admin/publish answers 422,
-// stages nothing and counts the publish rejected. The same vectors
-// under the served spec are accepted.
+// weights over the wrong features, so /admin/publish answers 422 naming
+// the fields that differ, stages nothing and counts the publish
+// rejected. The same vectors under the served dataset and model are
+// accepted, fitted with another α too.
 func TestPublishRefusesAnotherSpec(t *testing.T) {
 	st, ds, factory := testState(t)
-	st.Spec = framework.Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 4}
+	st.Spec = framework.Config{
+		Spec: framework.Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 4, DataSHA256: "aa"},
+	}.RunSpec("mamdr")
 	reg := telemetry.New()
 	s := NewWithOptions(st, ds, Options{Metrics: reg})
 	h := s.Handler()
@@ -505,7 +508,7 @@ func TestPublishRefusesAnotherSpec(t *testing.T) {
 
 	other := framework.MustNew("mamdr").Fit(factory(), ds, framework.Config{Epochs: 1, BatchSize: 32, Seed: 123}).(*core.State)
 	other.Spec = st.Spec
-	other.Spec.Samples = 8000
+	other.Spec.Samples, other.Spec.DataSHA256 = 8000, "bb"
 	path := filepath.Join(dir, "other.ckpt")
 	if err := other.Save(path); err != nil {
 		t.Fatal(err)
@@ -513,8 +516,9 @@ func TestPublishRefusesAnotherSpec(t *testing.T) {
 	before := predictRID(t, h, "probe", PredictRequest{Domain: 0, Users: []int{0, 1}, Items: []int{0, 1}})
 
 	w := postJSON(t, h, "/admin/publish", PublishRequest{Path: path})
-	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "trained on") {
-		t.Fatalf("publish of another spec = %d %q, want 422 naming the spec", w.Code, w.Body.String())
+	if body := w.Body.String(); w.Code != http.StatusUnprocessableEntity || !strings.Contains(body, "trained on") ||
+		!strings.Contains(body, `Samples 10000 (checkpoint 8000), DataSHA256 "aa" (checkpoint "bb")`) {
+		t.Fatalf("publish of another spec = %d %q, want 422 naming Samples and DataSHA256", w.Code, body)
 	}
 	if inc, can := s.Versions(); inc != 1 || can != 0 {
 		t.Fatalf("Versions = (%d, %d) after a refused publish, want (1, 0)", inc, can)
@@ -531,11 +535,12 @@ func TestPublishRefusesAnotherSpec(t *testing.T) {
 	}
 
 	other.Spec = st.Spec
+	other.Spec.LR = 0.05
 	if err := other.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	if w := postJSON(t, h, "/admin/publish", PublishRequest{Path: path}); w.Code != http.StatusOK {
-		t.Fatalf("publish under the served spec = %d: %s", w.Code, w.Body)
+		t.Fatalf("publish under the served dataset and model, another α = %d: %s", w.Code, w.Body)
 	}
 }
 

@@ -9,7 +9,7 @@
 // per-domain AUC:
 //
 //	spec := mamdr.Spec{Preset: "taobao-10", Samples: 20000, Seed: 7, Model: "mlp", EmbDim: 8}
-//	ds, err := mamdr.SpecDataset(spec)
+//	ds, err := mamdr.SpecDataset(&spec) // fills in spec.DataSHA256
 //	if err != nil {
 //		log.Fatal(err)
 //	}
@@ -24,6 +24,7 @@
 package mamdr
 
 import (
+	"cmp"
 	"fmt"
 
 	_ "mamdr/internal/core" // registers the dn/dr/mamdr frameworks
@@ -37,7 +38,7 @@ import (
 // Dataset is a multi-domain recommendation dataset.
 type Dataset = data.Dataset
 
-// Spec is what a run trains on: the dataset and the model.
+// Spec is what a run trains on and how (framework.Spec).
 type Spec = framework.Spec
 
 // Config is one training run: its Spec, hyperparameters and hooks.
@@ -46,22 +47,36 @@ type Config = framework.Config
 // SpecDataset returns the dataset a training spec names: the JSON file
 // at DataPath, or Preset ("amazon-6", "amazon-13", "taobao-10",
 // "taobao-20", "taobao-30", "taobao-online") generated at Samples and
-// Seed with the paper's per-domain imbalance profile. mamdr-train
-// trains on it and mamdr-serve rebuilds it from a checkpoint's Spec.
-func SpecDataset(spec Spec) (*Dataset, error) {
+// Seed with the paper's per-domain imbalance profile, and fills in the
+// spec's DataSHA256, refusing another digest than one it records.
+// mamdr-train trains on it and mamdr-serve rebuilds it from a
+// checkpoint's Spec.
+func SpecDataset(spec *Spec) (*Dataset, error) {
+	var ds *Dataset
+	var err error
+	got, presets := *spec, synth.Presets(spec.Samples, spec.Seed)
 	if spec.DataPath != "" {
-		return LoadDataset(spec.DataPath)
-	}
-	presets := synth.Presets(spec.Samples, spec.Seed)
-	cfg, ok := presets[spec.Preset]
-	if !ok {
-		names := make([]string, 0, len(presets))
+		if ds, err = LoadDataset(spec.DataPath); err == nil {
+			got.DataSHA256, err = data.FileSHA256(spec.DataPath)
+		}
+	} else if cfg, ok := presets[spec.Preset]; ok {
+		ds = synth.Generate(cfg)
+		got.DataSHA256, err = data.SHA256(ds)
+	} else {
+		var names []string
 		for n := range presets {
 			names = append(names, n)
 		}
 		return nil, fmt.Errorf("mamdr: unknown preset %q (have %v)", spec.Preset, names)
 	}
-	return synth.Generate(cfg), nil
+	if err != nil {
+		return nil, err
+	}
+	if err := framework.CheckData(got, *spec); err != nil && spec.DataSHA256 != "" {
+		return nil, fmt.Errorf("mamdr: %s: %w", cmp.Or(spec.DataPath, spec.Preset), err)
+	}
+	*spec = got
+	return ds, nil
 }
 
 // SpecModel builds the model a training spec names over ds (the

@@ -13,7 +13,7 @@ import (
 // specDataset is SpecDataset for a spec the test knows is valid.
 func specDataset(t testing.TB, spec Spec) *Dataset {
 	t.Helper()
-	ds, err := SpecDataset(spec)
+	ds, err := SpecDataset(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,39 @@ func TestSpecDatasetPresets(t *testing.T) {
 	}
 }
 
+// TestSpecDatasetPresetDigest: SpecDataset fills in a preset's digest,
+// the same for the same (preset, samples, seed) and another for another
+// seed, and equal to that of the file SaveDataset writes for it. No
+// digest is pinned: the generator's math.Exp/Tanh/Pow results differ
+// with and without FMA, so a constant would hold on one host only.
+func TestSpecDatasetPresetDigest(t *testing.T) {
+	digest := func(seed int64) (string, *Dataset) {
+		spec := Spec{Preset: "taobao-10", Samples: 1500, Seed: seed}
+		ds := specDataset(t, spec)
+		if _, err := SpecDataset(&spec); err != nil || len(spec.DataSHA256) != 64 {
+			t.Fatalf("seed %d: digest %q, %v", seed, spec.DataSHA256, err)
+		}
+		return spec.DataSHA256, ds
+	}
+	a, ds := digest(3)
+	if again, _ := digest(3); again != a {
+		t.Fatalf("the same preset, samples and seed hash to %s and %s", a, again)
+	}
+	if other, _ := digest(4); other == a {
+		t.Fatalf("seeds 3 and 4 both hash to %s", a)
+	}
+	path := filepath.Join(t.TempDir(), "taobao.json")
+	if err := SaveDataset(ds, path); err != nil {
+		t.Fatal(err)
+	}
+	file := specDataset(t, Spec{DataPath: path})
+	if sum, _ := data.FileSHA256(path); sum != a || file.TotalSamples() != ds.TotalSamples() {
+		t.Fatalf("the saved preset's file hashes to %s, the preset to %s", sum, a)
+	}
+}
+
 func TestSpecDatasetUnknownPreset(t *testing.T) {
-	if _, err := SpecDataset(Spec{Preset: "netflix", Samples: 1500, Seed: 3}); err == nil {
+	if _, err := SpecDataset(&Spec{Preset: "netflix", Samples: 1500, Seed: 3}); err == nil {
 		t.Fatal("expected error for unknown preset")
 	}
 }

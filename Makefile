@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet loc staticcheck race race-dr fuzz-smoke bench bench-kernels bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-resume smoke-obs smoke-quality smoke-rollout smoke-batch ci check
+.PHONY: all build test vet loc staticcheck race race-dr fuzz-smoke bench bench-kernels bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-resume smoke-obs smoke-quality smoke-rollout smoke-batch smoke-experiments ci check
 
 all: check
 
@@ -436,6 +436,22 @@ bench-telemetry:
 bench-smoke:
 	bash cmd/mamdr-bench/run.sh -quick
 
+# The experiment harness end to end at Tiny scale: every experiment runs
+# and every table heading lands in the output file. An unknown -run id
+# fails before anything trains: no "done" line, no file written.
+smoke-experiments:
+	$(GO) build -o /tmp/mamdr-bin/ ./cmd/experiments
+	rm -f /tmp/smoke-exp.md /tmp/smoke-exp-bad.md
+	/tmp/mamdr-bin/experiments -run all -scale tiny -out /tmp/smoke-exp.md
+	for h in 'Table I' 'Table II' 'Table III' 'Table IV' 'Table V' 'Table VI' 'Table VII' \
+		'Table VIII' 'Table IX' 'Table X' 'Figure 8' 'Figure 9' 'Ablation DN-Order' \
+		'Ablation DR-Order' 'Ablation PS-Cache' 'Conflict Scaling' 'Conflict Diagnostic' \
+		'Extension LODO' 'Extension Quant'; do \
+		grep -qF "### $$h — " /tmp/smoke-exp.md || { echo "no $$h table in /tmp/smoke-exp.md"; exit 1; }; done
+	! /tmp/mamdr-bin/experiments -run table1,nope -scale tiny -out /tmp/smoke-exp-bad.md 2>/tmp/smoke-exp-bad.log
+	! grep -q ' done in ' /tmp/smoke-exp-bad.log
+	test ! -e /tmp/smoke-exp-bad.md
+
 # What CI's test job runs (.github/workflows/ci.yml): every smoke runs
 # here and only here. The first line fails on any file gofmt would change.
 ci:
@@ -455,5 +471,6 @@ ci:
 	$(MAKE) smoke-rollout
 	$(MAKE) smoke-batch
 	$(MAKE) smoke-trace
+	$(MAKE) smoke-experiments
 
 check: vet build test race

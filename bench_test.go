@@ -28,7 +28,7 @@ import (
 func benchTable(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		tables, err := exp.Run(id, exp.Tiny)
+		tables, err := exp.NewSession(exp.Tiny).Run(id)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -54,16 +54,25 @@ func main() {
 	ids := exp.Order
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
+		for i, id := range ids {
+			ids[i] = strings.TrimSpace(id)
+			if _, ok := exp.Registry[ids[i]]; !ok { // before any training
+				log.Fatalf("unknown experiment %q (have %s)", ids[i], strings.Join(exp.Names(), ", "))
+			}
+		}
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "# MAMDR experiment results (scale=%s: %d samples/benchmark, %d epochs, seed %d)\n\n",
 		*scale, s.TotalSamples, s.Epochs, s.Seed)
+	// One session for the whole run: a fit that several tables show
+	// (Table VII is Table VI's Amazon-6 column, Table IX is Table VIII's
+	// runs) trains once.
+	session := exp.NewSession(s)
 	total := time.Now()
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		start := time.Now()
-		tables, err := exp.Run(id, s)
+		tables, err := session.Run(id)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,9 +23,9 @@ import (
 
 // AblationDNOrder compares DN with the per-epoch domain shuffle
 // (Algorithm 1 line 3) against a fixed visiting order.
-func AblationDNOrder(s Scale) *Table {
-	ds := synth.Generate(synth.Taobao10(s.TotalSamples, s.Seed))
-	cfg := trainCfg(s)
+func AblationDNOrder(s *Session) *Table {
+	ds := s.dataset("taobao-10")
+	cfg := s.arm("taobao-10", "mlp", "dn").config()
 
 	run := func(fixed bool, seed int64) float64 {
 		m := models.MustNew("mlp", modelConfig(ds, seed))
@@ -64,9 +64,9 @@ func AblationDNOrder(s Scale) *Table {
 // AblationDROrder compares Algorithm 2 against two broken variants:
 // skipping the target regularization step (Eq. 7) and reversing the
 // helper/target order.
-func AblationDROrder(s Scale) *Table {
-	ds := synth.Generate(synth.Taobao10(s.TotalSamples, s.Seed))
-	cfg := trainCfg(s)
+func AblationDROrder(s *Session) *Table {
+	ds := s.dataset("taobao-10")
+	cfg := s.arm("taobao-10", "mlp", "dr").config()
 
 	run := func(opts core.DROptions, seed int64) float64 {
 		m := models.MustNew("mlp", modelConfig(ds, seed))
@@ -107,8 +107,8 @@ func AblationDROrder(s Scale) *Table {
 
 // AblationCache measures the PS-Worker embedding cache's effect on
 // synchronization traffic and final quality.
-func AblationCache(s Scale) *Table {
-	ds := synth.Generate(synth.Amazon6(s.TotalSamples, s.Seed))
+func AblationCache(s *Session) *Table {
+	ds := s.dataset("amazon-6")
 	replica := func() models.Model {
 		return models.MustNew("mlp", modelConfig(ds, s.Seed))
 	}
@@ -141,7 +141,7 @@ func AblationCache(s Scale) *Table {
 // ConflictScaling measures one training epoch's wall time for PCGrad
 // (O(n²) pairwise projections) versus DN (O(n)) as the domain count
 // grows — the scalability argument of Section III-C.
-func ConflictScaling(s Scale) *Table {
+func ConflictScaling(s *Session) *Table {
 	t := &Table{
 		ID:     "Conflict Scaling",
 		Title:  "Wall time of one epoch: PCGrad O(n²) vs DN O(n)",
@@ -153,12 +153,12 @@ func ConflictScaling(s Scale) *Table {
 			specs[i] = synth.DomainSpec{Name: fmt.Sprintf("d%d", i), Samples: 200, CTRRatio: 0.3}
 		}
 		ds := synth.Generate(synth.Config{Name: fmt.Sprintf("scale-%d", n), Seed: s.Seed, ConflictStrength: 1, Domains: specs})
-		cfg := trainCfg(s)
+		cfg := s.arm("", "mlp", "pcgrad").config()
 		cfg.Epochs = 1
 		cfg.MaxBatchesPerDomain = 2
 
-		time1 := timeFit("pcgrad", ds, s, cfg)
-		time2 := timeFit("dn", ds, s, cfg)
+		time1 := timeFit("pcgrad", ds, s.Seed, cfg)
+		time2 := timeFit("dn", ds, s.Seed, cfg)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n), time1.Round(time.Millisecond).String(),
 			time2.Round(time.Millisecond).String(),
@@ -168,8 +168,8 @@ func ConflictScaling(s Scale) *Table {
 	return t
 }
 
-func timeFit(fwKey string, ds *data.Dataset, s Scale, cfg framework.Config) time.Duration {
-	m := models.MustNew("mlp", modelConfig(ds, s.Seed))
+func timeFit(fwKey string, ds *data.Dataset, seed int64, cfg framework.Config) time.Duration {
+	m := models.MustNew("mlp", modelConfig(ds, seed))
 	start := time.Now()
 	framework.MustNew(fwKey).Fit(m, ds, cfg)
 	return time.Since(start)
@@ -178,9 +178,9 @@ func timeFit(fwKey string, ds *data.Dataset, s Scale, cfg framework.Config) time
 // GradientConflictDiagnostic quantifies domain conflict before and after
 // DN training: the mean pairwise cosine similarity of per-domain
 // gradients at the shared parameters. DN should increase it (Eq. 9).
-func GradientConflictDiagnostic(s Scale) *Table {
-	ds := synth.Generate(synth.Taobao10(s.TotalSamples, s.Seed))
-	cfg := trainCfg(s)
+func GradientConflictDiagnostic(s *Session) *Table {
+	ds := s.dataset("taobao-10")
+	cfg := s.arm("taobao-10", "mlp", "dn").config()
 
 	measure := func(m models.Model) float64 {
 		rng := rand.New(rand.NewSource(s.Seed))

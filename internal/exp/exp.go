@@ -8,13 +8,13 @@ package exp
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
 	_ "mamdr/internal/core" // register dn/dr/mamdr frameworks
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
+	"mamdr/internal/metrics"
 	"mamdr/internal/models"
 	"mamdr/internal/synth"
 )
@@ -104,16 +104,8 @@ func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 // f1 formats a rank to 1 decimal place as in Table V.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 
-// benchmarkDatasets builds the five public benchmark equivalents.
-func benchmarkDatasets(s Scale) []*data.Dataset {
-	return []*data.Dataset{
-		synth.Generate(synth.Amazon6(s.TotalSamples, s.Seed)),
-		synth.Generate(synth.Amazon13(s.TotalSamples, s.Seed)),
-		synth.Generate(synth.Taobao10(s.TotalSamples, s.Seed)),
-		synth.Generate(synth.Taobao20(s.TotalSamples, s.Seed)),
-		synth.Generate(synth.Taobao30(s.TotalSamples, s.Seed)),
-	}
-}
+// benchmarks names the five public benchmark equivalents (synth presets).
+var benchmarks = []string{"amazon-6", "amazon-13", "taobao-10", "taobao-20", "taobao-30"}
 
 // modelConfig is the shared benchmark model configuration (the paper's
 // widths scaled to the synthetic dataset sizes).
@@ -121,61 +113,130 @@ func modelConfig(ds *data.Dataset, seed int64) models.Config {
 	return models.Config{Dataset: ds, EmbDim: 8, Hidden: []int{32, 16}, Seed: seed}
 }
 
-// trainCfg is the shared framework configuration.
-func trainCfg(s Scale) framework.Config {
-	return framework.Config{
-		Epochs:    s.Epochs,
-		BatchSize: s.BatchSize,
-		Seed:      s.Seed,
-	}.WithDefaults()
+// Arm is one fit a table shows: the models.New key Model, initialised
+// at the session's seed, trained on the synth preset Dataset (sized by
+// the session's Scale) with the hyperparameters Fit and the fit seed
+// Seed. Arms are comparable, so tables that show the same fit share
+// one training run.
+type Arm struct {
+	Dataset string
+	Model   string
+	framework.Fit
+	Seed int64
 }
 
-// cell identifies one (method, dataset) training job.
-type cell struct {
-	method  string // display name
-	dataset string
-	fit     func() []float64 // returns per-domain test AUC
+// config is the framework configuration that trains a. The hand-written
+// experiments, which run their own loops, take theirs from the arm they
+// stand in for.
+func (a Arm) config() framework.Config {
+	return framework.Config{Epochs: a.Epochs, BatchSize: a.BatchSize, LR: a.LR, OuterLR: a.OuterLR,
+		DRLR: a.DRLR, SampleK: a.SampleK, InnerOpt: a.InnerOpt, OuterOpt: a.OuterOpt, Seed: a.Seed}
 }
 
-// runCells executes jobs concurrently, bounded by GOMAXPROCS.
-func runCells(cells []cell) map[string]map[string][]float64 {
-	results := make(map[string]map[string][]float64)
-	var mu sync.Mutex
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for _, c := range cells {
-		wg.Add(1)
-		go func(c cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			aucs := c.fit()
-			mu.Lock()
-			if results[c.dataset] == nil {
-				results[c.dataset] = map[string][]float64{}
-			}
-			results[c.dataset][c.method] = aucs
-			mu.Unlock()
-		}(c)
+// Session runs experiments at one Scale. It generates each dataset
+// once and trains each distinct arm once, however many tables show it.
+type Session struct {
+	Scale
+	slots    chan struct{} // bounds concurrent fits to GOMAXPROCS
+	mu       sync.Mutex
+	datasets map[string]*data.Dataset
+	fits     map[Arm]*fit
+}
+
+// fit is one arm's training run; auc is set when done closes.
+type fit struct {
+	done chan struct{}
+	auc  []float64
+}
+
+// NewSession returns a session at scale s that has trained nothing.
+func NewSession(s Scale) *Session {
+	return &Session{Scale: s, slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		datasets: map[string]*data.Dataset{}, fits: map[Arm]*fit{}}
+}
+
+// dataset is the synth preset name at the session's scale; the
+// industry preset takes IndustryDomains and IndustrySamples.
+func (s *Session) dataset(name string) *data.Dataset {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ds, ok := s.datasets[name]
+	if !ok {
+		cfg := synth.Presets(s.TotalSamples, s.Seed)[name]
+		if name == "taobao-online" {
+			cfg = synth.TaobaoOnline(s.IndustryDomains, s.IndustrySamples, s.Seed)
+		}
+		ds = synth.Generate(cfg)
+		s.datasets[name] = ds
 	}
-	wg.Wait()
-	return results
+	return ds
 }
 
-// fitAndEval trains one framework+model pair and returns per-domain
-// test AUC.
-func fitAndEval(fwKey, modelKey string, ds *data.Dataset, s Scale, cfg framework.Config) []float64 {
-	m := models.MustNew(modelKey, modelConfig(ds, s.Seed))
-	pred := framework.MustNew(fwKey).Fit(m, ds, cfg)
+// arm is model trained by the framework fw on dataset at the scale's
+// epochs, batch size and seed, every other hyperparameter at its
+// default.
+func (s *Session) arm(dataset, model, fw string) Arm {
+	cfg := framework.Config{Spec: framework.Spec{Preset: dataset, Model: model}, Epochs: s.Epochs, BatchSize: s.BatchSize}
+	return Arm{Dataset: dataset, Model: model, Fit: cfg.RunSpec(fw).Fit, Seed: s.Seed}
+}
+
+// Fit trains every arm the session has not trained yet, GOMAXPROCS at a
+// time, and returns each arm's per-domain test AUC.
+func (s *Session) Fit(arms []Arm) map[Arm][]float64 {
+	fits := make([]*fit, len(arms))
+	s.mu.Lock()
+	for i, a := range arms {
+		if s.fits[a] == nil {
+			f := &fit{done: make(chan struct{})}
+			s.fits[a] = f
+			go func() {
+				s.slots <- struct{}{}
+				f.auc = s.train(a)
+				<-s.slots
+				close(f.done)
+			}()
+		}
+		fits[i] = s.fits[a]
+	}
+	s.mu.Unlock()
+	out := make(map[Arm][]float64, len(arms))
+	for i, f := range fits {
+		<-f.done
+		out[arms[i]] = f.auc
+	}
+	return out
+}
+
+// train fits one arm and returns its per-domain test AUC.
+func (s *Session) train(a Arm) []float64 {
+	ds := s.dataset(a.Dataset)
+	m := models.MustNew(a.Model, modelConfig(ds, s.Seed))
+	pred := framework.MustNew(a.Framework).Fit(m, ds, a.config())
 	return framework.EvaluateAUC(pred, ds, data.Test)
 }
 
-// sortedKeys returns map keys in sorted order (stable table rows).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// meanRows fits the arms cell(r, c) lists for every row r of labels and
+// column c < cols, and renders one row per label: the label, then per
+// column the mean over the cell's arms of their mean test AUC.
+func (s *Session) meanRows(labels []string, cols int, cell func(r, c int) []Arm) [][]string {
+	var arms []Arm
+	for r := range labels {
+		for c := 0; c < cols; c++ {
+			arms = append(arms, cell(r, c)...)
+		}
 	}
-	sort.Strings(out)
-	return out
+	auc := s.Fit(arms)
+	rows := make([][]string, len(labels))
+	for r, label := range labels {
+		rows[r] = []string{label}
+		for c := 0; c < cols; c++ {
+			var sum float64
+			as := cell(r, c)
+			for _, a := range as {
+				sum += metrics.Mean(auc[a])
+			}
+			rows[r] = append(rows[r], f4(sum/float64(len(as))))
+		}
+	}
+	return rows
 }

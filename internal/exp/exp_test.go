@@ -12,7 +12,7 @@ import (
 // asserted in the core/framework tests and recorded in EXPERIMENTS.md).
 
 func TestTableIStructure(t *testing.T) {
-	tab := TableI(Tiny)
+	tab := TableI(NewSession(Tiny))
 	if len(tab.Rows) != 6 {
 		t.Fatalf("Table I rows = %d, want 6 datasets", len(tab.Rows))
 	}
@@ -27,7 +27,7 @@ func TestTableIStructure(t *testing.T) {
 }
 
 func TestTableII_IVStructure(t *testing.T) {
-	tabs := TableII_IV(Tiny)
+	tabs := TableII_IV(NewSession(Tiny))
 	if len(tabs) != 3 {
 		t.Fatalf("got %d tables, want 3", len(tabs))
 	}
@@ -40,7 +40,7 @@ func TestTableII_IVStructure(t *testing.T) {
 }
 
 func TestTableVStructure(t *testing.T) {
-	tab := TableV(Tiny)
+	tab := TableV(NewSession(Tiny))
 	if len(tab.Rows) != len(tableVMethods) {
 		t.Fatalf("rows = %d, want %d methods", len(tab.Rows), len(tableVMethods))
 	}
@@ -58,22 +58,22 @@ func TestTableVStructure(t *testing.T) {
 }
 
 func TestTableVIAndVIIStructure(t *testing.T) {
-	vi := TableVI(Tiny)
+	vi := TableVI(NewSession(Tiny))
 	if len(vi.Rows) != 4 || len(vi.Header) != 6 {
 		t.Fatalf("Table VI shape: %d rows, header %v", len(vi.Rows), vi.Header)
 	}
-	vii := TableVII(Tiny)
+	vii := TableVII(NewSession(Tiny))
 	if len(vii.Rows) != 4 || len(vii.Header) != 7 {
 		t.Fatalf("Table VII shape: %d rows, header %v", len(vii.Rows), vii.Header)
 	}
 }
 
 func TestTableVIIIAndIXStructure(t *testing.T) {
-	viii := TableVIII(Tiny)
+	viii := TableVIII(NewSession(Tiny))
 	if len(viii.Rows) != len(tableVIIIMethods) {
 		t.Fatalf("Table VIII rows = %d", len(viii.Rows))
 	}
-	ix := TableIX(Tiny)
+	ix := TableIX(NewSession(Tiny))
 	if len(ix.Rows) != len(tableVIIIMethods) {
 		t.Fatalf("Table IX rows = %d", len(ix.Rows))
 	}
@@ -83,7 +83,7 @@ func TestTableVIIIAndIXStructure(t *testing.T) {
 }
 
 func TestTableXStructure(t *testing.T) {
-	tab := TableX(Tiny)
+	tab := TableX(NewSession(Tiny))
 	if len(tab.Rows) != len(tableXModels) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -93,19 +93,19 @@ func TestTableXStructure(t *testing.T) {
 }
 
 func TestFiguresStructure(t *testing.T) {
-	f8 := Figure8(Tiny)
+	f8 := Figure8(NewSession(Tiny))
 	if len(f8.Rows) != 5 {
 		t.Fatalf("Figure 8 rows = %d, want 5 k values", len(f8.Rows))
 	}
-	f9 := Figure9(Tiny)
+	f9 := Figure9(NewSession(Tiny))
 	if len(f9.Rows) != 3 || len(f9.Header) != 5 {
 		t.Fatalf("Figure 9 shape: %d rows, header %v", len(f9.Rows), f9.Header)
 	}
 }
 
 func TestAblationsRun(t *testing.T) {
-	for _, f := range []func(Scale) *Table{AblationDNOrder, AblationDROrder, AblationCache, GradientConflictDiagnostic} {
-		tab := f(Tiny)
+	for _, f := range []func(*Session) *Table{AblationDNOrder, AblationDROrder, AblationCache, GradientConflictDiagnostic} {
+		tab := f(NewSession(Tiny))
 		if len(tab.Rows) == 0 {
 			t.Fatalf("%s produced no rows", tab.ID)
 		}
@@ -113,7 +113,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestConflictScalingStructure(t *testing.T) {
-	tab := ConflictScaling(Tiny)
+	tab := ConflictScaling(NewSession(Tiny))
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -146,28 +146,30 @@ func TestRegistryRunsEverything(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("tablezzz", Tiny); err == nil {
+	if _, err := NewSession(Tiny).Run("tablezzz"); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestRunKnown(t *testing.T) {
-	tabs, err := Run("table1", Tiny)
+	tabs, err := NewSession(Tiny).Run("table1")
 	if err != nil || len(tabs) != 1 {
 		t.Fatalf("Run(table1) = %v, %v", tabs, err)
 	}
 }
 
+// TestDeterministicTables compares two sessions: inside one, the
+// second render would reuse the first's fits and prove nothing.
 func TestDeterministicTables(t *testing.T) {
-	a := TableVI(Tiny).Markdown()
-	b := TableVI(Tiny).Markdown()
+	a := TableVI(NewSession(Tiny)).Markdown()
+	b := TableVI(NewSession(Tiny)).Markdown()
 	if a != b {
 		t.Fatal("Table VI not deterministic across runs")
 	}
 }
 
 func TestQuantTradeoffStructure(t *testing.T) {
-	tab := QuantTradeoff(Tiny)
+	tab := QuantTradeoff(NewSession(Tiny))
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want amazon-6 + zipf variant", len(tab.Rows))
 	}
@@ -194,7 +196,7 @@ func TestQuantAUCBudget(t *testing.T) {
 	if os.Getenv("MAMDR_SMOKE_BATCH") == "" {
 		t.Skip("set MAMDR_SMOKE_BATCH=1 (make smoke-batch) to run the Quick-scale quant AUC gate")
 	}
-	tab := QuantTradeoff(Quick)
+	tab := QuantTradeoff(NewSession(Quick))
 	for _, row := range tab.Rows {
 		delta, err := strconv.ParseFloat(row[3], 64)
 		if err != nil {
@@ -203,6 +205,66 @@ func TestQuantAUCBudget(t *testing.T) {
 		t.Logf("%s: AUC fp64=%s int8=%s Δ=%+.4f", row[0], row[1], row[2], delta)
 		if strings.EqualFold(row[0], "amazon-6") && delta < -0.002 {
 			t.Fatalf("amazon-6 int8 AUC delta %+.4f exceeds the -0.002 budget", delta)
+		}
+	}
+}
+
+// TestSharedSessionMatchesFresh runs every experiment in one session and
+// each in a fresh session of its own: the tables must match byte for
+// byte, and the shared session must train each fit that several tables
+// show once (171 distinct arms, where fresh sessions train 199 fits).
+// Conflict Scaling's cells are wall times, and the PS-cache ablation's
+// AUC does not reproduce (its pushes are asynchronous), so neither is
+// compared.
+func TestSharedSessionMatchesFresh(t *testing.T) {
+	render := func(s *Session, id string) string {
+		tabs, err := s.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tab := range tabs {
+			if id == "ablation-cache" {
+				for _, r := range tab.Rows {
+					r[1] = ""
+				}
+			}
+			b.WriteString(tab.Markdown())
+		}
+		return b.String()
+	}
+	shared, freshFits := NewSession(Tiny), 0
+	for _, id := range Order {
+		if id == "conflict-scaling" {
+			continue
+		}
+		fresh := NewSession(Tiny)
+		if got, want := render(shared, id), render(fresh, id); got != want {
+			t.Errorf("%s in a shared session:\n%s\nin a fresh one:\n%s", id, got, want)
+		}
+		freshFits += len(fresh.fits)
+	}
+	if len(shared.fits) != 171 || freshFits != 199 {
+		t.Fatalf("shared session trained %d arms, fresh sessions %d fits; want 171 and 199", len(shared.fits), freshFits)
+	}
+}
+
+// TestSessionTrainsSharedArmsOnce: Table VII is Table VI's Amazon-6
+// column and Table IX is Table VIII's runs, so the second table of each
+// pair trains nothing new.
+func TestSessionTrainsSharedArmsOnce(t *testing.T) {
+	for _, c := range []struct {
+		ids  []string
+		arms int
+	}{{[]string{"table6", "table7"}, 20}, {[]string{"table8", "table9"}, 7}} {
+		s := NewSession(Tiny)
+		for _, id := range c.ids {
+			if _, err := s.Run(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(s.fits) != c.arms {
+			t.Errorf("%v trained %d arms, want %d", c.ids, len(s.fits), c.arms)
 		}
 	}
 }

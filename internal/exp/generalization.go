@@ -7,7 +7,6 @@ import (
 	"mamdr/internal/framework"
 	"mamdr/internal/metrics"
 	"mamdr/internal/models"
-	"mamdr/internal/synth"
 )
 
 // GeneralizationLODO is an extension experiment suggested by the paper's
@@ -19,8 +18,8 @@ import (
 // DN's cross-domain gradient alignment should transfer better to the
 // unseen domain than alternate training; MLDG — designed for exactly
 // this setting — is the reference point.
-func GeneralizationLODO(s Scale) *Table {
-	full := synth.Generate(synth.Taobao10(s.TotalSamples, s.Seed))
+func GeneralizationLODO(s *Session) *Table {
+	full := s.dataset("taobao-10")
 	methods := []string{"alternate", "mldg", "reptile", "dn"}
 	heldOut := []int{0, 3, 7} // small, medium, large domains
 
@@ -29,7 +28,7 @@ func GeneralizationLODO(s Scale) *Table {
 		train := withoutDomainTrain(full, h)
 		for _, key := range methods {
 			m := models.MustNew("mlp", modelConfig(train, s.Seed))
-			pred := framework.MustNew(key).Fit(m, train, trainCfg(s))
+			pred := framework.MustNew(key).Fit(m, train, s.arm("taobao-10", "mlp", key).config())
 			b := full.FullBatch(h, data.Test)
 			results[key] = append(results[key], metrics.AUC(pred.Predict(b), b.Labels))
 		}
@@ -57,10 +56,9 @@ func GeneralizationLODO(s Scale) *Table {
 	return t
 }
 
-// withoutDomainTrain returns a shallow copy of ds whose held-out
-// domain's train and val splits are empty, so no framework can see its
-// data during training, while its test split remains for zero-shot
-// evaluation via the original dataset.
+// withoutDomainTrain returns a shallow copy of ds without the held-out
+// domain, the others re-indexed 0..n-2, so no framework sees its data
+// during training; its test split stays in ds for zero-shot evaluation.
 func withoutDomainTrain(ds *data.Dataset, holdOut int) *data.Dataset {
 	cp := *ds
 	cp.Domains = make([]*data.Domain, 0, len(ds.Domains)-1)

@@ -23,9 +23,9 @@ import (
 // the Amazon-6 equivalent and a Zipf-imbalanced variant (skewed domain
 // sizes concentrate specific-parameter mass, the harder case for a
 // shared quantization grid).
-func QuantTradeoff(s Scale) *Table {
+func QuantTradeoff(s *Session) *Table {
 	datasets := []*data.Dataset{
-		synth.Generate(synth.Amazon6(s.TotalSamples, s.Seed)),
+		s.dataset("amazon-6"),
 		synth.Generate(synth.WithZipfImbalance(synth.Amazon6(s.TotalSamples, s.Seed), 1.4)),
 	}
 	datasets[1].Name = "amazon-6-zipf"
@@ -38,9 +38,10 @@ func QuantTradeoff(s Scale) *Table {
 			"(internal/quant), dense layers untouched — the storage the serve " +
 			"path uses under -snapshot-quant=int8."},
 	}
+	cfg := s.arm("amazon-6", "mlp", "mamdr").config()
 	for _, ds := range datasets {
 		m := models.MustNew("mlp", modelConfig(ds, s.Seed))
-		st := framework.MustNew("mamdr").Fit(m, ds, trainCfg(s)).(*core.State)
+		st := framework.MustNew("mamdr").Fit(m, ds, cfg).(*core.State)
 
 		var aucF, aucQ []float64
 		for d := range ds.Domains {

@@ -5,12 +5,12 @@ import (
 	"sort"
 )
 
-// Runner produces one or more tables at a given scale.
-type Runner func(Scale) []*Table
+// Runner produces one or more tables in a session.
+type Runner func(*Session) []*Table
 
 // one lifts a single-table experiment into a Runner.
-func one(f func(Scale) *Table) Runner {
-	return func(s Scale) []*Table { return []*Table{f(s)} }
+func one(f func(*Session) *Table) Runner {
+	return func(s *Session) []*Table { return []*Table{f(s)} }
 }
 
 // Registry maps experiment ids (as used by `cmd/experiments -run`) to
@@ -43,8 +43,8 @@ var Order = []string{
 	"conflict-scaling", "conflict-cosine", "generalization", "quant",
 }
 
-// Run executes the named experiment.
-func Run(id string, s Scale) ([]*Table, error) {
+// Run executes the named experiment in s.
+func (s *Session) Run(id string) ([]*Table, error) {
 	r, ok := Registry[id]
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, Names())

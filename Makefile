@@ -112,6 +112,11 @@ smoke-cluster:
 # dataset (Amazon-6's embedding tables change shape with it), another
 # model, another -lr or another -framework exits 1 with one line naming
 # the spec fields that differ, never a goroutine trace.
+# A bare -ps-serve host is filled by its trainer: 2 epochs over -ps-addrs
+# and a -resume to 3 print the in-process 2-shard run's table, the
+# host's shard files record the trainer's spec, so a -resume with
+# another -lr exits 1 naming LR, and a host given a run flag (-preset)
+# exits non-zero naming it.
 smoke-resume:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train
 	set -e; for ps in "" "-ps-workers 2 -ps-sync-push"; do \
@@ -128,6 +133,20 @@ smoke-resume:
 				echo "resume $${other%%:*} $$ps: exit $$status"; cat $$dir-refused.log; exit 1; fi; \
 		done; \
 	done
+	set -e; dir=/tmp/resume-host; rm -rf $$dir; addrs=127.0.0.1:7111,127.0.0.1:7112; \
+	/tmp/mamdr-bin/mamdr-train -ps-serve $$addrs -checkpoint-dir $$dir >$$dir.log 2>&1 & pid=$$!; trap "kill $$pid" EXIT; \
+	run="/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 3000 -seed 1 -ps-workers 2 -ps-sync-push"; \
+	$$run -ps-shards 2 -epochs 3 | grep -v '^trained in' > $$dir-full.txt; \
+	for i in `seq 50`; do grep -c 'shard slot on' $$dir.log | grep -q 2 && break; sleep 0.1; done; \
+	$$run -ps-addrs $$addrs -checkpoint-dir $$dir -epochs 2 > /dev/null; \
+	$$run -ps-addrs $$addrs -checkpoint-dir $$dir -epochs 3 -resume | grep -v '^trained in' > $$dir-resumed.txt; \
+	diff $$dir-full.txt $$dir-resumed.txt; \
+	status=0; $$run -ps-addrs $$addrs -checkpoint-dir $$dir -epochs 3 -resume -lr 0.05 > /dev/null 2> $$dir-refused.log || status=$$?; \
+	if [ $$status -ne 1 ] || ! grep -q 'LR 0.05 (checkpoint' $$dir-refused.log; then \
+		echo "host resume -lr 0.05: exit $$status"; cat $$dir-refused.log; exit 1; fi; \
+	status=0; /tmp/mamdr-bin/mamdr-train -ps-serve 127.0.0.1:7113 -preset amazon-6 > /dev/null 2> $$dir-preset.log || status=$$?; \
+	if [ $$status -eq 0 ] || ! grep -q -- '-preset' $$dir-preset.log; then \
+		echo "host with -preset: exit $$status"; cat $$dir-preset.log; exit 1; fi
 
 # Two shard servers in one host process (scraped once, on its
 # -metrics-addr) plus a faulted
@@ -138,7 +157,7 @@ smoke-resume:
 # run observed by a fresh monitor must fire none.
 smoke-obs:
 	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-obs
-	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -seed 7 \
+	/tmp/mamdr-bin/mamdr-train \
 		-ps-serve 127.0.0.1:7101,127.0.0.1:7102 -metrics-addr 127.0.0.1:9192 \
 		>/tmp/obs-ps.log 2>&1 & echo $$! > /tmp/obs-ps.pid
 	sleep 1

@@ -8,8 +8,8 @@
 //	mamdr-train -metrics-addr :9090 -events run.jsonl     # observability
 //	mamdr-train -ps-workers 4                             # distributed PS-Worker run (a one-shard in-process cluster)
 //	mamdr-train -ps-workers 4 -ps-shards 3                # the same over three in-process shards
-//	mamdr-train -ps-serve  127.0.0.1:7001,127.0.0.1:7002  # host the shard servers and block
-//	mamdr-train -ps-workers 4 -ps-addrs 127.0.0.1:7001,127.0.0.1:7002   # train against them
+//	mamdr-train -ps-serve  127.0.0.1:7001,127.0.0.1:7002  # host two empty shard slots and block
+//	mamdr-train -ps-workers 4 -ps-addrs 127.0.0.1:7001,127.0.0.1:7002   # install this run's shards on them and train
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -60,47 +59,22 @@ func main() {
 		psFaults  = flag.String("ps-faults", "", `fault-injection schedule for -ps-workers chaos runs, e.g. "PushDelta:err@p0.05; PullRows:delay=10ms@*" (seeded per worker and shard from -seed)`)
 		psSync    = flag.Bool("ps-sync-push", false, "apply worker deltas serially per epoch for bit-reproducible distributed runs")
 
-		psAddrs  = flag.String("ps-addrs", "", "comma-separated addresses of running shard servers to train against (replicas of one shard joined with '|'); see -ps-serve")
-		psServe  = flag.String("ps-serve", "", "host the parameter-server shards on these comma-separated addresses for -model/-preset and block (replica addresses of one shard joined with '|')")
+		psAddrs  = flag.String("ps-addrs", "", "comma-separated addresses of -ps-serve host slots to install this run's shards on and train against (replicas of one shard joined with '|')")
+		psServe  = flag.String("ps-serve", "", "host an empty parameter-server shard slot on each of these comma-separated addresses and block; a -ps-addrs trainer installs its run on them (reads only -checkpoint-dir, -metrics-addr, -metrics-linger, -kernel-threads and the trace flags)")
 		replicas = flag.Int("shard-replicas", 1, "replicas per cluster shard: writes broadcast to all, reads fail over past dead ones")
 
 		savePath   = flag.String("save", "", "save the trained state with a quality baseline profiled on the validation split and the dataset and model spec it was trained on (all mamdr-serve -checkpoint needs; -framework dn, dr or mamdr)")
 		flipLabels = flag.Bool("flip-labels", false, "invert every interaction label before training — produces a deliberately quality-regressed model for rollout/rollback drills")
 	)
 	flag.Parse()
+	if err := hostFlagsOnly(flag.CommandLine); err != nil {
+		log.Fatal(err)
+	}
 	cfg := runConfig()
 	kernels.SetThreads(*kernelThreads)
 	psUseDR, err := checkFlags(cfg, *fw, *savePath != "", *psWorkers)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	ds, err := mamdr.SpecDataset(&cfg.Spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts := ps.Options{
-		Workers: *psWorkers, Shards: *psShards, CacheEnabled: true,
-		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, InnerLR: cfg.LR, OuterLR: cfg.OuterLR,
-		UseDR: psUseDR, SampleK: cfg.SampleK, DRLR: cfg.DRLR, Seed: cfg.Seed,
-		SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
-	}
-	if *psWorkers > 0 || *psServe != "" {
-		// A PS fit records its own hyperparameters: ps.Options' defaults.
-		cfg.Spec = opts.Config(cfg.Spec).RunSpec(*fw)
-	}
-	if *flipLabels {
-		// The drill model: structurally identical to an honest run, but
-		// trained against inverted labels, so its live quality is reliably
-		// worse — exactly what a canary gate must catch and roll back.
-		for _, dom := range ds.Domains {
-			for _, split := range [][]data.Interaction{dom.Train, dom.Val, dom.Test} {
-				for i := range split {
-					split[i].Label = 1 - split[i].Label
-				}
-			}
-		}
-		log.Printf("flip-labels: inverted every label in %s — this model is deliberately poisoned", ds.Name)
 	}
 
 	// Tracing: the tracer is built whenever -trace/-flight-dump asks for
@@ -138,15 +112,40 @@ func main() {
 		}()
 	}
 
-	fmt.Printf("dataset %s: %d domains, %d samples\n", ds.Name, ds.NumDomains(), ds.TotalSamples())
-
-	// Shard-server mode: host this model's slice servers and block. A
-	// training process with matching -model/-emb/-seed (so the partition
-	// plans agree) then connects with -ps-addrs.
+	// Host mode: empty shard slots, filled by each -ps-addrs trainer.
 	if *psServe != "" {
-		serveCluster(ds, cfg, *psServe, h.Tracer, reg)
+		serveHost(*psServe, cfg.CheckpointDir, h.Tracer, reg)
 		return
 	}
+
+	ds, err := mamdr.SpecDataset(&cfg.Spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := ps.Options{
+		Workers: *psWorkers, Shards: *psShards, CacheEnabled: true,
+		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, InnerLR: cfg.LR, OuterLR: cfg.OuterLR,
+		UseDR: psUseDR, SampleK: cfg.SampleK, DRLR: cfg.DRLR, Seed: cfg.Seed,
+		SyncPush: *psSync, HeartbeatTimeout: 30 * time.Second,
+	}
+	if *psWorkers > 0 {
+		// A PS fit records its own hyperparameters: ps.Options' defaults.
+		cfg.Spec = opts.Config(cfg.Spec).RunSpec(*fw)
+	}
+	if *flipLabels {
+		// The drill model: structurally identical to an honest run, but
+		// trained against inverted labels, so its live quality is reliably
+		// worse — exactly what a canary gate must catch and roll back.
+		for _, dom := range ds.Domains {
+			for _, split := range [][]data.Interaction{dom.Train, dom.Val, dom.Test} {
+				for i := range split {
+					split[i].Label = 1 - split[i].Label
+				}
+			}
+		}
+		log.Printf("flip-labels: inverted every label in %s — this model is deliberately poisoned", ds.Name)
+	}
+	fmt.Printf("dataset %s: %d domains, %d samples\n", ds.Name, ds.NumDomains(), ds.TotalSamples())
 	cfg.Telemetry, cfg.Tracer = framework.WireTrainMetrics(reg, ds, h.Events, h.Tracer), h.Tracer
 
 	start := time.Now()
@@ -155,8 +154,6 @@ func main() {
 		pred            framework.Predictor
 	)
 	if *psWorkers > 0 {
-		fmt.Printf("training %s with distributed %s (%d workers, %d shards) for %d epochs...\n",
-			cfg.Spec.Model, *fw, *psWorkers, *psShards, cfg.Epochs)
 		if cfg.CheckpointDir != "" {
 			opts.CheckpointPath = filepath.Join(cfg.CheckpointDir, "ps.ckpt")
 			opts.CheckpointEvery, opts.Resume = cfg.CheckpointEvery, cfg.Resume
@@ -284,42 +281,46 @@ func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int) (useD
 	return false, fmt.Errorf("-framework %q: -ps-workers trains mamdr or dn", fw)
 }
 
-// serveCluster hosts the parameter-server shards of cfg.Spec's model on
-// the listed addresses and blocks. The partition plan is derived from
-// the model layout and -seed, exactly as the training side derives it,
-// so both ends agree on which shard owns which slice (cluster.Dial
-// verifies the layouts and refuses a mismatched cluster). Every shard
-// file records cfg.Spec. Every shard shares reg, so with -metrics-addr
-// the process is one scrape target, role ps, for all the shards it hosts.
-func serveCluster(ds *mamdr.Dataset, cfg framework.Config, addrSpec string, tracer *trace.Tracer, reg *telemetry.Registry) {
-	groups := cluster.ParseAddrs(addrSpec)
-	if len(groups) == 0 {
-		log.Fatal("-ps-serve: no addresses given")
-	}
-	reps := len(groups[0])
-	for _, g := range groups {
-		if len(g) != reps {
-			log.Fatalf("-ps-serve: every shard needs the same replica count (got %v)", groups)
+// hostFlags are the flags a -ps-serve host reads. Every other flag
+// names a run or a fit, which the trainer installs on the host.
+var hostFlags = map[string]bool{"ps-serve": true, "checkpoint-dir": true, "metrics-addr": true, "metrics-linger": true,
+	"kernel-threads": true, "trace": true, "trace-sample": true, "flight-dump": true, "profile-dir": true, "events": true}
+
+// hostFlagsOnly refuses a -ps-serve host any flag it would not read.
+func hostFlagsOnly(fs *flag.FlagSet) error {
+	var (
+		host  bool
+		named []string
+	)
+	fs.Visit(func(f *flag.Flag) {
+		host = host || f.Name == "ps-serve"
+		if !hostFlags[f.Name] {
+			named = append(named, "-"+f.Name)
 		}
+	})
+	if host && named != nil {
+		return fmt.Errorf("-ps-serve: %s: a host takes its run from the trainer that installs it (-ps-addrs)", strings.Join(named, " "))
 	}
-	serving := specModel(ds, cfg.Spec)
-	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), len(groups), cfg.Spec.Seed)
-	so := cluster.ShardOptions{Replicas: reps, OuterLR: cfg.OuterLR, Spec: cfg.Spec, Tracer: tracer, Metrics: ps.NewMetrics(reg)}
-	if cfg.CheckpointDir != "" {
-		so.CheckpointPath = filepath.Join(cfg.CheckpointDir, "ps.ckpt")
+	return nil
+}
+
+// serveHost hosts an empty shard slot on every -ps-serve address and
+// blocks; each -ps-addrs trainer installs its run on them. Every slot
+// shares reg, so with -metrics-addr the process is one scrape target,
+// role ps, for all the shards it hosts.
+func serveHost(addrSpec, checkpointDir string, tracer *trace.Tracer, reg *telemetry.Registry) {
+	so := cluster.ShardOptions{Tracer: tracer, Metrics: ps.NewMetrics(reg)}
+	if checkpointDir != "" {
+		so.CheckpointPath = filepath.Join(checkpointDir, "ps.ckpt")
 	}
-	servers := cluster.Shards(serving.Parameters(), plan, so)
-	log.Printf("serving %s", plan.String())
-	for sh, g := range groups {
-		for rep, addr := range g {
-			lis, err := net.Listen("tcp", addr)
-			if err != nil {
-				log.Fatalf("shard %d replica %d: %v", sh, rep, err)
-			}
-			log.Printf("shard %d replica %d on %s (%d elements)", sh, rep, lis.Addr(), plan.Elements(sh))
-			go ps.Serve(servers[sh][rep], lis)
-		}
+	slots, _, err := cluster.Host(cluster.ParseAddrs(addrSpec), so)
+	if err == nil && len(slots) == 0 {
+		err = errors.New("no addresses given")
 	}
+	if err != nil {
+		log.Fatalf("-ps-serve: %v", err)
+	}
+	log.Printf("shard slots on %v", slots)
 	select {} // serve until killed
 }
 
@@ -328,7 +329,8 @@ func serveCluster(ds *mamdr.Dataset, cfg framework.Config, addrSpec string, trac
 // hit ratio, row staleness, cfg.Telemetry from every worker, and
 // cfg.Tracer's traces. The flags place its cluster.Deploy: in-process
 // shards (-ps-shards, one by default, each with -shard-replicas
-// replicas), the servers at addrs (-ps-addrs), or under faults
+// replicas), the host slots at addrs (-ps-addrs), which it fills with
+// this run's shards, outer optimizer and spec, or under faults
 // (-ps-faults) in-process shards lifted onto loopback, where every
 // worker's per-shard clients carry a seeded fault injector. The plan is
 // a pure function of (layout, shards, seed), so with -ps-sync-push the
@@ -336,14 +338,19 @@ func serveCluster(ds *mamdr.Dataset, cfg framework.Config, addrSpec string, trac
 // returns carries cfg.Spec.
 func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, replicas int, faults, addrs string, reg *telemetry.Registry) (val, test []float64, st *core.State) {
 	opts.Metrics, opts.Telemetry, opts.Tracer = ps.NewMetrics(reg), cfg.Telemetry, cfg.Tracer
-	replica := func() models.Model { return specModel(ds, cfg.Spec) }
-	serving := replica()
+	serving, err := mamdr.SpecModel(ds, cfg.Spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	replica := func() models.Model { m, _ := mamdr.SpecModel(ds, cfg.Spec); return m } // serving's build checked the spec
 	at := cluster.Placement{Addrs: cluster.ParseAddrs(addrs), Loopback: faults != ""}
 	if at.Addrs != nil {
 		opts.Shards = len(at.Addrs)
 	}
 	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), opts.Shards, opts.Seed)
 	log.Printf("cluster: %s", plan.String())
+	fmt.Printf("training %s with distributed %s (%d workers, %d shards) for %d epochs...\n",
+		cfg.Spec.Model, cfg.Spec.Framework, opts.Workers, plan.NumShards, cfg.Epochs)
 	if at.Addrs == nil && opts.Resume {
 		if err := refuseLegacyCheckpoint(opts.CheckpointPath, plan.NumShards); err != nil {
 			log.Fatal(err)
@@ -398,15 +405,6 @@ func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, 
 		log.Printf("supervision: %d worker death(s); domains redistributed to survivors", res.WorkerDeaths)
 	}
 	return framework.EvaluateAUC(res.State, ds, data.Val), framework.EvaluateAUC(res.State, ds, data.Test), res.State
-}
-
-// specModel builds the model spec names over ds, or exits.
-func specModel(ds *mamdr.Dataset, spec framework.Spec) models.Model {
-	m, err := mamdr.SpecModel(ds, spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return m
 }
 
 // refuseLegacyCheckpoint keeps -resume from silently starting over on a

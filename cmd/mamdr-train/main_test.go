@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,5 +118,31 @@ func TestResumeNeedsCheckpointDir(t *testing.T) {
 		if _, err := checkFlags(framework.Config{Resume: true, CheckpointDir: t.TempDir()}, "mamdr", false, psWorkers); err != nil {
 			t.Errorf("-resume with -checkpoint-dir, %d PS workers: %v", psWorkers, err)
 		}
+	}
+}
+
+// TestHostRefusesRunFlags: a -ps-serve host takes its run from the
+// trainer that installs it, so every flag it would not read is refused,
+// each by name, and its own flags pass.
+func TestHostRefusesRunFlags(t *testing.T) {
+	parse := func(args ...string) error {
+		fs := flag.NewFlagSet("mamdr-train", flag.ContinueOnError)
+		for _, name := range []string{"ps-serve", "checkpoint-dir", "metrics-addr", "trace", "preset", "samples", "lr", "outer-lr"} {
+			fs.String(name, "", "")
+		}
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return hostFlagsOnly(fs)
+	}
+	if err := parse("-ps-serve", "a,b", "-checkpoint-dir", "d", "-metrics-addr", ":1", "-trace", "f"); err != nil {
+		t.Fatalf("host flags refused: %v", err)
+	}
+	if err := parse("-preset", "amazon-6", "-lr", "0.05"); err != nil {
+		t.Fatalf("a trainer's run flags refused: %v", err)
+	}
+	err := parse("-ps-serve", "a", "-preset", "amazon-6", "-checkpoint-dir", "d", "-outer-lr", "0.2")
+	if err == nil || !strings.Contains(err.Error(), "-outer-lr -preset:") {
+		t.Fatalf("host with -preset and -outer-lr: %v, want a refusal naming both", err)
 	}
 }

@@ -8,8 +8,9 @@
 //	distributed            # self-host 1 PS over loopback (the default)
 //	distributed -shards 3  # self-host a 3-shard PS cluster over loopback
 //
-// To host shard servers in one process and train against them from
-// another, use mamdr-train -ps-serve and mamdr-train -ps-addrs.
+// To host shard slots in one process and train against them from
+// another, use mamdr-train -ps-serve (a bare host) and mamdr-train
+// -ps-addrs (which installs its run's shards on the host).
 package main
 
 import (

@@ -12,7 +12,8 @@ import (
 	"mamdr/internal/trace"
 )
 
-// ShardOptions configures how Shards builds the per-shard ps.Servers.
+// ShardOptions configures how Shards, or a Host's install, builds the
+// per-shard ps.Servers.
 type ShardOptions struct {
 	// Replicas is how many identical servers host each shard (at least 1).
 	// With R > 1 the router broadcasts writes to all replicas and fails
@@ -48,27 +49,51 @@ func Shards(params []*autograd.Tensor, plan ps.Plan, o ShardOptions) [][]*ps.Ser
 	for sh := 0; sh < plan.NumShards; sh++ {
 		tables := plan.ShardTables(sh)
 		for rep := 0; rep < max(o.Replicas, 1); rep++ {
-			srv := ps.NewServer(plan.ShardParams(params, sh), tables, o.OuterOpt, o.OuterLR)
-			if o.CheckpointPath != "" {
-				// Backups get a suffix, so replicas on one filesystem
-				// never clobber each other's file.
-				p := ps.ShardCheckpointPath(o.CheckpointPath, sh, plan.NumShards)
-				if rep > 0 {
-					p = fmt.Sprintf("%s.r%d", p, rep)
-				}
-				srv.SetCheckpoint(p, o.Spec)
-			}
-			srv.SetTracer(o.Tracer)
-			srv.SetMetrics(o.Metrics)
-			out[sh] = append(out[sh], srv)
+			out[sh] = append(out[sh], shardServer(plan.ShardParams(params, sh), tables, sh, plan.NumShards, rep, o))
 		}
 	}
 	return out
 }
 
+// shardServer builds replica rep of shard sh of n over the shard's
+// params, as every placement does: in process, or on a host slot.
+func shardServer(params []*autograd.Tensor, tables map[int]int, sh, n, rep int, o ShardOptions) *ps.Server {
+	srv := ps.NewServer(params, tables, o.OuterOpt, o.OuterLR)
+	if o.CheckpointPath != "" {
+		// Backups get a suffix, so replicas on one filesystem never
+		// clobber each other's file.
+		p := ps.ShardCheckpointPath(o.CheckpointPath, sh, n)
+		if rep > 0 {
+			p = fmt.Sprintf("%s.r%d", p, rep)
+		}
+		srv.SetCheckpoint(p, o.Spec)
+	}
+	srv.SetTracer(o.Tracer)
+	srv.SetMetrics(o.Metrics)
+	return srv
+}
+
+// Host serves an empty shard slot at every address (ParseAddrs' grid)
+// and returns the bound addresses and a function that closes the slots.
+// The trainer's Deploy installs one shard replica of its run on each
+// slot, and each install replaces what the last session left. o holds
+// the host's own CheckpointPath, Tracer and Metrics.
+func Host(addrs [][]string, o ShardOptions) ([][]string, func(), error) {
+	install := func(a ps.InstallArgs) *ps.Server {
+		params := make([]*autograd.Tensor, len(a.Values))
+		for t, v := range a.Values {
+			params[t] = autograd.Param(a.Layout.Rows[t], a.Layout.Cols[t], v)
+		}
+		so := o // slots install concurrently
+		so.OuterOpt, so.OuterLR, so.Spec = a.OuterOpt, a.OuterLR, a.Spec
+		return shardServer(params, a.Layout.Tables(), a.Shard, a.Shards, a.Replica, so)
+	}
+	return listen(addrs, func(_, _ int, lis net.Listener) { ps.ServeSlot(lis, install) })
+}
+
 // Placement says where a Deployment's shard servers run: in this
 // process behind one shared router (the zero value), on loopback TCP
-// listeners (Loopback), or already serving at Addrs (ParseAddrs'
+// listeners (Loopback), or on the Host slots at Addrs (ParseAddrs'
 // grouping, in the same replica order everywhere; the plan must have
 // len(Addrs) shards).
 type Placement struct {
@@ -99,11 +124,17 @@ type Deployment struct {
 }
 
 // Deploy partitions params per the plan and builds the cluster at the
-// placement: shard servers (unless dialled), then the base router.
+// placement: shard servers, or at Addrs an install of each shard replica
+// with so's outer optimizer and Spec on its host slot (whose own
+// CheckpointPath, Tracer and Metrics apply); then the base router.
 func Deploy(params []*autograd.Tensor, plan ps.Plan, so ShardOptions, ro Options, at Placement) (*Deployment, error) {
 	d := &Deployment{Plan: plan, addrs: at.Addrs, client: at.Client, opts: ro}
 	var err error
-	if d.addrs == nil {
+	if d.addrs != nil {
+		if err := installShards(params, plan, so, d.addrs); err != nil {
+			return nil, err
+		}
+	} else {
 		d.Servers = Shards(params, plan, so)
 		if !at.Loopback {
 			stores := make([][]ps.Store, len(d.Servers))
@@ -127,6 +158,32 @@ func Deploy(params []*autograd.Tensor, plan ps.Plan, so ShardOptions, ro Options
 		return nil, err
 	}
 	return d, nil
+}
+
+// installShards puts each shard replica of the plan, with so's outer
+// optimizer and Spec, on the host slot at addrs[shard][replica].
+func installShards(params []*autograd.Tensor, plan ps.Plan, so ShardOptions, addrs [][]string) error {
+	if len(addrs) != plan.NumShards {
+		return fmt.Errorf("cluster: plan has %d shards, got %d endpoint groups", plan.NumShards, len(addrs))
+	}
+	for sh, reps := range addrs {
+		a := ps.InstallArgs{Layout: plan.ShardLayout(sh), OuterOpt: so.OuterOpt, OuterLR: so.OuterLR, Spec: so.Spec, Shard: sh, Shards: len(addrs)}
+		for _, p := range plan.ShardParams(params, sh) {
+			a.Values = append(a.Values, p.Data)
+		}
+		for rep, addr := range reps {
+			a.Replica = rep
+			cl, err := ps.Dial(addr)
+			if err == nil {
+				err = cl.Install(a)
+				cl.Close()
+			}
+			if err != nil {
+				return fmt.Errorf("cluster: install shard %d replica %d: %w", sh, rep, err)
+			}
+		}
+	}
+	return nil
 }
 
 // dial fronts the shards with a fresh router over its own ps.Clients.
@@ -203,25 +260,38 @@ func (d *Deployment) Close() error {
 // goroutine — the exact transport a multi-machine deployment uses.
 func ServeTCP(servers [][]*ps.Server) ([][]string, func(), error) {
 	addrs := make([][]string, len(servers))
+	for sh, reps := range servers {
+		for range reps {
+			addrs[sh] = append(addrs[sh], "127.0.0.1:0")
+		}
+	}
+	return listen(addrs, func(sh, rep int, lis net.Listener) { ps.Serve(servers[sh][rep], lis) })
+}
+
+// listen binds every address of the grid and runs serve on each
+// listener in its own goroutine; it returns the bound addresses and a
+// function that closes every listener.
+func listen(addrs [][]string, serve func(sh, rep int, lis net.Listener)) ([][]string, func(), error) {
+	bound := make([][]string, len(addrs))
 	var listeners []net.Listener
 	closeAll := func() {
 		for _, lis := range listeners {
 			lis.Close()
 		}
 	}
-	for sh, reps := range servers {
-		for _, srv := range reps {
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
+	for sh, reps := range addrs {
+		for rep, addr := range reps {
+			lis, err := net.Listen("tcp", addr)
 			if err != nil {
 				closeAll()
 				return nil, nil, fmt.Errorf("cluster: listen for shard %d: %w", sh, err)
 			}
 			listeners = append(listeners, lis)
-			addrs[sh] = append(addrs[sh], lis.Addr().String())
-			go ps.Serve(srv, lis)
+			bound[sh] = append(bound[sh], lis.Addr().String())
+			go serve(sh, rep, lis)
 		}
 	}
-	return addrs, closeAll, nil
+	return bound, closeAll, nil
 }
 
 // ParseAddrs reads the address list every cluster flag takes: shards

@@ -112,10 +112,12 @@ func AblationCache(s *Session) *Table {
 	replica := func() models.Model {
 		return models.MustNew("mlp", modelConfig(ds, s.Seed))
 	}
+	// The cache-enabled arm applies its pushes in worker order (SyncPush),
+	// so its AUC reproduces; the cache-off protocol cannot defer pushes.
 	run := func(cache bool) (float64, ps.Counters) {
 		res := ps.Train(replica, ds, ps.Options{
 			Workers: 4, Epochs: s.Epochs, Seed: s.Seed, CacheEnabled: cache,
-			BatchSize: s.BatchSize,
+			BatchSize: s.BatchSize, SyncPush: cache,
 		})
 		return metrics.Mean(framework.EvaluateAUC(res.State, ds, data.Test)), res.Counters
 	}

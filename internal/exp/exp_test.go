@@ -214,8 +214,8 @@ func TestQuantAUCBudget(t *testing.T) {
 // byte, and the shared session must train each fit that several tables
 // show once (171 distinct arms, where fresh sessions train 199 fits).
 // Conflict Scaling's cells are wall times, and the PS-cache ablation's
-// AUC does not reproduce (its pushes are asynchronous), so neither is
-// compared.
+// cache-off AUC does not reproduce (that arm's pushes are asynchronous),
+// so neither is compared.
 func TestSharedSessionMatchesFresh(t *testing.T) {
 	render := func(s *Session, id string) string {
 		tabs, err := s.Run(id)
@@ -225,9 +225,7 @@ func TestSharedSessionMatchesFresh(t *testing.T) {
 		var b strings.Builder
 		for _, tab := range tabs {
 			if id == "ablation-cache" {
-				for _, r := range tab.Rows {
-					r[1] = ""
-				}
+				tab.Rows[1][1] = ""
 			}
 			b.WriteString(tab.Markdown())
 		}

@@ -9,8 +9,10 @@ import (
 	"net/rpc"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mamdr/internal/faultinject"
+	"mamdr/internal/framework"
 	"mamdr/internal/trace"
 )
 
@@ -34,8 +36,10 @@ import (
 // worker and redistributes its domains.
 
 // RPCService adapts a Server to net/rpc's method signature conventions.
+// Each Install replaces a host slot's server.
 type RPCService struct {
-	server *Server
+	server  atomic.Pointer[Server]
+	install func(InstallArgs) *Server // nil: Install is refused
 }
 
 // PullDenseArgs carries a PullDense request.
@@ -61,24 +65,68 @@ type SaveCheckpointArgs struct {
 	Epoch int
 }
 
+// InstallArgs carries an Install request: one replica of one shard of
+// a run, as the trainer's cluster.Deploy sends it to a host slot.
+// Values[t] holds tensor t's initial values, Rows[t]×Cols[t] of them;
+// Shard of Shards and Replica name the host's checkpoint file.
+type InstallArgs struct {
+	Layout                 Layout
+	Values                 [][]float64
+	OuterOpt               string
+	OuterLR                float64
+	Spec                   framework.Spec
+	Shard, Shards, Replica int
+}
+
 // Nothing is an empty argument/reply placeholder.
 type Nothing struct{}
 
 // remoteCtx rebuilds the calling worker's trace context on the server
 // side, so the server's span joins the worker's trace.
-func (s *RPCService) remoteCtx(tc trace.TraceContext) context.Context {
-	return trace.WithRemote(context.Background(), s.server.tracer, tc)
+func remoteCtx(srv *Server, tc trace.TraceContext) context.Context {
+	return trace.WithRemote(context.Background(), srv.tracer, tc)
+}
+
+// Install replaces a host slot's server, and with it the last session's
+// parameters, optimizer state and push sequences, with the one install
+// builds from args. A malformed install is refused and the slot keeps
+// what it had; net/rpc does not recover a panicking method, so a panic
+// of the build (an unknown optimizer) is returned.
+func (s *RPCService) Install(args InstallArgs, _ *Nothing) (err error) {
+	if s.install == nil {
+		return errors.New("ps: this server hosts a fixed shard and takes no install")
+	}
+	if err := args.Layout.Validate(-1); err != nil {
+		return err
+	}
+	if len(args.Values) != args.Layout.NumTensors() {
+		return fmt.Errorf("ps: install carries %d tensors' values for %d tensors", len(args.Values), args.Layout.NumTensors())
+	}
+	for t, v := range args.Values {
+		// Divided, not multiplied: a product of two huge shapes can wrap.
+		if rows, cols := args.Layout.Rows[t], args.Layout.Cols[t]; len(v)%cols != 0 || len(v)/cols != rows {
+			return fmt.Errorf("ps: install carries %d values for the %dx%d tensor %d", len(v), rows, cols, t)
+		}
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("ps: install: %v", p)
+		}
+	}()
+	s.server.Store(s.install(args))
+	return nil
 }
 
 // Layout returns the server's tensor layout.
 func (s *RPCService) Layout(_ Nothing, reply *Layout) error {
-	*reply = s.server.Layout()
+	*reply = s.server.Load().Layout()
 	return nil
 }
 
 // PullDense returns all dense tensors.
 func (s *RPCService) PullDense(args PullDenseArgs, reply *map[int][]float64) error {
-	*reply = s.server.PullDense(s.remoteCtx(args.TC))
+	srv := s.server.Load()
+	*reply = srv.PullDense(remoteCtx(srv, args.TC))
 	return nil
 }
 
@@ -87,10 +135,11 @@ func (s *RPCService) PullDense(args PullDenseArgs, reply *map[int][]float64) err
 // tensor or row, and net/rpc does not recover a panicking method, so
 // one malformed call would end the hosting process.
 func (s *RPCService) PullRows(args PullRowsArgs, reply *[][]float64) error {
-	if err := s.server.layout.checkRows(args.Tensor, args.Rows); err != nil {
+	srv := s.server.Load()
+	if err := srv.layout.checkRows(args.Tensor, args.Rows); err != nil {
 		return err
 	}
-	*reply = s.server.PullRows(s.remoteCtx(args.TC), args.Tensor, args.Rows)
+	*reply = srv.PullRows(remoteCtx(srv, args.TC), args.Tensor, args.Rows)
 	return nil
 }
 
@@ -98,10 +147,11 @@ func (s *RPCService) PullRows(args PullRowsArgs, reply *[][]float64) error {
 // checked against the layout before any of it applies, so a rejected
 // push changes no parameter and does not advance the worker's sequence.
 func (s *RPCService) PushDelta(args PushDeltaArgs, _ *Nothing) error {
-	if err := s.server.layout.checkDelta(args.Delta); err != nil {
+	srv := s.server.Load()
+	if err := srv.layout.checkDelta(args.Delta); err != nil {
 		return err
 	}
-	s.server.PushDelta(s.remoteCtx(args.TC), args.Delta)
+	srv.PushDelta(remoteCtx(srv, args.TC), args.Delta)
 	return nil
 }
 
@@ -151,14 +201,14 @@ func (l Layout) checkDelta(d Delta) error {
 // SaveCheckpoint persists the server's state (parameters, per-shard
 // optimizer state, epoch cursor) to its configured checkpoint path.
 func (s *RPCService) SaveCheckpoint(args SaveCheckpointArgs, _ *Nothing) error {
-	return s.server.SaveCheckpoint(args.Epoch)
+	return s.server.Load().SaveCheckpoint(args.Epoch)
 }
 
 // LoadCheckpoint restores the server from its configured checkpoint
 // path and returns the completed-epoch cursor, or -1 when no
 // checkpoint exists yet.
 func (s *RPCService) LoadCheckpoint(_ Nothing, reply *int) error {
-	epoch, err := s.server.LoadCheckpoint()
+	epoch, err := s.server.Load().LoadCheckpoint()
 	*reply = epoch
 	return err
 }
@@ -166,9 +216,19 @@ func (s *RPCService) LoadCheckpoint(_ Nothing, reply *int) error {
 // Serve registers the server on a fresh rpc.Server and services the
 // listener until it is closed. It is intended to run in its own
 // goroutine; accept errors after Close are swallowed.
-func Serve(server *Server, lis net.Listener) {
+func Serve(server *Server, lis net.Listener) { serve(lis, server, nil) }
+
+// ServeSlot is Serve for a host slot: it serves an empty server until an
+// Install replaces it with what install builds from the checked args.
+func ServeSlot(lis net.Listener, install func(InstallArgs) *Server) {
+	serve(lis, NewServer(nil, nil, "", 0), install)
+}
+
+func serve(lis net.Listener, server *Server, install func(InstallArgs) *Server) {
+	s := &RPCService{install: install}
+	s.server.Store(server)
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("PS", &RPCService{server: server}); err != nil {
+	if err := srv.RegisterName("PS", s); err != nil {
 		panic(fmt.Sprintf("ps: rpc register: %v", err))
 	}
 	for {
@@ -411,6 +471,11 @@ func (cl *Client) PullRows(ctx context.Context, tensor int, rows []int) [][]floa
 // delta silently.
 func (cl *Client) PushDelta(ctx context.Context, d Delta) {
 	cl.call(ctx, "PS.PushDelta", PushDeltaArgs{TC: trace.ContextOf(ctx), Delta: d}, &Nothing{})
+}
+
+// Install puts args on the host slot the client dialled.
+func (cl *Client) Install(args InstallArgs) error {
+	return cl.callErr(context.Background(), "PS.Install", args, &Nothing{})
 }
 
 // SaveCheckpoint implements CheckpointStore over RPC: the server

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"mamdr/internal/autograd"
@@ -18,7 +20,15 @@ func rpcTestService() (*RPCService, *Server) {
 		autograd.Param(2, 3, []float64{1, 2, 3, 4, 5, 6}),
 	}
 	srv := NewServer(params, map[int]int{0: 0}, "sgd", 0.5)
-	return &RPCService{server: srv}, srv
+	svc := &RPCService{install: func(a InstallArgs) *Server {
+		params := make([]*autograd.Tensor, len(a.Values))
+		for t, v := range a.Values {
+			params[t] = autograd.Param(a.Layout.Rows[t], a.Layout.Cols[t], v)
+		}
+		return NewServer(params, a.Layout.Tables(), a.OuterOpt, a.OuterLR)
+	}}
+	svc.server.Store(srv)
+	return svc, srv
 }
 
 // rpcArgsCorpus holds well-formed calls and one of every malformed
@@ -121,6 +131,87 @@ func FuzzPSRPCArgs(f *testing.F) {
 				if got := srv.lastSeq[push.Delta.WorkerID]; got != seq {
 					t.Fatalf("refused push (%v) moved worker %d's sequence %d → %d", err, push.Delta.WorkerID, seq, got)
 				}
+			}
+		}
+	})
+}
+
+// TestInstallDuringCalls: a host slot's server is replaced while other
+// connections pull and push; every call serves one whole server, the old
+// or the new (run with -race).
+func TestInstallDuringCalls(t *testing.T) {
+	svc, _ := rpcTestService()
+	a := InstallArgs{
+		Layout: Layout{Rows: []int{4, 2}, Cols: []int{2, 3}, Embedding: []bool{true, false}, Field: []int{0, -1}},
+		Values: [][]float64{make([]float64, 8), make([]float64, 6)}, Shards: 1,
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				var rows [][]float64
+				if g == 0 {
+					if err := svc.Install(a, &Nothing{}); err != nil {
+						t.Error(err)
+					}
+				} else if err := svc.PullRows(PullRowsArgs{Tensor: 0, Rows: []int{3}}, &rows); err != nil {
+					t.Error(err)
+				} else if err := svc.PushDelta(PushDeltaArgs{Delta: Delta{Dense: map[int][]float64{1: make([]float64, 6)}}}, &Nothing{}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzInstallArgs feeds gob-encoded install arguments to a host slot:
+// an install is refused with an error, leaving the slot's server in
+// place, or installs a server with the layout and values it carried.
+func FuzzInstallArgs(f *testing.F) {
+	good := InstallArgs{
+		Layout: Layout{Rows: []int{4, 2}, Cols: []int{2, 3}, Embedding: []bool{true, false}, Field: []int{0, -1}},
+		Values: [][]float64{{1, 2, 3, 4, 5, 6, 7, 8}, {1, 2, 3, 4, 5, 6}}, Shards: 1,
+	}
+	for _, corrupt := range []func(a *InstallArgs){
+		func(*InstallArgs) {},
+		func(a *InstallArgs) { a.Layout.Rows = []int{0, 2} },
+		func(a *InstallArgs) { a.Values = a.Values[:1] },
+		func(a *InstallArgs) { a.Values = [][]float64{a.Values[0], {1}} },
+		func(a *InstallArgs) { a.OuterOpt = "rmsprop" },
+		func(a *InstallArgs) { a.Layout.Rows[0], a.Layout.Cols[0], a.Values[0] = 1<<32, 1<<32, nil },
+	} {
+		a := good
+		a.Layout.Rows, a.Layout.Cols, a.Values = slices.Clone(a.Layout.Rows), slices.Clone(a.Layout.Cols), slices.Clone(a.Values)
+		corrupt(&a)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(a); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var a InstallArgs
+		if gob.NewDecoder(bytes.NewReader(raw)).Decode(&a) != nil {
+			return
+		}
+		svc, srv := rpcTestService()
+		if err := svc.Install(a, &Nothing{}); err != nil {
+			if svc.server.Load() != srv {
+				t.Fatalf("refused install (%v) replaced the server", err)
+			}
+			return
+		}
+		got := svc.server.Load()
+		if got.Layout().NumTensors() != len(a.Values) || !sameBits(got.Snapshot(), a.Values) {
+			t.Fatalf("installed %v from the values %v", got.Snapshot(), a.Values)
+		}
+		for tensor := range got.Layout().Tables() {
+			var rows [][]float64
+			if err := svc.PullRows(PullRowsArgs{Tensor: tensor, Rows: []int{a.Layout.Rows[tensor] - 1}}, &rows); err != nil {
+				t.Fatalf("pull of tensor %d's last row: %v", tensor, err)
 			}
 		}
 	})

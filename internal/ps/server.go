@@ -212,9 +212,6 @@ func (s *Server) SetMetrics(m *Metrics) { s.metrics = m }
 // calls.
 func (s *Server) SetTracer(t *trace.Tracer) { s.tracer = t }
 
-// Tracer returns the attached tracer (nil when untraced).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
 // NewServer builds a server over the given initial parameters. tables is
 // the explicit embedding classification (parameter index -> schema
 // field; models.EmbeddingTablesOf supplies it — nil means everything

@@ -161,13 +161,16 @@ func Deploy(params []*autograd.Tensor, plan ps.Plan, so ShardOptions, ro Options
 }
 
 // installShards puts each shard replica of the plan, with so's outer
-// optimizer and Spec, on the host slot at addrs[shard][replica].
+// optimizer and Spec, on the host slot at addrs[shard][replica]. With a
+// CheckpointPath the run checkpoints or resumes on the hosts' own
+// paths, and a host without one refuses the install.
 func installShards(params []*autograd.Tensor, plan ps.Plan, so ShardOptions, addrs [][]string) error {
 	if len(addrs) != plan.NumShards {
 		return fmt.Errorf("cluster: plan has %d shards, got %d endpoint groups", plan.NumShards, len(addrs))
 	}
 	for sh, reps := range addrs {
-		a := ps.InstallArgs{Layout: plan.ShardLayout(sh), OuterOpt: so.OuterOpt, OuterLR: so.OuterLR, Spec: so.Spec, Shard: sh, Shards: len(addrs)}
+		a := ps.InstallArgs{Layout: plan.ShardLayout(sh), OuterOpt: so.OuterOpt, OuterLR: so.OuterLR, Spec: so.Spec,
+			Shard: sh, Shards: len(addrs), Checkpoints: so.CheckpointPath != ""}
 		for _, p := range plan.ShardParams(params, sh) {
 			a.Values = append(a.Values, p.Data)
 		}

@@ -151,6 +151,35 @@ func TestHostResumeRefusesAnotherLR(t *testing.T) {
 	requireSameVector(t, "resumed on the host vs uninterrupted", full.State.Shared, resumed.State.Shared)
 }
 
+// TestHostRefusesCheckpointsWithoutPath: a session that checkpoints or
+// resumes is refused by a host started without a checkpoint path — at
+// install, before anything trains, naming -checkpoint-dir — instead of
+// failing at its first checkpoint. The same session without
+// checkpoints, or a host with a path, installs.
+func TestHostRefusesCheckpointsWithoutPath(t *testing.T) {
+	serving := replicaFactory(testDataset(t))()
+	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), 2, 1)
+	deploy := func(addrs [][]string, checkpoint string) error {
+		dep, err := Deploy(serving.Parameters(), plan, ShardOptions{CheckpointPath: checkpoint}, Options{}, Placement{Addrs: addrs})
+		if err == nil {
+			dep.Close()
+		}
+		return err
+	}
+	session := filepath.Join(t.TempDir(), "ps.ckpt")
+	bare, _ := startHost(t, 2, ShardOptions{})
+	if err := deploy(bare, session); err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
+		t.Fatalf("checkpointing session on a host without a checkpoint path: %v, want a refusal naming -checkpoint-dir", err)
+	}
+	if err := deploy(bare, ""); err != nil {
+		t.Fatalf("session without checkpoints on a host without a checkpoint path: %v", err)
+	}
+	withPath, _ := startHost(t, 2, ShardOptions{CheckpointPath: filepath.Join(t.TempDir(), "ps.ckpt")})
+	if err := deploy(withPath, session); err != nil {
+		t.Fatalf("checkpointing session on a host with a checkpoint path: %v", err)
+	}
+}
+
 // TestHostRefusesMalformedInstall: an install whose layout fails
 // Validate, whose values name another tensor count or another tensor
 // size, or whose optimizer is unknown is refused with an error, and the

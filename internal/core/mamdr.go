@@ -103,7 +103,7 @@ func (s *State) ComposedFor(domain int) paramvec.Vector {
 func (s *State) Predict(b *data.Batch) []float64 {
 	params := s.Model.Parameters()
 	binding := paramvec.NewBinding(params)
-	binding.Bind(paramvec.SumBound(params, models.EmbeddingTablesOf(s.Model), s.Shared, s.Specific[b.Domain]))
+	binding.Bind(paramvec.SumBound(params, models.EmbeddingTablesOf(s.Model), s.Shared, paramvec.Sparse{Dense: s.Specific[b.Domain]}))
 	defer binding.Unbind()
 	logits := s.Model.Forward(b, false)
 	probs := framework.SigmoidAll(logits)

@@ -136,7 +136,7 @@ func (l VectorLayout) appendBlock(b []byte, vecs []paramvec.Vector) ([]byte, err
 			count, stored := len(b), 0
 			b = le.AppendUint64(b, 0)
 			for r := 0; r < s.rows(); r++ {
-				if row := v[i][r*s.cols : (r+1)*s.cols]; !zeroRow(row) {
+				if row := v[i][r*s.cols : (r+1)*s.cols]; !paramvec.ZeroRow(row) {
 					b = appendFloats(le.AppendUint32(b, uint32(r)), row)
 					stored++
 				}
@@ -145,17 +145,6 @@ func (l VectorLayout) appendBlock(b []byte, vecs []paramvec.Vector) ([]byte, err
 		}
 	}
 	return b, nil
-}
-
-// zeroRow reports whether every value of row is +0 (all bits clear):
-// a row holding a -0, a NaN or anything else is written.
-func zeroRow(row []float64) bool {
-	for _, x := range row {
-		if math.Float64bits(x) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // appendFloats appends xs to b as little-endian float64s.
@@ -321,13 +310,13 @@ type Vectors struct {
 	block []byte
 }
 
-// Decode decodes the vector block against layout: every vector it
-// holds, each of layout's shape. Each count is checked against the
-// bytes left before anything is sized by it, and every allocation is
-// sized by layout, so a damaged or crafted block is refused with
-// ErrCorruptCheckpoint and never allocates more than its vector count
-// (bounded by the file's length) times one layout-shaped vector.
-func (vs Vectors) Decode(layout VectorLayout) ([]paramvec.Vector, error) {
+// DecodeRows is the one vector-block decoder: every vector the block
+// holds, against layout, in the form the file stores it — each dense
+// segment as its values, each embedding table as its stored rows. Each
+// count is checked against the bytes left before anything is sized by
+// it, so a damaged or crafted block is refused with
+// ErrCorruptCheckpoint, and what it allocates follows the block's bytes.
+func (vs Vectors) DecodeRows(layout VectorLayout) ([]paramvec.Sparse, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("core: %s: vector block %s: %w", vs.path, fmt.Sprintf(format, args...), ErrCorruptCheckpoint)
 	}
@@ -340,23 +329,23 @@ func (vs Vectors) Decode(layout VectorLayout) ([]paramvec.Vector, error) {
 	if n > uint64(len(b)/max(layout.minBytes(), 1)) {
 		return nil, corrupt("promises %d vectors in %d bytes", n, len(b))
 	}
-	values := 0
+	dense := 0
 	for _, s := range layout {
-		values += s.size
+		if s.cols == 0 {
+			dense += s.size
+		}
 	}
-	vecs := make([]paramvec.Vector, n)
+	vecs := make([]paramvec.Sparse, n)
 	for k := range vecs {
-		backing := make([]float64, values)
-		v := make(paramvec.Vector, len(layout))
+		backing := make([]float64, dense)
+		v := paramvec.Sparse{Dense: make(paramvec.Vector, len(layout)), Tables: make([]paramvec.Table, len(layout))}
 		for i, s := range layout {
-			seg := backing[:s.size:s.size]
-			backing = backing[s.size:]
-			v[i] = seg
 			if s.cols == 0 {
 				if len(b) < 8*s.size {
 					return nil, corrupt("ends inside vector %d segment %d", k, i)
 				}
-				getFloats(seg, b)
+				v.Dense[i], backing = backing[:s.size:s.size], backing[s.size:]
+				getFloats(v.Dense[i], b)
 				b = b[8*s.size:]
 				continue
 			}
@@ -369,20 +358,38 @@ func (vs Vectors) Decode(layout VectorLayout) ([]paramvec.Vector, error) {
 			if stored > uint64(s.rows()) || stored > uint64(len(b)/rowBytes) {
 				return nil, corrupt("vector %d table %d stores %d rows of %d in %d bytes", k, i, stored, s.rows(), len(b))
 			}
+			t := paramvec.Table{Rows: s.rows(), Cols: s.cols, IDs: make([]uint32, stored), Values: make([]float64, int(stored)*s.cols)}
 			last := -1
-			for range stored {
+			for j := range t.IDs {
 				r := int(binary.LittleEndian.Uint32(b))
 				if r <= last || r >= s.rows() {
 					return nil, corrupt("vector %d table %d row %d after row %d of %d", k, i, r, last, s.rows())
 				}
-				getFloats(seg[r*s.cols:(r+1)*s.cols], b[4:])
+				t.IDs[j] = uint32(r)
+				getFloats(t.Values[j*s.cols:(j+1)*s.cols], b[4:])
 				b, last = b[rowBytes:], r
 			}
+			v.Tables[i] = t
 		}
 		vecs[k] = v
 	}
 	if len(b) != 0 {
 		return nil, corrupt("has %d bytes past its last vector", len(b))
+	}
+	return vecs, nil
+}
+
+// Decode is DecodeRows scattered: every vector at layout's full shape,
+// each table's unstored rows +0. It allocates its vector count (bounded
+// by the file's length) times one layout-shaped vector.
+func (vs Vectors) Decode(layout VectorLayout) ([]paramvec.Vector, error) {
+	rows, err := vs.DecodeRows(layout)
+	if err != nil {
+		return nil, err
+	}
+	vecs := make([]paramvec.Vector, len(rows))
+	for k, v := range rows {
+		vecs[k] = v.Scatter()
 	}
 	return vecs, nil
 }
@@ -431,15 +438,30 @@ func ReadState(path string) (Checkpoint, Envelope, error) {
 // Decode sets Shared and Specific from the file's vector block, decoded
 // against layout. After a nil error every vector fits layout.
 func (ck *Checkpoint) Decode(layout VectorLayout) error {
-	vecs, err := ck.vectors.Decode(layout)
+	shared, specific, err := ck.DecodeRows(layout)
 	if err != nil {
 		return err
 	}
-	if len(vecs) == 0 {
-		return fmt.Errorf("core: %s: vector block holds no shared vector: %w", ck.vectors.path, ErrCorruptCheckpoint)
+	ck.Shared, ck.Specific, ck.vectors = shared, make([]paramvec.Vector, len(specific)), Vectors{}
+	for d, v := range specific {
+		ck.Specific[d] = v.Scatter()
 	}
-	ck.Shared, ck.Specific, ck.vectors = vecs[0], vecs[1:], Vectors{}
 	return nil
+}
+
+// DecodeRows decodes the file's vector block against layout into θ_S,
+// scattered, and every θ_i as the file stores it (paramvec.Sparse),
+// leaving the checkpoint as it is. After a nil error every vector fits
+// layout.
+func (ck *Checkpoint) DecodeRows(layout VectorLayout) (paramvec.Vector, []paramvec.Sparse, error) {
+	vecs, err := ck.vectors.DecodeRows(layout)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(vecs) == 0 {
+		return nil, nil, fmt.Errorf("core: %s: vector block holds no shared vector: %w", ck.vectors.path, ErrCorruptCheckpoint)
+	}
+	return vecs[0].Scatter(), vecs[1:], nil
 }
 
 // Save writes the state's parameters to path crash-safely (atomic

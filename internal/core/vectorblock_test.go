@@ -233,3 +233,72 @@ func TestVectorBlockRefusesCountsBeforeAllocating(t *testing.T) {
 		}
 	}
 }
+
+// FuzzVectorRowsDecode is the differential check of the two outputs of
+// the one decoder: on any vector block over toyLayout, DecodeRows and
+// Decode both refuse it as corrupt, or both accept it, DecodeRows'
+// tables hold ascending in-range rows of their width, and those rows
+// scattered over +0 are Decode's vectors bit for bit.
+func FuzzVectorRowsDecode(f *testing.F) {
+	le := binary.LittleEndian
+	good, err := hex.DecodeString(toyBlock)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// one is a single vector: dense {0.5, -1}, then the table's count at
+	// byte 24 and rows 0 and 2 at bytes 32 and 52.
+	one := append(le.AppendUint64(nil, 1), good[8:72]...)
+	mutated := func(mutate func(b []byte) []byte) []byte {
+		return mutate(append([]byte(nil), one...))
+	}
+	f.Add(good)
+	f.Add(one)
+	f.Add(mutated(func(b []byte) []byte { le.PutUint64(b[24:], 3); return b }))                          // 3 rows promised, 2 held
+	f.Add(mutated(func(b []byte) []byte { le.PutUint32(b[52:], 3); return b }))                          // row 3 of a 3-row table
+	f.Add(mutated(func(b []byte) []byte { le.PutUint32(b[32:], 2); le.PutUint32(b[52:], 0); return b })) // rows 2, 0
+	f.Add(mutated(func(b []byte) []byte {                                                                // row 0 is {-0, -0}
+		le.PutUint64(b[36:], 1<<63)
+		le.PutUint64(b[44:], 1<<63)
+		return b
+	}))
+	f.Add(mutated(func(b []byte) []byte { return append(b, 0) })) // a byte past the last vector
+	f.Fuzz(func(t *testing.T, block []byte) {
+		vs := Vectors{path: "fuzz", block: block}
+		rows, rerr := vs.DecodeRows(toyLayout)
+		dense, derr := vs.Decode(toyLayout)
+		if (rerr == nil) != (derr == nil) {
+			t.Fatalf("DecodeRows: %v; Decode: %v", rerr, derr)
+		}
+		if rerr != nil {
+			if !errors.Is(rerr, ErrCorruptCheckpoint) || !errors.Is(derr, ErrCorruptCheckpoint) {
+				t.Fatalf("refusals %v, %v; want ErrCorruptCheckpoint", rerr, derr)
+			}
+			return
+		}
+		if len(rows) != len(dense) {
+			t.Fatalf("%d stored-rows vectors, %d dense", len(rows), len(dense))
+		}
+		for k, v := range rows {
+			want := make(paramvec.Vector, len(toyLayout))
+			for i, s := range toyLayout {
+				if s.cols == 0 {
+					want[i] = v.Dense[i]
+					continue
+				}
+				tb := v.Tables[i]
+				if v.Dense[i] != nil || tb.Rows != s.rows() || tb.Cols != s.cols || len(tb.Values) != len(tb.IDs)*s.cols {
+					t.Fatalf("vector %d table %d: dense %v, table %d×%d with %d ids and %d values",
+						k, i, v.Dense[i], tb.Rows, tb.Cols, len(tb.IDs), len(tb.Values))
+				}
+				want[i] = make([]float64, s.size)
+				for j, r := range tb.IDs {
+					if int(r) >= s.rows() || (j > 0 && r <= tb.IDs[j-1]) {
+						t.Fatalf("vector %d table %d stores rows %v of %d", k, i, tb.IDs, s.rows())
+					}
+					copy(want[i][int(r)*s.cols:], tb.Values[j*s.cols:(j+1)*s.cols])
+				}
+			}
+			sameBits(t, "Decode", dense[k], want)
+		}
+	})
+}

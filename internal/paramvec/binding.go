@@ -20,20 +20,26 @@ type Bound struct {
 // SumBound composes v + w for binding to params. tables is keyed by the
 // indices of params that are embedding tables (the models.EmbeddingTabler
 // map); only the other segments are summed, so the cost follows the
-// dense part of the model and not its tables.
-func SumBound(params []*autograd.Tensor, tables map[int]int, v, w Vector) Bound {
-	mustMatch(v, w)
+// dense part of the model and not its tables. A table w holds as stored
+// rows serves v[r] + (+0) at every row it does not store, bit for bit
+// Sum over w scattered.
+func SumBound(params []*autograd.Tensor, tables map[int]int, v Vector, w Sparse) Bound {
+	mustMatchSparse(v, w)
 	if len(params) != len(v) {
 		panic(fmt.Sprintf("paramvec: %d tensors vs %d segments", len(params), len(v)))
 	}
 	b := Bound{Dense: make(Vector, len(v)), Rows: make([]autograd.RowSource, len(v))}
 	for i := range v {
 		if _, ok := tables[i]; ok {
-			b.Rows[i] = sumRows{a: v[i], b: w[i], cols: params[i].Cols}
+			if w.stored(i) {
+				b.Rows[i] = storedRows{a: v[i], t: w.Tables[i], zero: make([]float64, w.Tables[i].Cols)}
+			} else {
+				b.Rows[i] = sumRows{a: v[i], b: w.Dense[i], cols: params[i].Cols}
+			}
 			continue
 		}
 		b.Dense[i] = make([]float64, len(v[i]))
-		kernels.AddTo(b.Dense[i], v[i], w[i])
+		kernels.AddTo(b.Dense[i], v[i], w.Dense[i])
 	}
 	return b
 }

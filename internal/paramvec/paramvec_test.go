@@ -1,8 +1,10 @@
 package paramvec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,7 +151,7 @@ func TestBindingPointsAndRestores(t *testing.T) {
 
 	v := Vector{{0, 1, 10, 11, 20, 21}, {1, 2}}
 	w := Vector{{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, {10, 20}}
-	bound := SumBound(params, map[int]int{0: 0}, v, w)
+	bound := SumBound(params, map[int]int{0: 0}, v, Sparse{Dense: w})
 	if bound.Dense[0] != nil || bound.Rows[0] == nil || bound.Rows[1] != nil {
 		t.Fatalf("SumBound split = dense %v rows %v: the table must be a row source only", bound.Dense, bound.Rows)
 	}
@@ -176,10 +178,44 @@ func TestBindingPointsAndRestores(t *testing.T) {
 	}
 }
 
+// TestStoredRowsServeTheDenseSum: a table held as its stored rows
+// (TableOf of a dense table) scatters back to that table, and bound
+// through SumBound serves every row as Sum over the dense table
+// bit for bit — a stored -0 row keeps v's -0, an unstored row is
+// v + (+0), so v's -0 there becomes +0.
+func TestStoredRowsServeTheDenseSum(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	params := []*autograd.Tensor{autograd.Param(4, 2, make([]float64, 8)), autograd.Param(1, 2, []float64{0, 0})}
+	v := Vector{{negZero, negZero, negZero, 1, 2, 3, 4, 5}, {1, 2}}
+	w := Vector{{negZero, negZero, 0, 0, 0.5, 0, 0, 0}, {10, 20}}
+	tb := TableOf(w[0], 2)
+	if len(tb.IDs) != 2 || tb.IDs[0] != 0 || tb.IDs[1] != 2 || tb.Rows != 4 {
+		t.Fatalf("TableOf stores rows %v of %d, want [0 2] of 4", tb.IDs, tb.Rows)
+	}
+	sp := Sparse{Dense: Vector{nil, w[1]}, Tables: []Table{tb, {}}}
+	mustEqualBits(t, "Scatter", sp.Scatter(), w)
+
+	want := Sum(v, w)
+	bound := SumBound(params, map[int]int{0: 0}, v, sp)
+	mustEqualBits(t, "dense segment", Vector{bound.Dense[1]}, Vector{want[1]})
+	row := make([]float64, 2)
+	for r := 0; r < 4; r++ {
+		bound.Rows[0].Row(r, row)
+		mustEqualBits(t, fmt.Sprintf("row %d", r), Vector{row}, Vector{want[0][2*r : 2*r+2]})
+		if k := slices.Index(tb.IDs, uint32(r)); k >= 0 {
+			tb.SumRow(row, v[0], k)
+			mustEqualBits(t, fmt.Sprintf("SumRow %d", r), Vector{row}, Vector{want[0][2*r : 2*r+2]})
+		}
+	}
+	if math.Float64bits(want[0][0]) != math.Float64bits(negZero) || math.Float64bits(want[0][2]) != 0 {
+		t.Fatalf("the fixture's rows 0 and 1 start %v and %v, want -0 and +0", want[0][0], want[0][2])
+	}
+}
+
 func TestBindTwicePanics(t *testing.T) {
 	params := []*autograd.Tensor{autograd.Param(1, 1, []float64{1})}
 	bd := NewBinding(params)
-	bound := SumBound(params, nil, Vector{{1}}, Vector{{2}})
+	bound := SumBound(params, nil, Vector{{1}}, Sparse{Dense: Vector{{2}}})
 	bd.Bind(bound)
 	defer func() {
 		if recover() == nil {

@@ -69,6 +69,8 @@ type SaveCheckpointArgs struct {
 // a run, as the trainer's cluster.Deploy sends it to a host slot.
 // Values[t] holds tensor t's initial values, Rows[t]×Cols[t] of them;
 // Shard of Shards and Replica name the host's checkpoint file.
+// Checkpoints marks a session that checkpoints or resumes: a slot with
+// no checkpoint path refuses it.
 type InstallArgs struct {
 	Layout                 Layout
 	Values                 [][]float64
@@ -76,6 +78,7 @@ type InstallArgs struct {
 	OuterLR                float64
 	Spec                   framework.Spec
 	Shard, Shards, Replica int
+	Checkpoints            bool
 }
 
 // Nothing is an empty argument/reply placeholder.
@@ -89,9 +92,10 @@ func remoteCtx(srv *Server, tc trace.TraceContext) context.Context {
 
 // Install replaces a host slot's server, and with it the last session's
 // parameters, optimizer state and push sequences, with the one install
-// builds from args. A malformed install is refused and the slot keeps
-// what it had; net/rpc does not recover a panicking method, so a panic
-// of the build (an unknown optimizer) is returned.
+// builds from args. A malformed install, or one that checkpoints on a
+// slot with no checkpoint path, is refused and the slot keeps what it
+// had; net/rpc does not recover a panicking method, so a panic of the
+// build (an unknown optimizer) is returned.
 func (s *RPCService) Install(args InstallArgs, _ *Nothing) (err error) {
 	if s.install == nil {
 		return errors.New("ps: this server hosts a fixed shard and takes no install")
@@ -113,7 +117,11 @@ func (s *RPCService) Install(args InstallArgs, _ *Nothing) (err error) {
 			err = fmt.Errorf("ps: install: %v", p)
 		}
 	}()
-	s.server.Store(s.install(args))
+	srv := s.install(args)
+	if args.Checkpoints && srv.ckptPath == "" {
+		return errors.New("ps: the session checkpoints or resumes, but this host has no checkpoint path: start it with -checkpoint-dir")
+	}
+	s.server.Store(srv)
 	return nil
 }
 

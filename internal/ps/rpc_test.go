@@ -182,6 +182,7 @@ func FuzzInstallArgs(f *testing.F) {
 		func(a *InstallArgs) { a.Values = [][]float64{a.Values[0], {1}} },
 		func(a *InstallArgs) { a.OuterOpt = "rmsprop" },
 		func(a *InstallArgs) { a.Layout.Rows[0], a.Layout.Cols[0], a.Values[0] = 1<<32, 1<<32, nil },
+		func(a *InstallArgs) { a.Checkpoints = true },
 	} {
 		a := good
 		a.Layout.Rows, a.Layout.Cols, a.Values = slices.Clone(a.Layout.Rows), slices.Clone(a.Layout.Cols), slices.Clone(a.Values)

@@ -37,6 +37,44 @@ func TestRoundTripErrorBound(t *testing.T) {
 	}
 }
 
+// TestPatchIsTheWholeTableQuantized: Patch of a quantized table with
+// some rows replaced decodes every row, and reports every row's error
+// bound, exactly as Quantize of the replaced table — a row of -0
+// included — while holding codes for the patched rows only.
+func TestPatchIsTheWholeTableQuantized(t *testing.T) {
+	const rows, cols = 32, 8
+	base := randTable(rows, cols, 5)
+	replaced := append([]float64(nil), base...)
+	ids := []uint32{0, 3, 17, 31}
+	for k, r := range ids {
+		for c := 0; c < cols; c++ {
+			x := float64(k+1) * float64(c-3)
+			if k == 1 {
+				x = math.Copysign(0, -1)
+			}
+			replaced[int(r)*cols+c] = x
+		}
+	}
+	p := Patch(Quantize(base, rows, cols), ids, func(k int, dst []float64) {
+		copy(dst, replaced[int(ids[k])*cols:])
+	})
+	if len(p.Scales) != len(ids) || len(p.Data) != len(ids)*cols {
+		t.Fatalf("patch holds %d scales and %d codes, want %d and %d", len(p.Scales), len(p.Data), len(ids), len(ids)*cols)
+	}
+	want := Quantize(replaced, rows, cols)
+	got, exp := p.Dequantize(), want.Dequantize()
+	for i := range exp {
+		if math.Float64bits(got[i]) != math.Float64bits(exp[i]) {
+			t.Fatalf("value %d: patched %v, whole table %v", i, got[i], exp[i])
+		}
+	}
+	for r := 0; r < rows; r++ {
+		if p.MaxError(r) != want.MaxError(r) {
+			t.Fatalf("row %d: patched MaxError %v, whole table %v", r, p.MaxError(r), want.MaxError(r))
+		}
+	}
+}
+
 func TestZeroRow(t *testing.T) {
 	data := make([]float64, 2*4)
 	data[4], data[5], data[6], data[7] = 1, -2, 3, -4

@@ -104,7 +104,8 @@ func TestBoundServingMatchesRestoreThenForward(t *testing.T) {
 			for _, mode := range []string{"off", "int8"} {
 				for _, batchMax := range []int{0, 64} {
 					t.Run(fmt.Sprintf("%s/%s/%s/batch%d", ds.Name, name, mode, batchMax), func(t *testing.T) {
-						// A state of its own: AddDomain appends to it.
+						// A state of its own: the reference registers the
+						// runtime domain on it.
 						st := &core.State{Model: trained.Model, Shared: trained.Shared,
 							Specific: append([]paramvec.Vector(nil), trained.Specific...)}
 						checkBoundServing(t, st, ds, name, factory, mode, batchMax)
@@ -158,6 +159,10 @@ func checkBoundServing(t *testing.T, st *core.State, ds *data.Dataset, name stri
 		if runtimeDomain = added.ID; runtimeDomain != ds.NumDomains() {
 			t.Fatalf("runtime domain id = %d, want %d", runtimeDomain, ds.NumDomains())
 		}
+		if len(st.Specific) != ds.NumDomains() {
+			t.Fatalf("registration changed the caller's state: %d specifics, want %d", len(st.Specific), ds.NumDomains())
+		}
+		st.AddDomain() // the registered domain serves θ_S + 0
 	}
 
 	private := factory()

@@ -32,19 +32,24 @@ var errCanaryInFlight = errors.New("serve: canary already in flight")
 // (an explicit version at or below the incumbent's — replaying an old
 // snapshot silently is how fleets end up serving last week's model)
 // and structurally incompatible states. It returns the assigned
-// version and whether the snapshot was staged as a canary.
+// version and whether the snapshot was staged as a canary. The state's
+// vectors are served by reference and must not be written afterwards.
 func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline *quality.Baseline) (uint64, bool, error) {
+	if err := s.layout.validate(state.Shared, state.Specific); err != nil {
+		s.metrics.publishOutcome("rejected")
+		return 0, false, err
+	}
+	return s.publish(s.composeState(state), version, crc, baseline)
+}
+
+// publish stages snap as Publish describes.
+func (s *Server) publish(snap *snapshot, version uint64, crc uint32, baseline *quality.Baseline) (uint64, bool, error) {
 	s.mu.Lock()
 	old := s.view.Load()
 	if old.canary != nil {
 		s.mu.Unlock()
 		s.metrics.publishOutcome("rejected")
 		return 0, false, fmt.Errorf("%w: v%d still under evaluation", errCanaryInFlight, old.canaryV)
-	}
-	if err := s.layout.validate(state.Shared, state.Specific); err != nil {
-		s.mu.Unlock()
-		s.metrics.publishOutcome("rejected")
-		return 0, false, err
 	}
 	if version == 0 {
 		version = old.incumbentV + 1 // wraps to 0 past MaxUint64: refused below
@@ -54,12 +59,11 @@ func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline
 		s.metrics.publishOutcome("rejected")
 		return 0, false, fmt.Errorf("serve: version regression: published v%d is not newer than incumbent v%d", version, old.incumbentV)
 	}
-	snap := s.composeState(state)
 
 	gate := s.gate()
 	if gate == nil {
 		// No gate: classic warm swap, immediately live.
-		s.installLocked(state, snap, version, crc, baseline)
+		s.installLocked(snap, version, crc, baseline)
 		s.mu.Unlock()
 		s.metrics.publishOutcome("accepted")
 		if s.opts.OnSwap != nil {
@@ -85,15 +89,15 @@ func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline
 		canary: snap, canaryV: version, canaryCRC: crc,
 		fraction: gate.Fraction(),
 	})
-	s.pendingState, s.pendingBaseline = state, baseline
+	s.pendingBaseline = baseline
 	s.mu.Unlock()
 	s.metrics.publishOutcome("accepted")
 	return version, true, nil
 }
 
 // PromoteCanary implements rollout.Fleet: the canary becomes the
-// incumbent, its staged state and quality baseline install, and the
-// old incumbent retires.
+// incumbent, its staged quality baseline installs, and the old
+// incumbent retires.
 func (s *Server) PromoteCanary(version uint64) error {
 	s.mu.Lock()
 	v := s.view.Load()
@@ -101,8 +105,8 @@ func (s *Server) PromoteCanary(version uint64) error {
 		s.mu.Unlock()
 		return fmt.Errorf("serve: promote v%d: no such canary", version)
 	}
-	s.installLocked(s.pendingState, v.canary, v.canaryV, v.canaryCRC, s.pendingBaseline)
-	s.pendingState, s.pendingBaseline = nil, nil
+	s.installLocked(v.canary, v.canaryV, v.canaryCRC, s.pendingBaseline)
+	s.pendingBaseline = nil
 	s.mu.Unlock()
 	if s.opts.OnSwap != nil {
 		s.opts.OnSwap(version, v.canaryCRC)
@@ -122,7 +126,7 @@ func (s *Server) RollbackCanary(version uint64) error {
 		return fmt.Errorf("serve: rollback v%d: no such canary", version)
 	}
 	s.view.Store(&view{incumbent: v.incumbent, incumbentV: v.incumbentV, incumbentCRC: v.incumbentCRC})
-	s.pendingState, s.pendingBaseline = nil, nil
+	s.pendingBaseline = nil
 	return nil
 }
 
@@ -171,14 +175,14 @@ func (s *Server) handleAdminPublish(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `"path" required`, http.StatusBadRequest)
 		return
 	}
-	state, crc, baseline, err := s.loadPublishSource(r.Context(), req.Path)
+	snap, crc, baseline, err := s.loadPublishSource(r.Context(), req.Path)
 	if err != nil {
 		s.metrics.publishOutcome("rejected")
 		http.Error(w, "publish source: "+err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 
-	version, canary, err := s.Publish(state, req.Version, crc, baseline)
+	version, canary, err := s.publish(snap, req.Version, crc, baseline)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
@@ -194,12 +198,12 @@ func (s *Server) handleAdminPublish(w http.ResponseWriter, r *http.Request) {
 }
 
 // loadPublishSource decodes a checkpoint straight into a publishable
-// state. It needs no model: the file is read and verified once — a
+// snapshot. It needs no model: the file is read and verified once — a
 // CRC-corrupt or truncated file is rejected before any decode — and its
 // vectors, decoded against the served structure's layout and trained
-// on the served dataset and model (framework.CheckData), become the
-// state as they are.
-func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.State, uint32, *quality.Baseline, error) {
+// on the served dataset and model (framework.CheckData), are served as
+// the file stores them: θ_S dense, each θ_i table as its stored rows.
+func (s *Server) loadPublishSource(ctx context.Context, path string) (*snapshot, uint32, *quality.Baseline, error) {
 	if err := s.opts.Faults.Eval("PublishSource").Apply(ctx); err != nil {
 		return nil, 0, nil, err
 	}
@@ -213,10 +217,11 @@ func (s *Server) loadPublishSource(ctx context.Context, path string) (*core.Stat
 	if err := framework.CheckData(s.layout.spec, ck.Spec); err != nil {
 		return nil, 0, nil, fmt.Errorf("serve: %w", err)
 	}
-	if err := ck.Decode(core.LayoutOf(s.layout.params, s.layout.tables)); err != nil {
+	shared, specific, err := ck.DecodeRows(core.LayoutOf(s.layout.params, s.layout.tables))
+	if err != nil {
 		return nil, 0, nil, err
 	}
-	return &core.State{Model: s.layout.model, Shared: ck.Shared, Specific: ck.Specific, Spec: ck.Spec}, env.CRC, ck.Quality, nil
+	return s.newSnapshot(shared, specific), env.CRC, ck.Quality, nil
 }
 
 func (s *Server) handleRolloutStatus(w http.ResponseWriter, r *http.Request) {

@@ -211,13 +211,11 @@ type Server struct {
 	dataset *data.Dataset
 	opts    Options
 
-	// mu serializes state mutations (AddDomain, Publish,
+	// mu serializes snapshot changes (AddDomain, Publish,
 	// promote/rollback). Reads never take it: they load view.
-	mu    sync.Mutex
-	state *core.State
-	// pendingState/pendingBaseline back the staged canary: installed on
-	// promote, dropped on rollback. Guarded by mu.
-	pendingState    *core.State
+	mu sync.Mutex
+	// pendingBaseline is the staged canary's quality baseline: applied
+	// on promote, dropped on rollback. Guarded by mu.
 	pendingBaseline *quality.Baseline
 
 	view atomic.Pointer[view]
@@ -278,7 +276,6 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 	s := &Server{
 		dataset: dataset,
 		opts:    opts,
-		state:   state,
 		pool:    make(chan *replica, opts.Replicas),
 	}
 	// The state's own model is replica 0: it keeps its storage (the
@@ -300,7 +297,7 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 		}
 		s.pool <- &replica{model: m, binding: paramvec.NewBinding(own)}
 	}
-	s.layout = &layout{model: state.Model, params: params, tables: models.EmbeddingTablesOf(state.Model), spec: state.Spec}
+	s.layout = newLayout(state.Model, state.Spec)
 	switch opts.SnapshotQuant {
 	case "", "off":
 	case "int8":
@@ -340,36 +337,35 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 var ErrDomainsFixed = errors.New("serve: the model has per-domain towers and cannot serve a domain registered after it was built")
 
 // AddDomain registers a new domain at runtime and publishes a snapshot
-// that serves it with the shared parameters (its specific vector starts
-// at zero). It returns the new domain id, or ErrDomainsFixed — with
+// that serves it with the shared parameters (its specific vector is
+// empty). It returns the new domain id, or ErrDomainsFixed — with
 // nothing registered — when the model cannot route one more domain.
+// The state the server was built over is not changed.
 func (s *Server) AddDomain() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n, bounded := models.DomainCapacity(s.layout.model); bounded && len(s.state.Specific) >= n {
+	old := s.view.Load()
+	id := old.incumbent.numDomains()
+	if n, bounded := models.DomainCapacity(s.layout.model); bounded && id >= n {
 		return 0, ErrDomainsFixed
 	}
-	id := s.state.AddDomain()
 	// Only the new domain is missing; existing compositions are
 	// immutable and carried over by extend.
-	old := s.view.Load()
 	nv := *old
-	nv.incumbent = old.incumbent.extend(s.state.Specific[id], id)
+	nv.incumbent = old.incumbent.extend(id)
 	// A staged canary must stay domain-aligned with the incumbent, or a
 	// later promote would silently lose the registration.
-	if s.pendingState != nil {
-		s.pendingState.AddDomain()
-		nv.canary = old.canary.extend(s.pendingState.Specific[id], id)
+	if old.canary != nil {
+		nv.canary = old.canary.extend(id)
 	}
 	s.view.Store(&nv)
 	return id, nil
 }
 
-// installLocked makes (state, snap) the incumbent under version/crc and
-// applies its frozen quality baseline, if any. Caller holds mu and is
+// installLocked makes snap the incumbent under version/crc and applies
+// its frozen quality baseline, if any. Caller holds mu and is
 // responsible for invoking OnSwap after unlocking.
-func (s *Server) installLocked(state *core.State, snap *snapshot, version uint64, crc uint32, baseline *quality.Baseline) {
-	s.state = state
+func (s *Server) installLocked(snap *snapshot, version uint64, crc uint32, baseline *quality.Baseline) {
 	s.view.Store(&view{incumbent: snap, incumbentV: version, incumbentCRC: crc})
 	s.metrics.incumbent(version, crc)
 	if baseline != nil && s.quality != nil {

@@ -111,7 +111,8 @@ smoke-cluster:
 # cap is the one spec field a resume may change). A -resume on another
 # dataset (Amazon-6's embedding tables change shape with it), another
 # model, another -lr or another -framework exits 1 with one line naming
-# the spec fields that differ, never a goroutine trace.
+# the spec fields that differ, never a goroutine trace. A PS run given
+# -checkpoint-every 0 with -checkpoint-dir exits 1 naming the flag.
 # A bare -ps-serve host is filled by its trainer: 2 epochs over -ps-addrs
 # and a -resume to 3 print the in-process 2-shard run's table, the
 # host's shard files record the trainer's spec, so a -resume with
@@ -132,6 +133,8 @@ smoke-resume:
 			if [ $$status -ne 1 ] || grep -q goroutine $$dir-refused.log || ! grep -q "$${other#*:}" $$dir-refused.log; then \
 				echo "resume $${other%%:*} $$ps: exit $$status"; cat $$dir-refused.log; exit 1; fi; \
 		done; \
+		if [ -n "$$ps" ]; then status=0; $$run -checkpoint-every 0 -checkpoint-dir $$dir > /dev/null 2> $$dir-every.log || status=$$?; \
+			if [ $$status -ne 1 ] || ! grep -q -- '-checkpoint-every' $$dir-every.log; then echo "-checkpoint-every 0 $$ps: exit $$status"; cat $$dir-every.log; exit 1; fi; fi; \
 	done
 	set -e; dir=/tmp/resume-host; rm -rf $$dir; addrs=127.0.0.1:7111,127.0.0.1:7112; \
 	/tmp/mamdr-bin/mamdr-train -ps-serve $$addrs -checkpoint-dir $$dir >$$dir.log 2>&1 & pid=$$!; trap "kill $$pid" EXIT; \

@@ -95,7 +95,7 @@ func main() {
 		log.Fatal(err)
 	}
 	state := &core.State{Model: m}
-	if err := state.Install(ck, nil); err != nil {
+	if err := state.Install(ck, ck.Spec, nil); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes), trained on %+v",

@@ -154,10 +154,6 @@ func main() {
 		pred            framework.Predictor
 	)
 	if *psWorkers > 0 {
-		if cfg.CheckpointDir != "" {
-			opts.CheckpointPath = filepath.Join(cfg.CheckpointDir, "ps.ckpt")
-			opts.CheckpointEvery, opts.Resume = cfg.CheckpointEvery, cfg.Resume
-		}
 		err = framework.CatchResume(func() {
 			valAUC, testAUC, pred = trainDistributed(ds, cfg, opts, *replicas, *psFaults, *psAddrs, reg)
 		})
@@ -256,13 +252,17 @@ func trainingFlags() func() framework.Config {
 }
 
 // checkFlags refuses, before any data is built, flags that cannot work
-// together: -resume without -checkpoint-dir; -save of a fit that is no
+// together: -resume without -checkpoint-dir, or a -checkpoint-every
+// below 1 with it; -save of a fit that is no
 // *core.State (a core.MAMDR framework); a -ps-workers fit of anything
 // but mamdr (DN then DR) or dn (DN alone), the PS trainer's only two,
 // and whose DR it reports.
 func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int) (useDR bool, err error) {
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return false, errors.New("-resume needs -checkpoint-dir: there is no checkpoint to resume from")
+	}
+	if cfg.CheckpointDir != "" && cfg.CheckpointEvery < 1 {
+		return false, fmt.Errorf("-checkpoint-every %d: a -checkpoint-dir run checkpoints every N ≥ 1 epochs", cfg.CheckpointEvery)
 	}
 	if f, _ := framework.New(fw); save { // an unknown name builds nil, no *core.MAMDR
 		if _, ok := f.(*core.MAMDR); !ok {
@@ -338,6 +338,11 @@ func serveHost(addrSpec, checkpointDir string, tracer *trace.Tracer, reg *teleme
 // returns carries cfg.Spec.
 func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, replicas int, faults, addrs string, reg *telemetry.Registry) (val, test []float64, st *core.State) {
 	opts.Metrics, opts.Telemetry, opts.Tracer = ps.NewMetrics(reg), cfg.Telemetry, cfg.Tracer
+	checkpoint := "" // the cluster's base checkpoint path
+	if cfg.CheckpointDir != "" {
+		checkpoint = filepath.Join(cfg.CheckpointDir, "ps.ckpt")
+		opts.CheckpointEvery, opts.Resume = cfg.CheckpointEvery, cfg.Resume
+	}
 	serving, err := mamdr.SpecModel(ds, cfg.Spec)
 	if err != nil {
 		log.Fatal(err)
@@ -352,7 +357,7 @@ func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, 
 	fmt.Printf("training %s with distributed %s (%d workers, %d shards) for %d epochs...\n",
 		cfg.Spec.Model, cfg.Spec.Framework, opts.Workers, plan.NumShards, cfg.Epochs)
 	if at.Addrs == nil && opts.Resume {
-		if err := refuseLegacyCheckpoint(opts.CheckpointPath, plan.NumShards); err != nil {
+		if err := refuseLegacyCheckpoint(checkpoint, plan.NumShards); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -374,7 +379,7 @@ func trainDistributed(ds *mamdr.Dataset, cfg framework.Config, opts ps.Options, 
 	}
 	dep, err := cluster.Deploy(serving.Parameters(), plan, cluster.ShardOptions{
 		Replicas: replicas, OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR,
-		CheckpointPath: opts.CheckpointPath, Spec: cfg.Spec, Tracer: opts.Tracer, Metrics: opts.Metrics,
+		CheckpointPath: checkpoint, Spec: cfg.Spec, Tracer: opts.Tracer, Metrics: opts.Metrics,
 	}, cluster.Options{Metrics: cluster.NewMetrics(reg), Tracer: opts.Tracer}, at)
 	if err != nil {
 		log.Fatal(err)

@@ -115,8 +115,31 @@ func TestResumeNeedsCheckpointDir(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 			t.Errorf("-resume without -checkpoint-dir, %d PS workers: err = %v, want one naming -checkpoint-dir", psWorkers, err)
 		}
-		if _, err := checkFlags(framework.Config{Resume: true, CheckpointDir: t.TempDir()}, "mamdr", false, psWorkers); err != nil {
+		if _, err := checkFlags(framework.Config{Resume: true, CheckpointDir: t.TempDir(), CheckpointEvery: 1}, "mamdr", false, psWorkers); err != nil {
 			t.Errorf("-resume with -checkpoint-dir, %d PS workers: %v", psWorkers, err)
+		}
+	}
+}
+
+// TestCheckpointEveryBelowOne: a -checkpoint-dir run whose cadence is
+// below 1 names no epoch to checkpoint. core.Fit read it as every epoch
+// and the PS trainer as never, so a -ps-workers run wrote nothing and
+// its -resume retrained from epoch 0; both paths now refuse it, naming
+// -checkpoint-every, before the dataset is built. Without
+// -checkpoint-dir the cadence is never read.
+func TestCheckpointEveryBelowOne(t *testing.T) {
+	for _, psWorkers := range []int{0, 2} {
+		for _, every := range []int{0, -1} {
+			_, err := checkFlags(framework.Config{CheckpointDir: t.TempDir(), CheckpointEvery: every}, "mamdr", false, psWorkers)
+			if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
+				t.Errorf("-checkpoint-every %d, %d PS workers: err = %v, want one naming -checkpoint-every", every, psWorkers, err)
+			}
+		}
+		if _, err := checkFlags(framework.Config{CheckpointDir: t.TempDir(), CheckpointEvery: 1}, "mamdr", false, psWorkers); err != nil {
+			t.Errorf("-checkpoint-every 1, %d PS workers: %v", psWorkers, err)
+		}
+		if _, err := checkFlags(framework.Config{}, "mamdr", false, psWorkers); err != nil {
+			t.Errorf("-checkpoint-every 0 without -checkpoint-dir, %d PS workers: %v", psWorkers, err)
 		}
 	}
 }

@@ -174,7 +174,7 @@ func TestDistributedFitServesFromItsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := &core.State{Model: replica()}
-	if _, _, err := loaded.LoadWithBaseline(path); err != nil {
+	if err := loaded.Load(path); err != nil {
 		t.Fatal(err)
 	}
 	h := serve.NewWithOptions(loaded, ds, serve.Options{}).Handler()
@@ -243,7 +243,7 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := &core.State{Model: m}
-	if err := loaded.Install(ck, nil); err != nil {
+	if err := loaded.Install(ck, ck.Spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	h := serve.NewWithOptions(loaded, served, serve.Options{}).Handler()
@@ -325,7 +325,7 @@ func TestServeBootRefusesARewrittenDataFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&core.State{Model: m}).Install(ck, nil); err != nil {
+	if err := (&core.State{Model: m}).Install(ck, ck.Spec, nil); err != nil {
 		t.Fatalf("the checkpoint does not fit a model over the rewritten file (%v): the test would not show the digest's worth", err)
 	}
 	now, err := data.FileSHA256(path)

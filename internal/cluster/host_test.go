@@ -33,7 +33,7 @@ func startHost(t *testing.T, n int, o ShardOptions) ([][]string, func()) {
 }
 
 // hostFit trains opts over ds on the deployment at placement at: the
-// shards carry opts' outer optimizer, its checkpoint path and spec.
+// shards carry opts' outer optimizer and spec.
 // A refused resume is returned, not raised.
 func hostFit(t *testing.T, ds *data.Dataset, opts ps.Options, spec framework.Spec, at Placement) (*ps.Result, error) {
 	t.Helper()
@@ -41,7 +41,7 @@ func hostFit(t *testing.T, ds *data.Dataset, opts ps.Options, spec framework.Spe
 	serving := factory()
 	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving)), opts.Shards, opts.Seed)
 	dep, err := Deploy(serving.Parameters(), plan, ShardOptions{
-		OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR, CheckpointPath: opts.CheckpointPath, Spec: spec,
+		OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR, Spec: spec,
 	}, Options{}, at)
 	if err != nil {
 		t.Fatal(err)

@@ -355,7 +355,7 @@ func TestResumeRefusesAnotherFit(t *testing.T) {
 	saved := framework.Spec{DataPath: "/data/cluster-test.json", DataSHA256: digest(ds), Seed: 9, Model: "mlp", EmbDim: 4}
 	base := filepath.Join(t.TempDir(), "ps.ckpt")
 	fit := func(fw string, spec framework.Spec, opts ps.Options) (*ps.Result, error) {
-		opts.UseDR, opts.CheckpointPath, opts.CheckpointEvery, opts.Resume = fw == "mamdr", base, 1, true
+		opts.UseDR, opts.CheckpointEvery, opts.Resume = fw == "mamdr", 1, true
 		serving := factory()
 		local := newLocalFor(t, serving, 2, 1, ShardOptions{OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR, CheckpointPath: base, Spec: opts.Config(spec).RunSpec(fw)})
 		var res *ps.Result

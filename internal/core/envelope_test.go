@@ -19,7 +19,7 @@ import (
 // payload bytes, without decoding the payload.
 func TestEnvelopeInfoMatchesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "e.ckpt")
-	if err := WriteCheckpoint(path, map[string]int{"a": 1, "b": 2}, nil, nil); err != nil {
+	if err := WriteCheckpoint(path, Checkpoint{ModelName: "ab"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	env, err := EnvelopeInfo(path)
@@ -46,12 +46,12 @@ func TestEnvelopeInfoMatchesFile(t *testing.T) {
 // not exist yet (a fresh -checkpoint-dir) is written, not refused.
 func TestSaveGobCreatesDirectory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a", "b", "c.ckpt")
-	if err := WriteCheckpoint(path, []int{1, 2}, nil, nil); err != nil {
+	if err := WriteCheckpoint(path, Checkpoint{ModelName: "ab"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var got []int
-	if _, _, err := ReadCheckpoint(path, &got); err != nil || len(got) != 2 {
-		t.Fatalf("ReadCheckpoint = %v, %v", got, err)
+	ck, _, err := ReadState(path)
+	if got := ck.ModelName; err != nil || len(got) != 2 {
+		t.Fatalf("ReadState = %v, %v", got, err)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestSaveGobCreatesDirectory(t *testing.T) {
 func TestEnvelopeInfoRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.ckpt")
-	if err := WriteCheckpoint(good, []float64{1, 2, 3}, nil, nil); err != nil {
+	if err := WriteCheckpoint(good, Checkpoint{ModelName: "MLP", Epoch: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(good)
@@ -141,8 +141,8 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 	v3 := seed(3, Checkpoint{ModelName: "MLP", Epoch: -1})
 	spec := framework.Spec{Preset: "taobao-10", Samples: 10000, Seed: 1, Model: "mlp", EmbDim: 8}
 	v4 := seed(4, Checkpoint{ModelName: "MLP", Epoch: -1, Spec: spec})
-	// A PS shard file: the per-shard payload ps writes, with the spec
-	// its host recorded.
+	// A PS shard file of the older shape, with the spec its host
+	// recorded.
 	shard := seed(4, struct {
 		Params paramvec.Vector
 		Shards []optim.State
@@ -176,7 +176,7 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 		}
 		return raw
 	}
-	if err := WriteCheckpoint(path, Checkpoint{ModelName: "MLP", Epoch: 3, Spec: spec}, toyLayout, toyVectors()); err != nil {
+	if err := WriteCheckpoint(path, toyCheckpoint(Checkpoint{ModelName: "MLP", Epoch: 3, Spec: spec}), toyLayout); err != nil {
 		f.Fatal(err)
 	}
 	trained, err := os.ReadFile(path)
@@ -184,11 +184,7 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(trained)
-	if err := WriteCheckpoint(path, struct {
-		Shards []optim.State
-		Epoch  int
-		Spec   framework.Spec
-	}{Shards: []optim.State{{}}, Epoch: 2, Spec: spec}, toyLayout, toyVectors()[:1]); err != nil {
+	if err := WriteCheckpoint(path, Checkpoint{ModelName: "PS shard", Shared: toyVectors()[0], Epoch: 2, Spec: spec}, toyLayout); err != nil {
 		f.Fatal(err)
 	}
 	psShard, err := os.ReadFile(path)
@@ -204,7 +200,7 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 	// hyperparameters, as every mamdr-train file does.
 	run := framework.Config{Spec: spec, LR: 0.05, OuterOpt: "adagrad", Epochs: 3}
 	run.Spec.DataSHA256 = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
-	if err := WriteCheckpoint(path, Checkpoint{ModelName: "MLP", Epoch: 3, Spec: run.RunSpec("mamdr")}, toyLayout, toyVectors()); err != nil {
+	if err := WriteCheckpoint(path, toyCheckpoint(Checkpoint{ModelName: "MLP", Epoch: 3, Spec: run.RunSpec("mamdr")}), toyLayout); err != nil {
 		f.Fatal(err)
 	}
 	recorded, err := os.ReadFile(path)

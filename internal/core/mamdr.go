@@ -154,7 +154,7 @@ func (t *MAMDR) Fit(m models.Model, ds *data.Dataset, cfg framework.Config) fram
 			if _, err := os.Stat(ckpt); err == nil {
 				epoch, err := st.resume(ckpt, st.Spec, outer)
 				if err != nil {
-					panic(&framework.ResumeError{Err: fmt.Errorf("core: resume from %s: %w", ckpt, err)})
+					panic(&framework.ResumeError{Err: fmt.Errorf("core: resume: %w", err)})
 				}
 				startEpoch = max(epoch, 0)
 			}

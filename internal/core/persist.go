@@ -163,16 +163,19 @@ func getFloats(dst []float64, b []byte) {
 	}
 }
 
-// WriteCheckpoint atomically writes a v5 checkpoint to path: meta
-// gob-encoded (its vector fields left nil by the caller), then vecs,
-// each checked against layout, as the vector block. It creates path's
-// directory if it is missing, writes magic/version/length/CRC32 +
-// payload into path.tmp, fsyncs, then renames over path. A crash at any
-// point leaves either the previous complete file or a stray .tmp —
-// never a torn checkpoint under the final name.
-func WriteCheckpoint(path string, meta any, layout VectorLayout, vecs []paramvec.Vector) error {
+// WriteCheckpoint is the one checkpoint writer, core and PS shard
+// alike: it atomically writes ck to path as a v5 checkpoint, its
+// metadata gob-encoded, then Shared and every Specific, each checked
+// against layout, as the vector block. It creates path's directory if
+// it is missing, writes magic/version/length/CRC32 + payload into
+// path.tmp, fsyncs, then renames over path. A crash at any point leaves
+// either the previous complete file or a stray .tmp — never a torn
+// checkpoint under the final name.
+func WriteCheckpoint(path string, ck Checkpoint, layout VectorLayout) error {
+	vecs := append([]paramvec.Vector{ck.Shared}, ck.Specific...)
+	ck.Shared, ck.Specific = nil, nil
 	var gobBlock bytes.Buffer
-	if err := gob.NewEncoder(&gobBlock).Encode(meta); err != nil {
+	if err := gob.NewEncoder(&gobBlock).Encode(ck); err != nil {
 		return fmt.Errorf("core: encode %s: %w", path, err)
 	}
 	// Room for the header, the gob block and every vector's dense
@@ -283,68 +286,77 @@ func EnvelopeInfo(path string) (Envelope, error) {
 	return env, err
 }
 
-// ReadCheckpoint is the one checkpoint reader: it verifies the file at
-// path, decodes its gob block into meta and returns the envelope with
-// the still-encoded vectors, which need the model's layout. Gob decodes
-// fields by name, leaving those the payload lacks at their zero value.
-func ReadCheckpoint(path string, meta any) (Envelope, Vectors, error) {
+// ReadState is the one checkpoint reader, core and PS shard alike: it
+// verifies the file at path and decodes its gob block, everything but
+// the vectors, which Decode (or Restore) reads once the layout they
+// need is known — the Spec read here may be what builds the model. Gob
+// decodes fields by name, leaving those the payload lacks at their
+// zero value.
+func ReadState(path string) (Checkpoint, Envelope, error) {
 	env, payload, err := readEnvelope(path)
 	if err != nil {
-		return Envelope{}, Vectors{}, err
+		return Checkpoint{}, Envelope{}, err
 	}
 	if len(payload) < 8 || binary.LittleEndian.Uint64(payload) > uint64(len(payload)-8) {
-		return Envelope{}, Vectors{}, fmt.Errorf("core: %s: gob block runs past the payload: %w", path, ErrCorruptCheckpoint)
+		return Checkpoint{}, Envelope{}, fmt.Errorf("core: %s: gob block runs past the payload: %w", path, ErrCorruptCheckpoint)
 	}
 	n := 8 + int(binary.LittleEndian.Uint64(payload))
-	vs := Vectors{path: path, block: payload[n:]}
-	if err := gob.NewDecoder(bytes.NewReader(payload[8:n])).Decode(meta); err != nil {
-		return Envelope{}, Vectors{}, fmt.Errorf("core: decode %s: %w: %v", path, ErrCorruptCheckpoint, err)
+	var ck Checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(payload[8:n])).Decode(&ck); err != nil {
+		return Checkpoint{}, Envelope{}, fmt.Errorf("core: decode %s: %w: %v", path, ErrCorruptCheckpoint, err)
 	}
-	return env, vs, nil
+	ck.vectors = vectorBlock{path: path, b: payload[n:]}
+	return ck, env, nil
 }
 
-// Vectors is a checkpoint's vector block, verified by its envelope's
-// CRC and not yet decoded.
-type Vectors struct {
-	path  string
-	block []byte
+// vectorBlock is a checkpoint's vector block, verified by its
+// envelope's CRC and not yet decoded.
+type vectorBlock struct {
+	path string
+	b    []byte
 }
 
-// DecodeRows is the one vector-block decoder: every vector the block
-// holds, against layout, in the form the file stores it — each dense
-// segment as its values, each embedding table as its stored rows. Each
-// count is checked against the bytes left before anything is sized by
-// it, so a damaged or crafted block is refused with
-// ErrCorruptCheckpoint, and what it allocates follows the block's bytes.
-func (vs Vectors) DecodeRows(layout VectorLayout) ([]paramvec.Sparse, error) {
+// decode is the one vector-block decoder: every vector the block holds
+// (θ_S at least), against layout — with dense, each at full shape in
+// one backing (Sparse.Dense, unstored rows +0); else as the file stores
+// it, dense segments and each table's stored rows (Sparse.Tables).
+// Every count is checked against the bytes left before it sizes
+// anything, so a damaged or crafted block is refused with
+// ErrCorruptCheckpoint and allocations follow the block's bytes.
+func (vb vectorBlock) decode(layout VectorLayout, dense bool) ([]paramvec.Sparse, error) {
 	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("core: %s: vector block %s: %w", vs.path, fmt.Sprintf(format, args...), ErrCorruptCheckpoint)
+		return fmt.Errorf("core: %s: vector block %s: %w", vb.path, fmt.Sprintf(format, args...), ErrCorruptCheckpoint)
 	}
-	b := vs.block
+	b := vb.b
 	if len(b) < 8 {
 		return nil, corrupt("has no vector count")
 	}
 	n := binary.LittleEndian.Uint64(b)
 	b = b[8:]
-	if n > uint64(len(b)/max(layout.minBytes(), 1)) {
+	if n == 0 || n > uint64(len(b)/max(layout.minBytes(), 1)) {
 		return nil, corrupt("promises %d vectors in %d bytes", n, len(b))
 	}
-	dense := 0
+	size := 0 // the values of one vector's backing
 	for _, s := range layout {
-		if s.cols == 0 {
-			dense += s.size
+		if dense || s.cols == 0 {
+			size += s.size
 		}
 	}
 	vecs := make([]paramvec.Sparse, n)
 	for k := range vecs {
-		backing := make([]float64, dense)
-		v := paramvec.Sparse{Dense: make(paramvec.Vector, len(layout)), Tables: make([]paramvec.Table, len(layout))}
+		backing := make([]float64, size)
+		v := paramvec.Sparse{Dense: make(paramvec.Vector, len(layout))}
+		if !dense {
+			v.Tables = make([]paramvec.Table, len(layout))
+		}
 		for i, s := range layout {
+			if dense || s.cols == 0 {
+				v.Dense[i], backing = backing[:s.size:s.size], backing[s.size:]
+			}
 			if s.cols == 0 {
 				if len(b) < 8*s.size {
 					return nil, corrupt("ends inside vector %d segment %d", k, i)
 				}
-				v.Dense[i], backing = backing[:s.size:s.size], backing[s.size:]
 				getFloats(v.Dense[i], b)
 				b = b[8*s.size:]
 				continue
@@ -358,18 +370,25 @@ func (vs Vectors) DecodeRows(layout VectorLayout) ([]paramvec.Sparse, error) {
 			if stored > uint64(s.rows()) || stored > uint64(len(b)/rowBytes) {
 				return nil, corrupt("vector %d table %d stores %d rows of %d in %d bytes", k, i, stored, s.rows(), len(b))
 			}
-			t := paramvec.Table{Rows: s.rows(), Cols: s.cols, IDs: make([]uint32, stored), Values: make([]float64, int(stored)*s.cols)}
-			last := -1
-			for j := range t.IDs {
+			var t paramvec.Table
+			if !dense {
+				t = paramvec.Table{Rows: s.rows(), Cols: s.cols, IDs: make([]uint32, stored), Values: make([]float64, int(stored)*s.cols)}
+				v.Tables[i] = t
+			}
+			for j, last := 0, -1; j < int(stored); j++ {
 				r := int(binary.LittleEndian.Uint32(b))
 				if r <= last || r >= s.rows() {
 					return nil, corrupt("vector %d table %d row %d after row %d of %d", k, i, r, last, s.rows())
 				}
-				t.IDs[j] = uint32(r)
-				getFloats(t.Values[j*s.cols:(j+1)*s.cols], b[4:])
+				var row []float64
+				if dense {
+					row = v.Dense[i][r*s.cols : (r+1)*s.cols]
+				} else {
+					t.IDs[j], row = uint32(r), t.Values[j*s.cols:(j+1)*s.cols]
+				}
+				getFloats(row, b[4:])
 				b, last = b[rowBytes:], r
 			}
-			v.Tables[i] = t
 		}
 		vecs[k] = v
 	}
@@ -379,26 +398,13 @@ func (vs Vectors) DecodeRows(layout VectorLayout) ([]paramvec.Sparse, error) {
 	return vecs, nil
 }
 
-// Decode is DecodeRows scattered: every vector at layout's full shape,
-// each table's unstored rows +0. It allocates its vector count (bounded
-// by the file's length) times one layout-shaped vector.
-func (vs Vectors) Decode(layout VectorLayout) ([]paramvec.Vector, error) {
-	rows, err := vs.DecodeRows(layout)
-	if err != nil {
-		return nil, err
-	}
-	vecs := make([]paramvec.Vector, len(rows))
-	for k, v := range rows {
-		vecs[k] = v.Scatter()
-	}
-	return vecs, nil
-}
-
-// Checkpoint is the serializable form of a trained MAMDR state: θ_S and
-// every θ_i (the vector block, in Model.Parameters() order), the
-// framework.Spec it was trained on, and an optional resume cursor
-// (completed-epoch count and the DN outer optimizer's state) for
-// crash-safe training restarts; the gob block carries all but θ.
+// Checkpoint is the one checkpoint record, of a trained MAMDR state and
+// of a PS shard alike: θ_S and every θ_i (the vector block, in
+// Model.Parameters() order), the framework.Spec it was trained on, and
+// an optional resume cursor (completed-epoch count and the DN outer
+// optimizer's state) for crash-safe training restarts; the gob block
+// carries all but θ. A PS shard's record holds its tensors as Shared,
+// no Specific, and the shard's name as ModelName.
 type Checkpoint struct {
 	// ModelName records the structure's display name, as a guard
 	// against loading into a mismatched model.
@@ -411,8 +417,9 @@ type Checkpoint struct {
 	// checkpoint was taken; -1 marks a final state with no resume
 	// cursor (the State.Save format).
 	Epoch int
-	// Outer is the DN outer optimizer's accumulated state at the epoch
-	// boundary (empty when Epoch is -1 or the optimizer is stateless).
+	// Outer is the outer optimizer's (DN's, or a PS shard's) accumulated
+	// state at the epoch boundary (empty when Epoch is -1 or the
+	// optimizer is stateless).
 	Outer optim.State
 	// Quality is the model's quality baseline — per-domain validation
 	// score distributions and eval metrics — frozen at save time so
@@ -421,30 +428,19 @@ type Checkpoint struct {
 	// disabled", never an error.
 	Quality *quality.Baseline
 	// vectors is the file's vector block until Decode.
-	vectors Vectors
+	vectors vectorBlock
 }
 
-// ReadState reads a core checkpoint file: everything but the vectors
-// now, and the vectors at Decode (or Install), once the model that
-// knows their layout is built — the Spec read here may be what builds
-// it.
-func ReadState(path string) (Checkpoint, Envelope, error) {
-	var ck Checkpoint
-	env, vs, err := ReadCheckpoint(path, &ck)
-	ck.vectors = vs
-	return ck, env, err
-}
-
-// Decode sets Shared and Specific from the file's vector block, decoded
-// against layout. After a nil error every vector fits layout.
+// Decode sets Shared and Specific from the file's vector block, each at
+// layout's full shape. After a nil error every vector fits layout.
 func (ck *Checkpoint) Decode(layout VectorLayout) error {
-	shared, specific, err := ck.DecodeRows(layout)
+	vecs, err := ck.vectors.decode(layout, true)
 	if err != nil {
 		return err
 	}
-	ck.Shared, ck.Specific, ck.vectors = shared, make([]paramvec.Vector, len(specific)), Vectors{}
-	for d, v := range specific {
-		ck.Specific[d] = v.Scatter()
+	ck.Shared, ck.Specific, ck.vectors = vecs[0].Dense, make([]paramvec.Vector, len(vecs)-1), vectorBlock{}
+	for d, v := range vecs[1:] {
+		ck.Specific[d] = v.Dense
 	}
 	return nil
 }
@@ -454,14 +450,40 @@ func (ck *Checkpoint) Decode(layout VectorLayout) error {
 // leaving the checkpoint as it is. After a nil error every vector fits
 // layout.
 func (ck *Checkpoint) DecodeRows(layout VectorLayout) (paramvec.Vector, []paramvec.Sparse, error) {
-	vecs, err := ck.vectors.DecodeRows(layout)
+	vecs, err := ck.vectors.decode(layout, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(vecs) == 0 {
-		return nil, nil, fmt.Errorf("core: %s: vector block holds no shared vector: %w", ck.vectors.path, ErrCorruptCheckpoint)
-	}
 	return vecs[0].Scatter(), vecs[1:], nil
+}
+
+// Restore is every checkpoint load, a core state's and a PS shard's
+// alike. In order it refuses a record trained on a spec other than run
+// (framework.CheckResume; a load that takes the file's spec passes
+// ck.Spec) and a record named other than name, decodes the vectors
+// against layout, copies Shared into params and, with a non-nil outer,
+// restores the optimizer state the record carries.
+func (ck *Checkpoint) Restore(run framework.Spec, name string, params []*autograd.Tensor, layout VectorLayout, outer optim.Optimizer) error {
+	if err := framework.CheckResume(run, ck.Spec); err != nil {
+		return fmt.Errorf("core: %s: %w", ck.vectors.path, err)
+	}
+	if ck.ModelName != name {
+		return fmt.Errorf("core: %s: checkpoint is for %q, not %q", ck.vectors.path, ck.ModelName, name)
+	}
+	if err := ck.Decode(layout); err != nil {
+		return err
+	}
+	paramvec.Restore(params, ck.Shared)
+	if outer != nil && !ck.Outer.Empty() {
+		st, ok := outer.(optim.Stateful)
+		if !ok {
+			return fmt.Errorf("core: checkpoint carries %q optimizer state but the outer optimizer cannot restore state", ck.Outer.Name)
+		}
+		if err := st.RestoreState(params, ck.Outer); err != nil {
+			return fmt.Errorf("core: restore outer optimizer: %w", err)
+		}
+	}
+	return nil
 }
 
 // Save writes the state's parameters to path crash-safely (atomic
@@ -490,12 +512,11 @@ func (s *State) SaveTraining(path string, epoch int, outer optim.Optimizer) erro
 	return s.write(path, ck)
 }
 
-// write is every core save: ck's metadata with the state's name and
-// Spec in the gob block, θ_S and then every θ_i in the vector block.
+// write is every core save: ck's metadata with the state's name, Spec,
+// θ_S and every θ_i.
 func (s *State) write(path string, ck Checkpoint) error {
-	ck.ModelName, ck.Spec = s.Model.Name(), s.Spec
-	vecs := append([]paramvec.Vector{s.Shared}, s.Specific...)
-	return WriteCheckpoint(path, ck, modelLayout(s.Model), vecs)
+	ck.ModelName, ck.Spec, ck.Shared, ck.Specific = s.Model.Name(), s.Spec, s.Shared, s.Specific
+	return WriteCheckpoint(path, ck, modelLayout(s.Model))
 }
 
 // Load reads a checkpoint saved by Save (or SaveTraining) into the
@@ -503,68 +524,37 @@ func (s *State) write(path string, ck Checkpoint) error {
 // parameters. The state's Model must already be constructed with the
 // same structure and dataset schema as at save time.
 func (s *State) Load(path string) error {
-	_, _, err := s.LoadWithBaseline(path)
+	ck, _, err := ReadState(path)
+	if err == nil {
+		err = s.Install(ck, ck.Spec, nil)
+	}
 	return err
 }
 
-// LoadWithBaseline is Load returning the file's envelope (one read
-// serves both) and the quality baseline frozen into the checkpoint. A
-// nil baseline means drift detection is unavailable for this model: the
-// checkpoint was saved without profiling — the caller should log and
-// count the degraded load (Tracker.SetBaseline(nil) does the counting)
-// and carry on serving.
-func (s *State) LoadWithBaseline(path string) (*quality.Baseline, Envelope, error) {
-	ck, env, err := ReadState(path)
-	if err == nil {
-		err = s.Install(ck, nil)
-	}
-	return ck.Quality, env, err
-}
-
 // resume is Load for a training run of the given spec: it refuses a
-// checkpoint that recorded another spec (framework.CheckResume) before
-// anything of it is checked against the model, rebinds the outer
-// optimizer's saved state, keeps the run's spec (its epoch cap may be
-// another), and returns the completed-epoch cursor the run continues
-// from (-1 for a final, Save-written state).
+// checkpoint that recorded another spec before anything of it is
+// checked against the model, rebinds the outer optimizer's saved state,
+// keeps the run's spec (its epoch cap may be another), and returns the
+// completed-epoch cursor the run continues from (-1 for a final,
+// Save-written state).
 func (s *State) resume(path string, spec framework.Spec, outer optim.Optimizer) (epoch int, err error) {
 	ck, _, err := ReadState(path)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		err = s.Install(ck, spec, outer)
 	}
-	if err := framework.CheckResume(spec, ck.Spec); err != nil {
-		return 0, err
-	}
-	ck.Spec = spec
-	return ck.Epoch, s.Install(ck, outer)
+	return ck.Epoch, err
 }
 
-// Install checks a checkpoint read by ReadState against the state's
-// model — the structure's name, then its vectors decoded against the
-// model's layout — and only then installs its vectors and Spec, and
-// with a non-nil outer the optimizer state it carries. A caller that
-// needs the Spec to build the model reads the file once and installs
-// it into that model.
-func (s *State) Install(ck Checkpoint, outer optim.Optimizer) error {
-	if ck.ModelName != s.Model.Name() {
-		return fmt.Errorf("core: checkpoint is for model %q, state has %q", ck.ModelName, s.Model.Name())
-	}
-	if err := ck.Decode(modelLayout(s.Model)); err != nil {
+// Install restores a checkpoint read by ReadState into the state's
+// model as a record of run (Checkpoint.Restore, against the model's
+// name and layout, with outer) and only then takes its vectors and run
+// as the state's Spec. A caller that needs the Spec to build the model
+// reads the file once and installs it, passing ck.Spec, into that
+// model.
+func (s *State) Install(ck Checkpoint, run framework.Spec, outer optim.Optimizer) error {
+	if err := ck.Restore(run, s.Model.Name(), s.Model.Parameters(), modelLayout(s.Model), outer); err != nil {
 		return err
 	}
-	params := s.Model.Parameters()
-	s.Shared = ck.Shared
-	s.Specific = ck.Specific
-	s.Spec = ck.Spec
-	paramvec.Restore(params, s.Shared)
-	if outer != nil && !ck.Outer.Empty() {
-		st, ok := outer.(optim.Stateful)
-		if !ok {
-			return fmt.Errorf("core: checkpoint carries %q optimizer state but the outer optimizer cannot restore state", ck.Outer.Name)
-		}
-		if err := st.RestoreState(params, ck.Outer); err != nil {
-			return fmt.Errorf("core: restore outer optimizer: %w", err)
-		}
-	}
+	s.Shared, s.Specific, s.Spec = ck.Shared, ck.Specific, run
 	return nil
 }

@@ -75,7 +75,11 @@ func TestLoadPreQualityCheckpoint(t *testing.T) {
 		Epoch:     -1,
 	})
 
-	base, _, err := st.LoadWithBaseline(path)
+	ck, _, err := ReadState(path)
+	if err == nil {
+		err = st.Install(ck, ck.Spec, nil)
+	}
+	base := ck.Quality
 	if err == nil {
 		t.Fatal("v2 checkpoint loaded; want a version refusal")
 	}
@@ -121,12 +125,16 @@ func TestSaveLoadWithBaseline(t *testing.T) {
 	}
 
 	st2 := &State{Model: testModel(t, ds)}
-	got, loaded, err := st2.LoadWithBaseline(path)
+	ck, loaded, err := ReadState(path)
+	if err == nil {
+		err = st2.Install(ck, ck.Spec, nil)
+	}
+	got := ck.Quality
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded != env {
-		t.Fatalf("LoadWithBaseline envelope = %+v, ReadState = %+v", loaded, env)
+		t.Fatalf("loaded envelope = %+v, ReadState = %+v", loaded, env)
 	}
 	if got == nil {
 		t.Fatal("baseline lost in round trip")

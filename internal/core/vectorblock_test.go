@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 
 	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
+	"mamdr/internal/synth"
 )
 
 // specials are the float64s a vector block must carry bit for bit: a
@@ -135,6 +137,13 @@ func toyVectors() []paramvec.Vector {
 	}
 }
 
+// toyCheckpoint is ck holding toyVectors: θ_S and two θ_i.
+func toyCheckpoint(ck Checkpoint) Checkpoint {
+	v := toyVectors()
+	ck.Shared, ck.Specific = v[0], v[1:]
+	return ck
+}
+
 // toyBlock is toyVectors' vector block: every integer and float64
 // little-endian, on any host.
 const toyBlock = "0300000000000000" + // 3 vectors
@@ -157,7 +166,7 @@ const toyBlock = "0300000000000000" + // 3 vectors
 // order, fails here on any host; and the block decodes to the vectors.
 func TestVectorBlockGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "toy.ckpt")
-	if err := WriteCheckpoint(path, Checkpoint{ModelName: "toy", Epoch: -1}, toyLayout, toyVectors()); err != nil {
+	if err := WriteCheckpoint(path, toyCheckpoint(Checkpoint{ModelName: "toy", Epoch: -1}), toyLayout); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -235,10 +244,10 @@ func TestVectorBlockRefusesCountsBeforeAllocating(t *testing.T) {
 }
 
 // FuzzVectorRowsDecode is the differential check of the two outputs of
-// the one decoder: on any vector block over toyLayout, DecodeRows and
-// Decode both refuse it as corrupt, or both accept it, DecodeRows'
-// tables hold ascending in-range rows of their width, and those rows
-// scattered over +0 are Decode's vectors bit for bit.
+// the one decoder: on any vector block over toyLayout, its stored-rows
+// and its dense decode both refuse it as corrupt, or both accept it,
+// the stored rows' tables hold ascending in-range rows of their width,
+// and those rows scattered over +0 are the dense vectors bit for bit.
 func FuzzVectorRowsDecode(f *testing.F) {
 	le := binary.LittleEndian
 	good, err := hex.DecodeString(toyBlock)
@@ -263,9 +272,9 @@ func FuzzVectorRowsDecode(f *testing.F) {
 	}))
 	f.Add(mutated(func(b []byte) []byte { return append(b, 0) })) // a byte past the last vector
 	f.Fuzz(func(t *testing.T, block []byte) {
-		vs := Vectors{path: "fuzz", block: block}
-		rows, rerr := vs.DecodeRows(toyLayout)
-		dense, derr := vs.Decode(toyLayout)
+		vb := vectorBlock{path: "fuzz", b: block}
+		rows, rerr := vb.decode(toyLayout, false)
+		dense, derr := vb.decode(toyLayout, true)
 		if (rerr == nil) != (derr == nil) {
 			t.Fatalf("DecodeRows: %v; Decode: %v", rerr, derr)
 		}
@@ -298,7 +307,79 @@ func FuzzVectorRowsDecode(f *testing.F) {
 					copy(want[i][int(r)*s.cols:], tb.Values[j*s.cols:(j+1)*s.cols])
 				}
 			}
-			sameBits(t, "Decode", dense[k], want)
+			sameBits(t, "Decode", dense[k].Dense, want)
 		}
 	})
+}
+
+// tailFile saves a state of 200 domains whose θ_i each store 3.4 % of
+// their table rows, a fitted tail's shape, and returns its path and a
+// model of its structure.
+func tailFile(tb testing.TB) (string, models.Model) {
+	tb.Helper()
+	cfg := synth.TaobaoOnline(200, 200*24, 73)
+	cfg.FixedFeatures = false
+	cfg.NumUsers, cfg.NumItems = 2000, 2000
+	ds := synth.Generate(cfg)
+	newModel := func() models.Model {
+		return models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 16, Hidden: []int{16}, Seed: 5})
+	}
+	st := &State{Model: newModel()}
+	params := st.Model.Parameters()
+	tables := models.EmbeddingTablesOf(st.Model)
+	st.Shared = paramvec.Snapshot(params)
+	rng := rand.New(rand.NewSource(73))
+	for range ds.Domains {
+		v := st.Shared.Zero()
+		for i, p := range params {
+			for r := 0; r < p.Rows; r++ {
+				if _, ok := tables[i]; !ok || rng.Float64() < 0.034 {
+					for j := 0; j < p.Cols; j++ {
+						v[i][r*p.Cols+j] = rng.NormFloat64() / 100
+					}
+				}
+			}
+		}
+		st.Specific = append(st.Specific, v)
+	}
+	path := filepath.Join(tb.TempDir(), "tail.ckpt")
+	if err := st.Save(path); err != nil {
+		tb.Fatal(err)
+	}
+	return path, newModel()
+}
+
+// TestLoadAllocatesPerVector: a dense load walks the vector block once,
+// writing every vector's rows straight into one full-shape backing, so
+// State.Load of a 200-domain file makes two allocations per vector
+// (874 in all, the gob block's included), none per stored table or
+// segment. The ceiling is 500 for the gob block and 3 per vector.
+func TestLoadAllocatesPerVector(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	path, m := tailFile(t)
+	allocs := testing.AllocsPerRun(2, func() {
+		if err := (&State{Model: m}).Load(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ceiling := 500 + 3*201.0; allocs > ceiling {
+		t.Fatalf("State.Load of 201 vectors made %.0f allocations, ceiling %.0f", allocs, ceiling)
+	}
+}
+
+// BenchmarkStateLoad is the layer number of a dense load: State.Load of
+// tailFile's 200-domain file. Run with:
+//
+//	go test ./internal/core -run '^$' -bench StateLoad -benchmem
+func BenchmarkStateLoad(b *testing.B) {
+	path, m := tailFile(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := (&State{Model: m}).Load(path); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -14,7 +14,9 @@ import (
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/autograd/kernels"
+	"mamdr/internal/data"
 	"mamdr/internal/faultinject"
+	"mamdr/internal/framework"
 	"mamdr/internal/models"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/telemetry"
@@ -30,6 +32,15 @@ func chaosOptions() Options {
 		CacheEnabled: true, SyncPush: true,
 		OuterOpt: "adagrad", OuterLR: 0.1,
 	}
+}
+
+// trainCheckpointed is Train against a server that checkpoints to path
+// and records the spec of a run, so every resume checks one.
+func trainCheckpointed(factory func() models.Model, ds *data.Dataset, opts Options, path string) *Result {
+	serving := factory()
+	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), opts.OuterOpt, opts.OuterLR)
+	server.SetCheckpoint(path, framework.Spec{Preset: "ps-test", Seed: opts.Seed, Model: "mlp", EmbDim: 4})
+	return TrainWithStore(factory, serving, server, server, ds, opts)
 }
 
 func requireSameVector(t *testing.T, name string, a, b paramvec.Vector) {
@@ -295,14 +306,14 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 
 		interrupted := chaosOptions()
 		interrupted.Epochs = 3 // the "crash" after epoch 3's checkpoint
-		interrupted.CheckpointPath, interrupted.CheckpointEvery = ckpt, 1
-		Train(factory, ds, interrupted)
+		interrupted.CheckpointEvery = 1
+		trainCheckpointed(factory, ds, interrupted, ckpt)
 
 		resumed := chaosOptions()
 		resumed.Epochs = 6
-		resumed.CheckpointPath, resumed.CheckpointEvery = ckpt, 1
+		resumed.CheckpointEvery = 1
 		resumed.Resume = true
-		got := Train(factory, ds, resumed)
+		got := trainCheckpointed(factory, ds, resumed, ckpt)
 
 		if got.ResumedFrom != 3 {
 			t.Fatalf("dropout %g: ResumedFrom = %d, want 3", dropout, got.ResumedFrom)
@@ -322,14 +333,15 @@ func TestDRIndependentOfWorkerCount(t *testing.T) {
 	factory := replicaFactory(ds)
 	opts := chaosOptions()
 	opts.UseDR = true
-	opts.CheckpointPath, opts.CheckpointEvery = filepath.Join(t.TempDir(), "ps.ckpt"), 1
-	Train(factory, ds, opts)
+	ckpt := filepath.Join(t.TempDir(), "ps.ckpt")
+	opts.CheckpointEvery = 1
+	trainCheckpointed(factory, ds, opts, ckpt)
 
 	opts.Resume = true
 	var want *Result
 	for _, workers := range []int{1, 2, 3} {
 		opts.Workers = workers
-		got := Train(factory, ds, opts)
+		got := trainCheckpointed(factory, ds, opts, ckpt)
 		if got.ResumedFrom != opts.Epochs {
 			t.Fatalf("ResumedFrom = %d, want %d (no DN epoch may run)", got.ResumedFrom, opts.Epochs)
 		}
@@ -359,14 +371,14 @@ func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
 	ds := testDataset(t)
 	opts := chaosOptions()
 	opts.Epochs = 1
-	opts.CheckpointPath = filepath.Join(t.TempDir(), "ps.ckpt")
+	ckpt := filepath.Join(t.TempDir(), "ps.ckpt")
 	opts.CheckpointEvery = 1
 	opts.Resume = true
-	res := Train(replicaFactory(ds), ds, opts)
+	res := trainCheckpointed(replicaFactory(ds), ds, opts, ckpt)
 	if res.ResumedFrom != -1 {
 		t.Fatalf("ResumedFrom = %d, want -1 (fresh start)", res.ResumedFrom)
 	}
-	if _, err := os.Stat(opts.CheckpointPath); err != nil {
+	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("checkpoint not written: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,7 +10,8 @@ import (
 	"mamdr/internal/autograd"
 	"mamdr/internal/core"
 	"mamdr/internal/framework"
-	"mamdr/internal/optim"
+	"mamdr/internal/models"
+	"mamdr/internal/paramvec"
 )
 
 func checkpointParams() []*autograd.Tensor {
@@ -31,12 +33,12 @@ func checkpointDelta(seq int64) Delta {
 	}
 }
 
-// TestServerCheckpointKeepsItsShape: the file of a server with one
-// mutex and one optimizer is the file a one-stripe server wrote — one
-// optimizer state under Shards, aligned with all tensors in index order
-// — and a server restored from it continues float for float, the outer
-// optimizer's state (Adam: moments and the step counter its tensors
-// share) included.
+// TestServerCheckpointKeepsItsShape: a server's file is a shard's
+// core.Checkpoint — its tensors as Shared, no θ_i, and the outer
+// optimizer's state under Outer, aligned with all tensors in index
+// order — and a server restored from it continues float for float, the
+// outer optimizer's state (Adam: moments and the step counter its
+// tensors share) included.
 func TestServerCheckpointKeepsItsShape(t *testing.T) {
 	for _, outer := range []string{"sgd", "adagrad", "adam"} {
 		path := filepath.Join(t.TempDir(), "ps.ckpt")
@@ -51,15 +53,21 @@ func TestServerCheckpointKeepsItsShape(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		ck, err := a.readCheckpoint()
+		ck, _, err := core.ReadState(path)
+		if err == nil {
+			err = ck.Decode(a.vectorLayout())
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ck.Shards) != 1 || len(ck.Params) != 3 || ck.Epoch != 2 {
-			t.Fatalf("%s: checkpoint holds %d optimizer states, %d tensors, epoch %d; want 1, 3, 2",
-				outer, len(ck.Shards), len(ck.Params), ck.Epoch)
+		if ck.ModelName != shardRecord || len(ck.Shared) != 3 || len(ck.Specific) != 0 || ck.Epoch != 2 {
+			t.Fatalf("%s: checkpoint %q holds %d tensors and %d θ_i, epoch %d; want %q, 3, 0, 2",
+				outer, ck.ModelName, len(ck.Shared), len(ck.Specific), ck.Epoch, shardRecord)
 		}
-		for slot, bufs := range ck.Shards[0].Slots {
+		if ck.Outer.Name != outer {
+			t.Fatalf("%s: checkpoint carries %q optimizer state", outer, ck.Outer.Name)
+		}
+		for slot, bufs := range ck.Outer.Slots {
 			if len(bufs) != 3 {
 				t.Fatalf("%s: optimizer slot %q covers %d tensors, want all 3", outer, slot, len(bufs))
 			}
@@ -78,29 +86,62 @@ func TestServerCheckpointKeepsItsShape(t *testing.T) {
 	}
 }
 
-// TestServerRefusesStripedCheckpoint: a file carrying two optimizer
-// states was written by a server with two lock stripes, each state over
-// every other tensor. No server has stripes to restore them into, and
-// loading the parameters without them would silently restart the outer
-// optimizer, so the load is refused and the server is left as it was.
-func TestServerRefusesStripedCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ps.ckpt")
-	params := checkpointParams()
-	striped := serverCheckpoint{Epoch: 3, Shards: []optim.State{{Name: "adagrad"}, {Name: "adagrad"}}}
-	for _, p := range params {
-		striped.Params = append(striped.Params, make([]float64, len(p.Data)))
-	}
-	if err := writeCheckpoint(path, core.LayoutOf(params, map[int]int{0: 0}), striped); err != nil {
-		t.Fatal(err)
-	}
-	s := NewServer(params, map[int]int{0: 0}, "adagrad", 0.1)
-	s.SetCheckpoint(path, framework.Spec{})
+// TestServerRefusesUnnamedShardFile: testdata/adagrad-shard-v5.ckpt is
+// a shard file of the shape servers wrote before a shard file was a
+// core.Checkpoint — checkpointParams after two pushes, their adagrad
+// state in a one-element Shards slice that gob drops on the way into a
+// core.Checkpoint. It names no record, so a server of its spec refuses
+// it instead of restoring the parameters without their optimizer state,
+// and is left as it was.
+func TestServerRefusesUnnamedShardFile(t *testing.T) {
+	s := NewServer(checkpointParams(), map[int]int{0: 0}, "adagrad", 0.1)
+	s.SetCheckpoint(filepath.Join("testdata", "adagrad-shard-v5.ckpt"),
+		framework.Spec{Preset: "taobao-10", Samples: 3000, Seed: 1, Model: "mlp", EmbDim: 8})
 	before := s.Snapshot()
-	_, err := s.LoadCheckpoint()
-	if err == nil || !strings.Contains(err.Error(), "checkpoint has 2 shards, server has 1") {
-		t.Fatalf("LoadCheckpoint of a two-stripe file = %v, want the shard-count refusal", err)
+	if _, err := s.LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), `checkpoint is for "", not "PS shard"`) {
+		t.Fatalf("LoadCheckpoint of an unnamed shard file = %v, want the record-name refusal", err)
 	}
 	requireSameVector(t, "after a refused load", before, s.Snapshot())
+}
+
+// TestCoreAndShardFilesDoNotCross: a core state's file and a shard's
+// file over the same tensors decode against each other's layout, so
+// only the record's name tells them apart: a shard server refuses a
+// State.Save file, whose θ_i it would drop, and State.Load refuses a
+// shard's file, which holds no θ_i; neither refusal touches its target.
+func TestCoreAndShardFilesDoNotCross(t *testing.T) {
+	ds := testDataset(t)
+	m := replicaFactory(ds)()
+	dir := t.TempDir()
+	st := &core.State{Model: m, Shared: paramvec.Snapshot(m.Parameters())}
+	for range ds.Domains {
+		st.AddDomain()
+	}
+	coreFile := filepath.Join(dir, "mamdr.ckpt")
+	if err := st.Save(coreFile); err != nil {
+		t.Fatal(err)
+	}
+	shardFile := filepath.Join(dir, ShardCheckpointPath("ps.ckpt", 0, 1))
+	s := NewServer(m.Parameters(), models.EmbeddingTablesOf(m), "adagrad", 0.1)
+	s.SetCheckpoint(shardFile, framework.Spec{})
+	if err := s.SaveCheckpoint(1); err != nil {
+		t.Fatal(err)
+	}
+
+	s.SetCheckpoint(coreFile, framework.Spec{})
+	before := s.Snapshot()
+	if _, err := s.LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`checkpoint is for %q, not %q`, m.Name(), shardRecord)) {
+		t.Fatalf("shard server loading a core file = %v, want the record-name refusal", err)
+	}
+	requireSameVector(t, "shard server after a refused load", before, s.Snapshot())
+
+	loaded := &core.State{Model: replicaFactory(ds)()}
+	if err := loaded.Load(shardFile); err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`checkpoint is for %q, not %q`, shardRecord, m.Name())) {
+		t.Fatalf("State.Load of a shard file = %v, want the record-name refusal", err)
+	}
+	if loaded.Shared != nil || loaded.Specific != nil {
+		t.Fatal("State.Load took vectors from a refused shard file")
+	}
 }
 
 // TestSpecRoundTrips: a shard server writes the spec of the run it hosts
@@ -122,7 +163,10 @@ func TestSpecRoundTrips(t *testing.T) {
 	if err := a.SaveCheckpoint(2); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := a.readCheckpoint()
+	ck, _, err := core.ReadState(path)
+	if err == nil {
+		err = ck.Decode(a.vectorLayout())
+	}
 	if err != nil || ck.Spec != spec {
 		t.Fatalf("shard file records spec %+v (err %v), want %+v", ck.Spec, err, spec)
 	}
@@ -141,7 +185,7 @@ func TestSpecRoundTrips(t *testing.T) {
 	requireSameVector(t, "after a refused load", before, refused.Snapshot())
 
 	ck.Spec = framework.Spec{}
-	if err := writeCheckpoint(path, a.vectorLayout(), ck); err != nil {
+	if err := core.WriteCheckpoint(path, ck, a.vectorLayout()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := server(spec).LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), "retrain") {

@@ -206,7 +206,7 @@ func (l Layout) checkDelta(d Delta) error {
 	return nil
 }
 
-// SaveCheckpoint persists the server's state (parameters, per-shard
+// SaveCheckpoint persists the server's state (parameters, outer
 // optimizer state, epoch cursor) to its configured checkpoint path.
 func (s *RPCService) SaveCheckpoint(args SaveCheckpointArgs, _ *Nothing) error {
 	return s.server.Load().SaveCheckpoint(args.Epoch)

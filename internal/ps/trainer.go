@@ -67,14 +67,11 @@ type Options struct {
 	// watchdog (worker panics are still supervised and redistributed).
 	HeartbeatTimeout time.Duration
 
-	// CheckpointPath, when set (with Train), configures the in-process
-	// server's checkpoint location (its files record the zero spec).
-	// CheckpointEvery writes a server checkpoint every N completed epochs
-	// (0 disables; any value requires the store to implement
-	// CheckpointStore). Resume restores the store's last checkpoint before
-	// training and skips the epochs it already covers; a refused one
-	// panics with a *framework.ResumeError.
-	CheckpointPath  string
+	// CheckpointEvery writes a store checkpoint every N completed epochs
+	// (0 disables; any value requires a CheckpointStore with a path, which
+	// Train's server has not). Resume restores the store's last
+	// checkpoint before training and skips the epochs it already covers;
+	// a refused one panics with a *framework.ResumeError.
 	CheckpointEvery int
 	Resume          bool
 
@@ -152,7 +149,6 @@ func Train(replica func() models.Model, ds *data.Dataset, opts Options) *Result 
 	server := NewServer(serving.Parameters(), tables, opts.OuterOpt, opts.OuterLR)
 	server.SetMetrics(opts.Metrics)
 	server.SetTracer(opts.Tracer)
-	server.SetCheckpoint(opts.CheckpointPath, framework.Spec{})
 	return TrainWithStore(replica, serving, server, server, ds, opts)
 }
 

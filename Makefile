@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet loc staticcheck race race-dr fuzz-smoke bench bench-kernels bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-resume smoke-obs smoke-quality smoke-rollout smoke-batch smoke-experiments ci check
+.PHONY: all build test vet loc loc-check staticcheck race race-dr fuzz-smoke bench bench-kernels bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-resume smoke-obs smoke-quality smoke-rollout smoke-batch smoke-experiments ci check
 
 all: check
 
@@ -19,8 +19,19 @@ loc:
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
 		printf '%6d  %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
 	done
-	@printf '%6d  total (all non-test Go)\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec cat {} + | wc -l)"
+	@printf '%6d  total (all non-test Go)\n' "$$($(GO_LOC))"
 	@printf '%6d  assembly (.s, not in the total)\n' "$$(find . -name '*.s' ! -path './.*' -exec cat {} + | wc -l)"
+
+# GO_LOC counts all non-test Go: the total `make loc` prints.
+GO_LOC = find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec cat {} + | wc -l
+
+# The line-count ratchet: fails when `make loc`'s total passes LOC_MAX.
+# A change that adds non-test Go raises LOC_MAX in its own diff, which
+# is where it states its `make loc` delta.
+LOC_MAX = 25388
+loc-check:
+	@n=$$($(GO_LOC)); test $$n -le $(LOC_MAX) || { \
+		echo "non-test Go is $$n lines, past LOC_MAX $(LOC_MAX): raise LOC_MAX in the diff that adds them"; exit 1; }
 
 # Same pinned version as CI; install with:
 #   go install honnef.co/go/tools/cmd/staticcheck@2023.1.7
@@ -478,6 +489,7 @@ smoke-experiments:
 # here and only here. The first line fails on any file gofmt would change.
 ci:
 	test -z "$$(gofmt -l .)"
+	$(MAKE) loc-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...

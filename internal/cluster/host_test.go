@@ -197,7 +197,7 @@ func TestHostRefusesMalformedInstall(t *testing.T) {
 	}
 	addr := addrs[0][0]
 	good := ps.InstallArgs{
-		Layout: ps.Layout{Rows: []int{4, 2}, Cols: []int{2, 3}, Embedding: []bool{true, false}, Field: []int{0, -1}},
+		Layout: ps.Layout{Rows: []int{4, 2}, Cols: []int{2, 3}, Field: []int{0, -1}},
 		Values: [][]float64{{1, 2, 3, 4, 5, 6, 7, 8}, {1, 2, 3, 4, 5, 6}},
 		Shards: 1,
 	}
@@ -205,7 +205,7 @@ func TestHostRefusesMalformedInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	malformed := map[string]func(a *ps.InstallArgs){
-		"invalid layout":    func(a *ps.InstallArgs) { a.Layout.Field = []int{-1, -1} },
+		"invalid layout":    func(a *ps.InstallArgs) { a.Layout.Field = []int{0} },
 		"tensor count":      func(a *ps.InstallArgs) { a.Values = a.Values[:1] },
 		"values length":     func(a *ps.InstallArgs) { a.Values = [][]float64{a.Values[0], {1, 2, 3}} },
 		"unknown optimizer": func(a *ps.InstallArgs) { a.OuterOpt = "rmsprop" },
@@ -222,7 +222,7 @@ func TestHostRefusesMalformedInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := sameLayout(good.Layout, cl.Layout()); err != nil {
+	if err := good.Layout.Same(cl.Layout()); err != nil {
 		t.Fatalf("after the refused installs the slot serves %v", err)
 	}
 	if got := cl.PullRows(context.Background(), 0, []int{3}); got[0][0] != 7 || got[0][1] != 8 {

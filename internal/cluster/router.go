@@ -92,14 +92,14 @@ func New(plan ps.Plan, shards [][]ps.Store, opts Options) (*Router, error) {
 		r.dead[sh] = make([]atomic.Bool, len(reps))
 		want := plan.ShardLayout(sh)
 		for rep, ep := range reps {
-			if err := sameLayout(want, ep.Layout()); err != nil {
+			if err := want.Same(ep.Layout()); err != nil {
 				return nil, fmt.Errorf("cluster: shard %d replica %d serves the wrong slice: %w", sh, rep, err)
 			}
 		}
 	}
 	for sh := 0; sh < plan.NumShards; sh++ {
 		for _, t := range plan.ShardTensors(sh) {
-			if !plan.Layout.Embedding[t] {
+			if !plan.Layout.IsTable(t) {
 				r.denseShards = append(r.denseShards, sh)
 				break
 			}
@@ -107,22 +107,6 @@ func New(plan ps.Plan, shards [][]ps.Store, opts Options) (*Router, error) {
 	}
 	opts.Metrics.BindPlan(plan)
 	return r, nil
-}
-
-// sameLayout compares two layouts shape for shape.
-func sameLayout(want, got ps.Layout) error {
-	if want.NumTensors() != got.NumTensors() {
-		return fmt.Errorf("%d tensors, want %d", got.NumTensors(), want.NumTensors())
-	}
-	for t := 0; t < want.NumTensors(); t++ {
-		if want.Rows[t] != got.Rows[t] || want.Cols[t] != got.Cols[t] ||
-			want.Embedding[t] != got.Embedding[t] || want.Field[t] != got.Field[t] {
-			return fmt.Errorf("tensor %d is %dx%d (embedding=%v field=%d), want %dx%d (embedding=%v field=%d)",
-				t, got.Rows[t], got.Cols[t], got.Embedding[t], got.Field[t],
-				want.Rows[t], want.Cols[t], want.Embedding[t], want.Field[t])
-		}
-	}
-	return nil
 }
 
 // Layout implements ps.Store: workers see the global layout; the
@@ -289,7 +273,7 @@ func (r *Router) PullDense(ctx context.Context) map[int][]float64 {
 // owning shard, pulled concurrently with shard-local row indices, and
 // reassembled in the caller's order.
 func (r *Router) PullRows(ctx context.Context, tensor int, rows []int) [][]float64 {
-	if !r.plan.Layout.Embedding[tensor] {
+	if !r.plan.Layout.IsTable(tensor) {
 		panic(fmt.Sprintf("cluster: PullRows on dense tensor %d", tensor))
 	}
 	ctx, sp := trace.Start(ctx, "cluster.pull_rows",
@@ -455,7 +439,7 @@ func (r *Router) Snapshot() paramvec.Vector {
 			copy(out[tensors[local]], vals)
 		}
 		for local, t := range tensors {
-			if !layout.Embedding[t] {
+			if !layout.IsTable(t) {
 				continue
 			}
 			globalRows := r.plan.ShardRows(sh, t)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mamdr/internal/framework"
+	"mamdr/internal/models"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
 )
@@ -19,7 +20,7 @@ import (
 // payload bytes, without decoding the payload.
 func TestEnvelopeInfoMatchesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "e.ckpt")
-	if err := WriteCheckpoint(path, Checkpoint{ModelName: "ab"}, nil); err != nil {
+	if err := WriteCheckpoint(path, Checkpoint{ModelName: "ab"}, models.Layout{}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := EnvelopeInfo(path)
@@ -46,7 +47,7 @@ func TestEnvelopeInfoMatchesFile(t *testing.T) {
 // not exist yet (a fresh -checkpoint-dir) is written, not refused.
 func TestSaveGobCreatesDirectory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a", "b", "c.ckpt")
-	if err := WriteCheckpoint(path, Checkpoint{ModelName: "ab"}, nil); err != nil {
+	if err := WriteCheckpoint(path, Checkpoint{ModelName: "ab"}, models.Layout{}); err != nil {
 		t.Fatal(err)
 	}
 	ck, _, err := ReadState(path)
@@ -62,7 +63,7 @@ func TestSaveGobCreatesDirectory(t *testing.T) {
 func TestEnvelopeInfoRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.ckpt")
-	if err := WriteCheckpoint(good, Checkpoint{ModelName: "MLP", Epoch: 3}, nil); err != nil {
+	if err := WriteCheckpoint(good, Checkpoint{ModelName: "MLP", Epoch: 3}, models.Layout{}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(good)
@@ -219,11 +220,11 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if ferr := toyLayout.fit(ck.Shared); ferr != nil {
+		if ferr := toyLayout.Fit(ck.Shared); ferr != nil {
 			t.Fatalf("decoded θ_S: %v", ferr)
 		}
 		for d, v := range ck.Specific {
-			if ferr := toyLayout.fit(v); ferr != nil {
+			if ferr := toyLayout.Fit(v); ferr != nil {
 				t.Fatalf("decoded θ_%d: %v", d, ferr)
 			}
 		}

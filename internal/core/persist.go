@@ -31,7 +31,7 @@ import (
 //	u64 gob length | gob(metadata, its vectors left out) |
 //	u64 vector count | vector...
 //
-// Each vector is its segments in VectorLayout order: a dense segment
+// Each vector is its segments in models.Layout order: a dense segment
 // as its values; an embedding table as its stored row count, then for
 // every row holding any bit other than +0 the row's u32 index and its
 // values, rows ascending. Every integer and float64 is little-endian.
@@ -57,60 +57,15 @@ const headerLen = 8 + 4 + 8 + 4
 // belongs to a different model".
 var ErrCorruptCheckpoint = errors.New("corrupt or truncated checkpoint")
 
-// VectorLayout is what a vector block is written and read against:
-// one segment per parameter tensor, in Model.Parameters() order.
-type VectorLayout []segment
-
-type segment struct {
-	size int // values in the tensor
-	cols int // row width of an embedding table; 0 for a dense tensor
-}
-
-// LayoutOf is the layout of params, whose embedding tables are the
-// indices tables keys (the models.EmbeddingTabler map). It reads
-// shapes only, so params may be bound elsewhere.
-func LayoutOf(params []*autograd.Tensor, tables map[int]int) VectorLayout {
-	l := make(VectorLayout, len(params))
-	for i, p := range params {
-		l[i].size = p.Size()
-		if _, ok := tables[i]; ok && p.Cols > 0 {
-			l[i].cols = p.Cols
-		}
-	}
-	return l
-}
-
-// modelLayout is LayoutOf m's parameters and tables.
-func modelLayout(m models.Model) VectorLayout {
-	return LayoutOf(m.Parameters(), models.EmbeddingTablesOf(m))
-}
-
-// fit reports whether v has one segment per tensor, each of the
-// tensor's size.
-func (l VectorLayout) fit(v paramvec.Vector) error {
-	if len(v) != len(l) {
-		return fmt.Errorf("%d segments, model has %d tensors", len(v), len(l))
-	}
-	for i, s := range l {
-		if len(v[i]) != s.size {
-			return fmt.Errorf("segment %d has %d values, tensor has %d", i, len(v[i]), s.size)
-		}
-	}
-	return nil
-}
-
-// rows is the number of rows of table segment s.
-func (s segment) rows() int { return s.size / s.cols }
-
 // minBytes is the fewest bytes a vector of l takes in a vector block:
 // its dense values and a row count per table.
-func (l VectorLayout) minBytes() int {
+func minBytes(l models.Layout) int {
 	n := 0
-	for _, s := range l {
-		if s.cols == 0 {
-			n += 8 * s.size
-		} else {
+	for t := range l.Rows {
+		if l.IsTable(t) {
 			n += 8
+		} else {
+			n += 8 * l.Rows[t] * l.Cols[t]
 		}
 	}
 	return n
@@ -118,25 +73,25 @@ func (l VectorLayout) minBytes() int {
 
 // appendBlock appends the vector block of vecs, each checked against
 // l, to b.
-func (l VectorLayout) appendBlock(b []byte, vecs []paramvec.Vector) ([]byte, error) {
+func appendBlock(b []byte, l models.Layout, vecs []paramvec.Vector) ([]byte, error) {
 	le := binary.LittleEndian
 	b = le.AppendUint64(b, uint64(len(vecs)))
 	for k, v := range vecs {
-		if err := l.fit(v); err != nil {
+		if err := l.Fit(v); err != nil {
 			return nil, fmt.Errorf("vector %d: %w", k, err)
 		}
-		for i, s := range l {
-			if s.cols == 0 {
+		for i, rows := range l.Rows {
+			if !l.IsTable(i) {
 				b = appendFloats(b, v[i])
 				continue
 			}
-			if s.rows() > math.MaxUint32 {
-				return nil, fmt.Errorf("segment %d has %d rows, past a u32 index", i, s.rows())
+			if rows > math.MaxUint32 {
+				return nil, fmt.Errorf("segment %d has %d rows, past a u32 index", i, rows)
 			}
-			count, stored := len(b), 0
+			cols, count, stored := l.Cols[i], len(b), 0
 			b = le.AppendUint64(b, 0)
-			for r := 0; r < s.rows(); r++ {
-				if row := v[i][r*s.cols : (r+1)*s.cols]; !paramvec.ZeroRow(row) {
+			for r := 0; r < rows; r++ {
+				if row := v[i][r*cols : (r+1)*cols]; !paramvec.ZeroRow(row) {
 					b = appendFloats(le.AppendUint32(b, uint32(r)), row)
 					stored++
 				}
@@ -171,7 +126,7 @@ func getFloats(dst []float64, b []byte) {
 // path.tmp, fsyncs, then renames over path. A crash at any point leaves
 // either the previous complete file or a stray .tmp — never a torn
 // checkpoint under the final name.
-func WriteCheckpoint(path string, ck Checkpoint, layout VectorLayout) error {
+func WriteCheckpoint(path string, ck Checkpoint, layout models.Layout) error {
 	vecs := append([]paramvec.Vector{ck.Shared}, ck.Specific...)
 	ck.Shared, ck.Specific = nil, nil
 	var gobBlock bytes.Buffer
@@ -180,10 +135,10 @@ func WriteCheckpoint(path string, ck Checkpoint, layout VectorLayout) error {
 	}
 	// Room for the header, the gob block and every vector's dense
 	// values and row counts; stored rows grow it.
-	file := make([]byte, headerLen, headerLen+8+gobBlock.Len()+8+len(vecs)*layout.minBytes())
+	file := make([]byte, headerLen, headerLen+8+gobBlock.Len()+8+len(vecs)*minBytes(layout))
 	file = binary.LittleEndian.AppendUint64(file, uint64(gobBlock.Len()))
 	file = append(file, gobBlock.Bytes()...)
-	file, err := layout.appendBlock(file, vecs)
+	file, err := appendBlock(file, layout, vecs)
 	if err != nil {
 		return fmt.Errorf("core: encode %s: %w", path, err)
 	}
@@ -323,7 +278,7 @@ type vectorBlock struct {
 // Every count is checked against the bytes left before it sizes
 // anything, so a damaged or crafted block is refused with
 // ErrCorruptCheckpoint and allocations follow the block's bytes.
-func (vb vectorBlock) decode(layout VectorLayout, dense bool) ([]paramvec.Sparse, error) {
+func (vb vectorBlock) decode(layout models.Layout, dense bool) ([]paramvec.Sparse, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("core: %s: vector block %s: %w", vb.path, fmt.Sprintf(format, args...), ErrCorruptCheckpoint)
 	}
@@ -333,32 +288,33 @@ func (vb vectorBlock) decode(layout VectorLayout, dense bool) ([]paramvec.Sparse
 	}
 	n := binary.LittleEndian.Uint64(b)
 	b = b[8:]
-	if n == 0 || n > uint64(len(b)/max(layout.minBytes(), 1)) {
+	if n == 0 || n > uint64(len(b)/max(minBytes(layout), 1)) {
 		return nil, corrupt("promises %d vectors in %d bytes", n, len(b))
 	}
 	size := 0 // the values of one vector's backing
-	for _, s := range layout {
-		if dense || s.cols == 0 {
-			size += s.size
+	for i, rows := range layout.Rows {
+		if dense || !layout.IsTable(i) {
+			size += rows * layout.Cols[i]
 		}
 	}
 	vecs := make([]paramvec.Sparse, n)
 	for k := range vecs {
 		backing := make([]float64, size)
-		v := paramvec.Sparse{Dense: make(paramvec.Vector, len(layout))}
+		v := paramvec.Sparse{Dense: make(paramvec.Vector, layout.NumTensors())}
 		if !dense {
-			v.Tables = make([]paramvec.Table, len(layout))
+			v.Tables = make([]paramvec.Table, layout.NumTensors())
 		}
-		for i, s := range layout {
-			if dense || s.cols == 0 {
-				v.Dense[i], backing = backing[:s.size:s.size], backing[s.size:]
+		for i, rows := range layout.Rows {
+			cols, table := layout.Cols[i], layout.IsTable(i)
+			if n := rows * cols; dense || !table {
+				v.Dense[i], backing = backing[:n:n], backing[n:]
 			}
-			if s.cols == 0 {
-				if len(b) < 8*s.size {
+			if !table {
+				if len(b) < 8*len(v.Dense[i]) {
 					return nil, corrupt("ends inside vector %d segment %d", k, i)
 				}
 				getFloats(v.Dense[i], b)
-				b = b[8*s.size:]
+				b = b[8*len(v.Dense[i]):]
 				continue
 			}
 			if len(b) < 8 {
@@ -366,25 +322,25 @@ func (vb vectorBlock) decode(layout VectorLayout, dense bool) ([]paramvec.Sparse
 			}
 			stored := binary.LittleEndian.Uint64(b)
 			b = b[8:]
-			rowBytes := 4 + 8*s.cols
-			if stored > uint64(s.rows()) || stored > uint64(len(b)/rowBytes) {
-				return nil, corrupt("vector %d table %d stores %d rows of %d in %d bytes", k, i, stored, s.rows(), len(b))
+			rowBytes := 4 + 8*cols
+			if stored > uint64(rows) || stored > uint64(len(b)/rowBytes) {
+				return nil, corrupt("vector %d table %d stores %d rows of %d in %d bytes", k, i, stored, rows, len(b))
 			}
 			var t paramvec.Table
 			if !dense {
-				t = paramvec.Table{Rows: s.rows(), Cols: s.cols, IDs: make([]uint32, stored), Values: make([]float64, int(stored)*s.cols)}
+				t = paramvec.Table{Rows: rows, Cols: cols, IDs: make([]uint32, stored), Values: make([]float64, int(stored)*cols)}
 				v.Tables[i] = t
 			}
 			for j, last := 0, -1; j < int(stored); j++ {
 				r := int(binary.LittleEndian.Uint32(b))
-				if r <= last || r >= s.rows() {
-					return nil, corrupt("vector %d table %d row %d after row %d of %d", k, i, r, last, s.rows())
+				if r <= last || r >= rows {
+					return nil, corrupt("vector %d table %d row %d after row %d of %d", k, i, r, last, rows)
 				}
 				var row []float64
 				if dense {
-					row = v.Dense[i][r*s.cols : (r+1)*s.cols]
+					row = v.Dense[i][r*cols : (r+1)*cols]
 				} else {
-					t.IDs[j], row = uint32(r), t.Values[j*s.cols:(j+1)*s.cols]
+					t.IDs[j], row = uint32(r), t.Values[j*cols:(j+1)*cols]
 				}
 				getFloats(row, b[4:])
 				b, last = b[rowBytes:], r
@@ -433,7 +389,7 @@ type Checkpoint struct {
 
 // Decode sets Shared and Specific from the file's vector block, each at
 // layout's full shape. After a nil error every vector fits layout.
-func (ck *Checkpoint) Decode(layout VectorLayout) error {
+func (ck *Checkpoint) Decode(layout models.Layout) error {
 	vecs, err := ck.vectors.decode(layout, true)
 	if err != nil {
 		return err
@@ -449,7 +405,7 @@ func (ck *Checkpoint) Decode(layout VectorLayout) error {
 // scattered, and every θ_i as the file stores it (paramvec.Sparse),
 // leaving the checkpoint as it is. After a nil error every vector fits
 // layout.
-func (ck *Checkpoint) DecodeRows(layout VectorLayout) (paramvec.Vector, []paramvec.Sparse, error) {
+func (ck *Checkpoint) DecodeRows(layout models.Layout) (paramvec.Vector, []paramvec.Sparse, error) {
 	vecs, err := ck.vectors.decode(layout, false)
 	if err != nil {
 		return nil, nil, err
@@ -463,7 +419,7 @@ func (ck *Checkpoint) DecodeRows(layout VectorLayout) (paramvec.Vector, []paramv
 // ck.Spec) and a record named other than name, decodes the vectors
 // against layout, copies Shared into params and, with a non-nil outer,
 // restores the optimizer state the record carries.
-func (ck *Checkpoint) Restore(run framework.Spec, name string, params []*autograd.Tensor, layout VectorLayout, outer optim.Optimizer) error {
+func (ck *Checkpoint) Restore(run framework.Spec, name string, params []*autograd.Tensor, layout models.Layout, outer optim.Optimizer) error {
 	if err := framework.CheckResume(run, ck.Spec); err != nil {
 		return fmt.Errorf("core: %s: %w", ck.vectors.path, err)
 	}
@@ -516,7 +472,7 @@ func (s *State) SaveTraining(path string, epoch int, outer optim.Optimizer) erro
 // θ_S and every θ_i.
 func (s *State) write(path string, ck Checkpoint) error {
 	ck.ModelName, ck.Spec, ck.Shared, ck.Specific = s.Model.Name(), s.Spec, s.Shared, s.Specific
-	return WriteCheckpoint(path, ck, modelLayout(s.Model))
+	return WriteCheckpoint(path, ck, models.LayoutOf(s.Model.Parameters(), models.EmbeddingTablesOf(s.Model)))
 }
 
 // Load reads a checkpoint saved by Save (or SaveTraining) into the
@@ -552,7 +508,8 @@ func (s *State) resume(path string, spec framework.Spec, outer optim.Optimizer) 
 // reads the file once and installs it, passing ck.Spec, into that
 // model.
 func (s *State) Install(ck Checkpoint, run framework.Spec, outer optim.Optimizer) error {
-	if err := ck.Restore(run, s.Model.Name(), s.Model.Parameters(), modelLayout(s.Model), outer); err != nil {
+	params := s.Model.Parameters()
+	if err := ck.Restore(run, s.Model.Name(), params, models.LayoutOf(params, models.EmbeddingTablesOf(s.Model)), outer); err != nil {
 		return err
 	}
 	s.Shared, s.Specific, s.Spec = ck.Shared, ck.Specific, run

@@ -113,15 +113,15 @@ func TestLoadRejectsWrongModel(t *testing.T) {
 func TestLoadRejectsMisfitSpecific(t *testing.T) {
 	ds := testDataset(t, 0.5)
 	m := testModel(t, ds)
-	layout := modelLayout(m)
-	if layout[len(layout)-1].cols != 0 {
+	layout := models.LayoutOf(m.Parameters(), models.EmbeddingTablesOf(m))
+	if layout.IsTable(layout.NumTensors() - 1) {
 		t.Fatal("the test model's last tensor is a table: dropping one value would not shorten a segment")
 	}
 	vecs := []paramvec.Vector{paramvec.Snapshot(m.Parameters())}
 	for range ds.Domains {
 		vecs = append(vecs, vecs[0].Zero())
 	}
-	block, err := layout.appendBlock(nil, vecs)
+	block, err := appendBlock(nil, layout, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestV5RoundTripIsBitExact(t *testing.T) {
 }
 
 // toyLayout is a dense 1×2 tensor and a 3-row table of width 2.
-var toyLayout = VectorLayout{{size: 2}, {size: 6, cols: 2}}
+var toyLayout = models.Layout{Rows: []int{1, 3}, Cols: []int{2, 2}, Field: []int{-1, 0}}
 
 // toyVectors is θ_S and two θ_i over toyLayout: the table's middle row
 // of θ_S and all of θ_1 are +0 and stay out of the block, and θ_2's
@@ -288,23 +288,24 @@ func FuzzVectorRowsDecode(f *testing.F) {
 			t.Fatalf("%d stored-rows vectors, %d dense", len(rows), len(dense))
 		}
 		for k, v := range rows {
-			want := make(paramvec.Vector, len(toyLayout))
-			for i, s := range toyLayout {
-				if s.cols == 0 {
+			want := make(paramvec.Vector, toyLayout.NumTensors())
+			for i, rows := range toyLayout.Rows {
+				cols := toyLayout.Cols[i]
+				if !toyLayout.IsTable(i) {
 					want[i] = v.Dense[i]
 					continue
 				}
 				tb := v.Tables[i]
-				if v.Dense[i] != nil || tb.Rows != s.rows() || tb.Cols != s.cols || len(tb.Values) != len(tb.IDs)*s.cols {
+				if v.Dense[i] != nil || tb.Rows != rows || tb.Cols != cols || len(tb.Values) != len(tb.IDs)*cols {
 					t.Fatalf("vector %d table %d: dense %v, table %d×%d with %d ids and %d values",
 						k, i, v.Dense[i], tb.Rows, tb.Cols, len(tb.IDs), len(tb.Values))
 				}
-				want[i] = make([]float64, s.size)
+				want[i] = make([]float64, rows*cols)
 				for j, r := range tb.IDs {
-					if int(r) >= s.rows() || (j > 0 && r <= tb.IDs[j-1]) {
-						t.Fatalf("vector %d table %d stores rows %v of %d", k, i, tb.IDs, s.rows())
+					if int(r) >= rows || (j > 0 && r <= tb.IDs[j-1]) {
+						t.Fatalf("vector %d table %d stores rows %v of %d", k, i, tb.IDs, rows)
 					}
-					copy(want[i][int(r)*s.cols:], tb.Values[j*s.cols:(j+1)*s.cols])
+					copy(want[i][int(r)*cols:], tb.Values[j*cols:(j+1)*cols])
 				}
 			}
 			sameBits(t, "Decode", dense[k].Dense, want)

@@ -135,10 +135,21 @@ func (d *Dataset) TotalSamples() int {
 	return n
 }
 
-// Validate checks referential integrity: every interaction references a
-// valid user/item, every feature row matches the schema, and labels are
-// binary. It returns the first violation found.
+// Validate checks that a model can be built over the dataset and
+// referential integrity: learned mode has a field of non-negative vocab
+// to embed, every domain is present, every interaction references a
+// valid user/item, every feature row matches the schema, labels are
+// binary, and fixed feature vectors are one non-zero width for users
+// and items alike. It returns the first violation found.
 func (d *Dataset) Validate() error {
+	for _, f := range d.Schema.Fields() {
+		if f.Vocab < 0 {
+			return fmt.Errorf("data: field %q has vocab %d", f.Name, f.Vocab)
+		}
+	}
+	if !d.HasFixedFeatures() && d.Schema.NumFields() == 0 {
+		return fmt.Errorf("data: no fixed features and no field to embed")
+	}
 	if len(d.UserFeatures) != d.NumUsers {
 		return fmt.Errorf("data: %d user feature rows for %d users", len(d.UserFeatures), d.NumUsers)
 	}
@@ -165,7 +176,10 @@ func (d *Dataset) Validate() error {
 			}
 		}
 	}
-	for _, dom := range d.Domains {
+	for i, dom := range d.Domains {
+		if dom == nil {
+			return fmt.Errorf("data: domain %d is null", i)
+		}
 		for _, split := range []Split{Train, Val, Test} {
 			for _, in := range dom.Get(split) {
 				if in.User < 0 || in.User >= d.NumUsers {
@@ -184,6 +198,17 @@ func (d *Dataset) Validate() error {
 		if len(d.FixedUserVecs) != d.NumUsers || len(d.FixedItemVecs) != d.NumItems {
 			return fmt.Errorf("data: fixed feature rows %d/%d for %d users / %d items",
 				len(d.FixedUserVecs), len(d.FixedItemVecs), d.NumUsers, d.NumItems)
+		}
+		if d.NumUsers == 0 || d.NumItems == 0 {
+			return fmt.Errorf("data: fixed features need a user and an item")
+		}
+		// The encoder concatenates a user's and an item's vector into one
+		// input row: every vector of both tables has one non-zero width.
+		vecs := append(d.FixedUserVecs[:d.NumUsers:d.NumUsers], d.FixedItemVecs...)
+		for i, v := range vecs {
+			if len(v) != len(vecs[0]) || len(v) == 0 {
+				return fmt.Errorf("data: fixed vector %d (users, then items) has width %d, user 0's has %d", i, len(v), len(vecs[0]))
+			}
 		}
 	}
 	return nil

@@ -270,3 +270,18 @@ func TestHasFixedFeatures(t *testing.T) {
 		t.Fatal("expected validation error for short fixed features")
 	}
 }
+
+func TestValidateCatchesUnbuildableSchema(t *testing.T) {
+	d := tinyDataset()
+	d.Schema.ItemFields[0].Vocab = -1
+	d.ItemFeatures, d.NumItems, d.Domains = nil, 0, nil
+	if err := d.Validate(); err == nil {
+		t.Fatal("negative vocab not caught")
+	}
+	d = tinyDataset()
+	d.Schema = Schema{}
+	d.UserFeatures, d.ItemFeatures = [][]int{{}, {}, {}}, [][]int{{}, {}}
+	if err := d.Validate(); err == nil {
+		t.Fatal("a learned-mode dataset with no field to embed not caught")
+	}
+}

@@ -46,8 +46,8 @@ func QuantTradeoff(s *Session) *Table {
 		var aucF, aucQ []float64
 		for d := range ds.Domains {
 			b := ds.FullBatch(d, data.Test)
-			aucF = append(aucF, metrics.AUC(scoreWith(st, st.ComposedFor(d), b), b.Labels))
-			aucQ = append(aucQ, metrics.AUC(scoreWith(st, quantRoundTrip(st, d), b), b.Labels))
+			aucF = append(aucF, metrics.AUC(framework.PredictWith(st.Model, st.ComposedFor(d), b), b.Labels))
+			aucQ = append(aucQ, metrics.AUC(framework.PredictWith(st.Model, quantRoundTrip(st, d), b), b.Labels))
 		}
 		meanF, meanQ := metrics.Mean(aucF), metrics.Mean(aucQ)
 
@@ -59,20 +59,6 @@ func QuantTradeoff(s *Session) *Table {
 		})
 	}
 	return t
-}
-
-// scoreWith serves one batch with an explicit parameter vector,
-// restoring the model afterwards — the experiment-side mirror of the
-// serve path's restore-then-forward.
-func scoreWith(st *core.State, v paramvec.Vector, b *data.Batch) []float64 {
-	params := st.Model.Parameters()
-	saved := paramvec.Snapshot(params)
-	paramvec.Restore(params, v)
-	logits := st.Model.Forward(b, false)
-	probs := framework.SigmoidAll(logits)
-	logits.Release()
-	paramvec.Restore(params, saved)
-	return probs
 }
 
 // quantRoundTrip composes domain d's serving parameters and round-trips

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 
+	"mamdr/internal/autograd"
 	"mamdr/internal/data"
 	"mamdr/internal/models"
 	"mamdr/internal/optim"
@@ -71,10 +72,10 @@ func (AlternateFinetune) Fit(m models.Model, ds *data.Dataset, cfg Config) Predi
 	return &PerDomainPredictor{Model: m, Vectors: perDomain}
 }
 
-// PerDomainPredictor swaps a per-domain parameter vector into the model
-// before scoring each batch. It is shared by the frameworks that keep
-// one whole parameter state per domain (Finetune, Separate, CDR); DR and
-// MAMDR serve θ_S + θ_i through core.State.
+// PerDomainPredictor binds the model to a per-domain parameter vector
+// while it scores each batch, copying nothing. It is shared by the
+// frameworks that keep one whole parameter state per domain (Finetune,
+// Separate, CDR); DR and MAMDR serve θ_S + θ_i through core.State.
 type PerDomainPredictor struct {
 	Model   models.Model
 	Vectors []paramvec.Vector
@@ -82,12 +83,18 @@ type PerDomainPredictor struct {
 
 // Predict implements Predictor.
 func (p *PerDomainPredictor) Predict(b *data.Batch) []float64 {
-	params := p.Model.Parameters()
-	saved := paramvec.Snapshot(params)
-	paramvec.Restore(params, p.Vectors[b.Domain])
-	logits := p.Model.Forward(b, false)
+	return PredictWith(p.Model, p.Vectors[b.Domain], b)
+}
+
+// PredictWith scores b with m bound to the parameter vector v, which it
+// neither copies nor writes; m's own parameters are untouched.
+func PredictWith(m models.Model, v paramvec.Vector, b *data.Batch) []float64 {
+	params := m.Parameters()
+	binding := paramvec.NewBinding(params)
+	binding.Bind(paramvec.Bound{Dense: v, Rows: make([]autograd.RowSource, len(params))})
+	defer binding.Unbind()
+	logits := m.Forward(b, false)
 	probs := SigmoidAll(logits)
 	logits.Release()
-	paramvec.Restore(params, saved)
 	return probs
 }

@@ -55,13 +55,8 @@ func (s *Server) SaveCheckpoint(epoch int) error {
 		ck.Outer = st.CaptureState(s.data)
 	}
 	s.mu.Unlock()
-	return core.WriteCheckpoint(s.ckptPath, ck, s.vectorLayout())
+	return core.WriteCheckpoint(s.ckptPath, ck, s.layout)
 }
-
-// vectorLayout is the layout of the server's tensors: the vector
-// block of its checkpoint file stores only the non-zero rows of each
-// embedding table.
-func (s *Server) vectorLayout() core.VectorLayout { return core.LayoutOf(s.data, s.layout.Tables()) }
 
 // LoadCheckpoint implements CheckpointStore: core.Checkpoint.Restore of
 // the configured file under the server's lock, then the epoch cursor
@@ -80,7 +75,7 @@ func (s *Server) LoadCheckpoint() (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := ck.Restore(s.spec, shardRecord, s.data, s.vectorLayout(), s.opt); err != nil {
+	if err := ck.Restore(s.spec, shardRecord, s.data, s.layout, s.opt); err != nil {
 		return 0, err
 	}
 	s.seqMu.Lock()

@@ -55,7 +55,7 @@ func TestServerCheckpointKeepsItsShape(t *testing.T) {
 
 		ck, _, err := core.ReadState(path)
 		if err == nil {
-			err = ck.Decode(a.vectorLayout())
+			err = ck.Decode(a.layout)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestSpecRoundTrips(t *testing.T) {
 	}
 	ck, _, err := core.ReadState(path)
 	if err == nil {
-		err = ck.Decode(a.vectorLayout())
+		err = ck.Decode(a.layout)
 	}
 	if err != nil || ck.Spec != spec {
 		t.Fatalf("shard file records spec %+v (err %v), want %+v", ck.Spec, err, spec)
@@ -185,7 +185,7 @@ func TestSpecRoundTrips(t *testing.T) {
 	requireSameVector(t, "after a refused load", before, refused.Snapshot())
 
 	ck.Spec = framework.Spec{}
-	if err := core.WriteCheckpoint(path, ck, a.vectorLayout()); err != nil {
+	if err := core.WriteCheckpoint(path, ck, a.layout); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := server(spec).LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), "retrain") {

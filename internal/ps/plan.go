@@ -107,7 +107,7 @@ func NewPlan(layout Layout, numShards int, seed int64) Plan {
 	// Embedding rows first: rendezvous-hash each (tensor, row) and
 	// record its local index as the rank among its shard's rows.
 	for t := 0; t < n; t++ {
-		if !layout.Embedding[t] {
+		if !layout.IsTable(t) {
 			continue
 		}
 		p.TensorShard[t] = -1
@@ -128,7 +128,7 @@ func NewPlan(layout Layout, numShards int, seed int64) Plan {
 	type denseT struct{ t, size int }
 	var dense []denseT
 	for t := 0; t < n; t++ {
-		if !layout.Embedding[t] {
+		if !layout.IsTable(t) {
 			dense = append(dense, denseT{t, layout.Rows[t] * layout.Cols[t]})
 		}
 	}
@@ -157,7 +157,7 @@ func NewPlan(layout Layout, numShards int, seed int64) Plan {
 		for t := 0; t < n; t++ {
 			p.localTensor[sh][t] = -1
 			present := false
-			if layout.Embedding[t] {
+			if layout.IsTable(t) {
 				present = p.shardRowCount[sh][t] > 0
 			} else {
 				present = p.TensorShard[t] == sh
@@ -211,12 +211,11 @@ func (p *Plan) ShardLayout(sh int) Layout {
 	var l Layout
 	for _, t := range p.shardTensors[sh] {
 		rows := p.Layout.Rows[t]
-		if p.Layout.Embedding[t] {
+		if p.Layout.IsTable(t) {
 			rows = p.shardRowCount[sh][t]
 		}
 		l.Rows = append(l.Rows, rows)
 		l.Cols = append(l.Cols, p.Layout.Cols[t])
-		l.Embedding = append(l.Embedding, p.Layout.Embedding[t])
 		l.Field = append(l.Field, p.Layout.Field[t])
 	}
 	return l
@@ -227,7 +226,7 @@ func (p *Plan) ShardLayout(sh int) Layout {
 func (p *Plan) ShardTables(sh int) map[int]int {
 	tables := map[int]int{}
 	for local, t := range p.shardTensors[sh] {
-		if p.Layout.Embedding[t] {
+		if p.Layout.IsTable(t) {
 			tables[local] = p.Layout.Field[t]
 		}
 	}
@@ -244,7 +243,7 @@ func (p *Plan) ShardParams(params []*autograd.Tensor, sh int) []*autograd.Tensor
 	var out []*autograd.Tensor
 	for _, t := range p.shardTensors[sh] {
 		src := params[t]
-		if !p.Layout.Embedding[t] {
+		if !p.Layout.IsTable(t) {
 			out = append(out, autograd.Param(src.Rows, src.Cols, append([]float64(nil), src.Data...)))
 			continue
 		}

@@ -47,7 +47,7 @@ func TestPlanCoversEveryParameterExactlyOnce(t *testing.T) {
 	p := NewPlan(layout, 3, 7)
 
 	for t2 := 0; t2 < layout.NumTensors(); t2++ {
-		if layout.Embedding[t2] {
+		if layout.IsTable(t2) {
 			if p.ShardOfTensor(t2) != -1 {
 				t.Fatalf("embedding tensor %d has a whole-tensor owner", t2)
 			}
@@ -88,7 +88,7 @@ func TestPlanCoversEveryParameterExactlyOnce(t *testing.T) {
 				t.Fatalf("LocalTensor(%d, %d) = %d, want %d", sh, gt, p.LocalTensor(sh, gt), local)
 			}
 			sp := shardParams[local]
-			if !layout.Embedding[gt] {
+			if !layout.IsTable(gt) {
 				if !reflect.DeepEqual(sp.Data, params[gt].Data) {
 					t.Fatalf("dense tensor %d corrupted on shard %d", gt, sh)
 				}
@@ -136,7 +136,7 @@ func TestPlanSingleShardDegenerates(t *testing.T) {
 		t.Fatalf("1-shard imbalance = %v, want 1", p.Imbalance())
 	}
 	for t2 := 0; t2 < layout.NumTensors(); t2++ {
-		if layout.Embedding[t2] {
+		if layout.IsTable(t2) {
 			for r := 0; r < layout.Rows[t2]; r++ {
 				if p.ShardOfRow(t2, r) != 0 || p.LocalRow(t2, r) != r {
 					t.Fatalf("1-shard plan moved row %d of tensor %d", r, t2)
@@ -167,7 +167,7 @@ func TestPlanMostRowsStayPutWhenScaling(t *testing.T) {
 	p4 := NewPlan(layout, 4, 7)
 	moved, total := 0, 0
 	for t2 := 0; t2 < layout.NumTensors(); t2++ {
-		if !layout.Embedding[t2] {
+		if !layout.IsTable(t2) {
 			continue
 		}
 		for r := 0; r < layout.Rows[t2]; r++ {

@@ -47,8 +47,8 @@ func TestLayoutOf(t *testing.T) {
 		autograd.ParamZeros(1, 8),   // dense
 	}
 	l := LayoutOf(params, map[int]int{0: 0})
-	if !l.Embedding[0] || l.Embedding[1] || l.Embedding[2] {
-		t.Fatalf("embedding flags = %v", l.Embedding)
+	if !l.IsTable(0) || l.IsTable(1) || l.IsTable(2) {
+		t.Fatalf("embedding flags = %v", l.Field)
 	}
 	if l.Field[0] != 0 || l.Field[1] != -1 || l.Field[2] != -1 {
 		t.Fatalf("field mapping = %v", l.Field)
@@ -65,23 +65,9 @@ func TestLayoutValidateCatchesUnreachableTensors(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 4)}
 	l := LayoutOf(params, map[int]int{0: 0})
 
-	// Embedding without a field is reachable by neither sync path.
-	broken := l
-	broken.Field = []int{-1}
-	if err := broken.Validate(-1); err == nil {
-		t.Fatal("embedding tensor without a field passed validation")
-	}
-
 	// A field beyond the schema cannot be resolved by workers.
 	if err := l.Validate(0); err == nil {
 		t.Fatal("out-of-schema field passed validation")
-	}
-
-	// Dense tensors must not name a field.
-	dbl := LayoutOf(params, nil)
-	dbl.Field = []int{2}
-	if err := dbl.Validate(-1); err == nil {
-		t.Fatal("dense tensor with a field passed validation")
 	}
 }
 
@@ -106,12 +92,6 @@ func TestLayoutValidateCatchesMalformedLayouts(t *testing.T) {
 	}
 
 	short = good
-	short.Embedding = append(append([]bool(nil), good.Embedding...), true)
-	if err := short.Validate(-1); err == nil || !strings.Contains(err.Error(), "misaligned") {
-		t.Fatalf("long Embedding slice not rejected as misaligned: %v", err)
-	}
-
-	short = good
 	short.Cols = good.Cols[:1]
 	if err := short.Validate(-1); err == nil || !strings.Contains(err.Error(), "misaligned") {
 		t.Fatalf("short Cols slice not rejected as misaligned: %v", err)
@@ -120,7 +100,7 @@ func TestLayoutValidateCatchesMalformedLayouts(t *testing.T) {
 	for _, shape := range []struct{ rows, cols int }{{0, 4}, {4, 0}, {-1, 4}} {
 		degenerate := Layout{
 			Rows: []int{shape.rows}, Cols: []int{shape.cols},
-			Embedding: []bool{false}, Field: []int{-1},
+			Field: []int{-1},
 		}
 		if err := degenerate.Validate(-1); err == nil || !strings.Contains(err.Error(), "degenerate") {
 			t.Fatalf("%dx%d tensor not rejected as degenerate: %v", shape.rows, shape.cols, err)
@@ -397,7 +377,7 @@ func TestWideMLPSyncsAllTensors(t *testing.T) {
 		}
 		if diff == 0 {
 			t.Errorf("tensor %d (%dx%d, embedding=%v) never synchronized: snapshot equals initialization",
-				i, layout.Rows[i], layout.Cols[i], layout.Embedding[i])
+				i, layout.Rows[i], layout.Cols[i], layout.IsTable(i))
 		}
 	}
 

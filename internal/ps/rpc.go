@@ -103,14 +103,8 @@ func (s *RPCService) Install(args InstallArgs, _ *Nothing) (err error) {
 	if err := args.Layout.Validate(-1); err != nil {
 		return err
 	}
-	if len(args.Values) != args.Layout.NumTensors() {
-		return fmt.Errorf("ps: install carries %d tensors' values for %d tensors", len(args.Values), args.Layout.NumTensors())
-	}
-	for t, v := range args.Values {
-		// Divided, not multiplied: a product of two huge shapes can wrap.
-		if rows, cols := args.Layout.Rows[t], args.Layout.Cols[t]; len(v)%cols != 0 || len(v)/cols != rows {
-			return fmt.Errorf("ps: install carries %d values for the %dx%d tensor %d", len(v), rows, cols, t)
-		}
+	if err := args.Layout.Fit(args.Values); err != nil {
+		return fmt.Errorf("ps: install values: %w", err)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -144,7 +138,7 @@ func (s *RPCService) PullDense(args PullDenseArgs, reply *map[int][]float64) err
 // one malformed call would end the hosting process.
 func (s *RPCService) PullRows(args PullRowsArgs, reply *[][]float64) error {
 	srv := s.server.Load()
-	if err := srv.layout.checkRows(args.Tensor, args.Rows); err != nil {
+	if err := checkRows(srv.layout, args.Tensor, args.Rows); err != nil {
 		return err
 	}
 	*reply = srv.PullRows(remoteCtx(srv, args.TC), args.Tensor, args.Rows)
@@ -156,7 +150,7 @@ func (s *RPCService) PullRows(args PullRowsArgs, reply *[][]float64) error {
 // push changes no parameter and does not advance the worker's sequence.
 func (s *RPCService) PushDelta(args PushDeltaArgs, _ *Nothing) error {
 	srv := s.server.Load()
-	if err := srv.layout.checkDelta(args.Delta); err != nil {
+	if err := checkDelta(srv.layout, args.Delta); err != nil {
 		return err
 	}
 	srv.PushDelta(remoteCtx(srv, args.TC), args.Delta)
@@ -165,8 +159,8 @@ func (s *RPCService) PushDelta(args PushDeltaArgs, _ *Nothing) error {
 
 // checkRows reports why rows of tensor t cannot be pulled or pushed:
 // t is out of range or dense, or a row is out of range.
-func (l Layout) checkRows(t int, rows []int) error {
-	if t < 0 || t >= l.NumTensors() || !l.Embedding[t] {
+func checkRows(l Layout, t int, rows []int) error {
+	if t < 0 || t >= l.NumTensors() || !l.IsTable(t) {
 		return fmt.Errorf("ps: tensor %d is not an embedding table of this server", t)
 	}
 	for _, r := range rows {
@@ -181,9 +175,9 @@ func (l Layout) checkRows(t int, rows []int) error {
 // a tensor that is out of range or a table, or of the wrong length;
 // rows that checkRows refuses; or row deltas that do not pair one to
 // one with the rows at the table's width.
-func (l Layout) checkDelta(d Delta) error {
+func checkDelta(l Layout, d Delta) error {
 	for t, delta := range d.Dense {
-		if t < 0 || t >= l.NumTensors() || l.Embedding[t] {
+		if t < 0 || t >= l.NumTensors() || l.IsTable(t) {
 			return fmt.Errorf("ps: tensor %d is not a dense tensor of this server", t)
 		}
 		if want := l.Rows[t] * l.Cols[t]; len(delta) != want {
@@ -191,7 +185,7 @@ func (l Layout) checkDelta(d Delta) error {
 		}
 	}
 	for t, rows := range d.Rows {
-		if err := l.checkRows(t, rows); err != nil {
+		if err := checkRows(l, t, rows); err != nil {
 			return err
 		}
 		if len(d.RowDeltas[t]) != len(rows) {

@@ -142,7 +142,7 @@ func FuzzPSRPCArgs(f *testing.F) {
 func TestInstallDuringCalls(t *testing.T) {
 	svc, _ := rpcTestService()
 	a := InstallArgs{
-		Layout: Layout{Rows: []int{4, 2}, Cols: []int{2, 3}, Embedding: []bool{true, false}, Field: []int{0, -1}},
+		Layout: Layout{Rows: []int{4, 2}, Cols: []int{2, 3}, Field: []int{0, -1}},
 		Values: [][]float64{make([]float64, 8), make([]float64, 6)}, Shards: 1,
 	}
 	var wg sync.WaitGroup
@@ -172,7 +172,7 @@ func TestInstallDuringCalls(t *testing.T) {
 // place, or installs a server with the layout and values it carried.
 func FuzzInstallArgs(f *testing.F) {
 	good := InstallArgs{
-		Layout: Layout{Rows: []int{4, 2}, Cols: []int{2, 3}, Embedding: []bool{true, false}, Field: []int{0, -1}},
+		Layout: Layout{Rows: []int{4, 2}, Cols: []int{2, 3}, Field: []int{0, -1}},
 		Values: [][]float64{{1, 2, 3, 4, 5, 6, 7, 8}, {1, 2, 3, 4, 5, 6}}, Shards: 1,
 	}
 	for _, corrupt := range []func(a *InstallArgs){

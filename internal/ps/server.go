@@ -19,100 +19,19 @@ import (
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/framework"
+	"mamdr/internal/models"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/trace"
 )
 
-// Layout describes the parameter tensors managed by a server: their
-// shapes, which of them are treated as sparse embedding tables
-// (synchronized row-wise) versus dense tensors (synchronized whole),
-// and for each embedding table the schema field whose ids index its
-// rows.
-type Layout struct {
-	Rows, Cols []int
-	Embedding  []bool
-	// Field[t] is the schema field served by embedding tensor t, or -1
-	// for dense tensors. Workers use it to find the batch ids that touch
-	// the table's rows, so the association is explicit rather than
-	// positional.
-	Field []int
-}
+// Layout is the tensor layout a server manages: models.Layout, so the
+// servers, workers, checkpoints and serving snapshots share one record.
+type Layout = models.Layout
 
-// LayoutOf derives a layout from model parameters and an explicit
-// embedding classification: tables maps parameter indices to the schema
-// field whose ids index their rows (models.EmbeddingTablesOf supplies
-// it). Every tensor not named in tables is synchronized densely.
-//
-// Earlier revisions classified any tensor with >= N rows as an
-// embedding table, which silently excluded wide dense matrices (a first
-// MLP layer with numFields x embDim >= N input rows, attention
-// projections, ...) from both dense and row synchronization — those
-// layers trained on stale per-worker replicas and snapshots returned
-// their initial values. The explicit mask makes that impossible, and
-// Validate cross-checks it.
+// LayoutOf is models.LayoutOf.
 func LayoutOf(params []*autograd.Tensor, tables map[int]int) Layout {
-	l := Layout{
-		Rows:      make([]int, len(params)),
-		Cols:      make([]int, len(params)),
-		Embedding: make([]bool, len(params)),
-		Field:     make([]int, len(params)),
-	}
-	for i, p := range params {
-		l.Rows[i] = p.Rows
-		l.Cols[i] = p.Cols
-		l.Field[i] = -1
-		if f, ok := tables[i]; ok {
-			l.Embedding[i] = true
-			l.Field[i] = f
-		}
-	}
-	return l
-}
-
-// Tables is the classification LayoutOf was given: embedding tensor
-// index → schema field.
-func (l Layout) Tables() map[int]int {
-	tables := map[int]int{}
-	for t, emb := range l.Embedding {
-		if emb {
-			tables[t] = l.Field[t]
-		}
-	}
-	return tables
-}
-
-// NumTensors returns the number of managed tensors.
-func (l Layout) NumTensors() int { return len(l.Rows) }
-
-// Validate cross-checks that every managed tensor is reachable by
-// exactly one synchronization path: dense tensors are pulled and pushed
-// whole by PullDense/PushDelta, and embedding tensors carry a
-// non-negative field so workers can resolve which rows a batch touches.
-// numFields bounds the field indices; pass a negative value to skip
-// that check (e.g. when the dataset schema is not at hand).
-func (l Layout) Validate(numFields int) error {
-	n := len(l.Rows)
-	if len(l.Cols) != n || len(l.Embedding) != n || len(l.Field) != n {
-		return fmt.Errorf("ps: layout slices misaligned: rows=%d cols=%d embedding=%d field=%d",
-			n, len(l.Cols), len(l.Embedding), len(l.Field))
-	}
-	for t := 0; t < n; t++ {
-		if l.Rows[t] <= 0 || l.Cols[t] <= 0 {
-			return fmt.Errorf("ps: tensor %d has degenerate shape %dx%d", t, l.Rows[t], l.Cols[t])
-		}
-		if l.Embedding[t] {
-			if l.Field[t] < 0 {
-				return fmt.Errorf("ps: tensor %d is row-synced but names no field: unreachable by any sync path", t)
-			}
-			if numFields >= 0 && l.Field[t] >= numFields {
-				return fmt.Errorf("ps: tensor %d maps to field %d, schema has %d fields", t, l.Field[t], numFields)
-			}
-		} else if l.Field[t] >= 0 {
-			return fmt.Errorf("ps: dense tensor %d names field %d (would be double-synced)", t, l.Field[t])
-		}
-	}
-	return nil
+	return models.LayoutOf(params, tables)
 }
 
 // Counters tallies parameter-server traffic; FloatsMoved is the
@@ -255,7 +174,7 @@ func (s *Server) PullDense(ctx context.Context) map[int][]float64 {
 	var floats int
 	s.mu.Lock()
 	for t, p := range s.data {
-		if !s.layout.Embedding[t] {
+		if !s.layout.IsTable(t) {
 			out[t] = append([]float64(nil), p.Data...)
 			floats += len(p.Data)
 		}
@@ -270,7 +189,7 @@ func (s *Server) PullDense(ctx context.Context) map[int][]float64 {
 
 // PullRows implements Store.
 func (s *Server) PullRows(ctx context.Context, tensor int, rows []int) [][]float64 {
-	if !s.layout.Embedding[tensor] {
+	if !s.layout.IsTable(tensor) {
 		panic(fmt.Sprintf("ps: PullRows on dense tensor %d", tensor))
 	}
 	_, sp := trace.Start(ctx, "ps.pull_rows", trace.A("tensor", tensor), trace.A("rows", len(rows)))

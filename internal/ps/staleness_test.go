@@ -37,7 +37,7 @@ func (s *staleStore) record() {
 	pair := snapshotPair{dense: s.inner.PullDense(context.Background()), rows: map[int]map[int][]float64{}}
 	layout := s.inner.Layout()
 	for t := 0; t < layout.NumTensors(); t++ {
-		if !layout.Embedding[t] {
+		if !layout.IsTable(t) {
 			continue
 		}
 		all := make([]int, layout.Rows[t])
@@ -125,7 +125,7 @@ func TestStaleStoreActuallyLags(t *testing.T) {
 	var denseT = -1
 	layout := server.Layout()
 	for i := 0; i < layout.NumTensors(); i++ {
-		if !layout.Embedding[i] {
+		if !layout.IsTable(i) {
 			denseT = i
 			break
 		}

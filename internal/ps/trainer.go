@@ -453,7 +453,7 @@ func storeSnapshot(store Store, serving models.Model) paramvec.Vector {
 		copy(out[t], vals)
 	}
 	for t := range params {
-		if !layout.Embedding[t] {
+		if !layout.IsTable(t) {
 			continue
 		}
 		rows := make([]int, layout.Rows[t])

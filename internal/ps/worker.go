@@ -103,25 +103,15 @@ func NewWorker(id int, m models.Model, ds *data.Dataset, domains []int, store St
 
 // verifyLayout cross-checks the store's layout against the replica: the
 // tensor list must align shape for shape, and every embedding tensor's
-// field must exist in the dataset schema. Together with Layout.Validate
-// on the server side this guarantees each tensor is reachable by either
-// dense or row synchronization.
+// field must exist in the dataset schema, so each tensor is reachable by
+// either dense or row synchronization.
 func (w *Worker) verifyLayout() {
 	layout := w.Store.Layout()
-	if layout.NumTensors() != len(w.params) {
-		panic(fmt.Sprintf("ps: worker %d: store manages %d tensors, replica has %d",
-			w.ID, layout.NumTensors(), len(w.params)))
+	if err := models.LayoutOf(w.params, layout.Tables()).Same(layout); err != nil {
+		panic(fmt.Sprintf("ps: worker %d: the store's layout against the replica's: %v", w.ID, err))
 	}
-	numFields := w.Dataset.Schema.NumFields()
-	for t, p := range w.params {
-		if layout.Rows[t] != p.Rows || layout.Cols[t] != p.Cols {
-			panic(fmt.Sprintf("ps: worker %d: tensor %d is %dx%d on the store, %dx%d on the replica",
-				w.ID, t, layout.Rows[t], layout.Cols[t], p.Rows, p.Cols))
-		}
-		if layout.Embedding[t] && layout.Field[t] >= numFields {
-			panic(fmt.Sprintf("ps: worker %d: tensor %d maps to field %d, schema has %d fields",
-				w.ID, t, layout.Field[t], numFields))
-		}
+	if err := layout.Validate(w.Dataset.Schema.NumFields()); err != nil {
+		panic(fmt.Sprintf("ps: worker %d: %v", w.ID, err))
 	}
 }
 
@@ -259,7 +249,7 @@ func (w *Worker) buildDelta() Delta {
 	layout := w.Store.Layout()
 	d := Delta{Dense: map[int][]float64{}, Rows: map[int][]int{}, RowDeltas: map[int][][]float64{}}
 	for t, p := range w.params {
-		if layout.Embedding[t] {
+		if layout.IsTable(t) {
 			cache := w.cached[t]
 			if len(cache) == 0 {
 				continue

@@ -15,6 +15,7 @@ import (
 
 	"mamdr/internal/core"
 	"mamdr/internal/framework"
+	"mamdr/internal/paramvec"
 	"mamdr/internal/quality"
 	"mamdr/internal/rollout"
 )
@@ -35,9 +36,13 @@ var errCanaryInFlight = errors.New("serve: canary already in flight")
 // version and whether the snapshot was staged as a canary. The state's
 // vectors are served by reference and must not be written afterwards.
 func (s *Server) Publish(state *core.State, version uint64, crc uint32, baseline *quality.Baseline) (uint64, bool, error) {
-	if err := s.layout.validate(state.Shared, state.Specific); err != nil {
-		s.metrics.publishOutcome("rejected")
-		return 0, false, err
+	// A vector that does not fit would serve garbage through the bound
+	// replicas.
+	for d, vec := range append([]paramvec.Vector{state.Shared}, state.Specific...) {
+		if err := s.layout.Fit(vec); err != nil {
+			s.metrics.publishOutcome("rejected")
+			return 0, false, fmt.Errorf("serve: new state's vector %d (θ_S, then each θ_i): %w", d, err)
+		}
 	}
 	return s.publish(s.composeState(state), version, crc, baseline)
 }
@@ -217,7 +222,7 @@ func (s *Server) loadPublishSource(ctx context.Context, path string) (*snapshot,
 	if err := framework.CheckData(s.layout.spec, ck.Spec); err != nil {
 		return nil, 0, nil, fmt.Errorf("serve: %w", err)
 	}
-	shared, specific, err := ck.DecodeRows(core.LayoutOf(s.layout.params, s.layout.tables))
+	shared, specific, err := ck.DecodeRows(s.layout.Layout)
 	if err != nil {
 		return nil, 0, nil, err
 	}

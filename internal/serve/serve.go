@@ -285,14 +285,10 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 	for i := 1; i < opts.Replicas; i++ {
 		m := opts.ReplicaFactory()
 		own := m.Parameters()
-		if len(own) != len(state.Shared) {
-			panic(fmt.Sprintf("serve: replica %d has %d tensors, state has %d", i, len(own), len(state.Shared)))
+		if err := models.LayoutOf(own, nil).Fit(state.Shared); err != nil {
+			panic(fmt.Sprintf("serve: the state's shared vector against replica %d: %v", i, err))
 		}
-		for t, p := range own {
-			if p.Size() != len(state.Shared[t]) {
-				panic(fmt.Sprintf("serve: replica %d tensor %d has %d entries, state has %d",
-					i, t, p.Size(), len(state.Shared[t])))
-			}
+		for _, p := range own {
 			p.Data, p.Grad = nil, nil // a skeleton: shape only
 		}
 		s.pool <- &replica{model: m, binding: paramvec.NewBinding(own)}

@@ -53,6 +53,9 @@ type snapshot struct {
 // layout is what composing needs to know about the served model, fixed
 // for the server's lifetime.
 type layout struct {
+	// Layout is the served model's tensor layout: every published state
+	// is checked, and every published checkpoint decoded, against it.
+	models.Layout
 	// model is the model the server was built over, and params its
 	// tensors; both are read for structure only — name, shapes, domain
 	// capacity — since a pooled model's Data may be bound elsewhere at
@@ -77,43 +80,17 @@ type layout struct {
 // newLayout is the layout of model, trained on spec.
 func newLayout(model models.Model, spec framework.Spec) *layout {
 	l := &layout{model: model, params: model.Parameters(), tables: models.EmbeddingTablesOf(model), spec: spec}
+	l.Layout = models.LayoutOf(l.params, l.tables)
 	l.emptyDense = make(paramvec.Vector, len(l.params))
 	l.emptyTables = make([]paramvec.Table, len(l.params))
 	for i, p := range l.params {
-		if _, ok := l.tables[i]; ok {
+		if l.IsTable(i) {
 			l.emptyTables[i] = paramvec.Table{Rows: p.Rows, Cols: p.Cols}
 		} else {
 			l.emptyDense[i] = make([]float64, p.Size())
 		}
 	}
 	return l
-}
-
-// validate checks a candidate state's vectors align with the served
-// model tensor for tensor — a mismatched vector would serve garbage
-// through the bound replicas.
-func (l *layout) validate(shared paramvec.Vector, specific []paramvec.Vector) error {
-	if err := l.aligned(shared); err != nil {
-		return fmt.Errorf("serve: new state's shared vector %w", err)
-	}
-	for d, vec := range specific {
-		if err := l.aligned(vec); err != nil {
-			return fmt.Errorf("serve: new state's specific vector %d %w", d, err)
-		}
-	}
-	return nil
-}
-
-func (l *layout) aligned(vec paramvec.Vector) error {
-	if len(vec) != len(l.params) {
-		return fmt.Errorf("has %d tensors, the served model has %d", len(vec), len(l.params))
-	}
-	for t, p := range l.params {
-		if len(vec[t]) != p.Size() {
-			return fmt.Errorf("tensor %d has %d entries, the served model has %d", t, len(vec[t]), p.Size())
-		}
-	}
-	return nil
 }
 
 // numDomains reports how many domains the snapshot serves.

@@ -1,5 +1,11 @@
 GO ?= go
 
+# SMOKE is the scratch root every smoke target writes under: its
+# binaries, datasets, checkpoints, logs and captures. Override it to
+# keep smoke outputs in another existing directory (make ci
+# SMOKE=/var/tmp/mamdr).
+SMOKE ?= /tmp
+
 .PHONY: all build test vet loc loc-check staticcheck race race-dr fuzz-smoke bench bench-kernels bench-smoke bench-compare bench-serve bench-telemetry smoke-trace smoke-chaos smoke-cluster smoke-resume smoke-obs smoke-quality smoke-rollout smoke-batch smoke-experiments ci check
 
 all: check
@@ -28,7 +34,7 @@ GO_LOC = find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec cat {} + |
 # The line-count ratchet: fails when `make loc`'s total passes LOC_MAX.
 # A change that adds non-test Go raises LOC_MAX in its own diff, which
 # is where it states its `make loc` delta.
-LOC_MAX = 25388
+LOC_MAX = 25387
 loc-check:
 	@n=$$($(GO_LOC)); test $$n -le $(LOC_MAX) || { \
 		echo "non-test Go is $$n lines, past LOC_MAX $(LOC_MAX): raise LOC_MAX in the diff that adds them"; exit 1; }
@@ -44,19 +50,19 @@ staticcheck:
 # mid-training must leave the spans it completed on disk (the file
 # streams a line per span).
 smoke-trace:
-	rm -f /tmp/smoke.trace.jsonl*
+	rm -f $(SMOKE)/smoke.trace.jsonl*
 	$(GO) run ./cmd/mamdr-train -preset taobao-10 -samples 2000 -epochs 2 \
-		-ps-workers 2 -trace /tmp/smoke.trace.jsonl
+		-ps-workers 2 -trace $(SMOKE)/smoke.trace.jsonl
 	for span in worker.epoch worker.inner_step train.forward ps.pull_dense ps.push_delta; do \
-		grep -q "\"name\":\"$$span\"" /tmp/smoke.trace.jsonl || { echo "trace has no $$span span"; exit 1; }; done
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train
-	rm -f /tmp/smoke-killed.trace.jsonl
-	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -epochs 100000 -ps-workers 2 \
-		-trace /tmp/smoke-killed.trace.jsonl >/tmp/smoke-killed.log 2>&1 & pid=$$!; \
-	for i in `seq 100`; do grep -qs '"name":"worker.inner_step"' /tmp/smoke-killed.trace.jsonl && break; sleep 0.1; done; \
+		grep -q "\"name\":\"$$span\"" $(SMOKE)/smoke.trace.jsonl || { echo "trace has no $$span span"; exit 1; }; done
+	$(GO) build -o $(SMOKE)/mamdr-bin/ ./cmd/mamdr-train
+	rm -f $(SMOKE)/smoke-killed.trace.jsonl
+	$(SMOKE)/mamdr-bin/mamdr-train -preset taobao-10 -epochs 100000 -ps-workers 2 \
+		-trace $(SMOKE)/smoke-killed.trace.jsonl >$(SMOKE)/smoke-killed.log 2>&1 & pid=$$!; \
+	for i in `seq 100`; do grep -qs '"name":"worker.inner_step"' $(SMOKE)/smoke-killed.trace.jsonl && break; sleep 0.1; done; \
 	kill -TERM $$pid; wait $$pid; \
-	test $$? -eq 143 || { cat /tmp/smoke-killed.log; echo "the traced run ended before SIGTERM killed it"; exit 1; }; \
-	grep -q '"name":"worker.inner_step"' /tmp/smoke-killed.trace.jsonl || { echo "killed run left no worker.inner_step span"; exit 1; }
+	test $$? -eq 143 || { cat $(SMOKE)/smoke-killed.log; echo "the traced run ended before SIGTERM killed it"; exit 1; }; \
+	grep -q '"name":"worker.inner_step"' $(SMOKE)/smoke-killed.trace.jsonl || { echo "killed run left no worker.inner_step span"; exit 1; }
 
 # A 2-worker run over a loopback RPC
 # parameter server with injected errors, delays, and connection drops
@@ -67,13 +73,13 @@ smoke-trace:
 smoke-chaos:
 	$(GO) run ./cmd/mamdr-train -preset taobao-10 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 \
-		| grep -v '^trained in' > /tmp/chaos-clean.txt
+		| grep -v '^trained in' > $(SMOKE)/chaos-clean.txt
 	$(GO) run ./cmd/mamdr-train -preset taobao-10 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 \
 		-ps-faults "PushDelta:err@1,3; PullDense:err@2; PullDense:delay=10ms@*; conn:drop@3,7" \
-		2>/tmp/chaos-faulty.log | grep -v '^trained in' > /tmp/chaos-faulty.txt
-	diff /tmp/chaos-clean.txt /tmp/chaos-faulty.txt
-	grep -E '[1-9][0-9]* faults injected' /tmp/chaos-faulty.log
+		2>$(SMOKE)/chaos-faulty.log | grep -v '^trained in' > $(SMOKE)/chaos-faulty.txt
+	diff $(SMOKE)/chaos-clean.txt $(SMOKE)/chaos-faulty.txt
+	grep -E '[1-9][0-9]* faults injected' $(SMOKE)/chaos-faulty.log
 	$(GO) test -count=1 -run 'TestChaosDeterminismOverRPC|TestResumeMatchesUninterrupted' ./internal/ps/
 
 # A 2-worker run against a 3-shard
@@ -93,27 +99,27 @@ smoke-chaos:
 smoke-cluster:
 	$(GO) run ./cmd/mamdr-train -preset amazon-6 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 \
-		2>/tmp/cluster-1shard.log | grep -v '^trained in\|^training ' > /tmp/cluster-1shard.txt
-	rm -f /tmp/cluster.trace.jsonl*
+		2>$(SMOKE)/cluster-1shard.log | grep -v '^trained in\|^training ' > $(SMOKE)/cluster-1shard.txt
+	rm -f $(SMOKE)/cluster.trace.jsonl*
 	$(GO) run ./cmd/mamdr-train -preset amazon-6 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 -ps-shards 3 \
 		-ps-faults "PullRows:err@2; PushDelta:err@5; conn:drop@6" \
-		-trace /tmp/cluster.trace.jsonl -save /tmp/cluster.ckpt \
-		2>/tmp/cluster-3shard.log | grep -v '^trained in\|^training ' > /tmp/cluster-3shard.txt
-	diff /tmp/cluster-1shard.txt /tmp/cluster-3shard.txt
-	for n in 1shard 3shard; do grep 'PS traffic:' /tmp/cluster-$$n.log > /tmp/cluster-$$n.traffic || exit 1; done
-	diff /tmp/cluster-1shard.traffic /tmp/cluster-3shard.traffic
-	grep -E '[1-9][0-9]* faults injected' /tmp/cluster-3shard.log
+		-trace $(SMOKE)/cluster.trace.jsonl -save $(SMOKE)/cluster.ckpt \
+		2>$(SMOKE)/cluster-3shard.log | grep -v '^trained in\|^training ' > $(SMOKE)/cluster-3shard.txt
+	diff $(SMOKE)/cluster-1shard.txt $(SMOKE)/cluster-3shard.txt
+	for n in 1shard 3shard; do grep 'PS traffic:' $(SMOKE)/cluster-$$n.log > $(SMOKE)/cluster-$$n.traffic || exit 1; done
+	diff $(SMOKE)/cluster-1shard.traffic $(SMOKE)/cluster-3shard.traffic
+	grep -E '[1-9][0-9]* faults injected' $(SMOKE)/cluster-3shard.log
 	for span in cluster.pull_rows cluster.push_delta cluster.shard_call; do \
-		grep -q "\"name\":\"$$span\"" /tmp/cluster.trace.jsonl || { echo "trace has no $$span span"; exit 1; }; done
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-serve
-	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/cluster.ckpt -addr 127.0.0.1:8090 -access-log off \
-		>/tmp/cluster-serve.log 2>&1 & echo $$! > /tmp/cluster-serve.pid
+		grep -q "\"name\":\"$$span\"" $(SMOKE)/cluster.trace.jsonl || { echo "trace has no $$span span"; exit 1; }; done
+	$(GO) build -o $(SMOKE)/mamdr-bin/ ./cmd/mamdr-serve
+	$(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/cluster.ckpt -addr 127.0.0.1:8090 -access-log off \
+		>$(SMOKE)/cluster-serve.log 2>&1 & echo $$! > $(SMOKE)/cluster-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8090/healthz >/dev/null 2>&1 && break; \
-		kill -0 `cat /tmp/cluster-serve.pid` || { cat /tmp/cluster-serve.log; exit 1; }; sleep 1; done
+		kill -0 `cat $(SMOKE)/cluster-serve.pid` || { cat $(SMOKE)/cluster-serve.log; exit 1; }; sleep 1; done
 	curl -sf 127.0.0.1:8090/readyz && \
 		curl -sf -XPOST 127.0.0.1:8090/predict -d '{"domain":0,"users":[1,2],"items":[3,4]}'; \
-		status=$$?; kill `cat /tmp/cluster-serve.pid`; exit $$status
+		status=$$?; kill `cat $(SMOKE)/cluster-serve.pid`; exit $$status
 	$(GO) test -count=1 -run 'TestClusterTrainingBitIdenticalAcrossShardCounts|TestShardFailoverMatchesCleanRun|TestClusterChaosOverRPCBitIdentical' ./internal/cluster/
 
 # A resume continues the run it checkpointed, and only that run. On the
@@ -130,10 +136,10 @@ smoke-cluster:
 # another -lr exits 1 naming LR, and a host given a run flag (-preset)
 # exits non-zero naming it.
 smoke-resume:
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train
+	$(GO) build -o $(SMOKE)/mamdr-bin/ ./cmd/mamdr-train
 	set -e; for ps in "" "-ps-workers 2 -ps-sync-push"; do \
-		dir=/tmp/resume$${ps:+-ps}; rm -rf $$dir; \
-		run="/tmp/mamdr-bin/mamdr-train -preset amazon-6 $$ps -epochs 3"; \
+		dir=$(SMOKE)/resume$${ps:+-ps}; rm -rf $$dir; \
+		run="$(SMOKE)/mamdr-bin/mamdr-train -preset amazon-6 $$ps -epochs 3"; \
 		$$run -samples 3000 -seed 1 | grep -v '^trained in' > $$dir-full.txt; \
 		$$run -samples 3000 -seed 1 -epochs 2 -checkpoint-dir $$dir > /dev/null; \
 		$$run -samples 3000 -seed 1 -checkpoint-dir $$dir -resume | grep -v '^trained in' > $$dir-resumed.txt; \
@@ -147,9 +153,9 @@ smoke-resume:
 		if [ -n "$$ps" ]; then status=0; $$run -checkpoint-every 0 -checkpoint-dir $$dir > /dev/null 2> $$dir-every.log || status=$$?; \
 			if [ $$status -ne 1 ] || ! grep -q -- '-checkpoint-every' $$dir-every.log; then echo "-checkpoint-every 0 $$ps: exit $$status"; cat $$dir-every.log; exit 1; fi; fi; \
 	done
-	set -e; dir=/tmp/resume-host; rm -rf $$dir; addrs=127.0.0.1:7111,127.0.0.1:7112; \
-	/tmp/mamdr-bin/mamdr-train -ps-serve $$addrs -checkpoint-dir $$dir >$$dir.log 2>&1 & pid=$$!; trap "kill $$pid" EXIT; \
-	run="/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 3000 -seed 1 -ps-workers 2 -ps-sync-push"; \
+	set -e; dir=$(SMOKE)/resume-host; rm -rf $$dir; addrs=127.0.0.1:7111,127.0.0.1:7112; \
+	$(SMOKE)/mamdr-bin/mamdr-train -ps-serve $$addrs -checkpoint-dir $$dir >$$dir.log 2>&1 & pid=$$!; trap "kill $$pid" EXIT; \
+	run="$(SMOKE)/mamdr-bin/mamdr-train -preset amazon-6 -samples 3000 -seed 1 -ps-workers 2 -ps-sync-push"; \
 	$$run -ps-shards 2 -epochs 3 | grep -v '^trained in' > $$dir-full.txt; \
 	for i in `seq 50`; do grep -c 'shard slot on' $$dir.log | grep -q 2 && break; sleep 0.1; done; \
 	$$run -ps-addrs $$addrs -checkpoint-dir $$dir -epochs 2 > /dev/null; \
@@ -158,7 +164,7 @@ smoke-resume:
 	status=0; $$run -ps-addrs $$addrs -checkpoint-dir $$dir -epochs 3 -resume -lr 0.05 > /dev/null 2> $$dir-refused.log || status=$$?; \
 	if [ $$status -ne 1 ] || ! grep -q 'LR 0.05 (checkpoint' $$dir-refused.log; then \
 		echo "host resume -lr 0.05: exit $$status"; cat $$dir-refused.log; exit 1; fi; \
-	status=0; /tmp/mamdr-bin/mamdr-train -ps-serve 127.0.0.1:7113 -preset amazon-6 > /dev/null 2> $$dir-preset.log || status=$$?; \
+	status=0; $(SMOKE)/mamdr-bin/mamdr-train -ps-serve 127.0.0.1:7113 -preset amazon-6 > /dev/null 2> $$dir-preset.log || status=$$?; \
 	if [ $$status -eq 0 ] || ! grep -q -- '-preset' $$dir-preset.log; then \
 		echo "host with -preset: exit $$status"; cat $$dir-preset.log; exit 1; fi
 
@@ -170,44 +176,44 @@ smoke-resume:
 # every sample line of the federated exposition must parse, and a clean
 # run observed by a fresh monitor must fire none.
 smoke-obs:
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-obs
-	/tmp/mamdr-bin/mamdr-train \
+	$(GO) build -o $(SMOKE)/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-obs
+	$(SMOKE)/mamdr-bin/mamdr-train \
 		-ps-serve 127.0.0.1:7101,127.0.0.1:7102 -metrics-addr 127.0.0.1:9192 \
-		>/tmp/obs-ps.log 2>&1 & echo $$! > /tmp/obs-ps.pid
+		>$(SMOKE)/obs-ps.log 2>&1 & echo $$! > $(SMOKE)/obs-ps.pid
 	sleep 1
-	kill -0 `cat /tmp/obs-ps.pid` || { cat /tmp/obs-ps.log; exit 1; }
-	/tmp/mamdr-bin/mamdr-obs \
+	kill -0 `cat $(SMOKE)/obs-ps.pid` || { cat $(SMOKE)/obs-ps.log; exit 1; }
+	$(SMOKE)/mamdr-bin/mamdr-obs \
 		-scrape trainer=127.0.0.1:9190,ps=127.0.0.1:9192 \
 		-interval 500ms -run-for 30s -slo-fast -addr 127.0.0.1:9600 \
-		-events /tmp/obs-events.jsonl -flight-dump /tmp/obs-flight \
-		>/tmp/obs-faulty.txt 2>&1 & \
+		-events $(SMOKE)/obs-events.jsonl -flight-dump $(SMOKE)/obs-flight \
+		>$(SMOKE)/obs-faulty.txt 2>&1 & \
 	sleep 0.5; \
-	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -epochs 4 -seed 7 \
+	$(SMOKE)/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -epochs 4 -seed 7 \
 		-ps-workers 2 -ps-sync-push -ps-addrs 127.0.0.1:7101,127.0.0.1:7102 \
 		-ps-faults "PushDelta:err@p0.3; PullRows:err@p0.2" \
-		-metrics-addr 127.0.0.1:9190 -metrics-linger 30s -trace /tmp/obs.trace.jsonl \
-		>/tmp/obs-train.log 2>&1 & \
-	sleep 12; curl -s 127.0.0.1:9600/metrics > /tmp/obs-federated.txt; wait
-	grep -E 'alerts_fired=[1-9]' /tmp/obs-faulty.txt
-	grep '"event":"slo_burn"' /tmp/obs-events.jsonl >/dev/null
-	grep '"slo":"ps-rpc-failures"' /tmp/obs-events.jsonl >/dev/null
-	test -s /tmp/obs-flight-slo_ps-rpc-failures.trace.json
+		-metrics-addr 127.0.0.1:9190 -metrics-linger 30s -trace $(SMOKE)/obs.trace.jsonl \
+		>$(SMOKE)/obs-train.log 2>&1 & \
+	sleep 12; curl -s 127.0.0.1:9600/metrics > $(SMOKE)/obs-federated.txt; wait
+	grep -E 'alerts_fired=[1-9]' $(SMOKE)/obs-faulty.txt
+	grep '"event":"slo_burn"' $(SMOKE)/obs-events.jsonl >/dev/null
+	grep '"slo":"ps-rpc-failures"' $(SMOKE)/obs-events.jsonl >/dev/null
+	test -s $(SMOKE)/obs-flight-slo_ps-rpc-failures.trace.json
 	for needle in 'instance="127.0.0.1:9192"' \
 		'role="trainer"' 'role="ps"' 'role="obs"' mamdr_build_info mamdr_ps_rpc_failures_total \
 		mamdr_slo_burn_alerts_total mamdr_obs_scrapes_total; do \
-		grep -qF "$$needle" /tmp/obs-federated.txt || { echo "federated exposition missing $$needle"; exit 1; }; done
-	! grep -vE '^$$|^#|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [^[:space:]]+$$' /tmp/obs-federated.txt
-	/tmp/mamdr-bin/mamdr-obs \
+		grep -qF "$$needle" $(SMOKE)/obs-federated.txt || { echo "federated exposition missing $$needle"; exit 1; }; done
+	! grep -vE '^$$|^#|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [^[:space:]]+$$' $(SMOKE)/obs-federated.txt
+	$(SMOKE)/mamdr-bin/mamdr-obs \
 		-scrape trainer=127.0.0.1:9191,ps=127.0.0.1:9192 \
 		-interval 500ms -run-for 15s -slo-fast -addr 127.0.0.1:9601 \
-		>/tmp/obs-clean.txt 2>&1 & \
+		>$(SMOKE)/obs-clean.txt 2>&1 & \
 	sleep 0.5; \
-	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -epochs 4 -seed 7 \
+	$(SMOKE)/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -epochs 4 -seed 7 \
 		-ps-workers 2 -ps-sync-push -ps-addrs 127.0.0.1:7101,127.0.0.1:7102 \
 		-metrics-addr 127.0.0.1:9191 -metrics-linger 5s >/dev/null 2>&1; \
 	wait
-	kill `cat /tmp/obs-ps.pid`
-	grep -E 'alerts_fired=0' /tmp/obs-clean.txt
+	kill `cat $(SMOKE)/obs-ps.pid`
+	grep -E 'alerts_fired=0' $(SMOKE)/obs-clean.txt
 	@echo "ok: faulted run fired, clean run quiet"
 
 # One serving process with streaming
@@ -221,53 +227,55 @@ smoke-obs:
 # the same shape (another seed), the server must refuse to boot from the
 # checkpoint, naming the digest it recorded.
 smoke-quality:
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/mamdr-obs ./cmd/datagen
-	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 3000 -seed 11 -out /tmp/quality-ds.json
-	/tmp/mamdr-bin/mamdr-train -data /tmp/quality-ds.json -seed 11 -epochs 8 \
-		-save /tmp/quality.ckpt >/tmp/quality-train.log 2>&1
-	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/quality.ckpt -addr 127.0.0.1:8085 -access-log off \
-		>/tmp/quality-serve.log 2>&1 & echo $$! > /tmp/quality-serve.pid
+	$(GO) build -o $(SMOKE)/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/mamdr-obs ./cmd/datagen
+	$(SMOKE)/mamdr-bin/datagen -preset amazon-6 -samples 3000 -seed 11 -out $(SMOKE)/quality-ds.json
+	$(SMOKE)/mamdr-bin/mamdr-train -data $(SMOKE)/quality-ds.json -seed 11 -epochs 8 \
+		-save $(SMOKE)/quality.ckpt >$(SMOKE)/quality-train.log 2>&1
+	$(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/quality.ckpt -addr 127.0.0.1:8085 -access-log off \
+		>$(SMOKE)/quality-serve.log 2>&1 & echo $$! > $(SMOKE)/quality-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8085/healthz >/dev/null 2>&1 && break; \
-		kill -0 `cat /tmp/quality-serve.pid` || { cat /tmp/quality-serve.log; exit 1; }; sleep 1; done
-	grep 'quality baseline' /tmp/quality-serve.log
-	/tmp/mamdr-bin/mamdr-obs -scrape serve=127.0.0.1:8085 \
+		kill -0 `cat $(SMOKE)/quality-serve.pid` || { cat $(SMOKE)/quality-serve.log; exit 1; }; sleep 1; done
+	grep 'quality baseline' $(SMOKE)/quality-serve.log
+	$(SMOKE)/mamdr-bin/mamdr-obs -scrape serve=127.0.0.1:8085 \
 		-interval 500ms -run-for 15s -slo-fast -addr 127.0.0.1:9610 \
-		>/tmp/quality-control.txt 2>&1 & \
+		>$(SMOKE)/quality-control.txt 2>&1 & \
 	sleep 0.7; \
 	python3 scripts/quality_traffic.py --base http://127.0.0.1:8085 \
-		--data /tmp/quality-ds.json --mode control --repeat 8; \
+		--data $(SMOKE)/quality-ds.json --mode control --repeat 8; \
 	wait
-	grep -E 'alerts_fired=0' /tmp/quality-control.txt
-	/tmp/mamdr-bin/mamdr-obs -scrape serve=127.0.0.1:8085 \
+	grep -E 'alerts_fired=0' $(SMOKE)/quality-control.txt
+	$(SMOKE)/mamdr-bin/mamdr-obs -scrape serve=127.0.0.1:8085 \
 		-interval 500ms -run-for 15s -slo-fast -addr 127.0.0.1:9611 \
-		-events /tmp/quality-events.jsonl >/tmp/quality-drift.txt 2>&1 & \
+		-events $(SMOKE)/quality-events.jsonl >$(SMOKE)/quality-drift.txt 2>&1 & \
 	sleep 0.7; \
 	python3 scripts/quality_traffic.py --base http://127.0.0.1:8085 \
-		--data /tmp/quality-ds.json --mode drift --repeat 8; \
-	sleep 3; curl -s 127.0.0.1:9611/quality > /tmp/quality-report.json; \
+		--data $(SMOKE)/quality-ds.json --mode drift --repeat 8; \
+	sleep 3; curl -s 127.0.0.1:9611/quality > $(SMOKE)/quality-report.json; \
 	wait
-	kill `cat /tmp/quality-serve.pid`
-	grep -E 'alerts_fired=[1-9]' /tmp/quality-drift.txt
-	grep '"slo":"quality-psi-drift"' /tmp/quality-events.jsonl >/dev/null
-	grep '"slo":"quality-auc-floor"' /tmp/quality-events.jsonl >/dev/null
-	grep '"slo":"quality-calibration"' /tmp/quality-events.jsonl >/dev/null
-	python3 -c "import json; r=json.load(open('/tmp/quality-report.json')); \
+	kill `cat $(SMOKE)/quality-serve.pid`
+	grep -E 'alerts_fired=[1-9]' $(SMOKE)/quality-drift.txt
+	grep '"slo":"quality-psi-drift"' $(SMOKE)/quality-events.jsonl >/dev/null
+	grep '"slo":"quality-auc-floor"' $(SMOKE)/quality-events.jsonl >/dev/null
+	grep '"slo":"quality-calibration"' $(SMOKE)/quality-events.jsonl >/dev/null
+	python3 -c "import json; r=json.load(open('$(SMOKE)/quality-report.json')); \
 		assert not r['go'], 'drift run still reports go'; \
 		assert any(s.startswith('quality-') for s in r['firing']), r['firing']; \
 		w=r['worst_by_psi'][0]; \
 		assert max(w['score_psi'], w['label_psi']) > 0.25, w; \
 		print('ok: drift fired', r['firing'], 'worst domain', w['domain'])"
-	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 3000 -seed 12 -out /tmp/quality-ds.json
-	status=0; timeout 120 /tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/quality.ckpt -addr 127.0.0.1:8085 -access-log off \
-		>/tmp/quality-rewritten.log 2>&1 || status=$$?; \
-	if [ $$status -eq 0 ] || [ $$status -eq 124 ] || ! grep -q DataSHA256 /tmp/quality-rewritten.log; then \
-		cat /tmp/quality-rewritten.log; echo "mamdr-serve over a rewritten data file: exit $$status"; exit 1; fi
+	$(SMOKE)/mamdr-bin/datagen -preset amazon-6 -samples 3000 -seed 12 -out $(SMOKE)/quality-ds.json
+	status=0; timeout 120 $(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/quality.ckpt -addr 127.0.0.1:8085 -access-log off \
+		>$(SMOKE)/quality-rewritten.log 2>&1 || status=$$?; \
+	if [ $$status -eq 0 ] || [ $$status -eq 124 ] || ! grep -q DataSHA256 $(SMOKE)/quality-rewritten.log; then \
+		cat $(SMOKE)/quality-rewritten.log; echo "mamdr-serve over a rewritten data file: exit $$status"; exit 1; fi
 	@echo "ok: matched traffic quiet, drifted traffic fired the quality SLOs, a rewritten data file refused"
 
 # The trainer's -save files are envelope v5 (vector block), so every
-# publish, rollback and 422 below goes through the v5 reader. One
-# serving process seeded from a
-# clean checkpoint with the canary gate on. Re-publishing the clean
+# publish, rollback and 422 below goes through the v5 reader. First,
+# -snapshot-quant foo and a -canary-fraction outside (0, 1] must each
+# exit 1 naming it, without a goroutine trace. Then one serving process
+# boots from a clean checkpoint with the canary gate on (the boot builds
+# its snapshot as a publish of the file would). Re-publishing the clean
 # snapshot must auto-promote (the traffic driver mirrors every batch to
 # both arms via precomputed X-Request-IDs, so identical weights show a
 # zero quality gap); publishing a label-flipped checkpoint must
@@ -284,69 +292,76 @@ smoke-quality:
 # restart with an injected serve-path fault proves the chaos schedule
 # reaches /predict and is contained to one request.
 smoke-rollout:
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/mamdr-obs ./cmd/datagen
-	/tmp/mamdr-bin/datagen -preset taobao-10 -samples 2000 -seed 7 -out /tmp/rollout-ds.json
-	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -samples 2000 -seed 7 -epochs 4 \
-		-save /tmp/rollout-clean.ckpt >/tmp/rollout-train.log 2>&1
-	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -samples 2000 -seed 7 -epochs 4 \
-		-flip-labels -save /tmp/rollout-poison.ckpt >>/tmp/rollout-train.log 2>&1
-	grep 'flip-labels' /tmp/rollout-train.log
-	/tmp/mamdr-bin/mamdr-train -preset taobao-10 -samples 2400 -seed 7 -epochs 1 \
-		-save /tmp/rollout-other.ckpt >>/tmp/rollout-train.log 2>&1
-	grep 'rollout-clean.ckpt (envelope v5,' /tmp/rollout-train.log
-	rm -f /tmp/rollout-access.jsonl*
-	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8086 -access-log /tmp/rollout-access.jsonl \
+	$(GO) build -o $(SMOKE)/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/mamdr-obs ./cmd/datagen
+	$(SMOKE)/mamdr-bin/datagen -preset taobao-10 -samples 2000 -seed 7 -out $(SMOKE)/rollout-ds.json
+	$(SMOKE)/mamdr-bin/mamdr-train -preset taobao-10 -samples 2000 -seed 7 -epochs 4 \
+		-save $(SMOKE)/rollout-clean.ckpt >$(SMOKE)/rollout-train.log 2>&1
+	$(SMOKE)/mamdr-bin/mamdr-train -preset taobao-10 -samples 2000 -seed 7 -epochs 4 \
+		-flip-labels -save $(SMOKE)/rollout-poison.ckpt >>$(SMOKE)/rollout-train.log 2>&1
+	grep 'flip-labels' $(SMOKE)/rollout-train.log
+	$(SMOKE)/mamdr-bin/mamdr-train -preset taobao-10 -samples 2400 -seed 7 -epochs 1 \
+		-save $(SMOKE)/rollout-other.ckpt >>$(SMOKE)/rollout-train.log 2>&1
+	grep 'rollout-clean.ckpt (envelope v5,' $(SMOKE)/rollout-train.log
+	set -e; for bad in '-snapshot-quant foo:SnapshotQuant "foo"' '-canary-fraction 0:-canary-fraction 0' \
+		'-canary-fraction 1.5:-canary-fraction 1.5'; do \
+		status=0; timeout 60 $(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/rollout-clean.ckpt -addr 127.0.0.1:8086 \
+			$${bad%%:*} > /dev/null 2> $(SMOKE)/rollout-refused.log || status=$$?; \
+		if [ $$status -ne 1 ] || grep -q goroutine $(SMOKE)/rollout-refused.log || ! grep -q -- "$${bad#*:}" $(SMOKE)/rollout-refused.log; then \
+			echo "mamdr-serve $${bad%%:*}: exit $$status"; cat $(SMOKE)/rollout-refused.log; exit 1; fi; \
+	done
+	rm -f $(SMOKE)/rollout-access.jsonl*
+	$(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/rollout-clean.ckpt -addr 127.0.0.1:8086 -access-log $(SMOKE)/rollout-access.jsonl \
 		-canary-fraction 0.5 -rollout-min-labeled 48 -rollout-min-scores 64 \
 		-rollout-max-wait 2m \
-		>/tmp/rollout-serve.log 2>&1 & echo $$! > /tmp/rollout-serve.pid
+		>$(SMOKE)/rollout-serve.log 2>&1 & echo $$! > $(SMOKE)/rollout-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8086/healthz >/dev/null 2>&1 && break; \
-		kill -0 `cat /tmp/rollout-serve.pid` || { cat /tmp/rollout-serve.log; exit 1; }; sleep 1; done
-	grep 'loaded checkpoint' /tmp/rollout-serve.log
+		kill -0 `cat $(SMOKE)/rollout-serve.pid` || { cat $(SMOKE)/rollout-serve.log; exit 1; }; sleep 1; done
+	grep 'loaded checkpoint' $(SMOKE)/rollout-serve.log
 	curl -sf 127.0.0.1:8086/readyz | grep 'ready v1'
-	curl -sf -XPOST -d '{"path":"/tmp/rollout-clean.ckpt"}' 127.0.0.1:8086/admin/publish
+	curl -sf -XPOST -d '{"path":"$(SMOKE)/rollout-clean.ckpt"}' 127.0.0.1:8086/admin/publish
 	curl -sf 127.0.0.1:8086/readyz | grep 'canary v2 at 50%'
 	python3 scripts/rollout_traffic.py --base http://127.0.0.1:8086 \
-		--data /tmp/rollout-ds.json --fraction 0.5 --repeat 2
-	grep 'rollout_decision=promote version=2 reason=clean' /tmp/rollout-serve.log
+		--data $(SMOKE)/rollout-ds.json --fraction 0.5 --repeat 2
+	grep 'rollout_decision=promote version=2 reason=clean' $(SMOKE)/rollout-serve.log
 	curl -sf 127.0.0.1:8086/readyz | grep 'ready v2'
-	/tmp/mamdr-bin/mamdr-obs -scrape serve=127.0.0.1:8086 \
+	$(SMOKE)/mamdr-bin/mamdr-obs -scrape serve=127.0.0.1:8086 \
 		-interval 500ms -run-for 25s -slo-fast -addr 127.0.0.1:9620 \
-		-events /tmp/rollout-events.jsonl >/tmp/rollout-obs.txt 2>&1 & \
+		-events $(SMOKE)/rollout-events.jsonl >$(SMOKE)/rollout-obs.txt 2>&1 & \
 	sleep 0.7; \
-	curl -sf -XPOST -d '{"path":"/tmp/rollout-poison.ckpt"}' 127.0.0.1:8086/admin/publish; \
-	curl -sf 127.0.0.1:8086/readyz > /tmp/rollout-canary-readyz.txt; \
+	curl -sf -XPOST -d '{"path":"$(SMOKE)/rollout-poison.ckpt"}' 127.0.0.1:8086/admin/publish; \
+	curl -sf 127.0.0.1:8086/readyz > $(SMOKE)/rollout-canary-readyz.txt; \
 	python3 scripts/rollout_traffic.py --base http://127.0.0.1:8086 \
-		--data /tmp/rollout-ds.json --fraction 0.5 --repeat 2; \
+		--data $(SMOKE)/rollout-ds.json --fraction 0.5 --repeat 2; \
 	wait
-	grep 'canary v3 at 50%' /tmp/rollout-canary-readyz.txt
-	grep -E 'rollout_decision=rollback version=3 reason=(psi|auc|logloss)' /tmp/rollout-serve.log
+	grep 'canary v3 at 50%' $(SMOKE)/rollout-canary-readyz.txt
+	grep -E 'rollout_decision=rollback version=3 reason=(psi|auc|logloss)' $(SMOKE)/rollout-serve.log
 	curl -sf 127.0.0.1:8086/readyz | grep 'ready v2 crc='
 	test "$$(curl -s -o /dev/null -w '%{http_code}' -XPOST \
-		-d '{"path":"/tmp/rollout-other.ckpt"}' 127.0.0.1:8086/admin/publish)" = 422
+		-d '{"path":"$(SMOKE)/rollout-other.ckpt"}' 127.0.0.1:8086/admin/publish)" = 422
 	curl -sf 127.0.0.1:8086/readyz | grep 'ready v2 crc='
-	curl -s 127.0.0.1:8086/metrics > /tmp/rollout-metrics.txt
-	grep -E 'mamdr_rollout_decisions_total\{decision="rollback"' /tmp/rollout-metrics.txt
-	grep -E 'alerts_fired=[1-9]' /tmp/rollout-obs.txt
-	grep '"slo":"rollout-rollbacks"' /tmp/rollout-events.jsonl >/dev/null
-	grep 'snapshot v2 .* is now the incumbent' /tmp/rollout-serve.log
-	test "$$(grep -c 'is now the incumbent' /tmp/rollout-serve.log)" = 1
-	kill `cat /tmp/rollout-serve.pid`
-	while kill -0 `cat /tmp/rollout-serve.pid` 2>/dev/null; do sleep 0.2; done
+	curl -s 127.0.0.1:8086/metrics > $(SMOKE)/rollout-metrics.txt
+	grep -E 'mamdr_rollout_decisions_total\{decision="rollback"' $(SMOKE)/rollout-metrics.txt
+	grep -E 'alerts_fired=[1-9]' $(SMOKE)/rollout-obs.txt
+	grep '"slo":"rollout-rollbacks"' $(SMOKE)/rollout-events.jsonl >/dev/null
+	grep 'snapshot v2 .* is now the incumbent' $(SMOKE)/rollout-serve.log
+	test "$$(grep -c 'is now the incumbent' $(SMOKE)/rollout-serve.log)" = 1
+	kill `cat $(SMOKE)/rollout-serve.pid`
+	while kill -0 `cat $(SMOKE)/rollout-serve.pid` 2>/dev/null; do sleep 0.2; done
 	python3 -c "import json, re; \
-		recs = [json.loads(l) for l in open('/tmp/rollout-access.jsonl')]; \
+		recs = [json.loads(l) for l in open('$(SMOKE)/rollout-access.jsonl')]; \
 		assert all(r['msg'] == 'request' and r['request_id'] for r in recs), 'access-log line without request_id'; \
-		n = sum(int(v) for v in re.findall(r'^mamdr_serve_requests_total\{[^}]*\} (\d+)$$', open('/tmp/rollout-metrics.txt').read(), re.M)); \
+		n = sum(int(v) for v in re.findall(r'^mamdr_serve_requests_total\{[^}]*\} (\d+)$$', open('$(SMOKE)/rollout-metrics.txt').read(), re.M)); \
 		assert len(recs) == n + 1, ('access-log lines', len(recs), 'requests counted', n); \
 		print('ok: access log holds one line per request:', len(recs))"
-	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/rollout-clean.ckpt -addr 127.0.0.1:8087 -access-log off \
+	$(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/rollout-clean.ckpt -addr 127.0.0.1:8087 -access-log off \
 		-rollout=false -serve-faults 'Predict:err@1' \
-		>/tmp/rollout-chaos.log 2>&1 & echo $$! > /tmp/rollout-chaos.pid
+		>$(SMOKE)/rollout-chaos.log 2>&1 & echo $$! > $(SMOKE)/rollout-chaos.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8087/healthz >/dev/null 2>&1 && break; \
-		kill -0 `cat /tmp/rollout-chaos.pid` || { cat /tmp/rollout-chaos.log; exit 1; }; sleep 1; done
+		kill -0 `cat $(SMOKE)/rollout-chaos.pid` || { cat $(SMOKE)/rollout-chaos.log; exit 1; }; sleep 1; done
 	test "$$(curl -s -o /dev/null -w '%{http_code}' -XPOST \
 		-d '{"domain":0,"users":[0],"items":[0]}' 127.0.0.1:8087/predict)" = 500
 	curl -sf -XPOST -d '{"domain":0,"users":[0],"items":[0]}' 127.0.0.1:8087/predict >/dev/null
-	kill `cat /tmp/rollout-chaos.pid`
+	kill `cat $(SMOKE)/rollout-chaos.pid`
 	@echo "ok: clean publish promoted, poisoned publish rolled back, injected predict fault contained"
 
 # The same mirrored replay driven twice
@@ -366,35 +381,35 @@ smoke-rollout:
 # on amazon-6). What batching buys is measured by mamdr-bench
 # (serve-point vs serve-live), not gated here.
 smoke-batch:
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/datagen
-	/tmp/mamdr-bin/datagen -preset amazon-6 -samples 2000 -seed 7 -out /tmp/batch-ds.json
-	/tmp/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -seed 7 -epochs 4 \
-		-save /tmp/batch.ckpt >/tmp/batch-train.log 2>&1
-	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/batch.ckpt -addr 127.0.0.1:8088 -access-log off \
+	$(GO) build -o $(SMOKE)/mamdr-bin/ ./cmd/mamdr-train ./cmd/mamdr-serve ./cmd/datagen
+	$(SMOKE)/mamdr-bin/datagen -preset amazon-6 -samples 2000 -seed 7 -out $(SMOKE)/batch-ds.json
+	$(SMOKE)/mamdr-bin/mamdr-train -preset amazon-6 -samples 2000 -seed 7 -epochs 4 \
+		-save $(SMOKE)/batch.ckpt >$(SMOKE)/batch-train.log 2>&1
+	$(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/batch.ckpt -addr 127.0.0.1:8088 -access-log off \
 		-rollout=false -batch-max=0 -max-queue 256 \
-		>/tmp/batch-serve-off.log 2>&1 & echo $$! > /tmp/batch-serve.pid
+		>$(SMOKE)/batch-serve-off.log 2>&1 & echo $$! > $(SMOKE)/batch-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8088/healthz >/dev/null 2>&1 && break; \
-		kill -0 `cat /tmp/batch-serve.pid` || { cat /tmp/batch-serve-off.log; exit 1; }; sleep 1; done
+		kill -0 `cat $(SMOKE)/batch-serve.pid` || { cat $(SMOKE)/batch-serve-off.log; exit 1; }; sleep 1; done
 	python3 scripts/rollout_traffic.py --base http://127.0.0.1:8088 \
-		--data /tmp/batch-ds.json --repeat 1 --workers 16 \
-		--dump-scores /tmp/batch-scores-off.jsonl
+		--data $(SMOKE)/batch-ds.json --repeat 1 --workers 16 \
+		--dump-scores $(SMOKE)/batch-scores-off.jsonl
 	curl -s 127.0.0.1:8088/metrics | grep -E 'mamdr_serve_batch_flushes_total\{reason="idle"\} [1-9]'
-	kill `cat /tmp/batch-serve.pid`
-	/tmp/mamdr-bin/mamdr-serve -checkpoint /tmp/batch.ckpt -addr 127.0.0.1:8089 -access-log off \
+	kill `cat $(SMOKE)/batch-serve.pid`
+	$(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/batch.ckpt -addr 127.0.0.1:8089 -access-log off \
 		-rollout=false -batch-max=64 -snapshot-quant=off \
 		-replicas 1 -serve-faults 'Predict:delay=20ms@*' \
 		-max-queue 256 \
-		>/tmp/batch-serve-on.log 2>&1 & echo $$! > /tmp/batch-serve.pid
+		>$(SMOKE)/batch-serve-on.log 2>&1 & echo $$! > $(SMOKE)/batch-serve.pid
 	for i in `seq 90`; do curl -sf 127.0.0.1:8089/healthz >/dev/null 2>&1 && break; \
-		kill -0 `cat /tmp/batch-serve.pid` || { cat /tmp/batch-serve-on.log; exit 1; }; sleep 1; done
-	grep 'request coalescing on' /tmp/batch-serve-on.log
+		kill -0 `cat $(SMOKE)/batch-serve.pid` || { cat $(SMOKE)/batch-serve-on.log; exit 1; }; sleep 1; done
+	grep 'request coalescing on' $(SMOKE)/batch-serve-on.log
 	python3 scripts/rollout_traffic.py --base http://127.0.0.1:8089 \
-		--data /tmp/batch-ds.json --repeat 1 --workers 16 \
-		--dump-scores /tmp/batch-scores-on.jsonl
+		--data $(SMOKE)/batch-ds.json --repeat 1 --workers 16 \
+		--dump-scores $(SMOKE)/batch-scores-on.jsonl
 	curl -s 127.0.0.1:8089/metrics | grep -E 'mamdr_serve_batch_flushes_total\{reason="slot"\} [1-9]'
-	kill `cat /tmp/batch-serve.pid`
-	test -s /tmp/batch-scores-off.jsonl
-	diff /tmp/batch-scores-off.jsonl /tmp/batch-scores-on.jsonl
+	kill `cat $(SMOKE)/batch-serve.pid`
+	test -s $(SMOKE)/batch-scores-off.jsonl
+	diff $(SMOKE)/batch-scores-off.jsonl $(SMOKE)/batch-scores-on.jsonl
 	MAMDR_SMOKE_BATCH=1 $(GO) test -count=1 -v -run TestQuantAUCBudget ./internal/exp
 	@echo "ok: batched scores byte-identical to unbatched; int8 AUC gate passed"
 
@@ -473,17 +488,17 @@ bench-smoke:
 # and every table heading lands in the output file. An unknown -run id
 # fails before anything trains: no "done" line, no file written.
 smoke-experiments:
-	$(GO) build -o /tmp/mamdr-bin/ ./cmd/experiments
-	rm -f /tmp/smoke-exp.md /tmp/smoke-exp-bad.md
-	/tmp/mamdr-bin/experiments -run all -scale tiny -out /tmp/smoke-exp.md
+	$(GO) build -o $(SMOKE)/mamdr-bin/ ./cmd/experiments
+	rm -f $(SMOKE)/smoke-exp.md $(SMOKE)/smoke-exp-bad.md
+	$(SMOKE)/mamdr-bin/experiments -run all -scale tiny -out $(SMOKE)/smoke-exp.md
 	for h in 'Table I' 'Table II' 'Table III' 'Table IV' 'Table V' 'Table VI' 'Table VII' \
 		'Table VIII' 'Table IX' 'Table X' 'Figure 8' 'Figure 9' 'Ablation DN-Order' \
 		'Ablation DR-Order' 'Ablation PS-Cache' 'Conflict Scaling' 'Conflict Diagnostic' \
 		'Extension LODO' 'Extension Quant'; do \
-		grep -qF "### $$h — " /tmp/smoke-exp.md || { echo "no $$h table in /tmp/smoke-exp.md"; exit 1; }; done
-	! /tmp/mamdr-bin/experiments -run table1,nope -scale tiny -out /tmp/smoke-exp-bad.md 2>/tmp/smoke-exp-bad.log
-	! grep -q ' done in ' /tmp/smoke-exp-bad.log
-	test ! -e /tmp/smoke-exp-bad.md
+		grep -qF "### $$h — " $(SMOKE)/smoke-exp.md || { echo "no $$h table in $(SMOKE)/smoke-exp.md"; exit 1; }; done
+	! $(SMOKE)/mamdr-bin/experiments -run table1,nope -scale tiny -out $(SMOKE)/smoke-exp-bad.md 2>$(SMOKE)/smoke-exp-bad.log
+	! grep -q ' done in ' $(SMOKE)/smoke-exp-bad.log
+	test ! -e $(SMOKE)/smoke-exp-bad.md
 
 # What CI's test job runs (.github/workflows/ci.yml): every smoke runs
 # here and only here. The first line fails on any file gofmt would change.

@@ -74,32 +74,34 @@ func main() {
 	if *checkpoint == "" {
 		log.Fatal("nothing to serve: -checkpoint is required (the state mamdr-train -save wrote)")
 	}
+	if *canaryFraction <= 0 || *canaryFraction > 1 {
+		log.Fatalf("-canary-fraction %v: want a traffic share in (0, 1]", *canaryFraction)
+	}
 	kernels.SetThreads(*kernelThreads)
 
-	// One read of the file: its spec rebuilds the dataset and the model,
-	// then the same decoded vectors install into that model.
+	// One read of the file: its spec rebuilds the dataset and the
+	// replicas, and Open serves the file as a publish of it would.
 	ck, env, err := core.ReadState(*checkpoint)
 	if err != nil {
 		log.Fatal(err)
 	}
 	spec := ck.Spec
-	if spec.DataSHA256 == "" {
-		log.Fatalf("%s records no dataset digest (written before checkpoints recorded one, or not by mamdr-train -save): re-save it with mamdr-train -save", *checkpoint)
-	}
+	log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes), trained on %+v",
+		*checkpoint, env.Version, env.CRC, env.PayloadBytes, spec)
 	ds, err := mamdr.SpecDataset(&spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := mamdr.SpecModel(ds, spec)
-	if err != nil {
+	if _, err := mamdr.SpecModel(ds, spec); err != nil {
 		log.Fatal(err)
 	}
-	state := &core.State{Model: m}
-	if err := state.Install(ck, ck.Spec, nil); err != nil {
-		log.Fatal(err)
+	// The drift baseline comes from the checkpoint (serve.Open installs
+	// it); without one, drift detection is disabled, logged and counted.
+	if ck.Quality != nil {
+		log.Printf("quality baseline loaded from checkpoint (%d domains)", len(ck.Quality.Domains))
+	} else {
+		log.Printf("checkpoint carries no quality baseline: drift detection disabled")
 	}
-	log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes), trained on %+v",
-		*checkpoint, env.Version, env.CRC, env.PayloadBytes, spec)
 
 	reg := telemetry.New()
 	telemetry.RegisterGoRuntime(reg)
@@ -119,17 +121,6 @@ func main() {
 	}
 	defer h.Close()
 
-	// Model-quality tracking: the drift baseline comes from the
-	// checkpoint. A checkpoint saved without one serves with drift
-	// detection disabled, logged and counted.
-	tracker := quality.NewTracker(reg, quality.Options{Checks: true, Window: *qualityWindow})
-	tracker.SetBaseline(ck.Quality)
-	if ck.Quality != nil {
-		log.Printf("quality baseline loaded from checkpoint (%d domains)", len(ck.Quality.Domains))
-	} else {
-		log.Printf("checkpoint carries no quality baseline: drift detection disabled")
-	}
-
 	var faults *faultinject.Injector
 	if *serveFaults != "" {
 		faults, err = faultinject.Parse(*serveFaults, spec.Seed)
@@ -139,7 +130,8 @@ func main() {
 		log.Printf("serving-path fault injection armed: %s (seed %d)", *serveFaults, spec.Seed)
 	}
 
-	srv := serve.NewWithOptions(state, ds, serve.Options{
+	// ck is not read after Open, so its payload bytes can be collected.
+	srv, err := serve.Open(ck, env, ds, serve.Options{
 		Replicas:       *replicas,
 		RequestTimeout: *timeout,
 		MaxQueue:       *maxQueue,
@@ -147,20 +139,21 @@ func main() {
 		Metrics:        reg,
 		AccessLog:      logger,
 		Tracer:         h.Tracer,
-		Quality:        tracker,
+		Quality:        quality.NewTracker(reg, quality.Options{Checks: true, Window: *qualityWindow}),
 		FeedbackTTL:    *feedbackTTL,
 		Faults:         faults,
-		InitialCRC:     env.CRC,
 		BatchMax:       *batchMax,
 		SnapshotQuant:  *snapshotQuant,
 		OnSwap: func(version uint64, crc uint32) {
 			log.Printf("snapshot v%d (crc %08x) is now the incumbent", version, crc)
 		},
-		// Replicas mirror the trained model's structure (the spec built m
-		// above, so it cannot fail); the server drops their weights, because
-		// every prediction binds the replica to the served snapshot.
+		// The spec built one model above, so this cannot fail; the server
+		// drops each replica's weights and binds it to the snapshot it serves.
 		ReplicaFactory: func() models.Model { r, _ := mamdr.SpecModel(ds, spec); return r },
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *batchMax > 0 {
 		log.Printf("request coalescing on: batches of up to %d rows, formed only while every replica is busy", *batchMax)
 	}

@@ -208,12 +208,13 @@ func TestDistributedFitServesFromItsCheckpoint(t *testing.T) {
 
 // TestServeBootsFromCheckpointAlone: the file a fit saves with its spec
 // is all serving needs. Booting the way mamdr-serve does — read the
-// file once, rebuild the dataset and the model from its Spec, install
-// the same vectors — answers /predict float for float as the training
-// process's own state predicts, for a user that a smaller taobao-10
-// dataset does not have too: taobao's fixed feature vectors depend on
-// the sample count, so serving over any other dataset would answer
-// with other scores (or "unknown user") while every shape still fits.
+// file once, rebuild the dataset from its Spec and the replicas from
+// that, and Open the server over the file — answers /predict float for
+// float as the training process's own state predicts, for a user that a
+// smaller taobao-10 dataset does not have too: taobao's fixed feature
+// vectors depend on the sample count, so serving over any other dataset
+// would answer with other scores (or "unknown user") while every shape
+// still fits.
 func TestServeBootsFromCheckpointAlone(t *testing.T) {
 	spec := framework.Spec{Preset: "taobao-10", Samples: 3000, Seed: 11, Model: "mlp", EmbDim: 8}
 	ds, err := SpecDataset(&spec)
@@ -230,7 +231,7 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck, _, err := core.ReadState(path)
+	ck, env, err := core.ReadState(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +239,13 @@ func TestServeBootsFromCheckpointAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := SpecModel(served, ck.Spec)
+	srv, err := serve.Open(ck, env, served, serve.Options{
+		ReplicaFactory: func() models.Model { m, _ := SpecModel(served, ck.Spec); return m },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := &core.State{Model: m}
-	if err := loaded.Install(ck, ck.Spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	h := serve.NewWithOptions(loaded, served, serve.Options{}).Handler()
+	h := srv.Handler()
 
 	smaller := specDataset(t, Spec{Preset: "taobao-10", Samples: 2000, Seed: spec.Seed})
 	if smaller.NumUsers >= ds.NumUsers {
@@ -325,7 +324,7 @@ func TestServeBootRefusesARewrittenDataFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&core.State{Model: m}).Install(ck, ck.Spec, nil); err != nil {
+	if err := (&core.State{Model: m}).Load(ckpt); err != nil {
 		t.Fatalf("the checkpoint does not fit a model over the rewritten file (%v): the test would not show the digest's worth", err)
 	}
 	now, err := data.FileSHA256(path)

@@ -152,7 +152,7 @@ func (t *MAMDR) Fit(m models.Model, ds *data.Dataset, cfg framework.Config) fram
 		}
 		if cfg.Resume {
 			if _, err := os.Stat(ckpt); err == nil {
-				epoch, err := st.resume(ckpt, st.Spec, outer)
+				epoch, err := st.resume(ckpt, &st.Spec, outer)
 				if err != nil {
 					panic(&framework.ResumeError{Err: fmt.Errorf("core: resume: %w", err)})
 				}

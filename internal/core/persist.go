@@ -480,38 +480,26 @@ func (s *State) write(path string, ck Checkpoint) error {
 // parameters. The state's Model must already be constructed with the
 // same structure and dataset schema as at save time.
 func (s *State) Load(path string) error {
-	ck, _, err := ReadState(path)
-	if err == nil {
-		err = s.Install(ck, ck.Spec, nil)
-	}
+	_, err := s.resume(path, nil, nil)
 	return err
 }
 
-// resume is Load for a training run of the given spec: it refuses a
-// checkpoint that recorded another spec before anything of it is
-// checked against the model, rebinds the outer optimizer's saved state,
-// keeps the run's spec (its epoch cap may be another), and returns the
-// completed-epoch cursor the run continues from (-1 for a final,
-// Save-written state).
-func (s *State) resume(path string, spec framework.Spec, outer optim.Optimizer) (epoch int, err error) {
+// resume is every core load: it restores the file into the state's
+// model as a record of run, nil for the file's own (Checkpoint.Restore,
+// with outer), only then takes its vectors and run as the state's Spec,
+// and returns the completed-epoch cursor (-1 for a Save-written state).
+func (s *State) resume(path string, run *framework.Spec, outer optim.Optimizer) (epoch int, err error) {
 	ck, _, err := ReadState(path)
-	if err == nil {
-		err = s.Install(ck, spec, outer)
+	if err != nil {
+		return 0, err
 	}
-	return ck.Epoch, err
-}
-
-// Install restores a checkpoint read by ReadState into the state's
-// model as a record of run (Checkpoint.Restore, against the model's
-// name and layout, with outer) and only then takes its vectors and run
-// as the state's Spec. A caller that needs the Spec to build the model
-// reads the file once and installs it, passing ck.Spec, into that
-// model.
-func (s *State) Install(ck Checkpoint, run framework.Spec, outer optim.Optimizer) error {
+	if run == nil {
+		run = &ck.Spec
+	}
 	params := s.Model.Parameters()
-	if err := ck.Restore(run, s.Model.Name(), params, models.LayoutOf(params, models.EmbeddingTablesOf(s.Model)), outer); err != nil {
-		return err
+	if err := ck.Restore(*run, s.Model.Name(), params, models.LayoutOf(params, models.EmbeddingTablesOf(s.Model)), outer); err != nil {
+		return ck.Epoch, err
 	}
-	s.Shared, s.Specific, s.Spec = ck.Shared, ck.Specific, run
-	return nil
+	s.Shared, s.Specific, s.Spec = ck.Shared, ck.Specific, *run
+	return ck.Epoch, nil
 }

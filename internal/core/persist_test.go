@@ -83,7 +83,7 @@ func TestSpecRoundTrips(t *testing.T) {
 			t.Fatalf("Load: spec %+v, err %v; saved %+v", loaded.Spec, err, spec)
 		}
 		resumed := &State{Model: testModel(t, ds)}
-		if _, err := resumed.resume(resumable, spec, nil); err != nil || resumed.Spec != spec {
+		if _, err := resumed.resume(resumable, &spec, nil); err != nil || resumed.Spec != spec {
 			t.Fatalf("resume: spec %+v, err %v; saved %+v", resumed.Spec, err, spec)
 		}
 		if ck, _, err := ReadState(final); err != nil || ck.Spec != spec {
@@ -208,7 +208,7 @@ func TestSaveTrainingRoundTripsOptimizerState(t *testing.T) {
 	m2 := testModel(t, ds)
 	st2 := &State{Model: m2}
 	outer2 := optim.New("adagrad", 0.1)
-	epoch, err := st2.resume(path, framework.Spec{}, outer2)
+	epoch, err := st2.resume(path, &framework.Spec{}, outer2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestLoadPreQualityCheckpoint(t *testing.T) {
 
 	ck, _, err := ReadState(path)
 	if err == nil {
-		err = st.Install(ck, ck.Spec, nil)
+		err = st.Load(path)
 	}
 	base := ck.Quality
 	if err == nil {
@@ -127,7 +127,7 @@ func TestSaveLoadWithBaseline(t *testing.T) {
 	st2 := &State{Model: testModel(t, ds)}
 	ck, loaded, err := ReadState(path)
 	if err == nil {
-		err = st2.Install(ck, ck.Spec, nil)
+		err = st2.Load(path)
 	}
 	got := ck.Quality
 	if err != nil {

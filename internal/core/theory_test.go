@@ -196,6 +196,66 @@ func TestDRPullsSpecificTowardTargetOptimum(t *testing.T) {
 	}
 }
 
+// TestDRTargetMatchesClosedForm is Algorithm 2's oracle for one target:
+// 3 domains, k = 2 helpers, SGD, non-zero θ_S and θ_i. It rebuilds the
+// helper order as the DR worker draws it — re-seed from the target's
+// draw, one draw for the dropout masks, then SampleHelpers — and per
+// helper j starts from Θ̃ = θ_S + θ_i, takes one step on T_j and one on
+// T_i, and moves θ_i += γ·(Θ̃ − (θ_S + θ_i)) (Eq. 8: update_meta_weight
+// with merged_weights = θ_S + θ_i). One DomainRegularization call must
+// land on that θ_i within 1e-12 and leave θ_S and every other θ_j as
+// they were.
+func TestDRTargetMatchesClosedForm(t *testing.T) {
+	centers := [][]float64{{1, 2}, {-2, 1}, {0.5, -1.5}}
+	alpha, gamma, target := 0.1, 0.4, 1
+	cfg := framework.Config{
+		Epochs: 1, BatchSize: 1, LR: alpha, DRLR: gamma, SampleK: 2,
+		InnerOpt: "sgd", OuterOpt: "sgd",
+	}.WithDefaults()
+
+	shared := []float64{0.3, -0.2}
+	specific := [][]float64{{0.1, 0.4}, {-0.5, 0.2}, {0.25, -0.35}}
+	st := &State{Model: newQuadModel(centers), Shared: paramvec.Vector{append([]float64(nil), shared...)}}
+	for _, v := range specific {
+		st.Specific = append(st.Specific, paramvec.Vector{append([]float64(nil), v...)})
+	}
+
+	draws := rand.New(rand.NewSource(rand.New(rand.NewSource(13)).Int63()))
+	draws.Int63()
+	helpers := SampleHelpers(len(centers), target, cfg.SampleK, draws)
+	if len(helpers) != 2 {
+		t.Fatalf("helpers %v, want 2", helpers)
+	}
+	want := append([]float64(nil), specific[target]...)
+	for _, j := range helpers {
+		theta := []float64{shared[0] + want[0], shared[1] + want[1]}
+		quadStep(theta, centers[j], alpha)
+		quadStep(theta, centers[target], alpha)
+		for i := range want {
+			want[i] += gamma * (theta[i] - (shared[i] + want[i]))
+		}
+	}
+
+	DomainRegularization(st, quadDataset(len(centers)), target, cfg, rand.New(rand.NewSource(13)))
+	for i, w := range want {
+		if got := st.Specific[target][0][i]; math.Abs(got-w) > 1e-12 {
+			t.Fatalf("θ_%d[%d] = %.17g, the closed form gives %.17g (helpers %v)", target, i, got, w, helpers)
+		}
+	}
+	for i, v := range shared {
+		if st.Shared[0][i] != v {
+			t.Fatalf("DR moved θ_S: %v, want %v", st.Shared[0], shared)
+		}
+	}
+	for d, v := range specific {
+		for i := range v {
+			if d != target && st.Specific[d][0][i] != v[i] {
+				t.Fatalf("DR of target %d moved θ_%d: %v, want %v", target, d, st.Specific[d][0], v)
+			}
+		}
+	}
+}
+
 // quadStep applies one SGD step of the quadModel's BCE loss in closed
 // form: θ ← θ − α·2·(1 − sigmoid(−L))·(θ − c) with L = ||θ − c||².
 func quadStep(theta, c []float64, alpha float64) {

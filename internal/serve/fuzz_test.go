@@ -64,7 +64,7 @@ var predictBodySeeds = []string{
 // the body as the handler decoded it, each strictly inside (0, 1).
 func FuzzPredictBody(f *testing.F) {
 	st, ds, _ := testState(f)
-	h := New(st, ds).Handler()
+	h := NewWithOptions(st, ds, Options{}).Handler()
 	for _, body := range predictBodySeeds {
 		f.Add([]byte(body))
 	}

@@ -1,9 +1,7 @@
 // This file is the live snapshot publication path: the versioned
-// warm-swap behind POST /admin/publish and the serve-side half of the
-// rollout gate's Fleet interface. A publication never touches the
-// request path until its snapshot is fully composed; installation is
-// one atomic view store, and the displaced incumbent keeps serving
-// every request that already loaded it.
+// warm-swap behind POST /admin/publish, which builds its snapshot as
+// Open does, and the serve-side half of the rollout gate's Fleet
+// interface.
 
 package serve
 
@@ -180,21 +178,25 @@ func (s *Server) handleAdminPublish(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `"path" required`, http.StatusBadRequest)
 		return
 	}
-	snap, crc, baseline, err := s.loadPublishSource(r.Context(), req.Path)
+	ck, env, err := s.readPublishSource(r.Context(), req.Path)
+	var snap *snapshot
+	if err == nil {
+		snap, err = s.fileSnapshot(ck)
+	}
 	if err != nil {
 		s.metrics.publishOutcome("rejected")
 		http.Error(w, "publish source: "+err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 
-	version, canary, err := s.publish(snap, req.Version, crc, baseline)
+	version, canary, err := s.publish(snap, req.Version, env.CRC, ck.Quality)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	resp := PublishResponse{Version: version, Canary: canary}
-	if crc != 0 {
-		resp.CRC = fmt.Sprintf("%08x", crc)
+	if env.CRC != 0 {
+		resp.CRC = fmt.Sprintf("%08x", env.CRC)
 	}
 	if canary {
 		resp.Fraction = s.gate().Fraction()
@@ -202,31 +204,30 @@ func (s *Server) handleAdminPublish(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, resp)
 }
 
-// loadPublishSource decodes a checkpoint straight into a publishable
-// snapshot. It needs no model: the file is read and verified once — a
-// CRC-corrupt or truncated file is rejected before any decode — and its
-// vectors, decoded against the served structure's layout and trained
-// on the served dataset and model (framework.CheckData), are served as
-// the file stores them: θ_S dense, each θ_i table as its stored rows.
-func (s *Server) loadPublishSource(ctx context.Context, path string) (*snapshot, uint32, *quality.Baseline, error) {
+// readPublishSource is a publish's one read of path: a CRC-corrupt or
+// truncated file is refused before anything is decoded.
+func (s *Server) readPublishSource(ctx context.Context, path string) (core.Checkpoint, core.Envelope, error) {
 	if err := s.opts.Faults.Eval("PublishSource").Apply(ctx); err != nil {
-		return nil, 0, nil, err
+		return core.Checkpoint{}, core.Envelope{}, err
 	}
-	ck, env, err := core.ReadState(path)
-	if err != nil {
-		return nil, 0, nil, err
-	}
+	return core.ReadState(path)
+}
+
+// fileSnapshot is a file's snapshot, Open's and every publish's: its
+// vectors, trained on the served dataset and model, serve as the file
+// stores them, θ_S dense and each θ_i table as its stored rows.
+func (s *Server) fileSnapshot(ck core.Checkpoint) (*snapshot, error) {
 	if name := s.layout.model.Name(); ck.ModelName != name {
-		return nil, 0, nil, fmt.Errorf("serve: checkpoint is for model %q, server has %q", ck.ModelName, name)
+		return nil, fmt.Errorf("serve: checkpoint is for model %q, server has %q", ck.ModelName, name)
 	}
 	if err := framework.CheckData(s.layout.spec, ck.Spec); err != nil {
-		return nil, 0, nil, fmt.Errorf("serve: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	shared, specific, err := ck.DecodeRows(s.layout.Layout)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
-	return s.newSnapshot(shared, specific), env.CRC, ck.Quality, nil
+	return s.newSnapshot(shared, specific), nil
 }
 
 func (s *Server) handleRolloutStatus(w http.ResponseWriter, r *http.Request) {

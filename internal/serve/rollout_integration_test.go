@@ -42,6 +42,34 @@ func cloneState(st *core.State, model models.Model) *core.State {
 	return &core.State{Model: model, Shared: st.Shared.Clone(), Specific: spec}
 }
 
+// saveWithDigest saves st under a spec that names a dataset digest, as
+// every file mamdr-train -save writes does, and returns the file's path.
+func saveWithDigest(tb testing.TB, st *core.State) string {
+	tb.Helper()
+	spec := st.Spec
+	spec.DataSHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+	path := filepath.Join(tb.TempDir(), "boot.ckpt")
+	if err := (&core.State{Model: st.Model, Shared: st.Shared, Specific: st.Specific, Spec: spec}).Save(path); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// openFile boots a server from the checkpoint at path the way
+// mamdr-serve does: one read of the file, then Open.
+func openFile(tb testing.TB, path string, ds *data.Dataset, opts Options) (*Server, core.Envelope) {
+	tb.Helper()
+	ck, env, err := core.ReadState(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := Open(ck, env, ds, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, env
+}
+
 // poisonState builds a structurally valid but quality-destroyed state:
 // the shared parameters are negated and amplified, the way a corrupted
 // or mistrained checkpoint regresses quality without failing any
@@ -677,6 +705,32 @@ func TestPublishGateRefusalStagesNothing(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesWhatItCannotServe: Open returns an error, naming what
+// is missing or wrong, for a call without a ReplicaFactory, a checkpoint
+// that records no dataset digest and an unknown SnapshotQuant.
+func TestOpenRefusesWhatItCannotServe(t *testing.T) {
+	st, ds, factory := testState(t)
+	ck, env, err := core.ReadState(saveWithDigest(t, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noDigest := ck
+	noDigest.Spec.DataSHA256 = ""
+	for _, c := range []struct {
+		name, want string
+		ck         core.Checkpoint
+		opts       Options
+	}{
+		{"no factory", "ReplicaFactory", ck, Options{}},
+		{"no digest", "records no dataset digest", noDigest, Options{ReplicaFactory: factory}},
+		{"unknown quant", `SnapshotQuant "foo"`, ck, Options{ReplicaFactory: factory, SnapshotQuant: "foo"}},
+	} {
+		if s, err := Open(c.ck, env, ds, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Open = (%v, %v), want an error naming %s", c.name, s, err, c.want)
+		}
+	}
+}
+
 // TestSnapshotInfoNamesTheIncumbent: mamdr_snapshot_info follows the
 // incumbent through an ungated swap (v2), a canary that is only staged
 // (v3 under the gate), and its promotion — exactly one series reads 1
@@ -684,7 +738,7 @@ func TestPublishGateRefusalStagesNothing(t *testing.T) {
 func TestSnapshotInfoNamesTheIncumbent(t *testing.T) {
 	st, ds, factory := testState(t)
 	reg := telemetry.New()
-	s := NewWithOptions(st, ds, Options{Replicas: 2, ReplicaFactory: factory, Metrics: reg, InitialCRC: 0xa1})
+	s, env := openFile(t, saveWithDigest(t, st), ds, Options{Replicas: 2, ReplicaFactory: factory, Metrics: reg})
 	want := func(version, crc string) {
 		t.Helper()
 		var buf bytes.Buffer
@@ -702,7 +756,7 @@ func TestSnapshotInfoNamesTheIncumbent(t *testing.T) {
 			t.Fatalf("snapshot_info series reading 1 = %q, want only %q", live, series)
 		}
 	}
-	want("1", "000000a1")
+	want("1", fmt.Sprintf("%08x", env.CRC))
 
 	if v, canary, err := s.Publish(cloneState(st, factory()), 0, 0xb2, nil); err != nil || canary || v != 2 {
 		t.Fatalf("ungated Publish = (%d, canary %v, %v)", v, canary, err)

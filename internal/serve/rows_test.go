@@ -281,6 +281,80 @@ func TestFilePublishAllocatesStoredRows(t *testing.T) {
 	}
 }
 
+// TestBootIsAFilePublish: a server booted with Open from
+// storedRowsState's file serves what POST /admin/publish of the same
+// file serves. Each domain's v1 and v2 scores are bit-identical, as
+// float and as int8 snapshots, and as float they equal the in-memory
+// state's Predict. The read, Open and one first request per domain
+// allocate at most 4× the file's bytes, the file publish's ceiling
+// (TestFilePublishAllocatesStoredRows): a boot that decodes every θ_i
+// at full shape, installs it into a core.State and serves that
+// allocates 17.9× at this shape.
+func TestBootIsAFilePublish(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	st, ds, factory := storedRowsState(t)
+	path := saveWithDigest(t, st)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, ds.NumDomains())
+	for d := range bodies {
+		bodies[d], _ = json.Marshal(PredictRequest{Domain: d, Users: []int{d % ds.NumUsers}, Items: []int{(3 * d) % ds.NumItems}})
+	}
+	scores := func(t *testing.T, h http.Handler) [][]float64 {
+		out := make([][]float64, len(bodies))
+		for d, body := range bodies {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+			var resp PredictResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil {
+				t.Fatalf("domain %d: %d %s", d, w.Code, w.Body)
+			}
+			out[d] = resp.Probabilities
+		}
+		return out
+	}
+	for _, mode := range []string{"off", "int8"} {
+		t.Run(mode, func(t *testing.T) {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, _ := openFile(t, path, ds, Options{ReplicaFactory: factory, Replicas: 2, SnapshotQuant: mode})
+			defer s.Close()
+			h := s.Handler()
+			booted := scores(t, h)
+			runtime.ReadMemStats(&after)
+			ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(fi.Size())
+			t.Logf("file %.1f MB; read, Open + %d first touches allocated %.2f× its bytes", float64(fi.Size())/1e6, len(bodies), ratio)
+			if ratio > 4 {
+				t.Fatalf("read, Open + first touches allocated %.2f× the file's bytes, ceiling 4×", ratio)
+			}
+
+			if w := postJSON(t, h, "/admin/publish", PublishRequest{Path: path}); w.Code != http.StatusOK {
+				t.Fatalf("publish = %d: %s", w.Code, w.Body)
+			}
+			if inc, _ := s.Versions(); inc != 2 {
+				t.Fatalf("incumbent after the publish is v%d, want v2", inc)
+			}
+			published := scores(t, h)
+			for d := range bodies {
+				want := published[d]
+				if mode == "off" {
+					want = st.Predict(ds.MakeBatch(d, []data.Interaction{{User: d % ds.NumUsers, Item: (3 * d) % ds.NumItems}}))
+				}
+				for j, p := range booted[d] {
+					if math.Float64bits(p) != math.Float64bits(published[d][j]) || math.Float64bits(p) != math.Float64bits(want[j]) {
+						t.Fatalf("domain %d pair %d: booted v1 %v, published v2 %v, want %v", d, j, p, published[d][j], want[j])
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFilePublish is the layer number of a file publish: POST
 // /admin/publish of storedRowsState's 200-domain file, then the first
 // composition of every domain, as float and as int8 snapshots. Run with:

@@ -4,28 +4,22 @@
 // new domains can be registered at runtime (they serve with the shared
 // parameters until their specific parameters are trained).
 //
-// The server is built for concurrent traffic. Serving parameters for
-// every domain (θ_S + θ_i, Eq. 4) live in an immutable snapshot that
-// requests read through an atomic pointer — no global lock and no
-// per-request parameter copy: a forward pass binds a pooled model to
-// the snapshot by reference (dense tensors point at the domain's
-// composed dense segments, embedding rows are composed as the lookup
-// gathers them) and unbinds it afterwards. One scheduler (internal/batch)
-// is in front of every forward and bounds how many run at once; the
-// pooled models own no parameters of their own.
-// Domain registration and live publications build a fresh
-// snapshot off-path and install it atomically; in-flight requests keep
-// serving the snapshot they started with.
+// Serving parameters for every domain (θ_S + θ_i, Eq. 4) live in an
+// immutable snapshot that requests read through an atomic pointer, with
+// no lock and no per-request copy: a forward binds a pooled model, which
+// owns no parameters, to the snapshot by reference, and one scheduler
+// (internal/batch) bounds how many forwards run at once. A server boots
+// from a checkpoint file (Open) on the snapshot a publish of that file
+// builds, or from a state in memory (NewWithOptions). Registrations and
+// publications build a fresh snapshot off-path and install it
+// atomically; in-flight requests keep the one they started with.
 //
-// Live rollout: Publish stages a new versioned snapshot next to the
-// incumbent. With a rollout gate attached (SetRollout), the new
-// snapshot serves only a canary fraction of traffic — requests are
-// routed deterministically by request-ID hash — while the gate compares
-// the two arms' live quality and then promotes or rolls back through
-// the Fleet interface this server implements. The incumbent snapshot
-// is immutable and stays pinned in memory for the whole evaluation, so
-// a rollback is a pointer drop: post-rollback predictions are
-// bit-identical to never having published.
+// Live rollout: with a rollout gate attached (SetRollout), a published
+// snapshot serves a canary fraction of traffic, routed by request-ID
+// hash, until the gate promotes or rolls it back through the Fleet
+// interface this server implements. The incumbent stays pinned in
+// memory meanwhile, so a rollback is a pointer drop: post-rollback
+// predictions are bit-identical to never having published.
 //
 // Overload degrades instead of cascading: an admission gate sheds
 // requests (503 + jittered Retry-After) before the queue for a forward
@@ -68,10 +62,10 @@ type Options struct {
 	// GOMAXPROCS. Without a ReplicaFactory the only replica is the
 	// state's own model, so Replicas is forced to 1.
 	Replicas int
-	// ReplicaFactory builds additional model replicas structurally
-	// identical to the state's model (same Config including Seed). The
-	// server keeps their structure and drops their parameter storage:
-	// every forward reads the snapshot it is bound to.
+	// ReplicaFactory builds the model replicas (Open's every one), of the
+	// served structure (same Config including Seed). The server keeps
+	// their structure and drops their parameter storage: every forward
+	// reads the snapshot it is bound to.
 	ReplicaFactory func() models.Model
 	// RequestTimeout bounds a prediction from admission to its scores; one
 	// still waiting for a forward slot when it passes gets 503 +
@@ -111,9 +105,6 @@ type Options struct {
 	// incumbent's version and envelope CRC (0 when sourced outside
 	// a checkpoint). Called without internal locks held.
 	OnSwap func(version uint64, crc uint32)
-	// InitialCRC labels the snapshot the server boots with (version 1),
-	// normally the loaded checkpoint's envelope CRC.
-	InitialCRC uint32
 	// Quality, when non-nil, turns on model-quality observability:
 	// every successful prediction feeds per-domain score-distribution
 	// histograms and the tracker's drift windows, responses carry a
@@ -260,40 +251,56 @@ func (s *Server) gate() *rollout.Controller { return s.rollout.Load() }
 // immediately.
 func (s *Server) SetRollout(c *rollout.Controller) { s.rollout.Store(c) }
 
-// New builds a server over a trained state and its dataset with default
-// options (single replica, 5s request timeout, 1 MiB bodies). The
-// dataset supplies the global feature storage needed to resolve field
-// values.
-func New(state *core.State, dataset *data.Dataset) *Server {
-	return NewWithOptions(state, dataset, Options{})
+// NewWithOptions builds a server over a state handed in memory and the
+// dataset that resolves its features. The state's model is replica 0,
+// never written; v1 serves the state's vectors by reference, CRC 0. A
+// bad SnapshotQuant or replica layout panics (Open returns an error).
+func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Server {
+	s, err := newServer(state.Model, state.Spec, dataset, opts)
+	if err != nil {
+		panic(err.Error())
+	}
+	s.installLocked(s.composeState(state), 1, 0, nil) // s is not shared yet
+	return s
 }
 
-// NewWithOptions builds a server with explicit concurrency options. It
-// panics if a factory-built replica's parameters do not align with the
-// state's shared vector — a mismatched replica would serve garbage.
-func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Server {
+// Open builds a server over a checkpoint read by core.ReadState (env
+// its envelope) and the dataset its spec names. Every replica comes from
+// opts.ReplicaFactory, and v1 is the file's snapshot as a publish of it
+// builds it (fileSnapshot), with the envelope's CRC and the file's
+// quality baseline. A checkpoint without a dataset digest is refused.
+func Open(ck core.Checkpoint, env core.Envelope, dataset *data.Dataset, opts Options) (*Server, error) {
+	if opts.ReplicaFactory == nil {
+		return nil, errors.New("serve: Open needs a ReplicaFactory")
+	}
+	if ck.Spec.DataSHA256 == "" {
+		return nil, errors.New("serve: the checkpoint records no dataset digest (written before checkpoints recorded one, or not by mamdr-train -save): re-save it with mamdr-train -save")
+	}
+	s, err := newServer(bare(opts.ReplicaFactory()), ck.Spec, dataset, opts)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := s.fileSnapshot(ck)
+	if err != nil {
+		return nil, err
+	}
+	if ck.Quality == nil {
+		s.quality.SetBaseline(nil) // counted as a load that carried none
+	}
+	s.installLocked(snap, 1, env.CRC, ck.Quality) // s is not shared yet
+	return s, nil
+}
+
+// newServer is both constructors' body: model, trained on spec, is
+// replica 0, and every other replica must match its layout.
+func newServer(model models.Model, spec framework.Spec, dataset *data.Dataset, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
 		dataset: dataset,
 		opts:    opts,
 		pool:    make(chan *replica, opts.Replicas),
+		layout:  newLayout(model, spec),
 	}
-	// The state's own model is replica 0: it keeps its storage (the
-	// caller's θ_S) and is bound around it, never written.
-	params := state.Model.Parameters()
-	s.pool <- &replica{model: state.Model, binding: paramvec.NewBinding(params)}
-	for i := 1; i < opts.Replicas; i++ {
-		m := opts.ReplicaFactory()
-		own := m.Parameters()
-		if err := models.LayoutOf(own, nil).Fit(state.Shared); err != nil {
-			panic(fmt.Sprintf("serve: the state's shared vector against replica %d: %v", i, err))
-		}
-		for _, p := range own {
-			p.Data, p.Grad = nil, nil // a skeleton: shape only
-		}
-		s.pool <- &replica{model: m, binding: paramvec.NewBinding(own)}
-	}
-	s.layout = newLayout(state.Model, state.Spec)
 	switch opts.SnapshotQuant {
 	case "", "off":
 	case "int8":
@@ -301,15 +308,17 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 		// presets) has nothing to quantize and serves as "off".
 		s.layout.int8 = len(s.layout.tables) > 0
 	default:
-		panic(fmt.Sprintf("serve: unknown SnapshotQuant %q (off or int8)", opts.SnapshotQuant))
+		return nil, fmt.Errorf("serve: unknown SnapshotQuant %q (off or int8)", opts.SnapshotQuant)
 	}
-	s.view.Store(&view{
-		incumbent:    s.composeState(state),
-		incumbentV:   1,
-		incumbentCRC: opts.InitialCRC,
-	})
+	s.pool <- &replica{model: model, binding: paramvec.NewBinding(s.layout.params)}
+	for i := 1; i < opts.Replicas; i++ {
+		m := opts.ReplicaFactory()
+		if err := s.layout.Same(models.LayoutOf(m.Parameters(), models.EmbeddingTablesOf(m))); err != nil {
+			return nil, fmt.Errorf("serve: replica %d against the served model: %w", i, err)
+		}
+		s.pool <- &replica{model: bare(m), binding: paramvec.NewBinding(m.Parameters())}
+	}
 	s.metrics = newServeMetrics(opts.Metrics, opts.Replicas)
-	s.metrics.incumbent(1, opts.InitialCRC)
 	s.shedRng = rand.New(rand.NewSource(opts.ShedSeed))
 	if opts.Quality != nil {
 		s.quality = opts.Quality
@@ -324,7 +333,15 @@ func NewWithOptions(state *core.State, dataset *data.Dataset, opts Options) *Ser
 			s.metrics.batchFlush(requests, rows, waited, reason, maxRows)
 		},
 	})
-	return s
+	return s, nil
+}
+
+// bare drops m's parameter storage: a replica reads its bound snapshot.
+func bare(m models.Model) models.Model {
+	for _, p := range m.Parameters() {
+		p.Data, p.Grad = nil, nil
+	}
+	return m
 }
 
 // ErrDomainsFixed is AddDomain's refusal on a model with per-domain

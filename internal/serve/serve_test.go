@@ -38,7 +38,7 @@ func testState(t testing.TB) (*core.State, *data.Dataset, func() models.Model) {
 func testServer(t *testing.T) (*Server, *data.Dataset) {
 	t.Helper()
 	st, ds, _ := testState(t)
-	return New(st, ds), ds
+	return NewWithOptions(st, ds, Options{}), ds
 }
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -190,7 +190,7 @@ func TestDomainsListAndRegister(t *testing.T) {
 
 func TestPredictBodySizeLimit(t *testing.T) {
 	st, ds, _ := testState(t)
-	h := New(st, ds).Handler()
+	h := NewWithOptions(st, ds, Options{}).Handler()
 
 	// Each pair adds at least four bytes ("0," twice) to the body.
 	big := PredictRequest{Domain: 0}
@@ -210,7 +210,7 @@ func TestPredictBodySizeLimit(t *testing.T) {
 
 func TestReplicaPoolServesIdenticalScores(t *testing.T) {
 	st, ds, factory := testState(t)
-	single := New(st, ds)
+	single := NewWithOptions(st, ds, Options{})
 	pooled := NewWithOptions(st, ds, Options{Replicas: 4, ReplicaFactory: factory})
 
 	req := PredictRequest{Domain: 1, Users: []int{0, 1, 2}, Items: []int{2, 1, 0}}
@@ -273,7 +273,7 @@ func TestPublishSwapsState(t *testing.T) {
 
 func TestAddDomainKeepsOldSnapshotsImmutable(t *testing.T) {
 	st, ds, _ := testState(t)
-	s := New(st, ds)
+	s := NewWithOptions(st, ds, Options{})
 	h := s.Handler()
 
 	req := PredictRequest{Domain: 0, Users: []int{0, 1}, Items: []int{0, 1}}

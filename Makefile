@@ -34,7 +34,7 @@ GO_LOC = find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec cat {} + |
 # The line-count ratchet: fails when `make loc`'s total passes LOC_MAX.
 # A change that adds non-test Go raises LOC_MAX in its own diff, which
 # is where it states its `make loc` delta.
-LOC_MAX = 25387
+LOC_MAX = 25226
 loc-check:
 	@n=$$($(GO_LOC)); test $$n -le $(LOC_MAX) || { \
 		echo "non-test Go is $$n lines, past LOC_MAX $(LOC_MAX): raise LOC_MAX in the diff that adds them"; exit 1; }
@@ -273,7 +273,8 @@ smoke-quality:
 # The trainer's -save files are envelope v5 (vector block), so every
 # publish, rollback and 422 below goes through the v5 reader. First,
 # -snapshot-quant foo and a -canary-fraction outside (0, 1] must each
-# exit 1 naming it, without a goroutine trace. Then one serving process
+# exit 1 naming it, without a goroutine trace and before the checkpoint
+# is read (no `loaded checkpoint` line). Then one serving process
 # boots from a clean checkpoint with the canary gate on (the boot builds
 # its snapshot as a publish of the file would). Re-publishing the clean
 # snapshot must auto-promote (the traffic driver mirrors every batch to
@@ -306,7 +307,7 @@ smoke-rollout:
 		'-canary-fraction 1.5:-canary-fraction 1.5'; do \
 		status=0; timeout 60 $(SMOKE)/mamdr-bin/mamdr-serve -checkpoint $(SMOKE)/rollout-clean.ckpt -addr 127.0.0.1:8086 \
 			$${bad%%:*} > /dev/null 2> $(SMOKE)/rollout-refused.log || status=$$?; \
-		if [ $$status -ne 1 ] || grep -q goroutine $(SMOKE)/rollout-refused.log || ! grep -q -- "$${bad#*:}" $(SMOKE)/rollout-refused.log; then \
+		if [ $$status -ne 1 ] || grep -q 'goroutine\|loaded checkpoint' $(SMOKE)/rollout-refused.log || ! grep -q -- "$${bad#*:}" $(SMOKE)/rollout-refused.log; then \
 			echo "mamdr-serve $${bad%%:*}: exit $$status"; cat $(SMOKE)/rollout-refused.log; exit 1; fi; \
 	done
 	rm -f $(SMOKE)/rollout-access.jsonl*

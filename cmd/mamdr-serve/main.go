@@ -22,7 +22,6 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -77,24 +76,16 @@ func main() {
 	if *canaryFraction <= 0 || *canaryFraction > 1 {
 		log.Fatalf("-canary-fraction %v: want a traffic share in (0, 1]", *canaryFraction)
 	}
+	if err := serve.CheckSnapshotQuant(*snapshotQuant); err != nil {
+		log.Fatal(err)
+	}
 	kernels.SetThreads(*kernelThreads)
 
-	// One read of the file: its spec rebuilds the dataset and the
-	// replicas, and Open serves the file as a publish of it would.
-	ck, env, err := core.ReadState(*checkpoint)
+	ck, env, ds, err := load(*checkpoint)
 	if err != nil {
 		log.Fatal(err)
 	}
 	spec := ck.Spec
-	log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes), trained on %+v",
-		*checkpoint, env.Version, env.CRC, env.PayloadBytes, spec)
-	ds, err := mamdr.SpecDataset(&spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := mamdr.SpecModel(ds, spec); err != nil {
-		log.Fatal(err)
-	}
 	// The drift baseline comes from the checkpoint (serve.Open installs
 	// it); without one, drift detection is disabled, logged and counted.
 	if ck.Quality != nil {
@@ -147,7 +138,7 @@ func main() {
 		OnSwap: func(version uint64, crc uint32) {
 			log.Printf("snapshot v%d (crc %08x) is now the incumbent", version, crc)
 		},
-		// The spec built one model above, so this cannot fail; the server
+		// load built the spec's model once, so this cannot fail; the server
 		// drops each replica's weights and binds it to the snapshot it serves.
 		ReplicaFactory: func() models.Model { r, _ := mamdr.SpecModel(ds, spec); return r },
 	})
@@ -182,24 +173,10 @@ func main() {
 			}
 		}()
 	}
-	handler := srv.Handler()
-	if *withPprof {
-		// Mount pprof explicitly instead of relying on the package's
-		// DefaultServeMux side effect, so it only exists behind the flag.
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", handler)
-		handler = mux
-		log.Printf("pprof on /debug/pprof/")
-	}
 	fmt.Printf("serving %d domains on %s\n", ds.NumDomains(), *addr)
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           handler(srv.Handler(), *withPprof),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		WriteTimeout:      30 * time.Second,
@@ -234,6 +211,40 @@ func main() {
 		srv.Close() // flush any still-open micro-batches
 		log.Printf("drained cleanly")
 	}
+}
+
+// load reads the checkpoint at path, refuses one without a dataset
+// digest, and only then rebuilds the dataset and checks the model its
+// spec names, so Open can serve the file as a publish of it would.
+func load(path string) (core.Checkpoint, core.Envelope, *mamdr.Dataset, error) {
+	ck, env, err := core.ReadState(path)
+	if err == nil {
+		err = serve.CheckDigest(ck.Spec)
+	}
+	if err != nil {
+		return ck, env, nil, err
+	}
+	log.Printf("loaded checkpoint %s (envelope v%d, crc %08x, %d payload bytes), trained on %+v",
+		path, env.Version, env.CRC, env.PayloadBytes, ck.Spec)
+	ds, err := mamdr.SpecDataset(&ck.Spec)
+	if err == nil {
+		_, err = mamdr.SpecModel(ds, ck.Spec)
+	}
+	return ck, env, ds, err
+}
+
+// handler is the listener's handler: the server's API, and with
+// withPprof net/http/pprof under /debug/pprof/ beside it. The API
+// listener is public, so profiling is there only behind -pprof.
+func handler(api http.Handler, withPprof bool) http.Handler {
+	if !withPprof {
+		return api
+	}
+	log.Printf("pprof on /debug/pprof/")
+	mux := http.NewServeMux()
+	obsv.MountPprof(mux)
+	mux.Handle("/", api)
+	return mux
 }
 
 // openAccessLog resolves the -access-log destination to a JSON slog

@@ -72,7 +72,7 @@ func main() {
 	}
 	cfg := runConfig()
 	kernels.SetThreads(*kernelThreads)
-	psUseDR, err := checkFlags(cfg, *fw, *savePath != "", *psWorkers)
+	psUseDR, err := checkFlags(cfg, *fw, *savePath != "", psFlags{*psWorkers, *psShards, *replicas})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,10 +99,7 @@ func main() {
 		reg = telemetry.New()
 		telemetry.RegisterGoRuntime(reg)
 		obsv.RegisterBuildInfo(reg, role)
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/metrics/snapshot", telemetry.SnapshotHandler(role, *metricsAddr, reg))
-		mux.Handle("/debug/trace", trace.CaptureHandler(h.Tracer))
+		mux := opsMux(role, *metricsAddr, reg, h.Tracer)
 		go func() {
 			log.Printf("serving /metrics on %s", *metricsAddr)
 			srv := &http.Server{Addr: *metricsAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
@@ -212,6 +209,18 @@ func main() {
 	}
 }
 
+// opsMux is the -metrics-addr listener: reg's /metrics and
+// /metrics/snapshot, /debug/trace, and net/http/pprof under
+// /debug/pprof/, so a live fit or a -ps-serve host can be profiled.
+func opsMux(role, addr string, reg *telemetry.Registry, tracer *trace.Tracer) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/metrics/snapshot", telemetry.SnapshotHandler(role, addr, reg))
+	mux.Handle("/debug/trace", trace.CaptureHandler(tracer))
+	obsv.MountPprof(mux)
+	return mux
+}
+
 // trainingFlags defines the flags that say what a run trains on and how,
 // and returns the one function that maps them onto its framework.Config,
 // whose Spec every checkpoint records (a -data file by absolute path).
@@ -251,13 +260,25 @@ func trainingFlags() func() framework.Config {
 	}
 }
 
+// psFlags are the -ps-workers, -ps-shards and -shard-replicas counts.
+type psFlags struct{ workers, shards, replicas int }
+
 // checkFlags refuses, before any data is built, flags that cannot work
-// together: -resume without -checkpoint-dir, or a -checkpoint-every
-// below 1 with it; -save of a fit that is no
-// *core.State (a core.MAMDR framework); a -ps-workers fit of anything
-// but mamdr (DN then DR) or dn (DN alone), the PS trainer's only two,
-// and whose DR it reports.
-func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int) (useDR bool, err error) {
+// together or name no run: -resume without -checkpoint-dir, or a
+// -checkpoint-every below 1 with it; -save of a fit that is no
+// *core.State (a core.MAMDR framework); a negative -ps-workers, a
+// -ps-shards or -shard-replicas below 1 (the cluster would quietly run
+// one); a -ps-workers fit of anything but mamdr (DN then DR) or dn (DN
+// alone), the PS trainer's only two, and whose DR it reports.
+func checkFlags(cfg framework.Config, fw string, save bool, pf psFlags) (useDR bool, err error) {
+	switch {
+	case pf.workers < 0:
+		return false, fmt.Errorf("-ps-workers %d: want 0 (single process) or a worker count", pf.workers)
+	case pf.shards < 1:
+		return false, fmt.Errorf("-ps-shards %d: want at least 1 shard", pf.shards)
+	case pf.replicas < 1:
+		return false, fmt.Errorf("-shard-replicas %d: want at least 1 replica per shard", pf.replicas)
+	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return false, errors.New("-resume needs -checkpoint-dir: there is no checkpoint to resume from")
 	}
@@ -269,7 +290,7 @@ func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int) (useD
 			return false, fmt.Errorf("-save: -framework %q fits no state that mamdr-serve can load", fw)
 		}
 	}
-	if psWorkers == 0 {
+	if pf.workers == 0 {
 		return false, nil
 	}
 	switch fw {
@@ -284,7 +305,7 @@ func checkFlags(cfg framework.Config, fw string, save bool, psWorkers int) (useD
 // hostFlags are the flags a -ps-serve host reads. Every other flag
 // names a run or a fit, which the trainer installs on the host.
 var hostFlags = map[string]bool{"ps-serve": true, "checkpoint-dir": true, "metrics-addr": true, "metrics-linger": true,
-	"kernel-threads": true, "trace": true, "trace-sample": true, "flight-dump": true, "profile-dir": true, "events": true}
+	"kernel-threads": true, "trace": true, "trace-sample": true, "flight-dump": true, "events": true}
 
 // hostFlagsOnly refuses a -ps-serve host any flag it would not read.
 func hostFlagsOnly(fs *flag.FlagSet) error {

@@ -2,6 +2,9 @@ package main
 
 import (
 	"flag"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +12,8 @@ import (
 
 	"mamdr/internal/framework"
 	"mamdr/internal/ps"
+	"mamdr/internal/telemetry"
+	"mamdr/internal/trace"
 )
 
 // TestResumeRefusesSingleServerCheckpoint: a -checkpoint-dir holding the
@@ -68,7 +73,7 @@ func TestPSFrameworkFlags(t *testing.T) {
 		{"dr", false, false},
 		{"alternate", false, false},
 	} {
-		useDR, err := checkFlags(framework.Config{}, tc.framework, false, 2)
+		useDR, err := checkFlags(framework.Config{}, tc.framework, false, workers(2))
 		if (err == nil) != tc.ok || (tc.ok && useDR != tc.useDR) {
 			t.Errorf("checkFlags(%q) = (%v, %v), want useDR=%v ok=%v",
 				tc.framework, useDR, err, tc.useDR, tc.ok)
@@ -96,11 +101,11 @@ func TestSaveFrameworkFlags(t *testing.T) {
 		{"maml", 0, false},
 		{"nosuch", 0, false},
 	} {
-		_, err := checkFlags(framework.Config{}, tc.framework, true, tc.psWorkers)
+		_, err := checkFlags(framework.Config{}, tc.framework, true, workers(tc.psWorkers))
 		if (err == nil) != tc.ok {
 			t.Errorf("checkFlags(%q, save, workers=%d) = %v, want ok=%v", tc.framework, tc.psWorkers, err, tc.ok)
 		}
-		if _, err := checkFlags(framework.Config{}, tc.framework, false, 0); err != nil {
+		if _, err := checkFlags(framework.Config{}, tc.framework, false, workers(0)); err != nil {
 			t.Errorf("checkFlags(%q) without -save or -ps-workers = %v, want nil", tc.framework, err)
 		}
 	}
@@ -111,11 +116,11 @@ func TestSaveFrameworkFlags(t *testing.T) {
 // instead of training from scratch under a flag that promised a resume.
 func TestResumeNeedsCheckpointDir(t *testing.T) {
 	for _, psWorkers := range []int{0, 2} {
-		_, err := checkFlags(framework.Config{Resume: true}, "mamdr", false, psWorkers)
+		_, err := checkFlags(framework.Config{Resume: true}, "mamdr", false, workers(psWorkers))
 		if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 			t.Errorf("-resume without -checkpoint-dir, %d PS workers: err = %v, want one naming -checkpoint-dir", psWorkers, err)
 		}
-		if _, err := checkFlags(framework.Config{Resume: true, CheckpointDir: t.TempDir(), CheckpointEvery: 1}, "mamdr", false, psWorkers); err != nil {
+		if _, err := checkFlags(framework.Config{Resume: true, CheckpointDir: t.TempDir(), CheckpointEvery: 1}, "mamdr", false, workers(psWorkers)); err != nil {
 			t.Errorf("-resume with -checkpoint-dir, %d PS workers: %v", psWorkers, err)
 		}
 	}
@@ -130,16 +135,63 @@ func TestResumeNeedsCheckpointDir(t *testing.T) {
 func TestCheckpointEveryBelowOne(t *testing.T) {
 	for _, psWorkers := range []int{0, 2} {
 		for _, every := range []int{0, -1} {
-			_, err := checkFlags(framework.Config{CheckpointDir: t.TempDir(), CheckpointEvery: every}, "mamdr", false, psWorkers)
+			_, err := checkFlags(framework.Config{CheckpointDir: t.TempDir(), CheckpointEvery: every}, "mamdr", false, workers(psWorkers))
 			if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
 				t.Errorf("-checkpoint-every %d, %d PS workers: err = %v, want one naming -checkpoint-every", every, psWorkers, err)
 			}
 		}
-		if _, err := checkFlags(framework.Config{CheckpointDir: t.TempDir(), CheckpointEvery: 1}, "mamdr", false, psWorkers); err != nil {
+		if _, err := checkFlags(framework.Config{CheckpointDir: t.TempDir(), CheckpointEvery: 1}, "mamdr", false, workers(psWorkers)); err != nil {
 			t.Errorf("-checkpoint-every 1, %d PS workers: %v", psWorkers, err)
 		}
-		if _, err := checkFlags(framework.Config{}, "mamdr", false, psWorkers); err != nil {
+		if _, err := checkFlags(framework.Config{}, "mamdr", false, workers(psWorkers)); err != nil {
 			t.Errorf("-checkpoint-every 0 without -checkpoint-dir, %d PS workers: %v", psWorkers, err)
+		}
+	}
+}
+
+// workers is the PS flags' defaults (one shard, one replica) at n
+// workers.
+func workers(n int) psFlags { return psFlags{workers: n, shards: 1, replicas: 1} }
+
+// TestPSCountsBelowRange: a negative -ps-workers trained single-process,
+// and a -ps-shards or -shard-replicas below 1 trained on one, each
+// without a word. Each is refused, naming its flag, before the dataset
+// is built.
+func TestPSCountsBelowRange(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		pf   psFlags
+	}{
+		{"-ps-workers -1", psFlags{workers: -1, shards: 1, replicas: 1}},
+		{"-ps-shards 0", psFlags{workers: 2, shards: 0, replicas: 1}},
+		{"-ps-shards -3", psFlags{workers: 2, shards: -3, replicas: 1}},
+		{"-shard-replicas 0", psFlags{workers: 2, shards: 1, replicas: 0}},
+		{"-shard-replicas -1", psFlags{workers: 0, shards: 1, replicas: -1}},
+	} {
+		_, err := checkFlags(framework.Config{}, "mamdr", false, tc.pf)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+":") {
+			t.Errorf("%+v: err = %v, want one naming %s", tc.pf, err, tc.flag)
+		}
+	}
+	if _, err := checkFlags(framework.Config{}, "mamdr", false, psFlags{workers: 2, shards: 3, replicas: 2}); err != nil {
+		t.Errorf("-ps-workers 2 -ps-shards 3 -shard-replicas 2: %v", err)
+	}
+}
+
+// TestOpsMuxServesPprof: the -metrics-addr listener serves
+// net/http/pprof beside /metrics, so a live fit can be profiled.
+func TestOpsMuxServesPprof(t *testing.T) {
+	srv := httptest.NewServer(opsMux("trainer", "", telemetry.New(), trace.New(trace.Options{})))
+	defer srv.Close()
+	for path, want := range map[string]string{"/debug/pprof/": "heap", "/debug/pprof/cmdline": "", "/metrics": ""} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s = %d, want 200 and a body with %q", path, resp.StatusCode, want)
 		}
 	}
 }

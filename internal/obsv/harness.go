@@ -1,10 +1,11 @@
 package obsv
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"path/filepath"
 
@@ -18,8 +19,8 @@ import (
 type Uses struct{ Trace, Events bool }
 
 // Harness is the process plumbing mamdr-train, mamdr-serve and
-// mamdr-obs share: the tracer with its flight recorder, the continuous
-// profiler, and the event log.
+// mamdr-obs share: the tracer with its flight recorder, and the event
+// log.
 type Harness struct {
 	// Tracer records the program's spans; nil when it runs untraced.
 	Tracer *trace.Tracer
@@ -30,20 +31,18 @@ type Harness struct {
 	// Events is the -events log; nil (and nil-safe) without the flag.
 	Events *telemetry.EventLog
 
-	spans       *telemetry.EventLog
-	stopProfile func() // cancels the profiler and waits for it to exit
+	spans *telemetry.EventLog
 }
 
 // HarnessFlags registers the flags every program shares on fs —
-// -flight-dump and -profile-dir, plus -trace/-trace-sample and -events
-// as uses says — and returns the function that builds the harness once
-// fs is parsed. traced asks for a tracer that no flag asks for
+// -flight-dump, plus -trace/-trace-sample and -events as uses says —
+// and returns the function that builds the harness once fs is parsed.
+// traced asks for a tracer that no flag asks for
 // (mamdr-serve always traces; mamdr-train does whenever its /metrics
 // listener serves /debug/trace); -trace and -flight-dump always build
 // one where uses.Trace holds.
 func HarnessFlags(fs *flag.FlagSet, uses Uses) func(traced bool) (*Harness, error) {
 	flightDump := fs.String("flight-dump", "", "flight-recorder dump path prefix: the first anomaly of each kind K writes PREFIX-K.trace.json (with -trace, the default is <trace>.flight)")
-	profileDir := fs.String("profile-dir", "", "continuous profiling: keep a ring of CPU+heap pprof profiles, captured every 30s, in this directory")
 	tracePath, traceSample, eventsPath := new(string), new(float64), new(string)
 	if uses.Trace {
 		tracePath = fs.String("trace", "", "append one Chrome trace event per completed span, one JSON object per line, to this file, rotated at 64 MiB with 3 segments kept; it is never truncated, so remove it for a capture of one run (join the lines into an array to load it in Perfetto)")
@@ -84,33 +83,13 @@ func HarnessFlags(fs *flag.FlagSet, uses Uses) func(traced bool) (*Harness, erro
 				return nil, err
 			}
 		}
-		if *profileDir != "" {
-			// A flight dump copies the profile ring beside it, so an
-			// anomaly ships with the profiles of the moments before it.
-			prof, err := NewProfiler(ProfileOptions{Dir: *profileDir})
-			if err != nil {
-				h.Close()
-				return nil, err
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan struct{})
-			go func() { prof.Run(ctx); close(done) }()
-			h.stopProfile = func() { cancel(); <-done }
-			h.Flight.SetOnDump(func(d trace.Dump) {
-				prof.DumpTo(filepath.Join(*profileDir, "flight-"+d.Kind))
-			})
-			log.Printf("continuous profiling to %s every %s", *profileDir, prof.opts.Interval)
-		}
 		return h, nil
 	}
 }
 
-// Close stops the profiler, closes the span and event files, and logs
-// every flight-recorder dump the process fired.
+// Close closes the span and event files and logs every flight-recorder
+// dump the process fired.
 func (h *Harness) Close() {
-	if h.stopProfile != nil {
-		h.stopProfile()
-	}
 	if err := h.spans.Close(); err != nil {
 		log.Printf("trace: %v", err)
 	}
@@ -122,4 +101,15 @@ func (h *Harness) Close() {
 		}
 		log.Printf("flight-recorder dump (%s): %s", d.Kind, where)
 	}
+}
+
+// MountPprof mounts net/http/pprof under /debug/pprof/ on mux: the
+// programs' one way to profile, on demand, on a listener that mounts
+// it (never through the package's DefaultServeMux side effect).
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,17 +28,16 @@ func harnessFor(t *testing.T, uses Uses, traced bool, args ...string) (*Harness,
 	return build(traced)
 }
 
-// TestHarnessFlagsPerProgram: every program gets -flight-dump and
-// -profile-dir; -trace/-trace-sample and -events only where it uses
-// them.
+// TestHarnessFlagsPerProgram: every program gets -flight-dump;
+// -trace/-trace-sample and -events only where it uses them.
 func TestHarnessFlagsPerProgram(t *testing.T) {
 	for _, tc := range []struct {
 		uses Uses
 		want string
 	}{
-		{Uses{Trace: true, Events: true}, "events flight-dump profile-dir trace trace-sample"}, // mamdr-train
-		{Uses{Trace: true}, "flight-dump profile-dir trace trace-sample"},                      // mamdr-serve
-		{Uses{Events: true}, "events flight-dump profile-dir"},                                 // mamdr-obs
+		{Uses{Trace: true, Events: true}, "events flight-dump trace trace-sample"}, // mamdr-train
+		{Uses{Trace: true}, "flight-dump trace trace-sample"},                      // mamdr-serve
+		{Uses{Events: true}, "events flight-dump"},                                 // mamdr-obs
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		HarnessFlags(fs, tc.uses)
@@ -81,11 +82,11 @@ func TestHarnessTracerRule(t *testing.T) {
 
 // TestHarnessStreamsTrace: -trace puts each span on disk as it ends,
 // before Close, and the flight recorder dumps beside the trace file by
-// default; Close returns once the profiler has stopped.
+// default.
 func TestHarnessStreamsTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.trace.jsonl")
-	h, err := harnessFor(t, Uses{Trace: true}, false, "-trace", path, "-profile-dir", filepath.Join(dir, "prof"))
+	h, err := harnessFor(t, Uses{Trace: true}, false, "-trace", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,6 @@ func TestHarnessStreamsTrace(t *testing.T) {
 		t.Fatalf("dumps = %+v, want one beside the trace file", d)
 	}
 	h.Close()
-	// The profiler's first round, cut short by Close, still ends with
-	// its heap capture.
-	if _, err := os.Stat(filepath.Join(dir, "prof", "heap-000001.pprof")); err != nil {
-		t.Fatalf("profiler stopped without finishing its round: %v", err)
-	}
 }
 
 // TestHarnessRefusesUnusableFlightDir: a -flight-dump prefix whose
@@ -117,5 +113,26 @@ func TestHarnessRefusesUnusableFlightDir(t *testing.T) {
 	}
 	if _, err := harnessFor(t, Uses{Events: true}, false, "-flight-dump", filepath.Join(file, "flight")); err == nil {
 		t.Fatal("a -flight-dump prefix under a regular file was accepted")
+	}
+}
+
+// TestMountPprof: the one profiling mechanism serves net/http/pprof's
+// index, which lists the heap profile, and its other handlers on the
+// mux it is mounted on.
+func TestMountPprof(t *testing.T) {
+	mux := http.NewServeMux()
+	MountPprof(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	for path, want := range map[string]string{"/debug/pprof/": "heap", "/debug/pprof/cmdline": ""} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s = %d, want 200 and a body with %q", path, resp.StatusCode, want)
+		}
 	}
 }

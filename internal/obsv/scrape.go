@@ -1,10 +1,11 @@
 // Package obsv is the fleet-observability layer: it federates the
 // per-process telemetry registries of a distributed MAMDR deployment
 // (trainer, PS shard hosts, serve replicas) into one pane of glass, burns
-// SLO error budgets against the federated series, and keeps a bounded
-// ring of pprof profiles so every alert ships with the evidence needed
-// to explain it. It depends only on internal/telemetry, internal/trace,
-// and the standard library.
+// SLO error budgets against the federated series, and holds the
+// process harness the programs share (tracer, flight recorder, event
+// log) and their one profiling mount, net/http/pprof on demand. It
+// depends only on internal/telemetry, internal/trace, and the standard
+// library.
 package obsv
 
 import (

@@ -273,8 +273,8 @@ func Open(ck core.Checkpoint, env core.Envelope, dataset *data.Dataset, opts Opt
 	if opts.ReplicaFactory == nil {
 		return nil, errors.New("serve: Open needs a ReplicaFactory")
 	}
-	if ck.Spec.DataSHA256 == "" {
-		return nil, errors.New("serve: the checkpoint records no dataset digest (written before checkpoints recorded one, or not by mamdr-train -save): re-save it with mamdr-train -save")
+	if err := CheckDigest(ck.Spec); err != nil {
+		return nil, err
 	}
 	s, err := newServer(bare(opts.ReplicaFactory()), ck.Spec, dataset, opts)
 	if err != nil {
@@ -291,6 +291,25 @@ func Open(ck core.Checkpoint, env core.Envelope, dataset *data.Dataset, opts Opt
 	return s, nil
 }
 
+// CheckDigest refuses a checkpoint spec with no dataset digest, as Open
+// does: the rebuilt dataset could not be told from the trained one.
+func CheckDigest(spec framework.Spec) error {
+	if spec.DataSHA256 == "" {
+		return errors.New("serve: the checkpoint records no dataset digest (written before checkpoints recorded one, or not by mamdr-train -save): re-save it with mamdr-train -save")
+	}
+	return nil
+}
+
+// CheckSnapshotQuant refuses an Options.SnapshotQuant that is none of
+// "" or "off" (float64) and "int8", as both constructors do.
+func CheckSnapshotQuant(quant string) error {
+	switch quant {
+	case "", "off", "int8":
+		return nil
+	}
+	return fmt.Errorf("serve: unknown SnapshotQuant %q (off or int8)", quant)
+}
+
 // newServer is both constructors' body: model, trained on spec, is
 // replica 0, and every other replica must match its layout.
 func newServer(model models.Model, spec framework.Spec, dataset *data.Dataset, opts Options) (*Server, error) {
@@ -301,15 +320,12 @@ func newServer(model models.Model, spec framework.Spec, dataset *data.Dataset, o
 		pool:    make(chan *replica, opts.Replicas),
 		layout:  newLayout(model, spec),
 	}
-	switch opts.SnapshotQuant {
-	case "", "off":
-	case "int8":
-		// A model without learned embedding tables (the fixed-feature
-		// presets) has nothing to quantize and serves as "off".
-		s.layout.int8 = len(s.layout.tables) > 0
-	default:
-		return nil, fmt.Errorf("serve: unknown SnapshotQuant %q (off or int8)", opts.SnapshotQuant)
+	if err := CheckSnapshotQuant(opts.SnapshotQuant); err != nil {
+		return nil, err
 	}
+	// A model without learned embedding tables (the fixed-feature
+	// presets) has nothing to quantize and serves as "off".
+	s.layout.int8 = opts.SnapshotQuant == "int8" && len(s.layout.tables) > 0
 	s.pool <- &replica{model: model, binding: paramvec.NewBinding(s.layout.params)}
 	for i := 1; i < opts.Replicas; i++ {
 		m := opts.ReplicaFactory()

@@ -21,14 +21,13 @@ import (
 // recorder can be handed directly to telemetry.NewLossWatch without
 // either package importing the other.
 type FlightRecorder struct {
-	mu     sync.Mutex
-	buf    []*Span
-	next   int
-	full   bool
-	path   string
-	fired  map[string]bool
-	dumps  []Dump
-	onDump func(Dump)
+	mu    sync.Mutex
+	buf   []*Span
+	next  int
+	full  bool
+	path  string
+	fired map[string]bool
+	dumps []Dump
 }
 
 // Dump describes one completed anomaly dump.
@@ -131,25 +130,6 @@ func (f *FlightRecorder) Trigger(kind string, fields map[string]any) {
 	}
 	f.mu.Lock()
 	f.dumps = append(f.dumps, d)
-	hook := f.onDump
-	f.mu.Unlock()
-	if hook != nil {
-		hook(d)
-	}
-}
-
-// SetOnDump registers a callback invoked after every anomaly dump
-// completes (file written, dump recorded). Companion collectors — the
-// continuous profiler's on-disk ring, for one — use it to flush their
-// own state next to the trace file so an alert ships with everything
-// known about the moments before it. The callback runs on the
-// triggering goroutine without the recorder's lock held.
-func (f *FlightRecorder) SetOnDump(fn func(Dump)) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.onDump = fn
 	f.mu.Unlock()
 }
 
